@@ -21,6 +21,10 @@
 //!   modelled-seconds telemetry) changes. This is what lets one box
 //!   rehearse a Frontier-class fabric (`NetModel::frontier_paper`).
 //!
+//! Plus [`SoloComm`], the degenerate one-rank world (identity
+//! collectives, nothing counted or priced), which lets group code run
+//! the single-rank case without a second implementation.
+//!
 //! Workflow code is generic over `C: Collective`; concrete backends are
 //! constructed only at the topology roots (`as_core::workflow`, tests,
 //! benches). The backend choice is a config knob
@@ -357,6 +361,60 @@ impl Collective for Communicator {
     fn injected_fault_counts(&self) -> (u64, u64, u64) {
         Communicator::injected_fault_counts(self)
     }
+}
+
+/// The degenerate one-rank world: every collective is the identity and
+/// nothing is ever sent, counted or priced.
+///
+/// This is what lets code written for a K-rank group (the learner loop in
+/// `as_core::consumer`) run the single-rank case without a second
+/// implementation: `broadcast`/`allreduce_*` return their input,
+/// `gather`/`allgather` return a one-element vector, the traffic counters
+/// and the modelled clocks stay zero (the defaults), and
+/// `account_dataplane` is the default no-op — a lone rank prices nothing.
+/// Point-to-point `send`/`recv` panic: there is no peer to talk to.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SoloComm;
+
+impl Collective for SoloComm {
+    fn rank(&self) -> usize {
+        0
+    }
+    fn size(&self) -> usize {
+        1
+    }
+    fn algo(&self) -> CollectiveAlgo {
+        CollectiveAlgo::Linear
+    }
+    fn barrier(&self) {}
+    fn send<T: Send + 'static>(&self, dest: usize, _tag: u64, _value: T) {
+        panic!("SoloComm has no peer {dest} to send to");
+    }
+    fn send_vec<T: Send + 'static>(&self, dest: usize, _tag: u64, _value: Vec<T>) {
+        panic!("SoloComm has no peer {dest} to send to");
+    }
+    fn recv<T: Send + 'static>(&self, source: usize, _tag: u64) -> T {
+        panic!("SoloComm has no peer {source} to receive from");
+    }
+    fn broadcast<T: Clone + Send + 'static>(&self, _root: usize, value: Option<T>) -> T {
+        value.unwrap_or_else(|| panic!("the only rank is the root and must pass the value"))
+    }
+    fn gather<T: Send + 'static>(&self, _root: usize, value: T) -> Option<Vec<T>> {
+        Some(vec![value])
+    }
+    fn allgather<T: Clone + Send + 'static>(&self, value: T) -> Vec<T> {
+        vec![value]
+    }
+    fn allreduce_sum_f32(&self, _buf: &mut [f32]) {}
+    fn allreduce_sum_f64(&self, _buf: &mut [f64]) {}
+    fn allreduce_max_f64(&self, _buf: &mut [f64]) {}
+    fn world_bytes_sent(&self) -> u64 {
+        0
+    }
+    fn world_messages_sent(&self) -> u64 {
+        0
+    }
+    fn account_payload(&self, _bytes: u64) {}
 }
 
 /// Rank → modelled-node placement map for a [`NetModel`].
@@ -870,6 +928,37 @@ mod tests {
         }
         run_world(CommWorld::new(3).into_endpoints(), collective_roundtrip);
         run_world(SimNetComm::world(3, fast_model()), collective_roundtrip);
+    }
+
+    #[test]
+    fn solo_comm_collectives_are_the_identity_and_free() {
+        let c = SoloComm;
+        assert_eq!((c.rank(), c.size()), (0, 1));
+        c.barrier();
+        assert_eq!(c.broadcast(0, Some(vec![1u8, 2])), vec![1, 2]);
+        assert_eq!(c.gather(0, 7u32), Some(vec![7]));
+        assert_eq!(c.allgather("x"), vec!["x"]);
+        let mut f = [1.5f32, -2.0];
+        c.allreduce_sum_f32(&mut f);
+        assert_eq!(f, [1.5, -2.0]);
+        let mut d = [0.1f64, 3.0];
+        c.allreduce_sum_f64(&mut d);
+        c.allreduce_max_f64(&mut d);
+        assert_eq!(d, [0.1, 3.0]);
+        assert_eq!(c.allreduce_scalar_f64(4.25), 4.25);
+        // Nothing a lone rank does is counted or priced.
+        c.account_payload(1 << 20);
+        c.account_broadcast_payload(0, 1 << 20);
+        c.account_dataplane(1 << 20, 0.5);
+        assert_eq!(c.world_bytes_sent(), 0);
+        assert_eq!(c.world_messages_sent(), 0);
+        assert_eq!(c.modelled_comm_seconds(), 0.0);
+        assert_eq!(c.modelled_dataplane_seconds(), 0.0);
+        assert_eq!(c.dataplane_bytes(), 0);
+        // The liveness defaults describe a world where nothing dies.
+        c.mark_dead(0);
+        assert_eq!(c.alive_mask(), 1);
+        assert!(!c.is_rank_dead(0));
     }
 
     #[test]

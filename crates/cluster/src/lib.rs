@@ -11,7 +11,8 @@
 //!   trait every workflow crate is generic over, with the in-process
 //!   [`collective::ChannelComm`] backend and the netsim-delayed
 //!   [`collective::SimNetComm`] backend that charges [`machine`]-preset
-//!   fabric costs on one box.
+//!   fabric costs on one box, and the degenerate one-rank
+//!   [`collective::SoloComm`].
 //! - [`netsim`] — a flow-level network simulator with max-min fair bandwidth
 //!   sharing. It turns "N nodes each stream 5.86 GB through a 25 GB/s NIC
 //!   into a shared fabric" into wall-clock estimates, which is what the
@@ -39,7 +40,7 @@ pub mod prelude {
     //! Commonly used cluster types.
     pub use crate::algos::CollectiveAlgo;
     pub use crate::collective::{
-        ChannelComm, Collective, DataPlaneClock, NetModel, NodeMap, SimNetComm,
+        ChannelComm, Collective, DataPlaneClock, NetModel, NodeMap, SimNetComm, SoloComm,
     };
     pub use crate::collectives::{allreduce_cost, AllReduceAlgo, CollectiveCost};
     pub use crate::comm::{CommFaults, CommWorld, Communicator, FT_TAG_BASE};

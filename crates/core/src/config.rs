@@ -13,7 +13,7 @@
 //!   bit-identical but overlaps reduction with main-thread work.
 
 use crate::encode::EncodeConfig;
-use crate::faults::FaultPlan;
+use crate::faults::{FaultEvent, FaultPlan, KillMode};
 use as_cluster::algos::CollectiveAlgo;
 use as_cluster::machine::{MachineSpec, FRONTIER, SUMMIT};
 use as_nn::model::ModelConfig;
@@ -270,7 +270,8 @@ pub struct WorkflowConfig {
     pub producers: usize,
     /// Learner (reader) ranks: each consumes its round-robin share of the
     /// streamed windows and trains data-parallel, averaging gradients
-    /// every iteration. `1` keeps the original single-consumer path.
+    /// every iteration. `1` is the same driver over a one-rank world
+    /// (identity collectives, the historical unmixed seeds).
     pub consumers: usize,
     /// How consumers pace themselves against the stream (blocking
     /// every-step vs newest-step-only with drops).
@@ -290,8 +291,9 @@ pub struct WorkflowConfig {
     /// non-blocking comm-worker mode ([`as_nn::ddp::OverlappedGradSync`]
     /// over a dedicated second collective world), overlapping bucket
     /// reduction with bucket filling and the per-iteration loss mean.
-    /// Bit-identical to the blocking bucketed path; `false` keeps the
-    /// legacy in-line reduction.
+    /// Bit-identical to the blocking bucketed path; `false` reduces in
+    /// line. Not supported under an active fault plan
+    /// ([`WorkflowConfig::validate_topology`] rejects the pair).
     pub overlap_grad_sync: bool,
     /// With `consumers > 1`: the round-robin owner of a window encodes it
     /// once and broadcasts the encoded samples to the peer ranks, so
@@ -308,8 +310,8 @@ pub struct WorkflowConfig {
     pub seed: u64,
     /// Deterministic fault-injection plan ([`crate::faults::FaultPlan`]).
     /// Inert by default; when [`FaultPlan::active`] the workflow arms
-    /// tolerant collective worlds, routes consumers through the
-    /// fault-tolerant loops (checkpoint/restart, bounded-timeout
+    /// tolerant collective worlds, the consumer driver runs its
+    /// fault-tolerant group strategy (checkpoint/restart, bounded-timeout
     /// collectives, graceful rank-death degradation) and executes the
     /// plan's seeded event schedule.
     pub faults: FaultPlan,
@@ -397,8 +399,11 @@ impl WorkflowConfig {
         self.policy.effective_queue_limit(self.queue_limit)
     }
 
-    /// Panics unless the M×K streaming topology is consistent: at least
-    /// one rank on each side and an even slab split of the grid.
+    /// Panics unless the M×K streaming topology is consistent — at least
+    /// one rank on each side and an even slab split of the grid — and
+    /// the fault plan does not contradict the rest of the configuration
+    /// (checked here, before any stream or rank thread exists, rather
+    /// than inside the learner ranks mid-run).
     pub fn validate_topology(&self) {
         assert!(
             self.producers >= 1 && self.consumers >= 1,
@@ -411,6 +416,29 @@ impl WorkflowConfig {
             self.grid.nx,
             self.producers
         );
+        let plan = &self.faults;
+        assert!(
+            !(self.overlap_grad_sync && plan.active()),
+            "overlap_grad_sync is not supported under an active fault plan"
+        );
+        for event in &plan.events {
+            if let FaultEvent::ConsumerKill {
+                at_window,
+                mode: KillMode::Restart,
+                ..
+            } = *event
+            {
+                assert!(
+                    plan.checkpoint_every > 0,
+                    "ConsumerKill restart needs checkpoint_every > 0"
+                );
+                assert!(
+                    self.consumers == 1 || at_window.is_multiple_of(plan.checkpoint_every),
+                    "multi-rank kill-restart must land on a checkpoint boundary \
+                     (checkpoint_every must divide the kill window)"
+                );
+            }
+        }
     }
 }
 
@@ -491,6 +519,53 @@ mod tests {
     fn uneven_slab_split_is_rejected() {
         let mut c = WorkflowConfig::small();
         c.producers = 5; // 12 cells across 5 slabs
+        c.validate_topology();
+    }
+
+    fn kill_restart(rank: usize, at_window: u64) -> FaultEvent {
+        FaultEvent::ConsumerKill {
+            rank,
+            at_window,
+            mode: KillMode::Restart,
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "overlap_grad_sync is not supported under an active fault plan")]
+    fn overlap_under_an_active_fault_plan_is_rejected() {
+        let mut c = WorkflowConfig::small();
+        c.consumers = 2;
+        c.overlap_grad_sync = true;
+        c.faults.checkpoint_every = 2;
+        c.validate_topology();
+    }
+
+    #[test]
+    #[should_panic(expected = "ConsumerKill restart needs checkpoint_every > 0")]
+    fn restart_without_checkpoints_is_rejected() {
+        let mut c = WorkflowConfig::small();
+        c.faults.events.push(kill_restart(0, 3));
+        c.validate_topology();
+    }
+
+    #[test]
+    #[should_panic(expected = "must land on a checkpoint boundary")]
+    fn multi_rank_restart_off_a_checkpoint_boundary_is_rejected() {
+        let mut c = WorkflowConfig::small();
+        c.consumers = 2;
+        c.faults.checkpoint_every = 2;
+        c.faults.events.push(kill_restart(1, 3));
+        c.validate_topology();
+    }
+
+    #[test]
+    fn consistent_fault_plans_are_accepted() {
+        let mut c = WorkflowConfig::small();
+        c.faults.checkpoint_every = 2;
+        c.faults.events.push(kill_restart(0, 3)); // a lone rank may roll back
+        c.validate_topology();
+        c.consumers = 2;
+        c.faults.events = vec![kill_restart(1, 4)];
         c.validate_topology();
     }
 

@@ -4,53 +4,69 @@
 //! training samples, feeds the experience-replay buffer and trains the
 //! VAE+INN `n_rep` iterations per streamed window (§IV-C).
 //!
-//! Two drivers share the per-window encoding path:
-//! - [`run_consumer`]: the original single-rank consumer — the exact
-//!   legacy 1×1 behaviour under [`ConsumerPolicy::BlockingEveryStep`]
-//!   (same seeds, same iteration order);
-//! - [`run_ddp_consumer`]: one rank of a K-way data-parallel learner
-//!   group. Every rank sees every streamed step (SST semantics) but only
-//!   the round-robin owner (`window % K == rank`) fetches the payload and
-//!   feeds its rank-local replay buffer (unless
-//!   `WorkflowConfig::sample_broadcast` shares the owner's encoded
-//!   samples with every rank); training is synchronous, with gradients
-//!   averaged through [`as_nn::ddp::sync_gradients_bucketed`] every
-//!   iteration, which keeps parameters bit-identical across ranks
-//!   (asserted each iteration via [`as_nn::ddp::param_hash`]).
+//! # One driver
+//!
+//! [`run_consumer`] is the only learner loop: one rank of a K-way
+//! data-parallel group, written once against a [`Collective`] endpoint.
+//! Per window it runs, in this order: the fault hooks (checkpoint capture,
+//! kill, scheduled skip), a membership round, the window pick, the owner's
+//! fetch + encode (optionally broadcast to the peers), the data-plane
+//! charge, and `n_rep` synchronous training iterations — each a collective
+//! go/no-go, a forward/backward pass, a bucketed gradient average, the
+//! optimizer step, a cross-rank parameter-hash witness and, when due, a
+//! snapshot publication.
+//!
+//! Everything that depends on *how the group communicates* is decided by
+//! the learner-group strategy [`LearnerGroup`], chosen from
+//! [`crate::faults::FaultPlan::active`]: fixed membership over the plain
+//! blocking collectives, or degradable membership over the
+//! timeout-bounded [`FtComm`] operations (who is alive, who picks the
+//! `DropSteps` target, how sums/broadcasts/gradient buckets travel,
+//! whether snapshot metadata is broadcast). The loop itself never asks
+//! which one it has. While every rank is alive the two are bit-identical.
+//!
+//! K = 1 is the same loop over [`as_cluster::collective::SoloComm`], whose
+//! collectives are the identity: ownership is always this rank, the
+//! go/no-go is `buffer.ready()`, there is no gradient sync and nothing is
+//! priced. A lone rank keeps the historical unmixed RNG seeds; ranks of a
+//! K ≥ 2 group mix their rank into the buffer/encode/train seeds
+//! (different data and noise streams over identical weights — the
+//! `as_nn::ddp::train_ddp` discipline). Every rank sees every streamed
+//! step (SST semantics) but only the round-robin owner among the live
+//! members fetches the payload, so parameters stay bit-identical across
+//! ranks (asserted each iteration via [`as_nn::ddp::param_hash`]).
 //!
 //! # Streaming policy
 //!
-//! Both drivers honour [`WorkflowConfig::policy`]:
+//! [`WorkflowConfig::policy`] paces the loop:
 //! - `BlockingEveryStep` consumes windows in order, letting the bounded
 //!   SST queue stall the producer when training falls behind;
 //! - [`ConsumerPolicy::DropSteps`] jumps to the **newest** published
 //!   window — but only once at least `min_queue` unseen windows are
 //!   pending (`0` = always jump); older pending windows are closed
-//!   unread. Skipped windows are counted in
-//!   [`ConsumerReport::dropped_windows`] and their queue slots free
-//!   immediately, so producer stall stays bounded by the queue depth.
-//!   Under DDP, rank 0 picks the target window and broadcasts its
-//!   stream-step index so every rank skips the *same* window set — the
-//!   collective schedule (go/no-go, gradient all-reduce, hash check)
-//!   stays identical on all ranks.
+//!   unread and their queue slots free immediately, so producer stall
+//!   stays bounded by the queue depth. The group's root picks the target
+//!   window and broadcasts its stream-step index so every rank skips the
+//!   *same* window set — the collective schedule stays identical on all
+//!   ranks.
 //!
-//! Every published window is accounted for exactly once:
-//! `windows + dropped_windows + orphaned_windows ==`
-//! [`ConsumerReport::published_windows`].
+//! # Accounting identity
 //!
-//! If the two streams end out of sync (a producer dying between the
-//! particle and radiation emission of a window), the consumer drains the
-//! longer stream and reports the mismatch in
-//! [`ConsumerReport::orphaned_windows`] instead of panicking.
+//! Every published window is accounted for exactly once, on every rank:
+//! `windows + dropped_windows + orphaned_windows + lost_windows ==`
+//! [`ConsumerReport::published_windows`] — trained on, skipped by
+//! `DropSteps`, stranded on one stream after the other ended (a producer
+//! dying between the two emissions of a window; the longer stream is
+//! drained, not panicked on), or destroyed by an injected fault.
 
 use crate::checkpoint::{LearnerCheckpoint, LearnerProgress};
 use crate::config::{ConsumerPolicy, WorkflowConfig};
 use crate::encode::{batch_to_tensors, Sample};
 use crate::faults::{InjectedFault, KillMode};
-use crate::ft::FtComm;
+use crate::ft::{FtComm, LearnerGroup};
 use crate::snapshot::{SnapshotPublisher, SnapshotSink};
 use as_cluster::collective::Collective;
-use as_nn::ddp::{param_hash, sync_gradients_bucketed, sync_gradients_with, OverlappedGradSync};
+use as_nn::ddp::{param_hash, OverlappedGradSync};
 use as_nn::model::{ArtificialScientistModel, LossReport, ModelOptimizer};
 use as_openpmd::reader::{IterationData, OpenPmdReader};
 use as_pic::diag::FlowRegion;
@@ -61,12 +77,13 @@ use as_staging::engine::SstReader;
 use as_tensor::TensorRng;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// Consumer-side outcome (one rank).
 pub struct ConsumerReport {
     /// The trained model.
     pub model: ArtificialScientistModel,
-    /// Loss after every training iteration (rank-mean in DDP mode).
+    /// Loss after every training iteration (mean over the live ranks).
     pub losses: Vec<LossReport>,
     /// Windows received from the stream (every rank sees every window).
     pub windows: u64,
@@ -76,9 +93,9 @@ pub struct ConsumerReport {
     pub train_seconds: f64,
     /// Bytes fetched from the particle stream by this rank.
     pub particle_bytes: u64,
-    /// This rank's index in the learner group (0 for the single consumer).
+    /// This rank's index in the learner group.
     pub rank: usize,
-    /// Learner group size (1 for the single consumer).
+    /// Learner group size.
     pub world: usize,
     /// PIC iteration indices of the windows this rank owned (fetched and
     /// encoded). Across ranks these partition the stream exactly once.
@@ -91,38 +108,37 @@ pub struct ConsumerReport {
     pub dropped_windows: u64,
     /// Total windows the producer published (the larger of the two
     /// streams' step counts). Always equals
-    /// `windows + dropped_windows + orphaned_windows` — every published
-    /// window is consumed, dropped, or orphaned, never lost silently.
+    /// `windows + dropped_windows + orphaned_windows + lost_windows` —
+    /// every published window is consumed, dropped, orphaned or lost to a
+    /// fault, never lost silently.
     pub published_windows: u64,
     /// FNV-1a hash of the final parameter bits (DDP sync witness).
     pub param_hash: u64,
     /// Parameter hash after **every** training iteration, in order — the
     /// cross-backend determinism witness: two runs of the same seeded
     /// config under different [`crate::config::CommBackend`]s must
-    /// produce identical sequences (delays may not change numerics).
-    /// Recorded by the DDP driver, where the hash is already computed
-    /// for the per-iteration divergence check; empty for the legacy
-    /// single consumer, which has no cross-rank traffic to witness.
+    /// produce identical sequences (delays may not change numerics), and
+    /// the rollback bit-identity witness under a fault plan. Recorded
+    /// whenever there is something to witness (a group of two or more
+    /// ranks, or an active fault plan); empty for an unfaulted lone rank,
+    /// which skips the per-iteration hash entirely.
     pub param_hashes: Vec<u64>,
     /// Inter-rank payload bytes the learner group's collective backends
     /// moved (world-wide counters observed at this rank's exit; gradient
     /// buckets, loss means, go/no-go and hash collectives — summed over
     /// the main world and, in overlap mode, the dedicated gradient
-    /// world). Zero for the single consumer, which has no peers.
+    /// world). Zero for a lone rank, which has no peers.
     pub comm_bytes: u64,
     /// Modelled fabric seconds charged by the collective backend
     /// (world-wide; nonzero only under `CommBackend::NetSim`).
     pub comm_model_seconds: f64,
     /// Point-to-point messages the learner group's collectives sent
     /// (world-wide counter, summed over the main world and — in overlap
-    /// mode — the dedicated gradient world). Zero for the single
-    /// consumer.
+    /// mode — the dedicated gradient world). Zero for a lone rank.
     pub comm_messages: u64,
     /// Windows destroyed by injected faults on this rank: checkpoint
-    /// rollback after a kill-restart plus scheduled skip events. With it
-    /// the per-rank accounting identity becomes
-    /// `windows + dropped + orphaned + lost == published`. Zero on a
-    /// healthy run.
+    /// rollback after a kill-restart plus scheduled skip events. Zero on
+    /// a healthy run.
     pub lost_windows: u64,
     /// Kill-restart cycles this rank survived.
     pub restarts: u64,
@@ -132,7 +148,8 @@ pub struct ConsumerReport {
     /// Times this rank watched the learner group shrink (a peer declared
     /// dead and excluded from the collective schedule).
     pub degradations: u64,
-    /// Live learner ranks at exit (`world` minus condemned peers).
+    /// Live learner ranks at exit (`world` minus condemned peers; 0 for a
+    /// rank that never returned).
     pub world_after: usize,
     /// Wire bytes this rank fetched from the two staging streams
     /// (particles + radiation) — equal to the logical payload bytes
@@ -145,237 +162,143 @@ pub struct ConsumerReport {
     pub staging_model_seconds: f64,
 }
 
-/// Build the snapshot publisher when both the config knob and a sink
-/// are present; otherwise the drivers run the legacy training-only
-/// loops bit-for-bit.
-fn make_publisher(
-    cfg: &WorkflowConfig,
-    sink: Option<std::sync::Arc<dyn SnapshotSink>>,
-) -> Option<SnapshotPublisher> {
-    match (&cfg.serving, sink) {
-        (Some(serving), Some(sink)) => Some(SnapshotPublisher::new(sink, serving, cfg.encode)),
-        _ => None,
-    }
-}
-
-/// Run the single-rank consumer until the streams end (legacy 1×1 path).
-pub fn run_consumer(
-    cfg: &WorkflowConfig,
-    particle_stream: SstReader,
-    radiation_stream: SstReader,
-) -> ConsumerReport {
-    run_consumer_serving(cfg, particle_stream, radiation_stream, None)
-}
-
-/// [`run_consumer`] with an optional snapshot sink: when
-/// [`WorkflowConfig::serving`] is set, a [`crate::snapshot::ModelSnapshot`]
-/// is published every `publish_every` training iterations. With `None`
-/// (or `serving: None`) the loop is the legacy path bit-for-bit.
-pub fn run_consumer_serving(
-    cfg: &WorkflowConfig,
-    particle_stream: SstReader,
-    radiation_stream: SstReader,
-    sink: Option<std::sync::Arc<dyn SnapshotSink>>,
-) -> ConsumerReport {
-    let mut publisher = make_publisher(cfg, sink);
-    let mut p_reader = OpenPmdReader::new(particle_stream);
-    let mut r_reader = OpenPmdReader::new(radiation_stream);
-    let mut model = ArtificialScientistModel::new(cfg.model.clone(), cfg.seed);
-    let mut opt = ModelOptimizer::new(cfg.adam, cfg.m_vae);
-    let mut buffer: TrainingBuffer<Sample> = TrainingBuffer::new(cfg.buffer, cfg.seed ^ 0xEB);
-    let mut schedule = ReplaySchedule::new(cfg.n_rep, StallPolicy::StallProducer);
-    let mut enc_rng = StdRng::seed_from_u64(cfg.seed ^ 0xE0C0DE);
-    let mut train_rng = TensorRng::seeded(cfg.seed ^ 0x7241);
-
-    let mut report_losses = Vec::new();
-    let mut windows = 0u64;
-    let mut samples = 0u64;
-    let mut train_seconds = 0.0;
-    let mut owned_windows = Vec::new();
-    let mut orphaned_windows = 0u64;
-    let mut dropped_windows = 0u64;
-
-    'stream: loop {
-        let (mut p_it, mut r_it) = match cfg.policy {
-            ConsumerPolicy::BlockingEveryStep => {
-                let p_it = p_reader.next_iteration();
-                let r_it = r_reader.next_iteration();
-                match (p_it, r_it) {
-                    (Some(a), Some(b)) => (a, b),
-                    (None, None) => break,
-                    (Some(a), None) => {
-                        p_reader.close_iteration(a);
-                        orphaned_windows += 1 + drain_stream(&mut p_reader);
-                        break;
-                    }
-                    (None, Some(b)) => {
-                        r_reader.close_iteration(b);
-                        orphaned_windows += 1 + drain_stream(&mut r_reader);
-                        break;
-                    }
-                }
-            }
-            ConsumerPolicy::DropSteps { min_queue, .. } => {
-                let (p_skip, p_opt) = p_reader.next_iteration_latest_min(min_queue as u64);
-                match pair_drop_steps_window(
-                    p_skip,
-                    p_opt,
-                    &mut p_reader,
-                    &mut r_reader,
-                    &mut dropped_windows,
-                    &mut orphaned_windows,
-                ) {
-                    Some(pair) => pair,
-                    None => break 'stream,
-                }
-            }
-        };
-        windows += 1;
-        owned_windows.push(p_it.iteration);
-        let fresh = encode_window(cfg, &mut p_it, &mut r_it, &mut enc_rng);
-        samples += fresh.len() as u64;
-        for s in fresh {
-            buffer.push(s);
-        }
-        p_reader.close_iteration(p_it);
-        r_reader.close_iteration(r_it);
-
-        // Train n_rep iterations for this window.
-        schedule.on_step();
-        while schedule.should_train() && buffer.ready() {
-            let t0 = std::time::Instant::now();
-            let batch = buffer.sample_batch();
-            let (points, spectra) = batch_to_tensors(&batch, &cfg.model);
-            model.zero_grad();
-            let report = model.accumulate_gradients(&points, &spectra, &mut train_rng);
-            opt.step(&mut model);
-            train_seconds += t0.elapsed().as_secs_f64();
-            report_losses.push(report);
-            schedule.on_iteration();
-            // Snapshot publication: single rank, no collective to price.
-            if let Some(pb) = publisher.as_mut() {
-                let iters = report_losses.len() as u64;
-                if pb.due(iters) {
-                    let snap = pb.capture(&mut model, iters);
-                    pb.send(snap);
-                }
-            }
+impl ConsumerReport {
+    /// The report of a rank that has consumed nothing yet: the freshly
+    /// seeded (untrained) model and all-zero counters. The driver grows
+    /// it in place; the workflow also uses it as the stand-in for a rank
+    /// that died and never returned.
+    pub(crate) fn fresh(cfg: &WorkflowConfig, rank: usize, world: usize) -> Self {
+        Self {
+            model: ArtificialScientistModel::new(cfg.model.clone(), cfg.seed),
+            losses: Vec::new(),
+            windows: 0,
+            samples: 0,
+            train_seconds: 0.0,
+            particle_bytes: 0,
+            rank,
+            world,
+            owned_windows: Vec::new(),
+            orphaned_windows: 0,
+            dropped_windows: 0,
+            published_windows: 0,
+            param_hash: 0,
+            param_hashes: Vec::new(),
+            comm_bytes: 0,
+            comm_model_seconds: 0.0,
+            comm_messages: 0,
+            lost_windows: 0,
+            restarts: 0,
+            recovery_seconds: 0.0,
+            degradations: 0,
+            world_after: 0,
+            staging_wire_bytes: 0,
+            staging_model_seconds: 0.0,
         }
     }
-
-    let particle_bytes = p_reader.stats().total_bytes();
-    let staging_wire_bytes = p_reader.stats().wire_bytes() + r_reader.stats().wire_bytes();
-    let staging_model_seconds =
-        p_reader.stats().simulated_seconds() + r_reader.stats().simulated_seconds();
-    let published_windows = p_reader.published_steps().max(r_reader.published_steps());
-    let hash = param_hash(&mut model);
-    ConsumerReport {
-        model,
-        losses: report_losses,
-        windows,
-        samples,
-        train_seconds,
-        particle_bytes,
-        rank: 0,
-        world: 1,
-        owned_windows,
-        orphaned_windows,
-        dropped_windows,
-        published_windows,
-        param_hash: hash,
-        param_hashes: Vec::new(),
-        comm_bytes: 0,
-        comm_model_seconds: 0.0,
-        comm_messages: 0,
-        lost_windows: 0,
-        restarts: 0,
-        recovery_seconds: 0.0,
-        degradations: 0,
-        world_after: 1,
-        staging_wire_bytes,
-        staging_model_seconds,
-    }
 }
 
-/// Run one rank of a K-way data-parallel consumer group until the
-/// streams end.
+/// Run one rank of the learner group until the streams end.
 ///
-/// `comm` spans the learner ranks (any [`Collective`] backend). Window
-/// ownership is round-robin in stream order; training is synchronous and
-/// gradient-averaged every iteration (bucketed —
-/// [`as_nn::ddp::sync_gradients_bucketed`] with `cfg.grad_bucket`
-/// elements per bucket), so every rank holds bit-identical parameters
-/// throughout (asserted). Iterations only run once *every* rank can draw
-/// a batch — the go/no-go is collective, keeping the allreduce schedule
-/// identical on all ranks.
+/// `comm` spans the K learner ranks (any [`Collective`] backend;
+/// [`as_cluster::collective::SoloComm`] for K = 1). Window ownership is
+/// round-robin over the live members in stream order; training is
+/// synchronous and gradient-averaged every iteration in
+/// `cfg.grad_bucket`-element buckets, so every rank holds bit-identical
+/// parameters throughout (asserted). Iterations only run once *every*
+/// live rank can draw a batch — the go/no-go is collective, keeping the
+/// all-reduce schedule identical on all ranks; owed iterations are
+/// recovered on later windows.
 ///
-/// With [`WorkflowConfig::overlap_grad_sync`] the bucket reduction runs
-/// non-blocking on a comm-worker thread over `grad_comm` — a **second**
-/// collective world spanning the same ranks (its own endpoint per rank,
-/// like a NCCL gradient stream), so bucket all-reduces overlap the
-/// per-iteration loss mean on `comm` without the two schedules ever
-/// sharing an endpoint. The reduction itself is bit-identical to the
-/// blocking path ([`as_nn::ddp::OverlappedGradSync`]).
+/// With [`WorkflowConfig::overlap_grad_sync`] (and K ≥ 2) the bucket
+/// reduction runs non-blocking on a comm-worker thread over `grad_comm` —
+/// a **second** collective world spanning the same ranks (its own
+/// endpoint per rank, like a NCCL gradient stream), so bucket all-reduces
+/// overlap the per-iteration loss mean on `comm` without the two
+/// schedules ever sharing an endpoint. The reduction is bit-identical to
+/// the blocking one ([`OverlappedGradSync`]). `grad_comm` is ignored
+/// otherwise.
 ///
-/// Under [`ConsumerPolicy::DropSteps`] rank 0 selects the target window
-/// (freshest, or next-in-order while fewer than `min_queue` windows are
-/// pending) and broadcasts its stream-step index; every peer skips to
-/// exactly that step. All ranks therefore process (and drop) the *same*
-/// windows, which keeps the per-window collective schedule — and the
-/// round-robin ownership — identical across the group.
-pub fn run_ddp_consumer<C: Collective>(
-    cfg: &WorkflowConfig,
-    comm: C,
-    grad_comm: Option<C>,
-    particle_stream: SstReader,
-    radiation_stream: SstReader,
-) -> ConsumerReport {
-    run_ddp_consumer_serving(
-        cfg,
-        comm,
-        grad_comm,
-        particle_stream,
-        radiation_stream,
-        None,
-    )
-}
-
-/// [`run_ddp_consumer`] with an optional snapshot sink. When
-/// [`WorkflowConfig::serving`] is set, rank 0 captures a
+/// With [`WorkflowConfig::serving`] set and a `sink` given, the group's
+/// root (the lowest live rank) captures a
 /// [`crate::snapshot::ModelSnapshot`] every `publish_every` training
-/// iterations (the counter is bit-identical across ranks, so every rank
-/// agrees on the schedule), prices the payload along the group's
-/// broadcast schedule (`account_broadcast_payload` — the netsim backend
-/// charges it like any other traffic) and broadcasts the
-/// `(version, param_hash)` metadata; peers assert the hash against their
-/// own bit-identical parameters — a cross-rank torn-weights check — and
-/// advance their version counters in lockstep.
-pub fn run_ddp_consumer_serving<C: Collective>(
+/// iterations — the counter is bit-identical across ranks, so every rank
+/// agrees on the schedule — prices the payload along the group's
+/// broadcast schedule and sends it to the sink; where the group
+/// broadcasts the `(version, param_hash)` metadata, peers assert the hash
+/// against their own parameters (a cross-rank torn-weights check). When
+/// the root dies, publication fails over to the next survivor. The
+/// version counter is *not* checkpointed: a rollback may republish the
+/// same iteration range, but versions stay strictly monotone — the
+/// engine's hot-swap invariant.
+///
+/// Under an **active** [`crate::faults::FaultPlan`] the hooks at the top
+/// of each window, keyed on the *arrival counter* (windows taken off the
+/// stream), come alive:
+///
+/// - **checkpoint capture** every `checkpoint_every` arrivals, *before*
+///   the kill hook, so a kill landing on a boundary restores the state
+///   captured a moment earlier (capture never mutates learner state);
+/// - **kill events**: [`KillMode::Restart`] rolls back to the latest
+///   [`LearnerCheckpoint`] (arrivals consumed since then are counted in
+///   [`ConsumerReport::lost_windows`] — stream steps cannot be re-read)
+///   and continues; [`KillMode::Die`] marks this rank dead on the shared
+///   world — so survivors fast-fail their waits instead of burning the
+///   full death budget — and panics with an [`InjectedFault`] payload
+///   (the orchestrator captures it as a rank failure);
+/// - **skip events** ([`crate::faults::FaultEvent::SkipWindows`]): the
+///   window is read and closed unprocessed, counted as lost — the
+///   reference-run twin of a rollback, for bit-identity comparisons.
+///
+/// With an event-free plan the training trajectory is bit-identical to
+/// the inert plan's. Contradictory configurations are rejected up front
+/// by [`WorkflowConfig::validate_topology`], which this function calls.
+pub fn run_consumer<C: Collective>(
     cfg: &WorkflowConfig,
     comm: C,
     grad_comm: Option<C>,
     particle_stream: SstReader,
     radiation_stream: SstReader,
-    sink: Option<std::sync::Arc<dyn SnapshotSink>>,
+    sink: Option<Arc<dyn SnapshotSink>>,
 ) -> ConsumerReport {
-    let mut publisher = make_publisher(cfg, sink);
+    cfg.validate_topology();
+    let plan = &cfg.faults;
     let rank = comm.rank();
     let world = comm.size();
-    let mut overlap = if cfg.overlap_grad_sync {
-        let g = grad_comm
-            .unwrap_or_else(|| panic!("overlap_grad_sync needs a dedicated gradient world"));
-        assert_eq!(g.rank(), rank, "gradient world must mirror the main world");
-        assert_eq!(g.size(), world, "gradient world must mirror the main world");
-        Some(OverlappedGradSync::new(std::sync::Arc::new(g)))
+    let mut group = if plan.active() {
+        LearnerGroup::Ft(FtComm::new(&comm, plan))
     } else {
-        None
+        let overlap = (cfg.overlap_grad_sync && world > 1).then(|| {
+            let g = grad_comm
+                .unwrap_or_else(|| panic!("overlap_grad_sync needs a dedicated gradient world"));
+            assert_eq!(
+                (g.rank(), g.size()),
+                (rank, world),
+                "gradient world must mirror the main world"
+            );
+            OverlappedGradSync::new(Arc::new(g))
+        });
+        LearnerGroup::Static {
+            comm: &comm,
+            overlap,
+        }
     };
-    // Different data/noise streams per rank, identical weights — the same
-    // seeding discipline as `as_nn::ddp::train_ddp`.
-    let rank_mix = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(rank as u64 + 1);
+    // The per-iteration hash is a cross-rank / cross-run witness; an
+    // unfaulted lone rank has nothing to compare it with.
+    let witness = world > 1 || plan.active();
+    let mut publisher = match (&cfg.serving, sink) {
+        (Some(serving), Some(sink)) => Some(SnapshotPublisher::new(sink, serving, cfg.encode)),
+        _ => None,
+    };
+    // Ranks of a group draw different data/noise streams over identical
+    // weights; a lone rank keeps the historical unmixed seeds.
+    let rank_mix = if world > 1 {
+        0x9E37_79B9_7F4A_7C15u64.wrapping_mul(rank as u64 + 1)
+    } else {
+        0
+    };
     let mut p_reader = OpenPmdReader::new(particle_stream);
     let mut r_reader = OpenPmdReader::new(radiation_stream);
-    let mut model = ArtificialScientistModel::new(cfg.model.clone(), cfg.seed);
+    let mut rep = ConsumerReport::fresh(cfg, rank, world);
     let mut opt = ModelOptimizer::new(cfg.adam, cfg.m_vae);
     let mut buffer: TrainingBuffer<Sample> =
         TrainingBuffer::new(cfg.buffer, cfg.seed ^ 0xEB ^ rank_mix);
@@ -383,52 +306,115 @@ pub fn run_ddp_consumer_serving<C: Collective>(
     let mut enc_rng = StdRng::seed_from_u64(cfg.seed ^ 0xE0C0DE ^ rank_mix);
     let mut train_rng = TensorRng::seeded(cfg.seed ^ 0x7241 ^ rank_mix);
 
-    let mut report_losses = Vec::new();
-    let mut windows = 0u64;
-    let mut samples = 0u64;
-    let mut train_seconds = 0.0;
-    let mut owned_windows = Vec::new();
-    let mut orphaned_windows = 0u64;
-    let mut dropped_windows = 0u64;
-    let mut param_hashes = Vec::new();
+    let kill = plan.consumer_kill(rank);
+    let skips = plan.skip_ranges();
+    // Arrival counter: strictly increasing across loop tops, never rolled
+    // back, so each hook below fires at most once per arrival.
+    let mut seen = 0u64;
+    let mut ckpt: Option<LearnerCheckpoint> = None;
+    let mut members: Vec<usize> = (0..world).collect();
 
     'stream: loop {
+        if plan.checkpoint_every > 0 && seen.is_multiple_of(plan.checkpoint_every) {
+            let progress = LearnerProgress {
+                windows: rep.windows,
+                samples: rep.samples,
+                owned_windows: rep.owned_windows.clone(),
+                losses: rep.losses.clone(),
+                param_hashes: rep.param_hashes.clone(),
+            };
+            ckpt = Some(LearnerCheckpoint::capture(
+                &mut rep.model,
+                &opt,
+                &buffer,
+                &schedule,
+                &enc_rng,
+                &train_rng,
+                &progress,
+            ));
+        }
+        match kill {
+            Some((at, KillMode::Die)) if at == seen => {
+                // Self-mark before unwinding: the health board is shared,
+                // so survivors fast-fail their pending waits.
+                comm.mark_dead(rank);
+                std::panic::panic_any(InjectedFault {
+                    rank,
+                    at_window: seen,
+                });
+            }
+            Some((at, KillMode::Restart)) if at == seen => {
+                let t0 = std::time::Instant::now();
+                let c = ckpt.as_ref().unwrap_or_else(|| {
+                    panic!("validate_topology guarantees a checkpoint before a restart")
+                });
+                let progress = c.restore(
+                    &mut rep.model,
+                    &mut opt,
+                    &mut buffer,
+                    &mut schedule,
+                    &mut enc_rng,
+                    &mut train_rng,
+                );
+                rep.lost_windows += rep.windows - progress.windows;
+                rep.windows = progress.windows;
+                rep.samples = progress.samples;
+                rep.owned_windows = progress.owned_windows;
+                rep.losses = progress.losses;
+                rep.param_hashes = progress.param_hashes;
+                rep.restarts += 1;
+                rep.recovery_seconds += t0.elapsed().as_secs_f64();
+            }
+            _ => {}
+        }
+        // Membership round: agree on who is alive before any
+        // value-bearing collective of this window. A shrink is a
+        // degradation event — ownership, go/no-go threshold and loss
+        // divisor all re-derive from the surviving member list.
+        let now_alive = group.members();
+        if now_alive.len() < members.len() {
+            rep.degradations += 1;
+        }
+        members = now_alive;
+
         let (mut p_it, mut r_it) = match cfg.policy {
             ConsumerPolicy::BlockingEveryStep => {
-                let p_it = p_reader.next_iteration();
-                let r_it = r_reader.next_iteration();
-                match (p_it, r_it) {
+                match (p_reader.next_iteration(), r_reader.next_iteration()) {
                     (Some(a), Some(b)) => (a, b),
                     (None, None) => break,
                     (Some(a), None) => {
                         p_reader.close_iteration(a);
-                        orphaned_windows += 1 + drain_stream(&mut p_reader);
+                        rep.orphaned_windows += 1 + drain_stream(&mut p_reader);
                         break;
                     }
                     (None, Some(b)) => {
                         r_reader.close_iteration(b);
-                        orphaned_windows += 1 + drain_stream(&mut r_reader);
+                        rep.orphaned_windows += 1 + drain_stream(&mut r_reader);
                         break;
                     }
                 }
             }
             ConsumerPolicy::DropSteps { min_queue, .. } => {
-                // Rank 0 decides which window to take (freshest, or
-                // next-in-order while the backlog is shallower than
-                // min_queue); peers follow to the same stream step.
-                // Every rank enters a round with the same cursor, so the
-                // skip counts match and the group's collective schedule
-                // stays aligned.
-                let (p_skip, p_opt) = if rank == 0 {
+                // The group's root decides which window to take
+                // (freshest, or next-in-order while the backlog is
+                // shallower than min_queue) by reading its own stream,
+                // and broadcasts the stream step; peers follow to the
+                // same step. Every rank enters a round with the same
+                // cursor, so the skip counts match and the collective
+                // schedule stays aligned. If a fault-tolerant root died
+                // this round the election falls through to the next
+                // survivor.
+                let mut own_read: Option<(u64, Option<IterationData>)> = None;
+                let target = group.elect_broadcast(|| {
                     let (skip, opt) = p_reader.next_iteration_latest_min(min_queue as u64);
-                    let target: Option<u64> = opt.as_ref().map(|it| it.stream_step());
-                    comm.broadcast(0, Some(target));
-                    (skip, opt)
-                } else {
-                    match comm.broadcast::<Option<u64>>(0, None) {
-                        Some(target) => p_reader.next_iteration_at_least(target),
-                        None => (0, None),
-                    }
+                    let step = opt.as_ref().map(|it| it.stream_step());
+                    own_read = Some((skip, opt));
+                    step
+                });
+                let (p_skip, p_opt) = match (own_read, target) {
+                    (Some(read), _) => read,
+                    (None, Some(step)) => p_reader.next_iteration_at_least(step),
+                    (None, None) => (0, None),
                 };
                 // The pairing/accounting outcome is a function of global
                 // stream state and the shared target, so every rank takes
@@ -439,56 +425,54 @@ pub fn run_ddp_consumer_serving<C: Collective>(
                     p_opt,
                     &mut p_reader,
                     &mut r_reader,
-                    &mut dropped_windows,
-                    &mut orphaned_windows,
+                    &mut rep.dropped_windows,
+                    &mut rep.orphaned_windows,
                 ) {
                     Some(pair) => pair,
                     None => break 'stream,
                 }
             }
         };
-        let slot = windows;
-        windows += 1;
-        let owner = (slot % world as u64) as usize;
-        if cfg.sample_broadcast {
-            // Owner-computed broadcast: one rank pays the fetch+encode,
-            // every rank's buffer receives the encoded samples (a few KiB
-            // per window vs the full phase-space fetch).
-            let fresh = if rank == owner {
-                owned_windows.push(p_it.iteration);
-                encode_window(cfg, &mut p_it, &mut r_it, &mut enc_rng)
-            } else {
-                Vec::new()
-            };
-            if rank == owner {
-                // The broadcast payload is opaque to the transport;
-                // declare its per-copy serialized size so the backend can
-                // price it along the broadcast schedule (the netsim
-                // backend charges the tree's bandwidth terms; byte
-                // telemetry stays one copy per peer under either algo).
+        let arrival = seen;
+        seen += 1;
+        if skips.iter().any(|&(f, t)| arrival >= f && arrival <= t) {
+            p_reader.close_iteration(p_it);
+            r_reader.close_iteration(r_it);
+            rep.lost_windows += 1;
+            continue 'stream;
+        }
+        let owner = members[(rep.windows % members.len() as u64) as usize];
+        rep.windows += 1;
+        // Only the owner pays the fetch + encode.
+        let fresh = (rank == owner).then(|| {
+            rep.owned_windows.push(p_it.iteration);
+            encode_window(cfg, &mut p_it, &mut r_it, &mut enc_rng)
+        });
+        let fresh = if cfg.sample_broadcast {
+            // Owner-computed broadcast: every rank's buffer receives the
+            // encoded samples (a few KiB per window vs the full
+            // phase-space fetch). The payload is opaque to the transport,
+            // so the owner declares its per-copy serialized size and the
+            // backend prices it along the broadcast schedule.
+            if let Some(fresh) = &fresh {
                 let per_copy: u64 = fresh
                     .iter()
                     .map(|s| ((s.points.len() + s.spectrum.len()) * 4 + 16) as u64)
                     .sum();
                 comm.account_broadcast_payload(owner, per_copy);
             }
-            let shared = comm.broadcast(owner, if rank == owner { Some(fresh) } else { None });
-            samples += shared.len() as u64;
-            for s in shared {
-                buffer.push(s);
-            }
-        } else if rank == owner {
-            owned_windows.push(p_it.iteration);
-            let fresh = encode_window(cfg, &mut p_it, &mut r_it, &mut enc_rng);
-            samples += fresh.len() as u64;
-            for s in fresh {
-                buffer.push(s);
-            }
+            group.broadcast_from(owner, fresh)
+        } else {
+            fresh
+        };
+        for s in fresh.unwrap_or_default() {
+            rep.samples += 1;
+            buffer.push(s);
         }
         // Price this rank's staging fetches for the window on the
         // collective's data plane (zero for non-owners, who fetched no
         // payload; the netsim backend sleeps the modelled cost, the
-        // channel backend ignores it).
+        // others ignore it).
         comm.account_dataplane(
             p_it.wire_bytes_fetched() + r_it.wire_bytes_fetched(),
             p_it.simulated_seconds() + r_it.simulated_seconds(),
@@ -496,692 +480,86 @@ pub fn run_ddp_consumer_serving<C: Collective>(
         p_reader.close_iteration(p_it);
         r_reader.close_iteration(r_it);
 
+        // Train n_rep iterations for this window.
         schedule.on_step();
         while schedule.should_train() {
-            // Collective go/no-go: every rank must be able to draw a
-            // batch before a synchronous iteration can run. Until the
+            // Collective go/no-go: every live rank must be able to draw
+            // a batch before a synchronous iteration can run. Until the
             // last rank owns its first window this skips, and the owed
             // iterations are recovered on later windows.
-            let ready = comm.allreduce_scalar_f64(if buffer.ready() { 1.0 } else { 0.0 });
-            if (ready.round() as usize) < world {
-                break;
-            }
-            let t0 = std::time::Instant::now();
-            let batch = buffer.sample_batch();
-            let (points, spectra) = batch_to_tensors(&batch, &cfg.model);
-            model.zero_grad();
-            let local = model.accumulate_gradients(&points, &spectra, &mut train_rng);
-            let loss = match overlap.as_mut() {
-                Some(sync) => {
-                    // Non-blocking mode: the comm worker reduces buckets
-                    // over its dedicated world while this thread runs
-                    // the loss-mean collective on the main world;
-                    // wait-all right before the optimizer step. Same
-                    // buckets, same all-reduce order ⇒ bit-identical to
-                    // the blocking arm below.
-                    sync.begin(&mut model, cfg.grad_bucket);
-                    let loss = mean_loss(&comm, &local, world);
-                    sync.wait_all(&mut model);
-                    loss
-                }
-                None => {
-                    sync_gradients_bucketed(&comm, &mut model, cfg.grad_bucket);
-                    mean_loss(&comm, &local, world)
-                }
-            };
-            opt.step(&mut model);
-            train_seconds += t0.elapsed().as_secs_f64();
-            report_losses.push(loss);
-            schedule.on_iteration();
-            // DDP invariant: identical averaged gradients applied to
-            // identical optimizer state ⇒ bit-identical parameters.
-            let h = param_hash(&mut model);
-            let hashes = comm.allgather(h);
-            assert!(
-                hashes.iter().all(|&x| x == h),
-                "DDP consumer ranks diverged after iteration {}: {hashes:?}",
-                report_losses.len()
-            );
-            param_hashes.push(h);
-            if let Some(pb) = publisher.as_mut() {
-                let iters = report_losses.len() as u64;
-                if pb.due(iters) {
-                    if rank == 0 {
-                        let snap = pb.capture(&mut model, iters);
-                        // Price the opaque snapshot payload along the
-                        // broadcast schedule (the sample_broadcast
-                        // idiom), then broadcast the metadata so the
-                        // collective schedule includes the publish.
-                        comm.account_broadcast_payload(0, snap.payload_bytes());
-                        comm.broadcast(0, Some((snap.version, snap.param_hash)));
-                        pb.send(snap);
-                    } else {
-                        let (_v, root_hash) = comm.broadcast::<(u64, u64)>(0, None);
-                        assert_eq!(
-                            root_hash, h,
-                            "published snapshot hash diverged from rank {rank}'s parameters"
-                        );
-                        pb.skip();
-                    }
-                }
-            }
-        }
-    }
-
-    let particle_bytes = p_reader.stats().total_bytes();
-    let staging_wire_bytes = p_reader.stats().wire_bytes() + r_reader.stats().wire_bytes();
-    let staging_model_seconds =
-        p_reader.stats().simulated_seconds() + r_reader.stats().simulated_seconds();
-    let published_windows = p_reader.published_steps().max(r_reader.published_steps());
-    let hash = param_hash(&mut model);
-    ConsumerReport {
-        model,
-        losses: report_losses,
-        windows,
-        samples,
-        train_seconds,
-        particle_bytes,
-        rank,
-        world,
-        owned_windows,
-        orphaned_windows,
-        dropped_windows,
-        published_windows,
-        param_hash: hash,
-        param_hashes,
-        // In overlap mode the bucket traffic lives on the dedicated
-        // gradient world — fold both worlds into the group totals.
-        comm_bytes: comm.world_bytes_sent() + overlap.as_ref().map_or(0, |s| s.world_bytes_sent()),
-        comm_model_seconds: comm.modelled_comm_seconds()
-            + overlap.as_ref().map_or(0.0, |s| s.modelled_comm_seconds()),
-        comm_messages: comm.world_messages_sent()
-            + overlap.as_ref().map_or(0, |s| s.world_messages_sent()),
-        lost_windows: 0,
-        restarts: 0,
-        recovery_seconds: 0.0,
-        degradations: 0,
-        world_after: world,
-        staging_wire_bytes,
-        staging_model_seconds,
-    }
-}
-
-/// Run the single-rank consumer under an **active fault plan** — the
-/// fault-tolerant twin of [`run_consumer`]. On top of the legacy loop,
-/// keyed on the *arrival counter* (windows taken off the stream):
-///
-/// - **checkpoint capture** every [`crate::faults::FaultPlan::checkpoint_every`]
-///   arrivals, taken at the loop top *before* the kill hook, so a kill
-///   landing on a boundary restores the state captured a moment earlier;
-/// - **kill events**: [`KillMode::Restart`] rolls back to the latest
-///   [`LearnerCheckpoint`] (arrivals consumed since then are counted in
-///   [`ConsumerReport::lost_windows`] — stream steps cannot be re-read)
-///   and continues; [`KillMode::Die`] panics with an [`InjectedFault`]
-///   payload (the orchestrator captures it as a rank failure);
-/// - **skip events** ([`crate::faults::FaultEvent::SkipWindows`]): the
-///   window is read and closed unprocessed, counted as lost — the
-///   reference-run twin of a rollback, for bit-identity comparisons.
-///
-/// Capture never mutates learner state, and with an event-free plan the
-/// training trajectory is bit-identical to [`run_consumer`]'s.
-pub fn run_consumer_ft(
-    cfg: &WorkflowConfig,
-    particle_stream: SstReader,
-    radiation_stream: SstReader,
-) -> ConsumerReport {
-    run_consumer_ft_serving(cfg, particle_stream, radiation_stream, None)
-}
-
-/// [`run_consumer_ft`] with an optional snapshot sink (see
-/// [`run_consumer_serving`]). The publisher's version counter is *not*
-/// checkpointed: a rollback may republish the same iteration range, but
-/// versions stay strictly monotone — the engine's hot-swap invariant.
-pub fn run_consumer_ft_serving(
-    cfg: &WorkflowConfig,
-    particle_stream: SstReader,
-    radiation_stream: SstReader,
-    sink: Option<std::sync::Arc<dyn SnapshotSink>>,
-) -> ConsumerReport {
-    let mut publisher = make_publisher(cfg, sink);
-    let plan = &cfg.faults;
-    let mut p_reader = OpenPmdReader::new(particle_stream);
-    let mut r_reader = OpenPmdReader::new(radiation_stream);
-    let mut model = ArtificialScientistModel::new(cfg.model.clone(), cfg.seed);
-    let mut opt = ModelOptimizer::new(cfg.adam, cfg.m_vae);
-    let mut buffer: TrainingBuffer<Sample> = TrainingBuffer::new(cfg.buffer, cfg.seed ^ 0xEB);
-    let mut schedule = ReplaySchedule::new(cfg.n_rep, StallPolicy::StallProducer);
-    let mut enc_rng = StdRng::seed_from_u64(cfg.seed ^ 0xE0C0DE);
-    let mut train_rng = TensorRng::seeded(cfg.seed ^ 0x7241);
-
-    let mut report_losses: Vec<LossReport> = Vec::new();
-    let mut windows = 0u64;
-    let mut samples = 0u64;
-    let mut train_seconds = 0.0;
-    let mut owned_windows: Vec<u64> = Vec::new();
-    let mut orphaned_windows = 0u64;
-    let mut dropped_windows = 0u64;
-    let mut param_hashes: Vec<u64> = Vec::new();
-
-    let kill = plan.consumer_kill(0);
-    let skips = plan.skip_ranges();
-    let mut seen = 0u64;
-    let mut kill_fired = false;
-    let mut ckpt: Option<LearnerCheckpoint> = None;
-    let mut last_capture: Option<u64> = None;
-    let mut lost_windows = 0u64;
-    let mut restarts = 0u64;
-    let mut recovery_seconds = 0.0;
-
-    'stream: loop {
-        if plan.checkpoint_every > 0
-            && seen.is_multiple_of(plan.checkpoint_every)
-            && last_capture != Some(seen)
-        {
-            let progress = LearnerProgress {
-                windows,
-                samples,
-                owned_windows: owned_windows.clone(),
-                losses: report_losses.clone(),
-                param_hashes: param_hashes.clone(),
-            };
-            ckpt = Some(LearnerCheckpoint::capture(
-                &mut model, &opt, &buffer, &schedule, &enc_rng, &train_rng, &progress,
-            ));
-            last_capture = Some(seen);
-        }
-        if let Some((at, mode)) = kill {
-            if !kill_fired && seen == at {
-                kill_fired = true;
-                match mode {
-                    KillMode::Die => std::panic::panic_any(InjectedFault {
-                        rank: 0,
-                        at_window: seen,
-                    }),
-                    KillMode::Restart => {
-                        let t0 = std::time::Instant::now();
-                        let c = ckpt.as_ref().unwrap_or_else(|| {
-                            panic!("ConsumerKill restart needs checkpoint_every > 0")
-                        });
-                        let live = windows;
-                        let progress = c.restore(
-                            &mut model,
-                            &mut opt,
-                            &mut buffer,
-                            &mut schedule,
-                            &mut enc_rng,
-                            &mut train_rng,
-                        );
-                        lost_windows += live - progress.windows;
-                        windows = progress.windows;
-                        samples = progress.samples;
-                        owned_windows = progress.owned_windows;
-                        report_losses = progress.losses;
-                        param_hashes = progress.param_hashes;
-                        restarts += 1;
-                        recovery_seconds += t0.elapsed().as_secs_f64();
-                    }
-                }
-            }
-        }
-        let (mut p_it, mut r_it) = match cfg.policy {
-            ConsumerPolicy::BlockingEveryStep => {
-                let p_it = p_reader.next_iteration();
-                let r_it = r_reader.next_iteration();
-                match (p_it, r_it) {
-                    (Some(a), Some(b)) => (a, b),
-                    (None, None) => break,
-                    (Some(a), None) => {
-                        p_reader.close_iteration(a);
-                        orphaned_windows += 1 + drain_stream(&mut p_reader);
-                        break;
-                    }
-                    (None, Some(b)) => {
-                        r_reader.close_iteration(b);
-                        orphaned_windows += 1 + drain_stream(&mut r_reader);
-                        break;
-                    }
-                }
-            }
-            ConsumerPolicy::DropSteps { min_queue, .. } => {
-                let (p_skip, p_opt) = p_reader.next_iteration_latest_min(min_queue as u64);
-                match pair_drop_steps_window(
-                    p_skip,
-                    p_opt,
-                    &mut p_reader,
-                    &mut r_reader,
-                    &mut dropped_windows,
-                    &mut orphaned_windows,
-                ) {
-                    Some(pair) => pair,
-                    None => break 'stream,
-                }
-            }
-        };
-        let arrival = seen;
-        seen += 1;
-        if skips.iter().any(|&(f, t)| arrival >= f && arrival <= t) {
-            p_reader.close_iteration(p_it);
-            r_reader.close_iteration(r_it);
-            lost_windows += 1;
-            continue 'stream;
-        }
-        windows += 1;
-        owned_windows.push(p_it.iteration);
-        let fresh = encode_window(cfg, &mut p_it, &mut r_it, &mut enc_rng);
-        samples += fresh.len() as u64;
-        for s in fresh {
-            buffer.push(s);
-        }
-        p_reader.close_iteration(p_it);
-        r_reader.close_iteration(r_it);
-
-        schedule.on_step();
-        while schedule.should_train() && buffer.ready() {
-            let t0 = std::time::Instant::now();
-            let batch = buffer.sample_batch();
-            let (points, spectra) = batch_to_tensors(&batch, &cfg.model);
-            model.zero_grad();
-            let report = model.accumulate_gradients(&points, &spectra, &mut train_rng);
-            opt.step(&mut model);
-            train_seconds += t0.elapsed().as_secs_f64();
-            report_losses.push(report);
-            schedule.on_iteration();
-            // The per-iteration hash history doubles as the rollback
-            // bit-identity witness (restored and re-grown on restart).
-            param_hashes.push(param_hash(&mut model));
-            if let Some(pb) = publisher.as_mut() {
-                let iters = report_losses.len() as u64;
-                if pb.due(iters) {
-                    let snap = pb.capture(&mut model, iters);
-                    pb.send(snap);
-                }
-            }
-        }
-    }
-
-    let particle_bytes = p_reader.stats().total_bytes();
-    let staging_wire_bytes = p_reader.stats().wire_bytes() + r_reader.stats().wire_bytes();
-    let staging_model_seconds =
-        p_reader.stats().simulated_seconds() + r_reader.stats().simulated_seconds();
-    let published_windows = p_reader.published_steps().max(r_reader.published_steps());
-    let hash = param_hash(&mut model);
-    ConsumerReport {
-        model,
-        losses: report_losses,
-        windows,
-        samples,
-        train_seconds,
-        particle_bytes,
-        rank: 0,
-        world: 1,
-        owned_windows,
-        orphaned_windows,
-        dropped_windows,
-        published_windows,
-        param_hash: hash,
-        param_hashes,
-        comm_bytes: 0,
-        comm_model_seconds: 0.0,
-        comm_messages: 0,
-        lost_windows,
-        restarts,
-        recovery_seconds,
-        degradations: 0,
-        world_after: 1,
-        staging_wire_bytes,
-        staging_model_seconds,
-    }
-}
-
-/// Run one rank of a K-way learner group under an **active fault plan**
-/// — the fault-tolerant twin of [`run_ddp_consumer`].
-///
-/// Every windowed collective goes through [`FtComm`]: a membership
-/// exchange opens each round (survivors agree on who is alive *before*
-/// any value-bearing collective), the `DropSteps` window target comes
-/// from an elected root (lowest live rank — re-elected if the root
-/// dies), window ownership is round-robin over the **live members**, the
-/// go/no-go and loss mean sum over the answering members, and the
-/// gradient sync runs the same buckets as the legacy path with the
-/// contributions reduced in canonical ring order
-/// ([`as_nn::ddp::sync_gradients_with`]) — **bit-identical** to
-/// [`run_ddp_consumer`] while every rank is alive.
-///
-/// Kill/checkpoint/skip hooks are as in [`run_consumer_ft`], with two
-/// group-level rules: a [`KillMode::Restart`] must land on a checkpoint
-/// boundary (so the rollback is a state no-op and the collective
-/// schedule never diverges — asserted), and a [`KillMode::Die`] rank
-/// marks itself dead on the shared world before unwinding, so survivors
-/// fast-fail their waits instead of burning the full death budget.
-/// Overlapped gradient sync is not supported under an active plan.
-pub fn run_ddp_consumer_ft<C: Collective>(
-    cfg: &WorkflowConfig,
-    comm: C,
-    particle_stream: SstReader,
-    radiation_stream: SstReader,
-) -> ConsumerReport {
-    run_ddp_consumer_ft_serving(cfg, comm, particle_stream, radiation_stream, None)
-}
-
-/// [`run_ddp_consumer_ft`] with an optional snapshot sink. The
-/// learner-root role follows the membership view: the **lowest live
-/// rank** captures, prices and publishes — so when the root dies
-/// ([`KillMode::Die`]), publication fails over to the next survivor and
-/// the serving tier keeps receiving (monotone) snapshots from the
-/// shrunk group. No metadata broadcast is added here: the membership
-/// round already aligns the group each window, and every alive rank
-/// derives the same due/root decision locally.
-pub fn run_ddp_consumer_ft_serving<C: Collective>(
-    cfg: &WorkflowConfig,
-    comm: C,
-    particle_stream: SstReader,
-    radiation_stream: SstReader,
-    sink: Option<std::sync::Arc<dyn SnapshotSink>>,
-) -> ConsumerReport {
-    let mut publisher = make_publisher(cfg, sink);
-    let plan = &cfg.faults;
-    assert!(
-        !cfg.overlap_grad_sync,
-        "overlap_grad_sync is not supported under an active fault plan"
-    );
-    let rank = comm.rank();
-    let world = comm.size();
-    let ft = FtComm::new(&comm, plan);
-    let rank_mix = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(rank as u64 + 1);
-    let mut p_reader = OpenPmdReader::new(particle_stream);
-    let mut r_reader = OpenPmdReader::new(radiation_stream);
-    let mut model = ArtificialScientistModel::new(cfg.model.clone(), cfg.seed);
-    let mut opt = ModelOptimizer::new(cfg.adam, cfg.m_vae);
-    let mut buffer: TrainingBuffer<Sample> =
-        TrainingBuffer::new(cfg.buffer, cfg.seed ^ 0xEB ^ rank_mix);
-    let mut schedule = ReplaySchedule::new(cfg.n_rep, StallPolicy::StallProducer);
-    let mut enc_rng = StdRng::seed_from_u64(cfg.seed ^ 0xE0C0DE ^ rank_mix);
-    let mut train_rng = TensorRng::seeded(cfg.seed ^ 0x7241 ^ rank_mix);
-
-    let mut report_losses: Vec<LossReport> = Vec::new();
-    let mut windows = 0u64;
-    let mut samples = 0u64;
-    let mut train_seconds = 0.0;
-    let mut owned_windows: Vec<u64> = Vec::new();
-    let mut orphaned_windows = 0u64;
-    let mut dropped_windows = 0u64;
-    let mut param_hashes: Vec<u64> = Vec::new();
-
-    let kill = plan.consumer_kill(rank);
-    let skips = plan.skip_ranges();
-    let mut seen = 0u64;
-    let mut kill_fired = false;
-    let mut ckpt: Option<LearnerCheckpoint> = None;
-    let mut last_capture: Option<u64> = None;
-    let mut lost_windows = 0u64;
-    let mut restarts = 0u64;
-    let mut recovery_seconds = 0.0;
-    let mut degradations = 0u64;
-    let mut members: Vec<usize> = (0..world).collect();
-
-    'stream: loop {
-        if plan.checkpoint_every > 0
-            && seen.is_multiple_of(plan.checkpoint_every)
-            && last_capture != Some(seen)
-        {
-            let progress = LearnerProgress {
-                windows,
-                samples,
-                owned_windows: owned_windows.clone(),
-                losses: report_losses.clone(),
-                param_hashes: param_hashes.clone(),
-            };
-            ckpt = Some(LearnerCheckpoint::capture(
-                &mut model, &opt, &buffer, &schedule, &enc_rng, &train_rng, &progress,
-            ));
-            last_capture = Some(seen);
-        }
-        if let Some((at, mode)) = kill {
-            if !kill_fired && seen == at {
-                kill_fired = true;
-                match mode {
-                    KillMode::Die => {
-                        // Self-mark before unwinding: the health board is
-                        // shared, so survivors fast-fail their pending
-                        // waits instead of burning the full budget.
-                        comm.mark_dead(rank);
-                        std::panic::panic_any(InjectedFault {
-                            rank,
-                            at_window: seen,
-                        });
-                    }
-                    KillMode::Restart => {
-                        let t0 = std::time::Instant::now();
-                        let c = ckpt.as_ref().unwrap_or_else(|| {
-                            panic!("ConsumerKill restart needs checkpoint_every > 0")
-                        });
-                        let live = windows;
-                        let progress = c.restore(
-                            &mut model,
-                            &mut opt,
-                            &mut buffer,
-                            &mut schedule,
-                            &mut enc_rng,
-                            &mut train_rng,
-                        );
-                        assert_eq!(
-                            progress.windows, live,
-                            "multi-rank kill-restart must land on a checkpoint boundary \
-                             (checkpoint_every must divide the kill window)"
-                        );
-                        lost_windows += live - progress.windows;
-                        windows = progress.windows;
-                        samples = progress.samples;
-                        owned_windows = progress.owned_windows;
-                        report_losses = progress.losses;
-                        param_hashes = progress.param_hashes;
-                        restarts += 1;
-                        recovery_seconds += t0.elapsed().as_secs_f64();
-                    }
-                }
-            }
-        }
-        // Membership round: agree on who is alive before any
-        // value-bearing collective of this window. A shrink is a
-        // degradation event — ownership, go/no-go threshold and loss
-        // divisor all re-derive from the surviving member list.
-        let now_alive = ft.members();
-        if now_alive.len() < members.len() {
-            degradations += 1;
-        }
-        members = now_alive;
-
-        let (mut p_it, mut r_it) = match cfg.policy {
-            ConsumerPolicy::BlockingEveryStep => {
-                let p_it = p_reader.next_iteration();
-                let r_it = r_reader.next_iteration();
-                match (p_it, r_it) {
-                    (Some(a), Some(b)) => (a, b),
-                    (None, None) => break,
-                    (Some(a), None) => {
-                        p_reader.close_iteration(a);
-                        orphaned_windows += 1 + drain_stream(&mut p_reader);
-                        break;
-                    }
-                    (None, Some(b)) => {
-                        r_reader.close_iteration(b);
-                        orphaned_windows += 1 + drain_stream(&mut r_reader);
-                        break;
-                    }
-                }
-            }
-            ConsumerPolicy::DropSteps { min_queue, .. } => {
-                // The elected root (lowest live rank) picks the target
-                // window and broadcasts its stream step; if the root died
-                // this round the election falls through to the next
-                // survivor, which reads its own stream instead.
-                let mut stash: Option<(u64, Option<IterationData>)> = None;
-                let (root, target) = ft.elect_broadcast(|| {
-                    let (skip, opt) = p_reader.next_iteration_latest_min(min_queue as u64);
-                    let t = opt.as_ref().map(|it| it.stream_step());
-                    stash = Some((skip, opt));
-                    t
-                });
-                let (p_skip, p_opt) = if rank == root {
-                    stash
-                        .take()
-                        .unwrap_or_else(|| panic!("root must have stashed its read above"))
-                } else {
-                    match target {
-                        Some(t) => p_reader.next_iteration_at_least(t),
-                        None => (0, None),
-                    }
-                };
-                match pair_drop_steps_window(
-                    p_skip,
-                    p_opt,
-                    &mut p_reader,
-                    &mut r_reader,
-                    &mut dropped_windows,
-                    &mut orphaned_windows,
-                ) {
-                    Some(pair) => pair,
-                    None => break 'stream,
-                }
-            }
-        };
-        let arrival = seen;
-        seen += 1;
-        if skips.iter().any(|&(f, t)| arrival >= f && arrival <= t) {
-            p_reader.close_iteration(p_it);
-            r_reader.close_iteration(r_it);
-            lost_windows += 1;
-            continue 'stream;
-        }
-        let slot = windows;
-        windows += 1;
-        let owner = members[(slot % members.len() as u64) as usize];
-        if cfg.sample_broadcast {
-            let fresh = if rank == owner {
-                owned_windows.push(p_it.iteration);
-                encode_window(cfg, &mut p_it, &mut r_it, &mut enc_rng)
-            } else {
-                Vec::new()
-            };
-            if rank == owner {
-                let per_copy: u64 = fresh
-                    .iter()
-                    .map(|s| ((s.points.len() + s.spectrum.len()) * 4 + 16) as u64)
-                    .sum();
-                comm.account_broadcast_payload(owner, per_copy);
-            }
-            let shared = ft
-                .broadcast_from(owner, if rank == owner { Some(fresh) } else { None })
-                .unwrap_or_default();
-            samples += shared.len() as u64;
-            for s in shared {
-                buffer.push(s);
-            }
-        } else if rank == owner {
-            owned_windows.push(p_it.iteration);
-            let fresh = encode_window(cfg, &mut p_it, &mut r_it, &mut enc_rng);
-            samples += fresh.len() as u64;
-            for s in fresh {
-                buffer.push(s);
-            }
-        }
-        // Price this rank's staging fetches on the collective's data
-        // plane (zero for non-owners — see `run_ddp_consumer_serving`).
-        comm.account_dataplane(
-            p_it.wire_bytes_fetched() + r_it.wire_bytes_fetched(),
-            p_it.simulated_seconds() + r_it.simulated_seconds(),
-        );
-        p_reader.close_iteration(p_it);
-        r_reader.close_iteration(r_it);
-
-        schedule.on_step();
-        while schedule.should_train() {
-            // Membership-aware go/no-go: every answering member must be
-            // able to draw a batch before a synchronous iteration runs.
             let mut vote = [if buffer.ready() { 1.0f64 } else { 0.0 }];
-            let quorum = ft.allreduce_sum(&mut vote);
+            let quorum = group.allreduce_sum(&mut vote);
             if (vote[0].round() as usize) < quorum {
                 break;
             }
             let t0 = std::time::Instant::now();
             let batch = buffer.sample_batch();
             let (points, spectra) = batch_to_tensors(&batch, &cfg.model);
-            model.zero_grad();
-            let local = model.accumulate_gradients(&points, &spectra, &mut train_rng);
-            // Same buckets as the legacy path; each bucket's live
-            // contributions are summed in canonical ring order, then
-            // averaged over the answering member count.
-            sync_gradients_with(&mut model, cfg.grad_bucket, |bucket| {
-                ft.allreduce_sum(bucket)
-            });
-            let loss = ft_mean_loss(&ft, &local);
-            opt.step(&mut model);
-            train_seconds += t0.elapsed().as_secs_f64();
-            report_losses.push(loss);
+            rep.model.zero_grad();
+            let local = rep
+                .model
+                .accumulate_gradients(&points, &spectra, &mut train_rng);
+            // Same buckets, same all-reduce order in every mode; in the
+            // overlapped mode the loss mean below runs on the main world
+            // while the comm worker reduces buckets on its own.
+            group.begin_grad_sync(&mut rep.model, cfg.grad_bucket);
+            let loss = mean_loss(&group, &local);
+            group.finish_grad_sync(&mut rep.model);
+            opt.step(&mut rep.model);
+            rep.train_seconds += t0.elapsed().as_secs_f64();
+            rep.losses.push(loss);
             schedule.on_iteration();
-            let h = param_hash(&mut model);
-            let hashes = ft.exchange(h);
-            assert!(
-                hashes.values().all(|&x| x == h),
-                "FT DDP ranks diverged after iteration {}: {hashes:?}",
-                report_losses.len()
-            );
-            param_hashes.push(h);
-            if let Some(pb) = publisher.as_mut() {
-                let iters = report_losses.len() as u64;
-                if pb.due(iters) {
-                    let root = members[0];
-                    if rank == root {
-                        let snap = pb.capture(&mut model, iters);
-                        comm.account_broadcast_payload(root, snap.payload_bytes());
-                        pb.send(snap);
-                    } else {
-                        pb.skip();
+            let iters = rep.losses.len() as u64;
+            // DDP invariant: identical averaged gradients applied to
+            // identical optimizer state ⇒ bit-identical parameters.
+            let hash = witness.then(|| {
+                let h = param_hash(&mut rep.model);
+                let hashes = group.allgather(h);
+                assert!(
+                    hashes.iter().all(|&x| x == h),
+                    "learner ranks diverged after iteration {iters}: {hashes:?}"
+                );
+                rep.param_hashes.push(h);
+                h
+            });
+            if let Some(pb) = publisher.as_mut().filter(|pb| pb.due(iters)) {
+                let root = members[0];
+                if rank == root {
+                    let snap = pb.capture(&mut rep.model, iters);
+                    // Price the opaque snapshot payload along the
+                    // broadcast schedule (the sample_broadcast idiom).
+                    comm.account_broadcast_payload(root, snap.payload_bytes());
+                    group.snapshot_meta(root, Some((snap.version, snap.param_hash)));
+                    pb.send(snap);
+                } else {
+                    if let Some((_, root_hash)) = group.snapshot_meta(root, None) {
+                        assert_eq!(
+                            Some(root_hash),
+                            hash,
+                            "published snapshot hash diverged from rank {rank}'s parameters"
+                        );
                     }
+                    pb.skip();
                 }
             }
         }
     }
 
-    recovery_seconds += ft.condemned_wait_seconds();
-    let particle_bytes = p_reader.stats().total_bytes();
-    let staging_wire_bytes = p_reader.stats().wire_bytes() + r_reader.stats().wire_bytes();
-    let staging_model_seconds =
+    rep.recovery_seconds += group.condemned_wait_seconds();
+    (rep.comm_bytes, rep.comm_messages, rep.comm_model_seconds) = group.traffic();
+    rep.world_after = members.len();
+    rep.particle_bytes = p_reader.stats().total_bytes();
+    rep.staging_wire_bytes = p_reader.stats().wire_bytes() + r_reader.stats().wire_bytes();
+    rep.staging_model_seconds =
         p_reader.stats().simulated_seconds() + r_reader.stats().simulated_seconds();
-    let published_windows = p_reader.published_steps().max(r_reader.published_steps());
-    let hash = param_hash(&mut model);
-    ConsumerReport {
-        model,
-        losses: report_losses,
-        windows,
-        samples,
-        train_seconds,
-        particle_bytes,
-        rank,
-        world,
-        owned_windows,
-        orphaned_windows,
-        dropped_windows,
-        published_windows,
-        param_hash: hash,
-        param_hashes,
-        comm_bytes: comm.world_bytes_sent(),
-        comm_model_seconds: comm.modelled_comm_seconds(),
-        comm_messages: comm.world_messages_sent(),
-        lost_windows,
-        restarts,
-        recovery_seconds,
-        degradations,
-        world_after: members.len(),
-        staging_wire_bytes,
-        staging_model_seconds,
-    }
+    rep.published_windows = p_reader.published_steps().max(r_reader.published_steps());
+    rep.param_hash = param_hash(&mut rep.model);
+    rep
 }
 
-/// Rank-mean of every loss component over the answering members (the
-/// fault-tolerant twin of `mean_loss`; identical result while every
-/// rank is alive).
-fn ft_mean_loss<C: Collective>(ft: &FtComm<'_, C>, local: &LossReport) -> LossReport {
+/// Mean of every loss component over the live ranks (what DDP training
+/// curves log).
+fn mean_loss<C: Collective>(group: &LearnerGroup<'_, C>, local: &LossReport) -> LossReport {
     let mut buf = [
         local.cd,
         local.kl,
@@ -1190,8 +568,7 @@ fn ft_mean_loss<C: Collective>(ft: &FtComm<'_, C>, local: &LossReport) -> LossRe
         local.mmd_n,
         local.total,
     ];
-    let n = ft.allreduce_sum(&mut buf);
-    let inv = 1.0 / n as f64;
+    let inv = 1.0 / group.allreduce_sum(&mut buf) as f64;
     LossReport {
         cd: buf[0] * inv,
         kl: buf[1] * inv,
@@ -1258,28 +635,6 @@ fn drain_stream(reader: &mut OpenPmdReader) -> u64 {
         n += 1;
     }
     n
-}
-
-/// Rank-mean of every loss component (what DDP training curves log).
-fn mean_loss<C: Collective>(comm: &C, local: &LossReport, world: usize) -> LossReport {
-    let mut buf = [
-        local.cd,
-        local.kl,
-        local.mse,
-        local.mmd_z,
-        local.mmd_n,
-        local.total,
-    ];
-    comm.allreduce_sum_f64(&mut buf);
-    let inv = 1.0 / world as f64;
-    LossReport {
-        cd: buf[0] * inv,
-        kl: buf[1] * inv,
-        mse: buf[2] * inv,
-        mmd_z: buf[3] * inv,
-        mmd_n: buf[4] * inv,
-        total: buf[5] * inv,
-    }
 }
 
 /// Fetch one window's phase space and spectra and encode one sample per

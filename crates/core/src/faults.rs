@@ -12,8 +12,8 @@
 //! windows the fault destroyed ([`FaultEvent::SkipWindows`]).
 //!
 //! The plan is inert by default ([`FaultPlan::default`]): every knob
-//! zeroed, no events — the workflow then takes the exact legacy code
-//! paths.
+//! zeroed, no events — every fault hook in the consumer driver is dormant
+//! and the learner group runs the plain blocking collectives.
 
 use as_cluster::comm::CommFaults;
 
@@ -116,7 +116,7 @@ pub struct FaultPlan {
 
 impl Default for FaultPlan {
     /// The inert plan: no chaos, no events, no checkpoints — the
-    /// workflow runs its exact legacy code paths.
+    /// unfaulted trajectory, with no fault-tolerance overhead.
     fn default() -> Self {
         Self {
             seed: 0,
@@ -134,10 +134,11 @@ impl Default for FaultPlan {
 }
 
 impl FaultPlan {
-    /// True once anything in the plan deviates from the legacy run:
-    /// message chaos, any event, or checkpointing. An active plan routes
-    /// the workflow through the fault-tolerant consumer loops and arms
-    /// the tolerant collective worlds.
+    /// True once anything in the plan deviates from the unfaulted run:
+    /// message chaos, any event, or checkpointing. An active plan
+    /// switches the consumer driver's learner-group strategy to
+    /// [`crate::ft::LearnerGroup::Ft`] and arms the tolerant collective
+    /// worlds.
     pub fn active(&self) -> bool {
         self.message_chaos() || !self.events.is_empty() || self.checkpoint_every > 0
     }

@@ -22,6 +22,11 @@
 //!   rank, with automatic re-election if the root dies before sending
 //!   (the `DropSteps` window-target gate after rank 0's death).
 //!
+//! [`LearnerGroup`] is the strategy the consumer driver is written
+//! against: the plain blocking collectives for a fixed group, or the
+//! [`FtComm`] operations for a degradable one — the single place the two
+//! learners differ.
+//!
 //! A peer that stays silent past `retry_budget × op_timeout` retries is
 //! declared dead ([`Collective::mark_dead`]) and excluded from every
 //! later round — detection is bounded, never a hang. Message chaos
@@ -36,6 +41,8 @@ use std::time::Duration;
 use as_cluster::algos::reduce_in_ring_order;
 use as_cluster::collective::Collective;
 use as_cluster::comm::FT_TAG_BASE;
+use as_nn::ddp::{sync_gradients_bucketed, sync_gradients_with, OverlappedGradSync};
+use as_nn::model::ArtificialScientistModel;
 
 use crate::faults::FaultPlan;
 
@@ -223,10 +230,181 @@ impl<'a, C: Collective> FtComm<'a, C> {
     }
 }
 
+/// How one learner rank runs its group's collectives — the **only** place
+/// the fixed-membership learner and the fault-tolerant one differ. The
+/// consumer driver ([`crate::consumer::run_consumer`]) is written once
+/// against these operations and picks the variant from
+/// [`FaultPlan::active`]:
+///
+/// | operation | [`LearnerGroup::Static`] | [`LearnerGroup::Ft`] |
+/// |---|---|---|
+/// | [`members`](Self::members) | `0..K`, no communication | [`FtComm::members`] exchange |
+/// | [`elect_broadcast`](Self::elect_broadcast) | rank-0 `broadcast` | lowest live rank, re-elected on death |
+/// | [`broadcast_from`](Self::broadcast_from) | `broadcast` | [`FtComm::broadcast_from`] |
+/// | [`allreduce_sum`](Self::allreduce_sum) | `allreduce_sum_f64` | [`FtComm::allreduce_sum`] |
+/// | gradient sync | bucketed all-reduce, or the overlapped comm-worker | same buckets through [`FtComm::allreduce_sum`] |
+/// | [`allgather`](Self::allgather) | `allgather` | [`FtComm::exchange`] |
+/// | [`snapshot_meta`](Self::snapshot_meta) | root `broadcast` | none (the membership round already aligns the group) |
+///
+/// While every rank is alive the two variants produce bit-identical
+/// results (both reduce in the canonical ring order).
+pub enum LearnerGroup<'a, C: Collective> {
+    /// Fixed membership over the plain blocking [`Collective`] ops.
+    Static {
+        /// The learner group's main world.
+        comm: &'a C,
+        /// Non-blocking bucket reduction over a dedicated gradient world
+        /// ([`OverlappedGradSync`]); `None` reduces in line on `comm`.
+        overlap: Option<OverlappedGradSync<C>>,
+    },
+    /// Degradable membership: every operation goes through [`FtComm`].
+    Ft(FtComm<'a, C>),
+}
+
+impl<'a, C: Collective> LearnerGroup<'a, C> {
+    fn comm(&self) -> &'a C {
+        match self {
+            Self::Static { comm, .. } => comm,
+            Self::Ft(ft) => ft.comm,
+        }
+    }
+
+    /// The agreed live members for this window, ascending.
+    pub fn members(&self) -> Vec<usize> {
+        match self {
+            Self::Static { comm, .. } => (0..comm.size()).collect(),
+            Self::Ft(ft) => ft.members(),
+        }
+    }
+
+    /// Broadcast from the group's root; only the root evaluates `make`.
+    pub fn elect_broadcast<T, F>(&self, mut make: F) -> T
+    where
+        T: Clone + Send + 'static,
+        F: FnMut() -> T,
+    {
+        match self {
+            Self::Static { comm, .. } => {
+                let value = (comm.rank() == 0).then(&mut make);
+                comm.broadcast(0, value)
+            }
+            Self::Ft(ft) => ft.elect_broadcast(make).1,
+        }
+    }
+
+    /// Broadcast from a known live `owner` (who passes `Some`); `None`
+    /// comes back only when a dying owner could not be heard.
+    pub fn broadcast_from<T: Clone + Send + 'static>(
+        &self,
+        owner: usize,
+        value: Option<T>,
+    ) -> Option<T> {
+        match self {
+            Self::Static { comm, .. } => Some(comm.broadcast(owner, value)),
+            Self::Ft(ft) => ft.broadcast_from(owner, value),
+        }
+    }
+
+    /// Element-wise sum over the live members; returns how many
+    /// contributions were summed.
+    pub fn allreduce_sum(&self, buf: &mut [f64]) -> usize {
+        match self {
+            Self::Static { comm, .. } => {
+                comm.allreduce_sum_f64(buf);
+                comm.size()
+            }
+            Self::Ft(ft) => ft.allreduce_sum(buf),
+        }
+    }
+
+    /// Start averaging the model's gradients over the live members in
+    /// `bucket_elems`-sized buckets. Only the overlapped mode returns
+    /// before the reduction is done — the caller may run other
+    /// collectives on the main world until
+    /// [`finish_grad_sync`](Self::finish_grad_sync). A one-rank world has
+    /// nothing to average and skips the flatten/write-back entirely.
+    pub fn begin_grad_sync(&mut self, model: &mut ArtificialScientistModel, bucket_elems: usize) {
+        if self.comm().size() == 1 {
+            return;
+        }
+        match self {
+            Self::Static {
+                overlap: Some(sync),
+                ..
+            } => sync.begin(model, bucket_elems),
+            Self::Static { comm, .. } => sync_gradients_bucketed(*comm, model, bucket_elems),
+            Self::Ft(ft) => sync_gradients_with(model, bucket_elems, |b| ft.allreduce_sum(b)),
+        }
+    }
+
+    /// Wait for the reduction begun by
+    /// [`begin_grad_sync`](Self::begin_grad_sync) and write the averaged
+    /// gradients back (a no-op outside the overlapped mode).
+    pub fn finish_grad_sync(&mut self, model: &mut ArtificialScientistModel) {
+        if let Self::Static {
+            overlap: Some(sync),
+            ..
+        } = self
+        {
+            sync.wait_all(model);
+        }
+    }
+
+    /// Every live member's `value`, rank-ascending.
+    pub fn allgather<T: Clone + Send + 'static>(&self, value: T) -> Vec<T> {
+        match self {
+            Self::Static { comm, .. } => comm.allgather(value),
+            Self::Ft(ft) => ft.exchange(value).into_values().collect(),
+        }
+    }
+
+    /// Snapshot-publication metadata: the root passes
+    /// `Some((version, param_hash))`; peers get the root's pair back to
+    /// check against their own parameters, or `None` where the group
+    /// does not broadcast it.
+    pub fn snapshot_meta(&self, root: usize, meta: Option<(u64, u64)>) -> Option<(u64, u64)> {
+        match self {
+            Self::Static { comm, .. } => Some(comm.broadcast(root, meta)),
+            Self::Ft(_) => meta,
+        }
+    }
+
+    /// Wall seconds spent waiting out death budgets on condemned peers.
+    pub fn condemned_wait_seconds(&self) -> f64 {
+        match self {
+            Self::Static { .. } => 0.0,
+            Self::Ft(ft) => ft.condemned_wait_seconds(),
+        }
+    }
+
+    /// `(payload bytes, messages, modelled seconds)` the group's worlds
+    /// have moved so far — the main world plus, in overlapped mode, the
+    /// dedicated gradient world.
+    pub fn traffic(&self) -> (u64, u64, f64) {
+        let comm = self.comm();
+        let mut t = (
+            comm.world_bytes_sent(),
+            comm.world_messages_sent(),
+            comm.modelled_comm_seconds(),
+        );
+        if let Self::Static {
+            overlap: Some(sync),
+            ..
+        } = self
+        {
+            t.0 += sync.world_bytes_sent();
+            t.1 += sync.world_messages_sent();
+            t.2 += sync.modelled_comm_seconds();
+        }
+        t
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use as_cluster::algos::CollectiveAlgo;
+    use as_cluster::collective::SoloComm;
     use as_cluster::comm::{CommFaults, CommWorld};
 
     fn plan() -> FaultPlan {
@@ -268,6 +446,32 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
+    }
+
+    #[test]
+    fn ft_comm_over_a_solo_world_is_the_identity() {
+        let c = SoloComm;
+        let p = plan();
+        let ft = FtComm::new(&c, &p);
+        assert_eq!(ft.members(), vec![0]);
+        assert_eq!(
+            ft.exchange(5u64).into_iter().collect::<Vec<_>>(),
+            vec![(0, 5)]
+        );
+        let mut buf = [1.25f64, -3.0];
+        assert_eq!(ft.allreduce_sum(&mut buf), 1);
+        assert_eq!(buf, [1.25, -3.0]);
+        let mut calls = 0;
+        let (root, v) = ft.elect_broadcast(|| {
+            calls += 1;
+            42u8
+        });
+        assert_eq!((root, v, calls), (0, 42, 1), "root 0 evaluates make once");
+        assert_eq!(ft.broadcast_from(0, Some("w")), Some("w"));
+        assert_eq!(ft.condemned_wait_seconds(), 0.0);
+        assert_eq!(c.world_bytes_sent(), 0);
+        assert_eq!(c.world_messages_sent(), 0);
+        assert_eq!(c.modelled_comm_seconds(), 0.0);
     }
 
     #[test]

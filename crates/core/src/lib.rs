@@ -26,7 +26,9 @@
 //!   slab shards of one distributed KHI box publishing on a shared
 //!   multi-writer stream pair, consumers train data-parallel with
 //!   gradients averaged every iteration (`WorkflowConfig::{producers,
-//!   consumers}`; `1×1` is the exact legacy single-thread-each path).
+//!   consumers}`). Every learner topology runs the one driver
+//!   [`consumer::run_consumer`]; a lone learner is the same loop over the
+//!   degenerate one-rank world `as_cluster::collective::SoloComm`.
 //!
 //! # Streaming contracts
 //!
@@ -37,7 +39,8 @@
 //!   back-pressures the producers, whose queue-blocked time is reported
 //!   honestly in `ProducerReport::stall_seconds`.
 //! - **Window ownership**: every consumer rank sees every window, but
-//!   exactly one (round-robin, `window % K`) fetches and encodes it.
+//!   exactly one (round-robin over the live members) fetches and encodes
+//!   it.
 //!   How ranks pace themselves is the [`config::ConsumerPolicy`]:
 //!   [`config::ConsumerPolicy::BlockingEveryStep`] consumes in order,
 //!   [`config::ConsumerPolicy::DropSteps`] always takes the freshest
@@ -82,7 +85,7 @@ pub use config::{CommBackend, ConsumerPolicy, Placement, ServingConfig, Workflow
 pub use encode::{EncodeConfig, Sample};
 pub use eval::InversionEval;
 pub use faults::{FaultEvent, FaultPlan, InjectedFault, KillMode, StreamId};
-pub use ft::FtComm;
+pub use ft::{FtComm, LearnerGroup};
 pub use snapshot::{ModelSnapshot, SnapshotPublisher, SnapshotSink};
 pub use workflow::{
     run_workflow, run_workflow_with_sink, ConsumerSummary, RankFailure, RankGroup, WorkflowReport,

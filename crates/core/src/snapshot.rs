@@ -15,13 +15,13 @@
 //! - [`SnapshotSink`]: where published snapshots go. The serving crate
 //!   (`as-serve`) implements this for its inference engine; tests can
 //!   implement it with a channel.
-//! - [`SnapshotPublisher`]: the consumer drivers' bookkeeping — decides
+//! - [`SnapshotPublisher`]: the consumer driver's bookkeeping — decides
 //!   *when* a snapshot is due (every `publish_every` training
 //!   iterations, a counter that is bit-identical across DDP ranks) and
 //!   keeps the version counter monotone across publishes, restarts and
 //!   learner-root failovers.
 //!
-//! Under the DDP drivers only the learner root captures and publishes;
+//! In a group of learners only the learner root captures and publishes;
 //! the payload is priced through the group's
 //! [`as_cluster::collective::Collective`] (`account_broadcast_payload`),
 //! so under the netsim backend snapshot distribution is charged the same

@@ -16,9 +16,13 @@
 //!   every step to every reader; the round-robin owner (`window % K`)
 //!   fetches the payload into its rank-local replay buffer, and training
 //!   is synchronous DDP: gradients averaged every iteration through
-//!   [`as_nn::ddp::sync_gradients_bucketed`] (or its non-blocking
-//!   comm-worker twin under [`WorkflowConfig::overlap_grad_sync`]),
+//!   [`as_nn::ddp::sync_gradients_bucketed`] (or the non-blocking
+//!   comm-worker under [`WorkflowConfig::overlap_grad_sync`]),
 //!   parameters bit-identical across ranks (asserted every iteration).
+//!   Every rank of every topology runs the single driver
+//!   [`crate::consumer::run_consumer`]; `consumers = 1` is that loop over
+//!   the degenerate one-rank [`SoloComm`] world, whose collectives are
+//!   the identity and price nothing.
 //!
 //! The transport behind every endpoint is the
 //! [`crate::config::CommBackend`] knob: in-process channels, or the
@@ -26,9 +30,9 @@
 //! costs while keeping numerics bit-identical (see
 //! `tests/comm_backends.rs`).
 //!
-//! `producers = consumers = 1` dispatches to the original single-domain
-//! producer and single-rank consumer code paths, bit-for-bit — existing
-//! 1×1 runs keep their exact semantics (and seeds).
+//! `producers = 1` dispatches to the original single-domain producer
+//! code path, bit-for-bit; a lone consumer keeps the historical unmixed
+//! RNG seeds — existing 1×1 runs keep their exact trajectories.
 //!
 //! Consumer pacing follows [`crate::config::ConsumerPolicy`]: blocking
 //! every-step (back-pressure throttles the producers) or `DropSteps`
@@ -43,29 +47,28 @@
 //! [`crate::faults::FaultPlan`]). With an **active** plan the driver:
 //! arms every collective world with the plan's deterministic message
 //! chaos (seeded drop/delay/duplicate — chaos only *delays* traffic);
-//! routes consumers through the fault-tolerant drivers
-//! ([`crate::consumer::run_consumer_ft`] /
-//! [`crate::consumer::run_ddp_consumer_ft`]: learner
-//! checkpoint/restart, membership-aware collectives that condemn a
-//! silent rank within a bounded budget and re-form the shrunk group);
+//! the consumer driver switches its learner-group strategy to
+//! [`crate::ft::LearnerGroup::Ft`] (membership-aware collectives that
+//! condemn a silent rank within a bounded budget and re-form the shrunk
+//! group) and its checkpoint/kill/skip hooks come alive;
 //! opens **monitored** streams so windows stranded behind a dead rank's
 //! departed readers are counted into [`WorkflowReport::lost_windows`];
 //! and captures rank panics (injected kills included) as
 //! [`RankFailure`] entries instead of tearing down the orchestrator.
-//! With the default inert plan the legacy zero-overhead paths run
-//! bit-for-bit.
+//! With the default inert plan the same loop runs over the plain
+//! blocking collectives with every hook dormant — no checkpoint, no
+//! membership traffic, no tolerant transport. Plans that contradict the
+//! rest of the configuration are rejected by
+//! [`WorkflowConfig::validate_topology`] before any thread is spawned.
 
 use crate::config::{CommBackend, Placement, WorkflowConfig};
-use crate::consumer::{
-    run_consumer_ft_serving, run_consumer_serving, run_ddp_consumer_ft_serving,
-    run_ddp_consumer_serving, ConsumerReport,
-};
+use crate::consumer::{run_consumer, ConsumerReport};
 use crate::faults::InjectedFault;
 use crate::producer::{run_producer, run_sharded_producer, ProducerReport};
 use crate::snapshot::SnapshotSink;
-use as_cluster::collective::{Collective, NetModel, SimNetComm};
+use as_cluster::collective::{Collective, NetModel, SimNetComm, SoloComm};
 use as_cluster::comm::CommWorld;
-use as_staging::engine::{open_stream_monitored, StreamConfig};
+use as_staging::engine::{open_stream_monitored, SstReader, StreamConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -413,8 +416,8 @@ pub fn run_workflow(cfg: &WorkflowConfig) -> WorkflowReport {
 /// the learner publishes immutable versioned
 /// [`crate::snapshot::ModelSnapshot`]s to it every `publish_every`
 /// training iterations (the `as-serve` inference engine hot-swaps them
-/// in mid-traffic). With `None` the run is the legacy workflow
-/// bit-for-bit.
+/// in mid-traffic). With `None` nothing is captured or published and
+/// the training trajectory is unchanged.
 pub fn run_workflow_with_sink(
     cfg: &WorkflowConfig,
     sink: Option<Arc<dyn SnapshotSink>>,
@@ -422,7 +425,7 @@ pub fn run_workflow_with_sink(
     let algo = cfg.collective_algo;
     // An active fault plan arms every world with tolerant endpoints and
     // the plan's deterministic message chaos; an inert plan keeps the
-    // legacy zero-overhead transport.
+    // plain zero-overhead transport.
     let faults = if cfg.faults.active() {
         Some(cfg.faults.comm_faults())
     } else {
@@ -497,7 +500,6 @@ where
     cfg.validate_topology();
     let m = cfg.producers;
     let k = cfg.consumers;
-    let ft_active = cfg.faults.active();
     let stream_cfg = StreamConfig {
         writers: m,
         readers: k,
@@ -507,8 +509,8 @@ where
     };
     // Monitored streams: the monitors survive the run and report the
     // windows a dead rank's departed readers left unconsumed.
-    let (pw, mut pr, p_monitor) = open_stream_monitored(stream_cfg);
-    let (rw, mut rr, _r_monitor) = open_stream_monitored(stream_cfg);
+    let (pw, pr, p_monitor) = open_stream_monitored(stream_cfg);
+    let (rw, rr, _r_monitor) = open_stream_monitored(stream_cfg);
 
     let t0 = std::time::Instant::now();
 
@@ -538,63 +540,19 @@ where
             .collect()
     };
 
-    // Consumer side: rank 0 inline, ranks 1..K on threads. The overlap
-    // mode gets a second, dedicated world for the gradient comm-worker
-    // threads (one endpoint per rank, mirroring the main world).
+    // Consumer side: one driver for every topology. A lone learner runs
+    // it over the degenerate `SoloComm` world; the overlap mode gets a
+    // second, dedicated world for the gradient comm-worker threads (one
+    // endpoint per rank, mirroring the main world).
     let mut failures: Vec<RankFailure> = Vec::new();
     let (rank0_result, peer_results) = if k == 1 {
-        let (pr0, rr0) = (pr.remove(0), rr.remove(0));
-        let sink0 = sink.clone();
-        let r0 = catch_unwind(AssertUnwindSafe(|| {
-            if ft_active {
-                run_consumer_ft_serving(cfg, pr0, rr0, sink0)
-            } else {
-                run_consumer_serving(cfg, pr0, rr0, sink0)
-            }
-        }));
-        (r0, Vec::new())
+        run_consumers(cfg, vec![SoloComm], None, pr, rr, sink)
     } else {
-        let mut endpoints = make_world(k, RankGroup::Consumer);
-        // The FT path runs its gradient sync on the main world (no
-        // comm-worker), so the dedicated gradient world only exists on
-        // the legacy overlapped path.
-        let mut grad_endpoints: Vec<Option<C>> = if cfg.overlap_grad_sync && !ft_active {
-            make_world(k, RankGroup::Consumer)
-                .into_iter()
-                .map(Some)
-                .collect()
-        } else {
-            (0..k).map(|_| None).collect()
-        };
-        let comm0 = endpoints.remove(0);
-        let grad0 = grad_endpoints.remove(0);
-        let (pr0, rr0) = (pr.remove(0), rr.remove(0));
-        let peer_handles: Vec<_> = endpoints
-            .into_iter()
-            .zip(grad_endpoints)
-            .zip(pr.into_iter().zip(rr))
-            .map(|((comm, grad), (pr_i, rr_i))| {
-                let consumer_cfg = cfg.clone();
-                let sink_i = sink.clone();
-                std::thread::spawn(move || {
-                    if consumer_cfg.faults.active() {
-                        run_ddp_consumer_ft_serving(&consumer_cfg, comm, pr_i, rr_i, sink_i)
-                    } else {
-                        run_ddp_consumer_serving(&consumer_cfg, comm, grad, pr_i, rr_i, sink_i)
-                    }
-                })
-            })
-            .collect();
-        let sink0 = sink.clone();
-        let rank0 = catch_unwind(AssertUnwindSafe(|| {
-            if ft_active {
-                run_ddp_consumer_ft_serving(cfg, comm0, pr0, rr0, sink0)
-            } else {
-                run_ddp_consumer_serving(cfg, comm0, grad0, pr0, rr0, sink0)
-            }
-        }));
-        let peers: Vec<_> = peer_handles.into_iter().map(|h| h.join()).collect();
-        (rank0, peers)
+        let endpoints = make_world(k, RankGroup::Consumer);
+        let grad_endpoints = cfg
+            .overlap_grad_sync
+            .then(|| make_world(k, RankGroup::Consumer));
+        run_consumers(cfg, endpoints, grad_endpoints, pr, rr, sink)
     };
 
     let mut peer_reports: Vec<ConsumerReport> = Vec::new();
@@ -608,7 +566,7 @@ where
         Ok(r) => (r, true),
         Err(p) => {
             failures.push(failure_of(RankGroup::Consumer, 0, p));
-            (placeholder_consumer_report(cfg, k), false)
+            (ConsumerReport::fresh(cfg, 0, k), false)
         }
     };
 
@@ -657,36 +615,43 @@ where
     }
 }
 
-/// Stand-in report for a consumer rank 0 that died and never returned:
-/// a fresh (untrained) model and all-zero counters, so the report shape
-/// survives while [`WorkflowReport::failures`] records the death.
-fn placeholder_consumer_report(cfg: &WorkflowConfig, world: usize) -> ConsumerReport {
-    ConsumerReport {
-        model: as_nn::model::ArtificialScientistModel::new(cfg.model.clone(), cfg.seed),
-        losses: Vec::new(),
-        windows: 0,
-        samples: 0,
-        train_seconds: 0.0,
-        particle_bytes: 0,
-        rank: 0,
-        world,
-        owned_windows: Vec::new(),
-        orphaned_windows: 0,
-        dropped_windows: 0,
-        published_windows: 0,
-        param_hash: 0,
-        param_hashes: Vec::new(),
-        comm_bytes: 0,
-        comm_model_seconds: 0.0,
-        comm_messages: 0,
-        lost_windows: 0,
-        restarts: 0,
-        recovery_seconds: 0.0,
-        degradations: 0,
-        world_after: 0,
-        staging_wire_bytes: 0,
-        staging_model_seconds: 0.0,
-    }
+/// A consumer rank's report, or the panic payload it died with.
+type RankResult = std::thread::Result<ConsumerReport>;
+
+/// Run the K learner ranks to completion — rank 0 inline on the caller,
+/// ranks 1..K on threads — capturing each rank's panic (injected kills
+/// included) as an `Err` instead of unwinding the orchestrator.
+fn run_consumers<C: Collective>(
+    cfg: &WorkflowConfig,
+    endpoints: Vec<C>,
+    grad_endpoints: Option<Vec<C>>,
+    particle_readers: Vec<SstReader>,
+    radiation_readers: Vec<SstReader>,
+    sink: Option<Arc<dyn SnapshotSink>>,
+) -> (RankResult, Vec<RankResult>) {
+    let grad_endpoints: Vec<Option<C>> = match grad_endpoints {
+        Some(world) => world.into_iter().map(Some).collect(),
+        None => endpoints.iter().map(|_| None).collect(),
+    };
+    let mut ranks = endpoints
+        .into_iter()
+        .zip(grad_endpoints)
+        .zip(particle_readers.into_iter().zip(radiation_readers));
+    let ((comm0, grad0), (pr0, rr0)) = ranks
+        .next()
+        .unwrap_or_else(|| panic!("topology has at least one consumer"));
+    let peer_handles: Vec<_> = ranks
+        .map(|((comm, grad), (pr_i, rr_i))| {
+            let consumer_cfg = cfg.clone();
+            let sink_i = sink.clone();
+            std::thread::spawn(move || run_consumer(&consumer_cfg, comm, grad, pr_i, rr_i, sink_i))
+        })
+        .collect();
+    let rank0 = catch_unwind(AssertUnwindSafe(|| {
+        run_consumer(cfg, comm0, grad0, pr0, rr0, sink)
+    }));
+    let peers = peer_handles.into_iter().map(|h| h.join()).collect();
+    (rank0, peers)
 }
 
 #[cfg(test)]

@@ -11,26 +11,20 @@
 //! - [`writer::OpenPmdWriter`] / [`reader::OpenPmdReader`] — the streaming
 //!   backend (one SST step per iteration, names like
 //!   `meshes/E/x`, `particles/e/momentum/x`);
-//! - [`memory::MemorySeries`] — the "file-like" backend for offline use
-//!   (the openPMD standard is backend-agnostic: JSON/HDF5/ADIOS2 in the
-//!   original, in-memory here);
 //! - [`attribute`] — typed attributes with the openPMD `unitDimension`
 //!   seven-vector and `unitSI` factors.
 
 pub mod attribute;
-pub mod memory;
 pub mod reader;
 pub mod writer;
 
 pub use attribute::{Attributes, UnitDimension, Value};
-pub use memory::MemorySeries;
 pub use reader::{IterationData, OpenPmdReader};
 pub use writer::OpenPmdWriter;
 
 pub mod prelude {
     //! Common imports for openPMD consumers.
     pub use crate::attribute::{Attributes, UnitDimension, Value};
-    pub use crate::memory::MemorySeries;
     pub use crate::reader::{IterationData, OpenPmdReader};
     pub use crate::writer::OpenPmdWriter;
 }

@@ -6,8 +6,8 @@
 //! provides that desired path: a full `Simulation` state serialises into
 //! flat named arrays (`meshes/E/x`, `particles/s0/momentum/y`, …) and
 //! restores bit-exactly, so long campaigns can checkpoint through any
-//! file-like backend (`as-openpmd::MemorySeries` in the tests; a real
-//! file format would plug in behind the same names).
+//! file-like backend (a real file format would plug in behind the same
+//! names).
 
 use crate::field::VecField3;
 use crate::grid::GridSpec;

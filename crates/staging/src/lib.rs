@@ -37,7 +37,6 @@ pub mod codec;
 pub mod dataplane;
 pub mod engine;
 pub mod error;
-pub mod fanin;
 pub mod stats;
 pub mod variable;
 pub mod view;
@@ -47,7 +46,6 @@ pub use dataplane::{DataPlane, ReadStrategy, NIC_BANDWIDTH};
 pub use engine::StreamMonitor;
 pub use engine::{open_stream, open_stream_monitored, SstReader, SstWriter, StreamConfig};
 pub use error::StagingError;
-pub use fanin::{run_fanin_relay, FanInReport, Reduction};
 pub use stats::ThroughputRecorder;
 pub use variable::{Block, Dtype, VariableMeta};
 pub use view::VarView;

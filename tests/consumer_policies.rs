@@ -298,3 +298,122 @@ fn sample_broadcast_feeds_every_rank_from_one_encode() {
     let h0 = report.consumer_summaries[0].param_hash;
     assert!(report.consumer_summaries.iter().all(|s| s.param_hash == h0));
 }
+
+/// The driver matrix: one consumer loop serves every combination of
+/// group size, pacing policy, fault plan and serving sink, so every cell
+/// must close the accounting identity, keep the ranks bit-synchronized
+/// and publish strictly monotone snapshot versions. Under the blocking
+/// policy the training schedule is timing-independent, so a fault plan
+/// that destroys nothing (event-free, or a restart landing exactly on a
+/// checkpoint) must reproduce the inert plan's parameters bit for bit.
+#[test]
+fn driver_matrix_accounts_syncs_and_publishes_in_every_cell() {
+    use artificial_scientist::core::config::ServingConfig;
+    use artificial_scientist::core::faults::{FaultEvent, FaultPlan, KillMode};
+    use artificial_scientist::core::snapshot::{ModelSnapshot, SnapshotSink};
+    use artificial_scientist::core::workflow::run_workflow_with_sink;
+    use std::sync::{Arc, Mutex};
+
+    #[derive(Default)]
+    struct RecordingSink(Mutex<Vec<u64>>);
+    impl SnapshotSink for RecordingSink {
+        fn publish(&self, snapshot: ModelSnapshot) {
+            self.0.lock().unwrap().push(snapshot.version);
+        }
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Plan {
+        Inert,
+        EventFree,
+        BoundaryRestart,
+    }
+
+    for k in [1usize, 2] {
+        for policy in [
+            ConsumerPolicy::BlockingEveryStep,
+            ConsumerPolicy::drop_steps(2),
+        ] {
+            // The parameters every loss-free blocking cell must reproduce.
+            let mut blocking_hash: Option<u64> = None;
+            for plan in [Plan::Inert, Plan::EventFree, Plan::BoundaryRestart] {
+                for with_sink in [false, true] {
+                    let cell = format!("K={k} {} {plan:?} sink={with_sink}", policy.label());
+                    let mut cfg = WorkflowConfig::small();
+                    cfg.total_steps = 8;
+                    cfg.steps_per_sample = 2; // 4 windows
+                    cfg.n_rep = 2;
+                    cfg.consumers = k;
+                    cfg.policy = policy;
+                    cfg.faults = match plan {
+                        Plan::Inert => FaultPlan::default(),
+                        Plan::EventFree => FaultPlan {
+                            checkpoint_every: 2,
+                            ..FaultPlan::default()
+                        },
+                        Plan::BoundaryRestart => FaultPlan {
+                            checkpoint_every: 2,
+                            events: vec![FaultEvent::ConsumerKill {
+                                rank: k - 1,
+                                at_window: 2,
+                                mode: KillMode::Restart,
+                            }],
+                            ..FaultPlan::default()
+                        },
+                    };
+                    let sink = with_sink.then(|| {
+                        cfg.serving = Some(ServingConfig {
+                            publish_every: 2,
+                            ..ServingConfig::default()
+                        });
+                        Arc::new(RecordingSink::default())
+                    });
+                    let report = run_workflow_with_sink(
+                        &cfg,
+                        sink.clone().map(|s| s as Arc<dyn SnapshotSink>),
+                    );
+
+                    assert!(report.failures.is_empty(), "{cell}: no rank may die");
+                    assert_eq!(report.consumer_summaries.len(), k, "{cell}");
+                    assert_eq!(report.producer.windows, 4, "{cell}");
+                    for s in &report.consumer_summaries {
+                        assert_eq!(
+                            s.windows + s.dropped_windows + s.orphaned_windows + s.lost_windows,
+                            s.published_windows,
+                            "{cell}: rank {} accounting",
+                            s.rank
+                        );
+                        assert_eq!(s.published_windows, 4, "{cell}: rank {}", s.rank);
+                        assert_eq!(
+                            s.param_hash, report.consumer.param_hash,
+                            "{cell}: rank {} diverged",
+                            s.rank
+                        );
+                    }
+                    if let Some(sink) = &sink {
+                        let versions = sink.0.lock().unwrap();
+                        assert!(!versions.is_empty(), "{cell}: nothing published");
+                        assert!(
+                            versions.windows(2).all(|w| w[0] < w[1]),
+                            "{cell}: versions must be strictly monotone: {versions:?}"
+                        );
+                    }
+                    if policy == ConsumerPolicy::BlockingEveryStep {
+                        if plan == Plan::BoundaryRestart {
+                            assert_eq!(
+                                report.consumer_summaries[k - 1].restarts,
+                                1,
+                                "{cell}: the scheduled kill must fire"
+                            );
+                        }
+                        let reference = *blocking_hash.get_or_insert(report.consumer.param_hash);
+                        assert_eq!(
+                            report.consumer.param_hash, reference,
+                            "{cell}: a loss-free plan must not change the trajectory"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}

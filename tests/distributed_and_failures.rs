@@ -267,7 +267,8 @@ fn consumer_survives_streams_ending_out_of_sync() {
         rw.close();
     });
 
-    let report = run_consumer(&cfg, pr.remove(0), rr.remove(0));
+    let solo = artificial_scientist::cluster::collective::SoloComm;
+    let report = run_consumer(&cfg, solo, None, pr.remove(0), rr.remove(0), None);
     producer.join().unwrap();
     assert_eq!(report.windows, 2, "only complete window pairs count");
     assert_eq!(
