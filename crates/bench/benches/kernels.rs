@@ -1,21 +1,24 @@
 //! Criterion micro-benchmarks of the building blocks composed by the
 //! figure harnesses: PIC kernels, the radiation kernel, the point-cloud
-//! losses (the CD-vs-EMD cost claim), tensor contractions, INN coupling
-//! blocks, the staging engine and the ring all-reduce.
+//! losses (the CD-vs-EMD cost claim), tensor contractions against their
+//! stated ceiling, the learner's hot kernels and one whole training pass,
+//! INN coupling blocks, the staging engine and the ring all-reduce.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
 use as_cluster::comm::CommWorld;
 use as_nn::inn::Inn;
+use as_nn::layers::Activation;
 use as_nn::loss::{chamfer, mmd_imq, sinkhorn_emd};
+use as_nn::model::{ArtificialScientistModel, ModelConfig};
 use as_pic::grid::GridSpec;
 use as_pic::khi::KhiSetup;
 use as_pic::tweac::TweacSetup;
 use as_radiation::detector::Detector;
 use as_radiation::lienard::{ParticleState, RadiationAccumulator};
 use as_staging::engine::{open_stream, StreamConfig};
-use as_tensor::{matmul, TensorRng};
+use as_tensor::{matmul, matmul_a_bt, matmul_at_b, TensorRng, Workspace};
 
 fn bench_pic_step(c: &mut Criterion) {
     let mut g = c.benchmark_group("pic_step");
@@ -113,6 +116,11 @@ fn bench_losses(c: &mut Criterion) {
     g.bench_function("chamfer_8x256", |b| {
         b.iter(|| black_box(chamfer(&pred, &target).0))
     });
+    // The training shape: 64 decoded points against a 256-point cloud.
+    let decoded = rng.uniform([8, 64, 6], -1.0, 1.0);
+    g.bench_function("chamfer_8x64_vs_8x256", |b| {
+        b.iter(|| black_box(chamfer(&decoded, &target).0))
+    });
     g.bench_function("sinkhorn_emd_8x256", |b| {
         b.iter(|| black_box(sinkhorn_emd(&pred, &target, 0.05, 15).0))
     });
@@ -124,13 +132,97 @@ fn bench_losses(c: &mut Criterion) {
     g.finish();
 }
 
+/// The ceiling `tensor::matmul` is held against, per core. The kernel's
+/// contract rules out FMA and wider-than-baseline vectors, which leaves one
+/// 4-wide SSE2 multiply and one 4-wide add per cycle: 8 flop. The clock is
+/// the one the kernel reports, so a turbo clock or a core with a second
+/// add/multiply pipe reads above 100 %.
+fn sse2_ceiling_gflops() -> Option<f64> {
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").ok()?;
+    let line = cpuinfo.lines().find(|l| l.starts_with("cpu MHz"))?;
+    let mhz: f64 = line.split(':').nth(1)?.trim().parse().ok()?;
+    Some(8.0 * mhz / 1e3)
+}
+
+/// The three matmul layouts at the encoder's 1×1-convolution shapes
+/// (B·P = 2048 rows; the last is `ddp_sync`'s medium model): forward
+/// `x·W`, input gradient `dy·Wᵀ`, weight gradient `xᵀ·dy`. `thrpt` is
+/// GFLOP/s.
 fn bench_tensor(c: &mut Criterion) {
     let mut g = c.benchmark_group("tensor");
-    g.sample_size(10);
+    g.sample_size(20);
+    let threads = rayon::current_num_threads();
+    match sse2_ceiling_gflops() {
+        Some(peak) => println!(
+            "tensor: no-FMA SSE2 ceiling 8 flop/cycle = {peak:.1} GFLOP/s per core \
+             at the reported clock; {threads} rayon thread(s)"
+        ),
+        None => println!("tensor: no-FMA SSE2 ceiling 8 flop/cycle per core (clock not reported)"),
+    }
     let mut rng = TensorRng::seeded(1);
-    let a = rng.standard_normal([256, 256]);
-    let b2 = rng.standard_normal([256, 256]);
-    g.bench_function("matmul_256", |b| b.iter(|| black_box(matmul(&a, &b2))));
+    for (m, k, n) in [
+        (2048, 6, 16),
+        (2048, 16, 32),
+        (2048, 32, 64),
+        (2048, 64, 128),
+    ] {
+        let (x, w, dy) = (
+            rng.standard_normal([m, k]),
+            rng.standard_normal([k, n]),
+            rng.standard_normal([m, n]),
+        );
+        let shape = format!("{m}x{k}x{n}");
+        g.throughput(Throughput::Elements((2 * m * k * n) as u64));
+        g.bench_function(BenchmarkId::new("matmul", &shape), |b| {
+            b.iter(|| black_box(matmul(&x, &w)))
+        });
+        g.bench_function(BenchmarkId::new("matmul_a_bt", &shape), |b| {
+            b.iter(|| black_box(matmul_a_bt(&dy, &w)))
+        });
+        g.bench_function(BenchmarkId::new("matmul_at_b", &shape), |b| {
+            b.iter(|| black_box(matmul_at_b(&x, &dy)))
+        });
+    }
+    g.finish();
+}
+
+/// The learner's elementwise hot spot and one whole forward+backward
+/// pass at the benchmark's shape (B=8, P=256, `ModelConfig::small()`).
+fn bench_learner(c: &mut Criterion) {
+    let mut g = c.benchmark_group("learner");
+    g.sample_size(20);
+    let mut rng = TensorRng::seeded(3);
+    // Slope 1 keeps the data fixed over repeated in-place application (a
+    // real slope would shrink it into subnormals); the select is
+    // branch-free, so the slope does not change the instruction stream.
+    let leaky = Activation::LeakyRelu(1.0);
+    let mut act = rng.standard_normal([2048, 64]);
+    let out = rng.standard_normal([2048, 64]);
+    g.bench_function("leaky_relu_forward_2048x64", |b| {
+        b.iter(|| {
+            leaky.forward(act.data_mut());
+            black_box(act.data()[0])
+        })
+    });
+    g.bench_function("leaky_relu_backward_2048x64", |b| {
+        b.iter(|| {
+            leaky.backward(act.data_mut(), out.data());
+            black_box(act.data()[0])
+        })
+    });
+    let mut model = ArtificialScientistModel::new(ModelConfig::small(), 7);
+    let points = rng.uniform([8, 256, 6], -1.0, 1.0);
+    let spectra = rng.standard_normal([8, 16]);
+    g.bench_function("accumulate_gradients_8x256", |b| {
+        b.iter(|| {
+            model.zero_grad();
+            black_box(
+                model
+                    .accumulate_gradients(&points, &spectra, &mut rng)
+                    .total,
+            )
+        })
+    });
     g.finish();
 }
 
@@ -141,10 +233,10 @@ fn bench_inn(c: &mut Criterion) {
     let inn = Inn::new(&mut rng, 64, 4, &[48, 48]);
     let x = rng.standard_normal([8, 64]);
     g.bench_function("forward_4blocks_d64", |b| {
-        b.iter(|| black_box(inn.forward(&x).0))
+        b.iter(|| black_box(inn.forward(&x, &mut Workspace::default()).0))
     });
     g.bench_function("inverse_4blocks_d64", |b| {
-        b.iter(|| black_box(inn.inverse(&x).0))
+        b.iter(|| black_box(inn.inverse(&x, &mut Workspace::default()).0))
     });
     g.finish();
 }
@@ -207,6 +299,7 @@ criterion_group!(
     bench_radiation,
     bench_losses,
     bench_tensor,
+    bench_learner,
     bench_inn,
     bench_staging,
     bench_allreduce

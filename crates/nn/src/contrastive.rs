@@ -202,16 +202,17 @@ mod tests {
         }
         let mut first = None;
         let mut last = 0.0;
+        let ws = &mut as_tensor::Workspace::default();
         for _ in 0..40 {
             let va = augment_clouds(&base, 0.02, &mut rng);
             let vb = augment_clouds(&base, 0.02, &mut rng);
-            let (mu_a, _, ctx_a) = enc.forward(&va);
-            let (mu_b, _, ctx_b) = enc.forward(&vb);
+            let (mu_a, _, ctx_a) = enc.forward(&va, ws);
+            let (mu_b, _, ctx_b) = enc.forward(&vb, ws);
             let (l, ga, gb) = info_nce(&mu_a, &mu_b, 0.3);
-            enc.zero_grad();
-            let zero = Tensor::zeros(mu_a.shape().clone());
-            let _ = enc.backward(&ga, &zero, &ctx_a);
-            let _ = enc.backward(&gb, &zero, &ctx_b);
+            crate::optim::zero_grads(|v| enc.visit(v));
+            let zero = Tensor::zeros(*mu_a.shape());
+            let _ = enc.backward(&va, &ga, &zero, ctx_a, false, ws);
+            let _ = enc.backward(&vb, &gb, &zero, ctx_b, false, ws);
             adam.step(|v| enc.visit(v));
             first.get_or_insert(l);
             last = l;

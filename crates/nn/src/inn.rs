@@ -17,7 +17,7 @@
 
 use crate::layers::{Activation, InitKind, Mlp, MlpCtx};
 use crate::optim::ParamVisitor;
-use as_tensor::{Tensor, TensorRng};
+use as_tensor::{Tensor, TensorRng, Workspace};
 
 /// Soft clamp constant (FrEIA default is 2.0; the paper's flows are affine
 /// with clamped scales per Dinh et al.).
@@ -31,6 +31,15 @@ fn clamp_deriv(s: f32) -> f32 {
     std::f32::consts::FRAC_2_PI / (1.0 + (s / CLAMP).powi(2))
 }
 
+/// Which way a coupling block is traversed.
+#[derive(Clone, Copy)]
+enum Dir {
+    /// `v = u ⊙ exp(clamp(s)) + t`.
+    Forward,
+    /// `v = (u − t) ⊙ exp(−clamp(s))`.
+    Inverse,
+}
+
 /// One GLOW affine coupling block on vectors of dimension `d1 + d2`.
 pub struct CouplingBlock {
     /// Subnet fed with the (already transformed) first half, predicting
@@ -40,31 +49,100 @@ pub struct CouplingBlock {
     /// first half: `d2 → … → 2·d1`.
     subnet2: Mlp,
     d1: usize,
-    d2: usize,
 }
 
-/// Context of a forward pass through a coupling block.
-pub struct CouplingFwdCtx {
+/// Context of one pass through a coupling block, in either direction.
+/// With `x = [x1 | x2]` the block's forward-side vector and `y = [y1 | y2]`
+/// its inverse-side one, both directions keep the same tensors once: the
+/// two subnet inputs `x2` and `y1`, the half `x1`, and what each
+/// `affine` half-step left behind.
+pub struct CouplingCtx {
     x1: Tensor,
     x2: Tensor,
-    s2: Tensor,
-    e2: Tensor,
-    s1: Tensor,
-    e1: Tensor,
-    sub1: MlpCtx,
-    sub2: MlpCtx,
+    y1: Tensor,
+    step1: HalfCtx,
+    step2: HalfCtx,
 }
 
-/// Context of an inverse pass through a coupling block.
-pub struct CouplingInvCtx {
-    x1: Tensor,
-    x2: Tensor,
-    s1: Tensor,
-    e1m: Tensor,
-    s2: Tensor,
-    e2m: Tensor,
-    sub1: MlpCtx,
-    sub2: MlpCtx,
+/// What one [`affine`] half-step keeps for its backward: the conditioning
+/// subnet's output `a = [s | t]`, the factor `e = exp(±clamp(s))` applied
+/// with it, the subnet's own context, and which way it ran.
+struct HalfCtx {
+    a: Tensor,
+    e: Tensor,
+    sub: MlpCtx,
+    dir: Dir,
+}
+
+/// One affine half-step: `subnet` reads `cond:[B,·]` and predicts
+/// `[s | t]:[B,2w]`, with which the half `u:[B,w]` becomes `v`.
+fn affine(
+    subnet: &Mlp,
+    cond: &Tensor,
+    u: &Tensor,
+    dir: Dir,
+    ws: &mut Workspace,
+) -> (Tensor, HalfCtx) {
+    let (a, sub) = subnet.forward(cond, ws);
+    let w = u.dims()[1];
+    let (mut v, mut e) = (ws.take(*u.shape()), ws.take(*u.shape()));
+    let outs = v.data_mut().chunks_exact_mut(w);
+    let outs = outs.zip(e.data_mut().chunks_exact_mut(w));
+    for ((v, e), (u, a)) in outs.zip(u.data().chunks_exact(w).zip(a.data().chunks_exact(2 * w))) {
+        let (s, t) = a.split_at(w);
+        for j in 0..w {
+            e[j] = match dir {
+                Dir::Forward => clamp_fn(s[j]).exp(),
+                Dir::Inverse => (-clamp_fn(s[j])).exp(),
+            };
+            v[j] = match dir {
+                Dir::Forward => u[j] * e[j] + t[j],
+                Dir::Inverse => (u[j] - t[j]) * e[j],
+            };
+        }
+    }
+    (v, HalfCtx { a, e, sub, dir })
+}
+
+/// Backward of one [`affine`] half-step whose subnet read `cond`: from
+/// `g = dL/dv` and the half the scale multiplied (`scaled`: the input `u`
+/// going forward, the output `v` through the inverse), the direct gradient
+/// `dL/du` and — through the subnet, whose parameter gradients accumulate —
+/// `dL/d cond` if `want_dcond`.
+fn affine_backward(
+    subnet: &mut Mlp,
+    cond: &Tensor,
+    step: HalfCtx,
+    g: &Tensor,
+    scaled: &Tensor,
+    want_dcond: bool,
+    ws: &mut Workspace,
+) -> (Tensor, Option<Tensor>) {
+    let n = g.dims()[1];
+    let (mut du, mut da) = (ws.take(*g.shape()), ws.take(*step.a.shape()));
+    let outs = du.data_mut().chunks_exact_mut(n);
+    let outs = outs.zip(da.data_mut().chunks_exact_mut(2 * n));
+    let ins = g.data().chunks_exact(n).zip(scaled.data().chunks_exact(n));
+    let ins = ins.zip(
+        step.a
+            .data()
+            .chunks_exact(2 * n)
+            .zip(step.e.data().chunks_exact(n)),
+    );
+    for ((du, da), ((g, w), (s, e))) in outs.zip(ins) {
+        let (ds, dt) = da.split_at_mut(n);
+        for j in 0..n {
+            du[j] = g[j] * e[j];
+            (ds[j], dt[j]) = match step.dir {
+                Dir::Forward => (g[j] * w[j] * e[j] * clamp_deriv(s[j]), g[j]),
+                // d v/d s = (u − t)·e·(−clamp′) = −v·clamp′(s)
+                Dir::Inverse => (-(g[j] * w[j]) * clamp_deriv(s[j]), -(g[j] * e[j])),
+            };
+        }
+    }
+    let dcond = subnet.backward(cond, step.sub, &da, want_dcond, ws);
+    ws.give_all([da, step.a, step.e]);
+    (du, dcond)
 }
 
 impl CouplingBlock {
@@ -80,152 +158,92 @@ impl CouplingBlock {
         let mut w2 = vec![d2];
         w2.extend_from_slice(hidden);
         w2.push(2 * d1);
+        let act = Activation::LeakyRelu(0.01);
         Self {
             // Near-zero last layers start the flow at the identity map.
-            subnet1: Mlp::new(
-                rng,
-                &w1,
-                Activation::LeakyRelu(0.01),
-                Activation::Identity,
-                InitKind::NearZero,
-            ),
-            subnet2: Mlp::new(
-                rng,
-                &w2,
-                Activation::LeakyRelu(0.01),
-                Activation::Identity,
-                InitKind::NearZero,
-            ),
+            subnet1: Mlp::new(rng, &w1, act, InitKind::NearZero),
+            subnet2: Mlp::new(rng, &w2, act, InitKind::NearZero),
             d1,
-            d2,
         }
     }
 
-    /// Forward: `x:[B, d1+d2] → y:[B, d1+d2]`.
-    pub fn forward(&self, x: &Tensor) -> (Tensor, CouplingFwdCtx) {
-        let halves = x.split_cols(&[self.d1, self.d2]);
-        let (x1, x2) = (halves[0].clone(), halves[1].clone());
-        // y1 = x1 ⊙ exp(clamp(s2(x2))) + t2(x2)
-        let (a2, sub2) = self.subnet2.forward(&x2);
-        let st2 = a2.split_cols(&[self.d1, self.d1]);
-        let (s2, t2) = (st2[0].clone(), st2[1].clone());
-        let e2 = s2.map(|v| clamp_fn(v).exp());
-        let mut y1 = x1.mul(&e2);
-        y1.add_assign(&t2);
-        // y2 = x2 ⊙ exp(clamp(s1(y1))) + t1(y1)
-        let (a1, sub1) = self.subnet1.forward(&y1);
-        let st1 = a1.split_cols(&[self.d2, self.d2]);
-        let (s1, t1) = (st1[0].clone(), st1[1].clone());
-        let e1 = s1.map(|v| clamp_fn(v).exp());
-        let mut y2 = x2.mul(&e1);
-        y2.add_assign(&t1);
-        let y = Tensor::concat_cols(&[&y1, &y2]);
-        (
-            y,
-            CouplingFwdCtx {
-                x1,
-                x2,
-                s2,
-                e2,
-                s1,
-                e1,
-                sub1,
-                sub2,
-            },
-        )
+    /// Forward: `x:[B, d1+d2] → y:[B, d1+d2]` with
+    /// `y1 = x1 ⊙ exp(clamp(s2(x2))) + t2(x2)`, then
+    /// `y2 = x2 ⊙ exp(clamp(s1(y1))) + t1(y1)`.
+    pub fn forward(&self, x: &Tensor, ws: &mut Workspace) -> (Tensor, CouplingCtx) {
+        let (x1, x2) = x.split_cols(self.d1, ws);
+        let (y1, step2) = affine(&self.subnet2, &x2, &x1, Dir::Forward, ws);
+        let (y2, step1) = affine(&self.subnet1, &y1, &x2, Dir::Forward, ws);
+        let y = Tensor::concat_cols(&y1, &y2, ws);
+        ws.give(y2);
+        let ctx = CouplingCtx {
+            x1,
+            x2,
+            y1,
+            step1,
+            step2,
+        };
+        (y, ctx)
+    }
+
+    /// Inverse: `y:[B, d1+d2] → x:[B, d1+d2]` with
+    /// `x2 = (y2 − t1(y1)) ⊙ exp(−clamp(s1(y1)))`, then
+    /// `x1 = (y1 − t2(x2)) ⊙ exp(−clamp(s2(x2)))`.
+    pub fn inverse(&self, y: &Tensor, ws: &mut Workspace) -> (Tensor, CouplingCtx) {
+        let (y1, y2) = y.split_cols(self.d1, ws);
+        let (x2, step1) = affine(&self.subnet1, &y1, &y2, Dir::Inverse, ws);
+        let (x1, step2) = affine(&self.subnet2, &x2, &y1, Dir::Inverse, ws);
+        let x = Tensor::concat_cols(&x1, &x2, ws);
+        ws.give(y2);
+        let ctx = CouplingCtx {
+            x1,
+            x2,
+            y1,
+            step1,
+            step2,
+        };
+        (x, ctx)
     }
 
     /// Backward through the forward map; accumulates subnet gradients and
-    /// returns `dL/dx`.
-    pub fn backward(&mut self, dy: &Tensor, ctx: &CouplingFwdCtx) -> Tensor {
-        let parts = dy.split_cols(&[self.d1, self.d2]);
-        let (dy1_in, dy2) = (parts[0].clone(), parts[1].clone());
-        // y2 = x2·e1 + t1, e1 = exp(clamp(s1)), (s1,t1) = subnet1(y1)
-        let dx2_direct = dy2.mul(&ctx.e1);
-        let mut ds1 = dy2.mul(&ctx.x2).mul(&ctx.e1);
-        for (g, &s) in ds1.data_mut().iter_mut().zip(ctx.s1.data()) {
-            *g *= clamp_deriv(s);
-        }
-        let dt1 = dy2;
-        let da1 = Tensor::concat_cols(&[&ds1, &dt1]);
-        let dy1_from_sub1 = self.subnet1.backward(&da1, &ctx.sub1);
-        let mut dy1 = dy1_in;
-        dy1.add_assign(&dy1_from_sub1);
-        // y1 = x1·e2 + t2, e2 = exp(clamp(s2)), (s2,t2) = subnet2(x2)
-        let dx1 = dy1.mul(&ctx.e2);
-        let mut ds2 = dy1.mul(&ctx.x1).mul(&ctx.e2);
-        for (g, &s) in ds2.data_mut().iter_mut().zip(ctx.s2.data()) {
-            *g *= clamp_deriv(s);
-        }
-        let dt2 = dy1;
-        let da2 = Tensor::concat_cols(&[&ds2, &dt2]);
-        let dx2_from_sub2 = self.subnet2.backward(&da2, &ctx.sub2);
-        let mut dx2 = dx2_direct;
-        dx2.add_assign(&dx2_from_sub2);
-        Tensor::concat_cols(&[&dx1, &dx2])
-    }
-
-    /// Inverse: `y:[B, d1+d2] → x:[B, d1+d2]`.
-    pub fn inverse(&self, y: &Tensor) -> (Tensor, CouplingInvCtx) {
-        let halves = y.split_cols(&[self.d1, self.d2]);
-        let (y1, y2) = (halves[0].clone(), halves[1].clone());
-        // x2 = (y2 − t1(y1)) ⊙ exp(−clamp(s1(y1)))
-        let (a1, sub1) = self.subnet1.forward(&y1);
-        let st1 = a1.split_cols(&[self.d2, self.d2]);
-        let (s1, t1) = (st1[0].clone(), st1[1].clone());
-        let e1m = s1.map(|v| (-clamp_fn(v)).exp());
-        let x2 = y2.sub(&t1).mul(&e1m);
-        // x1 = (y1 − t2(x2)) ⊙ exp(−clamp(s2(x2)))
-        let (a2, sub2) = self.subnet2.forward(&x2);
-        let st2 = a2.split_cols(&[self.d1, self.d1]);
-        let (s2, t2) = (st2[0].clone(), st2[1].clone());
-        let e2m = s2.map(|v| (-clamp_fn(v)).exp());
-        let x1 = y1.sub(&t2).mul(&e2m);
-        let x = Tensor::concat_cols(&[&x1, &x2]);
-        (
-            x,
-            CouplingInvCtx {
-                x1,
-                x2,
-                s1,
-                e1m,
-                s2,
-                e2m,
-                sub1,
-                sub2,
-            },
-        )
+    /// returns `dL/dx`. The half transformed last (`y2`) is unwound first.
+    pub fn backward(&mut self, dy: &Tensor, c: CouplingCtx, ws: &mut Workspace) -> Tensor {
+        let (mut dy1, dy2) = dy.split_cols(self.d1, ws);
+        let sub1 = &mut self.subnet1;
+        let (mut dx2, via_y1) = affine_backward(sub1, &c.y1, c.step1, &dy2, &c.x2, true, ws);
+        dy1.add_assign(via_y1.as_ref().expect("requested"));
+        let sub2 = &mut self.subnet2;
+        let (dx1, via_x2) = affine_backward(sub2, &c.x2, c.step2, &dy1, &c.x1, true, ws);
+        dx2.add_assign(via_x2.as_ref().expect("requested"));
+        let dx = Tensor::concat_cols(&dx1, &dx2, ws);
+        ws.give_all([dy1, dy2, dx1, dx2, c.x1, c.x2, c.y1]);
+        ws.give_all(via_y1.into_iter().chain(via_x2));
+        dx
     }
 
     /// Backward through the inverse map; accumulates subnet gradients and
-    /// returns `dL/dy`.
-    pub fn inverse_backward(&mut self, dx: &Tensor, ctx: &CouplingInvCtx) -> Tensor {
-        let parts = dx.split_cols(&[self.d1, self.d2]);
-        let (dx1, dx2_in) = (parts[0].clone(), parts[1].clone());
-        // x1 = (y1 − t2)·e2m with (s2,t2) = subnet2(x2), e2m = exp(−clamp(s2))
-        let dy1_direct = dx1.mul(&ctx.e2m);
-        let dt2 = dx1.mul(&ctx.e2m).scale(-1.0);
-        // d x1/d s2 = (y1 − t2)·e2m·(−clamp′) = −x1·clamp′(s2)
-        let mut ds2 = dx1.mul(&ctx.x1).scale(-1.0);
-        for (g, &s) in ds2.data_mut().iter_mut().zip(ctx.s2.data()) {
-            *g *= clamp_deriv(s);
-        }
-        let da2 = Tensor::concat_cols(&[&ds2, &dt2]);
-        let dx2_from_sub2 = self.subnet2.backward(&da2, &ctx.sub2);
-        let mut dx2 = dx2_in;
-        dx2.add_assign(&dx2_from_sub2);
-        // x2 = (y2 − t1)·e1m with (s1,t1) = subnet1(y1), e1m = exp(−clamp(s1))
-        let dy2 = dx2.mul(&ctx.e1m);
-        let dt1 = dx2.mul(&ctx.e1m).scale(-1.0);
-        let mut ds1 = dx2.mul(&ctx.x2).scale(-1.0);
-        for (g, &s) in ds1.data_mut().iter_mut().zip(ctx.s1.data()) {
-            *g *= clamp_deriv(s);
-        }
-        let da1 = Tensor::concat_cols(&[&ds1, &dt1]);
-        let dy1_from_sub1 = self.subnet1.backward(&da1, &ctx.sub1);
-        let mut dy1 = dy1_direct;
-        dy1.add_assign(&dy1_from_sub1);
-        Tensor::concat_cols(&[&dy1, &dy2])
+    /// returns `dL/dy` if `want_dy`. The half recovered last (`x1`) is
+    /// unwound first.
+    pub fn inverse_backward(
+        &mut self,
+        dx: &Tensor,
+        c: CouplingCtx,
+        want_dy: bool,
+        ws: &mut Workspace,
+    ) -> Option<Tensor> {
+        let (dx1, mut dx2) = dx.split_cols(self.d1, ws);
+        let sub2 = &mut self.subnet2;
+        let (mut dy1, via_x2) = affine_backward(sub2, &c.x2, c.step2, &dx1, &c.x1, true, ws);
+        dx2.add_assign(via_x2.as_ref().expect("requested"));
+        let sub1 = &mut self.subnet1;
+        let (dy2, via_y1) = affine_backward(sub1, &c.y1, c.step1, &dx2, &c.x2, want_dy, ws);
+        let dy = via_y1.as_ref().map(|via_y1| {
+            dy1.add_assign(via_y1);
+            Tensor::concat_cols(&dy1, &dy2, ws)
+        });
+        ws.give_all([dx1, dx2, dy1, dy2, c.x1, c.x2, c.y1]);
+        ws.give_all(via_x2.into_iter().chain(via_y1));
+        dy
     }
 
     /// Visit all `(param, grad)` pairs.
@@ -233,41 +251,29 @@ impl CouplingBlock {
         self.subnet1.visit(v);
         self.subnet2.visit(v);
     }
-
-    /// Zero all gradient accumulators.
-    pub fn zero_grad(&mut self) {
-        self.subnet1.zero_grad();
-        self.subnet2.zero_grad();
-    }
 }
 
 /// Stack of coupling blocks with fixed random permutations in between.
 pub struct Inn {
     blocks: Vec<CouplingBlock>,
-    /// `perms[i]` is applied after block `i` (except after the last block).
-    perms: Vec<Vec<usize>>,
-    dim: usize,
+    /// `perms[i]` is applied after block `i` (except after the last block),
+    /// stored with its inverse.
+    perms: Vec<(Vec<usize>, Vec<usize>)>,
 }
 
-/// Context of a full INN forward pass.
-pub struct InnFwdCtx {
-    blocks: Vec<CouplingFwdCtx>,
+/// Context of a full INN pass, in either direction: one entry per block.
+pub struct InnCtx {
+    blocks: Vec<CouplingCtx>,
 }
 
-/// Context of a full INN inverse pass.
-pub struct InnInvCtx {
-    blocks: Vec<CouplingInvCtx>,
-}
-
-fn apply_perm(x: &Tensor, perm: &[usize]) -> Tensor {
-    let (b, d) = (x.dims()[0], x.dims()[1]);
+fn apply_perm(x: &Tensor, perm: &[usize], ws: &mut Workspace) -> Tensor {
+    let d = x.dims()[1];
     debug_assert_eq!(perm.len(), d);
-    let mut out = Tensor::zeros([b, d]);
-    for bi in 0..b {
-        let src = &x.data()[bi * d..(bi + 1) * d];
-        let dst = &mut out.data_mut()[bi * d..(bi + 1) * d];
-        for (j, &p) in perm.iter().enumerate() {
-            dst[j] = src[p];
+    let mut out = ws.take(*x.shape());
+    let rows = out.data_mut().chunks_exact_mut(d);
+    for (dst, src) in rows.zip(x.data().chunks_exact(d)) {
+        for (o, &p) in dst.iter_mut().zip(perm) {
+            *o = src[p];
         }
     }
     out
@@ -286,6 +292,7 @@ impl Inn {
     /// subnet hidden widths (paper: 4 blocks, hidden `[272, 256]`).
     pub fn new(rng: &mut TensorRng, dim: usize, n_blocks: usize, hidden: &[usize]) -> Self {
         assert!(dim >= 2, "INN needs at least two channels to couple");
+        assert!(n_blocks >= 1, "INN needs at least one coupling block");
         let blocks = (0..n_blocks)
             .map(|_| CouplingBlock::new(rng, dim, hidden))
             .collect();
@@ -297,76 +304,88 @@ impl Inn {
                     let j = rng.index(i + 1);
                     p.swap(i, j);
                 }
-                p
+                let inv = invert_perm(&p);
+                (p, inv)
             })
             .collect();
-        Self { blocks, perms, dim }
-    }
-
-    /// Vector dimensionality.
-    pub fn dim(&self) -> usize {
-        self.dim
+        Self { blocks, perms }
     }
 
     /// Forward `x:[B,dim] → y:[B,dim]`.
-    pub fn forward(&self, x: &Tensor) -> (Tensor, InnFwdCtx) {
-        let mut cur = x.clone();
-        let mut ctxs = Vec::with_capacity(self.blocks.len());
+    pub fn forward(&self, x: &Tensor, ws: &mut Workspace) -> (Tensor, InnCtx) {
+        let mut cur: Option<Tensor> = None;
+        let mut blocks = Vec::with_capacity(self.blocks.len());
         for (i, b) in self.blocks.iter().enumerate() {
-            let (y, c) = b.forward(&cur);
-            ctxs.push(c);
-            cur = y;
-            if i < self.perms.len() {
-                cur = apply_perm(&cur, &self.perms[i]);
+            let (y, c) = b.forward(cur.as_ref().unwrap_or(x), ws);
+            blocks.push(c);
+            ws.give_all(cur.replace(y));
+            if let Some((perm, _)) = self.perms.get(i) {
+                let y = apply_perm(cur.as_ref().expect("just set"), perm, ws);
+                ws.give_all(cur.replace(y));
             }
         }
-        (cur, InnFwdCtx { blocks: ctxs })
+        (cur.expect("INN has at least one block"), InnCtx { blocks })
     }
 
     /// Backward through the forward map.
-    pub fn backward(&mut self, dy: &Tensor, ctx: &InnFwdCtx) -> Tensor {
-        let mut cur = dy.clone();
-        for i in (0..self.blocks.len()).rev() {
-            if i < self.perms.len() {
+    pub fn backward(&mut self, dy: &Tensor, ctx: InnCtx, ws: &mut Workspace) -> Tensor {
+        let mut cur: Option<Tensor> = None;
+        for (i, c) in ctx.blocks.into_iter().enumerate().rev() {
+            if let Some((_, inv)) = self.perms.get(i) {
                 // Gradient of a permutation is the inverse permutation.
-                cur = apply_perm(&cur, &invert_perm(&self.perms[i]));
+                let d = apply_perm(cur.as_ref().unwrap_or(dy), inv, ws);
+                ws.give_all(cur.replace(d));
             }
-            cur = self.blocks[i].backward(&cur, &ctx.blocks[i]);
+            let d = self.blocks[i].backward(cur.as_ref().unwrap_or(dy), c, ws);
+            ws.give_all(cur.replace(d));
         }
-        cur
+        cur.expect("INN has at least one block")
     }
 
-    /// Inverse `y:[B,dim] → x:[B,dim]`.
-    pub fn inverse(&self, y: &Tensor) -> (Tensor, InnInvCtx) {
-        let mut cur = y.clone();
-        let mut ctxs: Vec<Option<CouplingInvCtx>> = (0..self.blocks.len()).map(|_| None).collect();
-        for i in (0..self.blocks.len()).rev() {
-            if i < self.perms.len() {
-                cur = apply_perm(&cur, &invert_perm(&self.perms[i]));
+    /// Inverse `y:[B,dim] → x:[B,dim]`. The context lists the blocks in
+    /// traversal order (last block first).
+    pub fn inverse(&self, y: &Tensor, ws: &mut Workspace) -> (Tensor, InnCtx) {
+        let mut cur: Option<Tensor> = None;
+        let mut blocks = Vec::with_capacity(self.blocks.len());
+        for (i, b) in self.blocks.iter().enumerate().rev() {
+            if let Some((_, inv)) = self.perms.get(i) {
+                let v = apply_perm(cur.as_ref().unwrap_or(y), inv, ws);
+                ws.give_all(cur.replace(v));
             }
-            let (x, c) = self.blocks[i].inverse(&cur);
-            ctxs[i] = Some(c);
-            cur = x;
+            let (x, c) = b.inverse(cur.as_ref().unwrap_or(y), ws);
+            blocks.push(c);
+            ws.give_all(cur.replace(x));
         }
-        (
-            cur,
-            InnInvCtx {
-                blocks: ctxs.into_iter().map(|c| c.expect("ctx filled")).collect(),
-            },
-        )
+        (cur.expect("INN has at least one block"), InnCtx { blocks })
     }
 
-    /// Backward through the inverse map (gradient w.r.t. the inverse's
-    /// input `y`), accumulating subnet gradients.
-    pub fn inverse_backward(&mut self, dx: &Tensor, ctx: &InnInvCtx) -> Tensor {
-        let mut cur = dx.clone();
-        for i in 0..self.blocks.len() {
-            cur = self.blocks[i].inverse_backward(&cur, &ctx.blocks[i]);
-            if i < self.perms.len() {
-                cur = apply_perm(&cur, &self.perms[i]);
+    /// Backward through the inverse map, accumulating subnet gradients;
+    /// returns the gradient w.r.t. the inverse's input `y` if `want_dy`
+    /// (training discards it: `I` and `N` are data).
+    pub fn inverse_backward(
+        &mut self,
+        dx: &Tensor,
+        ctx: InnCtx,
+        want_dy: bool,
+        ws: &mut Workspace,
+    ) -> Option<Tensor> {
+        let mut cur: Option<Tensor> = None;
+        let last = self.blocks.len() - 1;
+        for (i, c) in ctx.blocks.into_iter().rev().enumerate() {
+            let want = want_dy || i < last;
+            let d = self.blocks[i].inverse_backward(cur.as_ref().unwrap_or(dx), c, want, ws);
+            let Some(d) = d else { break };
+            ws.give_all(cur.replace(d));
+            if let Some((perm, _)) = self.perms.get(i) {
+                let d = apply_perm(cur.as_ref().expect("just set"), perm, ws);
+                ws.give_all(cur.replace(d));
             }
         }
-        cur
+        if want_dy {
+            return cur;
+        }
+        ws.give_all(cur);
+        None
     }
 
     /// Visit all `(param, grad)` pairs.
@@ -375,19 +394,17 @@ impl Inn {
             b.visit(v);
         }
     }
-
-    /// Zero all gradient accumulators.
-    pub fn zero_grad(&mut self) {
-        for b in &mut self.blocks {
-            b.zero_grad();
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::layers::finite_diff_check;
+    use crate::optim::zero_grads;
+
+    fn ws() -> Workspace {
+        Workspace::default()
+    }
 
     #[test]
     fn clamp_is_bounded_and_smooth() {
@@ -403,8 +420,8 @@ mod tests {
         let mut rng = TensorRng::seeded(0);
         let block = CouplingBlock::new(&mut rng, 8, &[16]);
         let x = rng.standard_normal([4, 8]);
-        let (y, _) = block.forward(&x);
-        let (x2, _) = block.inverse(&y);
+        let (y, _) = block.forward(&x, &mut ws());
+        let (x2, _) = block.inverse(&y, &mut ws());
         for (a, b) in x.data().iter().zip(x2.data()) {
             assert!((a - b).abs() < 1e-4, "inverse(forward(x)) ≠ x: {a} vs {b}");
         }
@@ -415,14 +432,14 @@ mod tests {
         let mut rng = TensorRng::seeded(1);
         let inn = Inn::new(&mut rng, 12, 4, &[16, 16]);
         let x = rng.standard_normal([3, 12]);
-        let (y, _) = inn.forward(&x);
-        let (x_rec, _) = inn.inverse(&y);
+        let (y, _) = inn.forward(&x, &mut ws());
+        let (x_rec, _) = inn.inverse(&y, &mut ws());
         for (a, b) in x.data().iter().zip(x_rec.data()) {
             assert!((a - b).abs() < 1e-3);
         }
         // And the other way round.
-        let (x2, _) = inn.inverse(&y);
-        let (y2, _) = inn.forward(&x2);
+        let (x2, _) = inn.inverse(&y, &mut ws());
+        let (y2, _) = inn.forward(&x2, &mut ws());
         for (a, b) in y.data().iter().zip(y2.data()) {
             assert!((a - b).abs() < 1e-3);
         }
@@ -433,7 +450,7 @@ mod tests {
         let mut rng = TensorRng::seeded(2);
         let inn = Inn::new(&mut rng, 6, 1, &[8]);
         let x = rng.standard_normal([2, 6]);
-        let (y, _) = inn.forward(&x);
+        let (y, _) = inn.forward(&x, &mut ws());
         for (a, b) in x.data().iter().zip(y.data()) {
             assert!((a - b).abs() < 0.05, "flow should start near identity");
         }
@@ -444,11 +461,11 @@ mod tests {
         let mut rng = TensorRng::seeded(3);
         let inn = Inn::new(&mut rng, 6, 2, &[8]);
         let x = rng.standard_normal([2, 6]);
-        let (y, ctx) = inn.forward(&x);
+        let (y, ctx) = inn.forward(&x, &mut ws());
         let mut probe = Inn::new(&mut TensorRng::seeded(3), 6, 2, &[8]);
-        let dx = probe.backward(&y, &ctx);
+        let dx = probe.backward(&y, ctx, &mut ws());
         let mut f = |t: &Tensor| {
-            let (y, _) = inn.forward(t);
+            let (y, _) = inn.forward(t, &mut ws());
             0.5 * y.sq_norm()
         };
         finite_diff_check(&mut f, &x, &dx, 1e-2, 3e-2);
@@ -459,11 +476,13 @@ mod tests {
         let mut rng = TensorRng::seeded(4);
         let inn = Inn::new(&mut rng, 6, 2, &[8]);
         let y = rng.standard_normal([2, 6]);
-        let (x, ctx) = inn.inverse(&y);
+        let (x, ctx) = inn.inverse(&y, &mut ws());
         let mut probe = Inn::new(&mut TensorRng::seeded(4), 6, 2, &[8]);
-        let dy = probe.inverse_backward(&x, &ctx);
+        let dy = probe
+            .inverse_backward(&x, ctx, true, &mut ws())
+            .expect("dy requested");
         let mut f = |t: &Tensor| {
-            let (x, _) = inn.inverse(t);
+            let (x, _) = inn.inverse(t, &mut ws());
             0.5 * x.sq_norm()
         };
         finite_diff_check(&mut f, &y, &dy, 1e-2, 3e-2);
@@ -475,15 +494,15 @@ mod tests {
         let mut inn = Inn::new(&mut rng, 6, 2, &[8]);
         let x = rng.standard_normal([2, 6]);
         // Forward pass gradient.
-        let (y, fctx) = inn.forward(&x);
-        inn.zero_grad();
-        let _ = inn.backward(&y, &fctx);
+        let (y, fctx) = inn.forward(&x, &mut ws());
+        zero_grads(|v| inn.visit(v));
+        let _ = inn.backward(&y, fctx, &mut ws());
         let mut fwd_norm = 0.0;
         inn.visit(&mut |_p: &mut Tensor, g: &mut Tensor| fwd_norm += g.sq_norm());
         // Inverse pass gradient.
-        let (xr, ictx) = inn.inverse(&y);
-        inn.zero_grad();
-        let _ = inn.inverse_backward(&xr, &ictx);
+        let (xr, ictx) = inn.inverse(&y, &mut ws());
+        zero_grads(|v| inn.visit(v));
+        let _ = inn.inverse_backward(&xr, ictx, false, &mut ws());
         let mut inv_norm = 0.0;
         inn.visit(&mut |_p: &mut Tensor, g: &mut Tensor| inv_norm += g.sq_norm());
         assert!(fwd_norm > 0.0, "forward pass must reach parameters");
@@ -495,9 +514,9 @@ mod tests {
         let perm = vec![2usize, 0, 3, 1];
         let inv = invert_perm(&perm);
         let x = Tensor::from_vec([1, 4], vec![10., 20., 30., 40.]);
-        let y = apply_perm(&x, &perm);
+        let y = apply_perm(&x, &perm, &mut ws());
         assert_eq!(y.data(), &[30., 10., 40., 20.]);
-        let back = apply_perm(&y, &inv);
+        let back = apply_perm(&y, &inv, &mut ws());
         assert_eq!(back, x);
     }
 
@@ -518,10 +537,10 @@ mod tests {
         for _ in 0..150 {
             let x = rng.standard_normal([16, 4]);
             let target = x.scale(2.0).map(|v| v + 1.0);
-            let (y, ctx) = inn.forward(&x);
+            let (y, ctx) = inn.forward(&x, &mut ws());
             let (l, dy) = crate::loss::mse(&y, &target);
-            inn.zero_grad();
-            let _ = inn.backward(&dy, &ctx);
+            zero_grads(|v| inn.visit(v));
+            let _ = inn.backward(&dy, ctx, &mut ws());
             adam.step(|v| inn.visit(v));
             first.get_or_insert(l);
             last = l;

@@ -22,6 +22,26 @@
 //! lets the INN subnets run a forward *and* an inverse pass in the same
 //! step while accumulating into the same parameter gradients.
 //!
+//! # Summation order, activations stored once, one workspace
+//!
+//! Every matrix product goes through `as_tensor::matmul`'s kernel, whose
+//! output elements are `((0 + a₀b₀) + a₁b₁) + …` in ascending `p` — a
+//! function of the element's own operands, not of the batch around it —
+//! and every other reduction here is sequential in a fixed order. So a
+//! batched forward equals a per-row one bit for bit, and replicas fed the
+//! same gradients stay identical.
+//!
+//! Each activation is stored **once**: a context holds a layer's output
+//! only as the next layer's input, a layer's own input stays with its
+//! caller (who passes it to `backward` again), and an activation's
+//! derivative is read from its output. `backward` consumes the context and
+//! hands its buffers, and every gradient it makes internally, back to the
+//! `as_tensor::Workspace` it was given; a `dy` argument is only borrowed.
+//! The training workspace is **owned by [`ArtificialScientistModel`]**, so
+//! a steady-state `zero_grad` + `accumulate_gradients` + optimiser step
+//! allocates nothing of activation size; `&self` inference entry points
+//! run on a throw-away workspace. Recycled contents are never read.
+//!
 //! # DDP invariants
 //!
 //! Data-parallel training ([`ddp`]) replicates the model across thread

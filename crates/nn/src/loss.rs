@@ -51,16 +51,37 @@ pub fn chamfer(pred: &Tensor, target: &Tensor) -> (f64, Tensor) {
             let ts = &td[bi * m * d..(bi + 1) * m * d];
             let mut grad = vec![0.0f32; n * d];
             let mut loss = 0.0f64;
+            // One pass over the n×m distances serves both directions: row
+            // minima are direction 1, running column minima (strict `<` over
+            // ascending `i`: the first nearest prediction wins a tie) are
+            // direction 2. Coordinate-major targets let one prediction's
+            // distances vectorise, each still summed in `sqdist` order.
+            let mut coords = vec![0.0f32; d * m];
+            for (j, t) in ts.chunks_exact(d).enumerate() {
+                for (k, &tk) in t.iter().enumerate() {
+                    coords[k * m + j] = tk;
+                }
+            }
+            let mut dist = vec![0.0f32; m];
+            let mut nearest_pred = vec![(f32::INFINITY, 0usize); m];
             // Direction 1: every predicted point to its nearest target.
-            for i in 0..n {
-                let p = &ps[i * d..(i + 1) * d];
+            for (i, p) in ps.chunks_exact(d).enumerate() {
+                dist.fill(0.0);
+                for (&pk, coord) in p.iter().zip(coords.chunks_exact(m.max(1))) {
+                    for (acc, &tk) in dist.iter_mut().zip(coord) {
+                        let diff = pk - tk;
+                        *acc += diff * diff;
+                    }
+                }
                 let mut best = f32::INFINITY;
                 let mut bj = 0;
-                for j in 0..m {
-                    let dist = sqdist(p, &ts[j * d..(j + 1) * d]);
-                    if dist < best {
-                        best = dist;
+                for (j, (&dj, col)) in dist.iter().zip(nearest_pred.iter_mut()).enumerate() {
+                    if dj < best {
+                        best = dj;
                         bj = j;
+                    }
+                    if dj < col.0 {
+                        *col = (dj, i);
                     }
                 }
                 loss += best as f64 / n as f64;
@@ -70,17 +91,8 @@ pub fn chamfer(pred: &Tensor, target: &Tensor) -> (f64, Tensor) {
                 }
             }
             // Direction 2: every target point to its nearest prediction.
-            for j in 0..m {
+            for (j, &(best, bi2)) in nearest_pred.iter().enumerate() {
                 let t = &ts[j * d..(j + 1) * d];
-                let mut best = f32::INFINITY;
-                let mut bi2 = 0;
-                for i in 0..n {
-                    let dist = sqdist(&ps[i * d..(i + 1) * d], t);
-                    if dist < best {
-                        best = dist;
-                        bi2 = i;
-                    }
-                }
                 loss += best as f64 / m as f64;
                 let p = &ps[bi2 * d..(bi2 + 1) * d];
                 for k in 0..d {
@@ -339,6 +351,76 @@ mod tests {
         assert!((l - 2.0).abs() < 1e-6);
         // grad: 2(a-b)/1 from each direction = -4 in x.
         assert!((g.data()[0] + 4.0).abs() < 1e-5);
+    }
+
+    /// The two-pass definition for one cloud pair (all `n·m` distances
+    /// computed once per direction), which the single-pass kernel must
+    /// equal bit for bit.
+    fn chamfer_two_pass(ps: &[f32], ts: &[f32], d: usize) -> (f64, Vec<f32>) {
+        fn row(cloud: &[f32], i: usize, d: usize) -> &[f32] {
+            &cloud[i * d..(i + 1) * d]
+        }
+        let (n, m) = (ps.len() / d, ts.len() / d);
+        let mut grad = vec![0.0f32; n * d];
+        let mut loss = 0.0f64;
+        for i in 0..n {
+            let p = row(ps, i, d);
+            let (mut best, mut bj) = (f32::INFINITY, 0);
+            for j in 0..m {
+                let dist = sqdist(p, row(ts, j, d));
+                if dist < best {
+                    (best, bj) = (dist, j);
+                }
+            }
+            loss += best as f64 / n as f64;
+            for k in 0..d {
+                grad[i * d + k] += 2.0 * (p[k] - row(ts, bj, d)[k]) / n as f32;
+            }
+        }
+        for j in 0..m {
+            let t = row(ts, j, d);
+            let (mut best, mut bi) = (f32::INFINITY, 0);
+            for i in 0..n {
+                let dist = sqdist(row(ps, i, d), t);
+                if dist < best {
+                    (best, bi) = (dist, i);
+                }
+            }
+            loss += best as f64 / m as f64;
+            for k in 0..d {
+                grad[bi * d + k] += 2.0 * (row(ps, bi, d)[k] - t[k]) / m as f32;
+            }
+        }
+        (loss, grad)
+    }
+
+    #[test]
+    fn single_pass_chamfer_equals_the_two_pass_definition_bitwise() {
+        let mut rng = TensorRng::seeded(20);
+        let (b, n, m, d) = (3, 9, 14, 6);
+        let mut pred = rng.uniform([b, n, d], -1.0, 1.0);
+        let mut target = rng.uniform([b, m, d], -1.0, 1.0);
+        // Duplicated points on both sides, and a prediction sitting on a
+        // target, so nearest-neighbour ties must break the same way.
+        let (pd, td) = (pred.data_mut(), target.data_mut());
+        pd.copy_within(0..d, 4 * d);
+        pd.copy_within(0..d, 7 * d);
+        td.copy_within(2 * d..3 * d, 11 * d);
+        td.copy_within(2 * d..3 * d, 5 * d);
+        td[..d].copy_from_slice(&pd[d..2 * d]);
+        let (loss, grad) = chamfer(&pred, &target);
+        let mut want_loss = 0.0f64;
+        for bi in 0..b {
+            let ps = &pred.data()[bi * n * d..(bi + 1) * n * d];
+            let ts = &target.data()[bi * m * d..(bi + 1) * m * d];
+            let (l, g) = chamfer_two_pass(ps, ts, d);
+            want_loss += l / b as f64;
+            let got = &grad.data()[bi * n * d..(bi + 1) * n * d];
+            for (x, y) in got.iter().zip(&g) {
+                assert_eq!(x.to_bits(), (y / b as f32).to_bits());
+            }
+        }
+        assert_eq!(loss.to_bits(), want_loss.to_bits());
     }
 
     #[test]

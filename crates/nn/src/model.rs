@@ -19,11 +19,11 @@
 //! [`ArtificialScientistModel::predict_spectrum`] (particles → spectrum,
 //! the dashed lines of Fig. 9(a)).
 
-use crate::inn::Inn;
+use crate::inn::{Inn, InnCtx};
 use crate::loss;
-use crate::optim::{Adam, AdamConfig, ParamVisitor};
-use crate::vae::{Vae, VaeConfig};
-use as_tensor::{Tensor, TensorRng};
+use crate::optim::{zero_grads, Adam, AdamConfig, ParamVisitor};
+use crate::vae::{Vae, VaeConfig, VaePass};
+use as_tensor::{Tensor, TensorRng, Workspace};
 
 /// Loss weights and architecture dimensions.
 #[derive(Debug, Clone, PartialEq)]
@@ -130,6 +130,22 @@ impl LossReport {
     }
 }
 
+/// What the forward half of a training step leaves for the backward half.
+struct ForwardPass {
+    vae: VaePass,
+    inn_fwd: InnCtx,
+    inn_inv: InnCtx,
+    z_pred: Tensor,
+    /// Weighted loss gradients w.r.t. the reconstruction, `μ`, `logvar`,
+    /// the INN output `[I′ | N′]` and the inverted latent `z′`.
+    d_recon: Tensor,
+    dmu: Tensor,
+    dlv: Tensor,
+    d_out: Tensor,
+    d_zpred: Tensor,
+    report: LossReport,
+}
+
 /// VAE + INN with the Eq. (1) objective.
 pub struct ArtificialScientistModel {
     /// Architecture and loss configuration.
@@ -138,6 +154,10 @@ pub struct ArtificialScientistModel {
     pub vae: Vae,
     /// The inversion INN (violet block of Fig. 7).
     pub inn: Inn,
+    /// Buffers of the last training step, reused by the next. Only
+    /// [`Self::accumulate_gradients`] touches it; the `&self` inference
+    /// entry points run on a workspace of their own.
+    ws: Workspace,
 }
 
 impl ArtificialScientistModel {
@@ -146,7 +166,76 @@ impl ArtificialScientistModel {
         let mut rng = TensorRng::seeded(seed);
         let vae = Vae::new(&mut rng, &cfg.vae);
         let inn = Inn::new(&mut rng, cfg.vae.latent, cfg.inn_blocks, &cfg.inn_hidden);
-        Self { cfg, vae, inn }
+        Self {
+            cfg,
+            vae,
+            inn,
+            ws: Workspace::default(),
+        }
+    }
+
+    /// The forward half of a step — the three passes of the module header
+    /// in order, with the weighted loss gradients they end in.
+    fn forward(
+        &self,
+        points: &Tensor,
+        spectra: &Tensor,
+        rng: &mut TensorRng,
+        ws: &mut Workspace,
+    ) -> ForwardPass {
+        let cfg = &self.cfg;
+        let b = points.dims()[0];
+        assert_eq!(spectra.dims(), &[b, cfg.spectrum_dim], "spectra shape");
+        let d_n = cfg.residual_dim();
+
+        // --- VAE: encode, reparameterise, decode ---
+        let vae = self.vae.forward_train(points, rng, ws);
+        let (cd, mut d_recon) = loss::chamfer(&vae.recon, points);
+        d_recon.map_inplace(|v| v * cfg.w_cd);
+        let (kl, mut dmu, mut dlv) = loss::kl_divergence(&vae.mu, &vae.logvar);
+        dmu.map_inplace(|v| v * cfg.w_kl);
+        dlv.map_inplace(|v| v * cfg.w_kl);
+
+        // --- INN forward: z → [I' | N'] ---
+        let (out, inn_fwd) = self.inn.forward(&vae.z, ws);
+        let (i_pred, n_pred) = out.split_cols(cfg.spectrum_dim, ws);
+        let (mse, mut d_ipred) = loss::mse(&i_pred, spectra);
+        d_ipred.map_inplace(|v| v * cfg.w_mse);
+        let mut n_ref = ws.take([b.max(2), d_n]);
+        rng.fill_standard_normal(n_ref.data_mut());
+        let (mmd_n, mut d_npred) = loss::mmd_imq(&n_pred, &n_ref, cfg.mmd_kernel_c);
+        d_npred.map_inplace(|v| v * cfg.w_mmd_n);
+        let d_out = Tensor::concat_cols(&d_ipred, &d_npred, ws);
+
+        // --- INN inverse: [I | N~N(0,1)] → z′ ---
+        let mut n_draw = ws.take([b, d_n]);
+        rng.fill_standard_normal(n_draw.data_mut());
+        let y_cond = Tensor::concat_cols(spectra, &n_draw, ws);
+        let (z_pred, inn_inv) = self.inn.inverse(&y_cond, ws);
+        let (mmd_z, mut d_zpred) = loss::mmd_imq(&z_pred, &vae.z, cfg.mmd_kernel_c);
+        d_zpred.map_inplace(|v| v * cfg.w_mmd_z);
+        ws.give_all([out, i_pred, n_pred, n_ref, n_draw, y_cond]);
+
+        let report = LossReport {
+            cd,
+            kl,
+            mse,
+            mmd_z,
+            mmd_n,
+            total: 0.0,
+        };
+        ForwardPass {
+            vae,
+            inn_fwd,
+            inn_inv,
+            z_pred,
+            d_recon,
+            dmu,
+            dlv,
+            d_out,
+            d_zpred,
+            report: report.finish(cfg),
+        }
     }
 
     /// One combined forward+backward pass over a batch.
@@ -160,95 +249,35 @@ impl ArtificialScientistModel {
         spectra: &Tensor,
         rng: &mut TensorRng,
     ) -> LossReport {
-        let b = points.dims()[0];
-        assert_eq!(spectra.dims(), &[b, self.cfg.spectrum_dim], "spectra shape");
-        let d_n = self.cfg.residual_dim();
-
-        // --- VAE forward ---
-        let (mu, logvar, z, recon, vctx) = self.vae.forward_train(points, rng);
-        let (l_cd, mut d_recon) = loss::chamfer(&recon, points);
-        d_recon.map_inplace(|v| v * self.cfg.w_cd);
-        let (l_kl, mut dmu, mut dlv) = loss::kl_divergence(&mu, &logvar);
-        dmu.map_inplace(|v| v * self.cfg.w_kl);
-        dlv.map_inplace(|v| v * self.cfg.w_kl);
-
-        // --- INN forward: z → [I' | N'] ---
-        let (out, fctx) = self.inn.forward(&z);
-        let parts = out.split_cols(&[self.cfg.spectrum_dim, d_n]);
-        let (i_pred, n_pred) = (parts[0].clone(), parts[1].clone());
-        let (l_mse, mut d_ipred) = loss::mse(&i_pred, spectra);
-        d_ipred.map_inplace(|v| v * self.cfg.w_mse);
-        let n_ref = rng.standard_normal([b.max(2), d_n]);
-        let (l_mmd_n, mut d_npred) = loss::mmd_imq(&n_pred, &n_ref, self.cfg.mmd_kernel_c);
-        d_npred.map_inplace(|v| v * self.cfg.w_mmd_n);
-        let d_out = Tensor::concat_cols(&[&d_ipred, &d_npred]);
-        let dz_from_inn = self.inn.backward(&d_out, &fctx);
-
-        // --- INN inverse: [I | N~N(0,1)] → z′ ---
-        let n_draw = rng.standard_normal([b, d_n]);
-        let y_cond = Tensor::concat_cols(&[spectra, &n_draw]);
-        let (z_pred, ictx) = self.inn.inverse(&y_cond);
-        let (l_mmd_z, mut d_zpred) = loss::mmd_imq(&z_pred, &z, self.cfg.mmd_kernel_c);
-        d_zpred.map_inplace(|v| v * self.cfg.w_mmd_z);
-        // Gradient w.r.t. the inverse input is discarded — `I` and `N` are
-        // data — but the call accumulates the subnet parameter gradients.
-        let _ = self.inn.inverse_backward(&d_zpred, &ictx);
-
+        // `forward` borrows the whole model, so the workspace steps aside.
+        let mut pool = std::mem::take(&mut self.ws);
+        let ws = &mut pool;
+        let f = self.forward(points, spectra, rng, ws);
+        let mut dz = self.inn.backward(&f.d_out, f.inn_fwd, ws);
+        // The gradient w.r.t. the inverse input is not computed — `I` and
+        // `N` are data — but the call accumulates the subnet gradients.
+        let _ = self.inn.inverse_backward(&f.d_zpred, f.inn_inv, false, ws);
         // Optionally let the backward MMD shape the encoder too (gradient
         // w.r.t. the second argument via symmetry of the MMD).
-        let dz_mmd = if self.cfg.backward_mmd_trains_encoder {
-            let (_, mut g) = loss::mmd_imq(&z, &z_pred, self.cfg.mmd_kernel_c);
+        if self.cfg.backward_mmd_trains_encoder {
+            let (_, mut g) = loss::mmd_imq(&f.vae.z, &f.z_pred, self.cfg.mmd_kernel_c);
             g.map_inplace(|v| v * self.cfg.w_mmd_z);
-            Some(g)
-        } else {
-            None
-        };
-
-        // --- VAE backward (reconstruction + KL + INN pull on z) ---
-        let mut dz_total = dz_from_inn;
-        if let Some(g) = dz_mmd {
-            dz_total.add_assign(&g);
+            dz.add_assign(&g);
         }
+        // VAE backward: reconstruction + KL + the INN's pull on z.
+        let (d_recon, dmu, dlv) = (&f.d_recon, &f.dmu, &f.dlv);
         let _ = self
             .vae
-            .backward(&d_recon, Some(&dz_total), &dmu, &dlv, &vctx);
-
-        LossReport {
-            cd: l_cd,
-            kl: l_kl,
-            mse: l_mse,
-            mmd_z: l_mmd_z,
-            mmd_n: l_mmd_n,
-            total: 0.0,
-        }
-        .finish(&self.cfg)
+            .backward(points, f.vae, d_recon, Some(&dz), dmu, dlv, false, ws);
+        ws.give_all([f.d_out, f.z_pred, dz]);
+        self.ws = pool;
+        f.report
     }
 
     /// Evaluate the losses without touching gradients (validation).
     pub fn evaluate(&self, points: &Tensor, spectra: &Tensor, rng: &mut TensorRng) -> LossReport {
-        let b = points.dims()[0];
-        let d_n = self.cfg.residual_dim();
-        let (mu, logvar, z, recon, _) = self.vae.forward_train(points, rng);
-        let (l_cd, _) = loss::chamfer(&recon, points);
-        let (l_kl, _, _) = loss::kl_divergence(&mu, &logvar);
-        let (out, _) = self.inn.forward(&z);
-        let parts = out.split_cols(&[self.cfg.spectrum_dim, d_n]);
-        let (l_mse, _) = loss::mse(&parts[0], spectra);
-        let n_ref = rng.standard_normal([b.max(2), d_n]);
-        let (l_mmd_n, _) = loss::mmd_imq(&parts[1], &n_ref, self.cfg.mmd_kernel_c);
-        let n_draw = rng.standard_normal([b, d_n]);
-        let y_cond = Tensor::concat_cols(&[spectra, &n_draw]);
-        let (z_pred, _) = self.inn.inverse(&y_cond);
-        let (l_mmd_z, _) = loss::mmd_imq(&z_pred, &z, self.cfg.mmd_kernel_c);
-        LossReport {
-            cd: l_cd,
-            kl: l_kl,
-            mse: l_mse,
-            mmd_z: l_mmd_z,
-            mmd_n: l_mmd_n,
-            total: 0.0,
-        }
-        .finish(&self.cfg)
+        let ws = &mut Workspace::default();
+        self.forward(points, spectra, rng, ws).report
     }
 
     /// Solve the inverse problem: sample particle clouds consistent with
@@ -270,29 +299,38 @@ impl ArtificialScientistModel {
         }
         let expanded = spectra.select_rows(&rows);
         let n_draw = rng.standard_normal([b * samples, d_n]);
-        let y = Tensor::concat_cols(&[&expanded, &n_draw]);
-        let (z, _) = self.inn.inverse(&y);
-        self.vae.decode(&z)
+        let ws = &mut Workspace::default();
+        let y = Tensor::concat_cols(&expanded, &n_draw, ws);
+        let (z, _) = self.inn.inverse(&y, ws);
+        self.vae.decode(&z, ws)
     }
 
     /// Surrogate forward prediction: particle cloud → radiation spectrum
     /// (the dashed "ML prediction" lines of Fig. 9(a)).
     pub fn predict_spectrum(&self, points: &Tensor) -> Tensor {
-        let mu = self.vae.encode_mean(points);
-        let (out, _) = self.inn.forward(&mu);
-        out.split_cols(&[self.cfg.spectrum_dim, self.cfg.residual_dim()])[0].clone()
+        let ws = &mut Workspace::default();
+        let mu = self.vae.encode_mean(points, ws);
+        let (out, _) = self.inn.forward(&mu, ws);
+        out.split_cols(self.cfg.spectrum_dim, ws).0
     }
 
     /// Encode a point cloud to its latent mean (for latent-space analyses —
     /// the paper's near-linear classifier of physical regimes).
     pub fn encode(&self, points: &Tensor) -> Tensor {
-        self.vae.encode_mean(points)
+        self.vae.encode_mean(points, &mut Workspace::default())
+    }
+
+    /// Free what only training needs — the gradient accumulators and the
+    /// workspace — halving the footprint of a replica that will only ever
+    /// serve. Accumulating gradients afterwards panics on a shape mismatch.
+    pub fn drop_training_state(&mut self) {
+        self.visit_all(&mut |_p: &mut Tensor, g: &mut Tensor| *g = Tensor::zeros([0]));
+        self.ws = Workspace::default();
     }
 
     /// Zero all gradient accumulators.
     pub fn zero_grad(&mut self) {
-        self.vae.zero_grad();
-        self.inn.zero_grad();
+        zero_grads(|v| self.visit_all(v));
     }
 
     /// Visit VAE parameters only (for the `m_VAE` learning-rate group).
@@ -437,6 +475,47 @@ mod tests {
         }
         let first = first.unwrap();
         assert!(last < first, "loss should decrease: {first} → {last}");
+    }
+
+    #[test]
+    fn recycled_buffers_carry_no_state() {
+        // Two models stepped side by side on the same batches: one fresh,
+        // one whose workspace was first filled by a pass over a different
+        // batch shape (its gradients zeroed again, no optimiser step).
+        let mut fresh = ArtificialScientistModel::new(tiny_cfg(), 12);
+        let mut warmed = ArtificialScientistModel::new(tiny_cfg(), 12);
+        let mut rng = TensorRng::seeded(13);
+        let (points, spectra) = toy_batch(&mut rng, 7);
+        warmed.accumulate_gradients(&points, &spectra, &mut TensorRng::seeded(14));
+        let adam = AdamConfig {
+            lr: 1e-3,
+            ..AdamConfig::default()
+        };
+        let mut opts = [
+            ModelOptimizer::new(adam, 10.0),
+            ModelOptimizer::new(adam, 10.0),
+        ];
+        let mut rngs = [TensorRng::seeded(15), TensorRng::seeded(15)];
+        let mut idle = Vec::new();
+        for _ in 0..5 {
+            let (points, spectra) = toy_batch(&mut rng, 4);
+            for (m, (opt, rng)) in [&mut fresh, &mut warmed]
+                .into_iter()
+                .zip(opts.iter_mut().zip(&mut rngs))
+            {
+                m.zero_grad();
+                m.accumulate_gradients(&points, &spectra, rng);
+                opt.step(m);
+            }
+            idle.push(fresh.ws.idle());
+        }
+        assert_eq!(
+            crate::ddp::param_hash(&mut fresh),
+            crate::ddp::param_hash(&mut warmed)
+        );
+        // Every buffer taken is given back exactly once: the pool neither
+        // leaks nor grows once the shapes have been seen.
+        assert!(idle.iter().all(|&n| n == idle[0]), "pool sizes {idle:?}");
     }
 
     #[test]

@@ -24,6 +24,13 @@ impl<F: FnMut(&mut Tensor, &mut Tensor)> ParamVisitor for F {
     }
 }
 
+/// Zero every gradient accumulator `visit` reaches, e.g.
+/// `zero_grads(|v| module.visit(v))` — the one implementation behind every
+/// module's "zero grad".
+pub fn zero_grads(visit: impl FnOnce(&mut dyn ParamVisitor)) {
+    visit(&mut |_p: &mut Tensor, g: &mut Tensor| g.data_mut().fill(0.0));
+}
+
 /// Adam hyper-parameters. Defaults are the paper's values.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdamConfig {

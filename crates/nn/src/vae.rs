@@ -17,11 +17,10 @@
 //! exactly how it is implemented here.
 
 use crate::layers::{
-    max_pool_points, max_pool_points_backward, ActCtx, Activation, InitKind, Linear, LinearCtx,
-    Mlp, MlpCtx,
+    max_pool_points, max_pool_points_backward, Activation, InitKind, Linear, Mlp, MlpCtx,
 };
 use crate::optim::ParamVisitor;
-use as_tensor::{Tensor, TensorRng};
+use as_tensor::{Tensor, TensorRng, Workspace};
 
 /// Dimensions of the VAE. See [`crate::model::ModelConfig`] for presets.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,16 +78,15 @@ pub struct Encoder {
     convs: Vec<Linear>,
     mu_head: Mlp,
     logvar_head: Mlp,
-    point_dim: usize,
 }
 
-/// Backward context of the encoder.
+/// Backward context of the encoder. The input cloud stays with the
+/// caller, who passes it to `backward` again.
 pub struct EncoderCtx {
-    conv_lin: Vec<LinearCtx>,
-    conv_act: Vec<ActCtx>,
+    /// Output of each 1×1 convolution but the last, `[B, P, channels]`.
+    conv_out: Vec<Tensor>,
     pool_arg: Vec<usize>,
-    points: usize,
-    batch: usize,
+    pooled: Tensor,
     mu_ctx: MlpCtx,
     logvar_ctx: MlpCtx,
 }
@@ -102,84 +100,95 @@ impl Encoder {
             cfg.encoder_channels[0], cfg.point_dim,
             "first encoder channel must equal point_dim"
         );
+        assert!(
+            cfg.encoder_channels.len() >= 2,
+            "encoder needs a convolution"
+        );
         let convs = cfg
             .encoder_channels
             .windows(2)
             .map(|w| Linear::new(rng, w[0], w[1], InitKind::Kaiming))
             .collect();
         let feat = *cfg.encoder_channels.last().expect("channels nonempty");
-        let mu_head = Mlp::new(
-            rng,
-            &[feat, cfg.head_hidden, cfg.latent],
-            LEAKY,
-            Activation::Identity,
-            InitKind::Xavier,
-        );
-        let logvar_head = Mlp::new(
-            rng,
-            &[feat, cfg.head_hidden, cfg.latent],
-            LEAKY,
-            Activation::Identity,
-            InitKind::Xavier,
-        );
+        let heads = [feat, cfg.head_hidden, cfg.latent];
+        let mu_head = Mlp::new(rng, &heads, LEAKY, InitKind::Xavier);
+        let logvar_head = Mlp::new(rng, &heads, LEAKY, InitKind::Xavier);
         Self {
             convs,
             mu_head,
             logvar_head,
-            point_dim: cfg.point_dim,
         }
     }
 
     /// `points:[B,P,point_dim]` → `(μ:[B,Z], logvar:[B,Z])`.
-    pub fn forward(&self, points: &Tensor) -> (Tensor, Tensor, EncoderCtx) {
-        let d = points.dims();
-        assert_eq!(d.len(), 3, "encoder expects [batch, points, dim]");
-        assert_eq!(d[2], self.point_dim, "point dimension mismatch");
-        let (b, p) = (d[0], d[1]);
-        // Shared 1×1 convolutions = a Linear over the flattened point axis.
-        let mut cur = points.reshaped([b * p, self.point_dim]);
-        let mut conv_lin = Vec::with_capacity(self.convs.len());
-        let mut conv_act = Vec::with_capacity(self.convs.len());
+    pub fn forward(&self, points: &Tensor, ws: &mut Workspace) -> (Tensor, Tensor, EncoderCtx) {
+        assert_eq!(points.dims().len(), 3, "encoder expects [B, P, dim]");
+        // Shared 1×1 convolutions = a Linear over the point axis.
+        let mut conv_out: Vec<Tensor> = Vec::with_capacity(self.convs.len());
         for conv in &self.convs {
-            let (y, lc) = conv.forward(&cur);
-            conv_lin.push(lc);
-            let (a, ac) = LEAKY.forward(&y);
-            conv_act.push(ac);
-            cur = a;
+            let y = conv.forward(conv_out.last().unwrap_or(points), LEAKY, ws);
+            conv_out.push(y);
         }
-        let feat = self.convs.last().expect("nonempty").fan_out();
-        let per_point = cur.reshape([b, p, feat]);
-        let (pooled, pool_arg) = max_pool_points(&per_point);
-        let (mu, mu_ctx) = self.mu_head.forward(&pooled);
-        let (logvar, logvar_ctx) = self.logvar_head.forward(&pooled);
-        (
-            mu,
-            logvar,
-            EncoderCtx {
-                conv_lin,
-                conv_act,
-                pool_arg,
-                points: p,
-                batch: b,
-                mu_ctx,
-                logvar_ctx,
-            },
-        )
+        let (pooled, pool_arg) = max_pool_points(conv_out.last().expect("nonempty"), ws);
+        // Of the last convolution's output only the pooled maxima are read
+        // again — its activation derivative matters only where a gradient
+        // arrives — so the `[B,P,C]` tensor goes back now.
+        ws.give_all(conv_out.pop());
+        let (mu, mu_ctx) = self.mu_head.forward(&pooled, ws);
+        let (logvar, logvar_ctx) = self.logvar_head.forward(&pooled, ws);
+        let ctx = EncoderCtx {
+            conv_out,
+            pool_arg,
+            pooled,
+            mu_ctx,
+            logvar_ctx,
+        };
+        (mu, logvar, ctx)
     }
 
-    /// Backward from `(dμ, dlogvar)` to `d points`.
-    pub fn backward(&mut self, dmu: &Tensor, dlogvar: &Tensor, ctx: &EncoderCtx) -> Tensor {
-        let mut dpool = self.mu_head.backward(dmu, &ctx.mu_ctx);
-        let dpool2 = self.logvar_head.backward(dlogvar, &ctx.logvar_ctx);
+    /// Backward from `(dμ, dlogvar)` for the `points` of the forward pass;
+    /// returns `d points` if `want_dpoints` (training never reads it, so
+    /// the first convolution's input gradient is not computed).
+    pub fn backward(
+        &mut self,
+        points: &Tensor,
+        dmu: &Tensor,
+        dlogvar: &Tensor,
+        ctx: EncoderCtx,
+        want_dpoints: bool,
+        ws: &mut Workspace,
+    ) -> Option<Tensor> {
+        let pooled = &ctx.pooled;
+        let mut dpool = self
+            .mu_head
+            .backward(pooled, ctx.mu_ctx, dmu, true, ws)
+            .expect("input gradient requested");
+        let dpool2 = self
+            .logvar_head
+            .backward(pooled, ctx.logvar_ctx, dlogvar, true, ws)
+            .expect("input gradient requested");
         dpool.add_assign(&dpool2);
-        let dper_point = max_pool_points_backward(&dpool, &ctx.pool_arg, ctx.points);
-        let feat = self.convs.last().expect("nonempty").fan_out();
-        let mut cur = dper_point.reshape([ctx.batch * ctx.points, feat]);
-        for i in (0..self.convs.len()).rev() {
-            cur = LEAKY.backward(&cur, &ctx.conv_act[i]);
-            cur = self.convs[i].backward(&cur, &ctx.conv_lin[i]);
+        // The last convolution's LeakyReLU derivative, read from the maxima
+        // and applied before the scatter: every other point gets a zero.
+        LEAKY.backward(dpool.data_mut(), pooled.data());
+        let mut cur = max_pool_points_backward(&dpool, &ctx.pool_arg, points.dims()[1], ws);
+        ws.give_all([dpool, dpool2, ctx.pooled]);
+        // `cur` is the gradient of convolution `i`'s pre-activation output;
+        // its input is the output of the one before (or `points`).
+        let mut conv_out = ctx.conv_out;
+        for (i, conv) in self.convs.iter_mut().enumerate().rev() {
+            let x = conv_out.pop();
+            conv.accumulate_grads(x.as_ref().unwrap_or(points), &cur, ws);
+            let dx = (i > 0 || want_dpoints).then(|| conv.input_grad(&cur, ws));
+            ws.give(cur);
+            // `None` only at the first convolution, when `d points` is unwanted.
+            cur = dx?;
+            if let Some(x) = x {
+                LEAKY.backward(cur.data_mut(), x.data());
+                ws.give(x);
+            }
         }
-        cur.reshape([ctx.batch, ctx.points, self.point_dim])
+        Some(cur)
     }
 
     /// Visit all `(param, grad)` pairs.
@@ -190,15 +199,6 @@ impl Encoder {
         self.mu_head.visit(v);
         self.logvar_head.visit(v);
     }
-
-    /// Zero all gradient accumulators.
-    pub fn zero_grad(&mut self) {
-        for c in &mut self.convs {
-            c.zero_grad();
-        }
-        self.mu_head.zero_grad();
-        self.logvar_head.zero_grad();
-    }
 }
 
 /// One non-overlapping stride-2³ transposed 3-D convolution.
@@ -206,13 +206,6 @@ struct Deconv3 {
     lin: Linear,
     c_in: usize,
     c_out: usize,
-}
-
-struct Deconv3Ctx {
-    lin: LinearCtx,
-    /// Input grid edge length.
-    edge: usize,
-    batch: usize,
 }
 
 impl Deconv3 {
@@ -229,86 +222,58 @@ impl Deconv3 {
         }
     }
 
-    /// `x:[B, e³, C_in]` (cells in x-major order) → `[B, (2e)³, C_out]`.
-    fn forward(&self, x: &Tensor, edge: usize) -> (Tensor, Deconv3Ctx) {
+    /// Visit every (linear-layout block, doubled-grid cell) pair of the
+    /// fixed scatter as flat offsets `(lin, grid)` of `c_out`-wide runs.
+    fn for_each_block(&self, b: usize, edge: usize, mut f: impl FnMut(usize, usize)) {
+        let (co, e2) = (self.c_out, edge * 2);
+        for bi in 0..b {
+            for xi in 0..edge {
+                for yi in 0..edge {
+                    for zi in 0..edge {
+                        let cell = (xi * edge + yi) * edge + zi;
+                        let lin = (bi * edge * edge * edge + cell) * 8 * co;
+                        for k in 0..8 {
+                            let (dx, dy, dz) = (k >> 2, (k >> 1) & 1, k & 1);
+                            let ocell = ((2 * xi + dx) * e2 + (2 * yi + dy)) * e2 + (2 * zi + dz);
+                            f(lin + k * co, (bi * e2 * e2 * e2 + ocell) * co);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `x:[B, e³, C_in]` (cells in x-major order) → `act(·):[B, (2e)³, C_out]`.
+    fn forward(&self, x: &Tensor, edge: usize, act: Activation, ws: &mut Workspace) -> Tensor {
         let d = x.dims();
         let (b, cells) = (d[0], d[1]);
         assert_eq!(cells, edge * edge * edge, "cell count != edge³");
         assert_eq!(d[2], self.c_in);
-        let flat = x.reshaped([b * cells, self.c_in]);
-        let (y, lin_ctx) = self.lin.forward(&flat);
+        let y = self.lin.forward(x, act, ws);
         // Scatter each cell's 8·C_out outputs into the doubled grid.
-        let e2 = edge * 2;
-        let mut out = Tensor::zeros([b, e2 * e2 * e2, self.c_out]);
-        let yd = y.data();
-        let od = out.data_mut();
-        let co = self.c_out;
-        for bi in 0..b {
-            for xi in 0..edge {
-                for yi in 0..edge {
-                    for zi in 0..edge {
-                        let cell = (xi * edge + yi) * edge + zi;
-                        let src = (bi * cells + cell) * 8 * co;
-                        for dx in 0..2 {
-                            for dy in 0..2 {
-                                for dz in 0..2 {
-                                    let k = dx * 4 + dy * 2 + dz;
-                                    let ocell =
-                                        ((2 * xi + dx) * e2 + (2 * yi + dy)) * e2 + (2 * zi + dz);
-                                    let dst = (bi * e2 * e2 * e2 + ocell) * co;
-                                    od[dst..dst + co]
-                                        .copy_from_slice(&yd[src + k * co..src + (k + 1) * co]);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        (
-            out,
-            Deconv3Ctx {
-                lin: lin_ctx,
-                edge,
-                batch: b,
-            },
-        )
+        let mut out = ws.take([b, 8 * cells, self.c_out]);
+        let (yd, od, co) = (y.data(), out.data_mut(), self.c_out);
+        self.for_each_block(b, edge, |lin, grid| {
+            od[grid..grid + co].copy_from_slice(&yd[lin..lin + co]);
+        });
+        ws.give(y);
+        out
     }
 
-    /// Backward: gather `dy` into the linear layout, then linear backward.
-    fn backward(&mut self, dy: &Tensor, ctx: &Deconv3Ctx) -> Tensor {
-        let edge = ctx.edge;
-        let b = ctx.batch;
-        let cells = edge * edge * edge;
-        let e2 = edge * 2;
-        let co = self.c_out;
-        let mut dlin = Tensor::zeros([b * cells, 8 * co]);
-        let dd = dy.data();
-        let ld = dlin.data_mut();
-        for bi in 0..b {
-            for xi in 0..edge {
-                for yi in 0..edge {
-                    for zi in 0..edge {
-                        let cell = (xi * edge + yi) * edge + zi;
-                        let dst = (bi * cells + cell) * 8 * co;
-                        for dx in 0..2 {
-                            for dy_ in 0..2 {
-                                for dz in 0..2 {
-                                    let k = dx * 4 + dy_ * 2 + dz;
-                                    let ocell =
-                                        ((2 * xi + dx) * e2 + (2 * yi + dy_)) * e2 + (2 * zi + dz);
-                                    let src = (bi * e2 * e2 * e2 + ocell) * co;
-                                    ld[dst + k * co..dst + (k + 1) * co]
-                                        .copy_from_slice(&dd[src..src + co]);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let dx_flat = self.lin.backward(&dlin, &ctx.lin);
-        dx_flat.reshape([b, cells, self.c_in])
+    /// Backward for the input `x` of the forward pass and `dy` w.r.t. the
+    /// pre-activation output: gather `dy` into the linear layout, then
+    /// linear backward.
+    fn backward(&mut self, x: &Tensor, dy: &Tensor, edge: usize, ws: &mut Workspace) -> Tensor {
+        let (b, cells) = (x.dims()[0], x.dims()[1]);
+        let mut dlin = ws.take([b, cells, 8 * self.c_out]);
+        let (dd, ld, co) = (dy.data(), dlin.data_mut(), self.c_out);
+        self.for_each_block(b, edge, |lin, grid| {
+            ld[lin..lin + co].copy_from_slice(&dd[grid..grid + co]);
+        });
+        self.lin.accumulate_grads(x, &dlin, ws);
+        let dx = self.lin.input_grad(&dlin, ws);
+        ws.give(dlin);
+        dx
     }
 }
 
@@ -317,15 +282,13 @@ pub struct Decoder {
     fc: Linear,
     deconvs: Vec<Deconv3>,
     base: usize,
-    out_dim: usize,
 }
 
-/// Backward context of the decoder.
+/// Backward context of the decoder: the input of every deconvolution
+/// stage (each is the LeakyReLU output of the stage before it). The
+/// latent stays with the caller.
 pub struct DecoderCtx {
-    fc: LinearCtx,
-    fc_act: ActCtx,
-    stages: Vec<(Deconv3Ctx, Option<ActCtx>)>,
-    batch: usize,
+    stage_in: Vec<Tensor>,
 }
 
 impl Decoder {
@@ -335,67 +298,64 @@ impl Decoder {
         let c0 = cfg.decoder_channels[0];
         let fc = Linear::new(rng, cfg.latent, base * base * base * c0, InitKind::Kaiming);
         let n = cfg.decoder_channels.len() - 1;
+        assert!(n >= 1, "decoder needs a deconvolution stage");
         let deconvs = cfg
             .decoder_channels
             .windows(2)
             .enumerate()
             .map(|(i, w)| Deconv3::new(rng, w[0], w[1], i + 1 == n))
             .collect();
-        Self {
-            fc,
-            deconvs,
-            base,
-            out_dim: *cfg.decoder_channels.last().expect("channels nonempty"),
-        }
+        Self { fc, deconvs, base }
     }
 
     /// `z:[B,Z]` → point cloud `[B, P_out, out_dim]`.
-    pub fn forward(&self, z: &Tensor) -> (Tensor, DecoderCtx) {
+    pub fn forward(&self, z: &Tensor, ws: &mut Workspace) -> (Tensor, DecoderCtx) {
         let b = z.dims()[0];
-        let (y, fc_ctx) = self.fc.forward(z);
-        let (y, fc_act) = LEAKY.forward(&y);
-        let c0 = self.deconvs.first().map(|d| d.c_in).unwrap_or(self.out_dim);
-        let mut cur = y.reshape([b, self.base * self.base * self.base, c0]);
+        let cells = self.base * self.base * self.base;
+        let h = self.fc.forward(z, LEAKY, ws);
+        let c0 = h.numel() / (b * cells);
+        let mut stage_in = vec![h.reshape([b, cells, c0])];
         let mut edge = self.base;
-        let mut stages = Vec::with_capacity(self.deconvs.len());
         let n = self.deconvs.len();
         for (i, dc) in self.deconvs.iter().enumerate() {
-            let (y, c) = dc.forward(&cur, edge);
-            edge *= 2;
-            if i + 1 < n {
-                let (a, ac) = LEAKY.forward(&y);
-                cur = a;
-                stages.push((c, Some(ac)));
+            let act = if i + 1 < n {
+                LEAKY
             } else {
-                cur = y;
-                stages.push((c, None));
-            }
+                Activation::Identity
+            };
+            let y = dc.forward(stage_in.last().expect("nonempty"), edge, act, ws);
+            stage_in.push(y);
+            edge *= 2;
         }
-        (
-            cur,
-            DecoderCtx {
-                fc: fc_ctx,
-                fc_act,
-                stages,
-                batch: b,
-            },
-        )
+        let out = stage_in.pop().expect("nonempty");
+        (out, DecoderCtx { stage_in })
     }
 
-    /// Backward from `d points` to `dz`.
-    pub fn backward(&mut self, dy: &Tensor, ctx: &DecoderCtx) -> Tensor {
-        let mut cur = dy.clone();
-        for i in (0..self.deconvs.len()).rev() {
-            let (dctx, act) = &ctx.stages[i];
-            if let Some(ac) = act {
-                cur = LEAKY.backward(&cur, ac);
-            }
-            cur = self.deconvs[i].backward(&cur, dctx);
+    /// Backward from `d points` to `dz` for the latent `z` of the forward pass.
+    pub fn backward(
+        &mut self,
+        z: &Tensor,
+        dy: &Tensor,
+        ctx: DecoderCtx,
+        ws: &mut Workspace,
+    ) -> Tensor {
+        let mut stage_in = ctx.stage_in;
+        let mut cur: Option<Tensor> = None;
+        let mut edge = self.base << self.deconvs.len();
+        for dc in self.deconvs.iter_mut().rev() {
+            edge /= 2;
+            let x = stage_in.pop().expect("one input per stage");
+            let mut dx = dc.backward(&x, cur.as_ref().unwrap_or(dy), edge, ws);
+            LEAKY.backward(dx.data_mut(), x.data());
+            ws.give(x);
+            ws.give_all(cur.replace(dx));
         }
-        let c0 = self.deconvs.first().map(|d| d.c_in).unwrap_or(self.out_dim);
-        let flat = cur.reshape([ctx.batch, self.base * self.base * self.base * c0]);
-        let flat = LEAKY.backward(&flat, &ctx.fc_act);
-        self.fc.backward(&flat, &ctx.fc)
+        let dh = cur.expect("at least one stage");
+        let dh = dh.reshape([z.dims()[0], self.fc.fan_out()]);
+        self.fc.accumulate_grads(z, &dh, ws);
+        let dz = self.fc.input_grad(&dh, ws);
+        ws.give(dh);
+        dz
     }
 
     /// Visit all `(param, grad)` pairs.
@@ -403,14 +363,6 @@ impl Decoder {
         self.fc.visit(v);
         for d in &mut self.deconvs {
             d.lin.visit(v);
-        }
-    }
-
-    /// Zero all gradient accumulators.
-    pub fn zero_grad(&mut self) {
-        self.fc.zero_grad();
-        for d in &mut self.deconvs {
-            d.lin.zero_grad();
         }
     }
 }
@@ -423,16 +375,21 @@ pub struct Vae {
     pub decoder: Decoder,
 }
 
-/// Backward context of a full VAE training pass.
-pub struct VaeCtx {
-    /// Encoder context.
-    pub enc: EncoderCtx,
-    /// Decoder context.
-    pub dec: DecoderCtx,
-    /// The ε draw of the reparameterisation.
-    pub eps: Tensor,
-    /// Cached logvar (needed for dσ/dlogvar).
+/// Everything one training-mode pass produced; [`Vae::backward`] consumes
+/// it and hands the buffers back to the workspace.
+pub struct VaePass {
+    /// Posterior mean `μ:[B,Z]`.
+    pub mu: Tensor,
+    /// Posterior log-variance `[B,Z]`.
     pub logvar: Tensor,
+    /// The reparameterised latent `z = μ + ε·σ`.
+    pub z: Tensor,
+    /// The decoded point cloud.
+    pub recon: Tensor,
+    /// The ε draw of the reparameterisation.
+    eps: Tensor,
+    enc: EncoderCtx,
+    dec: DecoderCtx,
 }
 
 impl Vae {
@@ -445,71 +402,90 @@ impl Vae {
     }
 
     /// Full training-mode pass: encode, reparameterise (`z = μ + ε·σ`),
-    /// decode. Returns `(μ, logvar, z, reconstruction, ctx)`.
+    /// decode.
     pub fn forward_train(
         &self,
         points: &Tensor,
         rng: &mut TensorRng,
-    ) -> (Tensor, Tensor, Tensor, Tensor, VaeCtx) {
-        let (mu, logvar, enc) = self.encoder.forward(points);
-        let eps = rng.standard_normal(mu.shape().clone());
-        let mut z = mu.clone();
-        for ((zv, &e), &lv) in z.data_mut().iter_mut().zip(eps.data()).zip(logvar.data()) {
-            *zv += e * (0.5 * lv).exp();
+        ws: &mut Workspace,
+    ) -> VaePass {
+        let (mu, logvar, enc) = self.encoder.forward(points, ws);
+        let mut eps = ws.take(*mu.shape());
+        rng.fill_standard_normal(eps.data_mut());
+        let mut z = ws.take(*mu.shape());
+        for ((zv, &m), (&e, &lv)) in z
+            .data_mut()
+            .iter_mut()
+            .zip(mu.data())
+            .zip(eps.data().iter().zip(logvar.data()))
+        {
+            *zv = m + e * (0.5 * lv).exp();
         }
-        let (recon, dec) = self.decoder.forward(&z);
-        let ctx = VaeCtx {
+        let (recon, dec) = self.decoder.forward(&z, ws);
+        VaePass {
+            mu,
+            logvar,
+            z,
+            recon,
+            eps,
             enc,
             dec,
-            eps,
-            logvar: logvar.clone(),
-        };
-        (mu, logvar, z, recon, ctx)
+        }
     }
 
     /// Deterministic encode (μ only) for inference.
-    pub fn encode_mean(&self, points: &Tensor) -> Tensor {
-        let (mu, _, _) = self.encoder.forward(points);
-        mu
+    pub fn encode_mean(&self, points: &Tensor, ws: &mut Workspace) -> Tensor {
+        self.encoder.forward(points, ws).0
     }
 
     /// Decode a latent for inference.
-    pub fn decode(&self, z: &Tensor) -> Tensor {
-        self.decoder.forward(z).0
+    pub fn decode(&self, z: &Tensor, ws: &mut Workspace) -> Tensor {
+        self.decoder.forward(z, ws).0
     }
 
-    /// Backward through decoder and the reparameterisation.
+    /// Backward through decoder and the reparameterisation for the
+    /// `points` of the forward pass.
     ///
     /// `d_recon` is the loss gradient w.r.t. the reconstruction; `dz_extra`
     /// is any additional gradient flowing into `z` from other heads (the
-    /// INN); `dmu_extra`/`dlogvar_extra` come from the KL term.
+    /// INN); `dmu_extra`/`dlogvar_extra` come from the KL term. Returns
+    /// `d points` if `want_dpoints`.
+    #[allow(clippy::too_many_arguments)]
     pub fn backward(
         &mut self,
+        points: &Tensor,
+        pass: VaePass,
         d_recon: &Tensor,
         dz_extra: Option<&Tensor>,
         dmu_extra: &Tensor,
         dlogvar_extra: &Tensor,
-        ctx: &VaeCtx,
-    ) -> Tensor {
-        let mut dz = self.decoder.backward(d_recon, &ctx.dec);
+        want_dpoints: bool,
+        ws: &mut Workspace,
+    ) -> Option<Tensor> {
+        let mut dz = self.decoder.backward(&pass.z, d_recon, pass.dec, ws);
         if let Some(e) = dz_extra {
             dz.add_assign(e);
         }
         // z = μ + ε·exp(logvar/2):
         //   dμ      += dz
         //   dlogvar += dz · ε · ½·exp(logvar/2)
-        let mut dmu = dz.clone();
-        dmu.add_assign(dmu_extra);
-        let mut dlogvar = dlogvar_extra.clone();
-        for ((g, &d), (&e, &lv)) in dlogvar
+        let mut dlogvar = ws.take(*dz.shape());
+        let noise = pass.eps.data().iter().zip(pass.logvar.data());
+        for ((g, &x), (&d, (&e, &lv))) in dlogvar
             .data_mut()
             .iter_mut()
-            .zip(dz.data())
-            .zip(ctx.eps.data().iter().zip(ctx.logvar.data()))
+            .zip(dlogvar_extra.data())
+            .zip(dz.data().iter().zip(noise))
         {
-            *g += d * e * 0.5 * (0.5 * lv).exp();
+            *g = x + d * e * 0.5 * (0.5 * lv).exp();
         }
-        self.encoder.backward(&dmu, &dlogvar, &ctx.enc)
+        let mut dmu = dz;
+        dmu.add_assign(dmu_extra);
+        let enc = &mut self.encoder;
+        let dpoints = enc.backward(points, &dmu, &dlogvar, pass.enc, want_dpoints, ws);
+        let spent = [pass.mu, pass.logvar, pass.z, pass.recon, pass.eps];
+        ws.give_all(spent.into_iter().chain([dmu, dlogvar]));
+        dpoints
     }
 
     /// Visit all `(param, grad)` pairs (encoder first, then decoder).
@@ -517,17 +493,16 @@ impl Vae {
         self.encoder.visit(v);
         self.decoder.visit(v);
     }
-
-    /// Zero all gradient accumulators.
-    pub fn zero_grad(&mut self) {
-        self.encoder.zero_grad();
-        self.decoder.zero_grad();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optim::zero_grads;
+
+    fn ws() -> Workspace {
+        Workspace::default()
+    }
 
     fn small_cfg() -> VaeConfig {
         VaeConfig {
@@ -558,7 +533,7 @@ mod tests {
         let cfg = small_cfg();
         let enc = Encoder::new(&mut rng, &cfg);
         let pts = rng.standard_normal([3, 20, 6]);
-        let (mu, lv, _) = enc.forward(&pts);
+        let (mu, lv, _) = enc.forward(&pts, &mut ws());
         assert_eq!(mu.dims(), &[3, 10]);
         assert_eq!(lv.dims(), &[3, 10]);
     }
@@ -569,7 +544,7 @@ mod tests {
         let cfg = small_cfg();
         let enc = Encoder::new(&mut rng, &cfg);
         let pts = rng.standard_normal([1, 8, 6]);
-        let (mu, _, _) = enc.forward(&pts);
+        let (mu, _, _) = enc.forward(&pts, &mut ws());
         // Reverse point order.
         let mut rev = Tensor::zeros([1, 8, 6]);
         for p in 0..8 {
@@ -577,7 +552,7 @@ mod tests {
                 *rev.at_mut(&[0, 7 - p, c]) = pts.at(&[0, p, c]);
             }
         }
-        let (mu2, _, _) = enc.forward(&rev);
+        let (mu2, _, _) = enc.forward(&rev, &mut ws());
         for (a, b) in mu.data().iter().zip(mu2.data()) {
             assert!((a - b).abs() < 1e-5, "PointNet must ignore particle order");
         }
@@ -589,7 +564,7 @@ mod tests {
         let cfg = small_cfg();
         let dec = Decoder::new(&mut rng, &cfg);
         let z = rng.standard_normal([2, 10]);
-        let (pts, _) = dec.forward(&z);
+        let (pts, _) = dec.forward(&z, &mut ws());
         // base 2, one doubling → 4³ = 64 points of 6 features.
         assert_eq!(pts.dims(), &[2, 64, 6]);
     }
@@ -600,11 +575,13 @@ mod tests {
         let cfg = small_cfg();
         let enc = Encoder::new(&mut rng, &cfg);
         let pts = rng.uniform([1, 5, 6], -1.0, 1.0);
-        let (mu, lv, ctx) = enc.forward(&pts);
+        let (mu, lv, ctx) = enc.forward(&pts, &mut ws());
         let mut probe = Encoder::new(&mut TensorRng::seeded(3), &cfg);
-        let dpts = probe.backward(&mu, &lv, &ctx);
+        let dpts = probe
+            .backward(&pts, &mu, &lv, ctx, true, &mut ws())
+            .expect("d points requested");
         let mut f = |t: &Tensor| {
-            let (mu, lv, _) = enc.forward(t);
+            let (mu, lv, _) = enc.forward(t, &mut ws());
             0.5 * (mu.sq_norm() + lv.sq_norm())
         };
         // Max-pool argmaxes can flip under perturbation; use small eps and a
@@ -618,11 +595,11 @@ mod tests {
         let cfg = small_cfg();
         let dec = Decoder::new(&mut rng, &cfg);
         let z = rng.standard_normal([2, 10]);
-        let (y, ctx) = dec.forward(&z);
+        let (y, ctx) = dec.forward(&z, &mut ws());
         let mut probe = Decoder::new(&mut TensorRng::seeded(4), &cfg);
-        let dz = probe.backward(&y, &ctx);
+        let dz = probe.backward(&z, &y, ctx, &mut ws());
         let mut f = |t: &Tensor| {
-            let (y, _) = dec.forward(t);
+            let (y, _) = dec.forward(t, &mut ws());
             0.5 * y.sq_norm()
         };
         crate::layers::finite_diff_check(&mut f, &z, &dz, 1e-2, 5e-2);
@@ -633,7 +610,7 @@ mod tests {
         let mut rng = TensorRng::seeded(5);
         let dc = Deconv3::new(&mut rng, 2, 3, true);
         let x = rng.standard_normal([1, 8, 2]); // 2³ input cells
-        let (y, _) = dc.forward(&x, 2);
+        let y = dc.forward(&x, 2, Activation::Identity, &mut ws());
         assert_eq!(y.dims(), &[1, 64, 3]); // 4³ output cells
                                            // With bias zero and near-deterministic linear, no output cell stays
                                            // exactly at the zero initialisation unless the product is zero —
@@ -649,11 +626,11 @@ mod tests {
         let cfg = small_cfg();
         let vae = Vae::new(&mut rng, &cfg);
         let pts = rng.standard_normal([2, 10, 6]);
-        let (mu, _, z, recon, _) = vae.forward_train(&pts, &mut rng);
-        assert_eq!(z.dims(), mu.dims());
-        assert_eq!(recon.dims(), &[2, 64, 6]);
+        let pass = vae.forward_train(&pts, &mut rng, &mut ws());
+        assert_eq!(pass.z.dims(), pass.mu.dims());
+        assert_eq!(pass.recon.dims(), &[2, 64, 6]);
         // z should differ from mu (noise injected).
-        assert!(z.sub(&mu).sq_norm() > 0.0);
+        assert!(pass.z.sub(&pass.mu).sq_norm() > 0.0);
     }
 
     #[test]
@@ -662,11 +639,14 @@ mod tests {
         let cfg = small_cfg();
         let mut vae = Vae::new(&mut rng, &cfg);
         let pts = rng.standard_normal([2, 10, 6]);
-        let (mu, logvar, _z, recon, ctx) = vae.forward_train(&pts, &mut rng);
-        let (_, drecon) = crate::loss::chamfer(&recon, &pts);
-        let (_, dmu, dlv) = crate::loss::kl_divergence(&mu, &logvar);
-        vae.zero_grad();
-        let dpts = vae.backward(&drecon, None, &dmu, &dlv, &ctx);
+        let ws = &mut ws();
+        let pass = vae.forward_train(&pts, &mut rng, ws);
+        let (_, drecon) = crate::loss::chamfer(&pass.recon, &pts);
+        let (_, dmu, dlv) = crate::loss::kl_divergence(&pass.mu, &pass.logvar);
+        zero_grads(|v| vae.visit(v));
+        let dpts = vae
+            .backward(&pts, pass, &drecon, None, &dmu, &dlv, true, ws)
+            .expect("d points requested");
         assert!(dpts.all_finite());
         let mut total = 0.0f64;
         vae.visit(&mut |_p: &mut Tensor, g: &mut Tensor| {
@@ -691,14 +671,15 @@ mod tests {
         });
         let mut first = None;
         let mut last = 0.0;
+        let ws = &mut ws();
         for _ in 0..60 {
-            let (mu, logvar, _z, recon, ctx) = vae.forward_train(&pts, &mut rng);
-            let (cd, drecon) = crate::loss::chamfer(&recon, &pts);
-            let (_kl, dmu, dlv) = crate::loss::kl_divergence(&mu, &logvar);
+            let pass = vae.forward_train(&pts, &mut rng, ws);
+            let (cd, drecon) = crate::loss::chamfer(&pass.recon, &pts);
+            let (_kl, dmu, dlv) = crate::loss::kl_divergence(&pass.mu, &pass.logvar);
             let dmu = dmu.scale(0.001);
             let dlv = dlv.scale(0.001);
-            vae.zero_grad();
-            let _ = vae.backward(&drecon, None, &dmu, &dlv, &ctx);
+            zero_grads(|v| vae.visit(v));
+            let _ = vae.backward(&pts, pass, &drecon, None, &dmu, &dlv, false, ws);
             adam.step(|v| vae.visit(v));
             first.get_or_insert(cd);
             last = cd;

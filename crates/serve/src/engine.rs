@@ -36,7 +36,7 @@ use crate::cells::{track_cell, Cell};
 use as_core::config::ServingConfig;
 use as_core::snapshot::{ModelSnapshot, SnapshotSink};
 use as_nn::model::ArtificialScientistModel;
-use as_tensor::{Tensor, TensorRng};
+use as_tensor::{Tensor, TensorRng, Workspace};
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -204,7 +204,8 @@ impl InferenceEngine {
     /// model (torn weights panic here, never serve), asserts version
     /// monotonicity, swaps the slot `Arc`, and flushes the cache.
     pub fn install(&self, snapshot: &ModelSnapshot) {
-        let model = snapshot.instantiate(); // panics on hash mismatch
+        let mut model = snapshot.instantiate(); // panics on hash mismatch
+        model.drop_training_state(); // every version stays archived
         let served = Arc::new(ServedModel {
             model,
             version: snapshot.version,
@@ -549,8 +550,9 @@ pub fn posterior_batch(
         }
     }
     let y = Tensor::from_vec([spectra.len() * samples, latent], rows);
-    let (z, _) = model.inn.inverse(&y);
-    let clouds = model.vae.decode(&z);
+    let ws = &mut Workspace::default();
+    let (z, _) = model.inn.inverse(&y, ws);
+    let clouds = model.vae.decode(&z, ws);
     let dims = clouds.dims();
     let (points, channels) = (dims[1], dims[2]);
     let data = clouds.data();

@@ -2,9 +2,10 @@
 //!
 //! Provides the macro and builder surface the workspace's benches use
 //! (`criterion_group!`/`criterion_main!`, `benchmark_group`, `sample_size`,
-//! `bench_function`, `bench_with_input`, `BenchmarkId`) backed by a plain
-//! wall-clock harness: after one warm-up iteration each benchmark runs
-//! `sample_size` timed iterations and prints min/mean/max to stdout.
+//! `throughput`, `bench_function`, `bench_with_input`, `BenchmarkId`) backed
+//! by a plain wall-clock harness: after one warm-up iteration each benchmark
+//! runs `sample_size` timed iterations and prints min/mean/max to stdout,
+//! plus the rate at the fastest sample when a throughput is declared.
 //! No statistics, plots or baselines — just honest timings offline.
 
 use std::fmt::Display;
@@ -29,6 +30,7 @@ impl Criterion {
         BenchmarkGroup {
             name: name.into(),
             sample_size: self.default_sample_size,
+            throughput: None,
             _parent: self,
         }
     }
@@ -38,15 +40,23 @@ impl Criterion {
     where
         F: FnMut(&mut Bencher),
     {
-        run_bench(&id.to_string(), self.default_sample_size, &mut f);
+        run_bench(&id.to_string(), self.default_sample_size, None, &mut f);
         self
     }
+}
+
+/// Work done by one iteration, for reporting a rate.
+#[derive(Debug, Clone, Copy)]
+pub enum Throughput {
+    /// Elements (e.g. floating-point operations) per iteration.
+    Elements(u64),
 }
 
 /// A named group sharing a sample size.
 pub struct BenchmarkGroup<'a> {
     name: String,
     sample_size: usize,
+    throughput: Option<Throughput>,
     _parent: &'a mut Criterion,
 }
 
@@ -57,12 +67,19 @@ impl BenchmarkGroup<'_> {
         self
     }
 
+    /// Declare the work of one iteration of the benchmarks that follow.
+    pub fn throughput(&mut self, t: Throughput) -> &mut Self {
+        self.throughput = Some(t);
+        self
+    }
+
     /// Benchmark a closure under `group/id`.
     pub fn bench_function<F>(&mut self, id: impl Display, mut f: F) -> &mut Self
     where
         F: FnMut(&mut Bencher),
     {
-        run_bench(&format!("{}/{}", self.name, id), self.sample_size, &mut f);
+        let label = format!("{}/{}", self.name, id);
+        run_bench(&label, self.sample_size, self.throughput, &mut f);
         self
     }
 
@@ -76,11 +93,10 @@ impl BenchmarkGroup<'_> {
     where
         F: FnMut(&mut Bencher, &I),
     {
-        run_bench(
-            &format!("{}/{}", self.name, id),
-            self.sample_size,
-            &mut |b| f(b, input),
-        );
+        let label = format!("{}/{}", self.name, id);
+        run_bench(&label, self.sample_size, self.throughput, &mut |b| {
+            f(b, input)
+        });
         self
     }
 
@@ -127,7 +143,12 @@ impl Bencher {
     }
 }
 
-fn run_bench(label: &str, sample_size: usize, f: &mut dyn FnMut(&mut Bencher)) {
+fn run_bench(
+    label: &str,
+    sample_size: usize,
+    throughput: Option<Throughput>,
+    f: &mut dyn FnMut(&mut Bencher),
+) {
     let mut b = Bencher {
         samples: Vec::new(),
         sample_size,
@@ -141,8 +162,12 @@ fn run_bench(label: &str, sample_size: usize, f: &mut dyn FnMut(&mut Bencher)) {
     let mean = b.samples.iter().sum::<f64>() / n;
     let min = b.samples.iter().cloned().fold(f64::INFINITY, f64::min);
     let max = b.samples.iter().cloned().fold(0.0, f64::max);
+    let rate = match throughput {
+        Some(Throughput::Elements(n)) => format!("  thrpt {:>8.3} Gelem/s", n as f64 / min / 1e9),
+        None => String::new(),
+    };
     println!(
-        "bench {label:<40} min {:>10.3} ms  mean {:>10.3} ms  max {:>10.3} ms  (n={})",
+        "bench {label:<40} min {:>10.3} ms  mean {:>10.3} ms  max {:>10.3} ms  (n={}){rate}",
         min * 1e3,
         mean * 1e3,
         max * 1e3,

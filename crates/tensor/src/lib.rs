@@ -3,7 +3,8 @@
 //! The paper's ML application is built on PyTorch; no comparable Rust stack
 //! exists offline, so this crate provides the small tensor core the model in
 //! `as-nn` needs: contiguous row-major storage, shape/stride bookkeeping,
-//! elementwise and reduction kernels, and a rayon-parallel blocked matmul.
+//! elementwise and reduction kernels, a register-tiled matmul with a fixed
+//! summation order (see [`mod@matmul`]), and a [`Workspace`] buffer pool.
 //!
 //! Design choices:
 //! - **Plain data, no autograd tape.** Gradients are computed layer-by-layer
@@ -19,11 +20,13 @@ pub mod rng;
 pub mod shape;
 pub mod stats;
 pub mod tensor;
+pub mod workspace;
 
-pub use matmul::{matmul, matmul_a_bt, matmul_at_b};
+pub use matmul::{matmul, matmul_a_bt, matmul_at_b, matmul_at_b_into, matmul_into};
 pub use rng::TensorRng;
 pub use shape::Shape;
 pub use tensor::Tensor;
+pub use workspace::Workspace;
 
 pub mod prelude {
     //! Common imports for tensor consumers.

@@ -25,20 +25,24 @@ impl TensorRng {
 
     /// Standard normal samples (Box–Muller on uniform draws).
     pub fn standard_normal(&mut self, shape: impl Into<Shape>) -> Tensor {
-        let shape = shape.into();
-        let n = shape.numel();
-        let mut data = Vec::with_capacity(n);
-        while data.len() < n {
+        let mut t = Tensor::zeros(shape);
+        self.fill_standard_normal(t.data_mut());
+        t
+    }
+
+    /// Overwrite `out` with standard normal samples — the same stream
+    /// [`TensorRng::standard_normal`] draws for `out.len()` elements.
+    pub fn fill_standard_normal(&mut self, out: &mut [f32]) {
+        for pair in out.chunks_mut(2) {
             let u1: f32 = self.rng.gen_range(f32::EPSILON..1.0);
             let u2: f32 = self.rng.gen_range(0.0..1.0);
             let r = (-2.0 * u1.ln()).sqrt();
             let theta = 2.0 * std::f32::consts::PI * u2;
-            data.push(r * theta.cos());
-            if data.len() < n {
-                data.push(r * theta.sin());
+            pair[0] = r * theta.cos();
+            if let Some(second) = pair.get_mut(1) {
+                *second = r * theta.sin();
             }
         }
-        Tensor::from_vec(shape, data)
     }
 
     /// Normal samples with the given mean and standard deviation.

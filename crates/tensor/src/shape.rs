@@ -2,43 +2,61 @@
 
 use std::fmt;
 
-/// Row-major tensor shape (up to the dimensionality the model needs).
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub struct Shape(Vec<usize>);
+/// Highest tensor rank the model needs (`[batch, points, channels]` plus one).
+const MAX_RANK: usize = 4;
+
+/// Row-major tensor shape, stored inline so building, cloning and
+/// comparing a tensor's shape never touches the heap. Unused trailing
+/// slots stay zero, which keeps the derived `Eq`/`Hash` exact.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Shape {
+    dims: [usize; MAX_RANK],
+    rank: usize,
+}
 
 impl Shape {
     /// Construct from dimension sizes.
+    ///
+    /// # Panics
+    /// Panics if more than four dimensions are given.
     pub fn new(dims: &[usize]) -> Self {
-        Self(dims.to_vec())
+        assert!(dims.len() <= MAX_RANK, "rank {} > {MAX_RANK}", dims.len());
+        let mut s = Self {
+            dims: [0; MAX_RANK],
+            rank: dims.len(),
+        };
+        s.dims[..dims.len()].copy_from_slice(dims);
+        s
     }
 
     /// Dimension sizes.
     pub fn dims(&self) -> &[usize] {
-        &self.0
+        &self.dims[..self.rank]
     }
 
     /// Number of dimensions.
     pub fn rank(&self) -> usize {
-        self.0.len()
+        self.rank
     }
 
     /// Total element count (1 for a scalar/empty shape).
     pub fn numel(&self) -> usize {
-        self.0.iter().product()
+        self.dims().iter().product()
     }
 
     /// Size of dimension `d`.
     pub fn dim(&self, d: usize) -> usize {
-        self.0[d]
+        self.dims()[d]
     }
 
-    /// Row-major strides (in elements).
-    pub fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![1usize; self.0.len()];
-        for i in (0..self.0.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * self.0[i + 1];
-        }
-        strides
+    /// The same shape with its last dimension replaced by `d` (what a
+    /// map over the trailing feature axis produces).
+    ///
+    /// # Panics
+    /// Panics on a rank-0 shape.
+    pub fn with_last_dim(mut self, d: usize) -> Self {
+        self.dims[self.rank - 1] = d;
+        self
     }
 
     /// Linear offset of the multi-index `idx`.
@@ -46,28 +64,23 @@ impl Shape {
     /// # Panics
     /// Panics (debug) if `idx` is out of bounds or has the wrong rank.
     pub fn offset(&self, idx: &[usize]) -> usize {
-        debug_assert_eq!(idx.len(), self.0.len(), "index rank mismatch");
-        let strides = self.strides();
-        idx.iter()
-            .zip(&strides)
-            .zip(&self.0)
-            .map(|((&i, &s), &d)| {
-                debug_assert!(i < d, "index {i} out of bounds for dim of size {d}");
-                i * s
-            })
-            .sum()
+        debug_assert_eq!(idx.len(), self.rank, "index rank mismatch");
+        idx.iter().zip(self.dims()).fold(0, |off, (&i, &d)| {
+            debug_assert!(i < d, "index {i} out of bounds for dim of size {d}");
+            off * d + i
+        })
     }
 }
 
 impl fmt::Debug for Shape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:?}", self.0)
+        write!(f, "{:?}", self.dims())
     }
 }
 
 impl fmt::Display for Shape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:?}", self.0)
+        write!(f, "{:?}", self.dims())
     }
 }
 
@@ -93,12 +106,6 @@ mod tests {
         assert_eq!(s.numel(), 24);
         assert_eq!(s.rank(), 3);
         assert_eq!(s.dim(1), 3);
-    }
-
-    #[test]
-    fn row_major_strides() {
-        let s = Shape::new(&[2, 3, 4]);
-        assert_eq!(s.strides(), vec![12, 4, 1]);
     }
 
     #[test]

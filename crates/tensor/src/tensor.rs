@@ -1,6 +1,7 @@
 //! Contiguous row-major `f32` tensor and its kernels.
 
 use crate::shape::Shape;
+use crate::workspace::Workspace;
 
 /// A dense, row-major, contiguous `f32` tensor.
 #[derive(Clone, PartialEq)]
@@ -125,11 +126,6 @@ impl Tensor {
         self
     }
 
-    /// Borrowing reshape (clones only the shape, not the data).
-    pub fn reshaped(&self, shape: impl Into<Shape>) -> Self {
-        self.clone().reshape(shape)
-    }
-
     // ---- elementwise ----
 
     /// Apply `f` to every element, in place.
@@ -163,11 +159,6 @@ impl Tensor {
         self.zip_inplace(rhs, |a, b| a - b);
     }
 
-    /// `self *= rhs` elementwise.
-    pub fn mul_assign(&mut self, rhs: &Tensor) {
-        self.zip_inplace(rhs, |a, b| a * b);
-    }
-
     /// Elementwise sum.
     pub fn add(&self, rhs: &Tensor) -> Self {
         let mut out = self.clone();
@@ -179,13 +170,6 @@ impl Tensor {
     pub fn sub(&self, rhs: &Tensor) -> Self {
         let mut out = self.clone();
         out.sub_assign(rhs);
-        out
-    }
-
-    /// Elementwise product.
-    pub fn mul(&self, rhs: &Tensor) -> Self {
-        let mut out = self.clone();
-        out.mul_assign(rhs);
         out
     }
 
@@ -250,58 +234,52 @@ impl Tensor {
     /// Transpose a 2-D tensor.
     pub fn transpose2(&self) -> Self {
         assert_eq!(self.shape.rank(), 2, "transpose2 expects a matrix");
+        let mut out = Tensor::zeros([self.shape.dim(1), self.shape.dim(0)]);
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// Write the transpose of this `[r, c]` matrix into `out:[c, r]`,
+    /// overwriting every element.
+    pub fn transpose_into(&self, out: &mut Tensor) {
         let (r, c) = (self.shape.dim(0), self.shape.dim(1));
-        let mut out = Tensor::zeros([c, r]);
-        for i in 0..r {
-            for j in 0..c {
-                out.data[j * r + i] = self.data[i * c + j];
+        assert_eq!(out.dims(), &[c, r], "transpose target shape");
+        for (i, row) in self.data.chunks_exact(c).enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                out.data[j * r + i] = v;
             }
+        }
+    }
+
+    /// `[lo | hi]`: two matrices of equal row count side by side, the
+    /// inverse of [`Tensor::split_cols`]. The result is taken from `ws`.
+    pub fn concat_cols(lo: &Tensor, hi: &Tensor, ws: &mut Workspace) -> Self {
+        let (rows, c1, c2) = (lo.shape.dim(0), lo.shape.dim(1), hi.shape.dim(1));
+        assert_eq!(lo.dims(), &[rows, c1], "concat_cols expects matrices");
+        assert_eq!(hi.dims(), &[rows, c2], "row count mismatch in concat");
+        let mut out = ws.take([rows, c1 + c2]);
+        let halves = lo.data.chunks_exact(c1).zip(hi.data.chunks_exact(c2));
+        for (row, (l, h)) in out.data.chunks_exact_mut(c1 + c2).zip(halves) {
+            row[..c1].copy_from_slice(l);
+            row[c1..].copy_from_slice(h);
         }
         out
     }
 
-    /// Concatenate 2-D tensors along columns (dim 1).
-    pub fn concat_cols(parts: &[&Tensor]) -> Self {
-        assert!(!parts.is_empty(), "concat of zero tensors");
-        let rows = parts[0].shape.dim(0);
-        for p in parts {
-            assert_eq!(p.shape.rank(), 2, "concat_cols expects matrices");
-            assert_eq!(p.shape.dim(0), rows, "row count mismatch in concat");
-        }
-        let total_cols: usize = parts.iter().map(|p| p.shape.dim(1)).sum();
-        let mut out = Tensor::zeros([rows, total_cols]);
-        for i in 0..rows {
-            let mut col = 0usize;
-            for p in parts {
-                let c = p.shape.dim(1);
-                out.data[i * total_cols + col..i * total_cols + col + c]
-                    .copy_from_slice(&p.data[i * c..(i + 1) * c]);
-                col += c;
-            }
-        }
-        out
-    }
-
-    /// Split a 2-D tensor into column blocks of the given widths.
-    pub fn split_cols(&self, widths: &[usize]) -> Vec<Tensor> {
+    /// Split a matrix `[r, c]` into its column blocks `[r, at]` and
+    /// `[r, c − at]` (both non-empty), taken from `ws`.
+    pub fn split_cols(&self, at: usize, ws: &mut Workspace) -> (Tensor, Tensor) {
         assert_eq!(self.shape.rank(), 2, "split_cols expects a matrix");
-        let rows = self.shape.dim(0);
-        let cols = self.shape.dim(1);
-        assert_eq!(
-            widths.iter().sum::<usize>(),
-            cols,
-            "split widths must cover columns"
-        );
-        let mut outs: Vec<Tensor> = widths.iter().map(|&w| Tensor::zeros([rows, w])).collect();
-        for i in 0..rows {
-            let mut col = 0usize;
-            for (o, &w) in outs.iter_mut().zip(widths) {
-                o.data[i * w..(i + 1) * w]
-                    .copy_from_slice(&self.data[i * cols + col..i * cols + col + w]);
-                col += w;
-            }
+        let (rows, cols) = (self.shape.dim(0), self.shape.dim(1));
+        assert!(0 < at && at < cols, "split point {at} outside 1..{cols}");
+        let (mut lo, mut hi) = (ws.take([rows, at]), ws.take([rows, cols - at]));
+        let halves = lo.data.chunks_exact_mut(at);
+        let halves = halves.zip(hi.data.chunks_exact_mut(cols - at));
+        for (row, (l, h)) in self.data.chunks_exact(cols).zip(halves) {
+            l.copy_from_slice(&row[..at]);
+            h.copy_from_slice(&row[at..]);
         }
-        outs
+        (lo, hi)
     }
 
     /// Select rows of a 2-D tensor by index.
@@ -354,7 +332,6 @@ mod tests {
         let b = Tensor::from_slice(&[4., 5., 6.]);
         assert_eq!(a.add(&b).data(), &[5., 7., 9.]);
         assert_eq!(b.sub(&a).data(), &[3., 3., 3.]);
-        assert_eq!(a.mul(&b).data(), &[4., 10., 18.]);
         assert_eq!(a.scale(2.0).data(), &[2., 4., 6.]);
     }
 
@@ -388,12 +365,11 @@ mod tests {
     fn concat_then_split_round_trips() {
         let a = Tensor::from_vec([2, 2], vec![1., 2., 3., 4.]);
         let b = Tensor::from_vec([2, 1], vec![9., 8.]);
-        let cat = Tensor::concat_cols(&[&a, &b]);
+        let ws = &mut Workspace::default();
+        let cat = Tensor::concat_cols(&a, &b, ws);
         assert_eq!(cat.dims(), &[2, 3]);
         assert_eq!(cat.data(), &[1., 2., 9., 3., 4., 8.]);
-        let parts = cat.split_cols(&[2, 1]);
-        assert_eq!(parts[0], a);
-        assert_eq!(parts[1], b);
+        assert_eq!(cat.split_cols(2, ws), (a, b));
     }
 
     #[test]
