@@ -1,8 +1,9 @@
 //! Criterion micro-benchmarks of the building blocks composed by the
-//! figure harnesses: PIC kernels, the radiation kernel, the point-cloud
-//! losses (the CD-vs-EMD cost claim), tensor contractions against their
-//! stated ceiling, the learner's hot kernels and one whole training pass,
-//! INN coupling blocks, the staging engine and the ring all-reduce.
+//! figure harnesses: PIC kernels, the radiation kernel, the producer's hot
+//! path against its two stated ceilings, the point-cloud losses (the
+//! CD-vs-EMD cost claim), tensor contractions against their stated
+//! ceiling, the learner's hot kernels and one whole training pass, INN
+//! coupling blocks, the staging engine and the ring all-reduce.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -12,11 +13,17 @@ use as_nn::inn::Inn;
 use as_nn::layers::Activation;
 use as_nn::loss::{chamfer, mmd_imq, sinkhorn_emd};
 use as_nn::model::{ArtificialScientistModel, ModelConfig};
+use as_pic::deposit::deposit_current;
+use as_pic::domain::DistributedSim;
+use as_pic::gather::gather_eb;
 use as_pic::grid::GridSpec;
 use as_pic::khi::KhiSetup;
+use as_pic::tile::{fused_push_deposit, TileAccumulator, TileGrid, TilePool, Wrap};
 use as_pic::tweac::TweacSetup;
 use as_radiation::detector::Detector;
+use as_radiation::lienard::{sin_cos_lanes, LANES};
 use as_radiation::lienard::{ParticleState, RadiationAccumulator};
+use as_radiation::plugin::{RadiationPlugin, RegionMode};
 use as_staging::engine::{open_stream, StreamConfig};
 use as_tensor::{matmul, matmul_a_bt, matmul_at_b, TensorRng, Workspace};
 
@@ -104,6 +111,198 @@ fn bench_radiation(c: &mut Criterion) {
         })
     });
     g.finish();
+}
+
+/// Seconds of the fastest of `reps` calls.
+fn fastest(reps: usize, mut f: impl FnMut()) -> f64 {
+    (0..reps)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            f();
+            t0.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Flop of one (particle, direction, frequency) of the Liénard–Wiechert
+/// update, counted from `lienard.rs`: the phase 1, the two-term argument
+/// reduction with its tail 10, `z` and `z²` 2, the sine polynomial and its
+/// assembly 18, the cosine's 21, the six amplitude multiply-adds 12.
+const LW_FLOP: f64 = 64.0;
+
+/// The producer's hot path at one `sim_bound` slab (12×48×8 cells, 8 ppc,
+/// electrons + ions = 73 728 macro-particles, 16 frequencies), kernel by
+/// kernel and as one two-rank step, and how far its two halves sit from
+/// their ceilings: the fused tile pass from a `copy_from_slice` bandwidth
+/// probe, the radiation sum from the no-FMA SSE2 arithmetic rate. Run with
+/// `RAYON_NUM_THREADS=1` for per-core numbers (the benchmark's setting).
+fn bench_producer(c: &mut Criterion) {
+    let mut g = c.benchmark_group("producer");
+    g.sample_size(10);
+    let slab = GridSpec::cubic(12, 48, 8, 0.5, 0.5);
+    let setup = KhiSetup {
+        ppc: 8,
+        seed: 7,
+        ..KhiSetup::default()
+    };
+    let mut sim = setup.build(slab);
+    sim.run(4);
+    let (lx, ly, lz) = slab.extents();
+    let wrap = Wrap::Periodic3 { lx, ly, lz };
+    let particles: usize = sim.species.iter().map(|s| s.len()).sum();
+    let electrons = sim.species[0].len();
+
+    // One tile's worth of short moves into its accumulator.
+    let tiles = TileGrid::new(4, slab.nx, slab.ny, slab.nz);
+    let tile = tiles.tile_box(tiles.n_tiles() / 2);
+    let mut acc = TileAccumulator::default();
+    acc.reset(tile);
+    let mut rng = TensorRng::seeded(5);
+    let unit = rng.uniform([512 * 6], 0.0, 1.0);
+    let moves: Vec<[f64; 6]> = unit
+        .data()
+        .chunks_exact(6)
+        .map(|u| {
+            let u: [f64; 6] = std::array::from_fn(|i| f64::from(u[i]));
+            let start = [
+                (tile.x0 as f64 + u[0] * tile.ex as f64) * slab.dx,
+                (tile.y0 as f64 + u[1] * tile.ey as f64) * slab.dy,
+                (tile.z0 as f64 + u[2] * tile.ez as f64) * slab.dz,
+            ];
+            let step = |i: usize| start[i] + (u[3 + i] - 0.5) * 0.4 * slab.dt;
+            [start[0], start[1], start[2], step(0), step(1), step(2)]
+        })
+        .collect();
+    g.throughput(Throughput::Elements(moves.len() as u64));
+    g.bench_function("deposit_current_tile_sink_512p", |b| {
+        b.iter(|| {
+            for m in &moves {
+                deposit_current(
+                    &mut acc, &slab, -1.0, 0.5, m[0], m[1], m[2], m[3], m[4], m[5], 0.0,
+                );
+            }
+        })
+    });
+    g.bench_function("gather_eb_512p", |b| {
+        b.iter(|| {
+            moves.iter().fold(0.0, |s, m| {
+                s + gather_eb(&sim.e, &sim.b, &slab, m[0], m[1], m[2], 0.0).0
+            })
+        })
+    });
+
+    let mut pool = TilePool::new();
+    let mut j = sim.j.clone();
+    let mut fused = |sim: &mut as_pic::sim::Simulation| {
+        j.clear();
+        for sp in &mut sim.species {
+            fused_push_deposit(sp, &sim.e, &sim.b, &mut j, &slab, 0.0, wrap, 4, &mut pool);
+        }
+    };
+    g.throughput(Throughput::Elements(particles as u64));
+    g.bench_function("fused_tile_pass_12x48x8_ppc8", |b| {
+        b.iter(|| fused(&mut sim))
+    });
+    let fused_s = fastest(10, || fused(&mut sim));
+
+    let phases: Vec<[f64; LANES]> = (0..2048)
+        .map(|i| std::array::from_fn(|l| (i * LANES + l) as f64 * 0.37 - 3000.0))
+        .collect();
+    g.throughput(Throughput::Elements((phases.len() * LANES) as u64));
+    g.bench_function("sin_cos_lanes_16k", |b| {
+        b.iter(|| {
+            phases.iter().fold(0.0, |s, x| {
+                let (sin, cos) = sin_cos_lanes(black_box(x));
+                s + sin[0] + cos[LANES - 1]
+            })
+        })
+    });
+    g.bench_function("sin_cos_libm_16k", |b| {
+        b.iter(|| {
+            phases.iter().flatten().fold(0.0, |s, &x| {
+                let (sin, cos) = black_box(x).sin_cos();
+                s + sin + cos
+            })
+        })
+    });
+
+    let det = Detector::along_x(0.2, 20.0, 16);
+    let mode = RegionMode::FlowRegions { shear_width: 0.06 };
+    let mut radiation = RadiationPlugin::new(det.clone(), mode, 0);
+    let pairs = (electrons * det.n_dirs() * det.n_freqs()) as f64;
+    g.throughput(Throughput::Elements(pairs as u64));
+    g.bench_function("accumulate_for_36864p_16f", |b| {
+        b.iter(|| radiation.accumulate_for(&sim, 0.0))
+    });
+    let radiation_s = fastest(10, || radiation.accumulate_for(&sim, 0.0));
+
+    // Two slab ranks in lock-step: rank 1 steps whenever rank 0 does.
+    let global = GridSpec::cubic(24, 48, 8, 0.5, 0.5);
+    let mut ranks = CommWorld::new(2).into_endpoints();
+    let peer = ranks.pop().expect("rank 1");
+    let (go, steps) = std::sync::mpsc::channel::<()>();
+    let follower = std::thread::spawn(move || {
+        let mut d = DistributedSim::new(peer, global, setup.all_species(&global));
+        while steps.recv().is_ok() {
+            d.step();
+            d.refresh_ghosts();
+        }
+    });
+    let mut d = DistributedSim::new(ranks.remove(0), global, setup.all_species(&global));
+    g.throughput(Throughput::Elements(d.local.particle_count() as u64));
+    g.bench_function("distributed_step_2x_12x48x8_ppc8", |b| {
+        b.iter(|| {
+            go.send(()).expect("follower alive");
+            d.step();
+            d.refresh_ghosts();
+        })
+    });
+    drop(go);
+    follower.join().expect("follower rank");
+    g.finish();
+
+    // Ceiling 1: bytes the fused pass must move per particle·step. The
+    // particle itself: 7 SoA reads and 6 writes. Its share of the tile:
+    // the six-component field view (tile + 1-cell halo, written then
+    // read) and the three-component accumulator (tile + 2-cell halo:
+    // zeroed, read, and added into the global field, itself read and
+    // written).
+    let per_tile = (particles / tiles.n_tiles() / sim.species.len()) as f64;
+    let view = 6.0 * 6.0f64.powi(3) * 8.0 * 2.0;
+    let accumulator = 3.0 * 8.0f64.powi(3) * 8.0 * 4.0;
+    let bytes = 13.0 * 8.0 + (view + accumulator) / per_tile;
+    let src = vec![1.0f64; 4 << 20];
+    let mut dst = vec![0.0f64; 4 << 20];
+    let copy_s = fastest(5, || {
+        dst.copy_from_slice(black_box(&src));
+        black_box(&mut dst);
+    });
+    let bandwidth = 2.0 * (src.len() * 8) as f64 / copy_s;
+    let fused_ns = fused_s * 1e9 / particles as f64;
+    let floor_ns = bytes / bandwidth * 1e9;
+    println!(
+        "producer: fused tile pass moves {bytes:.0} B per particle·step; at the \
+         copy_from_slice rate {:.1} GB/s that is {floor_ns:.1} ns, measured {fused_ns:.1} ns \
+         ({:.1}x the bandwidth floor)",
+        bandwidth / 1e9,
+        fused_ns / floor_ns
+    );
+    // Ceiling 2: the arithmetic of the radiation sum, in f64 — two lanes
+    // per SSE2 register, so half the 8 flop/cycle `tensor` is held against.
+    let pair_ns = radiation_s * 1e9 / pairs;
+    match sse2_ceiling_gflops().map(|f32_peak| f32_peak / 2.0) {
+        Some(peak) => println!(
+            "producer: Liénard–Wiechert update is {LW_FLOP} flop per (particle, frequency); \
+             at the no-FMA SSE2 f64 ceiling (4 flop/cycle) {peak:.1} GFLOP/s that is {:.2} ns, \
+             measured {pair_ns:.2} ns incl. the field gather ({:.0} % of the ceiling)",
+            LW_FLOP / peak,
+            100.0 * LW_FLOP / peak / pair_ns
+        ),
+        None => println!(
+            "producer: Liénard–Wiechert update is {LW_FLOP} flop per (particle, frequency), \
+             measured {pair_ns:.2} ns incl. the field gather (clock not reported)"
+        ),
+    }
 }
 
 fn bench_losses(c: &mut Criterion) {
@@ -297,6 +496,7 @@ criterion_group!(
     bench_pic_step,
     bench_fused_vs_reference,
     bench_radiation,
+    bench_producer,
     bench_losses,
     bench_tensor,
     bench_learner,

@@ -108,6 +108,14 @@ fn flow_regions(cfg: &WorkflowConfig) -> RadiationPlugin {
     )
 }
 
+/// The radiation stream's variable name of every region, built once per
+/// run instead of once per window.
+fn region_names(radiation: &RadiationPlugin) -> Vec<String> {
+    (0..radiation.accumulators().len())
+        .map(|r| format!("radiation/region{r}/intensity"))
+        .collect()
+}
+
 /// Finish a rank's report from the writer-side stream stats: real
 /// published bytes and real queue-blocked time.
 fn finish_report(report: &mut ProducerReport, pw: &OpenPmdWriter, rw: &OpenPmdWriter) {
@@ -145,6 +153,7 @@ pub fn run_producer(
 ) -> ProducerReport {
     let mut sim = cfg.khi.build(cfg.grid);
     let mut radiation = flow_regions(cfg);
+    let names = region_names(&radiation);
     let mut pw = OpenPmdWriter::new(particle_stream);
     let mut rw = OpenPmdWriter::new(radiation_stream);
     arm_faults(cfg, &mut pw, &mut rw);
@@ -161,7 +170,7 @@ pub fn run_producer(
         if (step + 1) % cfg.steps_per_sample == 0 {
             let t1 = Instant::now();
             let n = sim.species[0].len() as u64;
-            emit_window(cfg, &sim, &mut radiation, &mut pw, &mut rw, n, 0);
+            emit_window(cfg, &sim, &mut radiation, &names, &mut pw, &mut rw, n, 0);
             report.emit_seconds += t1.elapsed().as_secs_f64();
             // An armed truncation firing inside the emit means this
             // window (on at least one stream) never published: the
@@ -192,6 +201,7 @@ pub fn run_sharded_producer<C: Collective>(
 ) -> ProducerReport {
     let mut d = DistributedSim::new(comm, cfg.grid, cfg.khi.all_species(&cfg.grid));
     let mut radiation = flow_regions(cfg);
+    let names = region_names(&radiation);
     let mut pw = OpenPmdWriter::new(particle_stream);
     let mut rw = OpenPmdWriter::new(radiation_stream);
     arm_faults(cfg, &mut pw, &mut rw);
@@ -231,6 +241,7 @@ pub fn run_sharded_producer<C: Collective>(
                 cfg,
                 &d.local,
                 &mut radiation,
+                &names,
                 &mut pw,
                 &mut rw,
                 global_n,
@@ -268,11 +279,14 @@ pub fn run_sharded_producer<C: Collective>(
 /// describe this rank's block of the global particle array (the whole
 /// array for the single-domain producer); the radiation spectra are
 /// written by writer rank 0 only, from the (already rank-merged)
-/// accumulators.
+/// accumulators, under the names `region_names` built, and the window is
+/// then reset in place.
+#[allow(clippy::too_many_arguments)]
 fn emit_window(
     cfg: &WorkflowConfig,
     sim: &Simulation,
     radiation: &mut RadiationPlugin,
+    names: &[String],
     pw: &mut OpenPmdWriter,
     rw: &mut OpenPmdWriter,
     global_n: u64,
@@ -365,26 +379,17 @@ fn emit_window(
     // step commit.
     rw.begin_iteration(it, sim.time, sim.spec.dt);
     if rw.rank() == 0 {
-        let spectra = radiation.spectra();
-        for (r, region) in spectra.iter().enumerate() {
-            let mut flat: Vec<f64> = Vec::with_capacity(region.len() * cfg.detector.n_freqs());
-            for dir in region {
-                flat.extend_from_slice(&dir.intensity);
-            }
-            let name = format!("radiation/region{r}/intensity");
-            let len = flat.len() as u64;
-            rw.write_f32_array(
-                &name,
-                len,
-                0,
-                &flat.iter().map(|&v| v as f32).collect::<Vec<f32>>(),
-            );
+        let mut flat: Vec<f32> = Vec::new();
+        for (name, acc) in names.iter().zip(radiation.accumulators()) {
+            flat.clear();
+            flat.extend(acc.intensities().map(|v| v as f32));
+            rw.write_f32_array(name, flat.len() as u64, 0, &flat);
         }
-        rw.set_attribute("n_regions", Value::I64(spectra.len() as i64));
+        rw.set_attribute("n_regions", Value::I64(names.len() as i64));
         rw.set_attribute("window_steps", Value::I64(radiation.window_len() as i64));
     }
     rw.end_iteration();
-    let _ = radiation.take_window();
+    radiation.reset_window();
 }
 
 #[cfg(test)]

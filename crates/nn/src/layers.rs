@@ -86,15 +86,27 @@ impl Linear {
     /// Accumulate `gw += xᵀ·dy` and `gb += Σ dy` for the input `x` of the
     /// forward pass and `dy = dL/d(x·W + b)`.
     pub fn accumulate_grads(&mut self, x: &Tensor, dy: &Tensor, ws: &mut Workspace) {
+        assert_eq!(
+            dy.dims().last(),
+            Some(&self.fan_out()),
+            "Linear dy mismatch"
+        );
+        self.accumulate_grads_rows(x.data(), dy.data(), ws);
+    }
+
+    /// [`Self::accumulate_grads`] on flat row-major `x:[rows, in]` and
+    /// `dy:[rows, out]` — for a caller that uses only the leading rows of
+    /// its buffers.
+    pub fn accumulate_grads_rows(&mut self, x: &[f32], dy: &[f32], ws: &mut Workspace) {
         let (fan_in, fan_out) = (self.fan_in(), self.fan_out());
-        let rows = x.numel() / fan_in;
-        assert_eq!(dy.dims().last(), Some(&fan_out), "Linear dy mismatch");
-        assert_eq!(rows, dy.numel() / fan_out, "row mismatch");
+        let rows = x.len() / fan_in;
+        assert_eq!(x.len(), rows * fan_in, "x is not whole rows");
+        assert_eq!(dy.len(), rows * fan_out, "row mismatch");
         let mut gw = ws.take([fan_in, fan_out]);
-        matmul_at_b_into(gw.data_mut(), x.data(), dy.data(), rows, fan_out);
+        matmul_at_b_into(gw.data_mut(), x, dy, rows, fan_out);
         self.gw.add_assign(&gw);
         ws.give(gw);
-        for row in dy.data().chunks_exact(fan_out) {
+        for row in dy.chunks_exact(fan_out) {
             for (g, &d) in self.gb.data_mut().iter_mut().zip(row) {
                 *g += d;
             }
@@ -103,14 +115,25 @@ impl Linear {
 
     /// `dx = dy·Wᵀ`, through the row-update kernel on a transposed `W`.
     pub fn input_grad(&self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
+        assert_eq!(
+            dy.dims().last(),
+            Some(&self.fan_out()),
+            "Linear dy mismatch"
+        );
+        let mut dx = ws.take(dy.shape().with_last_dim(self.fan_in()));
+        self.input_grad_rows(dy.data(), dx.data_mut(), ws);
+        dx
+    }
+
+    /// [`Self::input_grad`] on flat row-major `dy:[rows, out]` into
+    /// `dx:[rows, in]`.
+    pub fn input_grad_rows(&self, dy: &[f32], dx: &mut [f32], ws: &mut Workspace) {
         let (fan_in, fan_out) = (self.fan_in(), self.fan_out());
-        assert_eq!(dy.dims().last(), Some(&fan_out), "Linear dy mismatch");
+        assert_eq!(dy.len() * fan_in, dx.len() * fan_out, "row mismatch");
         let mut wt = ws.take([fan_out, fan_in]);
         self.w.transpose_into(&mut wt);
-        let mut dx = ws.take(dy.shape().with_last_dim(fan_in));
-        matmul_into(dx.data_mut(), dy.data(), wt.data(), fan_out, fan_in);
+        matmul_into(dx, dy, wt.data(), fan_out, fan_in);
         ws.give(wt);
-        dx
     }
 
     /// Visit `(param, grad)` pairs.
@@ -296,8 +319,10 @@ pub fn max_pool_points(x: &Tensor, ws: &mut Workspace) -> (Tensor, Vec<usize>) {
 }
 
 /// Backward of [`max_pool_points`]: route `dy:[b,c]` to the argmax points of
-/// an input of shape `[b, p, c]`.
-pub fn max_pool_points_backward(
+/// an input of shape `[b, p, c]`. The dense form — the oracle of the
+/// encoder's row-sparse backward, which never materialises the zeros.
+#[cfg(test)]
+pub(crate) fn max_pool_points_backward(
     dy: &Tensor,
     arg: &[usize],
     p: usize,

@@ -15,10 +15,11 @@
 //! each input cell independently expands to a 2×2×2 block, i.e. a shared
 //! linear map `C_in → 8·C_out` followed by a fixed scatter — which is
 //! exactly how it is implemented here.
+//!
+//! The encoder's backward pass runs its convolutions only on the rows
+//! the max-pool selected (see [`Encoder::backward`]).
 
-use crate::layers::{
-    max_pool_points, max_pool_points_backward, Activation, InitKind, Linear, Mlp, MlpCtx,
-};
+use crate::layers::{max_pool_points, Activation, InitKind, Linear, Mlp, MlpCtx};
 use crate::optim::ParamVisitor;
 use as_tensor::{Tensor, TensorRng, Workspace};
 
@@ -149,6 +150,17 @@ impl Encoder {
     /// Backward from `(dμ, dlogvar)` for the `points` of the forward pass;
     /// returns `d points` if `want_dpoints` (training never reads it, so
     /// the first convolution's input gradient is not computed).
+    ///
+    /// The max-pool routes a gradient only to the rows (points) some
+    /// channel's arg-max selected — at most `B·C` of the `B·P`. A 1×1
+    /// convolution keeps rows independent and `LeakyReLU′·0 = 0`, so in
+    /// every convolution's gradient all other rows are structural `+0.0`:
+    /// they add exact zeros to `gw`/`gb` and stay zero in `dx`. The
+    /// convolutions therefore run on the selected rows only, compacted in
+    /// ascending row order into the leading rows of the same `[B, P, ·]`
+    /// buffers a dense pass would fill — the dense sums with their
+    /// exact-zero terms removed, bit for bit (for finite activations), and
+    /// the same workspace shapes whatever the arg-max pattern.
     pub fn backward(
         &mut self,
         points: &Tensor,
@@ -171,24 +183,78 @@ impl Encoder {
         // The last convolution's LeakyReLU derivative, read from the maxima
         // and applied before the scatter: every other point gets a zero.
         LEAKY.backward(dpool.data_mut(), pooled.data());
-        let mut cur = max_pool_points_backward(&dpool, &ctx.pool_arg, points.dims()[1], ws);
-        ws.give_all([dpool, dpool2, ctx.pooled]);
-        // `cur` is the gradient of convolution `i`'s pre-activation output;
-        // its input is the output of the one before (or `points`).
-        let mut conv_out = ctx.conv_out;
-        for (i, conv) in self.convs.iter_mut().enumerate().rev() {
-            let x = conv_out.pop();
-            conv.accumulate_grads(x.as_ref().unwrap_or(points), &cur, ws);
-            let dx = (i > 0 || want_dpoints).then(|| conv.input_grad(&cur, ws));
-            ws.give(cur);
-            // `None` only at the first convolution, when `d points` is unwanted.
-            cur = dx?;
-            if let Some(x) = x {
-                LEAKY.backward(cur.data_mut(), x.data());
-                ws.give(x);
+
+        let (b, p, c) = (points.dims()[0], points.dims()[1], pooled.dims()[1]);
+        let row_of = |bi: usize, pi: usize| bi * p + pi;
+        let clouds = ctx.pool_arg.chunks_exact(c).enumerate();
+        let mut rows: Vec<usize> = clouds
+            .clone()
+            .flat_map(|(bi, at)| at.iter().map(move |&pi| row_of(bi, pi)))
+            .collect();
+        rows.sort_unstable();
+        rows.dedup();
+        let n = rows.len();
+        // `cur[..n]` is the gradient of convolution `i`'s pre-activation
+        // output on the selected rows; its input is the output of the one
+        // before (or `points`).
+        let mut cur = ws.take([b, p, c]);
+        cur.data_mut()[..n * c].fill(0.0);
+        for ((bi, at), g) in clouds.zip(dpool.data().chunks_exact(c)) {
+            for (ci, (&pi, &g)) in at.iter().zip(g).enumerate() {
+                let r = rows
+                    .binary_search(&row_of(bi, pi))
+                    .expect("row was selected");
+                cur.data_mut()[r * c + ci] += g;
             }
         }
-        Some(cur)
+        ws.give_all([dpool, dpool2, ctx.pooled]);
+        let mut conv_out = ctx.conv_out;
+        for (i, conv) in self.convs.iter_mut().enumerate().rev() {
+            let (fan_in, fan_out) = (conv.fan_in(), conv.fan_out());
+            // The selected rows of the input, compacted: in place in the
+            // stored activation (row `r` comes from a row ≥ `r`), or out of
+            // the caller's `points`.
+            let x = match conv_out.pop() {
+                Some(mut full) => {
+                    for (r, &row) in rows.iter().enumerate() {
+                        full.data_mut()
+                            .copy_within(row * fan_in..(row + 1) * fan_in, r * fan_in);
+                    }
+                    full
+                }
+                None => {
+                    // In a buffer shaped like this convolution's output:
+                    // the forward pass has left one of those in the pool.
+                    let mut x = ws.take([b, p, fan_in.max(fan_out)]);
+                    for (dst, &row) in x.data_mut().chunks_exact_mut(fan_in).zip(&rows) {
+                        dst.copy_from_slice(&points.data()[row * fan_in..][..fan_in]);
+                    }
+                    x
+                }
+            };
+            let x_rows = &x.data()[..n * fan_in];
+            conv.accumulate_grads_rows(x_rows, &cur.data()[..n * fan_out], ws);
+            if i == 0 && !want_dpoints {
+                ws.give_all([cur, x]);
+                return None;
+            }
+            let mut dx = ws.take([b, p, fan_in]);
+            let dx_rows = &mut dx.data_mut()[..n * fan_in];
+            conv.input_grad_rows(&cur.data()[..n * fan_out], dx_rows, ws);
+            if i > 0 {
+                LEAKY.backward(dx_rows, x_rows);
+            }
+            ws.give_all([std::mem::replace(&mut cur, dx), x]);
+        }
+        // `cur` holds `d points` of the selected rows; all others are zero.
+        let width = points.dims()[2];
+        let mut dpoints = ws.take(*points.shape());
+        dpoints.data_mut().fill(0.0);
+        for (&row, d) in rows.iter().zip(cur.data().chunks_exact(width)) {
+            dpoints.data_mut()[row * width..][..width].copy_from_slice(d);
+        }
+        ws.give(cur);
+        Some(dpoints)
     }
 
     /// Visit all `(param, grad)` pairs.
@@ -587,6 +653,107 @@ mod tests {
         // Max-pool argmaxes can flip under perturbation; use small eps and a
         // forgiving tolerance.
         crate::layers::finite_diff_check(&mut f, &pts, &dpts, 5e-3, 8e-2);
+    }
+
+    /// The dense backward the row-sparse one replaced: scatter the pooled
+    /// gradient into a `[B, P, C]` tensor of zeros and run every
+    /// convolution over all `B·P` rows.
+    fn dense_backward(
+        enc: &mut Encoder,
+        points: &Tensor,
+        dmu: &Tensor,
+        dlogvar: &Tensor,
+        ctx: EncoderCtx,
+        ws: &mut Workspace,
+    ) -> Tensor {
+        let pooled = &ctx.pooled;
+        let mut dpool = enc
+            .mu_head
+            .backward(pooled, ctx.mu_ctx, dmu, true, ws)
+            .expect("input gradient requested");
+        let dpool2 = enc
+            .logvar_head
+            .backward(pooled, ctx.logvar_ctx, dlogvar, true, ws)
+            .expect("input gradient requested");
+        dpool.add_assign(&dpool2);
+        LEAKY.backward(dpool.data_mut(), pooled.data());
+        let p = points.dims()[1];
+        let mut cur = crate::layers::max_pool_points_backward(&dpool, &ctx.pool_arg, p, ws);
+        let mut conv_out = ctx.conv_out;
+        for conv in enc.convs.iter_mut().rev() {
+            let x = conv_out.pop();
+            conv.accumulate_grads(x.as_ref().unwrap_or(points), &cur, ws);
+            cur = conv.input_grad(&cur, ws);
+            if let Some(x) = x {
+                LEAKY.backward(cur.data_mut(), x.data());
+            }
+        }
+        cur
+    }
+
+    /// Row-sparse against dense, bit for bit, in every parameter gradient
+    /// and in `d points`: on random clouds (several channels share an
+    /// arg-max point), on a cloud where one point wins every channel, and
+    /// with fewer points than channels.
+    #[test]
+    fn sparse_backward_equals_dense_backward_bitwise() {
+        let cfg = VaeConfig {
+            encoder_channels: vec![6, 8, 16, 24],
+            ..small_cfg()
+        };
+        let mut rng = TensorRng::seeded(21);
+        let random = rng.uniform([3, 40, 6], -1.0, 1.0);
+        // Twelve copies of one point per cloud: every channel ties and the
+        // first maximum — point 0 — wins them all.
+        let seeds = rng.uniform([2, 1, 6], -1.0, 1.0);
+        let mut dominated = Tensor::zeros([2, 12, 6]);
+        for (cloud, seed) in dominated
+            .data_mut()
+            .chunks_exact_mut(12 * 6)
+            .zip(seeds.data().chunks_exact(6))
+        {
+            cloud
+                .chunks_exact_mut(6)
+                .for_each(|pt| pt.copy_from_slice(seed));
+        }
+        let few_points = rng.uniform([2, 3, 6], -1.0, 1.0);
+        for (name, points) in [
+            ("random", random),
+            ("dominated", dominated),
+            ("few points", few_points),
+        ] {
+            let mut sparse = Encoder::new(&mut TensorRng::seeded(22), &cfg);
+            let mut dense = Encoder::new(&mut TensorRng::seeded(22), &cfg);
+            let ws = &mut ws();
+            let (mu, lv, ctx) = sparse.forward(&points, ws);
+            let (b, p, c) = (points.dims()[0], points.dims()[1], 24);
+            let mut picked: Vec<usize> = ctx.pool_arg[..c].to_vec();
+            picked.sort_unstable();
+            picked.dedup();
+            match name {
+                "random" => assert!(
+                    (2..c).contains(&picked.len()),
+                    "cloud 0: some channels must share a point, not all: {picked:?}"
+                ),
+                "dominated" => assert_eq!(picked, [0], "point 0 must win every channel"),
+                _ => assert!(b * p < b * c),
+            }
+            let (_, _, dense_ctx) = dense.forward(&points, ws);
+            zero_grads(|v| sparse.visit(v));
+            zero_grads(|v| dense.visit(v));
+            let got = sparse
+                .backward(&points, &mu, &lv, ctx, true, ws)
+                .expect("d points requested");
+            let want = dense_backward(&mut dense, &points, &mu, &lv, dense_ctx, ws);
+            let bits = |t: &Tensor| -> Vec<u32> { t.data().iter().map(|v| v.to_bits()).collect() };
+            assert_eq!(got.dims(), want.dims());
+            assert_eq!(bits(&got), bits(&want), "{name}: d points");
+            let mut grads = [Vec::new(), Vec::new()];
+            sparse.visit(&mut |_p: &mut Tensor, g: &mut Tensor| grads[0].push(bits(g)));
+            dense.visit(&mut |_p: &mut Tensor, g: &mut Tensor| grads[1].push(bits(g)));
+            assert_eq!(grads[0], grads[1], "{name}: parameter gradients");
+            assert!(grads[0].iter().flatten().any(|&g| g != 0));
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ impl ScalarField3 {
     /// so this is 1–2 well-predicted branches instead of an integer
     /// division — the single hottest address computation in the PIC loop.
     #[inline]
-    fn pwrap(mut v: isize, n: usize) -> usize {
+    pub(crate) fn pwrap(mut v: isize, n: usize) -> usize {
         let n = n as isize;
         while v < 0 {
             v += n;
@@ -51,14 +51,8 @@ impl ScalarField3 {
 
     #[inline]
     fn index(&self, i: isize, j: isize, k: isize) -> usize {
-        debug_assert!(
-            i >= -(GHOSTS as isize) && i < (self.nx + GHOSTS) as isize,
-            "x index {i} outside ghost range"
-        );
-        let ii = (i + GHOSTS as isize) as usize;
-        let jj = Self::pwrap(j, self.ny);
-        let kk = Self::pwrap(k, self.nz);
-        (ii * self.ny + jj) * self.nz + kk
+        let (jj, kk) = (Self::pwrap(j, self.ny), Self::pwrap(k, self.nz));
+        (self.resolve_x(i) * self.ny + jj) * self.nz + kk
     }
 
     /// Value at (possibly ghost / wrapped) index.
@@ -200,57 +194,66 @@ impl ScalarField3 {
         }
     }
 
-    /// Extract an x-slab `[i0, i0+w)` (ghost indices allowed) as a flat
-    /// vector in (i, j, k) order — the halo-exchange payload.
-    pub fn extract_slab(&self, i0: isize, w: usize) -> Vec<f64> {
-        let mut out = Vec::with_capacity(w * self.ny * self.nz);
-        for di in 0..w as isize {
-            for j in 0..self.ny as isize {
-                for k in 0..self.nz as isize {
-                    out.push(self.get(i0 + di, j, k));
-                }
-            }
-        }
-        out
+    /// Storage range of the x-slab `[i0, i0+w)` (ghost indices allowed):
+    /// whole y–z planes are contiguous in (i, j, k) order.
+    fn slab_range(&self, i0: isize, w: usize) -> std::ops::Range<usize> {
+        assert!(
+            i0 >= -(GHOSTS as isize) && i0 + w as isize <= (self.nx + GHOSTS) as isize,
+            "x slab [{i0}, {i0}+{w}) outside ghost range"
+        );
+        let plane = self.ny * self.nz;
+        let start = (i0 + GHOSTS as isize) as usize * plane;
+        start..start + w * plane
+    }
+
+    /// Extract an x-slab `[i0, i0+w)` (ghost indices allowed) in (i, j, k)
+    /// order — the halo-exchange payload — into a reused buffer.
+    pub fn extract_slab_into(&self, i0: isize, w: usize, out: &mut Vec<f64>) {
+        out.clear();
+        out.extend_from_slice(&self.data[self.slab_range(i0, w)]);
     }
 
     /// Overwrite an x-slab from a flat vector (inverse of
-    /// [`Self::extract_slab`]).
+    /// [`Self::extract_slab_into`]).
     pub fn insert_slab(&mut self, i0: isize, w: usize, data: &[f64]) {
         assert_eq!(data.len(), w * self.ny * self.nz, "slab size mismatch");
-        let mut it = data.iter();
-        for di in 0..w as isize {
-            for j in 0..self.ny as isize {
-                for k in 0..self.nz as isize {
-                    self.set(i0 + di, j, k, *it.next().expect("sized"));
-                }
-            }
-        }
+        let range = self.slab_range(i0, w);
+        self.data[range].copy_from_slice(data);
     }
 
     /// Accumulate an x-slab from a flat vector (for halo reduction).
     pub fn add_slab(&mut self, i0: isize, w: usize, data: &[f64]) {
         assert_eq!(data.len(), w * self.ny * self.nz, "slab size mismatch");
-        let mut it = data.iter();
-        for di in 0..w as isize {
-            for j in 0..self.ny as isize {
-                for k in 0..self.nz as isize {
-                    self.add(i0 + di, j, k, *it.next().expect("sized"));
-                }
-            }
+        let range = self.slab_range(i0, w);
+        for (dst, &src) in self.data[range].iter_mut().zip(data) {
+            *dst += src;
         }
     }
 
     /// Zero the ghost layers only.
     pub fn clear_ghosts(&mut self) {
-        for g in 0..GHOSTS as isize {
-            for j in 0..self.ny as isize {
-                for k in 0..self.nz as isize {
-                    self.set(-(GHOSTS as isize) + g, j, k, 0.0);
-                    self.set(self.nx as isize + g, j, k, 0.0);
-                }
-            }
+        for i0 in [-(GHOSTS as isize), self.nx as isize] {
+            let range = self.slab_range(i0, GHOSTS);
+            self.data[range].fill(0.0);
         }
+    }
+
+    /// The raw storage, `(nx + 2·GHOSTS) × ny × nz` row-major — for gathers
+    /// that resolve each axis once per particle ([`Self::resolve_x`],
+    /// [`Self::pwrap`]) instead of once per access.
+    #[inline]
+    pub(crate) fn raw(&self) -> &[f64] {
+        &self.data
+    }
+
+    /// Storage row of x cell `i` (ghost indices allowed).
+    #[inline]
+    pub(crate) fn resolve_x(&self, i: isize) -> usize {
+        debug_assert!(
+            i >= -(GHOSTS as isize) && i < (self.nx + GHOSTS) as isize,
+            "x index {i} outside ghost range"
+        );
+        (i + GHOSTS as isize) as usize
     }
 }
 
@@ -355,7 +358,8 @@ mod tests {
                 }
             }
         }
-        let slab = f.extract_slab(1, 2);
+        let mut slab = Vec::new();
+        f.extract_slab_into(1, 2, &mut slab);
         let mut g = ScalarField3::zeros(4, 2, 3);
         g.insert_slab(1, 2, &slab);
         for j in 0..2 {

@@ -136,10 +136,11 @@ impl ParticleBuffer {
         partials.iter().sum()
     }
 
-    /// Take (remove and return) every particle whose x lies outside
-    /// `[x_lo, x_hi)` — the migration step of the slab decomposition.
-    pub fn drain_outside_x(&mut self, x_lo: f64, x_hi: f64) -> ParticleBuffer {
-        let mut out = ParticleBuffer::new(self.charge, self.mass);
+    /// Remove every particle whose x lies outside `[x_lo, x_hi)` — the
+    /// migration step of the slab decomposition — handing each, in buffer
+    /// order, to `leaver` as `[x, y, z, ux, uy, uz, w]`; the particles that
+    /// stay keep their order.
+    pub fn drain_outside_x(&mut self, x_lo: f64, x_hi: f64, mut leaver: impl FnMut([f64; 7])) {
         let mut keep = 0usize;
         for i in 0..self.len() {
             if self.x[i] >= x_lo && self.x[i] < x_hi {
@@ -154,13 +155,12 @@ impl ParticleBuffer {
                 }
                 keep += 1;
             } else {
-                out.push(
+                leaver([
                     self.x[i], self.y[i], self.z[i], self.ux[i], self.uy[i], self.uz[i], self.w[i],
-                );
+                ]);
             }
         }
         self.truncate(keep);
-        out
     }
 
     /// Append all particles of `other`.
@@ -256,7 +256,7 @@ impl ParticleBuffer {
         let n = self.len();
 
         // Pass 1: cache each particle's supercell key and histogram them.
-        self.sort_keys.resize(n, 0);
+        resize_scratch(&mut self.sort_keys, n);
         self.supercell_offsets.clear();
         self.supercell_offsets.resize(n_sc + 1, 0);
         for i in 0..n {
@@ -272,7 +272,7 @@ impl ParticleBuffer {
         }
 
         // Pass 2: stable placement into the permutation.
-        self.sort_perm.resize(n, 0);
+        resize_scratch(&mut self.sort_perm, n);
         self.sort_cursor.clear();
         self.sort_cursor
             .extend_from_slice(&self.supercell_offsets[..n_sc]);
@@ -284,7 +284,7 @@ impl ParticleBuffer {
 
         // Pass 3: apply the permutation to all seven SoA arrays through the
         // single reusable scratch.
-        self.sort_scratch.resize(n, 0.0);
+        resize_scratch(&mut self.sort_scratch, n);
         let perm = &self.sort_perm;
         let scratch = &mut self.sort_scratch;
         for arr in [
@@ -330,6 +330,17 @@ impl ParticleBuffer {
     }
 }
 
+/// Set the length of a sort working buffer to `n` (contents unspecified).
+/// The first allocation leaves an eighth of head-room: a slab's particle
+/// count wobbles with migration, and a buffer sized to the count of the
+/// first step would reallocate at every new maximum after it.
+fn resize_scratch<T: Copy + Default>(buf: &mut Vec<T>, n: usize) {
+    if buf.capacity() < n {
+        buf.reserve(n + n / 8 - buf.len());
+    }
+    buf.resize(n, T::default());
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,11 +372,10 @@ mod tests {
     #[test]
     fn drain_outside_partitions_exactly() {
         let mut p = sample();
-        let out = p.drain_outside_x(0.0, 2.0);
+        let mut out = Vec::new();
+        p.drain_outside_x(0.0, 2.0, |leaver| out.push(leaver));
         assert_eq!(p.len(), 2);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out.x[0], 2.9);
-        assert_eq!(out.w[0], 3.0);
+        assert_eq!(out, [[2.9, 1.9, 0.9, 0.0, 2.0, 0.0, 3.0]]);
         assert_eq!(p.x, vec![0.1, 1.5]);
     }
 

@@ -18,7 +18,9 @@
 //!    integer arithmetic — no periodic wrapping, no atomics), and writes
 //!    the new phase-space coordinates back in place. Tiles own disjoint
 //!    particle ranges and disjoint accumulators, so the pass is race-free
-//!    without locks.
+//!    without locks. The gather shares two CIC supports per axis among
+//!    all six components ([`crate::gather`]), the deposit walks a 3×3
+//!    window per component ([`crate::deposit`]), and no step calls libm.
 //! 3. **Deterministic reduction** — tile accumulators are added into the
 //!    global [`VecField3`] in tile-index order, independent of the worker
 //!    count or schedule, so a step is bit-reproducible for a given particle
@@ -36,6 +38,7 @@
 
 use crate::deposit::{deposit_current, CurrentSink};
 use crate::field::VecField3;
+use crate::gather::{gather_six, supports};
 use crate::grid::GridSpec;
 use crate::particles::ParticleBuffer;
 use crate::pusher::boris;
@@ -93,9 +96,24 @@ fn nudge_below_seam(mut v: f64, d: f64, origin: f64, limit_cells: f64) -> f64 {
 /// binning, gather, deposition — strictly inside the box. Used by both the
 /// fused kernel and [`ParticleBuffer::apply_periodic`] so the code paths
 /// stay bit-identical.
+///
+/// A particle moves less than a cell per step, so `v` is within one box
+/// length of the box and `rem_euclid` (a software `fmod` on the baseline
+/// target) is needed only as the fallback: on `[0, l)` it is the identity,
+/// on `[l, 2l)` `v − l` is exact (Sterbenz) and so equals the exact
+/// remainder, and on `(−l, 0)` it is the one rounding `v + l` that
+/// `rem_euclid` performs itself.
 #[inline]
 pub(crate) fn wrap_coord(v: f64, l: f64) -> f64 {
-    let r = v.rem_euclid(l);
+    let r = if v >= 0.0 && v < l {
+        v
+    } else if v >= l && v < l + l {
+        v - l
+    } else if v < 0.0 && v > -l {
+        v + l
+    } else {
+        v.rem_euclid(l)
+    };
     if r >= l {
         0.0
     } else {
@@ -182,9 +200,8 @@ impl TileGrid {
 /// deposit in-bounds).
 #[derive(Debug, Default)]
 pub struct TileAccumulator {
-    jx: Vec<f64>,
-    jy: Vec<f64>,
-    jz: Vec<f64>,
+    /// Component blocks: Jx, Jy, Jz.
+    j: [Vec<f64>; 3],
     /// Global cell of local index 0 per axis (tile origin − halo).
     ox: isize,
     oy: isize,
@@ -200,7 +217,7 @@ pub struct TileAccumulator {
 impl TileAccumulator {
     /// Re-shape for `tile` and zero the contents. Steady-state calls with
     /// the same tile reuse the existing capacity (no allocation).
-    fn reset(&mut self, tile: TileBox) {
+    pub fn reset(&mut self, tile: TileBox) {
         let h = TILE_HALO as isize;
         self.ox = tile.x0 as isize - h;
         self.oy = tile.y0 as isize - h;
@@ -209,12 +226,10 @@ impl TileAccumulator {
         self.sy = tile.ey + 2 * TILE_HALO;
         self.sz = tile.ez + 2 * TILE_HALO;
         let n = self.sx * self.sy * self.sz;
-        self.jx.clear();
-        self.jx.resize(n, 0.0);
-        self.jy.clear();
-        self.jy.resize(n, 0.0);
-        self.jz.clear();
-        self.jz.resize(n, 0.0);
+        for c in &mut self.j {
+            c.clear();
+            c.resize(n, 0.0);
+        }
     }
 
     #[inline]
@@ -249,16 +264,17 @@ impl TileAccumulator {
             for lj in 0..self.sy {
                 let gj = self.oy + lj as isize;
                 let row = (li * self.sy + lj) * self.sz;
+                let [jx, jy, jz] = &self.j;
                 if yz_interior {
-                    j.x.add_row_unwrapped(gi, gj, self.oz, &self.jx[row..row + self.sz]);
-                    j.y.add_row_unwrapped(gi, gj, self.oz, &self.jy[row..row + self.sz]);
-                    j.z.add_row_unwrapped(gi, gj, self.oz, &self.jz[row..row + self.sz]);
+                    j.x.add_row_unwrapped(gi, gj, self.oz, &jx[row..row + self.sz]);
+                    j.y.add_row_unwrapped(gi, gj, self.oz, &jy[row..row + self.sz]);
+                    j.z.add_row_unwrapped(gi, gj, self.oz, &jz[row..row + self.sz]);
                 } else {
                     for lk in 0..self.sz {
                         let gk = self.oz + lk as isize;
-                        j.x.add(gi, gj, gk, self.jx[row + lk]);
-                        j.y.add(gi, gj, gk, self.jy[row + lk]);
-                        j.z.add(gi, gj, gk, self.jz[row + lk]);
+                        j.x.add(gi, gj, gk, jx[row + lk]);
+                        j.y.add(gi, gj, gk, jy[row + lk]);
+                        j.z.add(gi, gj, gk, jz[row + lk]);
                     }
                 }
             }
@@ -267,25 +283,26 @@ impl TileAccumulator {
 }
 
 impl CurrentSink for TileAccumulator {
-    // SAFETY (all three): `idx` debug-asserts its per-axis bounds, which
-    // imply `idx < sx·sy·sz = len`; the invariant holds in release because
-    // the CFL limit keeps every deposit inside the tile-plus-halo box and
-    // binning is refreshed each step. Unchecked indexing removes ~200
-    // bounds checks per particle from the hottest loop of the code base.
     #[inline]
-    fn add_jx(&mut self, i: isize, j: isize, k: isize, v: f64) {
-        let idx = self.idx(i, j, k);
-        unsafe { *self.jx.get_unchecked_mut(idx) += v };
-    }
-    #[inline]
-    fn add_jy(&mut self, i: isize, j: isize, k: isize, v: f64) {
-        let idx = self.idx(i, j, k);
-        unsafe { *self.jy.get_unchecked_mut(idx) += v };
-    }
-    #[inline]
-    fn add_jz(&mut self, i: isize, j: isize, k: isize, v: f64) {
-        let idx = self.idx(i, j, k);
-        unsafe { *self.jz.get_unchecked_mut(idx) += v };
+    fn add_row(&mut self, c: usize, i: isize, j: isize, k0: isize, row: &[f64]) {
+        let idx = self.idx(i, j, k0);
+        debug_assert!(
+            (k0 - self.oz) as usize + row.len() <= self.sz,
+            "deposit row at k = {k0} escapes the tile box in z"
+        );
+        let cells = &mut self.j[c];
+        for (t, &v) in row.iter().enumerate() {
+            // SAFETY: `idx` debug-asserts its per-axis bounds and the row
+            // stays inside the z extent, which together imply
+            // `idx + t < sx·sy·sz = len`. The invariant holds in release
+            // because the fused pass asserts every particle's start cell
+            // into its tile before depositing, binning is refreshed each
+            // step, and `deposit_current` never writes outside the 4-cell
+            // box around the start cell — which the halo covers. Unchecked
+            // indexing removes ~100 bounds checks per particle from the
+            // hottest loop of the code base.
+            unsafe { *cells.get_unchecked_mut(idx + t) += v };
+        }
     }
 }
 
@@ -304,16 +321,6 @@ pub struct FieldPatch {
     sy: usize,
     sz: usize,
 }
-
-/// Yee stagger offsets per component, matching [`crate::gather`].
-const STAGGER: [(f64, f64, f64); 6] = [
-    (0.5, 0.0, 0.0),
-    (0.0, 0.5, 0.0),
-    (0.0, 0.0, 0.5),
-    (0.0, 0.5, 0.5),
-    (0.5, 0.0, 0.5),
-    (0.5, 0.5, 0.0),
-];
 
 impl FieldPatch {
     /// Fill the view from the global fields for `tile`.
@@ -335,8 +342,8 @@ impl FieldPatch {
         }
     }
 
-    /// Interpolate E and B at one particle position (identical arithmetic
-    /// to [`crate::gather::gather_eb`], reading the cached view).
+    /// Interpolate E and B at one particle position: the trilinear body
+    /// of [`crate::gather`], reading the cached view.
     #[inline]
     fn gather_eb(
         &self,
@@ -346,43 +353,20 @@ impl FieldPatch {
         z: f64,
         x_origin_cell: f64,
     ) -> (f64, f64, f64, f64, f64, f64) {
-        let mut out = [0.0f64; 6];
-        for (c, slot) in out.iter_mut().enumerate() {
-            let (offx, offy, offz) = STAGGER[c];
-            let cx = x / g.dx - offx - x_origin_cell;
-            let cy = y / g.dy - offy;
-            let cz = z / g.dz - offz;
-            let ix = cx.floor();
-            let iy = cy.floor();
-            let iz = cz.floor();
-            let wx = cx - ix;
-            let wy = cy - iy;
-            let wz = cz - iz;
-            let li = (ix as isize - self.ox) as usize;
-            let lj = (iy as isize - self.oy) as usize;
-            let lk = (iz as isize - self.oz) as usize;
+        let axes = [
+            supports(x / g.dx, x_origin_cell, |i| (i - self.ox) as usize),
+            supports(y / g.dy, 0.0, |j| (j - self.oy) as usize),
+            supports(z / g.dz, 0.0, |k| (k - self.oz) as usize),
+        ];
+        let at = |c: usize, idx: usize| -> f64 {
             let buf = &self.comp[c];
-            debug_assert!(
-                lj + 1 < self.sy && lk + 1 < self.sz,
-                "gather support escapes the tile view in y/z"
-            );
-            let at = |di: usize, dj: usize, dk: usize| -> f64 {
-                let idx = ((li + di) * self.sy + (lj + dj)) * self.sz + lk + dk;
-                debug_assert!(idx < buf.len(), "gather index {idx} out of patch");
-                // SAFETY: the tile view spans the CIC support of every
-                // particle binned to this tile (asserted in debug).
-                unsafe { *buf.get_unchecked(idx) }
-            };
-            *slot = (1.0 - wx) * (1.0 - wy) * (1.0 - wz) * at(0, 0, 0)
-                + (1.0 - wx) * (1.0 - wy) * wz * at(0, 0, 1)
-                + (1.0 - wx) * wy * (1.0 - wz) * at(0, 1, 0)
-                + (1.0 - wx) * wy * wz * at(0, 1, 1)
-                + wx * (1.0 - wy) * (1.0 - wz) * at(1, 0, 0)
-                + wx * (1.0 - wy) * wz * at(1, 0, 1)
-                + wx * wy * (1.0 - wz) * at(1, 1, 0)
-                + wx * wy * wz * at(1, 1, 1)
-        }
-        (out[0], out[1], out[2], out[3], out[4], out[5])
+            debug_assert!(idx < buf.len(), "gather index {idx} out of patch");
+            // SAFETY: the tile view spans the CIC support of every
+            // particle binned to this tile (asserted in debug; the fused
+            // pass asserts the start cell into the tile in release).
+            unsafe { *buf.get_unchecked(idx) }
+        };
+        gather_six(at, self.sy, self.sz, &axes)
     }
 }
 
@@ -414,7 +398,7 @@ impl TilePool {
         let accs: usize = self
             .accs
             .iter()
-            .map(|a| (a.jx.capacity() + a.jy.capacity() + a.jz.capacity()) * 8)
+            .map(|a| a.j.iter().map(|c| c.capacity() * 8).sum::<usize>())
             .sum();
         let patches: usize = self
             .patches
@@ -606,19 +590,8 @@ pub fn fused_push_deposit(
                     let y1 = y0 + dt * uy / gamma;
                     let z1 = z0 + dt * uz / gamma;
                     // Currents come from the unwrapped trajectory.
-                    deposit_current(
-                        acc,
-                        g,
-                        q,
-                        *soa.w.add(i),
-                        x0,
-                        y0,
-                        z0,
-                        x1,
-                        y1,
-                        z1,
-                        x_origin_cell,
-                    );
+                    let w = *soa.w.add(i);
+                    deposit_current(acc, g, q, w, x0, y0, z0, x1, y1, z1, x_origin_cell);
                     *soa.ux.add(i) = ux;
                     *soa.uy.add(i) = uy;
                     *soa.uz.add(i) = uz;
@@ -748,6 +721,75 @@ mod tests {
         }
     }
 
+    /// The windowed kernel against the 4×4×4 oracle through the tile
+    /// sink, bit for bit, on a slab whose origin is not cell 0.
+    #[test]
+    fn windowed_deposit_equals_the_oracle_through_the_tile_sink() {
+        use crate::deposit::{deposit_current_oracle, oracle_grid, oracle_moves};
+        let g = oracle_grid();
+        let origin = 8.0;
+        // Moves start in cell (3, 3, 3): the middle tile of a 3×3×3 tiling.
+        let tile = TileGrid::new(3, 8, 8, 8).tile_box(13);
+        assert_eq!((tile.x0, tile.y0, tile.z0), (3, 3, 3));
+        let (mut new, mut old) = (TileAccumulator::default(), TileAccumulator::default());
+        new.reset(tile);
+        old.reset(tile);
+        for (n, m) in oracle_moves(300, 23).into_iter().enumerate() {
+            let (x0, x1) = ((m[0] + origin) * g.dx, (m[3] + origin) * g.dx);
+            let (y0, y1) = (m[1] * g.dy, m[4] * g.dy);
+            let (z0, z1) = (m[2] * g.dz, m[5] * g.dz);
+            let w = 0.5 + n as f64 * 0.01;
+            deposit_current(&mut new, &g, -1.0, w, x0, y0, z0, x1, y1, z1, origin);
+            deposit_current_oracle(&mut old, &g, -1.0, w, x0, y0, z0, x1, y1, z1, origin);
+            for c in 0..3 {
+                let same = new.j[c]
+                    .iter()
+                    .zip(&old.j[c])
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "component {c} diverged at move {n} {m:?}");
+            }
+        }
+        assert!(new.j.iter().flatten().any(|&v| v != 0.0));
+    }
+
+    /// The tile view's gather against the global one, bit for bit, for
+    /// positions all over a tile that touches the x ghosts and the y/z
+    /// seams.
+    #[test]
+    fn patch_gather_equals_global_gather_bitwise() {
+        let g = GridSpec::cubic(8, 6, 6, 0.35, 0.5);
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut e = VecField3::zeros(8, 6, 6);
+        let mut b = VecField3::zeros(8, 6, 6);
+        for f in [&mut e.x, &mut e.y, &mut e.z, &mut b.x, &mut b.y, &mut b.z] {
+            for i in -2..10 {
+                for j in 0..6 {
+                    for k in 0..6 {
+                        f.set(i, j, k, rng.gen_range(-1.0..1.0));
+                    }
+                }
+            }
+        }
+        let origin = 16.0;
+        let tg = TileGrid::new(4, 8, 6, 6);
+        for t in 0..tg.n_tiles() {
+            let tile = tg.tile_box(t);
+            let mut patch = FieldPatch::default();
+            patch.load(&e, &b, tile);
+            for _ in 0..200 {
+                let x = (origin + tile.x0 as f64 + rng.gen_range(0.0..tile.ex as f64)) * g.dx;
+                let y = (tile.y0 as f64 + rng.gen_range(0.0..tile.ey as f64)) * g.dy;
+                let z = (tile.z0 as f64 + rng.gen_range(0.0..tile.ez as f64)) * g.dz;
+                let got = patch.gather_eb(&g, x, y, z, origin);
+                let want = crate::gather::gather_eb(&e, &b, &g, x, y, z, origin);
+                let bits = |v: (f64, f64, f64, f64, f64, f64)| {
+                    [v.0, v.1, v.2, v.3, v.4, v.5].map(f64::to_bits)
+                };
+                assert_eq!(bits(got), bits(want), "tile {t} at ({x}, {y}, {z})");
+            }
+        }
+    }
+
     /// Discrete continuity must hold through the tiled accumulator path
     /// exactly as it does for direct deposition.
     #[test]
@@ -843,6 +885,61 @@ mod tests {
         let (lx, _, _) = g.extents();
         for &x in &sim.species[0].x {
             assert!((0.0..lx).contains(&x), "positions stay in the box: {x}");
+        }
+    }
+
+    /// The fast ranges of `wrap_coord` against the `rem_euclid` form it
+    /// replaced, bit for bit (the sign of a zero included).
+    #[test]
+    fn wrap_coord_equals_the_rem_euclid_form_bitwise() {
+        let reference = |v: f64, l: f64| {
+            let r = v.rem_euclid(l);
+            if r >= l {
+                0.0
+            } else {
+                r
+            }
+        };
+        let two52 = 4_503_599_627_370_496.0f64;
+        for l in [4.0f64, 12.0, 0.35 * 7.0, 1e-3, 24.0 * 0.5] {
+            let mut cases = vec![
+                0.0,
+                -0.0,
+                -1.0,
+                -3.0,
+                l,
+                -l,
+                2.0 * l,
+                -2.0 * l,
+                f64::next_down(l),
+                f64::next_up(l),
+                f64::next_down(2.0 * l),
+                f64::next_up(-l),
+                f64::next_down(-l),
+                f64::next_down(0.0),
+                5e-324,
+                -5e-324,
+                f64::MIN_POSITIVE,
+                -f64::MIN_POSITIVE,
+                -1e-16,
+                two52,
+                -two52,
+                1e300,
+                -1e300,
+            ];
+            let mut rng = StdRng::seed_from_u64(77);
+            for _ in 0..5000 {
+                cases.push(rng.gen_range(-1.0..2.0) * l);
+                cases.push(rng.gen_range(-50.0..50.0) * l);
+            }
+            for v in cases {
+                let (got, want) = (wrap_coord(v, l), reference(v, l));
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "wrap_coord({v:e}, {l}) = {got:e}, rem_euclid form {want:e}"
+                );
+            }
         }
     }
 

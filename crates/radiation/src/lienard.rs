@@ -1,4 +1,16 @@
 //! The Liénard-Wiechert far-field amplitude accumulator.
+//!
+//! Per (particle, direction) the kernel forms the radiation vector
+//! `G = n × ((n − β) × β̇)` and the retarded time once, then walks the
+//! frequency axis: `A(ω) += w·dt/(1 − n·β)² · G · e^{iω t_ret}`. The
+//! frequencies are log-spaced, so no phase recurrence exists; the sines
+//! and cosines come from [`sin_cos_lanes`], [`LANES`] phases at a time
+//! without a branch or a library call.
+//!
+//! **Accuracy contract:** for `|phase| ≤ 10⁶` both lane results are within
+//! 2.3·10⁻¹⁶ absolute of libm (asserted in the tests); a lane group with
+//! a larger or non-finite phase goes through libm. The summation order —
+//! 256-particle chunks, merged in chunk order — does not depend on it.
 
 use crate::detector::Detector;
 use rayon::prelude::*;
@@ -31,6 +43,9 @@ pub struct ParticleState {
     pub weight: f64,
 }
 
+/// Particles per partial sum; fixes the summation order.
+const CHUNK: usize = 256;
+
 impl RadiationAccumulator {
     /// Zeroed accumulator matching `det`.
     pub fn new(det: &Detector) -> Self {
@@ -61,6 +76,11 @@ impl RadiationAccumulator {
         &mut self.amp
     }
 
+    /// Zero the amplitudes in place (start of a new window).
+    pub fn reset(&mut self) {
+        self.amp.fill(0.0);
+    }
+
     /// Merge another accumulator (sum of amplitudes — radiation from
     /// different ranks superposes coherently).
     pub fn merge(&mut self, other: &RadiationAccumulator) {
@@ -81,39 +101,54 @@ impl RadiationAccumulator {
     /// amplitudes merged in chunk order, so the amplitude sums are
     /// bit-reproducible for *any* worker count.
     pub fn accumulate(&mut self, det: &Detector, particles: &[ParticleState], t: f64, dt: f64) {
-        const CHUNK: usize = 256;
-        let n_dirs = self.n_dirs;
-        let n_freqs = self.n_freqs;
-        let stride = n_freqs * 6;
-        let n = particles.len();
-        let partials: Vec<Vec<f64>> = (0..n.div_ceil(CHUNK))
-            .into_par_iter()
-            .map(|c| {
-                let mut acc = vec![0.0f64; n_dirs * stride];
-                for p in &particles[c * CHUNK..(c * CHUNK + CHUNK).min(n)] {
-                    add_particle(&mut acc, det, p, t, dt);
+        let state = |i: usize| particles[i];
+        self.accumulate_with(det, particles.len(), state, t, dt, &mut Vec::new());
+    }
+
+    /// [`Self::accumulate`] over the `n` particles `state(0..n)`, computed
+    /// where they are consumed instead of collected first, with the
+    /// per-chunk partial amplitudes kept in `partials` — a scratch buffer
+    /// the caller reuses from step to step.
+    pub fn accumulate_with(
+        &mut self,
+        det: &Detector,
+        n: usize,
+        state: impl Fn(usize) -> ParticleState + Sync,
+        t: f64,
+        dt: f64,
+        partials: &mut Vec<f64>,
+    ) {
+        let len = self.amp.len();
+        partials.clear();
+        partials.resize(n.div_ceil(CHUNK) * len, 0.0);
+        partials
+            .par_chunks_mut(len)
+            .enumerate()
+            .for_each(|(c, acc)| {
+                for i in c * CHUNK..(c * CHUNK + CHUNK).min(n) {
+                    add_particle(acc, det, &state(i), t, dt);
                 }
-                acc
-            })
-            .collect();
-        for part in partials {
+            });
+        for part in partials.chunks_exact(len) {
             for (a, b) in self.amp.iter_mut().zip(part) {
                 *a += b;
             }
         }
     }
 
+    /// Observed intensity `|A|²`, direction-major over (direction,
+    /// frequency).
+    pub fn intensities(&self) -> impl Iterator<Item = f64> + '_ {
+        self.amp
+            .chunks_exact(6)
+            .map(|a| a.iter().map(|v| v * v).sum())
+    }
+
     /// Observed intensity `|A|²` per (direction, frequency).
     pub fn intensity(&self) -> Vec<Vec<f64>> {
-        (0..self.n_dirs)
-            .map(|d| {
-                (0..self.n_freqs)
-                    .map(|f| {
-                        let o = (d * self.n_freqs + f) * 6;
-                        self.amp[o..o + 6].iter().map(|v| v * v).sum()
-                    })
-                    .collect()
-            })
+        let flat: Vec<f64> = self.intensities().collect();
+        flat.chunks_exact(self.n_freqs)
+            .map(<[f64]>::to_vec)
             .collect()
     }
 }
@@ -134,19 +169,100 @@ fn add_particle(acc: &mut [f64], det: &Detector, p: &ParticleState, t: f64, dt: 
         let gy = n_dot_bdot * (n[1] - p.beta[1]) - denom * p.beta_dot[1];
         let gz = n_dot_bdot * (n[2] - p.beta[2]) - denom * p.beta_dot[2];
         let scale = p.weight * dt / denom2;
+        let (sgx, sgy, sgz) = (scale * gx, scale * gy, scale * gz);
         let retard = t - (n[0] * p.r[0] + n[1] * p.r[1] + n[2] * p.r[2]);
-        for (f, &omega) in det.frequencies.iter().enumerate() {
-            let phase = omega * retard;
-            let (s, c) = phase.sin_cos();
-            let o = (d * n_freqs + f) * 6;
-            acc[o] += scale * gx * c;
-            acc[o + 1] += scale * gx * s;
-            acc[o + 2] += scale * gy * c;
-            acc[o + 3] += scale * gy * s;
-            acc[o + 4] += scale * gz * c;
-            acc[o + 5] += scale * gz * s;
+        let acc = &mut acc[d * n_freqs * 6..(d + 1) * n_freqs * 6];
+        for (omegas, acc) in det.frequencies.chunks(LANES).zip(acc.chunks_mut(LANES * 6)) {
+            // Idle lanes of the last group compute sin/cos of 0.
+            let mut phase = [0.0f64; LANES];
+            for (ph, &omega) in phase.iter_mut().zip(omegas) {
+                *ph = omega * retard;
+            }
+            let (s, c) = sin_cos_lanes(&phase);
+            for ((a, &s), &c) in acc.chunks_exact_mut(6).zip(&s).zip(&c) {
+                a[0] += sgx * c;
+                a[1] += sgx * s;
+                a[2] += sgy * c;
+                a[3] += sgy * s;
+                a[4] += sgz * c;
+                a[5] += sgz * s;
+            }
         }
     }
+}
+
+/// Phases evaluated per [`sin_cos_lanes`] call: four independent SSE2
+/// dependency chains, enough to hide the polynomial's latency.
+pub const LANES: usize = 8;
+
+/// Largest |phase| the branch-free path takes; beyond it the two-term
+/// argument reduction no longer holds the accuracy contract.
+const LANE_RANGE: f64 = 1e6;
+
+/// `(sin, cos)` of every lane (see the module docs for the contract).
+///
+/// Quadrant by magic-number rounding of `x·2/π`, a two-term Cody–Waite
+/// reduction with the 33-bit head of `π/2` (so `k·head` is exact for
+/// `|k| < 2²⁰`), the fdlibm kernel polynomials with the reduction's tail,
+/// and a select-based quadrant fix-up on the bit patterns. No lane
+/// branches, so the loop vectorises.
+#[inline]
+pub fn sin_cos_lanes(x: &[f64; LANES]) -> ([f64; LANES], [f64; LANES]) {
+    // fdlibm's constants, by bit pattern: the first 33 bits of π/2 and
+    // π/2 minus those; the sine (S1..S6) and cosine (C1..C6) kernels.
+    const PIO2_HEAD: f64 = f64::from_bits(0x3FF9_21FB_5440_0000);
+    const PIO2_TAIL: f64 = f64::from_bits(0x3DD0_B461_1A62_6331);
+    #[rustfmt::skip]
+    const S: [u64; 6] = [
+        0xBFC5_5555_5555_5549, 0x3F81_1111_1110_F8A6, 0xBF2A_01A0_19C1_61D5,
+        0x3EC7_1DE3_57B1_FE7D, 0xBE5A_E5E6_8A2B_9CEB, 0x3DE5_D93A_5ACF_D57C,
+    ];
+    #[rustfmt::skip]
+    const C: [u64; 6] = [
+        0x3FA5_5555_5555_554C, 0xBF56_C16C_16C1_5177, 0x3EFA_01A0_19CB_1590,
+        0xBE92_7E4F_809C_52AD, 0x3E21_EE9E_BDB4_B1C4, 0xBDA8_FAE9_BE88_38D4,
+    ];
+    let [s1, s2, s3, s4, s5, s6] = S.map(f64::from_bits);
+    let [c1, c2, c3, c4, c5, c6] = C.map(f64::from_bits);
+    // 1.5·2⁵²: adding it leaves the nearest integer in the low mantissa.
+    const MAGIC: f64 = 6_755_399_441_055_744.0;
+
+    let mut sin = [0.0f64; LANES];
+    let mut cos = [0.0f64; LANES];
+    if !x.iter().all(|v| v.abs() <= LANE_RANGE) {
+        for ((s, c), v) in sin.iter_mut().zip(&mut cos).zip(x) {
+            (*s, *c) = v.sin_cos();
+        }
+        return (sin, cos);
+    }
+    for l in 0..LANES {
+        let t = x[l] * std::f64::consts::FRAC_2_PI + MAGIC;
+        let k = t - MAGIC;
+        let quadrant = t.to_bits();
+        // y + y_tail = x − k·π/2, |y| ≤ π/4 (+ a rounding of k).
+        let r = x[l] - k * PIO2_HEAD;
+        let w = k * PIO2_TAIL;
+        let y = r - w;
+        let y_tail = (r - y) - w;
+        let z = y * y;
+        let z2 = z * z;
+        let ps = s2 + z * (s3 + z * s4) + z * z2 * (s5 + z * s6);
+        let v = z * y;
+        let sin_y = y - ((z * (0.5 * y_tail - v * ps) - y_tail) - v * s1);
+        let pc = z * (c1 + z * (c2 + z * c3)) + (z2 * z2) * (c4 + z * (c5 + z * c6));
+        let hz = 0.5 * z;
+        let one_hz = 1.0 - hz;
+        let cos_y = one_hz + (((1.0 - one_hz) - hz) + (z * pc - y * y_tail));
+        // Odd quadrants swap sin and cos; quadrants 2, 3 negate the sine
+        // and 1, 2 the cosine.
+        let swap = 0u64.wrapping_sub(quadrant & 1);
+        let (sb, cb) = (sin_y.to_bits(), cos_y.to_bits());
+        let sin_sign = (quadrant & 2) << 62;
+        let cos_sign = (quadrant.wrapping_add(1) & 2) << 62;
+        sin[l] = f64::from_bits(((sb & !swap) | (cb & swap)) ^ sin_sign);
+        cos[l] = f64::from_bits(((cb & !swap) | (sb & swap)) ^ cos_sign);
+    }
+    (sin, cos)
 }
 
 #[cfg(test)]
@@ -189,6 +305,136 @@ mod tests {
             .max_by(|a, b| a.1.total_cmp(b.1))
             .map(|(i, _)| i)
             .expect("nonempty")
+    }
+
+    /// The accuracy contract: within 2.3·10⁻¹⁶ of libm for |x| ≤ 10⁶ —
+    /// random phases at every magnitude, multiples of π/2 (where the
+    /// reduced argument cancels) and the quadrant boundaries at odd
+    /// multiples of π/4 — and libm itself beyond, for NaN and for ±∞.
+    #[test]
+    fn lane_sin_cos_holds_its_contract() {
+        use std::f64::consts::{FRAC_PI_2, FRAC_PI_4};
+        let mut state = 0x1234_5678_9ABC_DEF0u64;
+        let mut unit = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut xs = vec![0.0, -0.0, 5e-324, 1e-300, -1e-9, 1e6, -1e6];
+        for k in 0..700_000 {
+            if k % 7 == 0 {
+                xs.extend([k as f64 * FRAC_PI_2, -(k as f64) * FRAC_PI_2]);
+                xs.extend([
+                    (2 * k + 1) as f64 * FRAC_PI_4,
+                    f64::next_up(k as f64 * FRAC_PI_2),
+                ]);
+            }
+            let scale = [1.0, 30.0, 1e3, 1e6][k % 4];
+            xs.push((2.0 * unit() - 1.0) * scale);
+        }
+        xs.retain(|x: &f64| x.abs() <= LANE_RANGE);
+        xs.resize(xs.len().next_multiple_of(LANES), 0.0);
+        let mut worst = 0.0f64;
+        for group in xs.chunks_exact(LANES) {
+            let group: &[f64; LANES] = group.try_into().expect("whole group");
+            let (s, c) = sin_cos_lanes(group);
+            for l in 0..LANES {
+                let (ls, lc) = group[l].sin_cos();
+                let err = (s[l] - ls).abs().max((c[l] - lc).abs());
+                assert!(err <= 2.3e-16, "sin_cos({:e}) is off by {err:e}", group[l]);
+                worst = worst.max(err);
+            }
+        }
+        assert!(
+            worst > 0.0,
+            "the lanes are not libm; the bound is the contract"
+        );
+
+        for special in [
+            1.000_001e6,
+            -3e9,
+            1e300,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            let mut group = [0.25; LANES];
+            group[3] = special;
+            let (s, c) = sin_cos_lanes(&group);
+            for l in 0..LANES {
+                let (ls, lc) = group[l].sin_cos();
+                let same =
+                    |a: f64, b: f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+                assert!(
+                    same(s[l], ls) && same(c[l], lc),
+                    "fallback lane {l} of {special}"
+                );
+            }
+        }
+    }
+
+    /// Deterministic particle states with a spread of phases.
+    fn test_states(n: usize) -> Vec<ParticleState> {
+        (0..n)
+            .map(|i| {
+                let f = i as f64;
+                ParticleState {
+                    r: [0.37 * f % 11.0, 0.11 * f % 7.0, 0.05 * f % 3.0],
+                    beta: [0.2 * (0.3 * f).sin(), 0.1 * (0.7 * f).cos(), 0.05],
+                    beta_dot: [0.01 * (0.9 * f).cos(), 0.02, -0.01 * (0.2 * f).sin()],
+                    weight: 0.5 + (f % 5.0) * 0.25,
+                }
+            })
+            .collect()
+    }
+
+    /// The chunked accumulation, written as the sentence that defines it:
+    /// per 256 particles one partial from zero, partials merged in order.
+    fn collect_then_chunk(
+        det: &Detector,
+        states: &[ParticleState],
+        t: f64,
+        dt: f64,
+    ) -> RadiationAccumulator {
+        let mut total = RadiationAccumulator::new(det);
+        for chunk in states.chunks(CHUNK) {
+            let mut partial = vec![0.0f64; total.amp.len()];
+            for p in chunk {
+                add_particle(&mut partial, det, p, t, dt);
+            }
+            for (a, b) in total.amp.iter_mut().zip(partial) {
+                *a += b;
+            }
+        }
+        total
+    }
+
+    /// `accumulate` (states computed where they are consumed, partials in
+    /// a reused scratch, chunks on whatever workers there are) against
+    /// the collect-then-chunk reference, bit for bit, at particle counts
+    /// on both sides of the chunk size and across repeated calls.
+    #[test]
+    fn accumulate_equals_collect_then_chunk_bitwise() {
+        let det = Detector::fan_xy(0.3, 2, 0.2, 20.0, 13);
+        let mut partials = Vec::new();
+        for n in [0usize, 1, 255, 256, 257, 700, 1024, 1300] {
+            let states = test_states(n);
+            let want = collect_then_chunk(&det, &states, 1.5, 0.1);
+            let mut got = RadiationAccumulator::new(&det);
+            got.accumulate(&det, &states, 1.5, 0.1);
+            let bits = |acc: &RadiationAccumulator| -> Vec<u64> {
+                acc.amp.iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(&got), bits(&want), "{n} particles");
+            let mut streamed = RadiationAccumulator::new(&det);
+            streamed.accumulate_with(&det, n, |i| states[i], 1.5, 0.1, &mut partials);
+            assert_eq!(
+                bits(&streamed),
+                bits(&want),
+                "{n} particles, reused scratch"
+            );
+        }
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //!
 //! `β̇` is derived from the gathered Lorentz force:
 //! `β̇ = (f − β(β·f))/γ` with `f = (q/m)(E + β×B)` — the same fields the
-//! pusher saw, so no extra state is stored per particle.
+//! pusher saw, so no extra state is stored per particle, not even for
+//! the length of a step: [`particle_state`] is evaluated inside the
+//! accumulator's particle chunks, where it is consumed.
 //!
 //! Accumulators can be kept per *flow region* ([`RegionMode::FlowRegions`])
 //! so each ML training sample pairs a sub-volume's particles with the
@@ -80,6 +82,11 @@ pub struct RadiationPlugin {
     pub species: usize,
     accumulators: Vec<RadiationAccumulator>,
     steps_accumulated: u64,
+    /// Per-region particle indices of the current step and the
+    /// accumulators' per-chunk partial sums: scratch kept across steps so
+    /// steady-state accumulation allocates nothing.
+    members: Vec<Vec<u32>>,
+    partials: Vec<f64>,
 }
 
 impl RadiationPlugin {
@@ -94,6 +101,8 @@ impl RadiationPlugin {
             species,
             accumulators,
             steps_accumulated: 0,
+            members: vec![Vec::new(); mode.n_regions()],
+            partials: Vec::new(),
         }
     }
 
@@ -136,50 +145,79 @@ impl RadiationPlugin {
         let g = sim.spec;
         let (_, ly, _) = g.extents();
         let sp = &sim.species[self.species];
-        let qm = sp.charge / sp.mass;
-        // Partition particle states by region.
-        let mut states: Vec<Vec<ParticleState>> =
-            (0..self.mode.n_regions()).map(|_| Vec::new()).collect();
-        for i in 0..sp.len() {
-            let gamma = sp.gamma(i);
-            let beta = [sp.ux[i] / gamma, sp.uy[i] / gamma, sp.uz[i] / gamma];
-            let (ex, ey, ez, bx, by, bz) =
-                gather_eb(&sim.e, &sim.b, &g, sp.x[i], sp.y[i], sp.z[i], origin);
-            // Lorentz force per unit mass, then project out the parallel
-            // part: β̇ = (f − β(β·f))/γ.
-            let f = [
-                qm * (ex + beta[1] * bz - beta[2] * by),
-                qm * (ey + beta[2] * bx - beta[0] * bz),
-                qm * (ez + beta[0] * by - beta[1] * bx),
-            ];
-            let bf = beta[0] * f[0] + beta[1] * f[1] + beta[2] * f[2];
-            let beta_dot = [
-                (f[0] - beta[0] * bf) / gamma,
-                (f[1] - beta[1] * bf) / gamma,
-                (f[2] - beta[2] * bf) / gamma,
-            ];
-            let region = self.mode.classify(sp.y[i], ly);
-            states[region].push(ParticleState {
-                r: [sp.x[i], sp.y[i], sp.z[i]],
-                beta,
-                beta_dot,
-                weight: sp.w[i],
-            });
+        assert!(
+            u32::try_from(sp.len()).is_ok(),
+            "particle index exceeds u32"
+        );
+        // Partition the particles by region, in buffer order.
+        self.members.iter_mut().for_each(Vec::clear);
+        for (i, &y) in sp.y.iter().enumerate() {
+            self.members[self.mode.classify(y, ly)].push(i as u32);
         }
-        for (acc, st) in self.accumulators.iter_mut().zip(&states) {
-            acc.accumulate(&self.detector, st, sim.time, g.dt);
+        let (det, species) = (&self.detector, self.species);
+        for (acc, members) in self.accumulators.iter_mut().zip(&self.members) {
+            let state = |k: usize| particle_state(sim, species, members[k] as usize, origin);
+            acc.accumulate_with(
+                det,
+                members.len(),
+                state,
+                sim.time,
+                g.dt,
+                &mut self.partials,
+            );
         }
         self.steps_accumulated += 1;
     }
 
-    /// Take the accumulated window and reset (the per-sample emission of
-    /// the streaming pipeline).
+    /// Start a new window in place: zero the accumulators and the step
+    /// count (what the streaming producer does after emitting a window).
+    pub fn reset_window(&mut self) {
+        self.steps_accumulated = 0;
+        self.accumulators
+            .iter_mut()
+            .for_each(RadiationAccumulator::reset);
+    }
+
+    /// Take the accumulated window and reset, for callers that keep the
+    /// window's amplitudes.
     pub fn take_window(&mut self) -> Vec<RadiationAccumulator> {
         self.steps_accumulated = 0;
         let fresh: Vec<RadiationAccumulator> = (0..self.mode.n_regions())
             .map(|_| RadiationAccumulator::new(&self.detector))
             .collect();
         std::mem::replace(&mut self.accumulators, fresh)
+    }
+}
+
+/// The kinematic state of particle `i` of `species` as the accumulator
+/// sees it: `β` from the momentum, `β̇` from the Lorentz force of the
+/// fields gathered at its position (`origin` is the global x cell where
+/// the local fields start).
+pub fn particle_state(sim: &Simulation, species: usize, i: usize, origin: f64) -> ParticleState {
+    let sp = &sim.species[species];
+    let qm = sp.charge / sp.mass;
+    let gamma = sp.gamma(i);
+    let beta = [sp.ux[i] / gamma, sp.uy[i] / gamma, sp.uz[i] / gamma];
+    let (ex, ey, ez, bx, by, bz) =
+        gather_eb(&sim.e, &sim.b, &sim.spec, sp.x[i], sp.y[i], sp.z[i], origin);
+    // Lorentz force per unit mass, then project out the parallel
+    // part: β̇ = (f − β(β·f))/γ.
+    let f = [
+        qm * (ex + beta[1] * bz - beta[2] * by),
+        qm * (ey + beta[2] * bx - beta[0] * bz),
+        qm * (ez + beta[0] * by - beta[1] * bx),
+    ];
+    let bf = beta[0] * f[0] + beta[1] * f[1] + beta[2] * f[2];
+    let beta_dot = [
+        (f[0] - beta[0] * bf) / gamma,
+        (f[1] - beta[1] * bf) / gamma,
+        (f[2] - beta[2] * bf) / gamma,
+    ];
+    ParticleState {
+        r: [sp.x[i], sp.y[i], sp.z[i]],
+        beta,
+        beta_dot,
+        weight: sp.w[i],
     }
 }
 
