@@ -8,7 +8,12 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
+use as_cluster::collective::{Collective, NetModel, SimNetComm};
 use as_cluster::comm::CommWorld;
+use as_cluster::machine::FRONTIER;
+use as_core::config::ServingConfig;
+use as_core::encode::EncodeConfig;
+use as_core::snapshot::ModelSnapshot;
 use as_nn::inn::Inn;
 use as_nn::layers::Activation;
 use as_nn::loss::{chamfer, mmd_imq, sinkhorn_emd};
@@ -24,6 +29,7 @@ use as_radiation::detector::Detector;
 use as_radiation::lienard::{sin_cos_lanes, LANES};
 use as_radiation::lienard::{ParticleState, RadiationAccumulator};
 use as_radiation::plugin::{RadiationPlugin, RegionMode};
+use as_serve::engine::{posterior_batch, InferenceEngine};
 use as_staging::engine::{open_stream, StreamConfig};
 use as_tensor::{matmul, matmul_a_bt, matmul_at_b, TensorRng, Workspace};
 
@@ -491,6 +497,113 @@ fn bench_allreduce(c: &mut Criterion) {
     g.finish();
 }
 
+/// Seconds per 32 KiB `allreduce_sum_f32` on a two-rank Frontier-model
+/// `SimNetComm` world (the slower rank of one run), and the modelled
+/// seconds per call.
+fn netsim_bucket_seconds(time_scale: f64, calls: usize) -> (f64, f64) {
+    let model = NetModel::from_machine(&FRONTIER, 2, FRONTIER.gpus_per_node, time_scale);
+    let ranks: Vec<_> = SimNetComm::world(2, model)
+        .into_iter()
+        .map(|comm| {
+            std::thread::spawn(move || {
+                let mut bucket = vec![comm.rank() as f32; 8192];
+                let t0 = std::time::Instant::now();
+                for _ in 0..calls {
+                    comm.allreduce_sum_f32(&mut bucket);
+                }
+                black_box(bucket[0]);
+                let wall = t0.elapsed().as_secs_f64();
+                (wall, comm.modelled_comm_seconds())
+            })
+        })
+        .collect();
+    let (wall, modelled) = ranks
+        .into_iter()
+        .map(|h| h.join().unwrap())
+        .fold((0f64, 0f64), |a, r| (a.0.max(r.0), a.1.max(r.1)));
+    (wall / calls as f64, modelled / calls as f64)
+}
+
+/// Where a thread waits for something other than work, stand-alone: what
+/// the OS timer makes of a microsecond delay against one pacer charge,
+/// the two thread hand-offs of a serve round trip, and how much wall time
+/// the netsim backend injects per modelled second (the numbers beside
+/// `serve.*` and `cluster.allreduce_bucket_us` in a traced benchmark run).
+fn bench_waits(_c: &mut Criterion) {
+    const CALLS: usize = 2000;
+    let per_call_ns = |f: &mut dyn FnMut()| {
+        fastest(3, || {
+            for _ in 0..CALLS {
+                f()
+            }
+        }) / CALLS as f64
+            * 1e9
+    };
+    let asked = std::time::Duration::from_nanos(1_400);
+    let slept = per_call_ns(&mut || std::thread::sleep(asked));
+    let paced = SimNetComm::world(1, NetModel::uniform(0.0, 1e9, 1.0)).remove(0);
+    let charged = per_call_ns(&mut || paced.account_payload(1_400));
+    println!("waits/thread_sleep_1.4us                 {slept:>10.0} ns per call");
+    println!("waits/pacer_charge_1.4us                 {charged:>10.0} ns per call");
+
+    let mut model = ArtificialScientistModel::new(ModelConfig::small(), 7);
+    let snapshot = ModelSnapshot::capture(&mut model, EncodeConfig::default(), 1, 0);
+    let serving = ServingConfig {
+        cache_capacity: 0,
+        posterior_samples: 32,
+        ..ServingConfig::default()
+    };
+    let engine = InferenceEngine::start(serving);
+    engine.install(&snapshot);
+    let spectrum = TensorRng::seeded(11)
+        .standard_normal([1, model.cfg.spectrum_dim])
+        .data()
+        .to_vec();
+    let round_trip = per_call_ns(&mut || {
+        black_box(engine.query(spectrum.clone()));
+    });
+    let forward = per_call_ns(&mut || {
+        black_box(posterior_batch(&model, &[&spectrum], 1, 32));
+    });
+    engine.shutdown();
+    println!(
+        "waits/solo_query_round_trip              {:>10.1} us",
+        round_trip * 1e-3
+    );
+    println!(
+        "waits/posterior_batch_1                  {:>10.1} us",
+        forward * 1e-3
+    );
+    println!(
+        "waits: hand-off overhead = round trip − forward = {:.1} us (two thread wake-ups)",
+        (round_trip - forward) * 1e-3
+    );
+
+    // Fastest of five runs a side: the two hand-offs of a bucket (≈ 50 µs)
+    // dwarf the ≈ 2 µs it models, so the difference is good to ± 1–2 µs.
+    let best = |time_scale: f64| {
+        (0..5)
+            .map(|_| netsim_bucket_seconds(time_scale, CALLS))
+            .fold((f64::INFINITY, 0.0), |a, r| (a.0.min(r.0), r.1))
+    };
+    let (recorded, _) = best(0.0);
+    let (injecting, modelled) = best(1.0);
+    println!(
+        "waits/netsim_allreduce_32k/time_scale_0  {:>10.1} us",
+        recorded * 1e6
+    );
+    println!(
+        "waits/netsim_allreduce_32k/time_scale_1  {:>10.1} us",
+        injecting * 1e6
+    );
+    println!(
+        "waits: injected {:.2} us per call for {:.2} us modelled — injected ÷ modelled = {:.2}",
+        (injecting - recorded) * 1e6,
+        modelled * 1e6,
+        (injecting - recorded) / modelled
+    );
+}
+
 criterion_group!(
     benches,
     bench_pic_step,
@@ -502,6 +615,7 @@ criterion_group!(
     bench_learner,
     bench_inn,
     bench_staging,
-    bench_allreduce
+    bench_allreduce,
+    bench_waits
 );
 criterion_main!(benches);

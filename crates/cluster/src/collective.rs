@@ -65,6 +65,7 @@ use crate::comm::{CommWorld, Communicator};
 use crate::error::CommError;
 use crate::machine::{MachineSpec, FRONTIER, SUMMIT};
 use crate::netsim::NetSim;
+use crate::pace::Pacer;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -486,10 +487,13 @@ pub struct NetModel {
     pub intra_latency: f64,
     /// Intra-node link bandwidth, bytes/second.
     pub intra_bytes_per_second: f64,
-    /// Fraction of the modelled delay injected as real wall time
-    /// (`thread::sleep`). `1.0` delays in "real" modelled time, `0.0`
-    /// records the cost without sleeping (numerics are unaffected either
-    /// way — delays never change payloads).
+    /// Fraction of the modelled delay injected as real wall time. `1.0`
+    /// delays in real modelled time: an endpoint's injected wall time
+    /// equals what it was charged to within one pacing granule (250 µs,
+    /// `pace.rs`) — a charge below the granule is slept together with
+    /// later ones, not on its own. `0.0` records the cost and never
+    /// sleeps (numerics are unaffected either way — delays never change
+    /// payloads).
     pub time_scale: f64,
     /// Rank → modelled node placement; empty = every rank its own node.
     pub nodes: NodeMap,
@@ -643,6 +647,9 @@ pub struct SimNetComm<C: Collective> {
     dp_local_nanos: AtomicU64,
     /// World-shared data-plane clock and wire-byte counter.
     dp_clock: Arc<DataPlaneClock>,
+    /// Wall time this endpoint still owes for what both clocks charged
+    /// (`time_scale` × modelled), slept off a granule at a time.
+    pacer: Pacer,
 }
 
 impl<C: Collective> SimNetComm<C> {
@@ -662,6 +669,7 @@ impl<C: Collective> SimNetComm<C> {
             world_max_nanos,
             dp_local_nanos: AtomicU64::new(0),
             dp_clock,
+            pacer: Pacer::default(),
         }
     }
 
@@ -676,7 +684,8 @@ impl<C: Collective> SimNetComm<C> {
     }
 
     /// Charge `secs` of modelled fabric time to this rank's timeline,
-    /// fold it into the world maximum, and optionally sleep it off.
+    /// fold it into the world maximum, and owe its `time_scale` share of
+    /// wall time to the pacer.
     fn charge_seconds(&self, secs: f64) {
         if secs <= 0.0 {
             return;
@@ -684,12 +693,7 @@ impl<C: Collective> SimNetComm<C> {
         let nanos = (secs * 1e9).round() as u64;
         let local = self.local_nanos.fetch_add(nanos, Ordering::Relaxed) + nanos;
         self.world_max_nanos.fetch_max(local, Ordering::Relaxed);
-        if self.model.time_scale > 0.0 {
-            let wall = secs * self.model.time_scale;
-            if wall > 0.0 {
-                std::thread::sleep(std::time::Duration::from_secs_f64(wall));
-            }
-        }
+        self.pacer.charge(secs * self.model.time_scale);
     }
 
     /// Sum the hop costs of this rank's events and charge them as one
@@ -852,12 +856,7 @@ impl<C: Collective> Collective for SimNetComm<C> {
         let nanos = (model_seconds * 1e9).round() as u64;
         let local = self.dp_local_nanos.fetch_add(nanos, Ordering::Relaxed) + nanos;
         self.dp_clock.max_nanos.fetch_max(local, Ordering::Relaxed);
-        if self.model.time_scale > 0.0 {
-            let wall = model_seconds * self.model.time_scale;
-            if wall > 0.0 {
-                std::thread::sleep(std::time::Duration::from_secs_f64(wall));
-            }
-        }
+        self.pacer.charge(model_seconds * self.model.time_scale);
     }
     fn modelled_dataplane_seconds(&self) -> f64 {
         self.dp_clock.max_nanos.load(Ordering::Relaxed) as f64 * 1e-9
@@ -1029,6 +1028,37 @@ mod tests {
             // charged 0.5 s in parallel, so the clock reads 0.5, not 1.0.
             assert!((c.modelled_dataplane_seconds() - 0.5).abs() < 1e-9);
         });
+    }
+
+    #[test]
+    fn injected_wall_time_follows_the_model_not_the_os_timer() {
+        use std::time::Instant;
+        // 1.4 µs per charge (an intra-node 32 KiB bucket on Frontier).
+        // Slept one by one — ≥ 65 µs each on a stock timer — 20 000 of
+        // them took ≈ 1.3 s; paced, they take the 28 ms they model.
+        let c = SimNetComm::world(1, NetModel::uniform(0.0, 1e9, 1.0)).remove(0);
+        let start = Instant::now();
+        for _ in 0..20_000 {
+            c.account_payload(1_400);
+        }
+        let wall = start.elapsed();
+        assert!(wall >= Duration::from_micros(28_000 - 250), "{wall:?}");
+        assert!(wall < Duration::from_millis(500), "{wall:?}");
+        // The modelled clock still books every charge, rounded on its own.
+        let modelled = (20_000u64 * 1_400) as f64 * 1e-9;
+        assert_eq!(c.modelled_comm_seconds().to_bits(), modelled.to_bits());
+
+        // Collective and data-plane charges owe to one balance: 2 + 2
+        // charges of 100 µs cross the 250 µs granule only together.
+        let c = SimNetComm::world(1, NetModel::uniform(0.0, 1e9, 1.0)).remove(0);
+        let start = Instant::now();
+        for _ in 0..2 {
+            c.account_payload(100_000);
+            c.account_dataplane(0, 100e-6);
+        }
+        assert!(start.elapsed() >= Duration::from_micros(300));
+        assert_eq!(c.modelled_comm_seconds(), 200e-6);
+        assert_eq!(c.modelled_dataplane_seconds(), 200e-6);
     }
 
     #[test]

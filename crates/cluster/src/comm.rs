@@ -407,11 +407,11 @@ impl Communicator {
                     // retransmitted after a timeout, so it arrives late
                     // rather than never.
                     inj.dropped.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(Duration::from_millis(4 * inj.faults.delay_ms.max(1)));
+                    crate::pace::sleep_for(Duration::from_millis(4 * inj.faults.delay_ms.max(1)));
                 }
                 FaultAction::Delay => {
                     inj.delayed.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(Duration::from_millis(inj.faults.delay_ms.max(1)));
+                    crate::pace::sleep_for(Duration::from_millis(inj.faults.delay_ms.max(1)));
                 }
                 FaultAction::Duplicate => {
                     // The twin carries a junk payload: receivers discard

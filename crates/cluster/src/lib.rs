@@ -24,6 +24,9 @@
 //! - [`sockets`] — open-socket accounting reproducing the N/RCCL bootstrap
 //!   limit the paper hits beyond ~100 nodes.
 //! - [`fom`] — the weak-scaling Figure-of-Merit model behind Fig. 4.
+//! - `pace` (private) — the only place the workspace sleeps: the pacer
+//!   that injects [`collective::SimNetComm`]'s modelled time as wall time,
+//!   and the fault injector's delays.
 
 pub mod algos;
 pub(crate) mod cells;
@@ -34,6 +37,7 @@ pub mod error;
 pub mod fom;
 pub mod machine;
 pub mod netsim;
+mod pace;
 pub mod sockets;
 
 pub mod prelude {

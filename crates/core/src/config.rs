@@ -196,6 +196,9 @@ pub struct ServingConfig {
     pub max_batch: usize,
     /// Micro-batching: after the first query of a batch arrives, wait at
     /// most this long (microseconds) for more before running the pass.
+    /// The wait runs only while some admitted query has not reached the
+    /// queue yet; queued queries join at once and a lone client never
+    /// waits.
     pub max_wait_us: u64,
     /// Bounded request queue: submitters wait while this many queries
     /// are already in flight (closed-loop back-pressure, like the SST

@@ -87,7 +87,12 @@ pub fn sync_gradients<C: Collective>(comm: &C, model: &mut ArtificialScientistMo
 
 /// Default gradient-bucket size (elements) used by the streaming DDP
 /// consumer ranks: 8192 f32 = 32 KiB per bucket message, small enough to
-/// pipeline through the ring, large enough to amortise per-message cost.
+/// pipeline through the ring. It does **not** amortise the per-message
+/// cost on the in-process backends: measured on the 2-vCPU reference VM, a
+/// two-rank bucket all-reduce takes ≈ 55 µs (`waits/netsim_allreduce_32k`
+/// in the kernels bench) — thread hand-offs, the time a `memcpy` moves
+/// ≈ 250 KB. The value stays because changing it re-chunks the ring and so
+/// the summation order for ≥ 3 ranks (every pinned `param_hash` moves).
 pub const DEFAULT_BUCKET_ELEMS: usize = 8192;
 
 /// Average the accumulated gradients of `model` across all ranks of

@@ -20,9 +20,12 @@
 //! Requests enter a bounded queue ([`as_core::config::ServingConfig`]'s
 //! `queue_bound`; submitters park on a condvar until the worker frees a
 //! slot — closed-loop back-pressure, the serving twin of the SST queue,
-//! with no spin). The worker
-//! coalesces up to `max_batch` requests, waiting at most `max_wait_us`
-//! after the first arrival, then answers cache hits from the LRU
+//! with no spin). The worker coalesces up to `max_batch` requests:
+//! whatever is already queued joins the batch at once, and it waits —
+//! at most `max_wait_us` after the first arrival — only while some
+//! admitted query has not reached the queue yet (`in_flight` exceeds
+//! the batch), so a lone client never meets the timer. It then answers
+//! cache hits from the LRU
 //! ([`crate::cache::PosteriorCache`], keyed by
 //! `(spectrum hash, version)`) and runs **one** batched forward for the
 //! distinct misses. Responses are a pure function of
@@ -37,9 +40,9 @@ use as_core::config::ServingConfig;
 use as_core::snapshot::{ModelSnapshot, SnapshotSink};
 use as_nn::model::ArtificialScientistModel;
 use as_tensor::{Tensor, TensorRng, Workspace};
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{self, Receiver, Sender};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -72,6 +75,13 @@ pub struct Response {
 struct Request {
     spectrum: Vec<f32>,
     reply: Sender<Response>,
+}
+
+/// On the worker's queue: a query, or the message that ends an idle
+/// worker's blocking receive at shutdown.
+enum Msg {
+    Query(Request),
+    Stop,
 }
 
 #[derive(Debug, Clone)]
@@ -141,7 +151,15 @@ pub struct InferenceEngine {
     cfg: ServingConfig,
     slot: parking_lot::Mutex<Option<Arc<ServedModel>>>,
     slot_cell: Cell,
-    queue_tx: Sender<Request>,
+    /// Notified under the slot lock by `install` and `shutdown`; what
+    /// `wait_for_version` and a worker without a snapshot block on.
+    slot_changed: parking_lot::Condvar,
+    queue_tx: Sender<Msg>,
+    /// Queries admitted by `query()` and not yet answered. A batch is
+    /// subtracted *before* its replies go out, so a client's next query
+    /// is never mistaken for its previous one: `in_flight > batch.len()`
+    /// means an admitted query is still on its way to the queue.
+    in_flight: AtomicUsize,
     /// Bounded-queue admission control: current depth under a mutex,
     /// with a condvar parking submitters while the queue is full (the
     /// worker notifies on every dequeue). Replaces the historical
@@ -185,7 +203,9 @@ impl InferenceEngine {
             cfg,
             slot: parking_lot::Mutex::new(None),
             slot_cell: track_cell!("serve::Engine.slot"),
+            slot_changed: parking_lot::Condvar::new(),
             queue_tx,
+            in_flight: AtomicUsize::new(0),
             queue_depth: parking_lot::Mutex::new(0),
             queue_space: parking_lot::Condvar::new(),
             queue_cell: track_cell!("serve::Engine.queue_depth"),
@@ -229,6 +249,7 @@ impl InferenceEngine {
             // resolvable through `archived` for reference verification.
             self.archive.lock().push(Arc::clone(&served));
             *slot = Some(served);
+            self.slot_changed.notify_all();
         }
         // Old-version cache entries are unreachable by key (the version
         // is mixed into the cache key); flushing just frees capacity.
@@ -263,16 +284,17 @@ impl InferenceEngine {
     /// (true) or `timeout` elapses (false).
     pub fn wait_for_version(&self, min_version: u64, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
+        let mut slot = self.slot.lock();
         loop {
-            if let Some(s) = self.current() {
-                if s.version >= min_version {
-                    return true;
-                }
+            self.slot_cell.read();
+            if slot.as_ref().is_some_and(|s| s.version >= min_version) {
+                return true;
             }
-            if Instant::now() >= deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
                 return false;
             }
-            std::thread::sleep(Duration::from_micros(200));
+            self.slot_changed.wait_for(&mut slot, left);
         }
     }
 
@@ -281,8 +303,21 @@ impl InferenceEngine {
     /// model's `spectrum_dim` length. Must not be called after
     /// [`InferenceEngine::shutdown`], nor before any snapshot is
     /// installed if the engine is shutting down.
+    ///
+    /// Admission order: the query is counted `in_flight` first (from
+    /// then on the worker may hold a batch open for it), then waits for
+    /// a slot in the bounded queue, then is queued; it stops counting
+    /// once its batch is computed, just before the reply is sent.
     pub fn query(&self, spectrum: Vec<f32>) -> Response {
+        self.submit(spectrum)
+            .recv()
+            .unwrap_or_else(|_| panic!("inference engine dropped an in-flight query"))
+    }
+
+    /// Admit and queue one query; the answer arrives on the channel.
+    fn submit(&self, spectrum: Vec<f32>) -> Receiver<Response> {
         let (reply_tx, reply_rx) = channel::unbounded();
+        self.in_flight.fetch_add(1, Ordering::SeqCst);
         // Bounded queue: closed-loop submitters park until the worker
         // frees a slot instead of growing the queue without bound (the
         // condvar wait releases the depth lock while asleep).
@@ -300,14 +335,12 @@ impl InferenceEngine {
             self.stats.lock().queue_full_waits += 1;
         }
         self.queue_tx
-            .send(Request {
+            .send(Msg::Query(Request {
                 spectrum,
                 reply: reply_tx,
-            })
+            }))
             .unwrap_or_else(|_| panic!("inference engine worker is gone"));
         reply_rx
-            .recv()
-            .unwrap_or_else(|_| panic!("inference engine dropped an in-flight query"))
     }
 
     /// Serving telemetry snapshot.
@@ -333,6 +366,13 @@ impl InferenceEngine {
     /// Drain outstanding queries and stop the batch worker (idempotent).
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        // Under the slot lock, so a worker between its shutdown check
+        // and its wait for a first snapshot cannot miss the notify.
+        let slot = self.slot.lock();
+        self.slot_changed.notify_all();
+        drop(slot);
+        // A repeated shutdown finds the worker (and its receiver) gone.
+        let _ = self.queue_tx.send(Msg::Stop);
         let handle = self.worker.lock().take();
         if let Some(h) = handle {
             if h.join().is_err() {
@@ -342,34 +382,34 @@ impl InferenceEngine {
     }
 
     /// Worker: micro-batch requests (max_batch / max_wait_us) and serve
-    /// each batch against one pinned snapshot.
-    fn worker_loop(&self, queue_rx: Receiver<Request>) {
-        loop {
-            let first = match queue_rx.recv_timeout(Duration::from_millis(2)) {
-                Ok(r) => r,
-                Err(RecvTimeoutError::Timeout) => {
-                    if self.shutdown.load(Ordering::SeqCst) && *self.queue_depth.lock() == 0 {
-                        return;
-                    }
-                    continue;
-                }
-                Err(RecvTimeoutError::Disconnected) => return,
+    /// each batch against one pinned snapshot. Idle, it blocks in `recv`
+    /// (the stop message only ends that); it leaves once shutdown is
+    /// flagged and every admitted query is answered.
+    fn worker_loop(&self, queue_rx: Receiver<Msg>) {
+        while !(self.shutdown.load(Ordering::SeqCst) && self.in_flight.load(Ordering::SeqCst) == 0)
+        {
+            let first = match queue_rx.recv() {
+                Ok(Msg::Query(r)) => r,
+                Ok(Msg::Stop) => continue,
+                Err(_) => return,
             };
             self.dequeue_one();
             let mut batch = vec![first];
             let deadline = Instant::now() + Duration::from_micros(self.cfg.max_wait_us);
             while batch.len() < self.cfg.max_batch {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                match queue_rx.recv_timeout(deadline - now) {
-                    Ok(r) => {
-                        self.dequeue_one();
-                        batch.push(r);
+                // Work-conserving: the backlog joins the batch at once;
+                // the timer runs only while an admitted query has not
+                // reached the queue yet.
+                let next = queue_rx.try_recv().or_else(|_| {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if self.in_flight.load(Ordering::SeqCst) <= batch.len() || left.is_zero() {
+                        return Err(());
                     }
-                    Err(_) => break,
-                }
+                    queue_rx.recv_timeout(left).map_err(|_| ())
+                });
+                let Ok(Msg::Query(r)) = next else { break };
+                self.dequeue_one();
+                batch.push(r);
             }
             self.serve_batch(&batch);
         }
@@ -383,26 +423,34 @@ impl InferenceEngine {
         self.queue_space.notify_one();
     }
 
+    /// The live snapshot, blocking until the first install; `None` if
+    /// the engine is shut down before one lands.
+    fn pin_snapshot(&self) -> Option<Arc<ServedModel>> {
+        let mut slot = self.slot.lock();
+        loop {
+            self.slot_cell.read();
+            if slot.is_some() || self.shutdown.load(Ordering::SeqCst) {
+                return slot.clone();
+            }
+            self.slot_changed.wait(&mut slot);
+        }
+    }
+
     fn serve_batch(&self, batch: &[Request]) {
         // Pin exactly one snapshot for the whole batch — the hot-swap
-        // consistency point. Spin briefly if no snapshot has landed yet.
-        let served = loop {
-            if let Some(s) = self.current() {
-                break s;
+        // consistency point.
+        let Some(served) = self.pin_snapshot() else {
+            // Shutdown before any snapshot: answer with the empty
+            // version-0 response rather than wedging the clients.
+            self.in_flight.fetch_sub(batch.len(), Ordering::SeqCst);
+            for req in batch {
+                let _ = req.reply.send(Response {
+                    outputs: Vec::new(),
+                    version: 0,
+                    cached: false,
+                });
             }
-            if self.shutdown.load(Ordering::SeqCst) {
-                // Shutdown before any snapshot: answer with the empty
-                // version-0 response rather than wedging the clients.
-                for req in batch {
-                    let _ = req.reply.send(Response {
-                        outputs: Vec::new(),
-                        version: 0,
-                        cached: false,
-                    });
-                }
-                return;
-            }
-            std::thread::sleep(Duration::from_micros(200));
+            return;
         };
         let version = served.version;
 
@@ -442,6 +490,7 @@ impl InferenceEngine {
             stats.batches += 1;
             stats.batch_hist[batch.len()] += 1;
         }
+        self.in_flight.fetch_sub(batch.len(), Ordering::SeqCst);
 
         for (i, out) in hits {
             let _ = batch[i].reply.send(Response {
@@ -688,6 +737,135 @@ mod tests {
             "with 3 in-flight queries, capacity 1 and a wedged worker, \
              at least one submitter must have parked"
         );
+        engine.shutdown();
+    }
+
+    #[test]
+    fn a_solo_client_never_meets_the_batching_timer() {
+        // A two-second timer: had the worker waited it out once per
+        // query (it used to), 50 queries would take 100 s.
+        let engine = InferenceEngine::start(ServingConfig {
+            max_wait_us: 2_000_000,
+            posterior_samples: 1,
+            ..ServingConfig::default()
+        });
+        engine.install(&snap(3, 1));
+        let dim = ModelConfig::small().spectrum_dim;
+        let start = Instant::now();
+        for tag in 0..50 {
+            assert_eq!(engine.query(spectrum(tag, dim)).version, 1);
+        }
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "a lone client waited for company: {:?}",
+            start.elapsed()
+        );
+        let report = engine.report();
+        assert_eq!((report.batches, report.batch_hist[1]), (50, 50));
+        assert_eq!(engine.in_flight.load(Ordering::SeqCst), 0);
+        engine.shutdown();
+    }
+
+    #[test]
+    fn a_backlog_coalesces_without_the_timer() {
+        // No snapshot yet: the worker takes a first batch and blocks on
+        // the slot condvar while the rest pile up in the queue. With a
+        // zero timer, only the drain of what is already queued can fill
+        // the next batch — and at least three of the six are left.
+        let engine = InferenceEngine::start(ServingConfig {
+            max_batch: 3,
+            max_wait_us: 0,
+            posterior_samples: 1,
+            ..ServingConfig::default()
+        });
+        let dim = ModelConfig::small().spectrum_dim;
+        let replies: Vec<_> = (0..6)
+            .map(|tag| engine.submit(spectrum(tag, dim)))
+            .collect();
+        assert_eq!(engine.in_flight.load(Ordering::SeqCst), 6);
+        engine.install(&snap(3, 1));
+        for reply in replies {
+            assert_eq!(reply.recv().map(|r| r.version), Ok(1));
+        }
+        let report = engine.report();
+        assert_eq!(report.queries, 6);
+        assert!(report.batch_hist[3] >= 1, "{:?}", report.batch_hist);
+        assert_eq!(engine.in_flight.load(Ordering::SeqCst), 0);
+        engine.shutdown();
+    }
+
+    #[test]
+    fn four_closed_loop_clients_still_coalesce() {
+        // Whenever the worker picks a query up, the other clients are
+        // queued or admitted (`in_flight` says so), so it waits for a
+        // second one; the timer is long enough that a descheduled client
+        // does not break the pairs up.
+        let engine = InferenceEngine::start(ServingConfig {
+            max_batch: 2,
+            max_wait_us: 20_000,
+            cache_capacity: 0,
+            posterior_samples: 1,
+            ..ServingConfig::default()
+        });
+        engine.install(&snap(3, 1));
+        let dim = ModelConfig::small().spectrum_dim;
+        let clients: Vec<_> = (0..4u64)
+            .map(|c| {
+                let e = Arc::clone(&engine);
+                std::thread::spawn(move || {
+                    for q in 0..200 {
+                        assert_eq!(e.query(spectrum(c * 1000 + q, dim)).outputs.len(), 12);
+                    }
+                })
+            })
+            .collect();
+        for c in clients {
+            c.join().unwrap();
+        }
+        let report = engine.report();
+        assert_eq!(report.queries, 800);
+        assert!(report.mean_batch() >= 1.5, "{:?}", report.batch_hist);
+        assert_eq!(engine.in_flight.load(Ordering::SeqCst), 0);
+        engine.shutdown();
+        assert_eq!(engine.in_flight.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn wait_for_version_wakes_on_install_and_times_out_otherwise() {
+        let engine = InferenceEngine::start(ServingConfig::default());
+        let timeout = Duration::from_millis(30);
+        let start = Instant::now();
+        assert!(!engine.wait_for_version(1, timeout));
+        assert!(start.elapsed() >= timeout, "gave up early");
+
+        let waiter = {
+            let e = Arc::clone(&engine);
+            std::thread::spawn(move || e.wait_for_version(2, Duration::from_secs(120)))
+        };
+        engine.install(&snap(3, 1)); // not enough: the waiter wants v2
+        engine.install(&snap(4, 2));
+        assert!(waiter.join().unwrap(), "install must release the waiter");
+        assert!(start.elapsed() < Duration::from_secs(60));
+        assert!(engine.wait_for_version(2, Duration::ZERO), "already there");
+        assert!(!engine.wait_for_version(3, Duration::ZERO));
+        engine.shutdown();
+    }
+
+    #[test]
+    fn shutdown_is_prompt_idempotent_and_answers_the_unserved() {
+        // Idle engine: the worker sits in a blocking receive and only the
+        // stop message ends it.
+        let idle = InferenceEngine::start(ServingConfig::default());
+        idle.shutdown();
+        idle.shutdown();
+        // A query admitted before any snapshot is answered (empty, v0)
+        // by a shutdown instead of being left hanging.
+        let engine = InferenceEngine::start(ServingConfig::default());
+        let reply = engine.submit(spectrum(1, ModelConfig::small().spectrum_dim));
+        engine.shutdown();
+        let resp = reply.recv().unwrap();
+        assert_eq!((resp.version, resp.outputs.len()), (0, 0));
+        assert_eq!(engine.in_flight.load(Ordering::SeqCst), 0);
         engine.shutdown();
     }
 

@@ -89,6 +89,17 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     }
 }
 
+/// Whether a [`Condvar::wait_for`] returned because its timeout elapsed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WaitTimeoutResult(bool);
+
+impl WaitTimeoutResult {
+    /// True when the wait ended by timeout rather than by a notify.
+    pub fn timed_out(&self) -> bool {
+        self.0
+    }
+}
+
 /// Condition variable compatible with [`MutexGuard`].
 #[derive(Debug, Default)]
 pub struct Condvar(std::sync::Condvar);
@@ -106,13 +117,26 @@ impl Condvar {
     /// for the notify itself — condvar-guarded state is covered by the
     /// lockset check on its protecting mutex.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let inner = guard.inner.take().expect("guard present before wait");
-        #[cfg(feature = "detect")]
-        as_detect::lock_release(guard.meta);
-        let reacquired = self.0.wait(inner).unwrap_or_else(|e| e.into_inner());
-        #[cfg(feature = "detect")]
-        as_detect::lock_acquire(guard.meta);
-        guard.inner = Some(reacquired);
+        park(guard, |inner| {
+            (self.0.wait(inner).unwrap_or_else(|e| e.into_inner()), ())
+        })
+    }
+
+    /// [`Condvar::wait`] bounded by `timeout`; the result says whether
+    /// the wait timed out (as upstream, a wake-up may still be spurious —
+    /// re-check the condition).
+    pub fn wait_for<T>(
+        &self,
+        guard: &mut MutexGuard<'_, T>,
+        timeout: std::time::Duration,
+    ) -> WaitTimeoutResult {
+        park(guard, |inner| {
+            let (inner, result) = self
+                .0
+                .wait_timeout(inner, timeout)
+                .unwrap_or_else(|e| e.into_inner());
+            (inner, WaitTimeoutResult(result.timed_out()))
+        })
     }
 
     /// Wake one waiter.
@@ -124,6 +148,23 @@ impl Condvar {
     pub fn notify_all(&self) {
         self.0.notify_all();
     }
+}
+
+/// Hand the std guard to `sleep` (a condvar wait that returns it
+/// re-acquired) and put it back, telling `detect` the lock was released
+/// in between.
+fn park<'a, T, R>(
+    guard: &mut MutexGuard<'a, T>,
+    sleep: impl FnOnce(std::sync::MutexGuard<'a, T>) -> (std::sync::MutexGuard<'a, T>, R),
+) -> R {
+    let inner = guard.inner.take().expect("guard present before wait");
+    #[cfg(feature = "detect")]
+    as_detect::lock_release(guard.meta);
+    let (reacquired, result) = sleep(inner);
+    #[cfg(feature = "detect")]
+    as_detect::lock_acquire(guard.meta);
+    guard.inner = Some(reacquired);
+    result
 }
 
 #[cfg(test)]
@@ -154,5 +195,16 @@ mod tests {
             c.wait(&mut ready);
         }
         t.join().unwrap();
+    }
+
+    #[test]
+    fn wait_for_times_out_and_keeps_the_guard_usable() {
+        let (m, c) = (Mutex::new(7), Condvar::new());
+        let mut g = m.lock();
+        assert!(c
+            .wait_for(&mut g, std::time::Duration::from_millis(1))
+            .timed_out());
+        *g += 1;
+        assert_eq!(*g, 8);
     }
 }

@@ -3,7 +3,7 @@
 //! Usage: `cargo run -p as-xtask -- lint [--root <dir>]`
 //!
 //! Lexically scans every non-shim `src/` file in the workspace and
-//! enforces the four determinism/robustness invariants documented in
+//! enforces the five determinism/robustness invariants documented in
 //! `docs/ARCHITECTURE.md` § Correctness tooling. Suppressions live in
 //! `lint-allowlist.txt` at the repo root and must each carry a
 //! justification and still match a live violation.

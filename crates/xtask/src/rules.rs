@@ -1,4 +1,4 @@
-//! The four lint rules.
+//! The five lint rules.
 //!
 //! All rules operate on *pre-processed* source (comments/strings blanked,
 //! `#[cfg(test)]` items removed — see [`crate::lexer`]), so needles never
@@ -10,6 +10,7 @@
 //! | `hot-path-unwrap`     | no `.unwrap()`/`.expect(` in staging/cluster/core — hot paths return typed `StagingError`/`CommError` |
 //! | `raw-sync`            | no `std::thread::spawn` / raw `std::sync` primitives outside the shims and `core::workflow` — everything must go through the instrumented shims |
 //! | `unordered-par-reduce`| no `.sum()`/`.product()`/`.reduce()` at the top level of a rayon parallel-iterator chain — float reduction order must not depend on the split |
+//! | `raw-sleep`           | no `thread::sleep` outside `crates/cluster/src/pace.rs` and the shims — the OS timer overshoots a microsecond sleep ≈ 50×, so waits block on their event and modelled delays go through the pacer |
 
 /// One lint hit: rule id, repo-relative path, 1-based line, and the
 /// original source line text (for reporting and allowlist matching).
@@ -25,6 +26,7 @@ pub const RULE_HASH: &str = "hash-collections";
 pub const RULE_UNWRAP: &str = "hot-path-unwrap";
 pub const RULE_SYNC: &str = "raw-sync";
 pub const RULE_REDUCE: &str = "unordered-par-reduce";
+pub const RULE_SLEEP: &str = "raw-sleep";
 
 fn is_ident(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
@@ -190,6 +192,15 @@ pub fn unordered_par_reduce(path: &str, original: &str, stripped: &str) -> Vec<V
     out
 }
 
+/// `raw-sleep`: any `thread::sleep` call or import.
+pub fn raw_sleep(path: &str, original: &str, stripped: &str) -> Vec<Violation> {
+    let mut out = Vec::new();
+    for off in find_bounded(stripped, "thread::sleep") {
+        push(&mut out, RULE_SLEEP, path, original, stripped, off);
+    }
+    out
+}
+
 /// Run every rule whose scope covers `path` (repo-relative).
 pub fn run_all(path: &str, original: &str) -> Vec<Violation> {
     let stripped = crate::lexer::blank_test_items(&crate::lexer::strip(original));
@@ -205,6 +216,9 @@ pub fn run_all(path: &str, original: &str) -> Vec<Violation> {
     }
     if in_scope_reduce(path) {
         out.extend(unordered_par_reduce(path, original, &stripped));
+    }
+    if in_scope_sleep(path) {
+        out.extend(raw_sleep(path, original, &stripped));
     }
     out
 }
@@ -231,6 +245,10 @@ fn in_scope_sync(path: &str) -> bool {
 
 fn in_scope_reduce(path: &str) -> bool {
     !is_tooling(path)
+}
+
+fn in_scope_sleep(path: &str) -> bool {
+    !is_tooling(path) && path != "crates/cluster/src/pace.rs"
 }
 
 #[cfg(test)]
@@ -287,6 +305,26 @@ mod tests {
         assert_eq!(v[0].rule, RULE_REDUCE);
     }
 
+    #[test]
+    fn fixture_raw_sleep_fires_once() {
+        let bad = "fn poll() {\n    std::thread::sleep(std::time::Duration::from_micros(200));\n}\n\
+                   fn ok(c: &parking_lot::Condvar, g: &mut parking_lot::MutexGuard<'_, u8>) { c.wait(g); }\n";
+        let v = raw_sleep("crates/serve/src/x.rs", bad, &prep(bad));
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].line, 2);
+        assert_eq!(v[0].rule, RULE_SLEEP);
+    }
+
+    #[test]
+    fn raw_sleep_spares_tests_comments_and_the_pacer() {
+        let src = "// thread::sleep overshoots\nfn sleep_for() {}\n\
+                   #[cfg(test)]\nmod tests {\n    fn t() { std::thread::sleep(D); }\n}\n";
+        assert!(raw_sleep("crates/serve/src/x.rs", src, &prep(src)).is_empty());
+        let pacer = "pub fn sleep_for(d: Duration) { std::thread::sleep(d); }\n";
+        assert!(run_all("crates/cluster/src/pace.rs", pacer).is_empty());
+        assert_eq!(run_all("crates/cluster/src/comm.rs", pacer).len(), 1);
+    }
+
     // -- negative space: stripped regions and scopes --
 
     #[test]
@@ -321,5 +359,8 @@ mod tests {
         assert!(!in_scope_sync("crates/shims/rayon/src/lib.rs"));
         assert!(in_scope_sync("crates/bench/src/bin/fig_faults.rs"));
         assert!(in_scope_hash("src/lib.rs"));
+        assert!(in_scope_sleep("crates/bench/src/bin/fig_serve.rs"));
+        assert!(!in_scope_sleep("crates/cluster/src/pace.rs"));
+        assert!(!in_scope_sleep("crates/shims/criterion/src/lib.rs"));
     }
 }
