@@ -23,7 +23,7 @@ use as_pic::domain::DistributedSim;
 use as_pic::gather::gather_eb;
 use as_pic::grid::GridSpec;
 use as_pic::khi::KhiSetup;
-use as_pic::tile::{fused_push_deposit, TileAccumulator, TileGrid, TilePool, Wrap};
+use as_pic::tile::{fused_push_deposit, TileAccumulator, TileGrid, TilePool};
 use as_pic::tweac::TweacSetup;
 use as_radiation::detector::Detector;
 use as_radiation::lienard::{sin_cos_lanes, LANES};
@@ -66,8 +66,8 @@ fn bench_pic_step(c: &mut Criterion) {
 }
 
 /// Fused supercell-tiled step vs the seed's push-then-serial-deposit
-/// reference, same warm plasma — the microbenchmark behind
-/// `fig_step_throughput`.
+/// reference, same warm plasma (end to end the fused step is
+/// `pic.particle_steps_per_s` in `BENCHMARK.json`).
 fn bench_fused_vs_reference(c: &mut Criterion) {
     let mut g = c.benchmark_group("pic_step_pipeline");
     g.sample_size(10);
@@ -153,8 +153,7 @@ fn bench_producer(c: &mut Criterion) {
     };
     let mut sim = setup.build(slab);
     sim.run(4);
-    let (lx, ly, lz) = slab.extents();
-    let wrap = Wrap::Periodic3 { lx, ly, lz };
+    let extents = slab.extents();
     let particles: usize = sim.species.iter().map(|s| s.len()).sum();
     let electrons = sim.species[0].len();
 
@@ -202,7 +201,9 @@ fn bench_producer(c: &mut Criterion) {
     let mut fused = |sim: &mut as_pic::sim::Simulation| {
         j.clear();
         for sp in &mut sim.species {
-            fused_push_deposit(sp, &sim.e, &sim.b, &mut j, &slab, 0.0, wrap, 4, &mut pool);
+            fused_push_deposit(
+                sp, &sim.e, &sim.b, &mut j, &slab, 0.0, extents, 4, &mut pool,
+            );
         }
     };
     g.throughput(Throughput::Elements(particles as u64));
@@ -251,7 +252,6 @@ fn bench_producer(c: &mut Criterion) {
         let mut d = DistributedSim::new(peer, global, setup.all_species(&global));
         while steps.recv().is_ok() {
             d.step();
-            d.refresh_ghosts();
         }
     });
     let mut d = DistributedSim::new(ranks.remove(0), global, setup.all_species(&global));
@@ -260,7 +260,6 @@ fn bench_producer(c: &mut Criterion) {
         b.iter(|| {
             go.send(()).expect("follower alive");
             d.step();
-            d.refresh_ghosts();
         })
     });
     drop(go);

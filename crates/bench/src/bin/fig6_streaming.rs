@@ -10,6 +10,7 @@
 //! variant stops at 4096 nodes — it did not scale further in the paper.
 
 use as_bench::{fig6_per_node_samples, format_box_row};
+use as_cluster::collective::SoloComm;
 use as_core::config::WorkflowConfig;
 use as_core::noop::run_noop_consumer;
 use as_core::producer::run_producer;
@@ -29,7 +30,7 @@ fn real_engine_run() {
     let (mut rw, mut rr) = open_stream(stream_cfg);
     let (pw, rw) = (pw.remove(0), rw.remove(0));
     let cfg2 = cfg.clone();
-    let producer = crossbeam::thread::spawn(move || run_producer(&cfg2, pw, rw));
+    let producer = crossbeam::thread::spawn(move || run_producer(&cfg2, SoloComm, pw, rw));
     let radiation_drain = {
         let rr = rr.remove(0);
         crossbeam::thread::spawn(move || run_noop_consumer(rr))

@@ -19,7 +19,7 @@
 //! - **tail loss** — the training still has to learn.
 //!
 //! Scenarios: `baseline` (fault-tolerant path, no events — prices the
-//! FT collectives against the legacy rows of `BENCH_workflow.json`),
+//! FT collectives against an unfaulted run of the same topology),
 //! `chaos@r` for each `--drop-rates` entry (drop/delay/duplicate at rate
 //! `r`, 1 ms delay quantum), `restart` (rank 1 killed on a checkpoint
 //! boundary and restored), and `rank_death` (rank 1 killed past its

@@ -55,8 +55,8 @@
 //! declares the serialized size via [`Collective::account_payload`] or,
 //! for broadcast fan-outs, [`Collective::account_broadcast_payload`] —
 //! the consumer's sample broadcast does). The workflow surfaces the
-//! counter per run in `WorkflowReport` and `BENCH_workflow.json`, along
-//! with the [`Collective::world_messages_sent`] hop counter.
+//! counter per run in `WorkflowReport`, along with the
+//! [`Collective::world_messages_sent`] hop counter.
 
 use crate::algos::{
     allgather_events, allreduce_events, broadcast_events, gather_events, CollectiveAlgo, MsgEvent,

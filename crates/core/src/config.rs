@@ -269,7 +269,8 @@ pub struct WorkflowConfig {
     pub queue_limit: usize,
     /// Simulation (writer) ranks: the KHI box is slab-decomposed along x
     /// into this many shards, one producer thread each. Must divide
-    /// `grid.nx`. `1` keeps the original single-domain producer path.
+    /// `grid.nx`. `1` is the same driver over a one-rank world (the slab is
+    /// the whole box; nothing sent or priced).
     pub producers: usize,
     /// Learner (reader) ranks: each consumes its round-robin share of the
     /// streamed windows and trains data-parallel, averaging gradients
@@ -508,7 +509,7 @@ mod tests {
 
     #[test]
     fn small_grid_admits_the_benchmark_topologies() {
-        // The fig_workflow_scaling sweep needs 1, 2 and 4 producer slabs.
+        // The decomposition-invariance tests need 1, 2 and 4 producer slabs.
         for m in [1usize, 2, 4] {
             let mut c = WorkflowConfig::small();
             c.producers = m;

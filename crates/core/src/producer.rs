@@ -8,15 +8,17 @@
 //! (measured and reported as [`ProducerReport::stall_seconds`] — only the
 //! time actually blocked on the full queue, not the emit wall time).
 //!
-//! Two drivers share the emission path:
-//! - [`run_producer`]: the original single-domain producer (one rank owns
-//!   the whole box) — the exact legacy 1×1 behaviour;
-//! - [`run_sharded_producer`]: one rank of an M-way slab decomposition
-//!   ([`as_pic::domain::DistributedSim`]). Each rank publishes its local
-//!   particles as one block of the global multi-writer SST step (offsets
-//!   allgathered per window, since migration moves particles between
-//!   slabs), and the per-region radiation amplitudes are merged across
-//!   ranks by superposition (allreduce) before rank 0 emits the spectra.
+//! There is one driver, [`run_producer`]: one rank of an M-way slab
+//! decomposition ([`as_pic::domain::DistributedSim`]). Each rank publishes
+//! its local particles as one block of the global multi-writer SST step
+//! (offsets allgathered per window, since migration moves particles
+//! between slabs), and the per-region radiation amplitudes are merged
+//! across ranks by superposition (allreduce) before rank 0 emits the
+//! spectra. M = 1 is the same loop over
+//! [`as_cluster::collective::SoloComm`]: the slab is the whole box, the
+//! collectives are the identity, and nothing is sent, counted or priced —
+//! so the published spectra do not depend on M beyond round-off (asserted
+//! in `tests/decomposition_invariance.rs`).
 
 use crate::config::WorkflowConfig;
 use crate::faults::StreamId;
@@ -24,7 +26,6 @@ use as_cluster::collective::Collective;
 use as_openpmd::attribute::{UnitDimension, Value};
 use as_openpmd::writer::OpenPmdWriter;
 use as_pic::domain::DistributedSim;
-use as_pic::plugin::Plugin;
 use as_pic::sim::Simulation;
 use as_radiation::plugin::{RadiationPlugin, RegionMode};
 use as_staging::engine::SstWriter;
@@ -49,7 +50,7 @@ pub struct ProducerReport {
     /// Inter-rank payload bytes the producer group's collective backend
     /// moved (world-wide counter observed at this rank's exit; halo
     /// exchanges, particle migration, offset allgathers, radiation
-    /// merges). Zero for the single-domain producer, which has no peers.
+    /// merges). Zero for a lone rank, which has no peers.
     pub comm_bytes: u64,
     /// Modelled fabric seconds charged by the collective backend
     /// (world-wide; nonzero only under `CommBackend::NetSim`).
@@ -145,55 +146,14 @@ fn arm_faults(cfg: &WorkflowConfig, pw: &mut OpenPmdWriter, rw: &mut OpenPmdWrit
     }
 }
 
-/// Run the single-domain producer to completion (the legacy 1×1 path).
-pub fn run_producer(
-    cfg: &WorkflowConfig,
-    particle_stream: SstWriter,
-    radiation_stream: SstWriter,
-) -> ProducerReport {
-    let mut sim = cfg.khi.build(cfg.grid);
-    let mut radiation = flow_regions(cfg);
-    let names = region_names(&radiation);
-    let mut pw = OpenPmdWriter::new(particle_stream);
-    let mut rw = OpenPmdWriter::new(radiation_stream);
-    arm_faults(cfg, &mut pw, &mut rw);
-
-    let mut report = ProducerReport::zero();
-
-    for step in 0..cfg.total_steps {
-        let t0 = Instant::now();
-        sim.step();
-        radiation.after_step(&sim);
-        report.sim_seconds += t0.elapsed().as_secs_f64();
-        report.steps += 1;
-
-        if (step + 1) % cfg.steps_per_sample == 0 {
-            let t1 = Instant::now();
-            let n = sim.species[0].len() as u64;
-            emit_window(cfg, &sim, &mut radiation, &names, &mut pw, &mut rw, n, 0);
-            report.emit_seconds += t1.elapsed().as_secs_f64();
-            // An armed truncation firing inside the emit means this
-            // window (on at least one stream) never published: the
-            // producer "crashed" here. Stop emitting.
-            if pw.is_truncated() || rw.is_truncated() {
-                break;
-            }
-            report.windows += 1;
-        }
-    }
-    pw.close();
-    rw.close();
-    finish_report(&mut report, &pw, &rw);
-    report
-}
-
-/// Run one rank of an M-way sharded producer to completion.
+/// Run one rank of the M-way producer to completion.
 ///
-/// `comm` spans the producer ranks (world size M); the global KHI box is
-/// slab-decomposed along x via [`DistributedSim`]. Every rank contributes
-/// its particle shard to the shared multi-writer particle stream; the
-/// radiation stream carries the rank-merged spectra, written by rank 0.
-pub fn run_sharded_producer<C: Collective>(
+/// `comm` spans the producer ranks (world size M; `SoloComm` for M = 1);
+/// the global KHI box is slab-decomposed along x via [`DistributedSim`].
+/// Every rank contributes its particle shard to the shared multi-writer
+/// particle stream; the radiation stream carries the rank-merged spectra,
+/// written by rank 0.
+pub fn run_producer<C: Collective>(
     cfg: &WorkflowConfig,
     comm: C,
     particle_stream: SstWriter,
@@ -215,9 +175,6 @@ pub fn run_sharded_producer<C: Collective>(
     for step in 0..cfg.total_steps {
         let t0 = Instant::now();
         d.step();
-        // The final half-B update leaves ghosts one half-step stale; the
-        // radiation gather needs fresh halos.
-        d.refresh_ghosts();
         radiation.accumulate_for(&d.local, d.offset_cells as f64);
         report.sim_seconds += t0.elapsed().as_secs_f64();
         report.steps += 1;
@@ -276,11 +233,10 @@ pub fn run_sharded_producer<C: Collective>(
 }
 
 /// Publish one emission window on both streams. `global_n` and `offset`
-/// describe this rank's block of the global particle array (the whole
-/// array for the single-domain producer); the radiation spectra are
-/// written by writer rank 0 only, from the (already rank-merged)
-/// accumulators, under the names `region_names` built, and the window is
-/// then reset in place.
+/// describe this rank's block of the global particle array; the radiation
+/// spectra are written by writer rank 0 only, from the (already
+/// rank-merged) accumulators, under the names `region_names` built, and
+/// the window is then reset in place.
 #[allow(clippy::too_many_arguments)]
 fn emit_window(
     cfg: &WorkflowConfig,
@@ -395,99 +351,71 @@ fn emit_window(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use as_staging::engine::{open_stream, StreamConfig};
+    use crate::workflow::spawn_producers;
+    use as_cluster::collective::SoloComm;
+    use as_cluster::comm::CommWorld;
+    use as_staging::engine::{open_stream, SstReader, StreamConfig};
 
-    #[test]
-    fn producer_publishes_expected_window_count() {
-        let mut cfg = WorkflowConfig::small();
-        cfg.total_steps = 8;
-        cfg.steps_per_sample = 4;
-        let (mut pw, mut pr) = open_stream(StreamConfig::default());
-        let (mut rw, mut rr) = open_stream(StreamConfig::default());
-        let (pw, rw) = (pw.remove(0), rw.remove(0));
-        let cfg2 = cfg.clone();
-        let producer = std::thread::spawn(move || run_producer(&cfg2, pw, rw));
-        // Drain both streams.
-        let mut p_reader = pr.remove(0);
-        let mut r_reader = rr.remove(0);
-        let mut windows = 0;
-        loop {
-            let ps = p_reader.begin_step();
-            let rs = r_reader.begin_step();
-            match (ps, rs) {
-                (Some(mut a), Some(mut b)) => {
-                    let x = a.get_f64("particles/e/position/x");
-                    assert!(!x.is_empty());
-                    let i0 = b.get_f32("radiation/region0/intensity");
-                    assert_eq!(i0.len(), cfg.detector.n_freqs());
-                    p_reader.end_step(a);
-                    r_reader.end_step(b);
-                    windows += 1;
-                }
-                (None, None) => break,
-                _ => panic!("streams out of sync"),
-            }
-        }
-        assert_eq!(windows, 2);
-        let report = producer.join().unwrap();
-        assert_eq!(report.steps, 8);
-        assert_eq!(report.windows, 2);
-        assert!(report.sim_seconds > 0.0);
-        // 7 particle arrays × N × 8 B per window, plus the radiation
-        // stream: the report must carry the real published volume.
-        let particles = (cfg.grid.cells() * cfg.khi.ppc) as u64;
-        assert!(report.bytes >= report.windows * particles * 7 * 8);
-        assert!(report.stall_seconds <= report.emit_seconds);
-    }
-
-    #[test]
-    fn sharded_producer_assembles_the_global_particle_array() {
-        use as_cluster::comm::CommWorld;
-        let mut cfg = WorkflowConfig::small();
-        cfg.total_steps = 8;
-        cfg.steps_per_sample = 4;
-        cfg.producers = 2;
-        let stream_cfg = StreamConfig {
-            writers: 2,
-            ..StreamConfig::default()
-        };
-        let (pw, mut pr) = open_stream(stream_cfg);
-        let (rw, mut rr) = open_stream(stream_cfg);
-        let endpoints = CommWorld::new(2).into_endpoints();
-        let handles: Vec<_> = endpoints
-            .into_iter()
-            .zip(pw.into_iter().zip(rw))
-            .map(|(comm, (p, r))| {
-                let cfg = cfg.clone();
-                std::thread::spawn(move || run_sharded_producer(&cfg, comm, p, r))
-            })
-            .collect();
-        let mut p_reader = pr.remove(0);
-        let mut r_reader = rr.remove(0);
+    /// Drain both streams of an `m`-writer run; the shards of every window
+    /// must tile the full electron array.
+    fn drain(cfg: &WorkflowConfig, mut pr: SstReader, mut rr: SstReader) -> u64 {
         let electrons = cfg.grid.cells() * cfg.khi.ppc;
         let mut windows = 0;
         loop {
-            match (p_reader.begin_step(), r_reader.begin_step()) {
+            match (pr.begin_step(), rr.begin_step()) {
                 (Some(mut a), Some(mut b)) => {
-                    // Blocks from both writer ranks tile the full array.
                     let x = a.get_f64("particles/e/position/x");
                     assert_eq!(x.len(), electrons, "shards must tile the box");
                     let i0 = b.get_f32("radiation/region0/intensity");
                     assert_eq!(i0.len(), cfg.detector.n_freqs());
-                    p_reader.end_step(a);
-                    r_reader.end_step(b);
+                    pr.end_step(a);
+                    rr.end_step(b);
                     windows += 1;
                 }
-                (None, None) => break,
+                (None, None) => return windows,
                 _ => panic!("streams out of sync"),
             }
         }
-        assert_eq!(windows, 2);
-        for h in handles {
-            let report = h.join().unwrap();
-            assert_eq!(report.steps, 8);
-            assert_eq!(report.windows, 2);
-            assert!(report.bytes > 0, "every shard publishes payload");
+    }
+
+    #[test]
+    fn producer_publishes_the_global_array_at_every_m() {
+        for m in [1, 2] {
+            let mut cfg = WorkflowConfig::small();
+            cfg.total_steps = 8;
+            cfg.steps_per_sample = 4;
+            cfg.producers = m;
+            let stream_cfg = StreamConfig {
+                writers: m,
+                ..StreamConfig::default()
+            };
+            let (pw, mut pr) = open_stream(stream_cfg);
+            let (rw, mut rr) = open_stream(stream_cfg);
+            let handles = if m == 1 {
+                spawn_producers(&cfg, vec![SoloComm], pw, rw)
+            } else {
+                spawn_producers(&cfg, CommWorld::new(m).into_endpoints(), pw, rw)
+            };
+            assert_eq!(drain(&cfg, pr.remove(0), rr.remove(0)), 2);
+            // 7 particle arrays × N × 8 B per window, plus the radiation
+            // stream: the reports must carry the real published volume.
+            let particles = (cfg.grid.cells() * cfg.khi.ppc) as u64;
+            let mut bytes = 0;
+            for h in handles {
+                let report = h.join().unwrap();
+                assert_eq!(report.steps, 8);
+                assert_eq!(report.windows, 2);
+                assert!(report.sim_seconds > 0.0);
+                assert!(report.bytes > 0, "every shard publishes payload");
+                assert!(report.stall_seconds <= report.emit_seconds);
+                assert_eq!(
+                    report.comm_messages == 0,
+                    m == 1,
+                    "a lone rank sends nothing"
+                );
+                bytes += report.bytes;
+            }
+            assert!(bytes >= 2 * particles * 7 * 8);
         }
     }
 }

@@ -9,7 +9,9 @@
 //!   block of a shared multi-writer SST step. The per-window radiation
 //!   amplitudes are merged across producer ranks by superposition before
 //!   rank 0 emits the spectra — so consumers see *one* coherent global
-//!   stream regardless of M.
+//!   stream regardless of M. Every rank of every topology runs the single
+//!   driver [`crate::producer::run_producer`]; `producers = 1` is that
+//!   loop over [`SoloComm`], the slab being the whole box.
 //! - **K consumers** (`WorkflowConfig::consumers`): each learner rank has
 //!   its own [`as_staging::engine::SstReader`] pair and a collective
 //!   endpoint ([`as_cluster::collective::Collective`]). SST delivers
@@ -30,9 +32,7 @@
 //! costs while keeping numerics bit-identical (see
 //! `tests/comm_backends.rs`).
 //!
-//! `producers = 1` dispatches to the original single-domain producer
-//! code path, bit-for-bit; a lone consumer keeps the historical unmixed
-//! RNG seeds — existing 1×1 runs keep their exact trajectories.
+//! A lone consumer keeps the historical unmixed RNG seeds.
 //!
 //! Consumer pacing follows [`crate::config::ConsumerPolicy`]: blocking
 //! every-step (back-pressure throttles the producers) or `DropSteps`
@@ -64,11 +64,11 @@
 use crate::config::{CommBackend, Placement, WorkflowConfig};
 use crate::consumer::{run_consumer, ConsumerReport};
 use crate::faults::InjectedFault;
-use crate::producer::{run_producer, run_sharded_producer, ProducerReport};
+use crate::producer::{run_producer, ProducerReport};
 use crate::snapshot::SnapshotSink;
 use as_cluster::collective::{Collective, NetModel, SimNetComm, SoloComm};
 use as_cluster::comm::CommWorld;
-use as_staging::engine::{open_stream_monitored, SstReader, StreamConfig};
+use as_staging::engine::{open_stream_monitored, SstReader, SstWriter, StreamConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -403,8 +403,8 @@ fn aggregate_producer(reports: &[ProducerReport]) -> ProducerReport {
 ///
 /// This is the **only** place concrete collective backends are
 /// constructed: [`CommBackend`] picks the transport, and one world is
-/// built per rank group (producers; consumers; plus a second consumer
-/// world for the comm-worker when
+/// built per rank group of two or more ranks (producers; consumers; plus
+/// a second consumer world for the comm-worker when
 /// [`WorkflowConfig::overlap_grad_sync`] is on). Everything downstream
 /// is generic over [`Collective`].
 pub fn run_workflow(cfg: &WorkflowConfig) -> WorkflowReport {
@@ -514,30 +514,13 @@ where
 
     let t0 = std::time::Instant::now();
 
-    // Producer side: M slab ranks (or the legacy single-domain path).
-    let producer_handles: Vec<std::thread::JoinHandle<ProducerReport>> = if m == 1 {
-        let (pw0, rw0) = (
-            pw.into_iter()
-                .next()
-                .unwrap_or_else(|| panic!("stream opened with one writer")),
-            rw.into_iter()
-                .next()
-                .unwrap_or_else(|| panic!("stream opened with one writer")),
-        );
-        let producer_cfg = cfg.clone();
-        vec![std::thread::spawn(move || {
-            run_producer(&producer_cfg, pw0, rw0)
-        })]
+    // Producer side: one driver for every topology, like the consumer
+    // side below. A lone producer runs it over the degenerate `SoloComm`
+    // world, so no producer world is built or priced for it.
+    let producer_handles = if m == 1 {
+        spawn_producers(cfg, vec![SoloComm], pw, rw)
     } else {
-        let endpoints = make_world(m, RankGroup::Producer);
-        endpoints
-            .into_iter()
-            .zip(pw.into_iter().zip(rw))
-            .map(|(comm, (pw_i, rw_i))| {
-                let producer_cfg = cfg.clone();
-                std::thread::spawn(move || run_sharded_producer(&producer_cfg, comm, pw_i, rw_i))
-            })
-            .collect()
+        spawn_producers(cfg, make_world(m, RankGroup::Producer), pw, rw)
     };
 
     // Consumer side: one driver for every topology. A lone learner runs
@@ -613,6 +596,24 @@ where
         degradations,
         lost_windows,
     }
+}
+
+/// Spawn one [`run_producer`] thread per endpoint of `world`, rank `i`
+/// writing through the `i`-th writer of each stream.
+pub(crate) fn spawn_producers<C: Collective>(
+    cfg: &WorkflowConfig,
+    world: Vec<C>,
+    particle_writers: Vec<SstWriter>,
+    radiation_writers: Vec<SstWriter>,
+) -> Vec<std::thread::JoinHandle<ProducerReport>> {
+    world
+        .into_iter()
+        .zip(particle_writers.into_iter().zip(radiation_writers))
+        .map(|(comm, (pw, rw))| {
+            let cfg = cfg.clone();
+            std::thread::spawn(move || run_producer(&cfg, comm, pw, rw))
+        })
+        .collect()
 }
 
 /// A consumer rank's report, or the panic payload it died with.

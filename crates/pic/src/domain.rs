@@ -4,7 +4,9 @@
 //! PIConGPU's spatial domain decomposition (§IV-A: "Spatial domain
 //! decomposition distributes computational domains across GPUs …
 //! asynchronous communication strategies between compute nodes minimize
-//! communication overhead"). Each step exchanges:
+//! communication overhead"). Every rank runs the step body of
+//! [`crate::sim::Simulation`] on its slab; what lies beyond the slab's x
+//! faces is the neighbour ring, with which each step exchanges:
 //!
 //! 1. **field halos** (E and B ghost slabs, width 2) with both neighbours,
 //! 2. **current halos** (ghost-cell deposits folded into the neighbour's
@@ -12,26 +14,25 @@
 //! 3. **migrating particles** that crossed the slab boundary.
 //!
 //! A field's ghost layers go stale only when the field is written — E by
-//! `advance_e`, B by `advance_b` — so the driver keeps one flag per field
-//! and an exchange point sends only a stale field: per step plus
-//! [`DistributedSim::refresh_ghosts`] that is E once and B twice, 18 ghost
-//! messages per rank instead of 42, the values received identical.
-//! Payloads are recycled: the `Vec` a neighbour sent is the buffer of this
-//! rank's next send.
+//! `advance_e`, B by `advance_b` — so the step exchanges a field right
+//! after writing it and nowhere else: E once and B twice (the second
+//! leaves the ghosts current on return, see [`crate::sim`]), 18 ghost
+//! messages per rank and step. Payloads are recycled: the `Vec` a
+//! neighbour sent is the buffer of this rank's next send.
 //!
-//! A single-rank world degenerates to the periodic wraps of
-//! [`crate::sim::Simulation`]; the equivalence is asserted in the tests.
+//! A one-rank world has no ring: its slab is the whole periodic box and
+//! [`DistributedSim::step`] *is* [`Simulation::step`] (nothing sent,
+//! nothing counted; bit equality asserted in the tests).
 //!
 //! All exchanges go through the [`Collective`] trait, so the same slab
 //! code runs over the in-process channel backend or the netsim-delayed
 //! fabric model (`as_cluster::collective::SimNetComm`); the backend
 //! defaults to [`ChannelComm`] for existing call sites.
 
-use crate::field::{ScalarField3, GHOSTS};
+use crate::field::{ScalarField3, VecField3, GHOSTS};
 use crate::grid::GridSpec;
 use crate::particles::ParticleBuffer;
-use crate::sim::{Simulation, SimulationBuilder};
-use crate::tile::{fused_push_deposit, wrap_coord, Wrap};
+use crate::sim::{Halo, Simulation, SimulationBuilder, Which};
 use as_cluster::collective::{ChannelComm, Collective};
 
 // Base tags; a swap uses `tag` leftwards and `tag + 1` rightwards, vector
@@ -46,7 +47,7 @@ const TAG_PART: u64 = 104;
 pub struct DistributedSim<C: Collective = ChannelComm> {
     comm: C,
     /// The local simulation state (fields sized to the slab). Read it for
-    /// diagnostics; the halo exchange tracks only the driver's own field
+    /// diagnostics; the halo exchange tracks only the step's own field
     /// updates, so E or B written through this field never reach the
     /// neighbours' ghost layers.
     pub local: Simulation,
@@ -54,33 +55,22 @@ pub struct DistributedSim<C: Collective = ChannelComm> {
     pub offset_cells: usize,
     /// Global grid spec.
     pub global: GridSpec,
-    /// Whether E / B was written since its ghost layers were last
-    /// exchanged (indexed by [`Which`]).
-    stale: [bool; 2],
     /// Idle message payload buffers (see the module docs).
     spare: Vec<Vec<f64>>,
-    /// Test oracle: exchange at every stage, stale or not.
-    #[cfg(test)]
-    exchange_always: bool,
 }
 
-/// The neighbour links of one rank.
+/// The neighbour links of one rank of a world of two or more: the
+/// [`Halo`] of its slab `[x_lo, x_lo + slab_len)`.
 struct Ring<'a, C> {
     comm: &'a C,
     left: usize,
     right: usize,
+    x_lo: f64,
+    slab_len: f64,
+    spare: &'a mut Vec<Vec<f64>>,
 }
 
-impl<'a, C: Collective> Ring<'a, C> {
-    fn of(comm: &'a C) -> Self {
-        let (rank, size) = (comm.rank(), comm.size());
-        Ring {
-            comm,
-            left: (rank + size - 1) % size,
-            right: (rank + 1) % size,
-        }
-    }
-
+impl<C: Collective> Ring<'_, C> {
     /// Send `to_left` / `to_right` to the neighbours with tags `tag` /
     /// `tag + 1` and return what they sent this rank:
     /// `(from_right, from_left)`.
@@ -95,38 +85,87 @@ impl<'a, C: Collective> Ring<'a, C> {
         )
     }
 
+    fn take_buf(&mut self) -> Vec<f64> {
+        let mut buf = self.spare.pop().unwrap_or_default();
+        buf.clear();
+        buf
+    }
+
     /// Exchange ghost slabs of one scalar field with both neighbours.
-    fn exchange_ghosts(&self, f: &mut ScalarField3, tag: u64, spare: &mut Vec<Vec<f64>>) {
+    fn exchange_ghosts(&mut self, f: &mut ScalarField3, tag: u64) {
         let nx = f.dims().0 as isize;
         // Send my low interior to the left (their right ghosts) and my
         // high interior to the right (their left ghosts).
-        let (mut low, mut high) = (take_buf(spare), take_buf(spare));
+        let (mut low, mut high) = (self.take_buf(), self.take_buf());
         f.extract_slab_into(0, GHOSTS, &mut low);
         f.extract_slab_into(nx - GHOSTS as isize, GHOSTS, &mut high);
         let (from_right, from_left) = self.swap(tag, low, high);
         f.insert_slab(nx, GHOSTS, &from_right);
         f.insert_slab(-(GHOSTS as isize), GHOSTS, &from_left);
-        spare.extend([from_right, from_left]);
+        self.spare.extend([from_right, from_left]);
     }
 
     /// Fold ghost-deposited current into the neighbours' interiors.
-    fn reduce_current_ghosts(&self, f: &mut ScalarField3, tag: u64, spare: &mut Vec<Vec<f64>>) {
+    fn reduce_current_ghosts(&mut self, f: &mut ScalarField3, tag: u64) {
         let nx = f.dims().0 as isize;
-        let (mut to_left, mut to_right) = (take_buf(spare), take_buf(spare));
+        let (mut to_left, mut to_right) = (self.take_buf(), self.take_buf());
         f.extract_slab_into(-(GHOSTS as isize), GHOSTS, &mut to_left);
         f.extract_slab_into(nx, GHOSTS, &mut to_right);
         let (from_right, from_left) = self.swap(tag, to_left, to_right);
         f.add_slab(nx - GHOSTS as isize, GHOSTS, &from_right);
         f.add_slab(0, GHOSTS, &from_left);
         f.clear_ghosts();
-        spare.extend([from_right, from_left]);
+        self.spare.extend([from_right, from_left]);
     }
 }
 
-fn take_buf(spare: &mut Vec<Vec<f64>>) -> Vec<f64> {
-    let mut buf = spare.pop().unwrap_or_default();
-    buf.clear();
-    buf
+impl<C: Collective> Halo for Ring<'_, C> {
+    fn exchange(&mut self, f: &mut VecField3, which: Which) {
+        let tag = match which {
+            Which::E => TAG_E,
+            Which::B => TAG_B,
+        };
+        self.exchange_ghosts(&mut f.x, tag);
+        self.exchange_ghosts(&mut f.y, tag + 10);
+        self.exchange_ghosts(&mut f.z, tag + 20);
+    }
+
+    fn reduce_current(&mut self, j: &mut VecField3) {
+        self.reduce_current_ghosts(&mut j.x, TAG_J);
+        self.reduce_current_ghosts(&mut j.y, TAG_J + 10);
+        self.reduce_current_ghosts(&mut j.z, TAG_J + 20);
+    }
+
+    /// Ship particles that left the slab to their new owners.
+    fn migrate(&mut self, si: usize, sp: &mut ParticleBuffer) {
+        // CFL limits motion to one cell per step, so after the step's
+        // global periodic wrap every leaver belongs to the left or right
+        // neighbour. Leavers travel as flat bundles of 7 values each.
+        let (mut to_left, mut to_right) = (self.take_buf(), self.take_buf());
+        let (slab_len, last) = (self.slab_len, self.comm.size() - 1);
+        let (left, right, rank) = (self.left, self.right, self.comm.rank());
+        sp.drain_outside_x(self.x_lo, self.x_lo + slab_len, |p| {
+            let owner = ((p[0] / slab_len) as usize).min(last);
+            if owner == right {
+                to_right.extend_from_slice(&p);
+            } else if owner == left {
+                to_left.extend_from_slice(&p);
+            } else {
+                panic!(
+                    "particle jumped past a neighbour slab: x={} owner={owner} rank={rank}",
+                    p[0]
+                );
+            }
+        });
+        let (from_right, from_left) = self.swap(TAG_PART + si as u64 * 4, to_left, to_right);
+        for bundle in [from_right, from_left] {
+            assert_eq!(bundle.len() % 7, 0, "corrupt particle bundle");
+            for c in bundle.chunks_exact(7) {
+                sp.push(c[0], c[1], c[2], c[3], c[4], c[5], c[6]);
+            }
+            self.spare.push(bundle);
+        }
+    }
 }
 
 impl<C: Collective> DistributedSim<C> {
@@ -160,154 +199,35 @@ impl<C: Collective> DistributedSim<C> {
             local: builder.build(),
             offset_cells,
             global,
-            stale: [true; 2],
             spare: Vec::new(),
-            #[cfg(test)]
-            exchange_always: false,
         }
     }
 
-    /// Bring the ghost layers of E or B up to date — a no-op unless the
-    /// field was written since its last exchange.
-    fn exchange_vec_ghosts(&mut self, which: Which) {
-        let was_stale = std::mem::replace(&mut self.stale[which as usize], false);
-        #[cfg(test)]
-        let was_stale = was_stale || self.exchange_always;
-        if !was_stale {
-            return;
-        }
-        let (f, tag) = match which {
-            Which::E => (&mut self.local.e, TAG_E),
-            Which::B => (&mut self.local.b, TAG_B),
-        };
-        if self.comm.size() == 1 {
-            f.wrap_ghosts_periodic();
-        } else {
-            let ring = Ring::of(&self.comm);
-            ring.exchange_ghosts(&mut f.x, tag, &mut self.spare);
-            ring.exchange_ghosts(&mut f.y, tag + 10, &mut self.spare);
-            ring.exchange_ghosts(&mut f.z, tag + 20, &mut self.spare);
-        }
-    }
-
-    fn advance_b(&mut self, dt: f64) {
-        let g = self.local.spec;
-        crate::maxwell::advance_b(&mut self.local.b, &self.local.e, &g, dt);
-        self.stale[Which::B as usize] = true;
-    }
-
-    /// One distributed PIC step.
+    /// One distributed PIC step: the shared step body over this world's
+    /// halo. Like every step it returns with the E and B ghost layers
+    /// current.
     pub fn step(&mut self) {
-        let g = self.local.spec;
-        let global = self.global;
-        let (gx, gy, gz) = global.extents();
-        let origin = self.offset_cells as f64;
-
-        self.exchange_vec_ghosts(Which::E);
-        self.exchange_vec_ghosts(Which::B);
-        self.local.j.clear();
-
-        // Same fused supercell-tiled kernel as the single-domain driver,
-        // with the slab origin offsetting the x cell indices. Ghost-cell
-        // deposits land in the x halo and are shipped to the neighbours
-        // below.
-        let edge = self.local.supercell_edge.max(1);
-        let local = &mut self.local;
-        for sp in &mut local.species {
-            fused_push_deposit(
-                sp,
-                &local.e,
-                &local.b,
-                &mut local.j,
-                &g,
-                origin,
-                Wrap::PeriodicYz { ly: gy, lz: gz },
-                edge,
-                &mut local.tile_pool,
-            );
+        let size = self.comm.size();
+        if size == 1 {
+            return self.local.step();
         }
-
-        // Current halo reduction.
-        if self.comm.size() == 1 {
-            self.local.j.reduce_ghosts_periodic();
-        } else {
-            let ring = Ring::of(&self.comm);
-            let j = &mut self.local.j;
-            ring.reduce_current_ghosts(&mut j.x, TAG_J, &mut self.spare);
-            ring.reduce_current_ghosts(&mut j.y, TAG_J + 10, &mut self.spare);
-            ring.reduce_current_ghosts(&mut j.z, TAG_J + 20, &mut self.spare);
-        }
-
-        // Field updates with fresh halos at each stage.
-        self.exchange_vec_ghosts(Which::E);
-        self.advance_b(0.5 * g.dt);
-        self.exchange_vec_ghosts(Which::B);
-        crate::maxwell::advance_e(&mut self.local.e, &self.local.b, &self.local.j, &g, g.dt);
-        self.stale[Which::E as usize] = true;
-        self.exchange_vec_ghosts(Which::E);
-        self.advance_b(0.5 * g.dt);
-
-        self.migrate_particles(gx);
-
-        self.local.step_index += 1;
-        self.local.time += g.dt;
+        let rank = self.comm.rank();
+        let mut ring = Ring {
+            comm: &self.comm,
+            left: (rank + size - 1) % size,
+            right: (rank + 1) % size,
+            x_lo: self.offset_cells as f64 * self.global.dx,
+            slab_len: self.local.spec.nx as f64 * self.global.dx,
+            spare: &mut self.spare,
+        };
+        let (global_lx, _, _) = self.global.extents();
+        self.local
+            .step_over(&mut ring, self.offset_cells as f64, global_lx);
     }
 
-    /// Ship particles that left the slab to their new owners.
-    fn migrate_particles(&mut self, global_lx: f64) {
-        let x_lo = self.offset_cells as f64 * self.global.dx;
-        let x_hi = x_lo + self.local.spec.nx as f64 * self.global.dx;
-        let slab_len = self.local.spec.nx as f64 * self.global.dx;
-        let spare = &mut self.spare;
-        for si in 0..self.local.species.len() {
-            // Global periodic wrap in x first (same clamped wrap as the
-            // single-domain path, so single-rank runs stay bit-identical).
-            for v in &mut self.local.species[si].x {
-                *v = wrap_coord(*v, global_lx);
-            }
-            if self.comm.size() == 1 {
-                continue;
-            }
-            let ring = Ring::of(&self.comm);
-            // CFL limits motion to one cell per step, so after the periodic
-            // wrap every leaver belongs to the left or right neighbour.
-            // Leavers travel as flat bundles of 7 values each.
-            let (mut to_left, mut to_right) = (take_buf(spare), take_buf(spare));
-            self.local.species[si].drain_outside_x(x_lo, x_hi, |p| {
-                let owner = ((p[0] / slab_len) as usize).min(ring.comm.size() - 1);
-                if owner == ring.right {
-                    to_right.extend_from_slice(&p);
-                } else if owner == ring.left {
-                    to_left.extend_from_slice(&p);
-                } else {
-                    panic!(
-                        "particle jumped past a neighbour slab: x={} owner={owner} rank={}",
-                        p[0],
-                        ring.comm.rank()
-                    );
-                }
-            });
-            let tag = TAG_PART + si as u64 * 4;
-            let (from_right, from_left) = ring.swap(tag, to_left, to_right);
-            for bundle in [from_right, from_left] {
-                assert_eq!(bundle.len() % 7, 0, "corrupt particle bundle");
-                let sp = &mut self.local.species[si];
-                for c in bundle.chunks_exact(7) {
-                    sp.push(c[0], c[1], c[2], c[3], c[4], c[5], c[6]);
-                }
-                spare.push(bundle);
-            }
-        }
-    }
-
-    /// Bring the E and B ghost layers up to date (call before any
-    /// post-step diagnostic that gathers fields at particle positions,
-    /// e.g. the radiation plugin — the final half-B update leaves the B
-    /// ghosts one half-step stale otherwise).
-    pub fn refresh_ghosts(&mut self) {
-        self.exchange_vec_ghosts(Which::E);
-        self.exchange_vec_ghosts(Which::B);
-    }
+    /// Does nothing: [`Self::step`] already returns with the E and B ghost
+    /// layers current. Kept for callers written when it did not.
+    pub fn refresh_ghosts(&mut self) {}
 
     /// Sum of a scalar across ranks.
     pub fn allreduce_sum(&self, v: f64) -> f64 {
@@ -339,12 +259,6 @@ impl<C: Collective> DistributedSim<C> {
     pub fn comm(&self) -> &C {
         &self.comm
     }
-}
-
-#[derive(Clone, Copy)]
-enum Which {
-    E = 0,
-    B = 1,
 }
 
 #[cfg(test)]
@@ -408,11 +322,10 @@ mod tests {
         assert!((kin - rkin).abs() / rkin < 1e-9, "kinetic: {kin} vs {rkin}");
     }
 
-    /// Two-rank KHI with two species, stepped as the producer does
-    /// (`step` + `refresh_ghosts`); per rank the FNV-1a hash of every
+    /// Two-rank KHI with two species; per rank the FNV-1a hash of every
     /// particle coordinate and field value after `steps` steps, and the
     /// messages the world had sent by then.
-    fn two_rank_run(exchange_always: bool, steps: usize) -> Vec<(u64, u64)> {
+    fn two_rank_run(distrust_ghosts: bool, steps: usize) -> Vec<(u64, u64)> {
         let g = khi_grid();
         let setup = KhiSetup {
             ppc: 2,
@@ -425,11 +338,10 @@ mod tests {
             .map(|comm| {
                 std::thread::spawn(move || {
                     let mut d = DistributedSim::new(comm, g, setup.all_species(&g));
-                    d.exchange_always = exchange_always;
                     assert_eq!(d.local.species.len(), 2);
                     for _ in 0..steps {
+                        d.local.ghosts_stale |= distrust_ghosts;
                         d.step();
-                        d.refresh_ghosts();
                     }
                     // Past the barrier both ranks have sent everything.
                     d.comm().barrier();
@@ -464,18 +376,17 @@ mod tests {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     }
 
-    /// Skipping the exchange of a field nobody wrote changes no bit of
-    /// the state (ghost layers included), and leaves 28 messages per rank
-    /// and step: 18 field-ghost, 6 current-ghost, 4 migration.
+    /// The post-condition: a step returns with current ghost layers, so
+    /// exchanging E and B again at the start of the next one changes no
+    /// bit of the state (ghost layers included). Trusting it leaves 28
+    /// messages per rank and step: 18 field-ghost, 6 current-ghost, 4
+    /// migration.
     #[test]
-    fn stale_only_exchange_is_bitwise_invisible_and_sends_28_messages() {
+    fn a_step_returns_with_current_ghosts_and_sends_28_messages() {
         let elided = two_rank_run(false, 20);
         let forced = two_rank_run(true, 20);
         for ((hash, _), (forced_hash, _)) in elided.iter().zip(&forced) {
-            assert_eq!(
-                hash, forced_hash,
-                "eliding stale-free exchanges moved a bit"
-            );
+            assert_eq!(hash, forced_hash, "a step returned with stale ghosts");
         }
         assert_ne!(elided[0].0, elided[1].0, "the ranks hold different slabs");
         // Ten more steps of two ranks, start-up and barrier cancelled out.
@@ -484,7 +395,7 @@ mod tests {
             (long[0].1 - short[0].1) / (10 * 2)
         };
         assert_eq!(per_rank_step(&elided, &two_rank_run(false, 10)), 28);
-        assert_eq!(per_rank_step(&forced, &two_rank_run(true, 10)), 52);
+        assert_eq!(per_rank_step(&forced, &two_rank_run(true, 10)), 40);
     }
 
     #[test]
@@ -524,6 +435,9 @@ mod tests {
         }
     }
 
+    /// A one-rank world steps exactly as the plain simulation does: every
+    /// particle coordinate and momentum of both species and every E/B
+    /// value, ghost layers included, bit for bit.
     #[test]
     fn single_rank_distributed_equals_plain_simulation() {
         let g = khi_grid();
@@ -532,16 +446,49 @@ mod tests {
             ..KhiSetup::default()
         };
         let mut plain = setup.build(g);
-        plain.sort_interval = 0;
         let comm = CommWorld::new(1).into_endpoints().remove(0);
         let mut dist = DistributedSim::new(comm, g, setup.all_species(&g));
-        for _ in 0..10 {
+        assert_eq!(plain.species.len(), 2);
+        for step in 0..12 {
             plain.step();
             dist.step();
+            for (p, d) in plain.species.iter().zip(&dist.local.species) {
+                for (a, b) in [
+                    (&p.x, &d.x),
+                    (&p.y, &d.y),
+                    (&p.z, &d.z),
+                    (&p.ux, &d.ux),
+                    (&p.uy, &d.uy),
+                    (&p.uz, &d.uz),
+                ] {
+                    assert!(
+                        a.iter()
+                            .map(|v| v.to_bits())
+                            .eq(b.iter().map(|v| v.to_bits())),
+                        "particles diverged at step {step}"
+                    );
+                }
+            }
+            for (p, d) in [(&plain.e, &dist.local.e), (&plain.b, &dist.local.b)] {
+                for (a, b) in [(&p.x, &d.x), (&p.y, &d.y), (&p.z, &d.z)] {
+                    for i in -(GHOSTS as isize)..(g.nx + GHOSTS) as isize {
+                        for j in 0..g.ny as isize {
+                            for k in 0..g.nz as isize {
+                                assert_eq!(
+                                    a.get(i, j, k).to_bits(),
+                                    b.get(i, j, k).to_bits(),
+                                    "field diverged at step {step}, cell ({i}, {j}, {k})"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
         }
-        let (pe, pb) = plain.field_energy();
-        let (de, db) = dist.global_field_energy();
-        assert!((pe - de).abs() / pe.max(1e-30) < 1e-12);
-        assert!((pb - db).abs() / pb.max(1e-30) < 1e-12);
+        assert_eq!(
+            dist.comm().world_messages_sent(),
+            0,
+            "a lone rank sends nothing"
+        );
     }
 }

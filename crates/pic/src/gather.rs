@@ -3,8 +3,8 @@
 //!
 //! A component sits at stagger 0 or ½ on each axis, so the six components
 //! of `E` and `B` share two CIC supports per axis: a gather divides once
-//! and floors twice per axis ([`supports`]) and runs one trilinear body
-//! ([`gather_six`]) — over the global fields here, over a tile's cached
+//! and floors twice per axis (`supports`) and runs one trilinear body
+//! (`gather_six`) — over the global fields here, over a tile's cached
 //! [`crate::tile::FieldPatch`] in the fused step.
 
 use crate::field::{ScalarField3, VecField3};

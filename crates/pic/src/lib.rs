@@ -22,8 +22,8 @@
 //! # Threading and tiling model
 //!
 //! The particle hot loop is a **fused, supercell-tiled, data-parallel
-//! pipeline** ([`tile`]), shared by the single-domain and distributed
-//! drivers:
+//! pipeline** ([`tile`]) inside the one step body ([`sim`]) that a whole
+//! periodic box and a slab of a decomposed one ([`domain`]) both run:
 //!
 //! 1. Every step, each species is counting-sorted by supercell (O(N),
 //!    reusable scratch inside [`particles::ParticleBuffer`]); the sort's
@@ -46,9 +46,9 @@
 //! allocation (asserted by the `alloc_free_step` integration test). The
 //! worker count follows `RAYON_NUM_THREADS` / available parallelism;
 //! reductions combine partials in a fixed order, so results are
-//! deterministic per configuration. `cargo run --release -p as-bench
-//! --bin fig_step_throughput` benchmarks the fused pipeline against the
-//! seed baseline and writes `BENCH_step.json`.
+//! deterministic per configuration. The `pic_step_pipeline` rows of
+//! `cargo bench -p as-bench --bench kernels` time the fused pipeline
+//! against the seed baseline.
 
 pub mod checkpoint;
 pub mod deposit;

@@ -208,12 +208,6 @@ impl ParticleBuffer {
         Self::wrap_axis(&mut self.z, lz);
     }
 
-    /// Wrap only y/z periodically (x handled by slab migration).
-    pub fn apply_periodic_yz(&mut self, ly: f64, lz: f64) {
-        Self::wrap_axis(&mut self.y, ly);
-        Self::wrap_axis(&mut self.z, lz);
-    }
-
     /// Counting sort by supercell index (supercells of `edge` cells per
     /// axis on a grid of `dx/dy/dz`-sized cells, `nx×ny×nz` total).
     ///

@@ -1,4 +1,4 @@
-//! The single-domain simulation driver (periodic boundaries).
+//! The simulation state and its one stepping path.
 //!
 //! One PIC step is the standard leapfrog cycle:
 //! 1. gather `E`,`B` at particle positions (time n);
@@ -10,8 +10,18 @@
 //! Steps 1–3 run as one fused, supercell-tiled, rayon-parallel pass
 //! ([`crate::tile::fused_push_deposit`]); [`Simulation::step_reference`]
 //! keeps the seed's push-then-serial-deposit pipeline as the equivalence
-//! and benchmark baseline. Multi-rank runs wrap the same fused kernel in
-//! [`crate::domain::DistributedSim`].
+//! and benchmark baseline.
+//!
+//! A whole periodic box ([`Simulation::step`]) and one slab of a
+//! decomposed box ([`crate::domain::DistributedSim::step`]) run the same
+//! step body; they differ only in who owns the cells beyond the x faces —
+//! the box itself, or the neighbour ranks.
+//!
+//! **Post-condition: a step returns with the E and B ghost layers
+//! current.** Whatever reads the fields between steps — the radiation
+//! gather above all — sees ghosts that match the interiors they mirror,
+//! at every decomposition, without the caller having to remember a
+//! refresh.
 
 use crate::deposit::deposit_current;
 use crate::field::VecField3;
@@ -20,16 +30,17 @@ use crate::grid::GridSpec;
 use crate::maxwell::{advance_b, advance_e};
 use crate::particles::ParticleBuffer;
 use crate::pusher::boris;
-use crate::tile::{fused_push_deposit, TilePool, Wrap};
+use crate::tile::{fused_push_deposit, TilePool};
 use rayon::prelude::*;
 
 /// A complete single-domain PIC simulation state.
 pub struct Simulation {
     /// Grid geometry and time step.
     pub spec: GridSpec,
-    /// Electric field (Yee edges).
+    /// Electric field (Yee edges). Seed it before the first step; the
+    /// ghost layers track only the step's own field updates.
     pub e: VecField3,
-    /// Magnetic field (Yee faces).
+    /// Magnetic field (Yee faces); same caveat as [`Self::e`].
     pub b: VecField3,
     /// Current density (colocated with E).
     pub j: VecField3,
@@ -45,9 +56,44 @@ pub struct Simulation {
     pub sort_interval: u64,
     /// Supercell edge length in cells (tile size of the fused step).
     pub supercell_edge: usize,
-    /// Reusable tile accumulators of the fused step (crate-internal so the
-    /// distributed driver shares the same kernel and scratch).
-    pub(crate) tile_pool: TilePool,
+    /// Reusable tile accumulators of the fused step.
+    tile_pool: TilePool,
+    /// Whether the E and B ghost layers have yet to be made current: true
+    /// for a fresh or restored state, false once a step has returned.
+    pub(crate) ghosts_stale: bool,
+}
+
+/// The two fields whose x-ghost layers a step keeps current.
+#[derive(Clone, Copy)]
+pub(crate) enum Which {
+    E,
+    B,
+}
+
+/// Who owns the cells beyond the x faces of a [`Simulation`]'s grid.
+pub(crate) trait Halo {
+    /// Overwrite the ghost layers of `f` with the interior cells they
+    /// mirror.
+    fn exchange(&mut self, f: &mut VecField3, which: Which);
+    /// Fold current deposited into the ghost layers into the interior
+    /// cells that own it, and clear the ghosts.
+    fn reduce_current(&mut self, j: &mut VecField3);
+    /// Hand the particles of species `si` that left the grid to their new
+    /// owners and take in the arrivals.
+    fn migrate(&mut self, si: usize, sp: &mut ParticleBuffer);
+}
+
+/// The whole periodic box: the grid is its own neighbour on both sides.
+struct PeriodicBox;
+
+impl Halo for PeriodicBox {
+    fn exchange(&mut self, f: &mut VecField3, _which: Which) {
+        f.wrap_ghosts_periodic();
+    }
+    fn reduce_current(&mut self, j: &mut VecField3) {
+        j.reduce_ghosts_periodic();
+    }
+    fn migrate(&mut self, _si: usize, _sp: &mut ParticleBuffer) {}
 }
 
 /// Builder for [`Simulation`].
@@ -97,6 +143,7 @@ impl SimulationBuilder {
             sort_interval: self.sort_interval,
             supercell_edge: self.supercell_edge,
             tile_pool: TilePool::new(),
+            ghosts_stale: true,
         }
     }
 }
@@ -107,18 +154,24 @@ impl Simulation {
         self.species.iter().map(|s| s.len()).sum()
     }
 
-    /// One full PIC step (periodic boundaries), using the fused
+    /// One full PIC step of the whole periodic box, using the fused
     /// supercell-tiled parallel kernel for the particle phase.
     ///
     /// Steady-state calls perform no per-step heap allocation: the sort
     /// scratch lives in each [`ParticleBuffer`] and the tile accumulators
     /// in the simulation's [`TilePool`].
     pub fn step(&mut self) {
+        let (lx, _, _) = self.spec.extents();
+        self.step_over(&mut PeriodicBox, 0.0, lx);
+    }
+
+    /// The step body of every decomposition: this grid starts at global x
+    /// cell `origin_cells` of a periodic box `global_lx` long, and `halo`
+    /// stands for whatever lies beyond its x faces.
+    pub(crate) fn step_over<H: Halo>(&mut self, halo: &mut H, origin_cells: f64, global_lx: f64) {
         let g = self.spec;
-        let (lx, ly, lz) = g.extents();
-        // Fresh ghosts for the gather.
-        self.e.wrap_ghosts_periodic();
-        self.b.wrap_ghosts_periodic();
+        let (_, ly, lz) = g.extents();
+        self.first_exchange(halo);
         self.j.clear();
 
         let edge = self.supercell_edge.max(1);
@@ -129,18 +182,29 @@ impl Simulation {
                 &self.b,
                 &mut self.j,
                 &g,
-                0.0,
-                Wrap::Periodic3 { lx, ly, lz },
+                origin_cells,
+                (global_lx, ly, lz),
                 edge,
                 &mut self.tile_pool,
             );
         }
-        // Fold current contributions that landed in x-ghost cells.
-        self.j.reduce_ghosts_periodic();
+        halo.reduce_current(&mut self.j);
 
-        self.advance_fields();
+        self.advance_fields(halo);
+        for (si, sp) in self.species.iter_mut().enumerate() {
+            halo.migrate(si, sp);
+        }
         self.step_index += 1;
         self.time += g.dt;
+    }
+
+    /// Every step but the first finds the ghost layers as the previous one
+    /// left them: current.
+    fn first_exchange<H: Halo>(&mut self, halo: &mut H) {
+        if std::mem::take(&mut self.ghosts_stale) {
+            halo.exchange(&mut self.e, Which::E);
+            halo.exchange(&mut self.b, Which::B);
+        }
     }
 
     /// The seed's push-then-serial-deposit step, kept as the equivalence
@@ -150,8 +214,7 @@ impl Simulation {
     pub fn step_reference(&mut self) {
         let g = self.spec;
         let (lx, ly, lz) = g.extents();
-        self.e.wrap_ghosts_periodic();
-        self.b.wrap_ghosts_periodic();
+        self.first_exchange(&mut PeriodicBox);
         self.j.clear();
 
         for sp in &mut self.species {
@@ -192,7 +255,7 @@ impl Simulation {
         }
         self.j.reduce_ghosts_periodic();
 
-        self.advance_fields();
+        self.advance_fields(&mut PeriodicBox);
         self.step_index += 1;
         self.time += g.dt;
         if self.sort_interval > 0 && self.step_index.is_multiple_of(self.sort_interval) {
@@ -203,15 +266,18 @@ impl Simulation {
         }
     }
 
-    /// Field update shared by both step paths: B half, E full, B half.
-    fn advance_fields(&mut self) {
+    /// Field update shared by both step paths: B half, E full, B half. A
+    /// field's ghost layers go stale only when it is written, so each
+    /// write is followed by one exchange — the last one being the module's
+    /// post-condition.
+    fn advance_fields<H: Halo>(&mut self, halo: &mut H) {
         let g = self.spec;
-        self.e.wrap_ghosts_periodic();
         advance_b(&mut self.b, &self.e, &g, 0.5 * g.dt);
-        self.b.wrap_ghosts_periodic();
+        halo.exchange(&mut self.b, Which::B);
         advance_e(&mut self.e, &self.b, &self.j, &g, g.dt);
-        self.e.wrap_ghosts_periodic();
+        halo.exchange(&mut self.e, Which::E);
         advance_b(&mut self.b, &self.e, &g, 0.5 * g.dt);
+        halo.exchange(&mut self.b, Which::B);
     }
 
     /// Run `n` steps.

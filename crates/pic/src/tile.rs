@@ -50,27 +50,6 @@ use rayon::prelude::*;
 /// most one cell below and two cells above the tile box.
 pub const TILE_HALO: usize = 2;
 
-/// Periodic wrapping policy applied to the pushed positions.
-#[derive(Debug, Clone, Copy)]
-pub enum Wrap {
-    /// Single-domain box: wrap all three axes.
-    Periodic3 {
-        /// Box extents.
-        lx: f64,
-        /// y extent.
-        ly: f64,
-        /// z extent.
-        lz: f64,
-    },
-    /// Distributed slab: wrap y/z only (x is handled by migration).
-    PeriodicYz {
-        /// y extent.
-        ly: f64,
-        /// z extent.
-        lz: f64,
-    },
-}
-
 /// Largest admissible cell coordinate excess for the seam nudge: a
 /// position strictly inside the box can still *divide* to exactly `n`
 /// cells (the quotient rounds up), but only by a few ulps — anything
@@ -463,7 +442,9 @@ unsafe impl Sync for PoolPtr {}
 /// half-step Esirkepov current into `j` (via tile-local accumulators
 /// reduced deterministically), and stores wrapped positions / updated
 /// momenta in place. `x_origin_cell` is the slab origin for distributed
-/// runs (0 in single-domain mode).
+/// runs (0 in single-domain mode); `extents` is the periodic box the
+/// positions wrap into — the *global* box, so a slab's leavers come out
+/// already wrapped and only need re-homing.
 #[allow(clippy::too_many_arguments)]
 pub fn fused_push_deposit(
     sp: &mut ParticleBuffer,
@@ -472,10 +453,11 @@ pub fn fused_push_deposit(
     j: &mut VecField3,
     g: &GridSpec,
     x_origin_cell: f64,
-    wrap: Wrap,
+    extents: (f64, f64, f64),
     edge: usize,
     pool: &mut TilePool,
 ) {
+    let (lx, ly, lz) = extents;
     let qm_dt_half = sp.charge / sp.mass * g.dt * 0.5;
     let q = sp.charge;
     let dt = g.dt;
@@ -595,18 +577,9 @@ pub fn fused_push_deposit(
                     *soa.ux.add(i) = ux;
                     *soa.uy.add(i) = uy;
                     *soa.uz.add(i) = uz;
-                    match wrap {
-                        Wrap::Periodic3 { lx, ly, lz } => {
-                            *soa.x.add(i) = wrap_coord(x1, lx);
-                            *soa.y.add(i) = wrap_coord(y1, ly);
-                            *soa.z.add(i) = wrap_coord(z1, lz);
-                        }
-                        Wrap::PeriodicYz { ly, lz } => {
-                            *soa.x.add(i) = x1;
-                            *soa.y.add(i) = wrap_coord(y1, ly);
-                            *soa.z.add(i) = wrap_coord(z1, lz);
-                        }
-                    }
+                    *soa.x.add(i) = wrap_coord(x1, lx);
+                    *soa.y.add(i) = wrap_coord(y1, ly);
+                    *soa.z.add(i) = wrap_coord(z1, lz);
                 }
             }
         },

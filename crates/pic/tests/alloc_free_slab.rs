@@ -1,6 +1,6 @@
 //! The producer's steady-state slab step — `DistributedSim::step`,
-//! `refresh_ghosts`, `RadiationPlugin::accumulate_for` on two in-process
-//! ranks — must perform no heap allocation of 16 KiB or more.
+//! `RadiationPlugin::accumulate_for` on two in-process ranks — must
+//! perform no heap allocation of 16 KiB or more.
 //!
 //! Same counting allocator as `alloc_free_step.rs`. What may still
 //! allocate stays below the threshold by construction: the boxed message
@@ -74,7 +74,6 @@ fn steady_state_slab_step_does_not_allocate() {
                 let mut run = |d: &mut DistributedSim, steps: usize| {
                     for _ in 0..steps {
                         d.step();
-                        d.refresh_ghosts();
                         radiation.accumulate_for(&d.local, d.offset_cells as f64);
                     }
                 };

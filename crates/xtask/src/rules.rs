@@ -359,7 +359,7 @@ mod tests {
         assert!(!in_scope_sync("crates/shims/rayon/src/lib.rs"));
         assert!(in_scope_sync("crates/bench/src/bin/fig_faults.rs"));
         assert!(in_scope_hash("src/lib.rs"));
-        assert!(in_scope_sleep("crates/bench/src/bin/fig_serve.rs"));
+        assert!(in_scope_sleep("crates/bench/src/bin/fig_faults.rs"));
         assert!(!in_scope_sleep("crates/cluster/src/pace.rs"));
         assert!(!in_scope_sleep("crates/shims/criterion/src/lib.rs"));
     }

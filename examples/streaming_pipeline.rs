@@ -6,6 +6,7 @@
 //!
 //! Run with: `cargo run --release --example streaming_pipeline`
 
+use artificial_scientist::cluster::collective::SoloComm;
 use artificial_scientist::core::config::{ConsumerPolicy, WorkflowConfig};
 use artificial_scientist::core::noop::run_noop_consumer;
 use artificial_scientist::core::producer::run_producer;
@@ -35,7 +36,7 @@ fn main() {
         let (mut rw, mut rr) = open_stream(stream_cfg);
         let (pw, rw) = (pw.remove(0), rw.remove(0));
         let cfg2 = cfg.clone();
-        let producer = std::thread::spawn(move || run_producer(&cfg2, pw, rw));
+        let producer = std::thread::spawn(move || run_producer(&cfg2, SoloComm, pw, rw));
         let rad = {
             let rr = rr.remove(0);
             std::thread::spawn(move || run_noop_consumer(rr))
