@@ -13,13 +13,14 @@
 //!   in-process thread/channel transport. Bit-exact with the historical
 //!   direct-`Communicator` paths — the trait impl is pure delegation.
 //! - [`SimNetComm`]: wraps any backend and charges every operation the
-//!   latency/bandwidth cost of a modelled fabric ([`NetModel`], derived
-//!   from [`crate::netsim`] max-min fair sharing and the
-//!   [`crate::machine`] presets), optionally injecting the modelled
-//!   delay as real wall time. Payloads are untouched, so numerics are
-//!   **bit-identical** to the wrapped backend — only timing (and the
-//!   modelled-seconds telemetry) changes. This is what lets one box
-//!   rehearse a Frontier-class fabric (`NetModel::frontier_paper`).
+//!   latency/bandwidth cost of a modelled fabric ([`NetModel`]: the
+//!   [`crate::machine`] presets' latencies and the fair share a
+//!   congested NIC and a tapered bisection leave each rank), optionally
+//!   injecting the modelled delay as real wall time. Payloads are
+//!   untouched, so numerics are **bit-identical** to the wrapped backend
+//!   — only timing (and the modelled-seconds telemetry) changes. This is
+//!   what lets one box rehearse a Frontier-class fabric
+//!   (`NetModel::frontier_paper`).
 //!
 //! Plus [`SoloComm`], the degenerate one-rank world (identity
 //! collectives, nothing counted or priced), which lets group code run
@@ -64,7 +65,6 @@ use crate::algos::{
 use crate::comm::{CommWorld, Communicator};
 use crate::error::CommError;
 use crate::machine::{MachineSpec, FRONTIER, SUMMIT};
-use crate::netsim::NetSim;
 use crate::pace::Pacer;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -469,13 +469,14 @@ impl NodeMap {
 /// modelled delay is injected as real wall time.
 ///
 /// The inter-node bandwidth is **not** a free parameter:
-/// [`NetModel::from_machine`] runs the machine's NIC + tapered-bisection
-/// topology through the [`crate::netsim`] max-min fair allocation with
-/// all ranks transmitting at once — the steady-state fair share under
-/// full contention is the rate every inter-node message is charged at.
-/// That reproduces the congestion knee the paper's scaling studies hinge
-/// on: below the bisection saturation point the NIC share limits, beyond
-/// it the bisection does.
+/// [`NetModel::from_machine`] charges every inter-node message the
+/// steady-state fair share of the machine's NIC + tapered-bisection
+/// topology with all ranks transmitting at once. Each rank's flow crosses
+/// its own NIC share and the one bisection every flow shares, so max-min
+/// fairness gives it exactly `min(NIC share, bisection / ranks)`. That is
+/// the congestion knee the paper's scaling studies hinge on: below the
+/// bisection saturation point the NIC share limits, beyond it the
+/// bisection does.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetModel {
     /// Seconds charged per inter-node message (per hop aggregate).
@@ -516,9 +517,8 @@ impl NetModel {
 
     /// Derive the fair-share model for `ranks` ranks placed
     /// `ranks_per_node` per node on `machine` (NIC shared by the same
-    /// `ranks_per_node`), by running the max-min fair [`crate::netsim`]
-    /// allocation on the machine's NIC + bisection topology with every
-    /// rank transmitting concurrently.
+    /// `ranks_per_node`), with every rank transmitting concurrently
+    /// through the machine's NIC + bisection topology.
     pub fn from_machine(
         machine: &MachineSpec,
         ranks: usize,
@@ -555,11 +555,9 @@ impl NetModel {
         let nodes = ranks.div_ceil(group_ranks_per_node);
         let egress_cap =
             machine.nic_bandwidth * machine.nics_per_node as f64 / nic_share_ranks as f64;
-        let fair_rate = NetSim::contended_fair_share(
-            ranks,
-            egress_cap,
-            machine.bisection_bandwidth(nodes).max(1.0),
-        );
+        // Max-min fair share of `ranks` flows, each through its own NIC
+        // share and all through the one bisection.
+        let fair_rate = egress_cap.min(machine.bisection_bandwidth(nodes).max(1.0) / ranks as f64);
         Self {
             latency: machine.net_latency,
             bytes_per_second: fair_rate.max(1.0),
@@ -590,13 +588,6 @@ impl NetModel {
         } else {
             self.latency + bytes as f64 / self.bytes_per_second
         }
-    }
-
-    /// Modelled cost of `messages` inter-node messages moving `bytes`
-    /// payload (placement-blind; kept for coarse charges like
-    /// [`Collective::account_payload`]).
-    pub fn delay_seconds(&self, messages: u64, bytes: u64) -> f64 {
-        messages as f64 * self.latency + bytes as f64 / self.bytes_per_second
     }
 }
 
@@ -1134,9 +1125,17 @@ mod tests {
     }
 
     #[test]
-    fn delay_model_is_latency_plus_bandwidth() {
-        let m = NetModel::uniform(2e-6, 1e9, 0.0);
-        let d = m.delay_seconds(3, 1_000_000);
-        assert!((d - (6e-6 + 1e-3)).abs() < 1e-12);
+    fn fair_share_has_the_two_regimes() {
+        // One Frontier node, NIC shared by 8 ranks (12.5 GB/s each),
+        // bisection slice 30 GB/s. Two transmitting ranks (a two-learner
+        // DDP world) each get exactly their NIC share; four split the
+        // bisection below it.
+        let few = NetModel::from_machine_placed(&FRONTIER, 2, 4, 8, 0, 1.0);
+        assert_eq!(few.bytes_per_second, 12.5e9);
+        let many = NetModel::from_machine_placed(&FRONTIER, 4, 4, 8, 0, 1.0);
+        assert_eq!(many.bytes_per_second, FRONTIER.bisection_bandwidth(1) / 4.0);
+        assert!(many.bytes_per_second < few.bytes_per_second);
+        // A full node of eight ranks: bisection-bound at 30 / 8 GB/s.
+        assert_eq!(NetModel::frontier_paper(8).bytes_per_second, 3.75e9);
     }
 }

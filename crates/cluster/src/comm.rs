@@ -24,17 +24,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use as_detect::{track_cell, Cell};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::{Condvar, Mutex};
 
 use crate::algos::{
     allreduce_goes_log, binomial_plan, bruck_rounds, reduce_in_ring_order, CollectiveAlgo,
 };
-use crate::cells::{track_cell, Cell};
 use crate::error::CommError;
-
-/// Wildcard tag: matches any tag in [`Communicator::recv_any_tag`].
-pub const ANY_TAG: u64 = u64::MAX;
 
 /// Tags at or above this value are reserved for internal collectives.
 pub const RESERVED_TAG_BASE: u64 = 1 << 62;
@@ -326,10 +323,8 @@ pub struct Communicator {
     algo: CollectiveAlgo,
     peers: Vec<Sender<Envelope>>,
     inbox: Receiver<Envelope>,
-    /// Out-of-order messages parked until a matching `recv` arrives.
-    /// Ordered map: wildcard (`ANY_TAG`) matching walks it in key order,
-    /// so which stashed message wins is deterministic (a hash map here
-    /// made the match depend on hash-iteration order).
+    /// Out-of-order messages parked until a matching `recv` arrives,
+    /// FIFO per `(source, tag)`.
     stash: Mutex<BTreeMap<(usize, u64), Vec<Envelope>>>,
     /// Detector registration for the stash (mutated under its mutex).
     stash_cell: Cell,
@@ -391,7 +386,6 @@ impl Communicator {
     /// are for the message sizes used here).
     pub fn send<T: Send + 'static>(&self, dest: usize, tag: u64, value: T) {
         assert!(dest < self.size, "send to out-of-range rank {dest}");
-        assert_ne!(tag, ANY_TAG, "ANY_TAG is reserved for receives");
         if self.health.armed && self.is_rank_dead(dest) {
             // Tolerant mode: a dead rank receives nothing; the message
             // evaporates instead of piling up in an orphaned inbox.
@@ -501,32 +495,12 @@ impl Communicator {
             .unwrap_or_else(|_| panic!("type mismatch on recv from {source} tag {tag}"))
     }
 
-    /// Blocking receive matching only the source, returning `(tag, value)`.
-    pub fn recv_any_tag<T: Send + 'static>(&self, source: usize) -> (u64, T) {
-        let env = self.match_envelope(source, ANY_TAG);
-        let tag = env.tag;
-        let value = *env
-            .payload
-            .downcast::<T>()
-            .unwrap_or_else(|_| panic!("type mismatch on recv from {source}"));
-        (tag, value)
-    }
-
     fn match_envelope(&self, source: usize, tag: u64) -> Envelope {
         // Fast path: check the stash for an already-delivered match.
         {
             let mut stash = self.stash.lock();
             self.stash_cell.read();
-            if tag == ANY_TAG {
-                // Ordered wildcard match: the lowest stashed tag from
-                // `source` wins, on every run.
-                for ((s, _), q) in stash.iter_mut() {
-                    if *s == source && !q.is_empty() {
-                        self.stash_cell.write();
-                        return q.remove(0);
-                    }
-                }
-            } else if let Some(q) = stash.get_mut(&(source, tag)) {
+            if let Some(q) = stash.get_mut(&(source, tag)) {
                 if !q.is_empty() {
                     self.stash_cell.write();
                     return q.remove(0);
@@ -543,8 +517,7 @@ impl Communicator {
                 // Injected duplicate delivery: dedup at intake.
                 continue;
             }
-            let matches = env.source == source && (tag == ANY_TAG || env.tag == tag);
-            if matches {
+            if env.source == source && env.tag == tag {
                 return env;
             }
             let mut stash = self.stash.lock();
@@ -928,12 +901,15 @@ mod tests {
         run_world(2, |c| {
             if c.rank() == 0 {
                 c.send(1, 1, 10u32);
+                c.send(1, 1, 11u32);
                 c.send(1, 2, 20u32);
             } else {
-                // Receive tag 2 first although tag 1 arrives first.
+                // Receive tag 2 first although both tag-1 messages arrive
+                // first; the stashed pair then comes out in send order.
                 let b: u32 = c.recv(0, 2);
-                let a: u32 = c.recv(0, 1);
-                assert_eq!((a, b), (10, 20));
+                let a0: u32 = c.recv(0, 1);
+                let a1: u32 = c.recv(0, 1);
+                assert_eq!((a0, a1, b), (10, 11, 20));
             }
         });
     }

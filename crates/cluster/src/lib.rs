@@ -11,12 +11,9 @@
 //!   trait every workflow crate is generic over, with the in-process
 //!   [`collective::ChannelComm`] backend and the netsim-delayed
 //!   [`collective::SimNetComm`] backend that charges [`machine`]-preset
-//!   fabric costs on one box, and the degenerate one-rank
-//!   [`collective::SoloComm`].
-//! - [`netsim`] — a flow-level network simulator with max-min fair bandwidth
-//!   sharing. It turns "N nodes each stream 5.86 GB through a 25 GB/s NIC
-//!   into a shared fabric" into wall-clock estimates, which is what the
-//!   Fig. 4/6/8 scaling harnesses need at node counts far beyond this CPU.
+//!   fabric costs on one box (a congested NIC's and a tapered
+//!   bisection's fair share, [`collective::NetModel`]), and the
+//!   degenerate one-rank [`collective::SoloComm`].
 //! - [`collectives`] — ring all-reduce / all-gather implementations (real
 //!   data movement over [`comm`]) plus analytic cost models at scale.
 //! - [`machine`] — machine constants for Frontier and Summit as stated in
@@ -29,14 +26,12 @@
 //!   and the fault injector's delays.
 
 pub mod algos;
-pub(crate) mod cells;
 pub mod collective;
 pub mod collectives;
 pub mod comm;
 pub mod error;
 pub mod fom;
 pub mod machine;
-pub mod netsim;
 mod pace;
 pub mod sockets;
 
@@ -50,7 +45,6 @@ pub mod prelude {
     pub use crate::comm::{CommFaults, CommWorld, Communicator, FT_TAG_BASE};
     pub use crate::error::CommError;
     pub use crate::machine::{MachineSpec, FRONTIER, SUMMIT};
-    pub use crate::netsim::{Flow, LinkId, NetSim, NetSpec};
     pub use crate::sockets::SocketBudget;
 }
 

@@ -6,8 +6,7 @@
 //! schedule counters, the encode and training RNG streams, and the
 //! learner's progress counters (windows, samples, per-iteration losses
 //! and `param_hash` history — the DDP step counter lives in the Adam
-//! `step` fields). The container mirrors the shape of
-//! [`as_pic::checkpoint::Checkpoint`]: flat `BTreeMap`s of named `f64`
+//! `step` fields). The container is flat `BTreeMap`s of named `f64`
 //! arrays and scalars, plus a third map of raw `u64` words for RNG
 //! states and counters, so the snapshot stays serializable and
 //! diff-friendly. `f32` model data round-trips through `f64` losslessly.

@@ -134,9 +134,9 @@ pub enum CommBackend {
     InProcess,
     /// The same transport wrapped in the netsim fabric model
     /// ([`as_cluster::collective::SimNetComm`]): every operation is
-    /// charged the machine's latency/fair-share-bandwidth cost (derived
-    /// from the [`as_cluster::netsim`] max-min allocation over the
-    /// machine's NIC + bisection topology), and `time_scale` of that
+    /// charged the machine's latency/fair-share-bandwidth cost (each
+    /// rank's share of its NIC and of the tapered bisection,
+    /// [`as_cluster::collective::NetModel`]), and `time_scale` of that
     /// cost is injected as real wall time. Numerics are bit-identical
     /// to [`CommBackend::InProcess`].
     NetSim {
@@ -389,11 +389,6 @@ impl WorkflowConfig {
         cfg.adam = AdamConfig::default();
         cfg.total_steps = 2000;
         cfg
-    }
-
-    /// Samples emitted per streamed window (one per flow region).
-    pub fn samples_per_window(&self) -> usize {
-        3
     }
 
     /// The staging queue limit the configured [`ConsumerPolicy`] implies

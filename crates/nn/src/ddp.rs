@@ -15,13 +15,12 @@
 //! the same seed and applies identical averaged gradients, parameters stay
 //! bit-identical across ranks — asserted in the tests, like DDP guarantees.
 //!
-//! Three gradient-averaging modes share one deterministic bucket
-//! schedule (the flatten order of `visit_all` cut every `bucket_elems`
-//! values):
+//! Two gradient-averaging modes share one deterministic bucket schedule
+//! (the flatten order of `visit_all` cut every `bucket_elems` values):
 //!
-//! - [`sync_gradients`] — one whole-model flat all-reduce;
 //! - [`sync_gradients_bucketed`] — buckets reduced synchronously as the
-//!   flatten fills them;
+//!   flatten fills them (`usize::MAX` elements: one whole-model flat
+//!   all-reduce, what [`train_ddp`] runs);
 //! - [`OverlappedGradSync`] — the non-blocking mode: a dedicated
 //!   comm-worker thread (holding its **own** collective endpoint, like a
 //!   NCCL stream) reduces filled buckets while the caller keeps filling
@@ -33,10 +32,10 @@
 //! The backend and overlap knobs are threaded through the streaming
 //! workflow by `as_core::config` (`CommBackend`, `overlap_grad_sync`).
 
-use crate::cells::{track_cell, Cell};
-use crate::model::{ArtificialScientistModel, LossReport, ModelConfig, ModelOptimizer};
+use crate::model::{ArtificialScientistModel, ModelConfig, ModelOptimizer};
 use crate::optim::AdamConfig;
 use as_cluster::collective::Collective;
+use as_detect::{track_cell, Cell};
 use as_tensor::{Tensor, TensorRng};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use crossbeam::thread as cb_thread;
@@ -66,25 +65,6 @@ impl Default for DdpConfig {
     }
 }
 
-/// Average the accumulated gradients of `model` across all ranks of `comm`
-/// using one flat ring all-reduce (the way DDP buckets flatten gradients).
-pub fn sync_gradients<C: Collective>(comm: &C, model: &mut ArtificialScientistModel) {
-    let mut flat: Vec<f32> = Vec::new();
-    model.visit_all(&mut |_p: &mut Tensor, g: &mut Tensor| {
-        flat.extend_from_slice(g.data());
-    });
-    comm.allreduce_sum_f32(&mut flat);
-    let inv = 1.0 / comm.size() as f32;
-    let mut cursor = 0usize;
-    model.visit_all(&mut |_p: &mut Tensor, g: &mut Tensor| {
-        let n = g.numel();
-        for (gd, &fv) in g.data_mut().iter_mut().zip(&flat[cursor..cursor + n]) {
-            *gd = fv * inv;
-        }
-        cursor += n;
-    });
-}
-
 /// Default gradient-bucket size (elements) used by the streaming DDP
 /// consumer ranks: 8192 f32 = 32 KiB per bucket message, small enough to
 /// pipeline through the ring. It does **not** amortise the per-message
@@ -109,9 +89,9 @@ pub const DEFAULT_BUCKET_ELEMS: usize = 8192;
 /// bucket boundaries — and therefore summation order — are identical on
 /// all ranks, and the ring all-reduce computes each reduced chunk on one
 /// rank before circulating it. Post-sync gradients are **bit-identical
-/// across ranks** (the invariant [`param_hash`] asserts downstream),
-/// though not bit-identical to [`sync_gradients`]'s single-flat-buffer
-/// result, whose different chunking sums in a different order.
+/// across ranks** (the invariant [`param_hash`] asserts downstream).
+/// Different bucket sizes chunk the ring differently and so sum in a
+/// different order; `usize::MAX` is one bucket holding the whole model.
 pub fn sync_gradients_bucketed<C: Collective>(
     comm: &C,
     model: &mut ArtificialScientistModel,
@@ -426,7 +406,7 @@ fn run_replica<C: Collective>(
         let my_spectra = spectra.select_rows(&rows);
         model.zero_grad();
         let report = model.accumulate_gradients(&my_points, &my_spectra, &mut rng);
-        sync_gradients(&comm, &mut model);
+        sync_gradients_bucketed(&comm, &mut model, usize::MAX);
         opt.step(&mut model);
         let mean_loss = comm.allreduce_scalar_f64(report.total) / world as f64;
         losses.push(mean_loss);
@@ -495,9 +475,6 @@ pub fn tail_loss(outcome: &DdpOutcome, k: usize) -> f64 {
     let k = k.min(n);
     outcome.losses[n - k..].iter().sum::<f64>() / k as f64
 }
-
-#[allow(dead_code)]
-fn unused_loss_report(_r: LossReport) {}
 
 #[cfg(test)]
 mod tests {
@@ -585,46 +562,13 @@ mod tests {
     }
 
     #[test]
-    fn gradient_sync_produces_identical_gradients() {
-        // Two replicas with *different* local batches must hold identical
-        // gradients after sync_gradients.
-        let cfg = tiny_cfg();
-        let endpoints = CommWorld::new(2).into_endpoints();
-        let handles: Vec<_> = endpoints
-            .into_iter()
-            .map(|comm| {
-                let cfg = cfg.clone();
-                std::thread::spawn(move || {
-                    let mut model = ArtificialScientistModel::new(cfg, 5);
-                    let mut rng = TensorRng::seeded(100 + comm.rank() as u64);
-                    let pts = rng.uniform([2, 8, 6], -1.0, 1.0);
-                    let sp = rng.uniform([2, 4], -1.0, 1.0);
-                    model.zero_grad();
-                    let _ = model.accumulate_gradients(&pts, &sp, &mut rng);
-                    sync_gradients(&comm, &mut model);
-                    let mut flat = Vec::new();
-                    model.visit_all(&mut |_p: &mut Tensor, g: &mut Tensor| {
-                        flat.extend_from_slice(g.data())
-                    });
-                    flat
-                })
-            })
-            .collect();
-        let grads: Vec<Vec<f32>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        assert_eq!(grads[0].len(), grads[1].len());
-        for (a, b) in grads[0].iter().zip(&grads[1]) {
-            assert_eq!(a, b, "post-allreduce gradients must match exactly");
-        }
-    }
-
-    #[test]
     fn bucketed_sync_is_identical_across_ranks_and_close_to_flat() {
         // Two ranks with different local batches: after the bucketed
         // all-reduce every rank must hold bit-identical gradients, and
-        // the averaged values must agree with the single-flat-buffer
-        // reduction up to summation-order rounding.
+        // the averaged values must agree with one whole-model bucket (the
+        // flat reduction `train_ddp` runs) up to summation-order rounding.
         let cfg = tiny_cfg();
-        for bucket_elems in [1usize, 7, 64, 100_000] {
+        for bucket_elems in [1usize, 7, 64, 100_000, usize::MAX] {
             let endpoints = CommWorld::new(2).into_endpoints();
             let handles: Vec<_> = endpoints
                 .into_iter()
@@ -652,8 +596,7 @@ mod tests {
                 assert_eq!(a, b, "bucketed sync must be bit-identical across ranks");
             }
         }
-        // Cross-check scheme agreement: one huge bucket covers the whole
-        // model, which is exactly the flat path.
+        // Cross-check scheme agreement against the whole-model bucket.
         let endpoints = CommWorld::new(2).into_endpoints();
         let handles: Vec<_> = endpoints
             .into_iter()
@@ -674,7 +617,7 @@ mod tests {
                     let _ = m1.accumulate_gradients(&pts, &sp, &mut rng1);
                     m2.zero_grad();
                     let _ = m2.accumulate_gradients(&pts2, &sp2, &mut rng2);
-                    sync_gradients(&comm, &mut m1);
+                    sync_gradients_bucketed(&comm, &mut m1, usize::MAX);
                     sync_gradients_bucketed(&comm, &mut m2, DEFAULT_BUCKET_ELEMS);
                     let (mut f1, mut f2) = (Vec::new(), Vec::new());
                     m1.visit_all(&mut |_p: &mut Tensor, g: &mut Tensor| {

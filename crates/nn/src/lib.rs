@@ -45,17 +45,15 @@
 //! # DDP invariants
 //!
 //! Data-parallel training ([`ddp`]) replicates the model across thread
-//! ranks seeded identically, then averages gradients every iteration —
-//! either as one flat buffer ([`ddp::sync_gradients`]) or in fixed-size
-//! buckets reduced as they fill ([`ddp::sync_gradients_bucketed`], what
-//! the streaming consumer ranks of `as-core` use alongside their
-//! `ConsumerPolicy`). Both schemes are deterministic per-scheme and
-//! produce **bit-identical gradients on every rank**, so parameters stay
+//! ranks seeded identically, then averages gradients every iteration in
+//! fixed-size buckets reduced as they fill
+//! ([`ddp::sync_gradients_bucketed`]: one whole-model bucket in
+//! [`ddp::train_ddp`], `grad_bucket`-sized ones, 32 KiB by default, on
+//! the streaming consumer ranks of `as-core`). Every bucket size is deterministic and produces
+//! **bit-identical gradients on every rank**, so parameters stay
 //! bit-identical for the whole run — [`ddp::param_hash`] is the cheap
 //! witness the consumers assert each iteration.
 
-pub(crate) mod cells;
-pub mod contrastive;
 pub mod ddp;
 pub mod init;
 pub mod inn;

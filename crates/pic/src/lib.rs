@@ -50,7 +50,6 @@
 //! `cargo bench -p as-bench --bench kernels` time the fused pipeline
 //! against the seed baseline.
 
-pub mod checkpoint;
 pub mod deposit;
 pub mod diag;
 pub mod domain;

@@ -35,9 +35,9 @@
 //! `tests/serving.rs` and the proptest suite hold the engine to that.
 
 use crate::cache::PosteriorCache;
-use crate::cells::{track_cell, Cell};
 use as_core::config::ServingConfig;
 use as_core::snapshot::{ModelSnapshot, SnapshotSink};
+use as_detect::{track_cell, Cell};
 use as_nn::model::ArtificialScientistModel;
 use as_tensor::{Tensor, TensorRng, Workspace};
 use crossbeam::channel::{self, Receiver, Sender};

@@ -26,7 +26,6 @@
 //! the engine as they train.
 
 pub mod cache;
-mod cells;
 pub mod engine;
 pub mod loadgen;
 

@@ -44,9 +44,9 @@ use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use as_detect::{track_cell, Cell};
 use parking_lot::{Condvar, Mutex};
 
-use crate::cells::{track_cell, Cell};
 use crate::codec::WireCodec;
 use crate::dataplane::{DataPlane, NIC_BANDWIDTH};
 use crate::error::StagingError;

@@ -32,7 +32,6 @@
 //! the `DropSteps` consumer policy in `as-core`
 //! (`ConsumerPolicy::DropSteps`).
 
-pub(crate) mod cells;
 pub mod codec;
 pub mod dataplane;
 pub mod engine;
