@@ -20,15 +20,16 @@ use as_nn::loss::{chamfer, mmd_imq, sinkhorn_emd};
 use as_nn::model::{ArtificialScientistModel, ModelConfig};
 use as_pic::deposit::deposit_current;
 use as_pic::domain::DistributedSim;
-use as_pic::gather::gather_eb;
+use as_pic::gather::{gather_eb, gather_eb_lanes};
 use as_pic::grid::GridSpec;
 use as_pic::khi::KhiSetup;
-use as_pic::tile::{fused_push_deposit, TileAccumulator, TileGrid, TilePool};
+use as_pic::lanes::Lanes;
+use as_pic::tile::{fused_push_deposit, FieldPatch, TileAccumulator, TileGrid, TilePool, LANES};
 use as_pic::tweac::TweacSetup;
 use as_radiation::detector::Detector;
-use as_radiation::lienard::{sin_cos_lanes, LANES};
+use as_radiation::lienard::{sin_cos_lanes, LANES as SIN_COS_LANES};
 use as_radiation::lienard::{ParticleState, RadiationAccumulator};
-use as_radiation::plugin::{RadiationPlugin, RegionMode};
+use as_radiation::plugin::{particle_states, RadiationPlugin, RegionMode};
 use as_serve::engine::{posterior_batch, InferenceEngine};
 use as_staging::engine::{open_stream, StreamConfig};
 use as_tensor::{matmul, matmul_a_bt, matmul_at_b, TensorRng, Workspace};
@@ -130,6 +131,19 @@ fn fastest(reps: usize, mut f: impl FnMut()) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
+/// Flop of one particle of the fused tile pass, counted from the code
+/// (+, −, ×, ÷, √; a lane floor is 3): the escape check 6; the gather's
+/// supports 36 and its six trilinear sums 204; Boris 61; γ and the move
+/// 16; the deposit's cell coordinates 8, shapes 81, `qw` and the current
+/// factors 10, 27 W-brackets 270, 108 running sums and rows 324 and 108
+/// accumulator adds.
+const FUSED_FLOP: f64 = 1124.0;
+
+/// Divisions of one particle of the fused pass, counted from the code: 27
+/// W-brackets, 6 in Boris, 3 in the move, 6 cell coordinates (start and
+/// end of the move), 4 for `qw` and the three current factors.
+const FUSED_DIV: usize = 46;
+
 /// Flop of one (particle, direction, frequency) of the Liénard–Wiechert
 /// update, counted from `lienard.rs`: the phase 1, the two-term argument
 /// reduction with its tail 10, `z` and `z²` 2, the sine polynomial and its
@@ -195,6 +209,30 @@ fn bench_producer(c: &mut Criterion) {
             })
         })
     });
+    // The same positions LANES at a time: over the global fields (the
+    // radiation state gather) and over the tile's cached view (the fused
+    // pass).
+    let groups: Vec<[Lanes<LANES>; 3]> = moves
+        .chunks_exact(LANES)
+        .map(|m| std::array::from_fn(|a| Lanes::from_fn(|l| m[l][a])))
+        .collect();
+    g.bench_function("gather_lanes_global_512p", |b| {
+        b.iter(|| {
+            groups.iter().fold(0.0, |s, &r| {
+                s + gather_eb_lanes(&sim.e, &sim.b, &slab, r, 0.0)[0].0[0]
+            })
+        })
+    });
+    let mut patch = FieldPatch::default();
+    patch.load(&sim.e, &sim.b, tile);
+    g.bench_function("gather_lanes_patch_512p", |b| {
+        b.iter(|| {
+            groups.iter().fold(0.0, |s, &r| {
+                // SAFETY: every move starts inside `tile`.
+                s + unsafe { patch.gather(&slab, r, 0.0) }[0].0[0]
+            })
+        })
+    });
 
     let mut pool = TilePool::new();
     let mut j = sim.j.clone();
@@ -212,15 +250,15 @@ fn bench_producer(c: &mut Criterion) {
     });
     let fused_s = fastest(10, || fused(&mut sim));
 
-    let phases: Vec<[f64; LANES]> = (0..2048)
-        .map(|i| std::array::from_fn(|l| (i * LANES + l) as f64 * 0.37 - 3000.0))
+    let phases: Vec<[f64; SIN_COS_LANES]> = (0..2048)
+        .map(|i| std::array::from_fn(|l| (i * SIN_COS_LANES + l) as f64 * 0.37 - 3000.0))
         .collect();
-    g.throughput(Throughput::Elements((phases.len() * LANES) as u64));
+    g.throughput(Throughput::Elements((phases.len() * SIN_COS_LANES) as u64));
     g.bench_function("sin_cos_lanes_16k", |b| {
         b.iter(|| {
             phases.iter().fold(0.0, |s, x| {
                 let (sin, cos) = sin_cos_lanes(black_box(x));
-                s + sin[0] + cos[LANES - 1]
+                s + sin[0] + cos[SIN_COS_LANES - 1]
             })
         })
     });
@@ -242,6 +280,25 @@ fn bench_producer(c: &mut Criterion) {
         b.iter(|| radiation.accumulate_for(&sim, 0.0))
     });
     let radiation_s = fastest(10, || radiation.accumulate_for(&sim, 0.0));
+    // `accumulate_for` in its two halves: the particle states (the lane
+    // gather and β̇), then the sum over states computed beforehand.
+    g.throughput(Throughput::Elements(electrons as u64));
+    g.bench_function("accumulate_for_states_36864p", |b| {
+        b.iter(|| {
+            (0..electrons).step_by(LANES).fold(0.0, |s, i| {
+                let at: [usize; LANES] = std::array::from_fn(|l| (i + l).min(electrons - 1));
+                s + particle_states(&sim, 0, at, 0.0)[0].beta_dot[0]
+            })
+        })
+    });
+    let states: Vec<ParticleState> = (0..electrons)
+        .map(|i| as_radiation::plugin::particle_state(&sim, 0, i, 0.0))
+        .collect();
+    let mut sum = RadiationAccumulator::new(&det);
+    g.throughput(Throughput::Elements(pairs as u64));
+    g.bench_function("accumulate_for_sum_36864p_16f", |b| {
+        b.iter(|| sum.accumulate(&det, &states, sim.time, slab.dt))
+    });
 
     // Two slab ranks in lock-step: rank 1 steps whenever rank 0 does.
     let global = GridSpec::cubic(24, 48, 8, 0.5, 0.5);
@@ -292,6 +349,22 @@ fn bench_producer(c: &mut Criterion) {
         bandwidth / 1e9,
         fused_ns / floor_ns
     );
+    // The same pass against the arithmetic ceiling, LANES particles at a
+    // time: two f64 lanes per SSE2 register, 4 flop/cycle.
+    match sse2_ceiling_gflops().map(|f32_peak| f32_peak / 8.0) {
+        Some(ghz) => println!(
+            "producer: fused tile pass {fused_ns:.1} ns/particle, {FUSED_FLOP} flop and \
+             {FUSED_DIV} divisions per particle (counted from the code) = {:.2} flop/cycle at \
+             {ghz:.2} GHz against the no-FMA SSE2 f64 ceiling of 4 ({:.0} %), {LANES} particles \
+             per lane group",
+            FUSED_FLOP / (fused_ns * ghz),
+            100.0 * FUSED_FLOP / (fused_ns * ghz) / 4.0
+        ),
+        None => println!(
+            "producer: fused tile pass {fused_ns:.1} ns/particle, {FUSED_FLOP} flop and \
+             {FUSED_DIV} divisions per particle (counted from the code; clock not reported)"
+        ),
+    }
     // Ceiling 2: the arithmetic of the radiation sum, in f64 — two lanes
     // per SSE2 register, so half the 8 flop/cycle `tensor` is held against.
     let pair_ns = radiation_s * 1e9 / pairs;

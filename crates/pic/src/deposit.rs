@@ -23,9 +23,22 @@
 //! cell receives the prefix sum's rounding residue) and adds
 //! unconditionally, in z rows: a skipped cell would have received
 //! `f·(±0)`, which changes no bit of an accumulator that started at `+0.0`.
+//!
+//! # Lanes
+//!
+//! `deposit_current_lanes` runs `L` moves at once: the shapes, their
+//! windows (selected by bit pattern, so no lane branches) and the 27
+//! W-brackets with their divisions are [`Lanes`] arithmetic, each lane
+//! the one-move formula op for op. The running prefix sums are formed per
+//! particle as its rows are scattered, all rows of lane `l` before any
+//! row of lane `l + 1` — the order one-at-a-time deposition adds them in,
+//! so the sink's bits do not depend on the lane count (staging the 108
+//! rows of every lane instead costs more stores than the lanes save).
+//! [`deposit_current`] is the one-lane instance.
 
 use crate::field::VecField3;
-use crate::grid::{fast_floor, GridSpec};
+use crate::grid::GridSpec;
+use crate::lanes::{Lanes, Mask};
 
 /// Destination grid for Esirkepov current contributions.
 ///
@@ -54,76 +67,95 @@ impl CurrentSink for VecField3 {
     }
 }
 
-/// CIC (first-order b-spline) shape function.
-#[inline]
-fn cic(u: f64) -> f64 {
+/// CIC (first-order b-spline) shape function; the clamp at 0 is a
+/// bit-pattern select.
+#[inline(always)]
+fn cic<const L: usize>(u: Lanes<L>) -> Lanes<L> {
     let a = 1.0 - u.abs();
-    if a > 0.0 {
-        a
-    } else {
-        0.0
-    }
+    Lanes::splat(0.0).select(a.gt(Lanes::splat(0.0)), a)
 }
 
-/// Per-axis Esirkepov shapes of one move over the 4-cell support that
-/// starts at cell `base`.
-struct Shapes {
-    base: [isize; 3],
-    /// `S⁰` per axis and support cell.
-    s0: [[f64; 4]; 3],
-    /// `ΔS = S¹ − S⁰`.
-    ds: [[f64; 4]; 3],
-    /// First cell of the 3-cell window per axis (see the module docs).
-    lo: [usize; 3],
+/// The Esirkepov shapes of `L` moves along one axis, each over the
+/// 4-cell support that starts one cell below its start cell.
+struct Axis<const L: usize> {
+    /// Start cell `⌊c⁰⌋`.
+    cell: Lanes<L>,
+    /// `ΔS = S¹ − S⁰` per support cell.
+    ds: [Lanes<L>; 4],
+    /// `S⁰` and `ΔS` on the 3-cell window (see the module docs).
+    win_s0: [Lanes<L>; 3],
+    win_ds: [Lanes<L>; 3],
+    /// Lanes whose window starts at support cell 0 rather than 1.
+    low: Mask<L>,
 }
 
-impl Shapes {
+impl<const L: usize> Axis<L> {
+    /// The shapes of the moves `c0 → c1` in cell units.
     #[inline(always)]
-    fn new(c0: [f64; 3], c1: [f64; 3]) -> Self {
-        let mut sh = Shapes {
-            base: [0; 3],
-            s0: [[0.0; 4]; 3],
-            ds: [[0.0; 4]; 3],
-            lo: [1; 3],
-        };
-        for a in 0..3 {
+    fn new(c0: Lanes<L>, c1: Lanes<L>) -> Self {
+        for l in 0..L {
             debug_assert!(
-                (c1[a] - c0[a]).abs() <= 1.0,
-                "axis {a} displacement exceeds one cell"
+                (c1.0[l] - c0.0[l]).abs() <= 1.0,
+                "displacement exceeds one cell"
             );
-            sh.base[a] = fast_floor(c0[a]) as isize - 1;
-            for r in 0..4 {
-                let cell = (sh.base[a] + r as isize) as f64;
-                let s1 = cic(c1[a] - cell);
-                sh.s0[a][r] = cic(c0[a] - cell);
-                sh.ds[a][r] = s1 - sh.s0[a][r];
-                if r == 0 && s1 != 0.0 {
-                    sh.lo[a] = 0;
-                }
-            }
         }
-        sh
+        let cell = c0.floor();
+        // `(S⁰, S¹)` of support cell `⌊c⁰⌋ − 1 + r` (exact in f64).
+        let support = |r: f64| {
+            let at = cell + (r - 1.0);
+            (cic(c0 - at), cic(c1 - at))
+        };
+        let [(s0_0, s1_0), (s0_1, s1_1), (s0_2, s1_2), (s0_3, s1_3)] =
+            [support(0.0), support(1.0), support(2.0), support(3.0)];
+        let s0 = [s0_0, s0_1, s0_2, s0_3];
+        let ds = [s1_0 - s0_0, s1_1 - s0_1, s1_2 - s0_2, s1_3 - s0_3];
+        let low = s1_0.ne(Lanes::splat(0.0));
+        let window = |v: [Lanes<L>; 4]| {
+            [
+                v[1].select(low, v[0]),
+                v[2].select(low, v[1]),
+                v[3].select(low, v[2]),
+            ]
+        };
+        Axis {
+            cell,
+            ds,
+            win_s0: window(s0),
+            win_ds: window(ds),
+            low,
+        }
     }
 
-    /// The W-bracket of support cells `ra`, `rb` on the axes `a`, `b`.
+    /// The W-brackets of this axis' window cells with those of `b`.
     #[inline(always)]
-    fn bracket(&self, a: usize, ra: usize, b: usize, rb: usize) -> f64 {
-        let (sa, da) = (self.s0[a][ra], self.ds[a][ra]);
-        let (sb, db) = (self.s0[b][rb], self.ds[b][rb]);
-        sa * sb + 0.5 * da * sb + 0.5 * sa * db + da * db / 3.0
+    fn brackets(&self, b: &Axis<L>) -> [[Lanes<L>; 3]; 3] {
+        let w = |ra: usize, rb: usize| {
+            let (sa, da) = (self.win_s0[ra], self.win_ds[ra]);
+            let (sb, db) = (b.win_s0[rb], b.win_ds[rb]);
+            sa * sb + 0.5 * da * sb + 0.5 * sa * db + da * db / 3.0
+        };
+        [
+            [w(0, 0), w(0, 1), w(0, 2)],
+            [w(1, 0), w(1, 1), w(1, 2)],
+            [w(2, 0), w(2, 1), w(2, 2)],
+        ]
     }
 }
 
 /// Deposit the current of one particle moving from `(x0,y0,z0)` to
-/// `(x1,y1,z1)` with charge `q` (units e) and weight `w` into `j`.
+/// `(x1,y1,z1)` with charge `q` (units e) and weight `w` into `j`:
+/// `deposit_current_lanes` at one lane.
 ///
 /// `x_origin_cell` is the slab origin (global x cell of local cell 0).
 ///
-/// The move must be shorter than one cell per axis. That is only
-/// debug-asserted; a longer move in a release build loses the charge
-/// whose support falls outside the 4-cell box around the start cell (as
-/// the 4×4×4 loop this replaced did) but never writes outside that box,
-/// which is all the tile accumulators' unchecked indexing relies on.
+/// **Moves longer than a cell.** The CFL check keeps every move under
+/// one cell per axis, and only a debug build asserts it. A release build
+/// given a longer move (up to two cells per axis) deposits exactly what
+/// the 4×4×4 loop this replaced deposited: the current of the support
+/// inside the 4-cell box around the start cell, the charge whose support
+/// falls outside it lost. It never writes outside that box, which is all
+/// the tile accumulators' unchecked indexing relies on
+/// (`tile::tests::long_moves_stay_in_the_box_and_match_the_oracle`).
 #[allow(clippy::too_many_arguments)]
 pub fn deposit_current<S: CurrentSink>(
     j: &mut S,
@@ -138,55 +170,79 @@ pub fn deposit_current<S: CurrentSink>(
     z1: f64,
     x_origin_cell: f64,
 ) {
-    let c0 = [x0 / g.dx - x_origin_cell, y0 / g.dy, z0 / g.dz];
-    let c1 = [x1 / g.dx - x_origin_cell, y1 / g.dy, z1 / g.dz];
-    let sh = Shapes::new(c0, c1);
-    let [bi, bj, bk] = sh.base;
-    let [lx, ly, lz] = sh.lo;
-    let qw = q * w / (g.dx * g.dy * g.dz);
+    let lane = Lanes::<1>::splat;
+    let (r0, r1) = ([x0, y0, z0].map(lane), [x1, y1, z1].map(lane));
+    deposit_current_lanes(j, g, q, lane(w), r0, r1, x_origin_cell, 1);
+}
 
-    // Jx and Jy differ only in which in-plane axis carries the prefix; they
-    // stay two loops because one loop over a run-time axis measured 9 %
-    // slower on the whole fused pass.
-    // Jx: prefix over r, rows along the z window.
-    let fx = -qw * g.dx / g.dt;
-    for s in ly..ly + 3 {
-        let wyz: [f64; 3] = std::array::from_fn(|t| sh.bracket(1, s, 2, lz + t));
-        let mut running = [0.0f64; 3];
-        for r in 0..4 {
-            let mut row = [0.0f64; 3];
-            for t in 0..3 {
-                running[t] += sh.ds[0][r] * wyz[t];
-                row[t] = fx * running[t];
+/// [`deposit_current`] of `L` moves `r0 → r1` (per axis) with weights
+/// `w`, of which the first `live` lanes are deposited — in lane order,
+/// each lane's rows all before the next lane's (see the module docs). The
+/// other lanes are computed and dropped.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+pub(crate) fn deposit_current_lanes<S: CurrentSink, const L: usize>(
+    j: &mut S,
+    g: &GridSpec,
+    q: f64,
+    w: Lanes<L>,
+    r0: [Lanes<L>; 3],
+    r1: [Lanes<L>; 3],
+    x_origin_cell: f64,
+    live: usize,
+) {
+    let [x, y, z] = [
+        Axis::new(r0[0] / g.dx - x_origin_cell, r1[0] / g.dx - x_origin_cell),
+        Axis::new(r0[1] / g.dy, r1[1] / g.dy),
+        Axis::new(r0[2] / g.dz, r1[2] / g.dz),
+    ];
+    let qw = q * w / (g.dx * g.dy * g.dz);
+    let f = [-qw * g.dx / g.dt, -qw * g.dy / g.dt, -qw * g.dz / g.dt];
+    // The brackets of the transverse windows: yz for Jx, xz for Jy, xy
+    // for Jz.
+    let (w_yz, w_xz, w_xy) = (y.brackets(&z), x.brackets(&z), x.brackets(&y));
+
+    for l in 0..live {
+        let [bi, bj, bk] = [&x, &y, &z].map(|a| a.cell.0[l] as isize - 1);
+        let [lx, ly, lz] = [&x, &y, &z].map(|a| isize::from(a.low.0[l] == 0));
+        let ds = |a: &Axis<L>, r: usize| a.ds[r].0[l];
+        // Jx and Jy differ only in which in-plane axis carries the
+        // prefix; they stay two loops because one loop over a run-time
+        // axis measured 9 % slower on the whole fused pass.
+        // Jx: prefix over r, rows along the z window.
+        for (s, wyz) in (0..).zip(&w_yz) {
+            let mut running = [0.0f64; 3];
+            for r in 0..4 {
+                let mut row = [0.0f64; 3];
+                for t in 0..3 {
+                    running[t] += ds(&x, r) * wyz[t].0[l];
+                    row[t] = f[0].0[l] * running[t];
+                }
+                j.add_row(0, bi + r as isize, bj + ly + s, bk + lz, &row);
             }
-            j.add_row(0, bi + r as isize, bj + s as isize, bk + lz as isize, &row);
         }
-    }
-    // Jy: prefix over s, rows along the z window.
-    let fy = -qw * g.dy / g.dt;
-    for r in lx..lx + 3 {
-        let wxz: [f64; 3] = std::array::from_fn(|t| sh.bracket(0, r, 2, lz + t));
-        let mut running = [0.0f64; 3];
-        for s in 0..4 {
-            let mut row = [0.0f64; 3];
-            for t in 0..3 {
-                running[t] += sh.ds[1][s] * wxz[t];
-                row[t] = fy * running[t];
+        // Jy: prefix over s, rows along the z window.
+        for (r, wxz) in (0..).zip(&w_xz) {
+            let mut running = [0.0f64; 3];
+            for s in 0..4 {
+                let mut row = [0.0f64; 3];
+                for t in 0..3 {
+                    running[t] += ds(&y, s) * wxz[t].0[l];
+                    row[t] = f[1].0[l] * running[t];
+                }
+                j.add_row(1, bi + lx + r, bj + s as isize, bk + lz, &row);
             }
-            j.add_row(1, bi + r as isize, bj + s as isize, bk + lz as isize, &row);
         }
-    }
-    // Jz: the prefix axis is the row itself.
-    let fz = -qw * g.dz / g.dt;
-    for r in lx..lx + 3 {
-        for s in ly..ly + 3 {
-            let wxy = sh.bracket(0, r, 1, s);
-            let mut running = 0.0;
-            let row: [f64; 4] = std::array::from_fn(|t| {
-                running += sh.ds[2][t] * wxy;
-                fz * running
-            });
-            j.add_row(2, bi + r as isize, bj + s as isize, bk, &row);
+        // Jz: the prefix axis is the row itself.
+        for (r, w_x) in (0..).zip(&w_xy) {
+            for (s, wxy) in (0..).zip(w_x) {
+                let mut running = 0.0;
+                let row: [f64; 4] = std::array::from_fn(|t| {
+                    running += ds(&z, t) * wxy.0[l];
+                    f[2].0[l] * running
+                });
+                j.add_row(2, bi + lx + r, bj + ly + s, bk, &row);
+            }
         }
     }
 }
@@ -243,6 +299,7 @@ pub(crate) fn deposit_current_oracle<S: CurrentSink>(
     let c0 = [x0 / g.dx - x_origin_cell, y0 / g.dy, z0 / g.dz];
     let c1 = [x1 / g.dx - x_origin_cell, y1 / g.dy, z1 / g.dz];
     let base = c0.map(|c| c.floor() as isize - 1);
+    let cic = |u: f64| (1.0 - u.abs()).max(0.0);
     let mut s0 = [[0.0f64; 4]; 3];
     let mut s1 = [[0.0f64; 4]; 3];
     for a in 0..3 {

@@ -6,30 +6,43 @@
 //! and floors twice per axis (`supports`) and runs one trilinear body
 //! (`gather_six`) — over the global fields here, over a tile's cached
 //! [`crate::tile::FieldPatch`] in the fused step.
+//!
+//! Both gather `L` particles at once ([`crate::tile::LANES`] in the fused
+//! step and the radiation state gather): divisions, floors, weights and
+//! the trilinear sums are [`Lanes`] arithmetic, only the field loads are
+//! per lane. Every lane computes the one-particle formula op for op, so
+//! [`gather_eb`] is the one-lane instance, not a second body.
 
 use crate::field::{ScalarField3, VecField3};
-use crate::grid::{fast_floor, GridSpec};
+use crate::grid::GridSpec;
+use crate::lanes::Lanes;
 
-/// CIC support of one coordinate at one stagger: storage indices of the
-/// lower and upper cell, and the weight of the upper one.
+/// CIC support of one coordinate at one stagger, per lane: storage
+/// offsets of the lower and upper cell along the axis, and the weight of
+/// the upper one.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Support {
-    lo: usize,
-    hi: usize,
-    w: f64,
+pub(crate) struct Support<const L: usize> {
+    lo: [usize; L],
+    hi: [usize; L],
+    w: Lanes<L>,
 }
 
-/// The two supports of a cell coordinate `q = x/dx`: stagger 0 and
+/// The two supports of cell coordinates `q = x/dx`: stagger 0 and
 /// stagger ½, relative to `origin`. `resolve` maps a cell index to its
-/// storage index (ghost offset, periodic wrap or tile-view offset).
+/// storage offset: ghost offset, periodic wrap or tile-view offset, times
+/// the axis stride, so a corner's flat index is the sum of three.
 #[inline(always)]
-pub(crate) fn supports(q: f64, origin: f64, resolve: impl Fn(isize) -> usize) -> [Support; 2] {
-    let at = |c: f64| {
-        let cell = fast_floor(c);
-        let i = cell as isize;
+pub(crate) fn supports<const L: usize>(
+    q: Lanes<L>,
+    origin: f64,
+    resolve: impl Fn(isize) -> usize,
+) -> [Support<L>; 2] {
+    let at = |c: Lanes<L>| {
+        let cell = c.floor();
+        let i = cell.0.map(|v| v as isize);
         Support {
-            lo: resolve(i),
-            hi: resolve(i + 1),
+            lo: i.map(&resolve),
+            hi: i.map(|i| resolve(i + 1)),
             w: c - cell,
         }
     };
@@ -48,38 +61,35 @@ const STAGGER: [[usize; 3]; 6] = [
 ];
 
 /// The trilinear body: all six components from the per-axis supports
-/// (`axes[a][stagger]`) of one position. `at(c, idx)` reads component
-/// `c` at flat index `idx` of a row-major array whose y and z extents
-/// are `sy` and `sz`.
+/// (`axes[a][stagger]`) of `L` positions. `at(c, idx)` reads component
+/// `c` at flat index `idx`.
 #[inline(always)]
-pub(crate) fn gather_six(
+pub(crate) fn gather_six<const L: usize>(
     at: impl Fn(usize, usize) -> f64,
-    sy: usize,
-    sz: usize,
-    axes: &[[Support; 2]; 3],
-) -> (f64, f64, f64, f64, f64, f64) {
-    let mut out = [0.0f64; 6];
-    for (c, slot) in out.iter_mut().enumerate() {
-        let x = axes[0][STAGGER[c][0]];
-        let y = axes[1][STAGGER[c][1]];
-        let z = axes[2][STAGGER[c][2]];
+    axes: &[[Support<L>; 2]; 3],
+) -> [Lanes<L>; 6] {
+    std::array::from_fn(|c| {
+        let x = &axes[0][STAGGER[c][0]];
+        let y = &axes[1][STAGGER[c][1]];
+        let z = &axes[2][STAGGER[c][2]];
+        // Corner (i, j, k) of every lane, `i`, `j`, `k` lower or upper.
+        let corner = |i: &[usize; L], j: &[usize; L], k: &[usize; L]| {
+            Lanes::from_fn(|l| at(c, i[l] + j[l] + k[l]))
+        };
         let (wx, wy, wz) = (x.w, y.w, z.w);
-        let row = |i: usize, j: usize| (i * sy + j) * sz;
-        let (r00, r01) = (row(x.lo, y.lo), row(x.lo, y.hi));
-        let (r10, r11) = (row(x.hi, y.lo), row(x.hi, y.hi));
-        *slot = (1.0 - wx) * (1.0 - wy) * (1.0 - wz) * at(c, r00 + z.lo)
-            + (1.0 - wx) * (1.0 - wy) * wz * at(c, r00 + z.hi)
-            + (1.0 - wx) * wy * (1.0 - wz) * at(c, r01 + z.lo)
-            + (1.0 - wx) * wy * wz * at(c, r01 + z.hi)
-            + wx * (1.0 - wy) * (1.0 - wz) * at(c, r10 + z.lo)
-            + wx * (1.0 - wy) * wz * at(c, r10 + z.hi)
-            + wx * wy * (1.0 - wz) * at(c, r11 + z.lo)
-            + wx * wy * wz * at(c, r11 + z.hi);
-    }
-    (out[0], out[1], out[2], out[3], out[4], out[5])
+        (1.0 - wx) * (1.0 - wy) * (1.0 - wz) * corner(&x.lo, &y.lo, &z.lo)
+            + (1.0 - wx) * (1.0 - wy) * wz * corner(&x.lo, &y.lo, &z.hi)
+            + (1.0 - wx) * wy * (1.0 - wz) * corner(&x.lo, &y.hi, &z.lo)
+            + (1.0 - wx) * wy * wz * corner(&x.lo, &y.hi, &z.hi)
+            + wx * (1.0 - wy) * (1.0 - wz) * corner(&x.hi, &y.lo, &z.lo)
+            + wx * (1.0 - wy) * wz * corner(&x.hi, &y.lo, &z.hi)
+            + wx * wy * (1.0 - wz) * corner(&x.hi, &y.hi, &z.lo)
+            + wx * wy * wz * corner(&x.hi, &y.hi, &z.hi)
+    })
 }
 
-/// E and B interpolated at one particle position.
+/// E and B interpolated at one particle position: [`gather_eb_lanes`] at
+/// one lane.
 ///
 /// `x_origin_cell` is the x cell index of this rank's slab origin (0 in
 /// single-domain mode). Returns `(ex, ey, ez, bx, by, bz)`.
@@ -93,6 +103,22 @@ pub fn gather_eb(
     z: f64,
     x_origin_cell: f64,
 ) -> (f64, f64, f64, f64, f64, f64) {
+    let r = [x, y, z].map(Lanes::<1>::splat);
+    let [ex, ey, ez, bx, by, bz] = gather_eb_lanes(e, b, g, r, x_origin_cell).map(|c| c.0[0]);
+    (ex, ey, ez, bx, by, bz)
+}
+
+/// E and B, as `[ex, ey, ez, bx, by, bz]`, interpolated at the `L`
+/// positions `r = [x, y, z]`; lane `l` holds the bits [`gather_eb`] gives
+/// position `l`.
+#[inline]
+pub fn gather_eb_lanes<const L: usize>(
+    e: &VecField3,
+    b: &VecField3,
+    g: &GridSpec,
+    r: [Lanes<L>; 3],
+    x_origin_cell: f64,
+) -> [Lanes<L>; 6] {
     let f = &e.x;
     let (_, ny, nz) = f.dims();
     debug_assert!(
@@ -101,10 +127,18 @@ pub fn gather_eb(
             .all(|c| c.dims() == f.dims()),
         "E and B components must share dimensions"
     );
+    // The wrap keeps the y and z indices inside `ny`, `nz`; with the x
+    // rows checked here, every flat index is inside each component.
+    let rows = f.raw().len() / (ny * nz);
+    let x_row = |i: isize| {
+        let row = f.resolve_x(i);
+        assert!(row < rows, "gather position outside the x ghost layers");
+        row * ny * nz
+    };
     let axes = [
-        supports(x / g.dx, x_origin_cell, |i| f.resolve_x(i)),
-        supports(y / g.dy, 0.0, |j| ScalarField3::pwrap(j, ny)),
-        supports(z / g.dz, 0.0, |k| ScalarField3::pwrap(k, nz)),
+        supports(r[0] / g.dx, x_origin_cell, x_row),
+        supports(r[1] / g.dy, 0.0, |j| ScalarField3::pwrap(j, ny) * nz),
+        supports(r[2] / g.dz, 0.0, |k| ScalarField3::pwrap(k, nz)),
     ];
     let comp = [
         e.x.raw(),
@@ -114,7 +148,10 @@ pub fn gather_eb(
         b.y.raw(),
         b.z.raw(),
     ];
-    gather_six(|c, idx| comp[c][idx], ny, nz, &axes)
+    // SAFETY: `idx = row·ny·nz + j·nz + k` with `row < rows` (asserted in
+    // `x_row`), `j < ny` and `k < nz` (`pwrap`), so `idx < rows·ny·nz`,
+    // the length of every component.
+    gather_six(|c, idx| unsafe { *comp[c].get_unchecked(idx) }, &axes)
 }
 
 #[cfg(test)]

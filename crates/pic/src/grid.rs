@@ -77,66 +77,9 @@ impl GridSpec {
     }
 }
 
-/// `c.floor()` without the library call the SSE2 baseline target makes
-/// of it (the hot loop floors six cell coordinates per particle):
-/// truncate, then step down when truncation rounded up. Integers —
-/// `±0.0` included — NaN, the infinities and everything from 2⁵² up are
-/// their own floor, so the result is bitwise `f64::floor` on every input.
-#[inline]
-pub(crate) fn fast_floor(c: f64) -> f64 {
-    let t = c as i64 as f64;
-    if (c.abs() < 4_503_599_627_370_496.0) & (t != c) {
-        t - f64::from(c < t)
-    } else {
-        c
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fast_floor_is_bitwise_floor() {
-        let two52 = 4_503_599_627_370_496.0f64;
-        let mut cases = vec![
-            0.0,
-            -0.0,
-            0.5,
-            -0.5,
-            1.0,
-            -1.0,
-            -3.0,
-            f64::next_down(48.0),
-            f64::MIN_POSITIVE,
-            -f64::MIN_POSITIVE,
-            5e-324,
-            -5e-324,
-            two52,
-            -two52,
-            two52 - 0.5,
-            -(two52 - 0.5),
-            two52 * 1024.0,
-            -two52 * 2048.0,
-            1e300,
-            -1e300,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-        ];
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        for _ in 0..20_000 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            cases.push(((state >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 200.0);
-            cases.push(f64::from_bits(state));
-        }
-        for c in cases {
-            let (got, want) = (fast_floor(c), c.floor());
-            assert!(
-                got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
-                "fast_floor({c:e}) = {got:e}, floor = {want:e}"
-            );
-        }
-    }
 
     #[test]
     fn cubic_is_stable_by_construction() {

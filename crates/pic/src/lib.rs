@@ -31,10 +31,12 @@
 //!    ranges.
 //! 2. Rayon workers claim whole tiles (dynamic scheduling). Per tile they
 //!    stage a [`tile::FieldPatch`] view of E/B (tile + 1-cell gather
-//!    halo), then run gather → Boris push → move → Esirkepov deposit per
-//!    particle, depositing into a [`tile::TileAccumulator`] (tile +
-//!    2-cell deposit halo). Tiles own disjoint particle ranges and
-//!    accumulators, so the pass needs no locks or atomics.
+//!    halo), then run gather → Boris push → move → Esirkepov deposit
+//!    [`tile::LANES`] particles at a time ([`lanes::Lanes`] arithmetic,
+//!    bit-identical to one particle at a time), depositing into a
+//!    [`tile::TileAccumulator`] (tile + 2-cell deposit halo). Tiles own
+//!    disjoint particle ranges and accumulators, so the pass needs no
+//!    locks or atomics.
 //! 3. Accumulators reduce into the global `J` in **tile-index order**,
 //!    independent of worker count or schedule: steps are bit-reproducible
 //!    for a given particle order, and the fused path matches the serial
@@ -58,6 +60,7 @@ pub mod fom;
 pub mod gather;
 pub mod grid;
 pub mod khi;
+pub mod lanes;
 pub mod maxwell;
 pub mod particles;
 pub mod plugin;

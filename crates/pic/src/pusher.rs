@@ -4,10 +4,12 @@
 //! rotation, half electric kick. Exactly energy-conserving for pure
 //! magnetic fields, second-order accurate in time.
 
+use crate::lanes::Lanes;
+
 /// One Boris update of the momentum `u = γβ` (units mc).
 ///
 /// `qm_dt_half = (q/m)·dt/2` in normalised units (electrons: −dt/2).
-/// Returns the new momentum.
+/// Returns the new momentum. This is `boris_lanes` at one lane.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub fn boris(
@@ -22,6 +24,27 @@ pub fn boris(
     bz: f64,
     qm_dt_half: f64,
 ) -> (f64, f64, f64) {
+    let lane = Lanes::<1>::splat;
+    let [ux, uy, uz] = boris_lanes(
+        [lane(ux), lane(uy), lane(uz)],
+        [lane(ex), lane(ey), lane(ez)],
+        [lane(bx), lane(by), lane(bz)],
+        qm_dt_half,
+    );
+    (ux.0[0], uy.0[0], uz.0[0])
+}
+
+/// [`boris`] for `L` particles at once: momenta `u[axis]`, fields `e`,
+/// `b` likewise. Each lane runs the scalar update op for op, so a lane's
+/// result is the bits one [`boris`] call gives it.
+#[inline(always)]
+pub(crate) fn boris_lanes<const L: usize>(
+    u: [Lanes<L>; 3],
+    e: [Lanes<L>; 3],
+    b: [Lanes<L>; 3],
+    qm_dt_half: f64,
+) -> [Lanes<L>; 3] {
+    let ([ux, uy, uz], [ex, ey, ez], [bx, by, bz]) = (u, e, b);
     // Half electric impulse.
     let umx = ux + qm_dt_half * ex;
     let umy = uy + qm_dt_half * ey;
@@ -44,11 +67,11 @@ pub fn boris(
     let uply = umy + (upz * sx - upx * sz);
     let uplz = umz + (upx * sy - upy * sx);
     // Half electric impulse.
-    (
+    [
         uplx + qm_dt_half * ex,
         uply + qm_dt_half * ey,
         uplz + qm_dt_half * ez,
-    )
+    ]
 }
 
 #[cfg(test)]

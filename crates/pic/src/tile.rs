@@ -12,15 +12,16 @@
 //!    allocation-free in steady state, and yields the per-supercell offset
 //!    table partitioning the SoA buffer into contiguous tile ranges.
 //! 2. **Fused tile pass** (rayon, dynamically load-balanced) — each worker
-//!    takes whole tiles and, per particle: gathers `E`,`B`, Boris-pushes,
-//!    moves, deposits the Esirkepov current into a **tile-local
-//!    accumulator** (tile box + [`TILE_HALO`]-cell halo, indexed with pure
-//!    integer arithmetic — no periodic wrapping, no atomics), and writes
-//!    the new phase-space coordinates back in place. Tiles own disjoint
-//!    particle ranges and disjoint accumulators, so the pass is race-free
-//!    without locks. The gather shares two CIC supports per axis among
-//!    all six components ([`crate::gather`]), the deposit walks a 3×3
-//!    window per component ([`crate::deposit`]), and no step calls libm.
+//!    takes whole tiles and, [`LANES`] particles at a time: gathers `E`,`B`,
+//!    Boris-pushes, moves, deposits the Esirkepov current into a
+//!    **tile-local accumulator** (tile box + [`TILE_HALO`]-cell halo,
+//!    indexed with pure integer arithmetic — no periodic wrapping, no
+//!    atomics), and writes the new phase-space coordinates back in place.
+//!    Tiles own disjoint particle ranges and disjoint accumulators, so the
+//!    pass is race-free without locks. The gather shares two CIC supports
+//!    per axis among all six components ([`crate::gather`]), the deposit
+//!    walks a 3×3 window per component ([`crate::deposit`]), and no step
+//!    calls libm.
 //! 3. **Deterministic reduction** — tile accumulators are added into the
 //!    global [`VecField3`] in tile-index order, independent of the worker
 //!    count or schedule, so a step is bit-reproducible for a given particle
@@ -28,22 +29,44 @@
 //!    ([`crate::field::ScalarField3::add_row_unwrapped`]); only boundary tiles pay the
 //!    wrapped per-cell path.
 //!
+//! **Lanes.** A tile's particles go through the pass in groups of
+//! [`LANES`], the CPU analogue of a GPU warp over a particle frame: the
+//! gather's supports and trilinear sums, the Boris rotation, the move,
+//! the Esirkepov shapes and the W-brackets are [`Lanes`] arithmetic
+//! (branch-free, bit-pattern selects). Per particle are only the field
+//! loads, the escape check with its cold seam nudge, and the deposit's
+//! running sums with the accumulator scatter. Every lane computes the
+//! one-particle formula op for op, and the scatter adds particle `i`'s
+//! rows before particle `i + 1`'s, so the pass is bit-identical to one
+//! particle at a time (the `#[cfg(test)]` oracle). A tile's last group
+//! pads its idle lanes with copies of a live particle and neither stores
+//! nor deposits them.
+//!
 //! Because a particle moves less than one cell per step (CFL) and binning
 //! is refreshed *every* step, the deposition support of a tile's particles
 //! is always inside the tile-plus-halo box; a one-cell float jitter at
 //! periodic seams is absorbed by the halo as well.
 //!
 //! All scratch (sort buffers, tile accumulators) lives in reusable pools,
-//! so steady-state stepping performs no per-step heap allocation.
+//! and lane scratch on the stack, so steady-state stepping performs no
+//! per-step heap allocation.
 
-use crate::deposit::{deposit_current, CurrentSink};
+use crate::deposit::{deposit_current_lanes, CurrentSink};
 use crate::field::VecField3;
 use crate::gather::{gather_six, supports};
 use crate::grid::GridSpec;
+use crate::lanes::Lanes;
 use crate::particles::ParticleBuffer;
-use crate::pusher::boris;
+use crate::pusher::boris_lanes;
 use parking_lot::Mutex;
 use rayon::prelude::*;
+use std::ops::Range;
+
+/// Particles the fused pass (and the radiation state gather) processes
+/// at once: two SSE2 registers per lane array. Measured on the fused pass
+/// of a `sim_bound` slab, two lanes are 7 % slower and eight (register
+/// spills) 31 % slower.
+pub const LANES: usize = 4;
 
 /// Halo width (cells) of a tile-local accumulator on every side: the
 /// Esirkepov CIC support of a particle starting in the tile reaches at
@@ -276,10 +299,11 @@ impl CurrentSink for TileAccumulator {
             // `idx + t < sx·sy·sz = len`. The invariant holds in release
             // because the fused pass asserts every particle's start cell
             // into its tile before depositing, binning is refreshed each
-            // step, and `deposit_current` never writes outside the 4-cell
-            // box around the start cell — which the halo covers. Unchecked
-            // indexing removes ~100 bounds checks per particle from the
-            // hottest loop of the code base.
+            // step, and `deposit_current_lanes` never writes outside the
+            // 4-cell box around a start cell, not even for a move longer
+            // than a cell — which the halo covers. Unchecked indexing
+            // removes ~100 bounds checks per particle from the hottest
+            // loop of the code base.
             unsafe { *cells.get_unchecked_mut(idx + t) += v };
         }
     }
@@ -303,7 +327,7 @@ pub struct FieldPatch {
 
 impl FieldPatch {
     /// Fill the view from the global fields for `tile`.
-    fn load(&mut self, e: &VecField3, b: &VecField3, tile: TileBox) {
+    pub fn load(&mut self, e: &VecField3, b: &VecField3, tile: TileBox) {
         // Staggered CIC support of a position inside the tile: one cell
         // below the box through one past its end ⇒ extent + 2 per axis.
         self.ox = tile.x0 as isize - 1;
@@ -321,31 +345,42 @@ impl FieldPatch {
         }
     }
 
-    /// Interpolate E and B at one particle position: the trilinear body
-    /// of [`crate::gather`], reading the cached view.
+    /// E and B, as `[ex, ey, ez, bx, by, bz]`, interpolated at the `L`
+    /// positions `r = [x, y, z]`: the trilinear body of
+    /// [`crate::gather`], reading the cached view.
+    ///
+    /// # Safety
+    ///
+    /// Every position must lie in the tile the view was loaded for, in
+    /// the sense of the fused pass's escape check: cell coordinate
+    /// (`x/dx − x_origin_cell`, `y/dy`, `z/dz`) at least half a cell below
+    /// the tile's first cell and below its end, on every axis. The loads
+    /// are unchecked.
     #[inline]
-    fn gather_eb(
+    pub unsafe fn gather<const L: usize>(
         &self,
         g: &GridSpec,
-        x: f64,
-        y: f64,
-        z: f64,
+        r: [Lanes<L>; 3],
         x_origin_cell: f64,
-    ) -> (f64, f64, f64, f64, f64, f64) {
+    ) -> [Lanes<L>; 6] {
+        let (sy, sz) = (self.sy, self.sz);
         let axes = [
-            supports(x / g.dx, x_origin_cell, |i| (i - self.ox) as usize),
-            supports(y / g.dy, 0.0, |j| (j - self.oy) as usize),
-            supports(z / g.dz, 0.0, |k| (k - self.oz) as usize),
+            supports(r[0] / g.dx, x_origin_cell, |i| {
+                (i - self.ox) as usize * sy * sz
+            }),
+            supports(r[1] / g.dy, 0.0, |j| (j - self.oy) as usize * sz),
+            supports(r[2] / g.dz, 0.0, |k| (k - self.oz) as usize),
         ];
         let at = |c: usize, idx: usize| -> f64 {
             let buf = &self.comp[c];
             debug_assert!(idx < buf.len(), "gather index {idx} out of patch");
             // SAFETY: the tile view spans the CIC support of every
-            // particle binned to this tile (asserted in debug; the fused
-            // pass asserts the start cell into the tile in release).
+            // position the caller's contract admits (from half a cell
+            // below the tile through its end: floor ≥ first cell − 1,
+            // upper index ≤ end).
             unsafe { *buf.get_unchecked(idx) }
         };
-        gather_six(at, self.sy, self.sz, &axes)
+        gather_six(at, &axes)
     }
 }
 
@@ -436,6 +471,16 @@ struct PoolPtr(*mut TileAccumulator);
 unsafe impl Send for PoolPtr {}
 unsafe impl Sync for PoolPtr {}
 
+/// What every particle of one species' pass shares.
+struct Pass {
+    g: GridSpec,
+    x_origin_cell: f64,
+    /// The periodic box the positions wrap into.
+    extents: [f64; 3],
+    qm_dt_half: f64,
+    q: f64,
+}
+
 /// One fused, tiled, parallel gather→push→deposit pass over a species.
 ///
 /// Re-bins the species by supercell, pushes every particle, deposits the
@@ -457,10 +502,13 @@ pub fn fused_push_deposit(
     edge: usize,
     pool: &mut TilePool,
 ) {
-    let (lx, ly, lz) = extents;
-    let qm_dt_half = sp.charge / sp.mass * g.dt * 0.5;
-    let q = sp.charge;
-    let dt = g.dt;
+    let pass = Pass {
+        g: *g,
+        x_origin_cell,
+        extents: [extents.0, extents.1, extents.2],
+        qm_dt_half: sp.charge / sp.mass * g.dt * 0.5,
+        q: sp.charge,
+    };
     let grid = TileGrid::new(edge, g.nx, g.ny, g.nz);
     pool.ensure(&grid);
 
@@ -492,8 +540,8 @@ pub fn fused_push_deposit(
             let soa = soa;
             #[allow(clippy::redundant_locals)]
             let accs = accs;
-            let lo = offsets[t];
-            let hi = offsets[t + 1];
+            let (lo, hi) = (offsets[t], offsets[t + 1]);
+            debug_assert!(hi <= soa.len);
             // SAFETY: tile `t` exclusively owns pool entry `t`.
             let acc = unsafe { &mut *accs.0.add(t) };
             acc.active = lo < hi;
@@ -502,86 +550,10 @@ pub fn fused_push_deposit(
             }
             let tile = grid.tile_box(t);
             acc.reset(tile);
-            let patch = &mut lease.patch;
-            patch.load(e, b, tile);
-            for i in lo..hi {
-                debug_assert!(i < soa.len);
-                // SAFETY: `lo..hi` ranges of distinct tiles are disjoint,
-                // so this tile has exclusive access to its particles.
-                unsafe {
-                    let mut x0 = *soa.x.add(i);
-                    let mut y0 = *soa.y.add(i);
-                    let mut z0 = *soa.z.add(i);
-                    // Seam rounding: a position strictly inside the box can
-                    // divide to exactly n cells (binning clamps it into the
-                    // last tile). Pull such positions one ulp inside so the
-                    // tile-local indexing invariant holds; anything further
-                    // out fails the escape guard below instead.
-                    let nx_f = (tile.x0 + tile.ex) as f64;
-                    let ny_f = (tile.y0 + tile.ey) as f64;
-                    let nz_f = (tile.z0 + tile.ez) as f64;
-                    let mut cx = x0 / g.dx - x_origin_cell;
-                    let mut cy = y0 / g.dy;
-                    let mut cz = z0 / g.dz;
-                    if cx >= nx_f && cx < nx_f + SEAM_EXCESS {
-                        x0 = nudge_below_seam(x0, g.dx, x_origin_cell, nx_f);
-                        cx = x0 / g.dx - x_origin_cell;
-                    }
-                    if cy >= ny_f && cy < ny_f + SEAM_EXCESS {
-                        y0 = nudge_below_seam(y0, g.dy, 0.0, ny_f);
-                        cy = y0 / g.dy;
-                    }
-                    if cz >= nz_f && cz < nz_f + SEAM_EXCESS {
-                        z0 = nudge_below_seam(z0, g.dz, 0.0, nz_f);
-                        cz = z0 / g.dz;
-                    }
-                    // Release-mode guard for the unchecked tile-local
-                    // indexing below: binning *clamps* cell indices, so a
-                    // position pushed outside the box through the pub SoA
-                    // fields would land in a valid tile while its raw
-                    // coordinates escape the tile-plus-halo support. Six
-                    // predictable compares per particle turn that into a
-                    // clean panic (the seed path's bounds-check behaviour)
-                    // instead of undefined behaviour.
-                    assert!(
-                        cx >= tile.x0 as f64 - 0.5
-                            && cx < nx_f
-                            && cy >= tile.y0 as f64 - 0.5
-                            && cy < ny_f
-                            && cz >= tile.z0 as f64 - 0.5
-                            && cz < nz_f,
-                        "particle at ({x0}, {y0}, {z0}) escaped its supercell \
-                         bin — positions must stay inside the periodic box \
-                         between steps"
-                    );
-                    let (ex, ey, ez, bx, by, bz) = patch.gather_eb(g, x0, y0, z0, x_origin_cell);
-                    let (ux, uy, uz) = boris(
-                        *soa.ux.add(i),
-                        *soa.uy.add(i),
-                        *soa.uz.add(i),
-                        ex,
-                        ey,
-                        ez,
-                        bx,
-                        by,
-                        bz,
-                        qm_dt_half,
-                    );
-                    let gamma = (1.0 + ux * ux + uy * uy + uz * uz).sqrt();
-                    let x1 = x0 + dt * ux / gamma;
-                    let y1 = y0 + dt * uy / gamma;
-                    let z1 = z0 + dt * uz / gamma;
-                    // Currents come from the unwrapped trajectory.
-                    let w = *soa.w.add(i);
-                    deposit_current(acc, g, q, w, x0, y0, z0, x1, y1, z1, x_origin_cell);
-                    *soa.ux.add(i) = ux;
-                    *soa.uy.add(i) = uy;
-                    *soa.uz.add(i) = uz;
-                    *soa.x.add(i) = wrap_coord(x1, lx);
-                    *soa.y.add(i) = wrap_coord(y1, ly);
-                    *soa.z.add(i) = wrap_coord(z1, lz);
-                }
-            }
+            lease.patch.load(e, b, tile);
+            // SAFETY: `lo..hi` ranges of distinct tiles are disjoint, so
+            // this tile has exclusive access to its particles.
+            unsafe { push_tile(&pass, tile, &lease.patch, acc, soa, lo..hi) };
         },
     );
 
@@ -597,12 +569,523 @@ pub fn fused_push_deposit(
     }
 }
 
+/// Pushes and deposits the particles `range` of one tile into `acc`,
+/// [`LANES`] at a time (see the module docs).
+///
+/// # Safety
+///
+/// `range` is the tile's range of the supercell offset table, inside the
+/// arrays behind `soa`, and no other tile reads or writes those
+/// particles.
+unsafe fn push_tile(
+    p: &Pass,
+    tile: TileBox,
+    patch: &FieldPatch,
+    acc: &mut TileAccumulator,
+    soa: SoAPtr,
+    range: Range<usize>,
+) {
+    let g = &p.g;
+    let spacing = [g.dx, g.dy, g.dz];
+    let origin = [p.x_origin_cell, 0.0, 0.0];
+    let first = [tile.x0, tile.y0, tile.z0].map(|c| c as f64 - 0.5);
+    let end = [tile.x0 + tile.ex, tile.y0 + tile.ey, tile.z0 + tile.ez].map(|c| c as f64);
+    for start in range.clone().step_by(LANES) {
+        let live = (range.end - start).min(LANES);
+        // Idle lanes of a tile's last group repeat its last particle.
+        let at: [usize; LANES] = std::array::from_fn(|l| start + l.min(live - 1));
+        // SAFETY: `at` lies in this tile's range (the caller's contract).
+        let load = |arr: *const f64| Lanes(at.map(|i| unsafe { *arr.add(i) }));
+        let mut r0 = [load(soa.x), load(soa.y), load(soa.z)];
+        for (l, &i) in at.iter().enumerate() {
+            let mut inside = true;
+            for a in 0..3 {
+                let v = &mut r0[a].0[l];
+                let mut c = *v / spacing[a] - origin[a];
+                // Seam rounding: a position strictly inside the box can
+                // divide to exactly n cells (binning clamps it into the
+                // last tile). Pull such positions one ulp inside so the
+                // tile-local indexing invariant holds; anything further
+                // out fails the escape guard below instead.
+                if c >= end[a] && c < end[a] + SEAM_EXCESS {
+                    *v = nudge_below_seam(*v, spacing[a], origin[a], end[a]);
+                    c = *v / spacing[a] - origin[a];
+                }
+                inside &= c >= first[a] && c < end[a];
+            }
+            // Release-mode guard for the unchecked tile-local indexing of
+            // the gather and the deposit, per lane: binning *clamps* cell
+            // indices, so a position pushed outside the box through the
+            // pub SoA fields would land in a valid tile while its raw
+            // coordinates escape the tile-plus-halo support. Six
+            // predictable compares per particle turn that into a clean
+            // panic (the seed path's bounds-check behaviour) instead of
+            // undefined behaviour.
+            assert!(
+                inside,
+                "particle {i} at ({}, {}, {}) escaped its supercell bin — \
+                 positions must stay inside the periodic box between steps",
+                r0[0].0[l], r0[1].0[l], r0[2].0[l]
+            );
+        }
+        // SAFETY: every lane passed the escape guard above.
+        let f = unsafe { patch.gather(g, r0, p.x_origin_cell) };
+        let u0 = [load(soa.ux), load(soa.uy), load(soa.uz)];
+        let u = boris_lanes(u0, [f[0], f[1], f[2]], [f[3], f[4], f[5]], p.qm_dt_half);
+        let gamma = (1.0 + u[0] * u[0] + u[1] * u[1] + u[2] * u[2]).sqrt();
+        let r1 = [
+            r0[0] + g.dt * u[0] / gamma,
+            r0[1] + g.dt * u[1] / gamma,
+            r0[2] + g.dt * u[2] / gamma,
+        ];
+        // Currents come from the unwrapped trajectory.
+        deposit_current_lanes(acc, g, p.q, load(soa.w), r0, r1, p.x_origin_cell, live);
+        for (l, i) in (start..start + live).enumerate() {
+            // SAFETY: `i` is one of this tile's particles.
+            unsafe {
+                *soa.ux.add(i) = u[0].0[l];
+                *soa.uy.add(i) = u[1].0[l];
+                *soa.uz.add(i) = u[2].0[l];
+                *soa.x.add(i) = wrap_coord(r1[0].0[l], p.extents[0]);
+                *soa.y.add(i) = wrap_coord(r1[1].0[l], p.extents[1]);
+                *soa.z.add(i) = wrap_coord(r1[2].0[l], p.extents[2]);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deposit::{deposit_current, deposit_current_oracle};
     use crate::field::{ScalarField3, VecField3};
+    use crate::pusher::boris;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// The one-particle-at-a-time pass the lanes replaced, kept as their
+    /// bitwise oracle: [`fused_push_deposit`] before the lanes, its gather
+    /// the one-lane instance.
+    #[allow(clippy::too_many_arguments)]
+    fn fused_push_deposit_oracle(
+        sp: &mut ParticleBuffer,
+        e: &VecField3,
+        b: &VecField3,
+        j: &mut VecField3,
+        g: &GridSpec,
+        x_origin_cell: f64,
+        extents: (f64, f64, f64),
+        edge: usize,
+        pool: &mut TilePool,
+    ) {
+        let (lx, ly, lz) = extents;
+        let qm_dt_half = sp.charge / sp.mass * g.dt * 0.5;
+        let q = sp.charge;
+        let dt = g.dt;
+        let grid = TileGrid::new(edge, g.nx, g.ny, g.nz);
+        pool.ensure(&grid);
+
+        sp.sort_by_supercell_origin(edge, g.dx, g.dy, g.dz, g.nx, g.ny, g.nz, x_origin_cell);
+        let ([xs, ys, zs, uxs, uys, uzs, ws], offsets) = sp.soa_views_mut();
+        debug_assert_eq!(offsets.len(), grid.n_tiles() + 1);
+        let soa = SoAPtr {
+            x: xs.as_mut_ptr(),
+            y: ys.as_mut_ptr(),
+            z: zs.as_mut_ptr(),
+            ux: uxs.as_mut_ptr(),
+            uy: uys.as_mut_ptr(),
+            uz: uzs.as_mut_ptr(),
+            w: ws.as_ptr(),
+            len: xs.len(),
+        };
+        let accs = PoolPtr(pool.accs.as_mut_ptr());
+        let patch_pool = &pool.patches;
+        let n_tiles = grid.n_tiles();
+
+        // Phase A: fused compute, one task per tile, dynamically scheduled;
+        // each worker leases one reusable field-patch view.
+        (0..n_tiles).into_par_iter().for_each_init(
+            || PatchLease::take(patch_pool),
+            |lease, t| {
+                // Bind the whole wrappers so edition-2021 disjoint capture does
+                // not capture bare raw-pointer fields (which are not Sync).
+                #[allow(clippy::redundant_locals)]
+                let soa = soa;
+                #[allow(clippy::redundant_locals)]
+                let accs = accs;
+                let lo = offsets[t];
+                let hi = offsets[t + 1];
+                // SAFETY: tile `t` exclusively owns pool entry `t`.
+                let acc = unsafe { &mut *accs.0.add(t) };
+                acc.active = lo < hi;
+                if lo >= hi {
+                    return;
+                }
+                let tile = grid.tile_box(t);
+                acc.reset(tile);
+                let patch = &mut lease.patch;
+                patch.load(e, b, tile);
+                for i in lo..hi {
+                    debug_assert!(i < soa.len);
+                    // SAFETY: `lo..hi` ranges of distinct tiles are disjoint,
+                    // so this tile has exclusive access to its particles.
+                    unsafe {
+                        let mut x0 = *soa.x.add(i);
+                        let mut y0 = *soa.y.add(i);
+                        let mut z0 = *soa.z.add(i);
+                        // Seam rounding: a position strictly inside the box can
+                        // divide to exactly n cells (binning clamps it into the
+                        // last tile). Pull such positions one ulp inside so the
+                        // tile-local indexing invariant holds; anything further
+                        // out fails the escape guard below instead.
+                        let nx_f = (tile.x0 + tile.ex) as f64;
+                        let ny_f = (tile.y0 + tile.ey) as f64;
+                        let nz_f = (tile.z0 + tile.ez) as f64;
+                        let mut cx = x0 / g.dx - x_origin_cell;
+                        let mut cy = y0 / g.dy;
+                        let mut cz = z0 / g.dz;
+                        if cx >= nx_f && cx < nx_f + SEAM_EXCESS {
+                            x0 = nudge_below_seam(x0, g.dx, x_origin_cell, nx_f);
+                            cx = x0 / g.dx - x_origin_cell;
+                        }
+                        if cy >= ny_f && cy < ny_f + SEAM_EXCESS {
+                            y0 = nudge_below_seam(y0, g.dy, 0.0, ny_f);
+                            cy = y0 / g.dy;
+                        }
+                        if cz >= nz_f && cz < nz_f + SEAM_EXCESS {
+                            z0 = nudge_below_seam(z0, g.dz, 0.0, nz_f);
+                            cz = z0 / g.dz;
+                        }
+                        // Release-mode guard for the unchecked tile-local
+                        // indexing below: binning *clamps* cell indices, so a
+                        // position pushed outside the box through the pub SoA
+                        // fields would land in a valid tile while its raw
+                        // coordinates escape the tile-plus-halo support. Six
+                        // predictable compares per particle turn that into a
+                        // clean panic (the seed path's bounds-check behaviour)
+                        // instead of undefined behaviour.
+                        assert!(
+                            cx >= tile.x0 as f64 - 0.5
+                                && cx < nx_f
+                                && cy >= tile.y0 as f64 - 0.5
+                                && cy < ny_f
+                                && cz >= tile.z0 as f64 - 0.5
+                                && cz < nz_f,
+                            "particle at ({x0}, {y0}, {z0}) escaped its supercell \
+                             bin — positions must stay inside the periodic box \
+                             between steps"
+                        );
+                        let r = [x0, y0, z0].map(Lanes::<1>::splat);
+                        let [ex, ey, ez, bx, by, bz] =
+                            patch.gather(g, r, x_origin_cell).map(|c| c.0[0]);
+                        let (ux, uy, uz) = boris(
+                            *soa.ux.add(i),
+                            *soa.uy.add(i),
+                            *soa.uz.add(i),
+                            ex,
+                            ey,
+                            ez,
+                            bx,
+                            by,
+                            bz,
+                            qm_dt_half,
+                        );
+                        let gamma = (1.0 + ux * ux + uy * uy + uz * uz).sqrt();
+                        let x1 = x0 + dt * ux / gamma;
+                        let y1 = y0 + dt * uy / gamma;
+                        let z1 = z0 + dt * uz / gamma;
+                        // Currents come from the unwrapped trajectory.
+                        let w = *soa.w.add(i);
+                        deposit_current(acc, g, q, w, x0, y0, z0, x1, y1, z1, x_origin_cell);
+                        *soa.ux.add(i) = ux;
+                        *soa.uy.add(i) = uy;
+                        *soa.uz.add(i) = uz;
+                        *soa.x.add(i) = wrap_coord(x1, lx);
+                        *soa.y.add(i) = wrap_coord(y1, ly);
+                        *soa.z.add(i) = wrap_coord(z1, lz);
+                    }
+                }
+            },
+        );
+
+        // Phase B: deterministic reduction in tile-index order. This is O(grid
+        // cells), two orders of magnitude below the deposit work, so running it
+        // serially keeps the step bit-reproducible at negligible cost.
+        for t in 0..n_tiles {
+            let acc = &mut pool.accs[t];
+            if acc.active {
+                acc.reduce_into(j);
+                acc.active = false;
+            }
+        }
+    }
+
+    fn assert_fields_bitwise_equal(a: &VecField3, b: &VecField3, what: &str) {
+        for (c, (fa, fb)) in [(&a.x, &b.x), (&a.y, &b.y), (&a.z, &b.z)]
+            .into_iter()
+            .enumerate()
+        {
+            let same = fa
+                .raw()
+                .iter()
+                .zip(fb.raw())
+                .position(|(u, v)| u.to_bits() != v.to_bits());
+            assert_eq!(
+                same, None,
+                "{what}: J component {c} differs (ghosts included)"
+            );
+        }
+    }
+
+    /// A position `v < (origin + n)·d` whose cell quotient `v/d − origin`
+    /// rounds up to `n` — the float coincidence the seam nudge exists for —
+    /// if a few ulps below the seam hold one.
+    fn seam_position(d: f64, origin: f64, n: usize) -> Option<f64> {
+        let seam = (origin + n as f64) * d;
+        std::iter::successors(Some(seam), |&v| Some(f64::next_down(v)))
+            .skip(1)
+            .take(4)
+            .find(|&v| v / d - origin >= n as f64)
+    }
+
+    /// The lane pass against the one-at-a-time oracle, bit for bit:
+    /// tiles holding 0, 1, `LANES − 1`, `LANES`, `LANES + 1` and
+    /// `2·LANES + 1` particles, seam-nudged positions inside a lane
+    /// group, electrons and ions pushed into one current, on a slab whose
+    /// origin is not cell 0. Positions, momenta and all three current
+    /// components, ghost layers included, must agree.
+    #[test]
+    fn lane_pass_equals_the_scalar_oracle_bitwise() {
+        // A cell size with a seam coincidence on the slab's upper x face
+        // and on the y/z faces, when one exists.
+        let (n, origin) = (8usize, 16.0);
+        let d = [0.35f64, 0.1, 0.3, 0.7, 0.9, 0.55, 1.1, 0.15]
+            .into_iter()
+            .find(|&d| seam_position(d, origin, n).is_some() && seam_position(d, 0.0, n).is_some())
+            .unwrap_or(0.35);
+        let g = GridSpec {
+            nx: n,
+            ny: n,
+            nz: n,
+            dx: d,
+            dy: d,
+            dz: d,
+            dt: 0.4 * d,
+        };
+        let extents = (4.0 * n as f64 * d, n as f64 * d, n as f64 * d);
+        let mut rng = StdRng::seed_from_u64(26);
+        let (mut e, mut b) = (VecField3::zeros(n, n, n), VecField3::zeros(n, n, n));
+        for f in [&mut e.x, &mut e.y, &mut e.z, &mut b.x, &mut b.y, &mut b.z] {
+            for i in -2..n as isize + 2 {
+                for j in 0..n as isize {
+                    for k in 0..n as isize {
+                        f.set(i, j, k, rng.gen_range(-0.5..0.5));
+                    }
+                }
+            }
+        }
+        let grid = TileGrid::new(4, n, n, n);
+        let counts = [0, 1, LANES - 1, LANES, LANES + 1, 2 * LANES + 1, 2, 7];
+        assert_eq!(counts.len(), grid.n_tiles());
+        let mut species = [
+            ParticleBuffer::new(-1.0, 1.0),
+            ParticleBuffer::new(1.0, 100.0),
+        ];
+        for (si, sp) in species.iter_mut().enumerate() {
+            for (t, &count) in counts.iter().enumerate() {
+                let tile = grid.tile_box(t);
+                for p in 0..count + si {
+                    let mut pos = [
+                        (origin + tile.x0 as f64 + rng.gen_range(0.0..tile.ex as f64)) * d,
+                        (tile.y0 as f64 + rng.gen_range(0.0..tile.ey as f64)) * d,
+                        (tile.z0 as f64 + rng.gen_range(0.0..tile.ez as f64)) * d,
+                    ];
+                    // The second particle of a tile at the upper faces
+                    // sits on the seam, in the middle of a lane group.
+                    if p == 1 {
+                        if tile.x0 + tile.ex == n {
+                            pos[0] = seam_position(d, origin, n).unwrap_or(pos[0]);
+                        }
+                        if tile.y0 + tile.ey == n {
+                            pos[1] = seam_position(d, 0.0, n).unwrap_or(pos[1]);
+                        }
+                        if tile.z0 + tile.ez == n {
+                            pos[2] = seam_position(d, 0.0, n).unwrap_or(pos[2]);
+                        }
+                    }
+                    let u: [f64; 3] = std::array::from_fn(|_| rng.gen_range(-0.6..0.6));
+                    sp.push(
+                        pos[0],
+                        pos[1],
+                        pos[2],
+                        u[0],
+                        u[1],
+                        u[2],
+                        rng.gen_range(0.5..1.5),
+                    );
+                }
+            }
+        }
+        let seam_lanes = species[0]
+            .x
+            .iter()
+            .filter(|&&x| x / d - origin >= n as f64)
+            .count();
+        assert!(seam_lanes > 0 || seam_position(d, origin, n).is_none());
+
+        type Pass = fn(
+            &mut ParticleBuffer,
+            &VecField3,
+            &VecField3,
+            &mut VecField3,
+            &GridSpec,
+            f64,
+            (f64, f64, f64),
+            usize,
+            &mut TilePool,
+        );
+        let run = |pass: Pass| {
+            let mut sps = species.clone();
+            let mut j = VecField3::zeros(n, n, n);
+            let mut pool = TilePool::new();
+            for _ in 0..2 {
+                j.clear();
+                for sp in &mut sps {
+                    pass(sp, &e, &b, &mut j, &g, origin, extents, 4, &mut pool);
+                }
+            }
+            (sps, j)
+        };
+        let (lanes, j_lanes) = run(fused_push_deposit);
+        let (oracle, j_oracle) = run(fused_push_deposit_oracle);
+        for (si, (a, o)) in lanes.iter().zip(&oracle).enumerate() {
+            for (name, va, vo) in [
+                ("x", &a.x, &o.x),
+                ("y", &a.y, &o.y),
+                ("z", &a.z, &o.z),
+                ("ux", &a.ux, &o.ux),
+                ("uy", &a.uy, &o.uy),
+                ("uz", &a.uz, &o.uz),
+            ] {
+                let bits = |v: &Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(va), bits(vo), "species {si}: {name}");
+            }
+        }
+        assert_fields_bitwise_equal(&j_lanes, &j_oracle, "two lane passes");
+        assert!(j_lanes.x.raw().iter().any(|&v| v != 0.0));
+    }
+
+    /// A sink that records every row a deposit adds.
+    #[derive(Default)]
+    struct Recorder(Vec<(usize, isize, isize, isize, Vec<f64>)>);
+
+    impl CurrentSink for Recorder {
+        fn add_row(&mut self, c: usize, i: isize, j: isize, k0: isize, row: &[f64]) {
+            self.0.push((c, i, j, k0, row.to_vec()));
+        }
+    }
+
+    /// The stated behaviour for a move longer than a cell (only a debug
+    /// build asserts against it, so this runs in release): through the
+    /// lane kernel and a tile accumulator, moves of 1–1.9 cells — on each
+    /// axis alone, on all three, mixed into lane groups with normal moves
+    /// — write only inside the 4-cell box around their start cell, and
+    /// every lane's current (so the charge it carries, and the charge it
+    /// loses) is the 4×4×4 oracle's bit for bit; the normal lanes of the
+    /// same groups too.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "a debug build asserts moves under a cell")]
+    fn long_moves_stay_in_the_box_and_match_the_oracle() {
+        let g = crate::deposit::oracle_grid();
+        let tile = TileGrid::new(4, 12, 12, 12).tile_box(13);
+        assert_eq!((tile.x0, tile.y0, tile.z0), (4, 4, 4));
+        let mut rng = StdRng::seed_from_u64(3);
+        // (axis mask of the long displacement, or 0 for a normal move).
+        let kinds = [1, 0, 2, 0, 4, 0, 0, 7, 7, 0, 1, 2, 0, 0, 0, 4, 3, 5, 6, 0];
+        let moves: Vec<[f64; 6]> = kinds
+            .iter()
+            .map(|&kind: &u32| {
+                let c0: [f64; 3] = std::array::from_fn(|_| rng.gen_range(4.0..8.0));
+                let c1: [f64; 3] = std::array::from_fn(|a| {
+                    let sign = if rng.gen_range(0.0..1.0) < 0.5 {
+                        1.0
+                    } else {
+                        -1.0
+                    };
+                    let long = kind & (1 << a) != 0;
+                    c0[a]
+                        + sign
+                            * if long {
+                                rng.gen_range(1.0..1.9)
+                            } else {
+                                rng.gen_range(0.0..0.9)
+                            }
+                });
+                let d = [g.dx, g.dy, g.dz];
+                std::array::from_fn(|n| {
+                    if n < 3 {
+                        c0[n] * d[n]
+                    } else {
+                        c1[n - 3] * d[n - 3]
+                    }
+                })
+            })
+            .collect();
+        let (mut lanes, mut oracle) = (TileAccumulator::default(), TileAccumulator::default());
+        lanes.reset(tile);
+        oracle.reset(tile);
+        for (group_index, group) in moves.chunks_exact(LANES).enumerate() {
+            let r0: [Lanes<LANES>; 3] = std::array::from_fn(|a| Lanes::from_fn(|l| group[l][a]));
+            let r1: [Lanes<LANES>; 3] =
+                std::array::from_fn(|a| Lanes::from_fn(|l| group[l][3 + a]));
+            let w = Lanes::<LANES>::from_fn(|l| 0.5 + 0.1 * l as f64);
+            let mut rec = Recorder::default();
+            deposit_current_lanes(&mut rec, &g, -1.0, w, r0, r1, 0.0, LANES);
+            deposit_current_lanes(&mut lanes, &g, -1.0, w, r0, r1, 0.0, LANES);
+            let rows_per_lane = rec.0.len() / LANES;
+            assert_eq!(rows_per_lane * LANES, rec.0.len());
+            for (l, m) in group.iter().enumerate() {
+                let start = [m[0] / g.dx, m[1] / g.dy, m[2] / g.dz].map(|c| c.floor() as isize);
+                let mut own = TileAccumulator::default();
+                own.reset(tile);
+                for (c, i, j, k0, row) in &rec.0[l * rows_per_lane..(l + 1) * rows_per_lane] {
+                    let cells = [(*i, *i), (*j, *j), (*k0, *k0 + row.len() as isize - 1)];
+                    for (a, (from, to)) in cells.into_iter().enumerate() {
+                        assert!(
+                            from >= start[a] - 1 && to <= start[a] + 2,
+                            "group {group_index} lane {l} {m:?}: axis {a} cells {from}..={to} \
+                             leave the box around {}",
+                            start[a]
+                        );
+                    }
+                    own.add_row(*c, *i, *j, *k0, row);
+                }
+                let mut want = TileAccumulator::default();
+                want.reset(tile);
+                let [x0, y0, z0, x1, y1, z1] = *m;
+                deposit_current_oracle(&mut want, &g, -1.0, w.0[l], x0, y0, z0, x1, y1, z1, 0.0);
+                deposit_current_oracle(&mut oracle, &g, -1.0, w.0[l], x0, y0, z0, x1, y1, z1, 0.0);
+                for c in 0..3 {
+                    let bits = |a: &TileAccumulator| {
+                        a.j[c].iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                    };
+                    assert_eq!(
+                        bits(&own),
+                        bits(&want),
+                        "group {group_index} lane {l} {m:?}: J{c}"
+                    );
+                }
+            }
+        }
+        for c in 0..3 {
+            let same = lanes.j[c]
+                .iter()
+                .zip(&oracle.j[c])
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "accumulated component {c}");
+        }
+        assert!(lanes.j.iter().flatten().any(|&v| v != 0.0));
+    }
 
     #[test]
     fn tile_grid_covers_ragged_grids_exactly() {
@@ -695,39 +1178,59 @@ mod tests {
     }
 
     /// The windowed kernel against the 4×4×4 oracle through the tile
-    /// sink, bit for bit, on a slab whose origin is not cell 0.
+    /// sink, bit for bit, on a slab whose origin is not cell 0 — one move
+    /// at a time, and [`LANES`] at a time with a partial last group.
     #[test]
     fn windowed_deposit_equals_the_oracle_through_the_tile_sink() {
-        use crate::deposit::{deposit_current_oracle, oracle_grid, oracle_moves};
+        use crate::deposit::{oracle_grid, oracle_moves};
         let g = oracle_grid();
         let origin = 8.0;
         // Moves start in cell (3, 3, 3): the middle tile of a 3×3×3 tiling.
         let tile = TileGrid::new(3, 8, 8, 8).tile_box(13);
         assert_eq!((tile.x0, tile.y0, tile.z0), (3, 3, 3));
-        let (mut new, mut old) = (TileAccumulator::default(), TileAccumulator::default());
-        new.reset(tile);
-        old.reset(tile);
-        for (n, m) in oracle_moves(300, 23).into_iter().enumerate() {
-            let (x0, x1) = ((m[0] + origin) * g.dx, (m[3] + origin) * g.dx);
-            let (y0, y1) = (m[1] * g.dy, m[4] * g.dy);
-            let (z0, z1) = (m[2] * g.dz, m[5] * g.dz);
-            let w = 0.5 + n as f64 * 0.01;
+        let [mut new, mut lanes, mut old] = [(); 3].map(|_| TileAccumulator::default());
+        for acc in [&mut new, &mut lanes, &mut old] {
+            acc.reset(tile);
+        }
+        let moves: Vec<([f64; 6], f64)> = oracle_moves(301, 23)
+            .into_iter()
+            .enumerate()
+            .map(|(n, m)| {
+                let d = [g.dx, g.dy, g.dz];
+                let at =
+                    |c: usize| (m[c] + if c.is_multiple_of(3) { origin } else { 0.0 }) * d[c % 3];
+                (std::array::from_fn(at), 0.5 + n as f64 * 0.01)
+            })
+            .collect();
+        let same = |a: &TileAccumulator, b: &TileAccumulator| {
+            (0..3).all(|c| {
+                a.j[c]
+                    .iter()
+                    .zip(&b.j[c])
+                    .all(|(u, v)| u.to_bits() == v.to_bits())
+            })
+        };
+        for (n, &([x0, y0, z0, x1, y1, z1], w)) in moves.iter().enumerate() {
             deposit_current(&mut new, &g, -1.0, w, x0, y0, z0, x1, y1, z1, origin);
             deposit_current_oracle(&mut old, &g, -1.0, w, x0, y0, z0, x1, y1, z1, origin);
-            for c in 0..3 {
-                let same = new.j[c]
-                    .iter()
-                    .zip(&old.j[c])
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-                assert!(same, "component {c} diverged at move {n} {m:?}");
-            }
+            assert!(same(&new, &old), "diverged at move {n} {:?}", moves[n]);
         }
+        assert_ne!(moves.len() % LANES, 0, "the last group must be partial");
+        for group in moves.chunks(LANES) {
+            let lane = |l: usize| group[l.min(group.len() - 1)];
+            let r0: [Lanes<LANES>; 3] = std::array::from_fn(|a| Lanes::from_fn(|l| lane(l).0[a]));
+            let r1: [Lanes<LANES>; 3] =
+                std::array::from_fn(|a| Lanes::from_fn(|l| lane(l).0[3 + a]));
+            let w = Lanes::<LANES>::from_fn(|l| lane(l).1);
+            deposit_current_lanes(&mut lanes, &g, -1.0, w, r0, r1, origin, group.len());
+        }
+        assert!(same(&lanes, &old), "the lane groups diverged");
         assert!(new.j.iter().flatten().any(|&v| v != 0.0));
     }
 
-    /// The tile view's gather against the global one, bit for bit, for
-    /// positions all over a tile that touches the x ghosts and the y/z
-    /// seams.
+    /// The tile view's lane gather against the global one-lane gather,
+    /// bit for bit, for positions all over a tile that touches the x
+    /// ghosts and the y/z seams.
     #[test]
     fn patch_gather_equals_global_gather_bitwise() {
         let g = GridSpec::cubic(8, 6, 6, 0.35, 0.5);
@@ -749,16 +1252,30 @@ mod tests {
             let tile = tg.tile_box(t);
             let mut patch = FieldPatch::default();
             patch.load(&e, &b, tile);
-            for _ in 0..200 {
-                let x = (origin + tile.x0 as f64 + rng.gen_range(0.0..tile.ex as f64)) * g.dx;
-                let y = (tile.y0 as f64 + rng.gen_range(0.0..tile.ey as f64)) * g.dy;
-                let z = (tile.z0 as f64 + rng.gen_range(0.0..tile.ez as f64)) * g.dz;
-                let got = patch.gather_eb(&g, x, y, z, origin);
-                let want = crate::gather::gather_eb(&e, &b, &g, x, y, z, origin);
-                let bits = |v: (f64, f64, f64, f64, f64, f64)| {
-                    [v.0, v.1, v.2, v.3, v.4, v.5].map(f64::to_bits)
-                };
-                assert_eq!(bits(got), bits(want), "tile {t} at ({x}, {y}, {z})");
+            for _ in 0..50 {
+                let pos: [Lanes<LANES>; 3] = [
+                    Lanes::from_fn(|_| {
+                        (origin + tile.x0 as f64 + rng.gen_range(0.0..tile.ex as f64)) * g.dx
+                    }),
+                    Lanes::from_fn(|_| {
+                        (tile.y0 as f64 + rng.gen_range(0.0..tile.ey as f64)) * g.dy
+                    }),
+                    Lanes::from_fn(|_| {
+                        (tile.z0 as f64 + rng.gen_range(0.0..tile.ez as f64)) * g.dz
+                    }),
+                ];
+                // SAFETY: every position lies inside the tile.
+                let got = unsafe { patch.gather(&g, pos, origin) };
+                for l in 0..LANES {
+                    let (x, y, z) = (pos[0].0[l], pos[1].0[l], pos[2].0[l]);
+                    let want = crate::gather::gather_eb(&e, &b, &g, x, y, z, origin);
+                    let want = [want.0, want.1, want.2, want.3, want.4, want.5];
+                    assert_eq!(
+                        got.map(|c| c.0[l].to_bits()),
+                        want.map(f64::to_bits),
+                        "tile {t} at ({x}, {y}, {z})"
+                    );
+                }
             }
         }
     }

@@ -101,19 +101,22 @@ impl RadiationAccumulator {
     /// amplitudes merged in chunk order, so the amplitude sums are
     /// bit-reproducible for *any* worker count.
     pub fn accumulate(&mut self, det: &Detector, particles: &[ParticleState], t: f64, dt: f64) {
-        let state = |i: usize| particles[i];
+        let state = |[i]: [usize; 1]| [particles[i]];
         self.accumulate_with(det, particles.len(), state, t, dt, &mut Vec::new());
     }
 
-    /// [`Self::accumulate`] over the `n` particles `state(0..n)`, computed
-    /// where they are consumed instead of collected first, with the
-    /// per-chunk partial amplitudes kept in `partials` — a scratch buffer
-    /// the caller reuses from step to step.
-    pub fn accumulate_with(
+    /// [`Self::accumulate`] over the `n` particles `0..n`, whose states
+    /// `states` computes `L` at a time where they are consumed instead of
+    /// collected first, with the per-chunk partial amplitudes kept in
+    /// `partials` — a scratch buffer the caller reuses from step to step.
+    /// A chunk's last group pads its idle lanes with its last particle and
+    /// drops their states; the states enter the sum one by one in index
+    /// order, so the amplitudes do not depend on `L`.
+    pub fn accumulate_with<const L: usize>(
         &mut self,
         det: &Detector,
         n: usize,
-        state: impl Fn(usize) -> ParticleState + Sync,
+        states: impl Fn([usize; L]) -> [ParticleState; L] + Sync,
         t: f64,
         dt: f64,
         partials: &mut Vec<f64>,
@@ -125,8 +128,13 @@ impl RadiationAccumulator {
             .par_chunks_mut(len)
             .enumerate()
             .for_each(|(c, acc)| {
-                for i in c * CHUNK..(c * CHUNK + CHUNK).min(n) {
-                    add_particle(acc, det, &state(i), t, dt);
+                let end = (c * CHUNK + CHUNK).min(n);
+                for start in (c * CHUNK..end).step_by(L) {
+                    let live = (end - start).min(L);
+                    let group = states(std::array::from_fn(|l| start + l.min(live - 1)));
+                    for p in &group[..live] {
+                        add_particle(acc, det, p, t, dt);
+                    }
                 }
             });
         for part in partials.chunks_exact(len) {
@@ -428,12 +436,16 @@ mod tests {
             };
             assert_eq!(bits(&got), bits(&want), "{n} particles");
             let mut streamed = RadiationAccumulator::new(&det);
-            streamed.accumulate_with(&det, n, |i| states[i], 1.5, 0.1, &mut partials);
+            streamed.accumulate_with(&det, n, |[i]| [states[i]], 1.5, 0.1, &mut partials);
             assert_eq!(
                 bits(&streamed),
                 bits(&want),
                 "{n} particles, reused scratch"
             );
+            let mut lanes = RadiationAccumulator::new(&det);
+            let group = |i: [usize; 3]| i.map(|i| states[i]);
+            lanes.accumulate_with(&det, n, group, 1.5, 0.1, &mut partials);
+            assert_eq!(bits(&lanes), bits(&want), "{n} particles, three lanes");
         }
     }
 

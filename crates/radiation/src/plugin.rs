@@ -6,8 +6,11 @@
 //! `β̇` is derived from the gathered Lorentz force:
 //! `β̇ = (f − β(β·f))/γ` with `f = (q/m)(E + β×B)` — the same fields the
 //! pusher saw, so no extra state is stored per particle, not even for
-//! the length of a step: [`particle_state`] is evaluated inside the
-//! accumulator's particle chunks, where it is consumed.
+//! the length of a step: [`particle_states`] is evaluated inside the
+//! accumulator's particle chunks, where it is consumed, [`LANES`]
+//! particles at a time through the lane gather of `as_pic::gather`; each
+//! lane computes [`particle_state`]'s formula op for op, and the states
+//! enter the sum one by one in chunk order.
 //!
 //! Accumulators can be kept per *flow region* ([`RegionMode::FlowRegions`])
 //! so each ML training sample pairs a sub-volume's particles with the
@@ -18,9 +21,11 @@ use crate::detector::Detector;
 use crate::lienard::{ParticleState, RadiationAccumulator};
 use crate::spectrum::Spectrum;
 use as_pic::diag::FlowRegion;
-use as_pic::gather::gather_eb;
+use as_pic::gather::gather_eb_lanes;
+use as_pic::lanes::Lanes;
 use as_pic::plugin::Plugin;
 use as_pic::sim::Simulation;
+use as_pic::tile::LANES;
 
 /// How to partition particles into accumulation regions.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -156,11 +161,13 @@ impl RadiationPlugin {
         }
         let (det, species) = (&self.detector, self.species);
         for (acc, members) in self.accumulators.iter_mut().zip(&self.members) {
-            let state = |k: usize| particle_state(sim, species, members[k] as usize, origin);
+            let states = |k: [usize; LANES]| {
+                particle_states(sim, species, k.map(|k| members[k] as usize), origin)
+            };
             acc.accumulate_with(
                 det,
                 members.len(),
-                state,
+                states,
                 sim.time,
                 g.dt,
                 &mut self.partials,
@@ -192,14 +199,27 @@ impl RadiationPlugin {
 /// The kinematic state of particle `i` of `species` as the accumulator
 /// sees it: `β` from the momentum, `β̇` from the Lorentz force of the
 /// fields gathered at its position (`origin` is the global x cell where
-/// the local fields start).
+/// the local fields start). [`particle_states`] at one lane.
 pub fn particle_state(sim: &Simulation, species: usize, i: usize, origin: f64) -> ParticleState {
+    let [state] = particle_states(sim, species, [i], origin);
+    state
+}
+
+/// [`particle_state`] of the `L` particles `idx`, lane by lane op for op.
+pub fn particle_states<const L: usize>(
+    sim: &Simulation,
+    species: usize,
+    idx: [usize; L],
+    origin: f64,
+) -> [ParticleState; L] {
     let sp = &sim.species[species];
     let qm = sp.charge / sp.mass;
-    let gamma = sp.gamma(i);
-    let beta = [sp.ux[i] / gamma, sp.uy[i] / gamma, sp.uz[i] / gamma];
-    let (ex, ey, ez, bx, by, bz) =
-        gather_eb(&sim.e, &sim.b, &sim.spec, sp.x[i], sp.y[i], sp.z[i], origin);
+    let load = |v: &[f64]| Lanes(idx.map(|i| v[i]));
+    let r = [load(&sp.x), load(&sp.y), load(&sp.z)];
+    let [ux, uy, uz] = [load(&sp.ux), load(&sp.uy), load(&sp.uz)];
+    let gamma = (1.0 + ux * ux + uy * uy + uz * uz).sqrt();
+    let beta = [ux / gamma, uy / gamma, uz / gamma];
+    let [ex, ey, ez, bx, by, bz] = gather_eb_lanes(&sim.e, &sim.b, &sim.spec, r, origin);
     // Lorentz force per unit mass, then project out the parallel
     // part: β̇ = (f − β(β·f))/γ.
     let f = [
@@ -213,12 +233,13 @@ pub fn particle_state(sim: &Simulation, species: usize, i: usize, origin: f64) -
         (f[1] - beta[1] * bf) / gamma,
         (f[2] - beta[2] * bf) / gamma,
     ];
-    ParticleState {
-        r: [sp.x[i], sp.y[i], sp.z[i]],
-        beta,
-        beta_dot,
-        weight: sp.w[i],
-    }
+    let w = load(&sp.w);
+    std::array::from_fn(|l| ParticleState {
+        r: r.map(|c| c.0[l]),
+        beta: beta.map(|c| c.0[l]),
+        beta_dot: beta_dot.map(|c| c.0[l]),
+        weight: w.0[l],
+    })
 }
 
 impl Plugin for RadiationPlugin {
@@ -292,6 +313,44 @@ mod tests {
         assert_eq!(plugin.window_len(), 0);
         let fresh_total: f64 = plugin.spectra()[0][0].intensity.iter().sum();
         assert_eq!(fresh_total, 0.0, "accumulators must reset");
+    }
+
+    /// The lane state gather against the one-lane one, bit for bit, on
+    /// a stepped plasma, both species, a slab origin and groups whose lanes
+    /// repeat a particle (as a chunk's padded last group does).
+    #[test]
+    fn lane_states_equal_one_lane_states_bitwise() {
+        let (g, setup) = small_khi();
+        let mut sim = setup.build(g);
+        sim.run(3);
+        let bits = |p: &ParticleState| {
+            [p.r, p.beta, p.beta_dot, [p.weight; 3]]
+                .concat()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        };
+        for (species, origin) in [(0, 0.0), (1, 0.0), (0, 8.0)] {
+            if origin != 0.0 {
+                // Positions of a slab whose first cell is global cell 8.
+                for x in &mut sim.species[species].x {
+                    *x += origin * g.dx;
+                }
+            }
+            let n = sim.species[species].len();
+            for start in (0..n).step_by(LANES) {
+                let idx: [usize; LANES] = std::array::from_fn(|l| (start + l).min(n - 1));
+                let lanes = particle_states(&sim, species, idx, origin);
+                for (l, &i) in idx.iter().enumerate() {
+                    let one = particle_state(&sim, species, i, origin);
+                    assert_eq!(
+                        bits(&lanes[l]),
+                        bits(&one),
+                        "species {species} particle {i}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

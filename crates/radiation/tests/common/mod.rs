@@ -56,4 +56,21 @@ pub fn streamed_accumulation_equals_collect_then_chunk(workers: usize) {
         assert_eq!(bits(got), bits(want), "region {r} with {workers} workers");
         assert!(got.amplitudes().iter().any(|&v| v != 0.0));
     }
+    // The f64 amplitudes themselves, pinned (FNV-1a over the bits of every
+    // region): the sums the one-particle-at-a-time state gather produced
+    // before the states were gathered in lane groups.
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for acc in plugin.accumulators() {
+        for byte in acc
+            .amplitudes()
+            .iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+        {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+    assert_eq!(hash, PINNED_AMPLITUDES, "{workers} workers");
 }
+
+/// See the end of [`streamed_accumulation_equals_collect_then_chunk`].
+const PINNED_AMPLITUDES: u64 = 0x92e8_79ce_a0b3_0476;
