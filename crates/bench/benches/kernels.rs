@@ -154,8 +154,9 @@ const LW_FLOP: f64 = 64.0;
 /// electrons + ions = 73 728 macro-particles, 16 frequencies), kernel by
 /// kernel and as one two-rank step, and how far its two halves sit from
 /// their ceilings: the fused tile pass from a `copy_from_slice` bandwidth
-/// probe, the radiation sum from the no-FMA SSE2 arithmetic rate. Run with
-/// `RAYON_NUM_THREADS=1` for per-core numbers (the benchmark's setting).
+/// probe, the radiation sum from the no-FMA arithmetic rate of the instance
+/// it runs. Run with `RAYON_NUM_THREADS=1` for per-core numbers (the
+/// benchmark's setting).
 fn bench_producer(c: &mut Criterion) {
     let mut g = c.benchmark_group("producer");
     g.sample_size(10);
@@ -350,35 +351,41 @@ fn bench_producer(c: &mut Criterion) {
         fused_ns / floor_ns
     );
     // The same pass against the arithmetic ceiling, LANES particles at a
-    // time: two f64 lanes per SSE2 register, 4 flop/cycle.
-    match sse2_ceiling_gflops().map(|f32_peak| f32_peak / 8.0) {
+    // time. The pass has only the baseline instance: two f64 lanes per
+    // SSE2 register, 4 flop/cycle.
+    match clock_ghz() {
         Some(ghz) => println!(
             "producer: fused tile pass {fused_ns:.1} ns/particle, {FUSED_FLOP} flop and \
              {FUSED_DIV} divisions per particle (counted from the code) = {:.2} flop/cycle at \
-             {ghz:.2} GHz against the no-FMA SSE2 f64 ceiling of 4 ({:.0} %), {LANES} particles \
-             per lane group",
+             {ghz:.2} GHz against the sse2 instance's no-FMA f64 ceiling of 4 ({:.0} %), \
+             {LANES} particles per lane group",
             FUSED_FLOP / (fused_ns * ghz),
             100.0 * FUSED_FLOP / (fused_ns * ghz) / 4.0
         ),
         None => println!(
             "producer: fused tile pass {fused_ns:.1} ns/particle, {FUSED_FLOP} flop and \
-             {FUSED_DIV} divisions per particle (counted from the code; clock not reported)"
+             {FUSED_DIV} divisions per particle (counted from the code; sse2 instance, clock \
+             not reported)"
         ),
     }
-    // Ceiling 2: the arithmetic of the radiation sum, in f64 — two lanes
-    // per SSE2 register, so half the 8 flop/cycle `tensor` is held against.
+    // Ceiling 2: the arithmetic of the radiation sum, in f64 — half the
+    // f32 rate `tensor` is held against, on the same instance.
     let pair_ns = radiation_s * 1e9 / pairs;
-    match sse2_ceiling_gflops().map(|f32_peak| f32_peak / 2.0) {
+    let (instance, f32_flop) = live_instance();
+    let f64_flop = f32_flop / 2.0;
+    match clock_ghz().map(|ghz| ghz * f64_flop) {
         Some(peak) => println!(
             "producer: Liénard–Wiechert update is {LW_FLOP} flop per (particle, frequency); \
-             at the no-FMA SSE2 f64 ceiling (4 flop/cycle) {peak:.1} GFLOP/s that is {:.2} ns, \
-             measured {pair_ns:.2} ns incl. the field gather ({:.0} % of the ceiling)",
+             at the {instance} instance's no-FMA f64 ceiling ({f64_flop} flop/cycle) \
+             {peak:.1} GFLOP/s that is {:.2} ns, measured {pair_ns:.2} ns incl. the field \
+             gather ({:.0} % of the ceiling)",
             LW_FLOP / peak,
             100.0 * LW_FLOP / peak / pair_ns
         ),
         None => println!(
             "producer: Liénard–Wiechert update is {LW_FLOP} flop per (particle, frequency), \
-             measured {pair_ns:.2} ns incl. the field gather (clock not reported)"
+             measured {pair_ns:.2} ns incl. the field gather on the {instance} instance \
+             (clock not reported)"
         ),
     }
 }
@@ -409,16 +416,26 @@ fn bench_losses(c: &mut Criterion) {
     g.finish();
 }
 
-/// The ceiling `tensor::matmul` is held against, per core. The kernel's
-/// contract rules out FMA and wider-than-baseline vectors, which leaves one
-/// 4-wide SSE2 multiply and one 4-wide add per cycle: 8 flop. The clock is
-/// the one the kernel reports, so a turbo clock or a core with a second
-/// add/multiply pipe reads above 100 %.
-fn sse2_ceiling_gflops() -> Option<f64> {
+/// The compilation of the learner's kernels and the radiation sum this
+/// CPU runs (the condition their entries test), and its ceiling in f32
+/// flop per cycle and core. The bit contract rules out FMA, not width:
+/// one packed multiply and one packed add per cycle, 4 + 4 f32 lanes on
+/// SSE2, 8 + 8 on AVX2. In f64 it is half that.
+fn live_instance() -> (&'static str, f64) {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        return ("avx2", 16.0);
+    }
+    ("sse2", 8.0)
+}
+
+/// The clock the kernel reports, in GHz. A turbo clock or a core with a
+/// second add/multiply pipe therefore reads above 100 % of a ceiling.
+fn clock_ghz() -> Option<f64> {
     let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").ok()?;
     let line = cpuinfo.lines().find(|l| l.starts_with("cpu MHz"))?;
     let mhz: f64 = line.split(':').nth(1)?.trim().parse().ok()?;
-    Some(8.0 * mhz / 1e3)
+    Some(mhz / 1e3)
 }
 
 /// The three matmul layouts at the encoder's 1×1-convolution shapes
@@ -429,12 +446,17 @@ fn bench_tensor(c: &mut Criterion) {
     let mut g = c.benchmark_group("tensor");
     g.sample_size(20);
     let threads = rayon::current_num_threads();
-    match sse2_ceiling_gflops() {
-        Some(peak) => println!(
-            "tensor: no-FMA SSE2 ceiling 8 flop/cycle = {peak:.1} GFLOP/s per core \
-             at the reported clock; {threads} rayon thread(s)"
+    let (instance, flop) = live_instance();
+    match clock_ghz() {
+        Some(ghz) => println!(
+            "tensor: {instance} instance, no-FMA ceiling {flop} flop/cycle = {:.1} GFLOP/s per \
+             core at the reported clock; {threads} rayon thread(s)",
+            flop * ghz
         ),
-        None => println!("tensor: no-FMA SSE2 ceiling 8 flop/cycle per core (clock not reported)"),
+        None => println!(
+            "tensor: {instance} instance, no-FMA ceiling {flop} flop/cycle per core (clock not \
+             reported)"
+        ),
     }
     let mut rng = TensorRng::seeded(1);
     for (m, k, n) in [
@@ -631,24 +653,38 @@ fn bench_waits(_c: &mut Criterion) {
         .standard_normal([1, model.cfg.spectrum_dim])
         .data()
         .to_vec();
-    let round_trip = per_call_ns(&mut || {
-        black_box(engine.query(spectrum.clone()));
-    });
-    let forward = per_call_ns(&mut || {
-        black_box(posterior_batch(&model, &[&spectrum], 1, 32));
-    });
+    // Round trip and forward alternate block by block, so both sides of
+    // each difference see the same machine; separate blocks timed seconds
+    // apart drift further than the two hand-offs are long.
+    let block_us = |f: &mut dyn FnMut()| {
+        let t0 = std::time::Instant::now();
+        (0..CALLS / 10).for_each(|_| f());
+        t0.elapsed().as_secs_f64() * 1e6 / (CALLS / 10) as f64
+    };
+    let (mut round_trip, mut forward, mut overhead) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..15 {
+        let r = block_us(&mut || {
+            black_box(engine.query(spectrum.clone()));
+        });
+        let f = block_us(&mut || {
+            black_box(posterior_batch(&model, &[&spectrum], 1, 32));
+        });
+        round_trip.push(r);
+        forward.push(f);
+        overhead.push(r - f);
+    }
     engine.shutdown();
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let (round_trip, forward) = (median(round_trip), median(forward));
+    let overhead = median(overhead);
+    println!("waits/solo_query_round_trip              {round_trip:>10.1} us");
+    println!("waits/posterior_batch_1                  {forward:>10.1} us");
     println!(
-        "waits/solo_query_round_trip              {:>10.1} us",
-        round_trip * 1e-3
-    );
-    println!(
-        "waits/posterior_batch_1                  {:>10.1} us",
-        forward * 1e-3
-    );
-    println!(
-        "waits: hand-off overhead = round trip − forward = {:.1} us (two thread wake-ups)",
-        (round_trip - forward) * 1e-3
+        "waits: hand-off overhead = round trip − forward = {overhead:.1} us (two thread \
+         wake-ups; median of 15 interleaved pairs)"
     );
 
     // Fastest of five runs a side: the two hand-offs of a bucket (≈ 50 µs)

@@ -159,8 +159,25 @@ pub enum Activation {
 impl Activation {
     /// `v ← act(v)`. LeakyReLU is a select of the factor, not a branch
     /// around the multiply — multiplying by `1.0` is exact — so the loop
-    /// vectorises.
+    /// vectorises, 8 lanes wide where the CPU has AVX2 (same bits: see
+    /// `as_tensor::matmul`'s CPU instances).
     pub fn forward(&self, v: &mut [f32]) {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU has AVX2.
+            return unsafe { self.forward_avx2(v) };
+        }
+        self.forward_body(v)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn forward_avx2(&self, v: &mut [f32]) {
+        self.forward_body(v)
+    }
+
+    #[inline(always)]
+    fn forward_body(&self, v: &mut [f32]) {
         match *self {
             Activation::LeakyRelu(a) => {
                 for x in v {
@@ -178,6 +195,22 @@ impl Activation {
     /// (for `α ≥ 0`), `tanh′ = 1 − y²` and `softplus′ = σ(x) = 1 − e⁻ʸ`.
     pub fn backward(&self, d: &mut [f32], y: &[f32]) {
         assert_eq!(d.len(), y.len(), "activation gradient shape mismatch");
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU has AVX2.
+            return unsafe { self.backward_avx2(d, y) };
+        }
+        self.backward_body(d, y)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn backward_avx2(&self, d: &mut [f32], y: &[f32]) {
+        self.backward_body(d, y)
+    }
+
+    #[inline(always)]
+    fn backward_body(&self, d: &mut [f32], y: &[f32]) {
         match *self {
             Activation::LeakyRelu(a) => {
                 assert!(a >= 0.0, "a negative slope hides the input sign");
@@ -487,6 +520,31 @@ mod tests {
         }
     }
 
+    type Forward = fn(Activation, &mut [f32]);
+    type Backward = fn(Activation, &mut [f32], &[f32]);
+
+    /// Each instance of the slice kernels this CPU can run.
+    fn instances() -> Vec<(&'static str, Forward, Backward)> {
+        let mut all: Vec<(&'static str, Forward, Backward)> = vec![(
+            "sse2",
+            |a, v| a.forward_body(v),
+            |a, d, y| a.backward_body(d, y),
+        )];
+        // SAFETY (both closures): the CPU has AVX2.
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            all.push((
+                "avx2",
+                |a, v| unsafe { a.forward_avx2(v) },
+                |a, d, y| unsafe { a.backward_avx2(d, y) },
+            ));
+        }
+        if all.len() == 1 {
+            eprintln!("no AVX2 on this CPU: checking the baseline instance alone");
+        }
+        all
+    }
+
     #[test]
     fn slice_kernels_equal_the_scalar_definitions_bitwise() {
         let mut rng = TensorRng::seeded(40);
@@ -502,29 +560,33 @@ mod tests {
             88.0,
             -88.0,
         ];
-        // Long enough for a vectorised body plus a remainder.
+        // Long enough for an unrolled 8-lane body, its epilogue and a remainder.
         let mut x = specials.to_vec();
-        x.extend_from_slice(rng.standard_normal([27]).data());
+        x.extend_from_slice(rng.standard_normal([57]).data());
         let d = rng.standard_normal([x.len()]);
         let same = |got: f32, want: f32| {
             got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan())
         };
-        for act in [
+        let acts = [
             Activation::LeakyRelu(0.01),
             Activation::LeakyRelu(0.0),
             Activation::Tanh,
             Activation::Softplus,
             Activation::Identity,
-        ] {
+        ];
+        for (act, (name, forward, backward)) in acts
+            .into_iter()
+            .flat_map(|act| instances().into_iter().map(move |i| (act, i)))
+        {
             let mut y = x.clone();
-            act.forward(&mut y);
+            forward(act, &mut y);
             let mut dx = d.data().to_vec();
-            act.backward(&mut dx, &y);
+            backward(act, &mut dx, &y);
             for i in 0..x.len() {
                 let want = scalar_forward(act, x[i]);
                 assert!(
                     same(y[i], want),
-                    "{act:?} forward({}) = {} ≠ {want}",
+                    "{name} {act:?} forward({}) = {} ≠ {want}",
                     x[i],
                     y[i]
                 );
@@ -536,7 +598,7 @@ mod tests {
                 let want = scalar_backward(act, d.data()[i], x[i]);
                 assert!(
                     same(dx[i], want),
-                    "{act:?} backward at {} = {} ≠ {want}",
+                    "{name} {act:?} backward at {} = {} ≠ {want}",
                     x[i],
                     dx[i]
                 );

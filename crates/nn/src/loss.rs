@@ -49,57 +49,12 @@ pub fn chamfer(pred: &Tensor, target: &Tensor) -> (f64, Tensor) {
         .map(|bi| {
             let ps = &pd[bi * n * d..(bi + 1) * n * d];
             let ts = &td[bi * m * d..(bi + 1) * m * d];
-            let mut grad = vec![0.0f32; n * d];
-            let mut loss = 0.0f64;
-            // One pass over the n×m distances serves both directions: row
-            // minima are direction 1, running column minima (strict `<` over
-            // ascending `i`: the first nearest prediction wins a tie) are
-            // direction 2. Coordinate-major targets let one prediction's
-            // distances vectorise, each still summed in `sqdist` order.
-            let mut coords = vec![0.0f32; d * m];
-            for (j, t) in ts.chunks_exact(d).enumerate() {
-                for (k, &tk) in t.iter().enumerate() {
-                    coords[k * m + j] = tk;
-                }
+            #[cfg(target_arch = "x86_64")]
+            if is_x86_feature_detected!("avx2") {
+                // SAFETY: the CPU has AVX2.
+                return unsafe { chamfer_cloud_avx2(ps, ts, d) };
             }
-            let mut dist = vec![0.0f32; m];
-            let mut nearest_pred = vec![(f32::INFINITY, 0usize); m];
-            // Direction 1: every predicted point to its nearest target.
-            for (i, p) in ps.chunks_exact(d).enumerate() {
-                dist.fill(0.0);
-                for (&pk, coord) in p.iter().zip(coords.chunks_exact(m.max(1))) {
-                    for (acc, &tk) in dist.iter_mut().zip(coord) {
-                        let diff = pk - tk;
-                        *acc += diff * diff;
-                    }
-                }
-                let mut best = f32::INFINITY;
-                let mut bj = 0;
-                for (j, (&dj, col)) in dist.iter().zip(nearest_pred.iter_mut()).enumerate() {
-                    if dj < best {
-                        best = dj;
-                        bj = j;
-                    }
-                    if dj < col.0 {
-                        *col = (dj, i);
-                    }
-                }
-                loss += best as f64 / n as f64;
-                let t = &ts[bj * d..(bj + 1) * d];
-                for k in 0..d {
-                    grad[i * d + k] += 2.0 * (p[k] - t[k]) / n as f32;
-                }
-            }
-            // Direction 2: every target point to its nearest prediction.
-            for (j, &(best, bi2)) in nearest_pred.iter().enumerate() {
-                let t = &ts[j * d..(j + 1) * d];
-                loss += best as f64 / m as f64;
-                let p = &ps[bi2 * d..(bi2 + 1) * d];
-                for k in 0..d {
-                    grad[bi2 * d + k] += 2.0 * (p[k] - t[k]) / m as f32;
-                }
-            }
-            (loss, grad)
+            chamfer_cloud(ps, ts, d)
         })
         .collect();
 
@@ -110,6 +65,71 @@ pub fn chamfer(pred: &Tensor, target: &Tensor) -> (f64, Tensor) {
         let dst = &mut grad.data_mut()[bi * n * d..(bi + 1) * n * d];
         for (o, v) in dst.iter_mut().zip(g) {
             *o = v / b as f32;
+        }
+    }
+    (loss, grad)
+}
+
+/// [`chamfer_cloud`] compiled for AVX2 (same bits: see
+/// `as_tensor::matmul`'s CPU instances).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn chamfer_cloud_avx2(ps: &[f32], ts: &[f32], d: usize) -> (f64, Vec<f32>) {
+    chamfer_cloud(ps, ts, d)
+}
+
+/// One cloud pair's Chamfer term and its gradient, `ps:[N,D]`, `ts:[M,D]`.
+#[inline(always)]
+fn chamfer_cloud(ps: &[f32], ts: &[f32], d: usize) -> (f64, Vec<f32>) {
+    let (n, m) = (ps.len() / d, ts.len() / d);
+    let mut grad = vec![0.0f32; n * d];
+    let mut loss = 0.0f64;
+    // One pass over the n×m distances serves both directions: row
+    // minima are direction 1, running column minima (strict `<` over
+    // ascending `i`: the first nearest prediction wins a tie) are
+    // direction 2. Coordinate-major targets let one prediction's
+    // distances vectorise, each still summed in `sqdist` order.
+    let mut coords = vec![0.0f32; d * m];
+    for (j, t) in ts.chunks_exact(d).enumerate() {
+        for (k, &tk) in t.iter().enumerate() {
+            coords[k * m + j] = tk;
+        }
+    }
+    let mut dist = vec![0.0f32; m];
+    let mut nearest_pred = vec![(f32::INFINITY, 0usize); m];
+    // Direction 1: every predicted point to its nearest target.
+    for (i, p) in ps.chunks_exact(d).enumerate() {
+        dist.fill(0.0);
+        for (&pk, coord) in p.iter().zip(coords.chunks_exact(m.max(1))) {
+            for (acc, &tk) in dist.iter_mut().zip(coord) {
+                let diff = pk - tk;
+                *acc += diff * diff;
+            }
+        }
+        let mut best = f32::INFINITY;
+        let mut bj = 0;
+        for (j, (&dj, col)) in dist.iter().zip(nearest_pred.iter_mut()).enumerate() {
+            if dj < best {
+                best = dj;
+                bj = j;
+            }
+            if dj < col.0 {
+                *col = (dj, i);
+            }
+        }
+        loss += best as f64 / n as f64;
+        let t = &ts[bj * d..(bj + 1) * d];
+        for k in 0..d {
+            grad[i * d + k] += 2.0 * (p[k] - t[k]) / n as f32;
+        }
+    }
+    // Direction 2: every target point to its nearest prediction.
+    for (j, &(best, bi)) in nearest_pred.iter().enumerate() {
+        let t = &ts[j * d..(j + 1) * d];
+        loss += best as f64 / m as f64;
+        let p = &ps[bi * d..(bi + 1) * d];
+        for k in 0..d {
+            grad[bi * d + k] += 2.0 * (p[k] - t[k]) / m as f32;
         }
     }
     (loss, grad)
@@ -397,7 +417,7 @@ mod tests {
     #[test]
     fn single_pass_chamfer_equals_the_two_pass_definition_bitwise() {
         let mut rng = TensorRng::seeded(20);
-        let (b, n, m, d) = (3, 9, 14, 6);
+        let (b, n, m, d) = (3, 9, 45, 6);
         let mut pred = rng.uniform([b, n, d], -1.0, 1.0);
         let mut target = rng.uniform([b, m, d], -1.0, 1.0);
         // Duplicated points on both sides, and a prediction sitting on a
@@ -418,6 +438,20 @@ mod tests {
             let got = &grad.data()[bi * n * d..(bi + 1) * n * d];
             for (x, y) in got.iter().zip(&g) {
                 assert_eq!(x.to_bits(), (y / b as f32).to_bits());
+            }
+            let mut instances = vec![("sse2", chamfer_cloud(ps, ts, d))];
+            #[cfg(target_arch = "x86_64")]
+            if is_x86_feature_detected!("avx2") {
+                // SAFETY: the CPU has AVX2.
+                instances.push(("avx2", unsafe { chamfer_cloud_avx2(ps, ts, d) }));
+            }
+            if instances.len() == 1 {
+                eprintln!("no AVX2 on this CPU: checking the baseline instance alone");
+            }
+            for (name, (got_l, got_g)) in instances {
+                assert_eq!(got_l.to_bits(), l.to_bits(), "{name} loss of cloud {bi}");
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got_g), bits(&g), "{name} gradient of cloud {bi}");
             }
         }
         assert_eq!(loss.to_bits(), want_loss.to_bits());

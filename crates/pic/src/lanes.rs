@@ -2,11 +2,15 @@
 //! one body for one particle (`L = 1`) and for a group of them.
 //!
 //! Every operator applies the scalar operation to each lane, unrolled,
-//! so the optimiser packs pairs of lanes into SSE2 registers on the
-//! baseline target — no `target-cpu`, no runtime dispatch, no `mul_add`.
-//! A formula written over [`Lanes`] therefore computes in every lane the
-//! bits the same formula gives over `f64`. Compares produce bit masks
-//! and `select` picks by bit pattern, so lane bodies carry no branches.
+//! so the optimiser packs lanes into vector registers: pairs into SSE2
+//! registers on the baseline target, four into an AVX register where the
+//! caller is compiled a second time for AVX2 and picked at run time (the
+//! radiation state gather, inside `as_radiation::lienard`'s chunk body).
+//! No `target-cpu`, no `mul_add` (lint `fused-multiply`). A formula
+//! written over [`Lanes`] therefore computes in every lane, in either
+//! instance, the bits the same formula gives over `f64`. Compares produce
+//! bit masks and `select` picks by bit pattern, so lane bodies carry no
+//! branches.
 
 use std::array::from_fn;
 use std::ops::{Add, Div, Mul, Neg, Sub};

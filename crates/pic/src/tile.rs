@@ -63,9 +63,12 @@ use rayon::prelude::*;
 use std::ops::Range;
 
 /// Particles the fused pass (and the radiation state gather) processes
-/// at once: two SSE2 registers per lane array. Measured on the fused pass
-/// of a `sim_bound` slab, two lanes are 7 % slower and eight (register
-/// spills) 31 % slower.
+/// at once: two SSE2 registers per lane array, or one AVX register in the
+/// radiation chunk's AVX2 instance. Measured on the fused pass of a
+/// `sim_bound` slab, two lanes are 7 % slower and eight (register spills)
+/// 31 % slower. The pass itself has only the baseline instance: it is
+/// divider- and scatter-bound, and an AVX2 instance took 2.6 % off a
+/// one-thread `Simulation::step`.
 pub const LANES: usize = 4;
 
 /// Halo width (cells) of a tile-local accumulator on every side: the

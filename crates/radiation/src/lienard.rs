@@ -11,9 +11,16 @@
 //! 2.3·10⁻¹⁶ absolute of libm (asserted in the tests); a lane group with
 //! a larger or non-finite phase goes through libm. The summation order —
 //! 256-particle chunks, merged in chunk order — does not depend on it.
+//!
+//! A chunk's body — the caller's lane state gather, `add_particle` and
+//! [`sin_cos_lanes`], all inlined — is compiled for the SSE2 baseline and
+//! a second time for AVX2, picked at run time. Both give the same bits:
+//! packed operations round each lane as scalar ones do and nothing is
+//! fused (see `as_tensor::matmul`'s CPU instances).
 
 use crate::detector::Detector;
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Complex vector amplitude per (direction, frequency), accumulated over
 /// time steps and particles.
@@ -128,14 +135,13 @@ impl RadiationAccumulator {
             .par_chunks_mut(len)
             .enumerate()
             .for_each(|(c, acc)| {
-                let end = (c * CHUNK + CHUNK).min(n);
-                for start in (c * CHUNK..end).step_by(L) {
-                    let live = (end - start).min(L);
-                    let group = states(std::array::from_fn(|l| start + l.min(live - 1)));
-                    for p in &group[..live] {
-                        add_particle(acc, det, p, t, dt);
-                    }
+                let chunk = c * CHUNK..(c * CHUNK + CHUNK).min(n);
+                #[cfg(target_arch = "x86_64")]
+                if is_x86_feature_detected!("avx2") {
+                    // SAFETY: the CPU has AVX2.
+                    return unsafe { chunk_avx2(acc, det, chunk, &states, t, dt) };
                 }
+                accumulate_chunk(acc, det, chunk, &states, t, dt);
             });
         for part in partials.chunks_exact(len) {
             for (a, b) in self.amp.iter_mut().zip(part) {
@@ -161,8 +167,44 @@ impl RadiationAccumulator {
     }
 }
 
+/// [`accumulate_chunk`] compiled for AVX2 (same bits: see
+/// `as_tensor::matmul`'s CPU instances).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn chunk_avx2<const L: usize>(
+    acc: &mut [f64],
+    det: &Detector,
+    chunk: Range<usize>,
+    states: &impl Fn([usize; L]) -> [ParticleState; L],
+    t: f64,
+    dt: f64,
+) {
+    accumulate_chunk(acc, det, chunk, states, t, dt)
+}
+
+/// Add the particles of `chunk`, their states computed `L` at a time, to
+/// the chunk's partial amplitudes `acc`.
+#[inline(always)]
+fn accumulate_chunk<const L: usize>(
+    acc: &mut [f64],
+    det: &Detector,
+    chunk: Range<usize>,
+    states: &impl Fn([usize; L]) -> [ParticleState; L],
+    t: f64,
+    dt: f64,
+) {
+    for start in chunk.clone().step_by(L) {
+        let live = (chunk.end - start).min(L);
+        let group = states(std::array::from_fn(|l| start + l.min(live - 1)));
+        for p in &group[..live] {
+            add_particle(acc, det, p, t, dt);
+        }
+    }
+}
+
 /// Add one particle's Liénard-Wiechert contribution to a raw amplitude
 /// buffer.
+#[inline(always)]
 fn add_particle(acc: &mut [f64], det: &Detector, p: &ParticleState, t: f64, dt: f64) {
     let n_freqs = det.n_freqs();
     for (d, n) in det.directions.iter().enumerate() {
@@ -200,7 +242,8 @@ fn add_particle(acc: &mut [f64], det: &Detector, p: &ParticleState, t: f64, dt: 
 }
 
 /// Phases evaluated per [`sin_cos_lanes`] call: four independent SSE2
-/// dependency chains, enough to hide the polynomial's latency.
+/// dependency chains (two AVX ones in the AVX2 instance), enough to hide
+/// the polynomial's latency.
 pub const LANES: usize = 8;
 
 /// Largest |phase| the branch-free path takes; beyond it the two-term
@@ -214,7 +257,7 @@ const LANE_RANGE: f64 = 1e6;
 /// `|k| < 2²⁰`), the fdlibm kernel polynomials with the reduction's tail,
 /// and a select-based quadrant fix-up on the bit patterns. No lane
 /// branches, so the loop vectorises.
-#[inline]
+#[inline(always)]
 pub fn sin_cos_lanes(x: &[f64; LANES]) -> ([f64; LANES], [f64; LANES]) {
     // fdlibm's constants, by bit pattern: the first 33 bits of π/2 and
     // π/2 minus those; the sine (S1..S6) and cosine (C1..C6) kernels.
@@ -447,6 +490,37 @@ mod tests {
             lanes.accumulate_with(&det, n, group, 1.5, 0.1, &mut partials);
             assert_eq!(bits(&lanes), bits(&want), "{n} particles, three lanes");
         }
+    }
+
+    /// Each instance of the chunk body this CPU can run against the
+    /// collect-then-chunk reference, bit for bit, on a chunk in which one
+    /// particle sits far enough out that its lane groups' phases pass
+    /// `LANE_RANGE` and go through libm.
+    #[test]
+    fn chunk_instances_equal_collect_then_chunk_bitwise() {
+        let det = Detector::fan_xy(0.3, 2, 0.2, 20.0, 13);
+        let mut states = test_states(CHUNK - 3);
+        states[100].r[0] = 3e5;
+        let retard = 1.5 - det.directions[0][0] * 3e5;
+        assert!(det
+            .frequencies
+            .iter()
+            .any(|w| (w * retard).abs() > LANE_RANGE));
+        let bits = |amp: &[f64]| amp.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let want = bits(&collect_then_chunk(&det, &states, 1.5, 0.1).amp);
+        let group = |i: [usize; 3]| i.map(|i| states[i]);
+        let mut acc = vec![0.0; want.len()];
+        accumulate_chunk(&mut acc, &det, 0..states.len(), &group, 1.5, 0.1);
+        assert_eq!(bits(&acc), want, "sse2");
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            acc.fill(0.0);
+            // SAFETY: the CPU has AVX2.
+            unsafe { chunk_avx2(&mut acc, &det, 0..states.len(), &group, 1.5, 0.1) };
+            assert_eq!(bits(&acc), want, "avx2");
+            return;
+        }
+        eprintln!("no AVX2 on this CPU: checking the baseline instance alone");
     }
 
     #[test]

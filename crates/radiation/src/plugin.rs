@@ -206,6 +206,8 @@ pub fn particle_state(sim: &Simulation, species: usize, i: usize, origin: f64) -
 }
 
 /// [`particle_state`] of the `L` particles `idx`, lane by lane op for op.
+/// Always inlined, so the radiation chunk's AVX2 instance compiles it too.
+#[inline(always)]
 pub fn particle_states<const L: usize>(
     sim: &Simulation,
     species: usize,

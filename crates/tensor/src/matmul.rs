@@ -20,6 +20,15 @@
 //! weight matrices are at most a few thousand elements). The `_into`
 //! forms write into a caller-provided buffer so a training step can
 //! recycle its outputs through a [`crate::Workspace`].
+//!
+//! # CPU instances
+//!
+//! The row-block body is compiled twice: for the SSE2 baseline with a
+//! 4×8 tile, and under `target_feature(enable = "avx2")` with a 4×16 tile
+//! (then one 4×8, then single columns), picked at run time. Packed
+//! multiplies and adds round each lane as scalar code does, Rust never
+//! fuses `a·b + c`, and the order above is fixed by the source, so both
+//! instances give the same bits.
 
 use crate::tensor::Tensor;
 use rayon::prelude::*;
@@ -28,7 +37,8 @@ use rayon::prelude::*;
 /// fork-join costs more than it saves and the calling thread does it all.
 const PAR_THRESHOLD: usize = 2 * 1024 * 1024;
 /// Register tile: `MR` rows × `NR` columns of accumulators (8 SSE
-/// registers), leaving room for one `B` row segment and a broadcast.
+/// registers), leaving room for one `B` row segment and a broadcast. The
+/// AVX2 instance holds `MR` × `2·NR` in 8 AVX registers.
 const MR: usize = 4;
 const NR: usize = 8;
 /// Rows per parallel task; a multiple of `MR` so tiles never straddle tasks.
@@ -108,28 +118,51 @@ fn gemm(out: &mut [f32], a: &[f32], a_strides: (usize, usize), b: &[f32], k: usi
     } else {
         m
     };
-    let task = |(t, mut c): (usize, &mut [f32])| {
-        let mut i = t * rows;
-        while c.len() >= MR * n {
-            let (block, rest) = c.split_at_mut(MR * n);
-            row_block::<MR>(block, ops, i);
-            (c, i) = (rest, i + MR);
+    let task = |(t, c): (usize, &mut [f32])| {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU has AVX2.
+            return unsafe { rows_avx2(c, ops, t * rows) };
         }
-        for (r, row) in c.chunks_mut(n).enumerate() {
-            row_block::<1>(row, ops, i + r);
-        }
+        row_blocks::<NR>(c, ops, t * rows);
     };
     out.par_chunks_mut(rows * n).enumerate().for_each(task);
 }
 
-/// Rows `i..i+R` of the output: full-width tiles, then the `n % NR`
-/// columns one by one.
-fn row_block<const R: usize>(c: &mut [f32], ops: Operands, i: usize) {
-    let full = ops.n - ops.n % NR;
-    for j in (0..full).step_by(NR) {
-        tile::<R, NR>(c, ops, i, j);
+/// [`row_blocks`] with `2·NR`-wide tiles, compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn rows_avx2(c: &mut [f32], ops: Operands, i: usize) {
+    row_blocks::<{ 2 * NR }>(c, ops, i)
+}
+
+/// Output rows `i..` in `MR`-row blocks, then one by one.
+#[inline(always)]
+fn row_blocks<const W: usize>(mut c: &mut [f32], ops: Operands, mut i: usize) {
+    while c.len() >= MR * ops.n {
+        let (block, rest) = c.split_at_mut(MR * ops.n);
+        row_block::<MR, W>(block, ops, i);
+        (c, i) = (rest, i + MR);
     }
-    for j in full..ops.n {
+    for (r, row) in c.chunks_mut(ops.n).enumerate() {
+        row_block::<1, W>(row, ops, i + r);
+    }
+}
+
+/// Rows `i..i+R` of the output: `W`-wide tiles, one `NR`-wide tile if
+/// that many columns remain, then the rest one by one.
+#[inline(always)]
+fn row_block<const R: usize, const W: usize>(c: &mut [f32], ops: Operands, i: usize) {
+    let mut j = 0;
+    while j + W <= ops.n {
+        tile::<R, W>(c, ops, i, j);
+        j += W;
+    }
+    if W > NR && j + NR <= ops.n {
+        tile::<R, NR>(c, ops, i, j);
+        j += NR;
+    }
+    for j in j..ops.n {
         tile::<R, 1>(c, ops, i, j);
     }
 }
@@ -208,28 +241,69 @@ mod tests {
         assert_eq!(matmul(&eye, &a), a);
     }
 
+    type Rows = fn(&mut [f32], Operands, usize);
+
+    /// Each instance of the row loop this CPU can run, on one thread.
+    fn instances() -> Vec<(&'static str, Rows)> {
+        let mut all: Vec<(&'static str, Rows)> = vec![("sse2", row_blocks::<NR>)];
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU has AVX2.
+            all.push(("avx2", |c, ops, i| unsafe { rows_avx2(c, ops, i) }));
+        }
+        if all.len() == 1 {
+            eprintln!("no AVX2 on this CPU: checking the baseline instance alone");
+        }
+        all
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The summation-order contract, bit for bit: every layout through
+    /// the public entry points, and each instance over both `A` strides,
+    /// equal the ordered naive sum — at every column count around the
+    /// 8- and 16-wide tiles, `m` not a multiple of `MR`, and one shape on
+    /// the parallel path.
     #[test]
     fn variants_agree_with_naive_on_random_input() {
         let mut rng = TensorRng::seeded(42);
-        for (m, k, n) in [(3, 4, 5), (7, 1, 2), (16, 16, 16)] {
+        let big = (PAR_ROWS * 4 + MR + 1, 64, 256);
+        assert!(big.0 * big.1 * big.2 >= PAR_THRESHOLD);
+        let narrow = [1, 6, 7, 8, 9, 15, 16, 17, 24, 40].map(|n| (2 * MR + 3, 5, n));
+        for (m, k, n) in narrow.into_iter().chain([(7, 1, 2), (16, 16, 16), big]) {
             let a = rng.standard_normal([m, k]);
             let b = rng.standard_normal([k, n]);
-            let c = matmul(&a, &b);
-            let cn = naive(&a, &b);
-            for (x, y) in c.data().iter().zip(cn.data()) {
-                assert!((x - y).abs() < 1e-4);
-            }
-            // A·Bᵀ against naive on transposed B.
-            let bt = b.transpose2();
-            let c2 = matmul_a_bt(&a, &bt);
-            for (x, y) in c2.data().iter().zip(cn.data()) {
-                assert!((x - y).abs() < 1e-4);
-            }
-            // Aᵀ·B against naive on transposed A.
             let at = a.transpose2();
+            let want = bits(naive(&a, &b).data());
+            assert_eq!(bits(matmul(&a, &b).data()), want, "A·B {m}x{k}x{n}");
+            let c2 = matmul_a_bt(&a, &b.transpose2());
+            assert_eq!(bits(c2.data()), want, "A·Bᵀ {m}x{k}x{n}");
             let c3 = matmul_at_b(&at, &b);
-            for (x, y) in c3.data().iter().zip(cn.data()) {
-                assert!((x - y).abs() < 1e-4);
+            assert_eq!(bits(c3.data()), want, "Aᵀ·B {m}x{k}x{n}");
+            for (name, rows) in instances() {
+                for (a, a_row, a_col) in [(a.data(), k, 1), (at.data(), 1, m)] {
+                    let mut c = vec![f32::NAN; m * n];
+                    let b = b.data();
+                    rows(
+                        &mut c,
+                        Operands {
+                            a,
+                            a_row,
+                            a_col,
+                            b,
+                            k,
+                            n,
+                        },
+                        0,
+                    );
+                    assert_eq!(
+                        bits(&c),
+                        want,
+                        "{name} {m}x{k}x{n}, A strides {a_row}, {a_col}"
+                    );
+                }
             }
         }
     }

@@ -1,4 +1,4 @@
-//! The five lint rules.
+//! The six lint rules.
 //!
 //! All rules operate on *pre-processed* source (comments/strings blanked,
 //! `#[cfg(test)]` items removed — see [`crate::lexer`]), so needles never
@@ -11,6 +11,7 @@
 //! | `raw-sync`            | no `std::thread::spawn` / raw `std::sync` primitives outside the shims and `core::workflow` — everything must go through the instrumented shims |
 //! | `unordered-par-reduce`| no `.sum()`/`.product()`/`.reduce()` at the top level of a rayon parallel-iterator chain — float reduction order must not depend on the split |
 //! | `raw-sleep`           | no `thread::sleep` outside `crates/cluster/src/pace.rs` and the shims — the OS timer overshoots a microsecond sleep ≈ 50×, so waits block on their event and modelled delays go through the pacer |
+//! | `fused-multiply`      | no `mul_add` under `crates/*/src`, and `target_feature`/`is_x86_feature_detected` only in the four files whose kernels have a run-time-picked AVX2 instance — an FMA rounds once where the baseline rounds twice, and the instances' bit identity rests on there being none |
 
 /// One lint hit: rule id, repo-relative path, 1-based line, and the
 /// original source line text (for reporting and allowlist matching).
@@ -27,6 +28,16 @@ pub const RULE_UNWRAP: &str = "hot-path-unwrap";
 pub const RULE_SYNC: &str = "raw-sync";
 pub const RULE_REDUCE: &str = "unordered-par-reduce";
 pub const RULE_SLEEP: &str = "raw-sleep";
+pub const RULE_FMA: &str = "fused-multiply";
+
+/// The files that compile a kernel body a second time for AVX2 and pick
+/// the instance at run time.
+const DISPATCH_FILES: &[&str] = &[
+    "crates/tensor/src/matmul.rs",
+    "crates/nn/src/layers.rs",
+    "crates/nn/src/loss.rs",
+    "crates/radiation/src/lienard.rs",
+];
 
 fn is_ident(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
@@ -201,6 +212,23 @@ pub fn raw_sleep(path: &str, original: &str, stripped: &str) -> Vec<Violation> {
     out
 }
 
+/// `fused-multiply`: any `mul_add`, and outside [`DISPATCH_FILES`] any
+/// `target_feature` or `is_x86_feature_detected`.
+pub fn fused_multiply(path: &str, original: &str, stripped: &str) -> Vec<Violation> {
+    let mut needles = vec!["mul_add"];
+    if !DISPATCH_FILES.contains(&path) {
+        needles.extend(["target_feature", "is_x86_feature_detected"]);
+    }
+    let mut out = Vec::new();
+    for needle in needles {
+        for off in find_bounded(stripped, needle) {
+            push(&mut out, RULE_FMA, path, original, stripped, off);
+        }
+    }
+    out.sort_by_key(|v| v.line);
+    out
+}
+
 /// Run every rule whose scope covers `path` (repo-relative).
 pub fn run_all(path: &str, original: &str) -> Vec<Violation> {
     let stripped = crate::lexer::blank_test_items(&crate::lexer::strip(original));
@@ -219,6 +247,9 @@ pub fn run_all(path: &str, original: &str) -> Vec<Violation> {
     }
     if in_scope_sleep(path) {
         out.extend(raw_sleep(path, original, &stripped));
+    }
+    if in_scope_fma(path) {
+        out.extend(fused_multiply(path, original, &stripped));
     }
     out
 }
@@ -249,6 +280,12 @@ fn in_scope_reduce(path: &str) -> bool {
 
 fn in_scope_sleep(path: &str) -> bool {
     !is_tooling(path) && path != "crates/cluster/src/pace.rs"
+}
+
+/// `crates/<crate>/src/…`: the workspace's library and binary sources.
+fn in_scope_fma(path: &str) -> bool {
+    let mut parts = path.split('/');
+    parts.next() == Some("crates") && parts.nth(1) == Some("src")
 }
 
 #[cfg(test)]
@@ -325,6 +362,34 @@ mod tests {
         assert_eq!(run_all("crates/cluster/src/comm.rs", pacer).len(), 1);
     }
 
+    #[test]
+    fn fixture_fused_multiply_fires_once_per_needle() {
+        let bad = "fn f(a: f64, b: f64, c: f64) -> f64 {\n    a.mul_add(b, c)\n}\n\
+                   #[target_feature(enable = \"avx2\")]\nfn g() {}\n\
+                   fn h() -> bool { is_x86_feature_detected!(\"avx2\") }\n\
+                   fn ok(a: f64, b: f64, c: f64) -> f64 { a * b + c }\n";
+        let v = fused_multiply("crates/pic/src/x.rs", bad, &prep(bad));
+        let lines: Vec<usize> = v.iter().map(|v| v.line).collect();
+        assert_eq!(lines, [2, 4, 6], "{v:?}");
+        assert!(v.iter().all(|v| v.rule == RULE_FMA));
+    }
+
+    #[test]
+    fn fused_multiply_allows_dispatch_only_in_the_dispatch_files() {
+        let dispatch = "#[target_feature(enable = \"avx2\")]\nfn g() {}\n\
+                        fn h() -> bool { is_x86_feature_detected!(\"avx2\") }\n";
+        for path in DISPATCH_FILES {
+            assert!(run_all(path, dispatch).is_empty(), "{path}");
+        }
+        assert_eq!(run_all("crates/pic/src/tile.rs", dispatch).len(), 2);
+        let fma = "fn f(a: f32) -> f32 { a.mul_add(a, a) }\n";
+        assert_eq!(run_all("crates/tensor/src/matmul.rs", fma).len(), 1);
+        let spared = "// mul_add rounds once\n#[cfg(test)]\nmod tests {\n    fn t(a: f64) -> f64 { a.mul_add(a, a) }\n}\n";
+        assert!(run_all("crates/nn/src/layers.rs", spared).is_empty());
+        assert!(run_all("crates/bench/benches/kernels.rs", fma).is_empty());
+        assert!(run_all("crates/shims/rayon/src/lib.rs", fma).is_empty());
+    }
+
     // -- negative space: stripped regions and scopes --
 
     #[test]
@@ -362,5 +427,8 @@ mod tests {
         assert!(in_scope_sleep("crates/bench/src/bin/fig_faults.rs"));
         assert!(!in_scope_sleep("crates/cluster/src/pace.rs"));
         assert!(!in_scope_sleep("crates/shims/criterion/src/lib.rs"));
+        assert!(in_scope_fma("crates/pic/src/tile.rs"));
+        assert!(!in_scope_fma("crates/pic/tests/gauss_law.rs"));
+        assert!(!in_scope_fma("crates/shims/rayon/src/lib.rs"));
     }
 }
