@@ -10,6 +10,8 @@
 //!    the paper's node counts, reproducing the 65.3 vs 14.7 TeraUpdates/s
 //!    endpoints.
 
+#![forbid(unsafe_code)]
+
 use as_cluster::comm::CommWorld;
 use as_cluster::fom::FomModel;
 use as_pic::domain::DistributedSim;

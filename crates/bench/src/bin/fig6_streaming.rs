@@ -9,6 +9,8 @@
 //! of Fig. 6(a) (libfabric) and 6(b) (MPI). The libfabric enqueue-all
 //! variant stops at 4096 nodes — it did not scale further in the paper.
 
+#![forbid(unsafe_code)]
+
 use as_bench::{fig6_per_node_samples, format_box_row};
 use as_cluster::collective::SoloComm;
 use as_core::config::WorkflowConfig;

@@ -18,6 +18,8 @@
 //! Pass `--smoke` for the CI-sized run (2 DDP replicas max, 16 modelled
 //! ranks only).
 
+#![forbid(unsafe_code)]
+
 use as_bench::{
     collective_microbench, fig8_batch_time, fig8_efficiency_series, PAPER_BATCH_COMPUTE,
     PAPER_GRAD_BYTES,

@@ -10,6 +10,8 @@
 //! (c) p_x distributions of clouds sampled by inverting the observed
 //!     spectra.
 
+#![forbid(unsafe_code)]
+
 use as_core::config::WorkflowConfig;
 use as_core::eval::InversionEval;
 use as_core::workflow::run_workflow;

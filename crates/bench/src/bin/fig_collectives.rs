@@ -17,6 +17,8 @@
 //! Pass `--smoke` for the CI-sized run (16 ranks only), `--ranks
 //! 16,32,64` to pick the sweep, `--out` to redirect the JSON.
 
+#![forbid(unsafe_code)]
+
 use as_bench::{collective_microbench, CollectiveBenchRow};
 use as_cluster::algos::CollectiveAlgo;
 use as_cluster::machine::FRONTIER;

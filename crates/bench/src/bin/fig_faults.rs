@@ -28,6 +28,8 @@
 //! Writes `BENCH_faults.json`. Pass `--smoke` for the CI-sized run,
 //! `--steps/--steps-per-sample/--n-rep/--drop-rates/--out` to override.
 
+#![forbid(unsafe_code)]
+
 use as_core::config::{ConsumerPolicy, WorkflowConfig};
 use as_core::faults::{FaultEvent, FaultPlan, KillMode};
 use as_core::workflow::run_workflow;

@@ -7,6 +7,8 @@
 //! - **E8** (§IV-B): single-reader throughput (1.9–4.7 GB/s) vs the
 //!   25 GB/s NIC ⇒ parallelising the reader buys headroom.
 
+#![forbid(unsafe_code)]
+
 use as_cluster::sockets::SocketBudget;
 use as_core::config::WorkflowConfig;
 use as_core::workflow::run_workflow;

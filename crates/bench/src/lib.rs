@@ -15,6 +15,8 @@
 //! The models here combine *measured* small-scale runs (real code paths on
 //! this machine) with the `as-cluster` wall-clock models at paper scale.
 
+#![forbid(unsafe_code)]
+
 use as_cluster::algos::CollectiveAlgo;
 use as_cluster::collective::{ChannelComm, Collective, NetModel, SimNetComm};
 use as_cluster::collectives::{allgather_cost, allreduce_cost, graph_break_penalty, AllReduceAlgo};

@@ -76,7 +76,7 @@ impl CollectiveAlgo {
 /// (default 8192 f32 = 32 KiB) stay on the ring; per-iteration control
 /// collectives (go/no-go scalars, loss means, radiation merges) go
 /// log-depth.
-pub const SMALL_ALLREDUCE_BYTES: usize = 4096;
+pub(crate) const SMALL_ALLREDUCE_BYTES: usize = 4096;
 
 /// One rank's role in a binomial tree rooted at `root` (broadcast runs
 /// it parent→children, gather runs it children→parent).
@@ -93,7 +93,7 @@ pub struct TreePlan {
 /// The binomial-tree plan for `rank` in a world of `size` rooted at
 /// `root`. Tree depth is `⌈log₂ size⌉`; the root has `⌈log₂ size⌉`
 /// children, so the root's serialized sends are the critical path.
-pub fn binomial_plan(size: usize, root: usize, rank: usize) -> TreePlan {
+pub(crate) fn binomial_plan(size: usize, root: usize, rank: usize) -> TreePlan {
     assert!(size > 0 && root < size && rank < size);
     let vrank = (rank + size - root) % size;
     // Parent: clear the lowest set bit of the virtual rank.
@@ -142,7 +142,7 @@ pub struct BruckRound {
 /// The `⌈log₂ size⌉` Bruck rounds for `rank`. After round `k` a rank
 /// holds `min(2^{k+1}, p)` consecutive blocks starting at its own; the
 /// total blocks received across rounds is exactly `p - 1`.
-pub fn bruck_rounds(size: usize, rank: usize) -> Vec<BruckRound> {
+pub(crate) fn bruck_rounds(size: usize, rank: usize) -> Vec<BruckRound> {
     assert!(size > 0 && rank < size);
     let mut rounds = Vec::new();
     let mut dist = 1usize;
@@ -195,7 +195,7 @@ where
 
 /// True when a `bytes`-sized allreduce takes the log-depth (allgather)
 /// path under [`CollectiveAlgo::Log`].
-pub fn allreduce_goes_log(algo: CollectiveAlgo, bytes: usize) -> bool {
+pub(crate) fn allreduce_goes_log(algo: CollectiveAlgo, bytes: usize) -> bool {
     algo == CollectiveAlgo::Log && bytes <= SMALL_ALLREDUCE_BYTES
 }
 
@@ -219,7 +219,7 @@ pub struct MsgEvent {
 /// Broadcast events for `rank`: its serialized sends. Linear: the root
 /// fans out `p-1` messages; tree: each rank forwards to its binomial
 /// children (the root's `⌈log₂ p⌉` sends are the critical path).
-pub fn broadcast_events(
+pub(crate) fn broadcast_events(
     algo: CollectiveAlgo,
     size: usize,
     root: usize,
@@ -253,7 +253,7 @@ pub fn broadcast_events(
 /// receives (linear: `p-1` single blocks; tree: `⌈log₂ p⌉` subtree
 /// messages totalling `p-1` blocks) and a non-root rank's single event
 /// is its subtree send to the parent.
-pub fn gather_events(
+pub(crate) fn gather_events(
     algo: CollectiveAlgo,
     size: usize,
     root: usize,
@@ -301,7 +301,7 @@ pub fn gather_events(
 /// Linear is gather-to-0 plus broadcast-from-0 (the historical
 /// double-priced path); log is the single-phase Bruck schedule —
 /// `⌈log₂ p⌉` sends per rank carrying `p-1` blocks in total.
-pub fn allgather_events(
+pub(crate) fn allgather_events(
     algo: CollectiveAlgo,
     size: usize,
     rank: usize,
@@ -335,7 +335,7 @@ pub fn allgather_events(
 /// Ring-allreduce events for `rank`: `2(p-1)` chunk sends to the next
 /// neighbour, with the real (remainder-absorbing) chunk bounds of an
 /// `elems × elem_size` buffer — byte-exact with what the executor moves.
-pub fn ring_allreduce_events(
+pub(crate) fn ring_allreduce_events(
     size: usize,
     rank: usize,
     elems: usize,
@@ -371,7 +371,7 @@ pub fn ring_allreduce_events(
 /// `algo` — the same path selection the executor makes: ring unless the
 /// buffer is small and the algo is log-depth, in which case the cost is
 /// a Bruck allgather of full contributions.
-pub fn allreduce_events(
+pub(crate) fn allreduce_events(
     algo: CollectiveAlgo,
     size: usize,
     rank: usize,

@@ -435,7 +435,7 @@ impl NodeMap {
     /// Dense placement: `ranks` ranks filled `per_node` to a node, with
     /// node ids starting at `node_offset` (so two groups — producers and
     /// learners — can occupy provably distinct modelled nodes).
-    pub fn placed(ranks: usize, per_node: usize, node_offset: usize) -> Self {
+    pub(crate) fn placed(ranks: usize, per_node: usize, node_offset: usize) -> Self {
         let per_node = per_node.max(1);
         Self {
             node_of: (0..ranks).map(|r| node_offset + r / per_node).collect(),
@@ -444,17 +444,18 @@ impl NodeMap {
 
     /// The modelled node hosting `rank`. Ranks beyond the map (and every
     /// rank of an empty map) live on their own private node.
-    pub fn node_of(&self, rank: usize) -> usize {
+    pub(crate) fn node_of(&self, rank: usize) -> usize {
         self.node_of.get(rank).copied().unwrap_or(usize::MAX - rank)
     }
 
     /// True when both ranks share a modelled node.
-    pub fn same_node(&self, a: usize, b: usize) -> bool {
+    pub(crate) fn same_node(&self, a: usize, b: usize) -> bool {
         self.node_of(a) == self.node_of(b)
     }
 
     /// Number of distinct modelled nodes in the map (0 for an empty map).
-    pub fn node_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn node_count(&self) -> usize {
         let mut nodes: Vec<usize> = self.node_of.clone();
         nodes.sort_unstable();
         nodes.dedup();
@@ -582,7 +583,7 @@ impl NetModel {
     /// Modelled cost of one message of `bytes` payload between `from`
     /// and `to`: the intra-node latency/bandwidth when the placement
     /// co-locates them, the fabric fair share otherwise.
-    pub fn hop_cost(&self, from: usize, to: usize, bytes: u64) -> f64 {
+    pub(crate) fn hop_cost(&self, from: usize, to: usize, bytes: u64) -> f64 {
         if self.nodes.same_node(from, to) {
             self.intra_latency + bytes as f64 / self.intra_bytes_per_second
         } else {

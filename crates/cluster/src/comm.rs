@@ -34,7 +34,7 @@ use crate::algos::{
 use crate::error::CommError;
 
 /// Tags at or above this value are reserved for internal collectives.
-pub const RESERVED_TAG_BASE: u64 = 1 << 62;
+pub(crate) const RESERVED_TAG_BASE: u64 = 1 << 62;
 
 const BCAST_TAG: u64 = RESERVED_TAG_BASE;
 const GATHER_TAG: u64 = RESERVED_TAG_BASE + (1 << 32);
@@ -468,13 +468,13 @@ impl Communicator {
 
     /// True when this world was built with [`CommWorld::with_faults`]
     /// (tolerant sends, liveness tracking, optional message chaos).
-    pub fn faults_armed(&self) -> bool {
+    pub(crate) fn faults_armed(&self) -> bool {
         self.health.armed
     }
 
     /// `(dropped, delayed, duplicated)` injected-fault counters, or
     /// zeros when no injector is installed.
-    pub fn injected_fault_counts(&self) -> (u64, u64, u64) {
+    pub(crate) fn injected_fault_counts(&self) -> (u64, u64, u64) {
         self.injector.as_ref().map_or((0, 0, 0), |i| i.counts())
     }
 
@@ -744,11 +744,10 @@ impl Communicator {
     /// Large buffers take the bandwidth-optimal ring reduce-scatter +
     /// all-gather, the same algorithm NCCL/RCCL uses for large tensors, so
     /// the traffic pattern matches the gradient averaging the paper's DDP
-    /// training performs every step. Small buffers (at most
-    /// [`crate::algos::SMALL_ALLREDUCE_BYTES`], under the log-depth algo)
-    /// instead Bruck-allgather the raw contributions and reduce locally in
-    /// the canonical ring order — `⌈log₂ p⌉` latency instead of `2(p-1)`,
-    /// bit-identical results.
+    /// training performs every step. Small buffers (at most 4 KiB, under
+    /// the log-depth algo) instead Bruck-allgather the raw contributions
+    /// and reduce locally in the canonical ring order — `⌈log₂ p⌉` latency
+    /// instead of `2(p-1)`, bit-identical results.
     pub fn allreduce_sum_f32(&self, buf: &mut [f32]) {
         self.allreduce(buf, |a, b| *a += b);
     }

@@ -66,7 +66,7 @@ impl FomModel {
 
     /// Calibrate [`Self::device_particle_rate`] so `fom(nodes)` equals
     /// `target_fom` (e.g. the paper's 65.3 TU/s at 9216 nodes).
-    pub fn calibrate_to(&mut self, nodes: usize, target_fom: f64) -> &mut Self {
+    pub(crate) fn calibrate_to(&mut self, nodes: usize, target_fom: f64) -> &mut Self {
         self.device_particle_rate = 1.0;
         let base = self.fom(nodes);
         self.device_particle_rate = target_fom / base;

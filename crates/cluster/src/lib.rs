@@ -25,6 +25,8 @@
 //!   that injects [`collective::SimNetComm`]'s modelled time as wall time,
 //!   and the fault injector's delays.
 
+#![forbid(unsafe_code)]
+
 pub mod algos;
 pub mod collective;
 pub mod collectives;

@@ -44,12 +44,12 @@ impl MachineSpec {
     }
 
     /// Total injection bandwidth of `nodes` nodes, bytes/second.
-    pub fn injection_bandwidth(&self, nodes: usize) -> f64 {
+    pub(crate) fn injection_bandwidth(&self, nodes: usize) -> f64 {
         nodes as f64 * self.nics_per_node as f64 * self.nic_bandwidth
     }
 
     /// Usable global bisection bandwidth for `nodes` nodes, bytes/second.
-    pub fn bisection_bandwidth(&self, nodes: usize) -> f64 {
+    pub(crate) fn bisection_bandwidth(&self, nodes: usize) -> f64 {
         self.injection_bandwidth(nodes) * self.bisection_fraction
     }
 }

@@ -15,7 +15,7 @@
 use crate::encode::EncodeConfig;
 use crate::faults::{FaultEvent, FaultPlan, KillMode};
 use as_cluster::algos::CollectiveAlgo;
-use as_cluster::machine::{MachineSpec, FRONTIER, SUMMIT};
+use as_cluster::machine::{MachineSpec, FRONTIER};
 use as_nn::model::ModelConfig;
 use as_nn::optim::AdamConfig;
 use as_pic::grid::GridSpec;
@@ -36,18 +36,6 @@ pub enum Placement {
     /// Disjoint node sets (easier to schedule in Slurm, more fabric
     /// traffic).
     InterNode,
-}
-
-impl Placement {
-    /// Fraction of the stream that must cross the network fabric.
-    pub fn fabric_fraction(&self) -> f64 {
-        match self {
-            // Reader loads "are configured such that data is shared within
-            // node boundaries" — only halo leftovers leave the node.
-            Placement::IntraNode => 0.1,
-            Placement::InterNode => 1.0,
-        }
-    }
 }
 
 /// How consumer ranks pace themselves against the stream — the policy
@@ -140,7 +128,7 @@ pub enum CommBackend {
     /// cost is injected as real wall time. Numerics are bit-identical
     /// to [`CommBackend::InProcess`].
     NetSim {
-        /// The modelled machine (e.g. [`FRONTIER`], [`SUMMIT`]).
+        /// The modelled machine (e.g. [`FRONTIER`], [`as_cluster::machine::SUMMIT`]).
         machine: MachineSpec,
         /// Fraction of the modelled delay injected as wall time
         /// (`1.0` = full modelled delays, `0.0` = record-only).
@@ -154,14 +142,6 @@ impl CommBackend {
     pub fn netsim_frontier() -> Self {
         CommBackend::NetSim {
             machine: FRONTIER,
-            time_scale: 1.0,
-        }
-    }
-
-    /// The paper's 2019 baseline fabric.
-    pub fn netsim_summit() -> Self {
-        CommBackend::NetSim {
-            machine: SUMMIT,
             time_scale: 1.0,
         }
     }
@@ -367,7 +347,7 @@ impl WorkflowConfig {
             collective_algo: CollectiveAlgo::Log,
             overlap_grad_sync: false,
             sample_broadcast: false,
-            grad_bucket: 8192,
+            grad_bucket: as_nn::ddp::DEFAULT_BUCKET_ELEMS,
             seed: 1,
             faults: FaultPlan::default(),
             serving: None,
@@ -499,7 +479,14 @@ mod tests {
     fn backend_labels() {
         assert_eq!(CommBackend::InProcess.label(), "in_process");
         assert_eq!(CommBackend::netsim_frontier().label(), "netsim-frontier");
-        assert_eq!(CommBackend::netsim_summit().label(), "netsim-summit");
+        assert_eq!(
+            CommBackend::NetSim {
+                machine: as_cluster::machine::SUMMIT,
+                time_scale: 1.0
+            }
+            .label(),
+            "netsim-summit"
+        );
     }
 
     #[test]
@@ -575,10 +562,5 @@ mod tests {
         assert_eq!(c.encode.sample_points, 30_000);
         assert_eq!(c.model.vae.latent, 544);
         assert_eq!(c.n_rep, 48);
-    }
-
-    #[test]
-    fn placement_fabric_fractions() {
-        assert!(Placement::IntraNode.fabric_fraction() < Placement::InterNode.fabric_fraction());
     }
 }

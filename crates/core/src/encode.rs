@@ -133,7 +133,7 @@ impl EncodeConfig {
     }
 
     /// Recover a physical momentum from an encoded value.
-    pub fn decode_momentum(&self, encoded: f32) -> f64 {
+    pub(crate) fn decode_momentum(&self, encoded: f32) -> f64 {
         encoded as f64 * self.momentum_scale
     }
 }

@@ -1,6 +1,6 @@
 //! Deterministic fault-injection plans for the chaos-hardened workflow.
 //!
-//! A [`FaultPlan`] is a seeded, serializable schedule of failures: message
+//! A [`FaultPlan`] is a seeded schedule of failures: message
 //! chaos on the collective transport (drop/delay/duplicate — delivered by
 //! [`as_cluster::comm::FaultInjector`] hooks inside the `Communicator`),
 //! producer crashes and stream truncations (armed on the SST writers via
@@ -144,12 +144,12 @@ impl FaultPlan {
     }
 
     /// True if any message-chaos rate is nonzero.
-    pub fn message_chaos(&self) -> bool {
+    pub(crate) fn message_chaos(&self) -> bool {
         self.msg_drop_rate > 0.0 || self.msg_delay_rate > 0.0 || self.msg_dup_rate > 0.0
     }
 
     /// The transport-level injector configuration this plan implies.
-    pub fn comm_faults(&self) -> CommFaults {
+    pub(crate) fn comm_faults(&self) -> CommFaults {
         CommFaults {
             seed: self.seed,
             drop_rate: self.msg_drop_rate,
@@ -160,7 +160,7 @@ impl FaultPlan {
     }
 
     /// Producer-crash window, if one is scheduled (first match wins).
-    pub fn producer_crash_window(&self) -> Option<u64> {
+    pub(crate) fn producer_crash_window(&self) -> Option<u64> {
         self.events.iter().find_map(|e| match e {
             FaultEvent::ProducerCrash { at_window } => Some(*at_window),
             _ => None,
@@ -168,7 +168,7 @@ impl FaultPlan {
     }
 
     /// Kill event for a given consumer rank, if scheduled.
-    pub fn consumer_kill(&self, rank: usize) -> Option<(u64, KillMode)> {
+    pub(crate) fn consumer_kill(&self, rank: usize) -> Option<(u64, KillMode)> {
         self.events.iter().find_map(|e| match e {
             FaultEvent::ConsumerKill {
                 rank: r,
@@ -180,7 +180,7 @@ impl FaultPlan {
     }
 
     /// All scheduled skip ranges `(from, to)`, inclusive.
-    pub fn skip_ranges(&self) -> Vec<(u64, u64)> {
+    pub(crate) fn skip_ranges(&self) -> Vec<(u64, u64)> {
         self.events
             .iter()
             .filter_map(|e| match e {
@@ -191,7 +191,7 @@ impl FaultPlan {
     }
 
     /// Truncation step armed for one stream, if scheduled.
-    pub fn stream_truncation(&self, stream: StreamId) -> Option<u64> {
+    pub(crate) fn stream_truncation(&self, stream: StreamId) -> Option<u64> {
         self.events.iter().find_map(|e| match e {
             FaultEvent::TruncateStream { stream: s, at_step } if *s == stream => Some(*at_step),
             _ => None,
@@ -199,126 +199,8 @@ impl FaultPlan {
     }
 
     /// Total receive budget before a silent peer is declared dead.
-    pub fn death_budget_ms(&self) -> u64 {
+    pub(crate) fn death_budget_ms(&self) -> u64 {
         self.op_timeout_ms * self.retry_budget as u64
-    }
-
-    /// Serialize to a line-based spec (round-trips through
-    /// [`FaultPlan::from_spec`]).
-    pub fn to_spec(&self) -> String {
-        let mut s = String::new();
-        s.push_str(&format!("seed={}\n", self.seed));
-        s.push_str(&format!("op_timeout_ms={}\n", self.op_timeout_ms));
-        s.push_str(&format!("tick_ms={}\n", self.tick_ms));
-        s.push_str(&format!("retry_budget={}\n", self.retry_budget));
-        s.push_str(&format!("msg_drop_rate={}\n", self.msg_drop_rate));
-        s.push_str(&format!("msg_delay_rate={}\n", self.msg_delay_rate));
-        s.push_str(&format!("msg_delay_ms={}\n", self.msg_delay_ms));
-        s.push_str(&format!("msg_dup_rate={}\n", self.msg_dup_rate));
-        s.push_str(&format!("checkpoint_every={}\n", self.checkpoint_every));
-        for e in &self.events {
-            match e {
-                FaultEvent::ProducerCrash { at_window } => {
-                    s.push_str(&format!("event=producer_crash at_window={at_window}\n"));
-                }
-                FaultEvent::ConsumerKill {
-                    rank,
-                    at_window,
-                    mode,
-                } => {
-                    let m = match mode {
-                        KillMode::Restart => "restart",
-                        KillMode::Die => "die",
-                    };
-                    s.push_str(&format!(
-                        "event=consumer_kill rank={rank} at_window={at_window} mode={m}\n"
-                    ));
-                }
-                FaultEvent::SkipWindows { from, to } => {
-                    s.push_str(&format!("event=skip_windows from={from} to={to}\n"));
-                }
-                FaultEvent::TruncateStream { stream, at_step } => {
-                    let id = match stream {
-                        StreamId::Particle => "particle",
-                        StreamId::Radiation => "radiation",
-                    };
-                    s.push_str(&format!("event=truncate stream={id} at_step={at_step}\n"));
-                }
-            }
-        }
-        s
-    }
-
-    /// Parse a spec produced by [`FaultPlan::to_spec`].
-    pub fn from_spec(spec: &str) -> Result<Self, String> {
-        let mut plan = FaultPlan::default();
-        for line in spec.lines() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let (key, rest) = line
-                .split_once('=')
-                .ok_or_else(|| format!("malformed line: {line}"))?;
-            match key {
-                "seed" => plan.seed = parse(rest)?,
-                "op_timeout_ms" => plan.op_timeout_ms = parse(rest)?,
-                "tick_ms" => plan.tick_ms = parse(rest)?,
-                "retry_budget" => plan.retry_budget = parse(rest)?,
-                "msg_drop_rate" => plan.msg_drop_rate = parse(rest)?,
-                "msg_delay_rate" => plan.msg_delay_rate = parse(rest)?,
-                "msg_delay_ms" => plan.msg_delay_ms = parse(rest)?,
-                "msg_dup_rate" => plan.msg_dup_rate = parse(rest)?,
-                "checkpoint_every" => plan.checkpoint_every = parse(rest)?,
-                "event" => plan.events.push(parse_event(rest)?),
-                other => return Err(format!("unknown key: {other}")),
-            }
-        }
-        Ok(plan)
-    }
-}
-
-fn parse<T: std::str::FromStr>(s: &str) -> Result<T, String> {
-    s.parse().map_err(|_| format!("bad value: {s}"))
-}
-
-fn parse_event(rest: &str) -> Result<FaultEvent, String> {
-    let mut parts = rest.split_whitespace();
-    let kind = parts.next().ok_or("empty event")?;
-    let mut kv = std::collections::BTreeMap::new();
-    for p in parts {
-        let (k, v) = p.split_once('=').ok_or_else(|| format!("bad field: {p}"))?;
-        kv.insert(k, v);
-    }
-    let get = |k: &str| -> Result<&str, String> {
-        kv.get(k).copied().ok_or_else(|| format!("missing {k}"))
-    };
-    match kind {
-        "producer_crash" => Ok(FaultEvent::ProducerCrash {
-            at_window: parse(get("at_window")?)?,
-        }),
-        "consumer_kill" => Ok(FaultEvent::ConsumerKill {
-            rank: parse(get("rank")?)?,
-            at_window: parse(get("at_window")?)?,
-            mode: match get("mode")? {
-                "restart" => KillMode::Restart,
-                "die" => KillMode::Die,
-                other => return Err(format!("bad mode: {other}")),
-            },
-        }),
-        "skip_windows" => Ok(FaultEvent::SkipWindows {
-            from: parse(get("from")?)?,
-            to: parse(get("to")?)?,
-        }),
-        "truncate" => Ok(FaultEvent::TruncateStream {
-            stream: match get("stream")? {
-                "particle" => StreamId::Particle,
-                "radiation" => StreamId::Radiation,
-                other => return Err(format!("bad stream: {other}")),
-            },
-            at_step: parse(get("at_step")?)?,
-        }),
-        other => Err(format!("unknown event: {other}")),
     }
 }
 
@@ -349,7 +231,7 @@ mod tests {
     }
 
     #[test]
-    fn spec_round_trips() {
+    fn accessors_read_the_scheduled_events() {
         let plan = FaultPlan {
             seed: 42,
             op_timeout_ms: 40,
@@ -379,9 +261,6 @@ mod tests {
                 },
             ],
         };
-        let spec = plan.to_spec();
-        let back = FaultPlan::from_spec(&spec).expect("parses");
-        assert_eq!(back, plan);
         assert!(plan.active());
         assert_eq!(plan.producer_crash_window(), Some(3));
         assert_eq!(plan.consumer_kill(1), Some((2, KillMode::Die)));
@@ -391,13 +270,5 @@ mod tests {
         assert_eq!(plan.stream_truncation(StreamId::Radiation), Some(3));
         assert_eq!(plan.stream_truncation(StreamId::Particle), None);
         assert_eq!(plan.death_budget_ms(), 200);
-    }
-
-    #[test]
-    fn bad_specs_are_rejected() {
-        assert!(FaultPlan::from_spec("nonsense").is_err());
-        assert!(FaultPlan::from_spec("seed=abc").is_err());
-        assert!(FaultPlan::from_spec("event=warp_core_breach").is_err());
-        assert!(FaultPlan::from_spec("event=consumer_kill rank=0").is_err());
     }
 }

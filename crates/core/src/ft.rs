@@ -18,7 +18,7 @@
 //!   this is **bit-identical** to the legacy blocking all-reduce (which
 //!   replays the same canonical ring order), which is what lets a faulted
 //!   run be compared hash-for-hash against an unfaulted reference.
-//! - [`FtComm::elect_broadcast`] — broadcast rooted at the lowest live
+//! - `FtComm::elect_broadcast` — broadcast rooted at the lowest live
 //!   rank, with automatic re-election if the root dies before sending
 //!   (the `DropSteps` window-target gate after rank 0's death).
 //!
@@ -75,7 +75,7 @@ impl<'a, C: Collective> FtComm<'a, C> {
 
     /// Wall seconds this endpoint spent detecting peer deaths (waiting
     /// out budgets on peers that were then condemned).
-    pub fn condemned_wait_seconds(&self) -> f64 {
+    pub(crate) fn condemned_wait_seconds(&self) -> f64 {
         self.condemn_wait.get()
     }
 
@@ -90,7 +90,7 @@ impl<'a, C: Collective> FtComm<'a, C> {
     }
 
     /// Ranks currently believed alive, ascending.
-    pub fn alive_ranks(&self) -> Vec<usize> {
+    pub(crate) fn alive_ranks(&self) -> Vec<usize> {
         let mask = self.comm.alive_mask();
         (0..self.comm.size())
             .filter(|&r| mask & (1 << r) != 0)
@@ -177,7 +177,7 @@ impl<'a, C: Collective> FtComm<'a, C> {
     /// evaluates `make`; if the root dies before sending, the survivors
     /// re-elect and retry on the same tag (re-election never splits the
     /// tag space, so a late joiner of the round still pairs up).
-    pub fn elect_broadcast<T, F>(&self, mut make: F) -> (usize, T)
+    pub(crate) fn elect_broadcast<T, F>(&self, mut make: F) -> (usize, T)
     where
         T: Clone + Send + 'static,
         F: FnMut() -> T,
@@ -209,7 +209,7 @@ impl<'a, C: Collective> FtComm<'a, C> {
     /// this round, e.g. the window owner). The owner passes
     /// `Some(value)`, every other member `None`; members that cannot
     /// hear a dying owner get `None` back.
-    pub fn broadcast_from<T: Clone + Send + 'static>(
+    pub(crate) fn broadcast_from<T: Clone + Send + 'static>(
         &self,
         owner: usize,
         value: Option<T>,
@@ -239,12 +239,12 @@ impl<'a, C: Collective> FtComm<'a, C> {
 /// | operation | [`LearnerGroup::Static`] | [`LearnerGroup::Ft`] |
 /// |---|---|---|
 /// | [`members`](Self::members) | `0..K`, no communication | [`FtComm::members`] exchange |
-/// | [`elect_broadcast`](Self::elect_broadcast) | rank-0 `broadcast` | lowest live rank, re-elected on death |
-/// | [`broadcast_from`](Self::broadcast_from) | `broadcast` | [`FtComm::broadcast_from`] |
+/// | `elect_broadcast` | rank-0 `broadcast` | lowest live rank, re-elected on death |
+/// | `broadcast_from` | `broadcast` | `FtComm::broadcast_from` |
 /// | [`allreduce_sum`](Self::allreduce_sum) | `allreduce_sum_f64` | [`FtComm::allreduce_sum`] |
 /// | gradient sync | bucketed all-reduce, or the overlapped comm-worker | same buckets through [`FtComm::allreduce_sum`] |
 /// | [`allgather`](Self::allgather) | `allgather` | [`FtComm::exchange`] |
-/// | [`snapshot_meta`](Self::snapshot_meta) | root `broadcast` | none (the membership round already aligns the group) |
+/// | `snapshot_meta` | root `broadcast` | none (the membership round already aligns the group) |
 ///
 /// While every rank is alive the two variants produce bit-identical
 /// results (both reduce in the canonical ring order).
@@ -278,7 +278,7 @@ impl<'a, C: Collective> LearnerGroup<'a, C> {
     }
 
     /// Broadcast from the group's root; only the root evaluates `make`.
-    pub fn elect_broadcast<T, F>(&self, mut make: F) -> T
+    pub(crate) fn elect_broadcast<T, F>(&self, mut make: F) -> T
     where
         T: Clone + Send + 'static,
         F: FnMut() -> T,
@@ -294,7 +294,7 @@ impl<'a, C: Collective> LearnerGroup<'a, C> {
 
     /// Broadcast from a known live `owner` (who passes `Some`); `None`
     /// comes back only when a dying owner could not be heard.
-    pub fn broadcast_from<T: Clone + Send + 'static>(
+    pub(crate) fn broadcast_from<T: Clone + Send + 'static>(
         &self,
         owner: usize,
         value: Option<T>,
@@ -323,7 +323,11 @@ impl<'a, C: Collective> LearnerGroup<'a, C> {
     /// collectives on the main world until
     /// [`finish_grad_sync`](Self::finish_grad_sync). A one-rank world has
     /// nothing to average and skips the flatten/write-back entirely.
-    pub fn begin_grad_sync(&mut self, model: &mut ArtificialScientistModel, bucket_elems: usize) {
+    pub(crate) fn begin_grad_sync(
+        &mut self,
+        model: &mut ArtificialScientistModel,
+        bucket_elems: usize,
+    ) {
         if self.comm().size() == 1 {
             return;
         }
@@ -340,7 +344,7 @@ impl<'a, C: Collective> LearnerGroup<'a, C> {
     /// Wait for the reduction begun by
     /// [`begin_grad_sync`](Self::begin_grad_sync) and write the averaged
     /// gradients back (a no-op outside the overlapped mode).
-    pub fn finish_grad_sync(&mut self, model: &mut ArtificialScientistModel) {
+    pub(crate) fn finish_grad_sync(&mut self, model: &mut ArtificialScientistModel) {
         if let Self::Static {
             overlap: Some(sync),
             ..
@@ -362,7 +366,11 @@ impl<'a, C: Collective> LearnerGroup<'a, C> {
     /// `Some((version, param_hash))`; peers get the root's pair back to
     /// check against their own parameters, or `None` where the group
     /// does not broadcast it.
-    pub fn snapshot_meta(&self, root: usize, meta: Option<(u64, u64)>) -> Option<(u64, u64)> {
+    pub(crate) fn snapshot_meta(
+        &self,
+        root: usize,
+        meta: Option<(u64, u64)>,
+    ) -> Option<(u64, u64)> {
         match self {
             Self::Static { comm, .. } => Some(comm.broadcast(root, meta)),
             Self::Ft(_) => meta,
@@ -370,7 +378,7 @@ impl<'a, C: Collective> LearnerGroup<'a, C> {
     }
 
     /// Wall seconds spent waiting out death budgets on condemned peers.
-    pub fn condemned_wait_seconds(&self) -> f64 {
+    pub(crate) fn condemned_wait_seconds(&self) -> f64 {
         match self {
             Self::Static { .. } => 0.0,
             Self::Ft(ft) => ft.condemned_wait_seconds(),
@@ -380,7 +388,7 @@ impl<'a, C: Collective> LearnerGroup<'a, C> {
     /// `(payload bytes, messages, modelled seconds)` the group's worlds
     /// have moved so far — the main world plus, in overlapped mode, the
     /// dedicated gradient world.
-    pub fn traffic(&self) -> (u64, u64, f64) {
+    pub(crate) fn traffic(&self) -> (u64, u64, f64) {
         let comm = self.comm();
         let mut t = (
             comm.world_bytes_sent(),

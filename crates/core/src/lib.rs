@@ -68,6 +68,8 @@
 //! sequences — and per-group collective traffic is surfaced as
 //! `WorkflowReport::{producer_comm_bytes, consumer_comm_bytes}`.
 
+#![forbid(unsafe_code)]
+
 pub mod checkpoint;
 pub mod config;
 pub mod consumer;

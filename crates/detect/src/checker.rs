@@ -387,25 +387,10 @@ fn kind(write: bool) -> &'static str {
 // Reporting
 // ---------------------------------------------------------------------------
 
-/// Number of distinct racy pairs observed so far.
-pub fn race_count() -> usize {
-    with_global(|g| g.races.len())
-}
-
 /// Clone the current race reports (non-draining — safe when tests run
 /// concurrently in one binary).
 pub fn race_reports() -> Vec<String> {
     with_global(|g| g.races.clone())
-}
-
-/// Drain the race reports (end-of-run CI check).
-pub fn take_race_reports() -> Vec<String> {
-    with_global(|g| std::mem::take(&mut g.races))
-}
-
-/// Number of distinct lock-order edges recorded so far.
-pub fn lock_order_edges() -> usize {
-    with_global(|g| g.edges.values().map(BTreeMap::len).sum())
 }
 
 #[cfg(test)]

@@ -13,6 +13,8 @@
 //! Workspace crates depend on this crate unconditionally and forward
 //! their own `detect` feature to `as-detect/detect`.
 
+#![forbid(unsafe_code)]
+
 #[cfg(feature = "detect")]
 mod checker;
 #[cfg(feature = "detect")]

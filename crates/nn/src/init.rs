@@ -4,14 +4,14 @@ use as_tensor::{Tensor, TensorRng};
 
 /// Kaiming (He) uniform initialisation for a `[fan_in, fan_out]` weight,
 /// appropriate for (leaky-)ReLU activations.
-pub fn kaiming_uniform(rng: &mut TensorRng, fan_in: usize, fan_out: usize) -> Tensor {
+pub(crate) fn kaiming_uniform(rng: &mut TensorRng, fan_in: usize, fan_out: usize) -> Tensor {
     let bound = (6.0 / fan_in as f32).sqrt();
     rng.uniform([fan_in, fan_out], -bound, bound)
 }
 
 /// Xavier (Glorot) uniform initialisation, appropriate for tanh/linear
 /// outputs (the INN subnets' final layers).
-pub fn xavier_uniform(rng: &mut TensorRng, fan_in: usize, fan_out: usize) -> Tensor {
+pub(crate) fn xavier_uniform(rng: &mut TensorRng, fan_in: usize, fan_out: usize) -> Tensor {
     let bound = (6.0 / (fan_in + fan_out) as f32).sqrt();
     rng.uniform([fan_in, fan_out], -bound, bound)
 }
@@ -19,7 +19,7 @@ pub fn xavier_uniform(rng: &mut TensorRng, fan_in: usize, fan_out: usize) -> Ten
 /// Near-zero initialisation for layers that should start as identity
 /// perturbations (the last subnet layer of each GLOW block, so the flow
 /// starts close to the identity map — standard Glow practice).
-pub fn near_zero(rng: &mut TensorRng, fan_in: usize, fan_out: usize) -> Tensor {
+pub(crate) fn near_zero(rng: &mut TensorRng, fan_in: usize, fan_out: usize) -> Tensor {
     rng.uniform([fan_in, fan_out], -1e-3, 1e-3)
 }
 

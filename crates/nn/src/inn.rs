@@ -224,7 +224,7 @@ impl CouplingBlock {
     /// Backward through the inverse map; accumulates subnet gradients and
     /// returns `dL/dy` if `want_dy`. The half recovered last (`x1`) is
     /// unwound first.
-    pub fn inverse_backward(
+    pub(crate) fn inverse_backward(
         &mut self,
         dx: &Tensor,
         c: CouplingCtx,
@@ -362,7 +362,7 @@ impl Inn {
     /// Backward through the inverse map, accumulating subnet gradients;
     /// returns the gradient w.r.t. the inverse's input `y` if `want_dy`
     /// (training discards it: `I` and `N` are data).
-    pub fn inverse_backward(
+    pub(crate) fn inverse_backward(
         &mut self,
         dx: &Tensor,
         ctx: InnCtx,

@@ -59,12 +59,12 @@ impl Linear {
     }
 
     /// Input feature count.
-    pub fn fan_in(&self) -> usize {
+    pub(crate) fn fan_in(&self) -> usize {
         self.w.dims()[0]
     }
 
     /// Output feature count.
-    pub fn fan_out(&self) -> usize {
+    pub(crate) fn fan_out(&self) -> usize {
         self.w.dims()[1]
     }
 
@@ -85,7 +85,7 @@ impl Linear {
 
     /// Accumulate `gw += xᵀ·dy` and `gb += Σ dy` for the input `x` of the
     /// forward pass and `dy = dL/d(x·W + b)`.
-    pub fn accumulate_grads(&mut self, x: &Tensor, dy: &Tensor, ws: &mut Workspace) {
+    pub(crate) fn accumulate_grads(&mut self, x: &Tensor, dy: &Tensor, ws: &mut Workspace) {
         assert_eq!(
             dy.dims().last(),
             Some(&self.fan_out()),
@@ -97,7 +97,7 @@ impl Linear {
     /// [`Self::accumulate_grads`] on flat row-major `x:[rows, in]` and
     /// `dy:[rows, out]` — for a caller that uses only the leading rows of
     /// its buffers.
-    pub fn accumulate_grads_rows(&mut self, x: &[f32], dy: &[f32], ws: &mut Workspace) {
+    pub(crate) fn accumulate_grads_rows(&mut self, x: &[f32], dy: &[f32], ws: &mut Workspace) {
         let (fan_in, fan_out) = (self.fan_in(), self.fan_out());
         let rows = x.len() / fan_in;
         assert_eq!(x.len(), rows * fan_in, "x is not whole rows");
@@ -114,7 +114,7 @@ impl Linear {
     }
 
     /// `dx = dy·Wᵀ`, through the row-update kernel on a transposed `W`.
-    pub fn input_grad(&self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
+    pub(crate) fn input_grad(&self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
         assert_eq!(
             dy.dims().last(),
             Some(&self.fan_out()),
@@ -127,7 +127,7 @@ impl Linear {
 
     /// [`Self::input_grad`] on flat row-major `dy:[rows, out]` into
     /// `dx:[rows, in]`.
-    pub fn input_grad_rows(&self, dy: &[f32], dx: &mut [f32], ws: &mut Workspace) {
+    pub(crate) fn input_grad_rows(&self, dy: &[f32], dx: &mut [f32], ws: &mut Workspace) {
         let (fan_in, fan_out) = (self.fan_in(), self.fan_out());
         assert_eq!(dy.len() * fan_in, dx.len() * fan_out, "row mismatch");
         let mut wt = ws.take([fan_out, fan_in]);
@@ -326,7 +326,7 @@ impl Mlp {
 /// winning point index per (batch, channel) for routing gradients back
 /// (the first maximum wins a tie). This is the transposition-invariance
 /// step of PointNet.
-pub fn max_pool_points(x: &Tensor, ws: &mut Workspace) -> (Tensor, Vec<usize>) {
+pub(crate) fn max_pool_points(x: &Tensor, ws: &mut Workspace) -> (Tensor, Vec<usize>) {
     let d = x.dims();
     assert_eq!(d.len(), 3, "max_pool_points expects [b, p, c]");
     let (b, p, c) = (d[0], d[1], d[2]);

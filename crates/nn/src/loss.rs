@@ -6,7 +6,7 @@
 //!   could not run on AMD GPUs (KeOps is CUDA-only); implemented here via
 //!   entropic regularisation so the CD-vs-EMD cost ratio (footnote 1: ≈4×)
 //!   and quality comparison are reproducible;
-//! - [`kl_divergence`] — `L_KL`, the VAE latent regulariser;
+//! - `kl_divergence` — `L_KL`, the VAE latent regulariser;
 //! - [`mse`] — `L_MSE` on predicted radiation spectra;
 //! - [`mmd_imq`] — maximum mean discrepancy with the inverse multi-quadratic
 //!   kernel (Ardizzone et al.), used for both `L_MMD(z,z′)` and
@@ -219,7 +219,7 @@ pub fn sinkhorn_emd(pred: &Tensor, target: &Tensor, epsilon: f32, iters: usize) 
 ///
 /// `KL(N(μ,σ²) ‖ N(0,1)) = −½ Σ (1 + logσ² − μ² − σ²)`, averaged over the
 /// batch. Returns `(loss, dL/dμ, dL/dlogvar)`.
-pub fn kl_divergence(mu: &Tensor, logvar: &Tensor) -> (f64, Tensor, Tensor) {
+pub(crate) fn kl_divergence(mu: &Tensor, logvar: &Tensor) -> (f64, Tensor, Tensor) {
     assert_eq!(mu.dims(), logvar.dims(), "mu/logvar shape mismatch");
     assert_eq!(mu.dims().len(), 2, "expected [batch, latent]");
     let b = mu.dims()[0] as f64;

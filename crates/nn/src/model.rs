@@ -334,12 +334,12 @@ impl ArtificialScientistModel {
     }
 
     /// Visit VAE parameters only (for the `m_VAE` learning-rate group).
-    pub fn visit_vae(&mut self, v: &mut dyn ParamVisitor) {
+    pub(crate) fn visit_vae(&mut self, v: &mut dyn ParamVisitor) {
         self.vae.visit(v);
     }
 
     /// Visit INN parameters only.
-    pub fn visit_inn(&mut self, v: &mut dyn ParamVisitor) {
+    pub(crate) fn visit_inn(&mut self, v: &mut dyn ParamVisitor) {
         self.inn.visit(v);
     }
 
@@ -350,7 +350,8 @@ impl ArtificialScientistModel {
     }
 
     /// Total trainable parameter count.
-    pub fn param_count(&mut self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn param_count(&mut self) -> usize {
         let mut n = 0usize;
         self.visit_all(&mut |p: &mut Tensor, _g: &mut Tensor| n += p.numel());
         n

@@ -27,7 +27,7 @@ impl<F: FnMut(&mut Tensor, &mut Tensor)> ParamVisitor for F {
 /// Zero every gradient accumulator `visit` reaches, e.g.
 /// `zero_grads(|v| module.visit(v))` — the one implementation behind every
 /// module's "zero grad".
-pub fn zero_grads(visit: impl FnOnce(&mut dyn ParamVisitor)) {
+pub(crate) fn zero_grads(visit: impl FnOnce(&mut dyn ParamVisitor)) {
     visit(&mut |_p: &mut Tensor, g: &mut Tensor| g.data_mut().fill(0.0));
 }
 
@@ -59,17 +59,8 @@ impl Default for AdamConfig {
 }
 
 impl AdamConfig {
-    /// Square-root learning-rate scaling rule (Krizhevsky, "one weird
-    /// trick"): when the effective batch grows by `k`, scale lr by `√k`.
-    /// `base_batch` is the batch size `lr` was tuned at.
-    pub fn scaled_for_batch(mut self, base_batch: usize, total_batch: usize) -> Self {
-        let k = total_batch as f32 / base_batch as f32;
-        self.lr *= k.sqrt();
-        self
-    }
-
     /// Multiply the learning rate (the `m_VAE` block factor of §V-A).
-    pub fn with_lr_factor(mut self, factor: f32) -> Self {
+    pub(crate) fn with_lr_factor(mut self, factor: f32) -> Self {
         self.lr *= factor;
         self
     }
@@ -116,11 +107,6 @@ impl Adam {
     /// The active configuration.
     pub fn config(&self) -> AdamConfig {
         self.cfg
-    }
-
-    /// Change the learning rate mid-training.
-    pub fn set_lr(&mut self, lr: f32) {
-        self.cfg.lr = lr;
     }
 
     /// Number of `step` calls so far.
@@ -252,18 +238,6 @@ mod tests {
         }
         assert!(p.data()[0] < 1.0);
         assert!(p.data()[0] > 0.8);
-    }
-
-    #[test]
-    fn sqrt_scaling_rule() {
-        let base = AdamConfig {
-            lr: 1e-6,
-            ..AdamConfig::default()
-        };
-        // Paper: batch 8 per GCD; 384 GCDs → total batch 3072.
-        let scaled = base.scaled_for_batch(8, 3072);
-        let k = (3072.0f32 / 8.0).sqrt();
-        assert!((scaled.lr - 1e-6 * k).abs() < 1e-12);
     }
 
     #[test]

@@ -67,7 +67,8 @@ impl VaeConfig {
     }
 
     /// Number of points the decoder emits.
-    pub fn decoder_points(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn decoder_points(&self) -> usize {
         let doublings = self.decoder_channels.len() - 1;
         let edge = self.decoder_base << doublings;
         edge * edge * edge
@@ -469,7 +470,7 @@ impl Vae {
 
     /// Full training-mode pass: encode, reparameterise (`z = μ + ε·σ`),
     /// decode.
-    pub fn forward_train(
+    pub(crate) fn forward_train(
         &self,
         points: &Tensor,
         rng: &mut TensorRng,
@@ -500,7 +501,7 @@ impl Vae {
     }
 
     /// Deterministic encode (μ only) for inference.
-    pub fn encode_mean(&self, points: &Tensor, ws: &mut Workspace) -> Tensor {
+    pub(crate) fn encode_mean(&self, points: &Tensor, ws: &mut Workspace) -> Tensor {
         self.encoder.forward(points, ws).0
     }
 

@@ -21,12 +21,14 @@ impl UnitDimension {
     }
 
     /// Electric field: V/m = kg·m·A⁻¹·s⁻³.
-    pub fn electric_field() -> Self {
+    #[cfg(test)]
+    pub(crate) fn electric_field() -> Self {
         Self([1.0, 1.0, -3.0, -1.0, 0.0, 0.0, 0.0])
     }
 
     /// Magnetic field: T = kg·A⁻¹·s⁻².
-    pub fn magnetic_field() -> Self {
+    #[cfg(test)]
+    pub(crate) fn magnetic_field() -> Self {
         Self([0.0, 1.0, -2.0, -1.0, 0.0, 0.0, 0.0])
     }
 
@@ -38,11 +40,6 @@ impl UnitDimension {
     /// Momentum: kg·m/s.
     pub fn momentum() -> Self {
         Self([1.0, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0])
-    }
-
-    /// Current density: A/m².
-    pub fn current_density() -> Self {
-        Self([-2.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
     }
 }
 

@@ -14,6 +14,8 @@
 //! - [`attribute`] — typed attributes with the openPMD `unitDimension`
 //!   seven-vector and `unitSI` factors.
 
+#![forbid(unsafe_code)]
+
 pub mod attribute;
 pub mod reader;
 pub mod writer;

@@ -35,20 +35,10 @@ impl OpenPmdReader {
         Some(Self::wrap_step(step))
     }
 
-    /// Wait for at least one unseen iteration, then take the **newest**
-    /// published one, skipping (closing unread) every older pending
-    /// iteration. Returns `(skipped, iteration)` — the `DropSteps`
-    /// consumer path; see [`as_staging::engine::SstReader::begin_latest_step`].
-    pub fn next_iteration_latest(&mut self) -> (u64, Option<IterationData>) {
-        let (skipped, step) = self.sst.begin_latest_step();
-        (skipped, step.map(Self::wrap_step))
-    }
-
     /// Adaptive freshest-read: jump to the newest published iteration
     /// only when at least `min_pending` unseen iterations are pending,
-    /// otherwise take the next one in order (no skip). `min_pending <= 1`
-    /// is [`Self::next_iteration_latest`]. The `DropSteps { min_queue }`
-    /// consumer path; see
+    /// otherwise take the next one in order (no skip); `min_pending <= 1`
+    /// always jumps. The `DropSteps { min_queue }` consumer path; see
     /// [`as_staging::engine::SstReader::begin_latest_step_min`].
     pub fn next_iteration_latest_min(&mut self, min_pending: u64) -> (u64, Option<IterationData>) {
         let (skipped, step) = self.sst.begin_latest_step_min(min_pending);
@@ -57,8 +47,8 @@ impl OpenPmdReader {
 
     /// Wait for the first iteration at stream step `>= target`, skipping
     /// (closing unread) older pending iterations; used to keep a second
-    /// stream in lockstep with a [`Self::next_iteration_latest`] read on
-    /// the first. `(skipped, None)` if the stream ends before `target`.
+    /// stream in lockstep with a [`Self::next_iteration_latest_min`] read
+    /// on the first. `(skipped, None)` if the stream ends before `target`.
     pub fn next_iteration_at_least(&mut self, target: u64) -> (u64, Option<IterationData>) {
         let (skipped, step) = self.sst.begin_step_at_least(target);
         (skipped, step.map(Self::wrap_step))
@@ -115,35 +105,15 @@ impl IterationData {
     }
 
     /// Fetch a full mesh component.
-    pub fn mesh(&mut self, record: &str, component: &str) -> Vec<f64> {
+    #[cfg(test)]
+    pub(crate) fn mesh(&mut self, record: &str, component: &str) -> Vec<f64> {
         self.step.get_f64(&format!("meshes/{record}/{component}"))
-    }
-
-    /// Fallible twin of [`Self::mesh`] for fault-tolerant consumers.
-    pub fn try_mesh(
-        &mut self,
-        record: &str,
-        component: &str,
-    ) -> Result<Vec<f64>, as_staging::error::StagingError> {
-        self.step
-            .try_get_f64(&format!("meshes/{record}/{component}"))
     }
 
     /// Fetch a full particle record component.
     pub fn particles(&mut self, species: &str, record: &str, component: &str) -> Vec<f64> {
         self.step
             .get_f64(&format!("particles/{species}/{record}/{component}"))
-    }
-
-    /// Fallible twin of [`Self::particles`] for fault-tolerant consumers.
-    pub fn try_particles(
-        &mut self,
-        species: &str,
-        record: &str,
-        component: &str,
-    ) -> Result<Vec<f64>, as_staging::error::StagingError> {
-        self.step
-            .try_get_f64(&format!("particles/{species}/{record}/{component}"))
     }
 
     /// Zero-copy view of a full particle record component: the returned
@@ -160,36 +130,9 @@ impl IterationData {
             .get_f64_view(&format!("particles/{species}/{record}/{component}"))
     }
 
-    /// Fallible twin of [`Self::particles_view`] for fault-tolerant
-    /// consumers.
-    pub fn try_particles_view(
-        &mut self,
-        species: &str,
-        record: &str,
-        component: &str,
-    ) -> Result<as_staging::view::VarView, as_staging::error::StagingError> {
-        self.step.try_get_view(
-            &format!("particles/{species}/{record}/{component}"),
-            as_staging::variable::Dtype::F64,
-        )
-    }
-
-    /// Fetch an auxiliary `f32` array (e.g. encoded radiation spectra).
-    pub fn f32_array(&mut self, name: &str) -> Vec<f32> {
-        self.step.get_f32(name)
-    }
-
     /// Zero-copy view of an auxiliary `f32` array.
     pub fn f32_array_view(&mut self, name: &str) -> as_staging::view::VarView {
         self.step.get_f32_view(name)
-    }
-
-    /// Fallible twin of [`Self::f32_array`] for fault-tolerant consumers.
-    pub fn try_f32_array(
-        &mut self,
-        name: &str,
-    ) -> Result<Vec<f32>, as_staging::error::StagingError> {
-        self.step.try_get_f32(name)
     }
 
     /// Variable names available in this iteration.
@@ -198,7 +141,8 @@ impl IterationData {
     }
 
     /// True if a variable exists.
-    pub fn has(&self, name: &str) -> bool {
+    #[cfg(test)]
+    pub(crate) fn has(&self, name: &str) -> bool {
         self.step.variable(name).is_some()
     }
 

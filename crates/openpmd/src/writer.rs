@@ -50,7 +50,8 @@ impl OpenPmdWriter {
     /// Write one mesh record component block (e.g. record `"E"`,
     /// component `"x"`).
     #[allow(clippy::too_many_arguments)]
-    pub fn write_mesh(
+    #[cfg(test)]
+    pub(crate) fn write_mesh(
         &mut self,
         record: &str,
         component: &str,

@@ -86,7 +86,7 @@ impl ScalarField3 {
     /// supercell-tile reduction ([`crate::tile`]), which adds whole
     /// contiguous k-rows of a tile-local accumulator at once.
     #[inline]
-    pub fn add_row_unwrapped(&mut self, i: isize, j: isize, k0: isize, row: &[f64]) {
+    pub(crate) fn add_row_unwrapped(&mut self, i: isize, j: isize, k0: isize, row: &[f64]) {
         debug_assert!(
             i >= -(GHOSTS as isize) && i < (self.nx + GHOSTS) as isize,
             "x index {i} outside ghost range"
@@ -105,7 +105,7 @@ impl ScalarField3 {
     }
 
     /// Sum of squares over interior cells (energy diagnostics).
-    pub fn sq_sum_interior(&self) -> f64 {
+    pub(crate) fn sq_sum_interior(&self) -> f64 {
         let mut acc = 0.0;
         for i in 0..self.nx as isize {
             for j in 0..self.ny as isize {
@@ -138,7 +138,7 @@ impl ScalarField3 {
     /// (single-domain mode, used after deposition): interior
     /// `[nx-g, nx-1]` += ghost `[-g, -1]`, interior `[0, g-1]` += ghost
     /// `[nx, nx+g-1]`; ghosts are cleared.
-    pub fn reduce_ghosts_periodic(&mut self) {
+    pub(crate) fn reduce_ghosts_periodic(&mut self) {
         for g in 0..GHOSTS as isize {
             for j in 0..self.ny as isize {
                 for k in 0..self.nz as isize {
@@ -159,7 +159,7 @@ impl ScalarField3 {
     /// fused kernel caches per supercell so particle gathers index a small
     /// contiguous buffer instead of wrapping into the whole field.
     #[allow(clippy::too_many_arguments)]
-    pub fn extract_patch(
+    pub(crate) fn extract_patch(
         &self,
         i0: isize,
         j0: isize,
@@ -208,21 +208,21 @@ impl ScalarField3 {
 
     /// Extract an x-slab `[i0, i0+w)` (ghost indices allowed) in (i, j, k)
     /// order — the halo-exchange payload — into a reused buffer.
-    pub fn extract_slab_into(&self, i0: isize, w: usize, out: &mut Vec<f64>) {
+    pub(crate) fn extract_slab_into(&self, i0: isize, w: usize, out: &mut Vec<f64>) {
         out.clear();
         out.extend_from_slice(&self.data[self.slab_range(i0, w)]);
     }
 
     /// Overwrite an x-slab from a flat vector (inverse of
     /// [`Self::extract_slab_into`]).
-    pub fn insert_slab(&mut self, i0: isize, w: usize, data: &[f64]) {
+    pub(crate) fn insert_slab(&mut self, i0: isize, w: usize, data: &[f64]) {
         assert_eq!(data.len(), w * self.ny * self.nz, "slab size mismatch");
         let range = self.slab_range(i0, w);
         self.data[range].copy_from_slice(data);
     }
 
     /// Accumulate an x-slab from a flat vector (for halo reduction).
-    pub fn add_slab(&mut self, i0: isize, w: usize, data: &[f64]) {
+    pub(crate) fn add_slab(&mut self, i0: isize, w: usize, data: &[f64]) {
         assert_eq!(data.len(), w * self.ny * self.nz, "slab size mismatch");
         let range = self.slab_range(i0, w);
         for (dst, &src) in self.data[range].iter_mut().zip(data) {
@@ -231,7 +231,7 @@ impl ScalarField3 {
     }
 
     /// Zero the ghost layers only.
-    pub fn clear_ghosts(&mut self) {
+    pub(crate) fn clear_ghosts(&mut self) {
         for i0 in [-(GHOSTS as isize), self.nx as isize] {
             let range = self.slab_range(i0, GHOSTS);
             self.data[range].fill(0.0);
@@ -293,14 +293,14 @@ impl VecField3 {
     }
 
     /// Fold ghost contributions into the interior (single-domain).
-    pub fn reduce_ghosts_periodic(&mut self) {
+    pub(crate) fn reduce_ghosts_periodic(&mut self) {
         self.x.reduce_ghosts_periodic();
         self.y.reduce_ghosts_periodic();
         self.z.reduce_ghosts_periodic();
     }
 
     /// Sum of |v|² over the interior (×½ gives field energy density sums).
-    pub fn sq_sum_interior(&self) -> f64 {
+    pub(crate) fn sq_sum_interior(&self) -> f64 {
         self.x.sq_sum_interior() + self.y.sq_sum_interior() + self.z.sq_sum_interior()
     }
 }

@@ -62,7 +62,7 @@ impl FomCounter {
     }
 
     /// Cell updates per second.
-    pub fn cell_rate(&self) -> f64 {
+    pub(crate) fn cell_rate(&self) -> f64 {
         if self.elapsed == 0.0 {
             0.0
         } else {

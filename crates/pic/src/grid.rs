@@ -50,7 +50,7 @@ impl GridSpec {
 
     /// Courant number `c·dt·sqrt(1/dx² + 1/dy² + 1/dz²)`; FDTD is stable
     /// for values < 1.
-    pub fn courant(&self) -> f64 {
+    pub(crate) fn courant(&self) -> f64 {
         self.dt
             * (1.0 / (self.dx * self.dx) + 1.0 / (self.dy * self.dy) + 1.0 / (self.dz * self.dz))
                 .sqrt()

@@ -79,7 +79,7 @@ impl KhiSetup {
     /// Stream velocity (±β) at height `y` for box extent `ly`: the middle
     /// half streams +x, the outer quarters −x (two shear surfaces at
     /// `ly/4` and `3·ly/4`).
-    pub fn stream_beta(&self, y: f64, ly: f64) -> f64 {
+    pub(crate) fn stream_beta(&self, y: f64, ly: f64) -> f64 {
         if y >= 0.25 * ly && y < 0.75 * ly {
             self.beta
         } else {
@@ -124,7 +124,7 @@ impl KhiSetup {
     /// Build the co-streaming ion buffer: same velocity profile (the two
     /// flows are quasi-neutral plasma streams), independent placement, no
     /// seeded perturbation, cold.
-    pub fn ions(&self, g: &GridSpec) -> ParticleBuffer {
+    pub(crate) fn ions(&self, g: &GridSpec) -> ParticleBuffer {
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0xA5A5_5A5A);
         let (_lx, ly, _lz) = g.extents();
         let mut p = ParticleBuffer::new(1.0, self.ion_mass);

@@ -26,7 +26,7 @@ pub(crate) struct Mask<const L: usize>(pub(crate) [u64; L]);
 impl<const L: usize> Lanes<L> {
     /// Every lane `v`.
     #[inline(always)]
-    pub fn splat(v: f64) -> Self {
+    pub(crate) fn splat(v: f64) -> Self {
         Self([v; L])
     }
 

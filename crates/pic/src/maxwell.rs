@@ -6,8 +6,8 @@
 //! - `J` colocated with `E`.
 //!
 //! Update equations:
-//! - `∂B/∂t = −∇×E` → [`advance_b`]
-//! - `∂E/∂t = ∇×B − J` → [`advance_e`]
+//! - `∂B/∂t = −∇×E` → `advance_b`
+//! - `∂E/∂t = ∇×B − J` → `advance_e`
 //!
 //! Both loops assume ghost layers are up to date (see
 //! [`crate::field::ScalarField3::wrap_ghosts_periodic`] or the distributed
@@ -17,7 +17,7 @@ use crate::field::VecField3;
 use crate::grid::GridSpec;
 
 /// Advance `B` by `dt` using the curl of `E`.
-pub fn advance_b(b: &mut VecField3, e: &VecField3, g: &GridSpec, dt: f64) {
+pub(crate) fn advance_b(b: &mut VecField3, e: &VecField3, g: &GridSpec, dt: f64) {
     let (nx, ny, nz) = b.x.dims();
     let (rdx, rdy, rdz) = (1.0 / g.dx, 1.0 / g.dy, 1.0 / g.dz);
     for i in 0..nx as isize {
@@ -41,7 +41,13 @@ pub fn advance_b(b: &mut VecField3, e: &VecField3, g: &GridSpec, dt: f64) {
 }
 
 /// Advance `E` by `dt` using the curl of `B` minus the current density.
-pub fn advance_e(e: &mut VecField3, b: &VecField3, j_field: &VecField3, g: &GridSpec, dt: f64) {
+pub(crate) fn advance_e(
+    e: &mut VecField3,
+    b: &VecField3,
+    j_field: &VecField3,
+    g: &GridSpec,
+    dt: f64,
+) {
     let (nx, ny, nz) = e.x.dims();
     let (rdx, rdy, rdz) = (1.0 / g.dx, 1.0 / g.dy, 1.0 / g.dz);
     for i in 0..nx as isize {

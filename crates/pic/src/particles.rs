@@ -91,7 +91,7 @@ impl ParticleBuffer {
     }
 
     /// Reserve capacity for `n` additional particles.
-    pub fn reserve(&mut self, n: usize) {
+    pub(crate) fn reserve(&mut self, n: usize) {
         self.x.reserve(n);
         self.y.reserve(n);
         self.z.reserve(n);
@@ -105,13 +105,6 @@ impl ParticleBuffer {
     #[inline]
     pub fn gamma(&self, i: usize) -> f64 {
         (1.0 + self.ux[i] * self.ux[i] + self.uy[i] * self.uy[i] + self.uz[i] * self.uz[i]).sqrt()
-    }
-
-    /// Velocity (β) of particle `i`.
-    #[inline]
-    pub fn velocity(&self, i: usize) -> (f64, f64, f64) {
-        let g = self.gamma(i);
-        (self.ux[i] / g, self.uy[i] / g, self.uz[i] / g)
     }
 
     /// Total kinetic energy `Σ w·m·(γ−1)` (units of mₑc²·n₀·V).
@@ -140,7 +133,12 @@ impl ParticleBuffer {
     /// migration step of the slab decomposition — handing each, in buffer
     /// order, to `leaver` as `[x, y, z, ux, uy, uz, w]`; the particles that
     /// stay keep their order.
-    pub fn drain_outside_x(&mut self, x_lo: f64, x_hi: f64, mut leaver: impl FnMut([f64; 7])) {
+    pub(crate) fn drain_outside_x(
+        &mut self,
+        x_lo: f64,
+        x_hi: f64,
+        mut leaver: impl FnMut([f64; 7]),
+    ) {
         let mut keep = 0usize;
         for i in 0..self.len() {
             if self.x[i] >= x_lo && self.x[i] < x_hi {
@@ -161,17 +159,6 @@ impl ParticleBuffer {
             }
         }
         self.truncate(keep);
-    }
-
-    /// Append all particles of `other`.
-    pub fn extend_from(&mut self, other: &ParticleBuffer) {
-        self.x.extend_from_slice(&other.x);
-        self.y.extend_from_slice(&other.y);
-        self.z.extend_from_slice(&other.z);
-        self.ux.extend_from_slice(&other.ux);
-        self.uy.extend_from_slice(&other.uy);
-        self.uz.extend_from_slice(&other.uz);
-        self.w.extend_from_slice(&other.w);
     }
 
     fn truncate(&mut self, n: usize) {
@@ -202,7 +189,7 @@ impl ParticleBuffer {
     }
 
     /// Wrap positions into the periodic box `[0,lx)×[0,ly)×[0,lz)`.
-    pub fn apply_periodic(&mut self, lx: f64, ly: f64, lz: f64) {
+    pub(crate) fn apply_periodic(&mut self, lx: f64, ly: f64, lz: f64) {
         Self::wrap_axis(&mut self.x, lx);
         Self::wrap_axis(&mut self.y, ly);
         Self::wrap_axis(&mut self.z, lz);
@@ -216,7 +203,7 @@ impl ParticleBuffer {
     /// `offsets[s]..offsets[s+1]`. All working storage is reused across
     /// calls, so steady-state sorting is allocation-free.
     #[allow(clippy::too_many_arguments)]
-    pub fn sort_by_supercell(
+    pub(crate) fn sort_by_supercell(
         &mut self,
         edge: usize,
         dx: f64,
@@ -233,7 +220,7 @@ impl ParticleBuffer {
     /// taken relative to `x_origin_cell` (the global x cell of local cell
     /// 0), as the distributed slab decomposition requires.
     #[allow(clippy::too_many_arguments)]
-    pub fn sort_by_supercell_origin(
+    pub(crate) fn sort_by_supercell_origin(
         &mut self,
         edge: usize,
         dx: f64,
@@ -298,12 +285,6 @@ impl ParticleBuffer {
         &self.supercell_offsets
     }
 
-    /// Offset table produced by the most recent sort (empty before any
-    /// sort). See [`Self::sort_by_supercell`].
-    pub fn supercell_offsets(&self) -> &[usize] {
-        &self.supercell_offsets
-    }
-
     /// Mutable views of all seven SoA arrays plus the supercell offset
     /// table, borrowed simultaneously (the tiled kernel updates particles
     /// per tile while walking the offsets).
@@ -348,12 +329,10 @@ mod tests {
     }
 
     #[test]
-    fn gamma_and_velocity() {
+    fn gamma() {
         let p = sample();
         assert_eq!(p.gamma(0), 1.0);
         assert!((p.gamma(1) - 2f64.sqrt()).abs() < 1e-12);
-        let (vx, _, _) = p.velocity(1);
-        assert!((vx - 1.0 / 2f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::lanes::Lanes;
 /// Returns the new momentum. This is `boris_lanes` at one lane.
 #[inline]
 #[allow(clippy::too_many_arguments)]
-pub fn boris(
+pub(crate) fn boris(
     ux: f64,
     uy: f64,
     uz: f64,

@@ -8,13 +8,13 @@
 //! mirrors PIConGPU's supercell design on the CPU:
 //!
 //! 1. **Bin** — every step, each species is counting-sorted by supercell
-//!    ([`ParticleBuffer::sort_by_supercell_origin`]), which is O(N),
+//!    (`ParticleBuffer::sort_by_supercell_origin`), which is O(N),
 //!    allocation-free in steady state, and yields the per-supercell offset
 //!    table partitioning the SoA buffer into contiguous tile ranges.
 //! 2. **Fused tile pass** (rayon, dynamically load-balanced) — each worker
 //!    takes whole tiles and, [`LANES`] particles at a time: gathers `E`,`B`,
 //!    Boris-pushes, moves, deposits the Esirkepov current into a
-//!    **tile-local accumulator** (tile box + [`TILE_HALO`]-cell halo,
+//!    **tile-local accumulator** (tile box + `TILE_HALO`-cell halo,
 //!    indexed with pure integer arithmetic — no periodic wrapping, no
 //!    atomics), and writes the new phase-space coordinates back in place.
 //!    Tiles own disjoint particle ranges and disjoint accumulators, so the
@@ -26,7 +26,7 @@
 //!    global [`VecField3`] in tile-index order, independent of the worker
 //!    count or schedule, so a step is bit-reproducible for a given particle
 //!    order. Whole k-rows of interior tiles are added as contiguous slices
-//!    ([`crate::field::ScalarField3::add_row_unwrapped`]); only boundary tiles pay the
+//!    (`crate::field::ScalarField3::add_row_unwrapped`); only boundary tiles pay the
 //!    wrapped per-cell path.
 //!
 //! **Lanes.** A tile's particles go through the pass in groups of
@@ -74,7 +74,7 @@ pub const LANES: usize = 4;
 /// Halo width (cells) of a tile-local accumulator on every side: the
 /// Esirkepov CIC support of a particle starting in the tile reaches at
 /// most one cell below and two cells above the tile box.
-pub const TILE_HALO: usize = 2;
+pub(crate) const TILE_HALO: usize = 2;
 
 /// Largest admissible cell coordinate excess for the seam nudge: a
 /// position strictly inside the box can still *divide* to exactly `n`
@@ -408,22 +408,6 @@ impl TilePool {
             self.accs.clear();
             self.accs.resize_with(n, TileAccumulator::default);
         }
-    }
-
-    /// Current scratch footprint in bytes (diagnostics).
-    pub fn scratch_bytes(&self) -> usize {
-        let accs: usize = self
-            .accs
-            .iter()
-            .map(|a| a.j.iter().map(|c| c.capacity() * 8).sum::<usize>())
-            .sum();
-        let patches: usize = self
-            .patches
-            .lock()
-            .iter()
-            .map(|p| p.comp.iter().map(|c| c.capacity() * 8).sum::<usize>())
-            .sum();
-        accs + patches
     }
 }
 

@@ -15,11 +15,11 @@
 /// Speed of light, m/s.
 pub const C: f64 = 299_792_458.0;
 /// Elementary charge, C.
-pub const E_CHARGE: f64 = 1.602_176_634e-19;
+pub(crate) const E_CHARGE: f64 = 1.602_176_634e-19;
 /// Electron mass, kg.
 pub const M_E: f64 = 9.109_383_701_5e-31;
 /// Vacuum permittivity, F/m.
-pub const EPS0: f64 = 8.854_187_812_8e-12;
+pub(crate) const EPS0: f64 = 8.854_187_812_8e-12;
 
 /// Conversion between SI and normalised units for a given reference
 /// density.
@@ -35,7 +35,7 @@ pub struct UnitSystem {
 
 impl UnitSystem {
     /// Build from a reference density in m⁻³.
-    pub fn from_density(n0: f64) -> Self {
+    pub(crate) fn from_density(n0: f64) -> Self {
         assert!(n0 > 0.0, "density must be positive");
         let omega_pe = (n0 * E_CHARGE * E_CHARGE / (EPS0 * M_E)).sqrt();
         Self {
@@ -51,33 +51,25 @@ impl UnitSystem {
     }
 
     /// SI length (m) → normalised (skin depths).
-    pub fn length_to_norm(&self, meters: f64) -> f64 {
+    pub(crate) fn length_to_norm(&self, meters: f64) -> f64 {
         meters / self.skin_depth
     }
 
     /// Normalised length → SI (m).
-    pub fn length_to_si(&self, norm: f64) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn length_to_si(&self, norm: f64) -> f64 {
         norm * self.skin_depth
     }
 
     /// SI time (s) → normalised (1/ω_pe).
-    pub fn time_to_norm(&self, seconds: f64) -> f64 {
+    pub(crate) fn time_to_norm(&self, seconds: f64) -> f64 {
         seconds * self.omega_pe
     }
 
     /// Normalised time → SI (s).
-    pub fn time_to_si(&self, norm: f64) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn time_to_si(&self, norm: f64) -> f64 {
         norm / self.omega_pe
-    }
-
-    /// SI E-field (V/m) → normalised.
-    pub fn efield_to_norm(&self, v_per_m: f64) -> f64 {
-        v_per_m * E_CHARGE / (M_E * C * self.omega_pe)
-    }
-
-    /// Normalised frequency (units of ω_pe) → SI (rad/s).
-    pub fn frequency_to_si(&self, norm: f64) -> f64 {
-        norm * self.omega_pe
     }
 }
 

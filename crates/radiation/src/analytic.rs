@@ -33,37 +33,3 @@ pub fn larmor_power(gamma: f64, beta: [f64; 3], beta_dot: [f64; 3]) -> f64 {
     let cross2 = cx * cx + cy * cy + cz * cz;
     gamma.powi(6) * (bd2 - cross2)
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn paper_beta_gives_ratio_1_5() {
-        assert!((approach_recede_ratio(0.2) - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn doppler_limits() {
-        assert_eq!(doppler_shift(1.0, 0.0, 1.0), 1.0);
-        assert!(doppler_shift(1.0, 0.5, 1.0) > 1.0);
-        assert!(doppler_shift(1.0, 0.5, -1.0) < 1.0);
-        // Transverse: no first-order shift.
-        assert_eq!(doppler_shift(2.0, 0.9, 0.0), 2.0);
-    }
-
-    #[test]
-    fn synchrotron_grows_as_gamma_cubed() {
-        let a = synchrotron_critical(1.0, 1.0);
-        let b = synchrotron_critical(2.0, 1.0);
-        assert!((b / a - 8.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn larmor_power_is_positive_and_gamma_scaled() {
-        let p1 = larmor_power(1.0, [0.0; 3], [0.1, 0.0, 0.0]);
-        let p2 = larmor_power(2.0, [0.0; 3], [0.1, 0.0, 0.0]);
-        assert!(p1 > 0.0);
-        assert!((p2 / p1 - 64.0).abs() < 1e-9);
-    }
-}

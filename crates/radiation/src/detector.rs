@@ -76,7 +76,7 @@ impl Detector {
 }
 
 /// Logarithmically spaced frequencies, `n ≥ 2`.
-pub fn log_freqs(min: f64, max: f64, n: usize) -> Vec<f64> {
+pub(crate) fn log_freqs(min: f64, max: f64, n: usize) -> Vec<f64> {
     assert!(min > 0.0 && max > min && n >= 2);
     let ratio = (max / min).powf(1.0 / (n - 1) as f64);
     (0..n).map(|i| min * ratio.powi(i as i32)).collect()

@@ -22,13 +22,11 @@
 
 pub mod analytic;
 pub mod detector;
-pub mod formfactor;
 pub mod lienard;
 pub mod plugin;
 pub mod spectrum;
 
 pub use detector::Detector;
-pub use formfactor::MacroShape;
 pub use lienard::RadiationAccumulator;
 pub use plugin::{RadiationPlugin, RegionMode};
 pub use spectrum::Spectrum;

@@ -119,7 +119,7 @@ impl RadiationAccumulator {
     /// A chunk's last group pads its idle lanes with its last particle and
     /// drops their states; the states enter the sum one by one in index
     /// order, so the amplitudes do not depend on `L`.
-    pub fn accumulate_with<const L: usize>(
+    pub(crate) fn accumulate_with<const L: usize>(
         &mut self,
         det: &Detector,
         n: usize,

@@ -114,27 +114,6 @@ mod tests {
     }
 
     #[test]
-    fn peak_and_cutoff() {
-        let s = bump(8);
-        assert!((s.peak_frequency() - 4.5).abs() < 1e-12);
-        let cut = s.cutoff_frequency(0.1);
-        assert!(cut > s.peak_frequency());
-        assert!(cut < 10.0);
-    }
-
-    #[test]
-    fn cutoff_of_empty_spectrum_is_lowest_frequency() {
-        let s = Spectrum::new(vec![1.0, 2.0], vec![0.0, 0.0]);
-        assert_eq!(s.cutoff_frequency(0.1), 1.0);
-    }
-
-    #[test]
-    fn total_power_of_flat_spectrum() {
-        let s = Spectrum::new(vec![0.0, 1.0, 2.0], vec![2.0, 2.0, 2.0]);
-        assert!((s.total_power() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn encode_log_bounds() {
         let s = Spectrum::new(vec![1.0, 2.0, 3.0], vec![1e-12, 1.0, 1e12]);
         let e = s.encode_log(-6.0, 6.0);

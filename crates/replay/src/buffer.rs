@@ -102,12 +102,14 @@ impl<S: Clone> TrainingBuffer<S> {
     }
 
     /// Current now-buffer occupancy.
-    pub fn now_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn now_len(&self) -> usize {
         self.now.len()
     }
 
     /// Current EP-buffer occupancy.
-    pub fn ep_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn ep_len(&self) -> usize {
         self.ep.len()
     }
 
@@ -175,12 +177,14 @@ impl<S: Clone> TrainingBuffer<S> {
     }
 
     /// Immutable view of the now-buffer (most recent first).
-    pub fn now_iter(&self) -> impl Iterator<Item = &S> {
+    #[cfg(test)]
+    pub(crate) fn now_iter(&self) -> impl Iterator<Item = &S> {
         self.now.iter()
     }
 
     /// Immutable view of the EP buffer (arbitrary order).
-    pub fn ep_iter(&self) -> impl Iterator<Item = &S> {
+    #[cfg(test)]
+    pub(crate) fn ep_iter(&self) -> impl Iterator<Item = &S> {
         self.ep.iter()
     }
 }

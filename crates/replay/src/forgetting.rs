@@ -61,11 +61,6 @@ impl ForgettingMeter {
     pub fn early_history(&self) -> &[f64] {
         &self.early_losses
     }
-
-    /// Current-phase loss history.
-    pub fn current_history(&self) -> &[f64] {
-        &self.current_losses
-    }
 }
 
 #[cfg(test)]

@@ -15,6 +15,8 @@
 //! from data arrival and providing the back-pressure hook that can stall
 //! the simulation.
 
+#![forbid(unsafe_code)]
+
 pub mod buffer;
 pub mod forgetting;
 pub mod scheduler;

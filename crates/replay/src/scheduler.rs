@@ -56,7 +56,7 @@ impl ReplaySchedule {
     }
 
     /// Training iterations still owed for the steps received so far.
-    pub fn owed(&self) -> u64 {
+    pub(crate) fn owed(&self) -> u64 {
         (self.steps_received * self.n_rep as u64).saturating_sub(self.iterations_done)
     }
 
@@ -87,15 +87,6 @@ impl ReplaySchedule {
         self.steps_received = steps;
         self.iterations_done = iterations;
     }
-
-    /// Achieved iterations-per-step ratio.
-    pub fn achieved_ratio(&self) -> f64 {
-        if self.steps_received == 0 {
-            0.0
-        } else {
-            self.iterations_done as f64 / self.steps_received as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -125,7 +116,6 @@ mod tests {
                 s.on_iteration();
             }
         }
-        assert!((s.achieved_ratio() - 8.0).abs() < 1e-12);
         assert_eq!(s.steps(), 10);
         assert_eq!(s.iterations(), 80);
     }

@@ -89,7 +89,7 @@ impl PosteriorCache {
     /// Drop every entry (the engine calls this on hot-swap: old-version
     /// entries are unreachable by key anyway, this just frees the
     /// capacity for the new version's working set).
-    pub fn flush(&mut self) {
+    pub(crate) fn flush(&mut self) {
         self.map.clear();
         self.order.clear();
     }

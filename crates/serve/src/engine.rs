@@ -151,8 +151,9 @@ pub struct InferenceEngine {
     cfg: ServingConfig,
     slot: parking_lot::Mutex<Option<Arc<ServedModel>>>,
     slot_cell: Cell,
-    /// Notified under the slot lock by `install` and `shutdown`; what
-    /// `wait_for_version` and a worker without a snapshot block on.
+    /// Notified under the slot lock by `install` and `shutdown`; what a
+    /// worker without a snapshot (and the tests' `wait_for_version`)
+    /// block on.
     slot_changed: parking_lot::Condvar,
     queue_tx: Sender<Msg>,
     /// Queries admitted by `query()` and not yet answered. A batch is
@@ -282,7 +283,8 @@ impl InferenceEngine {
 
     /// Block until a snapshot with `version >= min_version` is serving
     /// (true) or `timeout` elapses (false).
-    pub fn wait_for_version(&self, min_version: u64, timeout: Duration) -> bool {
+    #[cfg(test)]
+    fn wait_for_version(&self, min_version: u64, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut slot = self.slot.lock();
         loop {
@@ -527,7 +529,7 @@ impl SnapshotSink for EngineSink {
 
 /// FNV-1a over the spectrum bits — the version-independent half of the
 /// cache key and the per-query noise seed.
-pub fn spectrum_key(spectrum: &[f32]) -> u64 {
+pub(crate) fn spectrum_key(spectrum: &[f32]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for v in spectrum {
         for b in v.to_bits().to_le_bytes() {

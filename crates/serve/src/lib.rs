@@ -25,16 +25,18 @@
 //! `WorkflowConfig::serving` set, and the learner ranks publish into
 //! the engine as they train.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod engine;
 pub mod loadgen;
 
 pub use cache::PosteriorCache;
 pub use engine::{
-    cache_key, posterior_batch, posterior_reference, spectrum_key, EngineSink, InferenceEngine,
-    Response, ServeReport, ServedModel,
+    cache_key, posterior_batch, posterior_reference, EngineSink, InferenceEngine, Response,
+    ServeReport, ServedModel,
 };
-pub use loadgen::{make_spectrum_pool, run_loadgen, LoadGenConfig, LoadReport};
+pub use loadgen::{run_loadgen, LoadGenConfig, LoadReport};
 
 use as_core::config::WorkflowConfig;
 use as_core::workflow::{run_workflow_with_sink, WorkflowReport};

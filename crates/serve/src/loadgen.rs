@@ -82,18 +82,6 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
-    /// Latency percentile in seconds (nearest-rank on the sorted
-    /// sample); 0 when no queries ran.
-    pub fn latency_percentile(&self, p: f64) -> f64 {
-        if self.latencies.is_empty() {
-            return 0.0;
-        }
-        let mut sorted = self.latencies.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-        sorted[idx.min(sorted.len() - 1)]
-    }
-
     /// Queries per wall-clock second.
     pub fn throughput(&self) -> f64 {
         if self.elapsed_seconds <= 0.0 {
@@ -115,7 +103,7 @@ struct ThreadReport {
 }
 
 /// Deterministic spectrum pool shared by all clients.
-pub fn make_spectrum_pool(cfg: &LoadGenConfig) -> Vec<Vec<f32>> {
+pub(crate) fn make_spectrum_pool(cfg: &LoadGenConfig) -> Vec<Vec<f32>> {
     let mut rng = TensorRng::seeded(cfg.seed);
     (0..cfg.spectrum_pool)
         .map(|_| rng.standard_normal([1, cfg.spectrum_dim]).data().to_vec())
@@ -296,7 +284,6 @@ mod tests {
         assert_eq!(report.versions_seen, vec![1]);
         assert!(report.cached_responses > 0, "pool of 4 must hit the cache");
         assert_eq!(report.latencies.len() as u64, report.queries);
-        assert!(report.latency_percentile(50.0) > 0.0);
         assert!(report.throughput() > 0.0);
     }
 }

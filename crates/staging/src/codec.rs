@@ -40,7 +40,7 @@ pub enum WireCodec {
 
 /// Byte offset of the `u16` lanes behind a [`WireCodec::QuantU16`]
 /// block header (`min: f64 le` + `scale: f64 le`).
-pub const QUANT_HEADER_BYTES: usize = 16;
+pub(crate) const QUANT_HEADER_BYTES: usize = 16;
 
 impl WireCodec {
     /// Display label (bench column / CLI value).
@@ -68,7 +68,7 @@ impl WireCodec {
 
     /// True when this codec transforms blocks of `dtype` (floats only;
     /// integer and raw-byte payloads always travel uncompressed).
-    pub fn transforms(&self, dtype: Dtype) -> bool {
+    pub(crate) fn transforms(&self, dtype: Dtype) -> bool {
         !matches!(self, WireCodec::None) && matches!(dtype, Dtype::F32 | Dtype::F64)
     }
 

@@ -14,7 +14,7 @@
 /// NIC line rate the §IV-B calibration assumes (Frontier's Slingshot
 /// NICs, 25 GB/s) — the bandwidth every staging-side
 /// [`DataPlane::read_time`] charge is computed against.
-pub const NIC_BANDWIDTH: f64 = 25.0e9;
+pub(crate) const NIC_BANDWIDTH: f64 = 25.0e9;
 
 /// Read-request scheduling strategy of the libfabric plane (§IV-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,7 +46,7 @@ impl DataPlane {
     /// - libfabric batch-10:    1.9–2.6 GB/s → ~9 %
     /// - MPI:                   2.4–3.7 GB/s → ~12 %
     /// - TCP:                   ~2 % (fallback)
-    pub fn line_rate_fraction(&self) -> f64 {
+    pub(crate) fn line_rate_fraction(&self) -> f64 {
         match self {
             DataPlane::Tcp => 0.02,
             DataPlane::Mpi => 0.125,
@@ -61,7 +61,7 @@ impl DataPlane {
     }
 
     /// Per-read-operation latency in seconds (control-plane round trip).
-    pub fn op_latency(&self) -> f64 {
+    pub(crate) fn op_latency(&self) -> f64 {
         match self {
             DataPlane::Tcp => 100e-6,
             DataPlane::Mpi => 8e-6,

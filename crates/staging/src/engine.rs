@@ -22,7 +22,7 @@
 //! policies of `as-core` (`ConsumerPolicy`):
 //! - [`SstReader::begin_step`] takes steps strictly in order and blocks
 //!   until the next one is published (`BlockingEveryStep`);
-//! - [`SstReader::begin_latest_step`] /
+//! - [`SstReader::begin_latest_step_min`] /
 //!   [`SstReader::begin_step_at_least`] *skip ahead*, closing every older
 //!   published step without fetching its payload (`DropSteps`). Skipping
 //!   counts as closing, so a dropped step releases its queue slot — and
@@ -186,7 +186,8 @@ impl StreamMonitor {
     }
 
     /// Number of reader ranks that departed (dropped their endpoint).
-    pub fn departed_readers(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn departed_readers(&self) -> u64 {
         self.core.state.lock().departed.count_ones() as u64
     }
 
@@ -202,7 +203,8 @@ impl StreamMonitor {
     }
 
     /// True once every writer closed the stream.
-    pub fn writers_done(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn writers_done(&self) -> bool {
         let st = self.core.state.lock();
         st.writers_closed == self.core.cfg.writers
     }
@@ -374,8 +376,7 @@ impl SstWriter {
     /// typed `put_*` helpers do this), for `U64`/`U8` raw bytes.
     ///
     /// # Panics
-    /// Panics on a step-protocol violation; [`Self::try_put_bytes`] is
-    /// the fallible twin.
+    /// Panics on a step-protocol violation.
     pub fn put_bytes(
         &mut self,
         name: &str,
@@ -391,7 +392,7 @@ impl SstWriter {
 
     /// Publish a raw block, reporting step-protocol misuse as a typed
     /// [`StagingError`] instead of panicking.
-    pub fn try_put_bytes(
+    pub(crate) fn try_put_bytes(
         &mut self,
         name: &str,
         dtype: Dtype,
@@ -446,15 +447,14 @@ impl SstWriter {
     /// Close the step; the last writer to arrive validates and publishes.
     ///
     /// # Panics
-    /// Panics on a step-protocol violation; [`Self::try_end_step`] is
-    /// the fallible twin.
+    /// Panics on a step-protocol violation.
     pub fn end_step(&mut self) {
         self.try_end_step().unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Close the step, reporting a missing `begin_step` as a typed
     /// [`StagingError`] instead of panicking.
-    pub fn try_end_step(&mut self) -> Result<(), StagingError> {
+    pub(crate) fn try_end_step(&mut self) -> Result<(), StagingError> {
         let step = self.current_step.take().ok_or(StagingError::Protocol {
             what: "end_step without begin_step",
         })?;
@@ -578,29 +578,28 @@ impl SstReader {
         self.core.state.lock().published
     }
 
-    /// Wait until at least one unseen step is published, then take the
-    /// **newest** one, closing every older published step without
-    /// fetching it. Returns `(skipped, step)`; `(0, None)` at end of
-    /// stream.
-    ///
-    /// This is the `DropSteps` consumer primitive: skipped steps are
-    /// closed under the same lock, so their queue slots free up — and any
-    /// writer blocked on the queue limit resumes — before this call
-    /// returns. No payload of a skipped step is ever fetched.
-    pub fn begin_latest_step(&mut self) -> (u64, Option<ReadStep>) {
+    /// Always jump to the newest published step.
+    #[cfg(test)]
+    pub(crate) fn begin_latest_step(&mut self) -> (u64, Option<ReadStep>) {
         self.begin_latest_step_min(0)
     }
 
-    /// Adaptive variant of [`Self::begin_latest_step`]: jump to the
-    /// newest published step only when at least `min_pending` unseen
-    /// steps are pending for this reader; otherwise take the next step
-    /// **in order** (no skip). `min_pending <= 1` always jumps — the
-    /// classic drop-to-freshest behaviour — because with one pending
-    /// step "next" and "newest" coincide.
+    /// Wait until at least one unseen step is published, then jump to
+    /// the **newest** one when at least `min_pending` unseen steps are
+    /// pending for this reader, closing every older published step
+    /// without fetching it; otherwise take the next step **in order**
+    /// (no skip). Returns `(skipped, step)`; `(0, None)` at end of
+    /// stream. `min_pending <= 1` always jumps — the classic
+    /// drop-to-freshest behaviour — because with one pending step "next"
+    /// and "newest" coincide.
     ///
-    /// This is the `DropSteps { min_queue }` lever: a consumer that is
-    /// only marginally behind keeps full training coverage, and dropping
-    /// starts only once the backlog is `min_pending` deep.
+    /// This is the `DropSteps { min_queue }` consumer primitive: skipped
+    /// steps are closed under the same lock, so their queue slots free up
+    /// — and any writer blocked on the queue limit resumes — before this
+    /// call returns, and no payload of a skipped step is ever fetched. A
+    /// consumer that is only marginally behind keeps full training
+    /// coverage; dropping starts only once the backlog is `min_pending`
+    /// deep.
     pub fn begin_latest_step_min(&mut self, min_pending: u64) -> (u64, Option<ReadStep>) {
         let mut st = self.core.state.lock();
         loop {
@@ -643,7 +642,7 @@ impl SstReader {
     /// and counted, so the stream winds down cleanly).
     ///
     /// Used to keep a second stream in lockstep with a `DropSteps` read
-    /// on the first: after `begin_latest_step` returns step `s` on one
+    /// on the first: after `begin_latest_step_min` returns step `s` on one
     /// stream, `begin_step_at_least(s)` on the other skips exactly the
     /// same window set.
     pub fn begin_step_at_least(&mut self, target: u64) -> (u64, Option<ReadStep>) {
@@ -740,14 +739,13 @@ impl ReadStep {
 
     /// Fetch the full global `f64` array, assembling all blocks (counts
     /// simulated wire time on this reader). Panics on a missing variable
-    /// or dtype mismatch; fault-tolerant readers use
-    /// [`ReadStep::try_get_f64`].
+    /// or dtype mismatch.
     pub fn get_f64(&mut self, name: &str) -> Vec<f64> {
         self.try_get_f64(name).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible twin of [`ReadStep::get_f64`].
-    pub fn try_get_f64(&mut self, name: &str) -> Result<Vec<f64>, StagingError> {
+    pub(crate) fn try_get_f64(&mut self, name: &str) -> Result<Vec<f64>, StagingError> {
         let codec = self.codec;
         let var = self.lookup(name, Dtype::F64)?;
         let mut out = vec![0.0f64; var.global_count as usize];
@@ -767,13 +765,13 @@ impl ReadStep {
     }
 
     /// Fetch the full global `f32` array. Panics on a missing variable or
-    /// dtype mismatch; fault-tolerant readers use [`ReadStep::try_get_f32`].
+    /// dtype mismatch.
     pub fn get_f32(&mut self, name: &str) -> Vec<f32> {
         self.try_get_f32(name).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible twin of [`ReadStep::get_f32`].
-    pub fn try_get_f32(&mut self, name: &str) -> Result<Vec<f32>, StagingError> {
+    pub(crate) fn try_get_f32(&mut self, name: &str) -> Result<Vec<f32>, StagingError> {
         let codec = self.codec;
         let var = self.lookup(name, Dtype::F32)?;
         let mut out = vec![0.0f32; var.global_count as usize];
@@ -809,7 +807,11 @@ impl ReadStep {
     }
 
     /// Fallible zero-copy view of a `dtype` variable.
-    pub fn try_get_view(&mut self, name: &str, dtype: Dtype) -> Result<VarView, StagingError> {
+    pub(crate) fn try_get_view(
+        &mut self,
+        name: &str,
+        dtype: Dtype,
+    ) -> Result<VarView, StagingError> {
         let codec = self.codec;
         let var = self.lookup(name, dtype)?;
         let mut segments = Vec::with_capacity(var.blocks.len());
@@ -829,34 +831,6 @@ impl ReadStep {
         let logical = global_count * dtype.size() as u64;
         self.charge(logical, wire, ops);
         Ok(VarView::new(segments, global_count))
-    }
-
-    /// Fetch only the blocks written by `writer_rank` (the intra-node
-    /// locality pattern of §IV-D: "data is shared within node boundaries").
-    pub fn get_f64_from_rank(&mut self, name: &str, writer_rank: usize) -> Vec<(u64, Vec<f64>)> {
-        let codec = self.codec;
-        let var = self
-            .data
-            .vars
-            .get(name)
-            .unwrap_or_else(|| panic!("no variable {name}"));
-        assert_eq!(var.dtype, Dtype::F64);
-        let mut out = Vec::new();
-        let mut logical = 0u64;
-        let mut wire = 0u64;
-        let mut ops = 0usize;
-        for b in &var.blocks {
-            if b.writer_rank == writer_rank {
-                let mut vals = vec![0.0f64; b.count as usize];
-                codec.decode_f64_into(&b.data, b.count as usize, &mut vals);
-                out.push((b.offset, vals));
-                logical += b.count * Dtype::F64.size() as u64;
-                wire += b.data.len() as u64;
-                ops += 1;
-            }
-        }
-        self.charge(logical, wire, ops.max(1));
-        out
     }
 }
 
@@ -1052,7 +1026,7 @@ mod tests {
     }
 
     #[test]
-    fn f32_and_rank_selected_reads() {
+    fn f32_reads_assemble_blocks_from_every_writer() {
         let cfg = StreamConfig {
             writers: 2,
             ..StreamConfig::default()
@@ -1074,9 +1048,6 @@ mod tests {
         let mut r = readers.remove(0);
         let mut step = r.begin_step().expect("step");
         assert_eq!(step.get_f32("s"), vec![0.0, 0.0, 1.0, 1.0]);
-        let from1 = step.get_f64_from_rank("d", 1);
-        assert_eq!(from1.len(), 1);
-        assert_eq!(from1[0], (2, vec![1.0, 1.0]));
         assert!(step.simulated_seconds > 0.0);
         assert!(step.bytes_fetched > 0);
         r.end_step(step);

@@ -26,11 +26,13 @@
 //!
 //! Readers consume independently, in order ([`SstReader::begin_step`])
 //! or skipping to the freshest published step
-//! ([`SstReader::begin_latest_step`] /
+//! ([`SstReader::begin_latest_step_min`] /
 //! [`SstReader::begin_step_at_least`]), where skipped steps are closed
 //! unread and release back-pressure immediately — the primitive behind
 //! the `DropSteps` consumer policy in `as-core`
 //! (`ConsumerPolicy::DropSteps`).
+
+#![forbid(unsafe_code)]
 
 pub mod codec;
 pub mod dataplane;
@@ -41,7 +43,7 @@ pub mod variable;
 pub mod view;
 
 pub use codec::WireCodec;
-pub use dataplane::{DataPlane, ReadStrategy, NIC_BANDWIDTH};
+pub use dataplane::{DataPlane, ReadStrategy};
 pub use engine::StreamMonitor;
 pub use engine::{open_stream, open_stream_monitored, SstReader, SstWriter, StreamConfig};
 pub use error::StagingError;

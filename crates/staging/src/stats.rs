@@ -1,17 +1,11 @@
 //! Throughput accounting for the streaming benchmarks.
 
-use std::time::Instant;
-
-/// Records bytes moved and both wall-clock and simulated wire time.
+/// Records logical and wire bytes moved and simulated wire time.
 #[derive(Debug)]
 pub struct ThroughputRecorder {
     bytes: u64,
     wire_bytes: u64,
-    wall_seconds: f64,
     simulated_seconds: f64,
-    samples: Vec<f64>,
-    window_start: Option<Instant>,
-    window_bytes: u64,
 }
 
 impl Default for ThroughputRecorder {
@@ -26,50 +20,25 @@ impl ThroughputRecorder {
         Self {
             bytes: 0,
             wire_bytes: 0,
-            wall_seconds: 0.0,
             simulated_seconds: 0.0,
-            samples: Vec::new(),
-            window_start: None,
-            window_bytes: 0,
         }
     }
 
     /// Account `n` bytes.
-    pub fn add_bytes(&mut self, n: u64) {
+    pub(crate) fn add_bytes(&mut self, n: u64) {
         self.bytes += n;
-        self.window_bytes += n;
     }
 
     /// Account `n` *wire* bytes — the (possibly codec-compressed) size
     /// that actually crosses the data plane, as opposed to the logical
     /// payload size tracked by [`Self::add_bytes`].
-    pub fn add_wire_bytes(&mut self, n: u64) {
+    pub(crate) fn add_wire_bytes(&mut self, n: u64) {
         self.wire_bytes += n;
     }
 
     /// Account simulated wire seconds.
-    pub fn add_simulated(&mut self, s: f64) {
+    pub(crate) fn add_simulated(&mut self, s: f64) {
         self.simulated_seconds += s;
-    }
-
-    /// Start a measurement window (one step, typically).
-    pub fn window_begin(&mut self) {
-        self.window_start = Some(Instant::now());
-        self.window_bytes = 0;
-    }
-
-    /// Close the window; records a bytes/second sample from the bytes
-    /// accounted since `window_begin`.
-    pub fn window_end(&mut self) {
-        let start = self
-            .window_start
-            .take()
-            .unwrap_or_else(|| panic!("window_end without begin"));
-        let dt = start.elapsed().as_secs_f64();
-        self.wall_seconds += dt;
-        if dt > 0.0 && self.window_bytes > 0 {
-            self.samples.push(self.window_bytes as f64 / dt);
-        }
     }
 
     /// Total bytes accounted.
@@ -87,51 +56,11 @@ impl ThroughputRecorder {
     pub fn simulated_seconds(&self) -> f64 {
         self.simulated_seconds
     }
-
-    /// Total measured wall seconds inside windows.
-    pub fn wall_seconds(&self) -> f64 {
-        self.wall_seconds
-    }
-
-    /// Per-window throughput samples (bytes/second).
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
-
-    /// Mean throughput over all windows, bytes/second.
-    pub fn mean_throughput(&self) -> f64 {
-        if self.wall_seconds == 0.0 {
-            0.0
-        } else {
-            self.bytes as f64 / self.wall_seconds
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn windows_collect_samples() {
-        let mut r = ThroughputRecorder::new();
-        r.window_begin();
-        r.add_bytes(1000);
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        r.window_end();
-        assert_eq!(r.total_bytes(), 1000);
-        assert_eq!(r.samples().len(), 1);
-        assert!(r.samples()[0] > 0.0);
-        assert!(r.mean_throughput() > 0.0);
-    }
-
-    #[test]
-    fn empty_windows_record_no_samples() {
-        let mut r = ThroughputRecorder::new();
-        r.window_begin();
-        r.window_end();
-        assert!(r.samples().is_empty());
-    }
 
     #[test]
     fn wire_bytes_track_separately_from_payload_bytes() {
@@ -148,11 +77,5 @@ mod tests {
         r.add_simulated(0.5);
         r.add_simulated(0.25);
         assert_eq!(r.simulated_seconds(), 0.75);
-    }
-
-    #[test]
-    #[should_panic(expected = "without begin")]
-    fn window_end_requires_begin() {
-        ThroughputRecorder::new().window_end();
     }
 }

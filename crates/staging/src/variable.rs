@@ -75,7 +75,7 @@ impl VariableMeta {
     /// Verify blocks tile the global extent without overlap and that
     /// every block's payload has exactly the wire size `codec`
     /// prescribes for its element count.
-    pub fn validate_wire(&self, codec: WireCodec) {
+    pub(crate) fn validate_wire(&self, codec: WireCodec) {
         let mut blocks: Vec<&Block> = self.blocks.iter().collect();
         blocks.sort_by_key(|b| b.offset);
         let mut cursor = 0u64;
@@ -101,50 +101,6 @@ impl VariableMeta {
     }
 }
 
-/// Encode an `f64` slice as little-endian bytes.
-pub fn f64_to_bytes(v: &[f64]) -> Bytes {
-    let mut out = Vec::with_capacity(v.len() * 8);
-    for x in v {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-    Bytes::from(out)
-}
-
-/// Decode little-endian bytes into `f64`s.
-pub fn bytes_to_f64(b: &Bytes) -> Vec<f64> {
-    assert_eq!(b.len() % 8, 0, "payload not f64-aligned");
-    b.chunks_exact(8)
-        .map(|c| {
-            let arr: [u8; 8] = c
-                .try_into()
-                .unwrap_or_else(|_| unreachable!("chunks_exact(8)"));
-            f64::from_le_bytes(arr)
-        })
-        .collect()
-}
-
-/// Encode an `f32` slice as little-endian bytes.
-pub fn f32_to_bytes(v: &[f32]) -> Bytes {
-    let mut out = Vec::with_capacity(v.len() * 4);
-    for x in v {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-    Bytes::from(out)
-}
-
-/// Decode little-endian bytes into `f32`s.
-pub fn bytes_to_f32(b: &Bytes) -> Vec<f32> {
-    assert_eq!(b.len() % 4, 0, "payload not f32-aligned");
-    b.chunks_exact(4)
-        .map(|c| {
-            let arr: [u8; 4] = c
-                .try_into()
-                .unwrap_or_else(|_| unreachable!("chunks_exact(4)"));
-            f32::from_le_bytes(arr)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,20 +111,6 @@ mod tests {
         assert_eq!(Dtype::F64.size(), 8);
         assert_eq!(Dtype::U64.size(), 8);
         assert_eq!(Dtype::U8.size(), 1);
-    }
-
-    #[test]
-    fn f64_round_trip() {
-        let v = vec![1.5, -2.25, 1e300, 0.0];
-        let b = f64_to_bytes(&v);
-        assert_eq!(bytes_to_f64(&b), v);
-    }
-
-    #[test]
-    fn f32_round_trip() {
-        let v = vec![1.5f32, -0.125, 3.4e38];
-        let b = f32_to_bytes(&v);
-        assert_eq!(bytes_to_f32(&b), v);
     }
 
     fn block(rank: usize, offset: u64, count: u64) -> Block {

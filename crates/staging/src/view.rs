@@ -162,24 +162,9 @@ impl VarView {
     }
 
     /// Iterate all elements as `f64` in global order.
-    pub fn iter_f64(&self) -> impl Iterator<Item = f64> + '_ {
+    #[cfg(test)]
+    pub(crate) fn iter_f64(&self) -> impl Iterator<Item = f64> + '_ {
         (0..self.len()).map(|i| self.get_f64(i))
-    }
-
-    /// Iterate all elements as `f32` in global order.
-    pub fn iter_f32(&self) -> impl Iterator<Item = f32> + '_ {
-        (0..self.len()).map(|i| self.get_f32(i))
-    }
-
-    /// Materialise the view into an owned `f64` vector (the one copy a
-    /// caller may explicitly opt into).
-    pub fn to_vec_f64(&self) -> Vec<f64> {
-        self.iter_f64().collect()
-    }
-
-    /// Materialise the view into an owned `f32` vector.
-    pub fn to_vec_f32(&self) -> Vec<f32> {
-        self.iter_f32().collect()
     }
 }
 

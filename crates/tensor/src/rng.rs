@@ -45,13 +45,6 @@ impl TensorRng {
         }
     }
 
-    /// Normal samples with the given mean and standard deviation.
-    pub fn normal(&mut self, shape: impl Into<Shape>, mean: f32, std: f32) -> Tensor {
-        let mut t = self.standard_normal(shape);
-        t.map_inplace(|v| v * std + mean);
-        t
-    }
-
     /// Uniform samples in `[lo, hi)`.
     pub fn uniform(&mut self, shape: impl Into<Shape>, lo: f32, hi: f32) -> Tensor {
         let shape = shape.into();
@@ -116,12 +109,6 @@ mod tests {
         let t = TensorRng::seeded(2).uniform([10_000], -1.5, 2.5);
         assert!(t.data().iter().all(|&v| (-1.5..2.5).contains(&v)));
         assert!(t.mean().abs() - 0.5 < 0.1);
-    }
-
-    #[test]
-    fn normal_applies_affine() {
-        let t = TensorRng::seeded(3).normal([50_000], 10.0, 0.5);
-        assert!((t.mean() - 10.0).abs() < 0.02);
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub fn box_stats(samples: &[f64]) -> BoxStats {
 }
 
 /// Linear-interpolated quantile of an already **sorted** slice.
-pub fn quantile(sorted: &[f64], q: f64) -> f64 {
+pub(crate) fn quantile(sorted: &[f64], q: f64) -> f64 {
     assert!(!sorted.is_empty());
     assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
     let pos = q * (sorted.len() - 1) as f64;
@@ -60,7 +60,7 @@ pub fn mean(samples: &[f64]) -> f64 {
 }
 
 /// Sample standard deviation (population form).
-pub fn std_dev(samples: &[f64]) -> f64 {
+pub(crate) fn std_dev(samples: &[f64]) -> f64 {
     if samples.len() < 2 {
         return 0.0;
     }

@@ -155,7 +155,7 @@ impl Tensor {
     }
 
     /// `self -= rhs` elementwise.
-    pub fn sub_assign(&mut self, rhs: &Tensor) {
+    pub(crate) fn sub_assign(&mut self, rhs: &Tensor) {
         self.zip_inplace(rhs, |a, b| a - b);
     }
 

@@ -1,8 +1,10 @@
-//! The six lint rules.
+//! The seven lint rules.
 //!
 //! All rules operate on *pre-processed* source (comments/strings blanked,
 //! `#[cfg(test)]` items removed — see [`crate::lexer`]), so needles never
-//! fire inside comments, string literals, or test code.
+//! fire inside comments, string literals, or test code. The first six read
+//! one file at a time ([`run_all`]); `unreached-pub` reads the whole
+//! workspace at once ([`unreached_pub`]).
 //!
 //! | rule | invariant |
 //! |------|-----------|
@@ -12,6 +14,9 @@
 //! | `unordered-par-reduce`| no `.sum()`/`.product()`/`.reduce()` at the top level of a rayon parallel-iterator chain — float reduction order must not depend on the split |
 //! | `raw-sleep`           | no `thread::sleep` outside `crates/cluster/src/pace.rs` and the shims — the OS timer overshoots a microsecond sleep ≈ 50×, so waits block on their event and modelled delays go through the pacer |
 //! | `fused-multiply`      | no `mul_add` under `crates/*/src`, and `target_feature`/`is_x86_feature_detected` only in the four files whose kernels have a run-time-picked AVX2 instance — an FMA rounds once where the baseline rounds twice, and the instances' bit identity rests on there being none |
+//! | `unreached-pub`       | no `pub fn`/`const`/`static` in a library under `crates/` (shims and xtask aside) that nothing outside that library names — `pub` hides dead code from rustc's `dead_code` lint, so an item no caller reaches is `pub(crate)` or private |
+
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One lint hit: rule id, repo-relative path, 1-based line, and the
 /// original source line text (for reporting and allowlist matching).
@@ -29,6 +34,7 @@ pub const RULE_SYNC: &str = "raw-sync";
 pub const RULE_REDUCE: &str = "unordered-par-reduce";
 pub const RULE_SLEEP: &str = "raw-sleep";
 pub const RULE_FMA: &str = "fused-multiply";
+pub const RULE_UNREACHED: &str = "unreached-pub";
 
 /// The files that compile a kernel body a second time for AVX2 and pick
 /// the instance at run time.
@@ -288,6 +294,91 @@ fn in_scope_fma(path: &str) -> bool {
     parts.next() == Some("crates") && parts.nth(1) == Some("src")
 }
 
+/// The crate whose library `path` belongs to: `crates/<c>/src/…` minus
+/// `src/bin/**` and `src/main.rs`. `None` for every other location
+/// (bins, tests, benches, examples, the shims' nested crates, the root
+/// package, `benchmark/`), which only ever call.
+fn library_of(path: &str) -> Option<&str> {
+    let (krate, rest) = path.strip_prefix("crates/")?.split_once('/')?;
+    let rest = rest.strip_prefix("src/")?;
+    (rest != "main.rs" && !rest.starts_with("bin/")).then_some(krate)
+}
+
+/// Every identifier token of already-stripped source.
+fn identifiers(stripped: &str) -> impl Iterator<Item = &str> {
+    stripped
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|t| t.as_bytes().first().is_some_and(|b| !b.is_ascii_digit()))
+}
+
+/// The items `unreached-pub` governs in one stripped, test-blanked file,
+/// as (name, byte offset of its `pub`) for each unrestricted `pub fn`,
+/// `pub const fn`, `pub const` and `pub static` (qualifiers `unsafe`,
+/// `async`, `extern` and `mut` skipped). `pub(crate)` and the like, types,
+/// traits, modules and `pub use` re-exports are out of scope.
+fn pub_value_items(stripped: &str) -> Vec<(&str, usize)> {
+    let mut out = Vec::new();
+    for off in find_bounded(stripped, "pub") {
+        let rest = stripped[off + 3..].trim_start();
+        if rest.starts_with('(') {
+            continue;
+        }
+        let mut words = identifiers(rest);
+        let mut value_item = false;
+        let name = loop {
+            match words.next() {
+                Some("fn" | "const" | "static") => value_item = true,
+                Some("unsafe" | "async" | "extern" | "mut") => {}
+                Some(w) if value_item => break Some(w),
+                _ => break None,
+            }
+        };
+        if let Some(name) = name.filter(|&n| n != "_") {
+            out.push((name, off));
+        }
+    }
+    out
+}
+
+/// `unreached-pub`: a `pub fn`/`const`/`static` defined in library
+/// `crates/<c>/src` (shims and xtask aside) must be named, as an
+/// identifier outside comments and strings, in at least one file outside
+/// that library — another crate's `src`, its own `src/bin` or `main.rs`,
+/// any `tests`/`benches`/`examples`, the root package, or `benchmark/`.
+/// `files` is every such `(repo-relative path, source)` pair; the check
+/// is lexical, so a name that also appears elsewhere hides its item.
+pub fn unreached_pub(files: &[(String, String)]) -> Vec<Violation> {
+    let stripped: Vec<String> = files
+        .iter()
+        .map(|(_, src)| crate::lexer::strip(src))
+        .collect();
+    // For each identifier, the libraries it is named outside of: `None`
+    // when a caller-only file names it, which reaches every library.
+    let mut named_from: BTreeMap<&str, BTreeSet<Option<&str>>> = BTreeMap::new();
+    for ((path, _), text) in files.iter().zip(&stripped) {
+        let owner = library_of(path);
+        for word in identifiers(text) {
+            named_from.entry(word).or_default().insert(owner);
+        }
+    }
+    let mut out = Vec::new();
+    for ((path, original), text) in files.iter().zip(&stripped) {
+        let Some(krate) = library_of(path).filter(|&c| c != "xtask") else {
+            continue;
+        };
+        let live = crate::lexer::blank_test_items(text);
+        for (name, off) in pub_value_items(&live) {
+            let reached = named_from
+                .get(name)
+                .is_some_and(|owners| owners.iter().any(|&o| o != Some(krate)));
+            if !reached {
+                push(&mut out, RULE_UNREACHED, path, original, &live, off);
+            }
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,6 +479,105 @@ mod tests {
         assert!(run_all("crates/nn/src/layers.rs", spared).is_empty());
         assert!(run_all("crates/bench/benches/kernels.rs", fma).is_empty());
         assert!(run_all("crates/shims/rayon/src/lib.rs", fma).is_empty());
+    }
+
+    // -- unreached-pub: whole-workspace fixtures --
+
+    /// `unreached_pub` over library `a` with source `def` plus the given
+    /// `(path, source)` files.
+    fn reach(def: &str, others: &[(&str, &str)]) -> Vec<Violation> {
+        let mut files = vec![("crates/a/src/lib.rs".to_string(), def.to_string())];
+        files.extend(others.iter().map(|(p, s)| (p.to_string(), s.to_string())));
+        unreached_pub(&files)
+    }
+
+    const REACH_ME: &str = "//! Library a.\npub fn reach_me() {}\n";
+
+    #[test]
+    fn fixture_unreached_pub_named_only_in_its_own_crate_fires() {
+        let v = reach(
+            REACH_ME,
+            &[("crates/a/src/x.rs", "fn f() { crate::reach_me(); }\n")],
+        );
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!((v[0].rule, v[0].line), (RULE_UNREACHED, 2));
+        assert_eq!(v[0].text, "pub fn reach_me() {}");
+    }
+
+    #[test]
+    fn fixture_unreached_pub_named_only_in_a_comment_fires() {
+        let b = "// a::reach_me is handy\nfn g() -> &'static str { \"reach_me\" }\n";
+        assert_eq!(reach(REACH_ME, &[("crates/b/src/lib.rs", b)]).len(), 1);
+    }
+
+    const CALL: &str = "fn g() { a::reach_me(); }\n";
+
+    #[test]
+    fn fixture_unreached_pub_spares_a_call_from_another_crates_src() {
+        assert!(reach(REACH_ME, &[("crates/b/src/lib.rs", CALL)]).is_empty());
+    }
+
+    #[test]
+    fn fixture_unreached_pub_spares_a_call_from_benchmark_src() {
+        assert!(reach(REACH_ME, &[("benchmark/src/run.rs", CALL)]).is_empty());
+    }
+
+    #[test]
+    fn fixture_unreached_pub_spares_a_call_from_its_own_bin() {
+        assert!(reach(REACH_ME, &[("crates/a/src/bin/tool.rs", CALL)]).is_empty());
+    }
+
+    #[test]
+    fn fixture_unreached_pub_spares_a_call_from_its_own_tests() {
+        assert!(reach(REACH_ME, &[("crates/a/tests/it.rs", CALL)]).is_empty());
+    }
+
+    #[test]
+    fn fixture_unreached_pub_spares_pub_crate() {
+        let def = "pub(crate) fn a() {}\npub(super) const B: u8 = 0;\n";
+        assert!(reach(def, &[]).is_empty());
+    }
+
+    #[test]
+    fn fixture_unreached_pub_spares_cfg_test_items() {
+        let def = "#[cfg(test)]\npub fn c() {}\n\
+                   #[cfg(test)]\nmod tests {\n    pub fn d() {}\n}\n";
+        assert!(reach(def, &[]).is_empty());
+    }
+
+    #[test]
+    fn unreached_pub_spares_the_other_caller_locations() {
+        for caller in [
+            "crates/a/src/main.rs",
+            "crates/c/benches/k.rs",
+            "tests/workflow.rs",
+            "examples/quickstart.rs",
+        ] {
+            assert!(reach(REACH_ME, &[(caller, CALL)]).is_empty(), "{caller}");
+        }
+    }
+
+    #[test]
+    fn unreached_pub_covers_values_not_types() {
+        let def = "pub struct S;\npub trait T {}\npub use x::y;\npub mod m {}\n\
+                   pub const K: u8 = 1;\npub static mut X: u8 = 2;\n\
+                   pub const unsafe fn k() {}\npub extern \"C\" fn e() {}\n";
+        let lines: Vec<usize> = reach(def, &[]).iter().map(|v| v.line).collect();
+        assert_eq!(lines, [5, 6, 7, 8]);
+    }
+
+    #[test]
+    fn unreached_pub_governs_neither_shims_nor_xtask_nor_bins() {
+        let def = "pub fn nobody_calls() {}\n";
+        for path in [
+            "crates/xtask/src/rules.rs",
+            "crates/shims/rayon/src/lib.rs",
+            "crates/bench/src/bin/fig4_fom.rs",
+            "src/lib.rs",
+        ] {
+            let files = [(path.to_string(), def.to_string())];
+            assert!(unreached_pub(&files).is_empty(), "{path}");
+        }
     }
 
     // -- negative space: stripped regions and scopes --

@@ -19,6 +19,8 @@
 //!
 //! See `examples/quickstart.rs` for the fastest end-to-end tour.
 
+#![forbid(unsafe_code)]
+
 pub use as_cluster as cluster;
 pub use as_core as core;
 pub use as_nn as nn;
