@@ -132,17 +132,20 @@ fn fastest(reps: usize, mut f: impl FnMut()) -> f64 {
 }
 
 /// Flop of one particle of the fused tile pass, counted from the code
-/// (+, −, ×, ÷, √; a lane floor is 3): the escape check 6; the gather's
-/// supports 36 and its six trilinear sums 204; Boris 61; γ and the move
-/// 16; the deposit's cell coordinates 8, shapes 81, `qw` and the current
-/// factors 10, 27 W-brackets 270, 108 running sums and rows 324 and 108
-/// accumulator adds.
-const FUSED_FLOP: f64 = 1124.0;
+/// (+, −, ×, ÷, √; a lane floor is 3; compares and selects are not
+/// counted): the escape check 6; the gather's supports 36 and its six
+/// trilinear sums 204; Boris 61; γ and the move 16; the deposit's cell
+/// coordinates 8, its zigzag split 66 (per axis two floors, the end clamp
+/// and the relay 12, two midpoint offsets 6, two displacements and two
+/// weight pairs 4), `qw` and the current factors 10, the 24 current
+/// values 90 (per segment and component 3 for the amplitude and the cross
+/// term, 3 per node) and 24 accumulator adds.
+const FUSED_FLOP: f64 = 521.0;
 
-/// Divisions of one particle of the fused pass, counted from the code: 27
-/// W-brackets, 6 in Boris, 3 in the move, 6 cell coordinates (start and
-/// end of the move), 4 for `qw` and the three current factors.
-const FUSED_DIV: usize = 46;
+/// Divisions of one particle of the fused pass, counted from the code: 6
+/// in Boris, 3 in the move, 6 cell coordinates (start and end of the
+/// move), 4 for `qw` and the three current factors.
+const FUSED_DIV: usize = 19;
 
 /// Flop of one (particle, direction, frequency) of the Liénard–Wiechert
 /// update, counted from `lienard.rs`: the phase 1, the two-term argument

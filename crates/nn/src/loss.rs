@@ -78,17 +78,35 @@ fn chamfer_cloud_avx2(ps: &[f32], ts: &[f32], d: usize) -> (f64, Vec<f32>) {
     chamfer_cloud(ps, ts, d)
 }
 
+/// Lanes of the row-minimum scan in [`chamfer_cloud`].
+const ROW_LANES: usize = 8;
+
+/// `(best, arg) = (v, j)` if `v < best`, by bit-mask selects: a tie
+/// keeps the earlier index, and a NaN never wins.
+#[inline(always)]
+fn min_select(v: f32, j: u32, best: &mut f32, arg: &mut u32) {
+    let take = 0u32.wrapping_sub(u32::from(v < *best));
+    *best = f32::from_bits((v.to_bits() & take) | (best.to_bits() & !take));
+    *arg = (j & take) | (*arg & !take);
+}
+
 /// One cloud pair's Chamfer term and its gradient, `ps:[N,D]`, `ts:[M,D]`.
 #[inline(always)]
 fn chamfer_cloud(ps: &[f32], ts: &[f32], d: usize) -> (f64, Vec<f32>) {
     let (n, m) = (ps.len() / d, ts.len() / d);
+    assert!(
+        n.max(m) <= u32::MAX as usize,
+        "cloud too large for u32 indices"
+    );
     let mut grad = vec![0.0f32; n * d];
     let mut loss = 0.0f64;
     // One pass over the n×m distances serves both directions: row
-    // minima are direction 1, running column minima (strict `<` over
-    // ascending `i`: the first nearest prediction wins a tie) are
-    // direction 2. Coordinate-major targets let one prediction's
-    // distances vectorise, each still summed in `sqdist` order.
+    // minima are direction 1, running column minima over ascending `i`
+    // are direction 2. Coordinate-major targets let one prediction's
+    // distances vectorise, each still summed in `sqdist` order. Every
+    // minimum is a strict `<` and two selects over separate value and
+    // index arrays, with no branch: the first index of a tie stays, and a
+    // NaN never wins.
     let mut coords = vec![0.0f32; d * m];
     for (j, t) in ts.chunks_exact(d).enumerate() {
         for (k, &tk) in t.iter().enumerate() {
@@ -96,7 +114,9 @@ fn chamfer_cloud(ps: &[f32], ts: &[f32], d: usize) -> (f64, Vec<f32>) {
         }
     }
     let mut dist = vec![0.0f32; m];
-    let mut nearest_pred = vec![(f32::INFINITY, 0usize); m];
+    let mut col_best = vec![f32::INFINITY; m];
+    let mut col_arg = vec![0u32; m];
+    let full = m - m % ROW_LANES;
     // Direction 1: every predicted point to its nearest target.
     for (i, p) in ps.chunks_exact(d).enumerate() {
         dist.fill(0.0);
@@ -106,27 +126,44 @@ fn chamfer_cloud(ps: &[f32], ts: &[f32], d: usize) -> (f64, Vec<f32>) {
                 *acc += diff * diff;
             }
         }
-        let mut best = f32::INFINITY;
-        let mut bj = 0;
-        for (j, (&dj, col)) in dist.iter().zip(nearest_pred.iter_mut()).enumerate() {
-            if dj < best {
-                best = dj;
-                bj = j;
-            }
-            if dj < col.0 {
-                *col = (dj, i);
+        let iu = i as u32;
+        for ((&dj, best), arg) in dist.iter().zip(&mut col_best).zip(&mut col_arg) {
+            min_select(dj, iu, best, arg);
+        }
+        // The row minimum in lanes `j mod ROW_LANES`, each keeping its
+        // first minimum.
+        let mut lane_best = [f32::INFINITY; ROW_LANES];
+        let mut lane_arg = [0u32; ROW_LANES];
+        let mut lane_j: [u32; ROW_LANES] = std::array::from_fn(|t| t as u32);
+        for chunk in dist[..full].chunks_exact(ROW_LANES) {
+            for t in 0..ROW_LANES {
+                min_select(chunk[t], lane_j[t], &mut lane_best[t], &mut lane_arg[t]);
+                lane_j[t] += ROW_LANES as u32;
             }
         }
+        for (t, j) in (full..m).enumerate() {
+            min_select(dist[j], j as u32, &mut lane_best[t], &mut lane_arg[t]);
+        }
+        // The smallest value across the lanes, the lowest index among
+        // equal ones: the row's first minimum.
+        let (mut best, mut bj) = (f32::INFINITY, 0u32);
+        for (&v, &j) in lane_best.iter().zip(&lane_arg) {
+            let take = v < best || (v == best && j < bj);
+            best = if take { v } else { best };
+            bj = if take { j } else { bj };
+        }
         loss += best as f64 / n as f64;
+        let bj = bj as usize;
         let t = &ts[bj * d..(bj + 1) * d];
         for k in 0..d {
             grad[i * d + k] += 2.0 * (p[k] - t[k]) / n as f32;
         }
     }
     // Direction 2: every target point to its nearest prediction.
-    for (j, &(best, bi)) in nearest_pred.iter().enumerate() {
+    for (j, (&best, &bi)) in col_best.iter().zip(&col_arg).enumerate() {
         let t = &ts[j * d..(j + 1) * d];
         loss += best as f64 / m as f64;
+        let bi = bi as usize;
         let p = &ps[bi * d..(bi + 1) * d];
         for k in 0..d {
             grad[bi * d + k] += 2.0 * (p[k] - t[k]) / m as f32;
@@ -412,6 +449,117 @@ mod tests {
             }
         }
         (loss, grad)
+    }
+
+    /// [`chamfer_cloud`] with `(value, index)` column minima and a
+    /// branching row scan, kept as the bitwise oracle of its selects.
+    fn chamfer_cloud_oracle(ps: &[f32], ts: &[f32], d: usize) -> (f64, Vec<f32>) {
+        let (n, m) = (ps.len() / d, ts.len() / d);
+        let mut grad = vec![0.0f32; n * d];
+        let mut loss = 0.0f64;
+        // One pass over the n×m distances serves both directions: row
+        // minima are direction 1, running column minima (strict `<` over
+        // ascending `i`: the first nearest prediction wins a tie) are
+        // direction 2. Coordinate-major targets let one prediction's
+        // distances vectorise, each still summed in `sqdist` order.
+        let mut coords = vec![0.0f32; d * m];
+        for (j, t) in ts.chunks_exact(d).enumerate() {
+            for (k, &tk) in t.iter().enumerate() {
+                coords[k * m + j] = tk;
+            }
+        }
+        let mut dist = vec![0.0f32; m];
+        let mut nearest_pred = vec![(f32::INFINITY, 0usize); m];
+        // Direction 1: every predicted point to its nearest target.
+        for (i, p) in ps.chunks_exact(d).enumerate() {
+            dist.fill(0.0);
+            for (&pk, coord) in p.iter().zip(coords.chunks_exact(m.max(1))) {
+                for (acc, &tk) in dist.iter_mut().zip(coord) {
+                    let diff = pk - tk;
+                    *acc += diff * diff;
+                }
+            }
+            let mut best = f32::INFINITY;
+            let mut bj = 0;
+            for (j, (&dj, col)) in dist.iter().zip(nearest_pred.iter_mut()).enumerate() {
+                if dj < best {
+                    best = dj;
+                    bj = j;
+                }
+                if dj < col.0 {
+                    *col = (dj, i);
+                }
+            }
+            loss += best as f64 / n as f64;
+            let t = &ts[bj * d..(bj + 1) * d];
+            for k in 0..d {
+                grad[i * d + k] += 2.0 * (p[k] - t[k]) / n as f32;
+            }
+        }
+        // Direction 2: every target point to its nearest prediction.
+        for (j, &(best, bi)) in nearest_pred.iter().enumerate() {
+            let t = &ts[j * d..(j + 1) * d];
+            loss += best as f64 / m as f64;
+            let p = &ps[bi * d..(bi + 1) * d];
+            for k in 0..d {
+                grad[bi * d + k] += 2.0 * (p[k] - t[k]) / m as f32;
+            }
+        }
+        (loss, grad)
+    }
+
+    /// The select-based minima against the branching oracle, bit for bit,
+    /// through both CPU instances: random clouds whose coordinates sit on
+    /// a coarse grid, so equal distances (ties in both directions) are
+    /// common, plus a NaN coordinate in one cloud.
+    #[test]
+    fn select_minima_equal_the_branching_oracle_bitwise() {
+        let mut rng = TensorRng::seeded(33);
+        let mut ties = 0;
+        for (case, (n, m, d)) in [(64, 256, 6), (9, 45, 6), (13, 7, 3), (1, 1, 2), (8, 17, 1)]
+            .into_iter()
+            .cycle()
+            .take(40)
+            .enumerate()
+        {
+            let quantise = |t: Tensor| {
+                let mut t = t;
+                for v in t.data_mut() {
+                    *v = (*v * 2.0).round() / 2.0;
+                }
+                t
+            };
+            let pred = quantise(rng.uniform([1, n, d], -2.0, 2.0));
+            let mut target = quantise(rng.uniform([1, m, d], -2.0, 2.0));
+            if case == 7 {
+                target.data_mut()[0] = f32::NAN;
+            }
+            let (ps, ts) = (pred.data(), target.data());
+            let want = chamfer_cloud_oracle(ps, ts, d);
+            let row = |i: usize| &ps[i * d..(i + 1) * d];
+            ties += (0..n)
+                .filter(|&i| {
+                    let dists: Vec<f32> = ts.chunks_exact(d).map(|t| sqdist(row(i), t)).collect();
+                    let min = dists.iter().copied().fold(f32::INFINITY, f32::min);
+                    dists.iter().filter(|&&v| v == min).count() > 1
+                })
+                .count();
+            let mut instances = vec![("sse2", chamfer_cloud(ps, ts, d))];
+            #[cfg(target_arch = "x86_64")]
+            if is_x86_feature_detected!("avx2") {
+                // SAFETY: the CPU has AVX2.
+                instances.push(("avx2", unsafe { chamfer_cloud_avx2(ps, ts, d) }));
+            }
+            if instances.len() == 1 {
+                eprintln!("no AVX2 on this CPU: checking the baseline instance alone");
+            }
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for (name, (l, g)) in instances {
+                assert_eq!(l.to_bits(), want.0.to_bits(), "{name} loss, case {case}");
+                assert_eq!(bits(&g), bits(&want.1), "{name} gradient, case {case}");
+            }
+        }
+        assert!(ties > 100, "only {ties} rows had a tie");
     }
 
     #[test]

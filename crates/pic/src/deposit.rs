@@ -1,46 +1,61 @@
-//! Charge-conserving current deposition (Esirkepov 2001, CIC order).
+//! Charge-conserving current deposition at CIC order: "Esirkepov meets
+//! ZigZag" (EmZ), the cheaper of PIConGPU's two charge-conserving
+//! deposits.
 //!
-//! The density decomposition scheme: for a particle moving `x⁰ → x¹`
-//! (strictly less than one cell per axis, guaranteed by the CFL check),
-//! per-axis CIC shape vectors `S⁰`, `S¹` over a 4-point support are
-//! combined into the W-brackets
+//! # The split
 //!
-//! `Wx(r,s,t) = ΔSx(r)·[S⁰y S⁰z + ½ΔSy S⁰z + ½S⁰y ΔSz + ⅓ΔSy ΔSz]`
+//! Per axis, a move `c⁰ → c¹` in cell units (`i⁰ = ⌊c⁰⌋`, `i¹ = ⌊c¹⌋`)
+//! is split at the relay point
 //!
-//! and currents accumulate along each axis as a running prefix sum, which
-//! satisfies the discrete continuity equation `∂ρ/∂t + ∇·J = 0` **to
-//! machine precision** (asserted in the tests). This is the same scheme
-//! PIConGPU uses by default.
+//! `r = min(min(i⁰, i¹) + 1, max(max(i⁰, i¹), (c⁰ + c¹)/2))`,
 //!
-//! # The window rule
+//! the cell face the move crosses, or its midpoint when it crosses none.
+//! The zigzag `c⁰ → r → c¹` is two segments, each inside one cell on every
+//! axis: the first in `i⁰`, the second in `i¹`.
 //!
-//! With the support based one cell below the start cell, `S⁰` lives on
-//! `r = 1, 2` and `S¹` reaches `r = 0` only when the particle moved down
-//! a cell. Per axis the non-zero brackets therefore fit a 3-cell window —
-//! from `r = 0` if `S¹(0) ≠ 0`, else from `r = 1` — and every bracket
-//! outside it is an exact zero. [`deposit_current`] walks, per component,
-//! a 3×3 *transverse* window times the full 4-cell prefix axis (whose last
-//! cell receives the prefix sum's rounding residue) and adds
-//! unconditionally, in z rows: a skipped cell would have received
-//! `f·(±0)`, which changes no bit of an accumulator that started at `+0.0`.
+//! # One cell
+//!
+//! Give a segment, per axis, its displacement `d` and the offset `m` of
+//! its midpoint in its cell, so that `S̄(0) = 1 − m`, `S̄(1) = m` are the
+//! CIC weights of the midpoint on the cell's two nodes and `ΔS(σ) = ∓d`.
+//! Esirkepov's W-bracket on that cell is then
+//!
+//! `S⁰ₐS⁰_b + ½ΔSₐS⁰_b + ½S⁰ₐΔS_b + ⅓ΔSₐΔS_b = S̄ₐS̄_b + ΔSₐΔS_b/12`,
+//!
+//! so the segment adds `qw·d_c·Δ_c/Δt·[S̄ₐ(σ)·S̄_b(τ) + (−1)^{σ+τ}·dₐd_b/12]`
+//! to `J_c` at `(cell_c, cellₐ + σ, cell_b + τ)` for `σ, τ ∈ {0, 1}`, `a`
+//! and `b` the other two axes: a 2×2×2 block of cells per segment
+//! ([`CurrentSink::add_segment`]), 24 accumulator adds per particle (16
+//! rows along z), with no prefix sums and no divisions, where Esirkepov
+//! on the 4-cell support formed 27 brackets and 108 adds in 33 rows.
+//! Each segment's current is Esirkepov's current of that segment,
+//! so the zigzag satisfies the discrete continuity equation
+//! `∂ρ/∂t + ∇·J = 0` to round-off (asserted in the tests). Its current
+//! differs from that of Esirkepov's straight move by a divergence-free
+//! field, and equals it when the move stays inside one cell.
+//!
+//! **The `dₐd_b/12` term is required.** The midpoint products alone, the
+//! 2-D zigzag of Umeda et al., give `∇·J` the terms of the CIC charge
+//! change that are linear and quadratic in the displacement but only ¾ of
+//! the cubic one: every node of the cell misses `±d_x·d_y·d_z/4` of its
+//! charge change, and Gauss's law drifts.
 //!
 //! # Lanes
 //!
-//! `deposit_current_lanes` runs `L` moves at once: the shapes, their
-//! windows (selected by bit pattern, so no lane branches) and the 27
-//! W-brackets with their divisions are [`Lanes`] arithmetic, each lane
-//! the one-move formula op for op. The running prefix sums are formed per
-//! particle as its rows are scattered, all rows of lane `l` before any
-//! row of lane `l + 1` — the order one-at-a-time deposition adds them in,
-//! so the sink's bits do not depend on the lane count (staging the 108
-//! rows of every lane instead costs more stores than the lanes save).
-//! [`deposit_current`] is the one-lane instance.
+//! `deposit_current_lanes` runs `L` moves at once: the relays, the
+//! midpoints and the 24 current values are [`Lanes`] arithmetic (minima
+//! and maxima by bit-pattern select, so no lane branches), each lane the
+//! one-move formula op for op. The values are scattered per particle,
+//! both segments of lane `l` before any of lane `l + 1` — the order
+//! one-at-a-time deposition adds them in — so the sink's bits do not
+//! depend on the lane count. [`deposit_current`] is the one-lane
+//! instance.
 
 use crate::field::VecField3;
 use crate::grid::GridSpec;
-use crate::lanes::{Lanes, Mask};
+use crate::lanes::Lanes;
 
-/// Destination grid for Esirkepov current contributions.
+/// Destination grid for current contributions.
 ///
 /// [`deposit_current`] is generic over the sink so the same verified
 /// kernel serves both the global field (serial reference path) and the
@@ -48,49 +63,40 @@ use crate::lanes::{Lanes, Mask};
 /// ([`crate::tile::TileAccumulator`]), which index without periodic
 /// wrapping and are reduced into the global field afterwards.
 pub trait CurrentSink {
-    /// Accumulate `row` into component `c` (0 = x, 1 = y, 2 = z) at cells
-    /// `(i, j, k0..k0 + row.len())`.
-    fn add_row(&mut self, c: usize, i: isize, j: isize, k0: isize, row: &[f64]);
+    /// Accumulate one zigzag segment in cell `(i, j, k)`: `v[c][2σ + τ]`
+    /// into component `c` (0 = x, 1 = y, 2 = z) at the node `(σ, τ)` of
+    /// its transverse axes — `jx` at `(i, j + σ, k + τ)`, `jy` at
+    /// `(i + σ, j, k + τ)`, `jz` at `(i + σ, j + τ, k)`.
+    fn add_segment(&mut self, cell: [isize; 3], v: &[[f64; 4]; 3]);
 }
 
 impl CurrentSink for VecField3 {
     #[inline]
-    fn add_row(&mut self, c: usize, i: isize, j: isize, k0: isize, row: &[f64]) {
-        let f = match c {
-            0 => &mut self.x,
-            1 => &mut self.y,
-            _ => &mut self.z,
-        };
-        for (t, &v) in row.iter().enumerate() {
-            f.add(i, j, k0 + t as isize, v);
+    fn add_segment(&mut self, [i, j, k]: [isize; 3], [jx, jy, jz]: &[[f64; 4]; 3]) {
+        for (n, (s, t)) in [(0, 0), (0, 1), (1, 0), (1, 1)].into_iter().enumerate() {
+            self.x.add(i, j + s, k + t, jx[n]);
+            self.y.add(i + s, j, k + t, jy[n]);
+            self.z.add(i + s, j + t, k, jz[n]);
         }
     }
 }
 
-/// CIC (first-order b-spline) shape function; the clamp at 0 is a
-/// bit-pattern select.
-#[inline(always)]
-fn cic<const L: usize>(u: Lanes<L>) -> Lanes<L> {
-    let a = 1.0 - u.abs();
-    Lanes::splat(0.0).select(a.gt(Lanes::splat(0.0)), a)
-}
+/// `1/12` of the cross term (see the module docs).
+const TWELFTH: f64 = 1.0 / 12.0;
 
-/// The Esirkepov shapes of `L` moves along one axis, each over the
-/// 4-cell support that starts one cell below its start cell.
+/// One axis of `L` moves split at their relay points (see the module
+/// docs): each segment's cell, displacement and midpoint weights.
 struct Axis<const L: usize> {
-    /// Start cell `⌊c⁰⌋`.
-    cell: Lanes<L>,
-    /// `ΔS = S¹ − S⁰` per support cell.
-    ds: [Lanes<L>; 4],
-    /// `S⁰` and `ΔS` on the 3-cell window (see the module docs).
-    win_s0: [Lanes<L>; 3],
-    win_ds: [Lanes<L>; 3],
-    /// Lanes whose window starts at support cell 0 rather than 1.
-    low: Mask<L>,
+    /// The segments' cells, `i⁰` and `i¹`.
+    cell: [Lanes<L>; 2],
+    /// The segments' displacements in cell units.
+    d: [Lanes<L>; 2],
+    /// The segments' midpoint weights `[S̄(0), S̄(1)]`.
+    s: [[Lanes<L>; 2]; 2],
 }
 
 impl<const L: usize> Axis<L> {
-    /// The shapes of the moves `c0 → c1` in cell units.
+    /// The split moves `c0 → c1` in cell units.
     #[inline(always)]
     fn new(c0: Lanes<L>, c1: Lanes<L>) -> Self {
         for l in 0..L {
@@ -99,46 +105,20 @@ impl<const L: usize> Axis<L> {
                 "displacement exceeds one cell"
             );
         }
-        let cell = c0.floor();
-        // `(S⁰, S¹)` of support cell `⌊c⁰⌋ − 1 + r` (exact in f64).
-        let support = |r: f64| {
-            let at = cell + (r - 1.0);
-            (cic(c0 - at), cic(c1 - at))
-        };
-        let [(s0_0, s1_0), (s0_1, s1_1), (s0_2, s1_2), (s0_3, s1_3)] =
-            [support(0.0), support(1.0), support(2.0), support(3.0)];
-        let s0 = [s0_0, s0_1, s0_2, s0_3];
-        let ds = [s1_0 - s0_0, s1_1 - s0_1, s1_2 - s0_2, s1_3 - s0_3];
-        let low = s1_0.ne(Lanes::splat(0.0));
-        let window = |v: [Lanes<L>; 4]| {
-            [
-                v[1].select(low, v[0]),
-                v[2].select(low, v[1]),
-                v[3].select(low, v[2]),
-            ]
-        };
+        let i0 = c0.floor();
+        // A longer move (see `deposit_current`) ends clamped into
+        // `[i⁰ − 1, i⁰ + 2]`, in a cell of `[i⁰ − 1, i⁰ + 1]`; for a move
+        // under a cell both clamps are the identity.
+        let c1 = c1.max(i0 - 1.0).min(i0 + 2.0);
+        let i1 = c1.floor().min(i0 + 1.0);
+        let relay = (i0.min(i1) + 1.0).min(i0.max(i1).max((c0 + c1) * 0.5));
+        let m0 = (c0 + relay) * 0.5 - i0;
+        let m1 = (relay + c1) * 0.5 - i1;
         Axis {
-            cell,
-            ds,
-            win_s0: window(s0),
-            win_ds: window(ds),
-            low,
+            cell: [i0, i1],
+            d: [relay - c0, c1 - relay],
+            s: [[1.0 - m0, m0], [1.0 - m1, m1]],
         }
-    }
-
-    /// The W-brackets of this axis' window cells with those of `b`.
-    #[inline(always)]
-    fn brackets(&self, b: &Axis<L>) -> [[Lanes<L>; 3]; 3] {
-        let w = |ra: usize, rb: usize| {
-            let (sa, da) = (self.win_s0[ra], self.win_ds[ra]);
-            let (sb, db) = (b.win_s0[rb], b.win_ds[rb]);
-            sa * sb + 0.5 * da * sb + 0.5 * sa * db + da * db / 3.0
-        };
-        [
-            [w(0, 0), w(0, 1), w(0, 2)],
-            [w(1, 0), w(1, 1), w(1, 2)],
-            [w(2, 0), w(2, 1), w(2, 2)],
-        ]
     }
 }
 
@@ -150,12 +130,13 @@ impl<const L: usize> Axis<L> {
 ///
 /// **Moves longer than a cell.** The CFL check keeps every move under
 /// one cell per axis, and only a debug build asserts it. A release build
-/// given a longer move (up to two cells per axis) deposits exactly what
-/// the 4×4×4 loop this replaced deposited: the current of the support
-/// inside the 4-cell box around the start cell, the charge whose support
-/// falls outside it lost. It never writes outside that box, which is all
-/// the tile accumulators' unchecked indexing relies on
-/// (`tile::tests::long_moves_stay_in_the_box_and_match_the_oracle`).
+/// given a longer move clamps its end, per axis, into `[i⁰ − 1, i⁰ + 2]`
+/// (`i⁰` the start cell) and deposits the charge-conserving current of
+/// the clamped move; the charge of the part clamped off is lost. Every
+/// write therefore stays inside the 4-cell box `[i⁰ − 1, i⁰ + 2]` around
+/// the start cell, which is all the tile accumulators' unchecked indexing
+/// relies on
+/// (`tile::tests::long_moves_stay_in_the_box_and_conserve_the_clamped_charge`).
 #[allow(clippy::too_many_arguments)]
 pub fn deposit_current<S: CurrentSink>(
     j: &mut S,
@@ -177,7 +158,7 @@ pub fn deposit_current<S: CurrentSink>(
 
 /// [`deposit_current`] of `L` moves `r0 → r1` (per axis) with weights
 /// `w`, of which the first `live` lanes are deposited — in lane order,
-/// each lane's rows all before the next lane's (see the module docs). The
+/// each lane's segments before the next lane's (see the module docs). The
 /// other lanes are computed and dropped.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
@@ -197,52 +178,39 @@ pub(crate) fn deposit_current_lanes<S: CurrentSink, const L: usize>(
         Axis::new(r0[2] / g.dz, r1[2] / g.dz),
     ];
     let qw = q * w / (g.dx * g.dy * g.dz);
-    let f = [-qw * g.dx / g.dt, -qw * g.dy / g.dt, -qw * g.dz / g.dt];
-    // The brackets of the transverse windows: yz for Jx, xz for Jy, xy
-    // for Jz.
-    let (w_yz, w_xz, w_xy) = (y.brackets(&z), x.brackets(&z), x.brackets(&y));
+    let f = [qw * g.dx / g.dt, qw * g.dy / g.dt, qw * g.dz / g.dt];
+    // Segment `seg`'s contribution to component `c` (transverse axes
+    // `a < b`) at the transverse nodes (σ, τ) = (0, 0), (0, 1), (1, 0),
+    // (1, 1).
+    let current = |seg: usize, c: &Axis<L>, fc: Lanes<L>, a: &Axis<L>, b: &Axis<L>| {
+        let amp = fc * c.d[seg];
+        let cross = a.d[seg] * b.d[seg] * TWELFTH;
+        let ([sa0, sa1], [sb0, sb1]) = (a.s[seg], b.s[seg]);
+        [
+            amp * (sa0 * sb0 + cross),
+            amp * (sa0 * sb1 - cross),
+            amp * (sa1 * sb0 - cross),
+            amp * (sa1 * sb1 + cross),
+        ]
+    };
+    let segment = |seg: usize| {
+        [
+            current(seg, &x, f[0], &y, &z),
+            current(seg, &y, f[1], &x, &z),
+            current(seg, &z, f[2], &x, &y),
+        ]
+    };
+    let segments = [segment(0), segment(1)];
 
+    // (`array::map` is left out of this loop: it does not always inline.)
     for l in 0..live {
-        let [bi, bj, bk] = [&x, &y, &z].map(|a| a.cell.0[l] as isize - 1);
-        let [lx, ly, lz] = [&x, &y, &z].map(|a| isize::from(a.low.0[l] == 0));
-        let ds = |a: &Axis<L>, r: usize| a.ds[r].0[l];
-        // Jx and Jy differ only in which in-plane axis carries the
-        // prefix; they stay two loops because one loop over a run-time
-        // axis measured 9 % slower on the whole fused pass.
-        // Jx: prefix over r, rows along the z window.
-        for (s, wyz) in (0..).zip(&w_yz) {
-            let mut running = [0.0f64; 3];
-            for r in 0..4 {
-                let mut row = [0.0f64; 3];
-                for t in 0..3 {
-                    running[t] += ds(&x, r) * wyz[t].0[l];
-                    row[t] = f[0].0[l] * running[t];
-                }
-                j.add_row(0, bi + r as isize, bj + ly + s, bk + lz, &row);
-            }
-        }
-        // Jy: prefix over s, rows along the z window.
-        for (r, wxz) in (0..).zip(&w_xz) {
-            let mut running = [0.0f64; 3];
-            for s in 0..4 {
-                let mut row = [0.0f64; 3];
-                for t in 0..3 {
-                    running[t] += ds(&y, s) * wxz[t].0[l];
-                    row[t] = f[1].0[l] * running[t];
-                }
-                j.add_row(1, bi + lx + r, bj + s as isize, bk + lz, &row);
-            }
-        }
-        // Jz: the prefix axis is the row itself.
-        for (r, w_x) in (0..).zip(&w_xy) {
-            for (s, wxy) in (0..).zip(w_x) {
-                let mut running = 0.0;
-                let row: [f64; 4] = std::array::from_fn(|t| {
-                    running += ds(&z, t) * wxy.0[l];
-                    f[2].0[l] * running
-                });
-                j.add_row(2, bi + lx + r, bj + ly + s, bk, &row);
-            }
+        for (seg, [jx, jy, jz]) in segments.iter().enumerate() {
+            let cell = |a: &Axis<L>| a.cell[seg].0[l] as isize;
+            let lane = |v: &[Lanes<L>; 4]| [v[0].0[l], v[1].0[l], v[2].0[l], v[3].0[l]];
+            j.add_segment(
+                [cell(&x), cell(&y), cell(&z)],
+                &[lane(jx), lane(jy), lane(jz)],
+            );
         }
     }
 }
@@ -278,13 +246,14 @@ pub fn deposit_charge(
     }
 }
 
-/// The 4×4×4 kernel [`deposit_current`] replaced — every support cell
-/// visited, a cell written only when its running sum is non-zero — kept
-/// as the bitwise oracle of the windowed kernel.
+/// Esirkepov's deposit (2001) on the 4-cell CIC support, the deposit
+/// [`deposit_current`] replaced, kept as the reference of its contract
+/// tests: every support cell visited, a cell written only when its
+/// running sum is non-zero.
 #[cfg(test)]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn deposit_current_oracle<S: CurrentSink>(
-    j: &mut S,
+pub(crate) fn deposit_current_oracle(
+    j: &mut VecField3,
     g: &GridSpec,
     q: f64,
     w: f64,
@@ -331,7 +300,12 @@ pub(crate) fn deposit_current_oracle<S: CurrentSink>(
                         cell[a] = base[a] + ra as isize;
                         cell[b] = base[b] + rb as isize;
                         cell[c] = base[c] + rc as isize;
-                        j.add_row(c, cell[0], cell[1], cell[2], &[f[c] * running]);
+                        let field = match c {
+                            0 => &mut j.x,
+                            1 => &mut j.y,
+                            _ => &mut j.z,
+                        };
+                        field.add(cell[0], cell[1], cell[2], f[c] * running);
                     }
                 }
             }
@@ -352,7 +326,7 @@ pub(crate) fn oracle_grid() -> GridSpec {
     }
 }
 
-/// Moves that exercise every branch of the window rule, as
+/// Moves that exercise every branch of the relay rule, as
 /// `(x0, y0, z0, x1, y1, z1)` in cell units around cell `(3, 3, 3)`:
 /// a cell crossed in each direction on each axis, no move at all,
 /// integer start and end coordinates — then `n` random ones.
@@ -390,6 +364,23 @@ pub(crate) fn oracle_moves(n: usize, seed: u64) -> Vec<[f64; 6]> {
     moves
 }
 
+/// The moves of [`oracle_moves`] as positions on [`oracle_grid`] with a
+/// slab origin, each with its charge and weight.
+#[cfg(test)]
+pub(crate) fn oracle_particles(n: usize, seed: u64, origin: f64) -> Vec<([f64; 6], f64, f64)> {
+    let g = oracle_grid();
+    let d = [g.dx, g.dy, g.dz];
+    oracle_moves(n, seed)
+        .into_iter()
+        .enumerate()
+        .map(|(n, m)| {
+            let at = |c: usize| (m[c] + if c.is_multiple_of(3) { origin } else { 0.0 }) * d[c % 3];
+            let q = if n % 2 == 0 { -1.0 } else { 1.0 };
+            (std::array::from_fn(at), q, 0.5 + n as f64 * 0.01)
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -407,7 +398,7 @@ mod tests {
                         assert_eq!(
                             va.to_bits(),
                             vb.to_bits(),
-                            "{what}: {name}({i},{j},{k}) = {va:e} vs oracle {vb:e}"
+                            "{what}: {name}({i},{j},{k}) = {va:e} vs {vb:e}"
                         );
                     }
                 }
@@ -415,42 +406,116 @@ mod tests {
         }
     }
 
-    /// The windowed kernel against the 4×4×4 oracle through the global
-    /// sink, bit for bit: single particles and a field many particles
-    /// accumulated into, with and without a slab origin.
+    /// `∇·J` at node `(i, j, k)` (the divergence the continuity equation
+    /// takes).
+    fn divergence(j: &VecField3, g: &GridSpec, i: isize, jj: isize, k: isize) -> f64 {
+        (j.x.get(i, jj, k) - j.x.get(i - 1, jj, k)) / g.dx
+            + (j.y.get(i, jj, k) - j.y.get(i, jj - 1, k)) / g.dy
+            + (j.z.get(i, jj, k) - j.z.get(i, jj, k - 1)) / g.dz
+    }
+
+    /// The lane kernel against its one-lane instance through the global
+    /// sink, bit for bit: [`LANES`](crate::tile::LANES) moves at a time
+    /// with a partial last group, into a field many particles accumulate
+    /// into, with and without a slab origin.
     #[test]
-    fn windowed_deposit_equals_the_oracle_bitwise() {
+    fn lane_kernel_equals_the_one_lane_instance_bitwise() {
+        use crate::tile::LANES;
+        let g = oracle_grid();
         for origin in [0.0, 5.0] {
-            let g = oracle_grid();
-            let mut sum_new = VecField3::zeros(8, 8, 8);
-            let mut sum_old = VecField3::zeros(8, 8, 8);
-            for (n, m) in oracle_moves(300, 17).into_iter().enumerate() {
-                let pos = |c: f64, d: f64, o: f64| (c + o) * d;
-                let (q, w) = (if n % 2 == 0 { -1.0 } else { 1.0 }, 0.5 + n as f64 * 0.01);
-                let args = (
-                    pos(m[0], g.dx, origin),
-                    pos(m[1], g.dy, 0.0),
-                    pos(m[2], g.dz, 0.0),
-                    pos(m[3], g.dx, origin),
-                    pos(m[4], g.dy, 0.0),
-                    pos(m[5], g.dz, 0.0),
-                );
-                let mut one_new = VecField3::zeros(8, 8, 8);
-                let mut one_old = VecField3::zeros(8, 8, 8);
-                for (new, old) in [(&mut one_new, &mut one_old), (&mut sum_new, &mut sum_old)] {
-                    let (x0, y0, z0, x1, y1, z1) = args;
-                    deposit_current(new, &g, q, w, x0, y0, z0, x1, y1, z1, origin);
-                    deposit_current_oracle(old, &g, q, w, x0, y0, z0, x1, y1, z1, origin);
-                }
-                assert_bitwise_equal(&one_new, &one_old, &format!("move {n} {m:?}"));
+            let particles = oracle_particles(301, 17, origin);
+            assert_ne!(particles.len() % LANES, 0, "the last group must be partial");
+            let mut one = VecField3::zeros(8, 8, 8);
+            for &([x0, y0, z0, x1, y1, z1], _, w) in &particles {
+                deposit_current(&mut one, &g, -1.0, w, x0, y0, z0, x1, y1, z1, origin);
             }
-            assert_bitwise_equal(&sum_new, &sum_old, "accumulated");
+            let mut lanes = VecField3::zeros(8, 8, 8);
+            for group in particles.chunks(LANES) {
+                let lane = |l: usize| group[l.min(group.len() - 1)];
+                let r0 = std::array::from_fn(|a| Lanes::<LANES>::from_fn(|l| lane(l).0[a]));
+                let r1 = std::array::from_fn(|a| Lanes::from_fn(|l| lane(l).0[3 + a]));
+                let w = Lanes::from_fn(|l| lane(l).2);
+                deposit_current_lanes(&mut lanes, &g, -1.0, w, r0, r1, origin, group.len());
+            }
+            assert_bitwise_equal(&lanes, &one, &format!("origin {origin}"));
+            assert!(one.x.sq_sum_interior() > 0.0);
+        }
+    }
+
+    /// A move that stays inside one cell on every axis deposits
+    /// Esirkepov's current, to round-off: the zigzag's two halves add up
+    /// to the straight move.
+    #[test]
+    fn moves_inside_one_cell_deposit_esirkepov_current() {
+        let g = oracle_grid();
+        let mut inside = 0;
+        for ([x0, y0, z0, x1, y1, z1], q, w) in oracle_particles(600, 29, 0.0) {
+            let (c0, c1) = (
+                [x0 / g.dx, y0 / g.dy, z0 / g.dz],
+                [x1 / g.dx, y1 / g.dy, z1 / g.dz],
+            );
+            if (0..3).any(|a| c0[a].floor() != c1[a].floor()) {
+                continue;
+            }
+            inside += 1;
+            let mut emz = VecField3::zeros(8, 8, 8);
+            let mut esirkepov = VecField3::zeros(8, 8, 8);
+            deposit_current(&mut emz, &g, q, w, x0, y0, z0, x1, y1, z1, 0.0);
+            deposit_current_oracle(&mut esirkepov, &g, q, w, x0, y0, z0, x1, y1, z1, 0.0);
+            let scale = [&esirkepov.x, &esirkepov.y, &esirkepov.z]
+                .iter()
+                .flat_map(|f| f.raw().iter())
+                .fold(0.0f64, |m, v| m.max(v.abs()));
+            for (a, b) in [
+                (&emz.x, &esirkepov.x),
+                (&emz.y, &esirkepov.y),
+                (&emz.z, &esirkepov.z),
+            ] {
+                for (u, v) in a.raw().iter().zip(b.raw()) {
+                    assert!(
+                        (u - v).abs() <= 16.0 * f64::EPSILON * scale,
+                        "{c0:?} → {c1:?}: {u:e} vs Esirkepov {v:e}"
+                    );
+                }
+            }
+        }
+        assert!(inside > 50, "only {inside} moves stayed inside one cell");
+    }
+
+    /// Any move: the zigzag's current and Esirkepov's differ by a
+    /// divergence-free field, to round-off, at every node.
+    #[test]
+    fn emz_and_esirkepov_currents_have_the_same_divergence() {
+        let g = oracle_grid();
+        for ([x0, y0, z0, x1, y1, z1], q, w) in oracle_particles(600, 31, 0.0) {
+            let mut emz = VecField3::zeros(8, 8, 8);
+            let mut esirkepov = VecField3::zeros(8, 8, 8);
+            deposit_current(&mut emz, &g, q, w, x0, y0, z0, x1, y1, z1, 0.0);
+            deposit_current_oracle(&mut esirkepov, &g, q, w, x0, y0, z0, x1, y1, z1, 0.0);
+            let scale = [&esirkepov.x, &esirkepov.y, &esirkepov.z]
+                .iter()
+                .flat_map(|f| f.raw().iter())
+                .fold(0.0f64, |m, v| m.max(v.abs()))
+                / g.dx.min(g.dy).min(g.dz);
+            for i in -1..10isize {
+                for jj in 0..8isize {
+                    for k in 0..8isize {
+                        let div =
+                            divergence(&emz, &g, i, jj, k) - divergence(&esirkepov, &g, i, jj, k);
+                        assert!(
+                            div.abs() <= 64.0 * f64::EPSILON * scale,
+                            "move {:?}: ∇·(J_EmZ − J_Esirkepov) = {div:e} at ({i},{jj},{k})",
+                            [x0, y0, z0, x1, y1, z1]
+                        );
+                    }
+                }
+            }
         }
     }
 
     /// The headline property: discrete continuity to machine precision.
     #[test]
-    fn esirkepov_satisfies_discrete_continuity() {
+    fn emz_satisfies_discrete_continuity() {
         let g = GridSpec::cubic(8, 8, 8, 1.0, 0.9);
         let mut rng = StdRng::seed_from_u64(42);
         for trial in 0..50 {

@@ -2,7 +2,7 @@
 //!
 //! The slab domain decomposition splits the global grid along x, so every
 //! scalar field keeps [`GHOSTS`] ghost layers on both x-sides (wide enough
-//! for the Esirkepov deposition support and the staggered gathers). y and z
+//! for the current deposition support and the staggered gathers). y and z
 //! stay node-local and periodic, handled by index wrapping.
 
 /// Ghost-layer width on each x side.

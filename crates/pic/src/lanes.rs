@@ -75,10 +75,16 @@ impl<const L: usize> Lanes<L> {
         Mask(from_fn(|l| mask(self.0[l] > o.0[l])))
     }
 
-    /// Lanes where `self ≠ o` (NaN ≠ everything).
+    /// The smaller of `self` and `o` per lane (`o` where `o < self`).
     #[inline(always)]
-    pub(crate) fn ne(self, o: Self) -> Mask<L> {
-        Mask(from_fn(|l| mask(self.0[l] != o.0[l])))
+    pub(crate) fn min(self, o: Self) -> Self {
+        self.select(self.gt(o), o)
+    }
+
+    /// The larger of `self` and `o` per lane (`o` where `o > self`).
+    #[inline(always)]
+    pub(crate) fn max(self, o: Self) -> Self {
+        self.select(o.gt(self), o)
     }
 
     /// `if m { yes } else { self }` per lane, by bit pattern.
@@ -202,7 +208,8 @@ mod tests {
                 ((-a).0[l], -x),
                 (a.abs().sqrt().0[l], x.abs().sqrt()),
                 (a.select(a.gt(b), b).0[l], if x > y { y } else { x }),
-                (a.select(a.ne(b), b).0[l], if x != y { y } else { x }),
+                (a.min(b).0[l], if y < x { y } else { x }),
+                (a.max(b).0[l], if y > x { y } else { x }),
             ];
             for (k, (got, want)) in pairs.into_iter().enumerate() {
                 assert!(

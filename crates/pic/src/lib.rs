@@ -5,7 +5,8 @@
 //!
 //! - **Yee-staggered FDTD** Maxwell solver ([`maxwell`]),
 //! - **relativistic Boris pusher** ([`pusher`]),
-//! - **Esirkepov charge-conserving current deposition** ([`deposit`]),
+//! - **charge-conserving current deposition**, "Esirkepov meets ZigZag"
+//!   ([`deposit`]),
 //! - **CIC field gather** respecting the Yee staggering ([`gather`]),
 //! - SoA particle storage with supercell sorting for locality
 //!   ([`particles`]), mirroring PIConGPU's supercell data layout,
@@ -31,7 +32,7 @@
 //!    ranges.
 //! 2. Rayon workers claim whole tiles (dynamic scheduling). Per tile they
 //!    stage a [`tile::FieldPatch`] view of E/B (tile + 1-cell gather
-//!    halo), then run gather → Boris push → move → Esirkepov deposit
+//!    halo), then run gather → Boris push → move → zigzag deposit
 //!    [`tile::LANES`] particles at a time ([`lanes::Lanes`] arithmetic,
 //!    bit-identical to one particle at a time), depositing into a
 //!    [`tile::TileAccumulator`] (tile + 2-cell deposit halo). Tiles own

@@ -4,7 +4,7 @@
 //! 1. gather `E`,`B` at particle positions (time n);
 //! 2. Boris-push momenta `u^{n−½} → u^{n+½}` and move
 //!    `x^n → x^{n+1} = x^n + Δt·v^{n+½}`;
-//! 3. Esirkepov-deposit the half-step current `J^{n+½}`;
+//! 3. deposit the half-step current `J^{n+½}` (charge-conserving zigzag);
 //! 4. advance fields: `B` half step, `E` full step, `B` half step.
 //!
 //! Steps 1–3 run as one fused, supercell-tiled, rayon-parallel pass
@@ -198,7 +198,7 @@ impl Simulation {
 
     /// The seed's push-then-serial-deposit step, kept as the equivalence
     /// and throughput baseline: a parallel Boris push materialises an O(N)
-    /// move list, then Esirkepov deposition runs serially in particle
+    /// move list, then the current deposition runs serially in particle
     /// order.
     pub fn step_reference(&mut self) {
         let g = self.spec;

@@ -1,7 +1,7 @@
 //! Gauss's law as a property of the whole step, across tiles, slab seams
 //! and ghost layers.
 //!
-//! Esirkepov deposition satisfies the discrete continuity equation and the
+//! The zigzag deposit satisfies the discrete continuity equation and the
 //! Yee divergence of a Yee curl vanishes, so the residual `∇·E − ρ` at
 //! every node — Yee divergence of E against the CIC charge of all species
 //! — must stay at its initial value through any number of steps. A lost,

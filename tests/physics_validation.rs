@@ -128,8 +128,9 @@ fn khi_stream_is_non_steady() {
     );
 }
 
-/// Total charge is exactly conserved by the Esirkepov scheme across a
-/// long run (the continuity equation integrated over the box).
+/// Total charge is exactly conserved by the charge-conserving zigzag
+/// deposit ("Esirkepov meets ZigZag") across a long run (the continuity
+/// equation integrated over the box).
 #[test]
 fn charge_conservation_over_long_run() {
     let g = GridSpec::cubic(8, 8, 4, 0.5, 0.5);
