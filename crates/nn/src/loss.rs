@@ -451,69 +451,12 @@ mod tests {
         (loss, grad)
     }
 
-    /// [`chamfer_cloud`] with `(value, index)` column minima and a
-    /// branching row scan, kept as the bitwise oracle of its selects.
-    fn chamfer_cloud_oracle(ps: &[f32], ts: &[f32], d: usize) -> (f64, Vec<f32>) {
-        let (n, m) = (ps.len() / d, ts.len() / d);
-        let mut grad = vec![0.0f32; n * d];
-        let mut loss = 0.0f64;
-        // One pass over the n×m distances serves both directions: row
-        // minima are direction 1, running column minima (strict `<` over
-        // ascending `i`: the first nearest prediction wins a tie) are
-        // direction 2. Coordinate-major targets let one prediction's
-        // distances vectorise, each still summed in `sqdist` order.
-        let mut coords = vec![0.0f32; d * m];
-        for (j, t) in ts.chunks_exact(d).enumerate() {
-            for (k, &tk) in t.iter().enumerate() {
-                coords[k * m + j] = tk;
-            }
-        }
-        let mut dist = vec![0.0f32; m];
-        let mut nearest_pred = vec![(f32::INFINITY, 0usize); m];
-        // Direction 1: every predicted point to its nearest target.
-        for (i, p) in ps.chunks_exact(d).enumerate() {
-            dist.fill(0.0);
-            for (&pk, coord) in p.iter().zip(coords.chunks_exact(m.max(1))) {
-                for (acc, &tk) in dist.iter_mut().zip(coord) {
-                    let diff = pk - tk;
-                    *acc += diff * diff;
-                }
-            }
-            let mut best = f32::INFINITY;
-            let mut bj = 0;
-            for (j, (&dj, col)) in dist.iter().zip(nearest_pred.iter_mut()).enumerate() {
-                if dj < best {
-                    best = dj;
-                    bj = j;
-                }
-                if dj < col.0 {
-                    *col = (dj, i);
-                }
-            }
-            loss += best as f64 / n as f64;
-            let t = &ts[bj * d..(bj + 1) * d];
-            for k in 0..d {
-                grad[i * d + k] += 2.0 * (p[k] - t[k]) / n as f32;
-            }
-        }
-        // Direction 2: every target point to its nearest prediction.
-        for (j, &(best, bi)) in nearest_pred.iter().enumerate() {
-            let t = &ts[j * d..(j + 1) * d];
-            loss += best as f64 / m as f64;
-            let p = &ps[bi * d..(bi + 1) * d];
-            for k in 0..d {
-                grad[bi * d + k] += 2.0 * (p[k] - t[k]) / m as f32;
-            }
-        }
-        (loss, grad)
-    }
-
-    /// The select-based minima against the branching oracle, bit for bit,
-    /// through both CPU instances: random clouds whose coordinates sit on
-    /// a coarse grid, so equal distances (ties in both directions) are
-    /// common, plus a NaN coordinate in one cloud.
+    /// The select-based minima against the two-pass definition's strict
+    /// `<` scans, bit for bit, through both CPU instances: random clouds
+    /// whose coordinates sit on a coarse grid, so equal distances (ties in
+    /// both directions) are common, plus a NaN coordinate in one cloud.
     #[test]
-    fn select_minima_equal_the_branching_oracle_bitwise() {
+    fn select_minima_equal_the_two_pass_definition_bitwise() {
         let mut rng = TensorRng::seeded(33);
         let mut ties = 0;
         for (case, (n, m, d)) in [(64, 256, 6), (9, 45, 6), (13, 7, 3), (1, 1, 2), (8, 17, 1)]
@@ -535,7 +478,7 @@ mod tests {
                 target.data_mut()[0] = f32::NAN;
             }
             let (ps, ts) = (pred.data(), target.data());
-            let want = chamfer_cloud_oracle(ps, ts, d);
+            let want = chamfer_two_pass(ps, ts, d);
             let row = |i: usize| &ps[i * d..(i + 1) * d];
             ties += (0..n)
                 .filter(|&i| {

@@ -108,8 +108,10 @@ impl<const L: usize> Axis<L> {
         let i0 = c0.floor();
         // A longer move (see `deposit_current`) ends clamped into
         // `[i⁰ − 1, i⁰ + 2]`, in a cell of `[i⁰ − 1, i⁰ + 1]`; for a move
-        // under a cell both clamps are the identity.
-        let c1 = c1.max(i0 - 1.0).min(i0 + 2.0);
+        // under a cell both clamps are the identity. The bound comes first
+        // because `max` keeps `self` where the compare fails: a NaN end
+        // becomes `i⁰ − 1`, not a NaN cell index.
+        let c1 = (i0 - 1.0).max(c1).min(i0 + 2.0);
         let i1 = c1.floor().min(i0 + 1.0);
         let relay = (i0.min(i1) + 1.0).min(i0.max(i1).max((c0 + c1) * 0.5));
         let m0 = (c0 + relay) * 0.5 - i0;
@@ -132,7 +134,8 @@ impl<const L: usize> Axis<L> {
 /// one cell per axis, and only a debug build asserts it. A release build
 /// given a longer move clamps its end, per axis, into `[i⁰ − 1, i⁰ + 2]`
 /// (`i⁰` the start cell) and deposits the charge-conserving current of
-/// the clamped move; the charge of the part clamped off is lost. Every
+/// the clamped move; the charge of the part clamped off is lost. An
+/// infinite end clamps the same way and a NaN end to `i⁰ − 1`. Every
 /// write therefore stays inside the 4-cell box `[i⁰ − 1, i⁰ + 2]` around
 /// the start cell, which is all the tile accumulators' unchecked indexing
 /// relies on

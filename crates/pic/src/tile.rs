@@ -314,7 +314,8 @@ impl CurrentSink for TileAccumulator {
                 // binning is refreshed each step, and
                 // `deposit_current_lanes` never writes outside the 4-cell
                 // box around a start cell, not even for a move longer than
-                // a cell — which the halo covers. Unchecked indexing
+                // a cell or with a NaN or infinite end — which the halo
+                // covers. Unchecked indexing
                 // removes 24 bounds checks per particle from the hottest
                 // loop of the code base.
                 unsafe { *cells.get_unchecked_mut(at + o) += v };
@@ -987,11 +988,12 @@ mod tests {
     /// build asserts against it, so this runs in release): through the
     /// lane kernel and a tile accumulator, moves of 1–1.9 cells — on each
     /// axis alone, on all three, mixed into lane groups with normal moves
-    /// — write only inside the 4-cell box around their start cell, each
-    /// lane's current is that of its one-lane instance bit for bit, and it
-    /// carries exactly the charge of the move with its end clamped into
-    /// that box: discrete continuity between the start and the clamped end
-    /// holds to round-off.
+    /// — and moves with a NaN or infinite end coordinate write only inside
+    /// the 4-cell box around their start cell, each lane's current is that
+    /// of its one-lane instance bit for bit, and it carries exactly the
+    /// charge of the move with its end clamped into that box (a NaN end to
+    /// the box's lower edge): discrete continuity between the start and
+    /// the clamped end holds to round-off.
     #[test]
     #[cfg_attr(debug_assertions, ignore = "a debug build asserts moves under a cell")]
     fn long_moves_stay_in_the_box_and_conserve_the_clamped_charge() {
@@ -1007,7 +1009,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         // (axis mask of the long displacement, or 0 for a normal move).
         let kinds = [1, 0, 2, 0, 4, 0, 0, 7, 7, 0, 1, 2, 0, 0, 0, 4, 3, 5, 6, 0];
-        let moves: Vec<[f64; 6]> = kinds
+        let mut moves: Vec<[f64; 6]> = kinds
             .iter()
             .map(|&kind: &u32| {
                 let c0: [f64; 3] = std::array::from_fn(|_| rng.gen_range(4.0..8.0));
@@ -1035,6 +1037,12 @@ mod tests {
                 })
             })
             .collect();
+        // Non-finite ends, as a push from an infinite or NaN momentum
+        // leaves them: each in a lane group with finite moves.
+        moves[3][3] = f64::NAN;
+        moves[9][4] = f64::INFINITY;
+        moves[13][5] = f64::NEG_INFINITY;
+        moves[19][3..].fill(f64::NAN);
         let (mut lanes, mut one) = (TileAccumulator::default(), TileAccumulator::default());
         lanes.reset(tile);
         one.reset(tile);
@@ -1045,11 +1053,9 @@ mod tests {
             let w = Lanes::<LANES>::from_fn(|l| 0.5 + 0.1 * l as f64);
             let mut rec = Recorder::default();
             deposit_current_lanes(&mut rec, &g, -1.0, w, r0, r1, 0.0, LANES);
-            deposit_current_lanes(&mut lanes, &g, -1.0, w, r0, r1, 0.0, LANES);
             assert_eq!(rec.0.len(), 2 * LANES, "two segments per lane");
             for (l, m) in group.iter().enumerate() {
                 let [x0, y0, z0, x1, y1, z1] = *m;
-                deposit_current(&mut one, &g, -1.0, w.0[l], x0, y0, z0, x1, y1, z1, 0.0);
                 let start = [x0 / g.dx, y0 / g.dy, z0 / g.dz].map(f64::floor);
                 let mut j = VecField3::zeros(12, 12, 12);
                 for (cell, v) in &rec.0[2 * l..2 * l + 2] {
@@ -1065,10 +1071,15 @@ mod tests {
                     }
                     j.add_segment(*cell, v);
                 }
+                // Only now, with its cells checked, into a tile
+                // accumulator.
+                deposit_current(&mut one, &g, -1.0, w.0[l], x0, y0, z0, x1, y1, z1, 0.0);
                 // The end clamped into the box, in cell units and back
                 // (exact: the cell sizes are powers of two).
                 let end: [f64; 3] = std::array::from_fn(|a| {
-                    (m[3 + a] / d[a]).clamp(start[a] - 1.0, start[a] + 2.0) * d[a]
+                    let c = m[3 + a] / d[a];
+                    let c = if c.is_nan() { start[a] - 1.0 } else { c };
+                    c.clamp(start[a] - 1.0, start[a] + 2.0) * d[a]
                 });
                 let mut rho0 = ScalarField3::zeros(12, 12, 12);
                 let mut rho1 = ScalarField3::zeros(12, 12, 12);
@@ -1094,6 +1105,7 @@ mod tests {
                     }
                 }
             }
+            deposit_current_lanes(&mut lanes, &g, -1.0, w, r0, r1, 0.0, LANES);
         }
         for c in 0..3 {
             let same = lanes.j[c]
