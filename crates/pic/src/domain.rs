@@ -190,8 +190,10 @@ impl<C: Collective> DistributedSim<C> {
         };
         let mut builder = SimulationBuilder::new(local_spec);
         for mut sp in all_particles {
-            // Keep only this slab's particles.
+            // Keep only this slab's particles, in an allocation sized to
+            // them rather than to the whole box.
             sp.drain_outside_x(x_lo, x_hi, |_| {});
+            sp.shrink_to_headroom();
             builder = builder.species(sp);
         }
         Self {
@@ -396,6 +398,42 @@ mod tests {
         };
         assert_eq!(per_rank_step(&elided, &two_rank_run(false, 10)), 28);
         assert_eq!(per_rank_step(&forced, &two_rank_run(true, 10)), 40);
+    }
+
+    /// A slab holds about a world's share of the box's particles, and
+    /// allocates for its own count plus an eighth, not for the whole box
+    /// the setup built.
+    #[test]
+    fn a_slab_allocates_for_its_own_particles() {
+        let g = khi_grid();
+        let setup = KhiSetup {
+            ppc: 2,
+            ..KhiSetup::default()
+        };
+        let total = setup.all_species(&g)[0].len();
+        let handles: Vec<_> = CommWorld::new(4)
+            .into_endpoints()
+            .into_iter()
+            .map(|comm| {
+                std::thread::spawn(move || {
+                    let d = DistributedSim::new(comm, g, setup.all_species(&g));
+                    for sp in &d.local.species {
+                        let n = sp.len();
+                        assert!(n > 0 && n < total / 2, "{n} of {total}");
+                        for v in [&sp.x, &sp.y, &sp.z, &sp.ux, &sp.uy, &sp.uz, &sp.w] {
+                            assert!(
+                                v.capacity() <= n + n / 8,
+                                "capacity {} for {n} particles",
+                                v.capacity()
+                            );
+                        }
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
     }
 
     #[test]

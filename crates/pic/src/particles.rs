@@ -161,6 +161,25 @@ impl ParticleBuffer {
         self.truncate(keep);
     }
 
+    /// Give back the capacity beyond the particle count plus an eighth
+    /// (the head-room of [`resize_scratch`]): a slab cut out of a buffer
+    /// built for the whole box would otherwise keep the whole box's
+    /// allocation.
+    pub(crate) fn shrink_to_headroom(&mut self) {
+        let n = self.len() + self.len() / 8;
+        for v in [
+            &mut self.x,
+            &mut self.y,
+            &mut self.z,
+            &mut self.ux,
+            &mut self.uy,
+            &mut self.uz,
+            &mut self.w,
+        ] {
+            v.shrink_to(n);
+        }
+    }
+
     fn truncate(&mut self, n: usize) {
         self.x.truncate(n);
         self.y.truncate(n);
