@@ -62,13 +62,16 @@ const STAGGER: [[usize; 3]; 6] = [
 
 /// The trilinear body: all six components from the per-axis supports
 /// (`axes[a][stagger]`) of `L` positions. `at(c, idx)` reads component
-/// `c` at flat index `idx`.
+/// `c` at flat index `idx`. A plain loop, not `std::array::from_fn`,
+/// whose closure the compiler may leave out of line — and then compiled
+/// for the baseline target inside an AVX2 instance.
 #[inline(always)]
 pub(crate) fn gather_six<const L: usize>(
     at: impl Fn(usize, usize) -> f64,
     axes: &[[Support<L>; 2]; 3],
 ) -> [Lanes<L>; 6] {
-    std::array::from_fn(|c| {
+    let mut out = [Lanes([0.0; L]); 6];
+    for (c, out) in out.iter_mut().enumerate() {
         let x = &axes[0][STAGGER[c][0]];
         let y = &axes[1][STAGGER[c][1]];
         let z = &axes[2][STAGGER[c][2]];
@@ -77,15 +80,16 @@ pub(crate) fn gather_six<const L: usize>(
             Lanes::from_fn(|l| at(c, i[l] + j[l] + k[l]))
         };
         let (wx, wy, wz) = (x.w, y.w, z.w);
-        (1.0 - wx) * (1.0 - wy) * (1.0 - wz) * corner(&x.lo, &y.lo, &z.lo)
+        *out = (1.0 - wx) * (1.0 - wy) * (1.0 - wz) * corner(&x.lo, &y.lo, &z.lo)
             + (1.0 - wx) * (1.0 - wy) * wz * corner(&x.lo, &y.lo, &z.hi)
             + (1.0 - wx) * wy * (1.0 - wz) * corner(&x.lo, &y.hi, &z.lo)
             + (1.0 - wx) * wy * wz * corner(&x.lo, &y.hi, &z.hi)
             + wx * (1.0 - wy) * (1.0 - wz) * corner(&x.hi, &y.lo, &z.lo)
             + wx * (1.0 - wy) * wz * corner(&x.hi, &y.lo, &z.hi)
             + wx * wy * (1.0 - wz) * corner(&x.hi, &y.hi, &z.lo)
-            + wx * wy * wz * corner(&x.hi, &y.hi, &z.hi)
-    })
+            + wx * wy * wz * corner(&x.hi, &y.hi, &z.hi);
+    }
+    out
 }
 
 /// E and B interpolated at one particle position: [`gather_eb_lanes`] at

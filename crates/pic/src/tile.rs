@@ -40,7 +40,9 @@
 //! `i + 1`'s, so the pass is bit-identical to one
 //! particle at a time (the `#[cfg(test)]` oracle). A tile's last group
 //! pads its idle lanes with copies of a live particle and neither stores
-//! nor deposits them.
+//! nor deposits them. The tile body is compiled twice, for the baseline
+//! target and for AVX2 without FMA, and picked at run time: one
+//! instruction set wider, the same bits.
 //!
 //! Because a particle moves less than one cell per step (CFL) and binning
 //! is refreshed *every* step, the deposition support of a tile's particles
@@ -64,11 +66,9 @@ use std::ops::Range;
 
 /// Particles the fused pass (and the radiation state gather) processes
 /// at once: two SSE2 registers per lane array, or one AVX register in the
-/// radiation chunk's AVX2 instance. Measured on the fused pass of a
-/// `sim_bound` slab, two lanes are 7 % slower and eight (register spills)
-/// 31 % slower. The pass itself has only the baseline instance: it is
-/// divider- and scatter-bound, and an AVX2 instance took 2.6 % off a
-/// one-thread `Simulation::step`.
+/// pass's and the radiation chunk's AVX2 instances. Measured on the fused
+/// pass of a `sim_bound` slab, two lanes are 7 % slower and eight
+/// (register spills) 31 % slower.
 pub const LANES: usize = 4;
 
 /// Halo width (cells) of a tile-local accumulator on every side: the
@@ -371,7 +371,7 @@ impl FieldPatch {
     /// (`x/dx − x_origin_cell`, `y/dy`, `z/dz`) at least half a cell below
     /// the tile's first cell and below its end, on every axis. The loads
     /// are unchecked.
-    #[inline]
+    #[inline(always)]
     pub unsafe fn gather<const L: usize>(
         &self,
         g: &GridSpec,
@@ -489,6 +489,9 @@ struct Pass {
 /// runs (0 in single-domain mode); `extents` is the periodic box the
 /// positions wrap into — the *global* box, so a slab's leavers come out
 /// already wrapped and only need re-homing.
+///
+/// The per-tile body runs as its AVX2 instance on a CPU that has AVX2
+/// ([`push_tile_avx2`]), bit for bit.
 #[allow(clippy::too_many_arguments)]
 pub fn fused_push_deposit(
     sp: &mut ParticleBuffer,
@@ -500,6 +503,37 @@ pub fn fused_push_deposit(
     extents: (f64, f64, f64),
     edge: usize,
     pool: &mut TilePool,
+) {
+    let avx2 = has_avx2();
+    fused_pass(sp, e, b, j, g, x_origin_cell, extents, edge, pool, avx2);
+}
+
+/// True when the CPU runs the AVX2 instance of the fused pass.
+fn has_avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// [`fused_push_deposit`] on the instance `avx2` names (true only on a
+/// CPU that has AVX2).
+#[allow(clippy::too_many_arguments)]
+fn fused_pass(
+    sp: &mut ParticleBuffer,
+    e: &VecField3,
+    b: &VecField3,
+    j: &mut VecField3,
+    g: &GridSpec,
+    x_origin_cell: f64,
+    extents: (f64, f64, f64),
+    edge: usize,
+    pool: &mut TilePool,
+    avx2: bool,
 ) {
     let pass = Pass {
         g: *g,
@@ -550,9 +584,16 @@ pub fn fused_push_deposit(
             let tile = grid.tile_box(t);
             acc.reset(tile);
             lease.patch.load(e, b, tile);
+            let patch = &lease.patch;
+            #[cfg(target_arch = "x86_64")]
+            if avx2 {
+                // SAFETY: as below, and `avx2` is true only on a CPU that
+                // has AVX2.
+                return unsafe { push_tile_avx2(&pass, tile, patch, acc, soa, lo..hi) };
+            }
             // SAFETY: `lo..hi` ranges of distinct tiles are disjoint, so
             // this tile has exclusive access to its particles.
-            unsafe { push_tile(&pass, tile, &lease.patch, acc, soa, lo..hi) };
+            unsafe { push_tile(&pass, tile, patch, acc, soa, lo..hi) };
         },
     );
 
@@ -568,14 +609,35 @@ pub fn fused_push_deposit(
     }
 }
 
+/// [`push_tile`] compiled for AVX2, without FMA, so every bit is the
+/// baseline instance's (see `as_tensor::matmul`'s CPU instances).
+///
+/// # Safety
+///
+/// [`push_tile`]'s contract, on a CPU that has AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn push_tile_avx2(
+    p: &Pass,
+    tile: TileBox,
+    patch: &FieldPatch,
+    acc: &mut TileAccumulator,
+    soa: SoAPtr,
+    range: Range<usize>,
+) {
+    push_tile(p, tile, patch, acc, soa, range)
+}
+
 /// Pushes and deposits the particles `range` of one tile into `acc`,
-/// [`LANES`] at a time (see the module docs).
+/// [`LANES`] at a time (see the module docs). Always inlined, so the
+/// AVX2 instance compiles it too.
 ///
 /// # Safety
 ///
 /// `range` is the tile's range of the supercell offset table, inside the
 /// arrays behind `soa`, and no other tile reads or writes those
 /// particles.
+#[inline(always)]
 unsafe fn push_tile(
     p: &Pass,
     tile: TileBox,
@@ -847,7 +909,8 @@ mod tests {
             .find(|&v| v / d - origin >= n as f64)
     }
 
-    /// The lane pass against the one-at-a-time oracle, bit for bit:
+    /// The lane pass, each instance this CPU runs, against the
+    /// one-at-a-time oracle, bit for bit:
     /// tiles holding 0, 1, `LANES − 1`, `LANES`, `LANES + 1` and
     /// `2·LANES + 1` particles, seam-nudged positions inside a lane
     /// group, electrons and ions pushed into one current, on a slab whose
@@ -932,46 +995,46 @@ mod tests {
             .count();
         assert!(seam_lanes > 0 || seam_position(d, origin, n).is_none());
 
-        type Pass = fn(
-            &mut ParticleBuffer,
-            &VecField3,
-            &VecField3,
-            &mut VecField3,
-            &GridSpec,
-            f64,
-            (f64, f64, f64),
-            usize,
-            &mut TilePool,
-        );
-        let run = |pass: Pass| {
+        let run = |pass: &dyn Fn(&mut ParticleBuffer, &mut VecField3, &mut TilePool)| {
             let mut sps = species.clone();
             let mut j = VecField3::zeros(n, n, n);
             let mut pool = TilePool::new();
             for _ in 0..2 {
                 j.clear();
                 for sp in &mut sps {
-                    pass(sp, &e, &b, &mut j, &g, origin, extents, 4, &mut pool);
+                    pass(sp, &mut j, &mut pool);
                 }
             }
             (sps, j)
         };
-        let (lanes, j_lanes) = run(fused_push_deposit);
-        let (oracle, j_oracle) = run(fused_push_deposit_oracle);
-        for (si, (a, o)) in lanes.iter().zip(&oracle).enumerate() {
-            for (name, va, vo) in [
-                ("x", &a.x, &o.x),
-                ("y", &a.y, &o.y),
-                ("z", &a.z, &o.z),
-                ("ux", &a.ux, &o.ux),
-                ("uy", &a.uy, &o.uy),
-                ("uz", &a.uz, &o.uz),
-            ] {
-                let bits = |v: &Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(va), bits(vo), "species {si}: {name}");
-            }
+        let (oracle, j_oracle) = run(&|sp, j, pool| {
+            fused_push_deposit_oracle(sp, &e, &b, j, &g, origin, extents, 4, pool)
+        });
+        let mut instances = vec![("sse2", false)];
+        if has_avx2() {
+            instances.push(("avx2", true));
+        } else {
+            eprintln!("no AVX2 on this CPU: checking the baseline instance alone");
         }
-        assert_fields_bitwise_equal(&j_lanes, &j_oracle, "two lane passes");
-        assert!(j_lanes.x.raw().iter().any(|&v| v != 0.0));
+        for (instance, avx2) in instances {
+            let (lanes, j_lanes) =
+                run(&|sp, j, pool| fused_pass(sp, &e, &b, j, &g, origin, extents, 4, pool, avx2));
+            for (si, (a, o)) in lanes.iter().zip(&oracle).enumerate() {
+                for (name, va, vo) in [
+                    ("x", &a.x, &o.x),
+                    ("y", &a.y, &o.y),
+                    ("z", &a.z, &o.z),
+                    ("ux", &a.ux, &o.ux),
+                    ("uy", &a.uy, &o.uy),
+                    ("uz", &a.uz, &o.uz),
+                ] {
+                    let bits = |v: &Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(va), bits(vo), "{instance}, species {si}: {name}");
+                }
+            }
+            assert_fields_bitwise_equal(&j_lanes, &j_oracle, instance);
+            assert!(j_lanes.x.raw().iter().any(|&v| v != 0.0));
+        }
     }
 
     /// A sink that records every segment a deposit adds.
