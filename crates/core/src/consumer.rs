@@ -664,19 +664,31 @@ fn encode_window(
     let step = p_it.iteration;
     let mut samples = Vec::new();
 
-    // Build one sample per flow region.
+    // One pass over the particles: classify each once and fold it into its
+    // region's bounding box. The folds run in index order per region, the
+    // order per-region passes took, so the boxes keep every bit.
     let (_, ly, _) = cfg.grid.extents();
-    for (region_idx, _region) in FlowRegion::all().iter().enumerate() {
-        let idx: Vec<usize> = (0..xs.len())
-            .filter(|&i| region_of(ys.get_f64(i), ly, cfg.shear_width) == region_idx)
-            .collect();
+    let mut regions =
+        FlowRegion::all().map(|_| (Vec::new(), [f64::INFINITY; 3], [f64::NEG_INFINITY; 3]));
+    for i in 0..xs.len() {
+        let r = [xs.get_f64(i), ys.get_f64(i), zs.get_f64(i)];
+        let (idx, lo, hi) = &mut regions[region_of(r[1], ly, cfg.shear_width)];
+        idx.push(i);
+        for a in 0..3 {
+            lo[a] = lo[a].min(r[a]);
+            hi[a] = hi[a].max(r[a]);
+        }
+    }
+
+    // Build one sample per flow region.
+    for (region_idx, (idx, lo, hi)) in regions.iter().enumerate() {
         if idx.is_empty() {
             continue;
         }
-        let (center, half) = bounding_box_view(&xs, &ys, &zs, &idx);
+        let (center, half) = center_half(*lo, *hi);
         let points = cfg
             .encode
-            .encode_points_view(&xs, &ys, &zs, &uxs, &uys, &uzs, &idx, center, half, enc_rng);
+            .encode_points_view(&xs, &ys, &zs, &uxs, &uys, &uzs, idx, center, half, enc_rng);
         let flat = r_it.f32_array_view(&format!("radiation/region{region_idx}/intensity"));
         // First direction's spectrum conditions the INN.
         let n_f = cfg.detector.n_freqs();
@@ -725,12 +737,14 @@ pub fn bounding_box_view(
     let (x0, x1) = minmax(xs);
     let (y0, y1) = minmax(ys);
     let (z0, z1) = minmax(zs);
-    let center = [(x0 + x1) / 2.0, (y0 + y1) / 2.0, (z0 + z1) / 2.0];
-    let half = [
-        ((x1 - x0) / 2.0).max(1e-6),
-        ((y1 - y0) / 2.0).max(1e-6),
-        ((z1 - z0) / 2.0).max(1e-6),
-    ];
+    center_half([x0, y0, z0], [x1, y1, z1])
+}
+
+/// `(center, half_extents)` of the box from corner `lo` to corner `hi`;
+/// a degenerate axis gets a half extent of 1e-6.
+fn center_half(lo: [f64; 3], hi: [f64; 3]) -> ([f64; 3], [f64; 3]) {
+    let center = std::array::from_fn(|a| (lo[a] + hi[a]) / 2.0);
+    let half = std::array::from_fn(|a| ((hi[a] - lo[a]) / 2.0).max(1e-6));
     (center, half)
 }
 
@@ -744,13 +758,7 @@ pub fn bounding_box(xs: &[f64], ys: &[f64], zs: &[f64]) -> ([f64; 3], [f64; 3]) 
     let (x0, x1) = minmax(xs);
     let (y0, y1) = minmax(ys);
     let (z0, z1) = minmax(zs);
-    let center = [(x0 + x1) / 2.0, (y0 + y1) / 2.0, (z0 + z1) / 2.0];
-    let half = [
-        ((x1 - x0) / 2.0).max(1e-6),
-        ((y1 - y0) / 2.0).max(1e-6),
-        ((z1 - z0) / 2.0).max(1e-6),
-    ];
-    (center, half)
+    center_half([x0, y0, z0], [x1, y1, z1])
 }
 
 #[cfg(test)]
