@@ -20,7 +20,7 @@ use as_nn::loss::{chamfer, mmd_imq, sinkhorn_emd};
 use as_nn::model::{ArtificialScientistModel, ModelConfig};
 use as_pic::deposit::deposit_current;
 use as_pic::domain::DistributedSim;
-use as_pic::gather::{gather_eb, gather_eb_lanes};
+use as_pic::gather::gather_eb;
 use as_pic::grid::GridSpec;
 use as_pic::khi::KhiSetup;
 use as_pic::lanes::Lanes;
@@ -213,20 +213,12 @@ fn bench_producer(c: &mut Criterion) {
             })
         })
     });
-    // The same positions LANES at a time: over the global fields (the
-    // radiation state gather) and over the tile's cached view (the fused
-    // pass).
+    // The same positions LANES at a time over the tile's cached view (the
+    // fused pass).
     let groups: Vec<[Lanes<LANES>; 3]> = moves
         .chunks_exact(LANES)
         .map(|m| std::array::from_fn(|a| Lanes::from_fn(|l| m[l][a])))
         .collect();
-    g.bench_function("gather_lanes_global_512p", |b| {
-        b.iter(|| {
-            groups.iter().fold(0.0, |s, &r| {
-                s + gather_eb_lanes(&sim.e, &sim.b, &slab, r, 0.0)[0].0[0]
-            })
-        })
-    });
     let mut patch = FieldPatch::default();
     patch.load(&sim.e, &sim.b, tile);
     g.bench_function("gather_lanes_patch_512p", |b| {
@@ -284,19 +276,20 @@ fn bench_producer(c: &mut Criterion) {
         b.iter(|| radiation.accumulate_for(&sim, 0.0))
     });
     let radiation_s = fastest(10, || radiation.accumulate_for(&sim, 0.0));
-    // `accumulate_for` in its two halves: the particle states (the lane
-    // gather and β̇), then the sum over states computed beforehand.
+    // `accumulate_for` in its two halves: the particle states (ten loads,
+    // β and β̇ from the momenta after and before the push), then the sum
+    // over states computed beforehand.
     g.throughput(Throughput::Elements(electrons as u64));
     g.bench_function("accumulate_for_states_36864p", |b| {
         b.iter(|| {
             (0..electrons).step_by(LANES).fold(0.0, |s, i| {
                 let at: [usize; LANES] = std::array::from_fn(|l| (i + l).min(electrons - 1));
-                s + particle_states(&sim, 0, at, 0.0)[0].beta_dot[0]
+                s + particle_states(&sim, 0, at)[0].beta_dot[0]
             })
         })
     });
     let states: Vec<ParticleState> = (0..electrons)
-        .map(|i| as_radiation::plugin::particle_state(&sim, 0, i, 0.0))
+        .map(|i| as_radiation::plugin::particle_state(&sim, 0, i))
         .collect();
     let mut sum = RadiationAccumulator::new(&det);
     g.throughput(Throughput::Elements(pairs as u64));
@@ -328,7 +321,8 @@ fn bench_producer(c: &mut Criterion) {
     g.finish();
 
     // Ceiling 1: bytes the fused pass must move per particle·step. The
-    // particle itself: 7 SoA reads and 6 writes. Its share of the tile:
+    // particle itself: 7 SoA reads and 9 writes (the new phase space and
+    // the momentum before the push). Its share of the tile:
     // the six-component field view (tile + 1-cell halo, written then
     // read) and the three-component accumulator (tile + 2-cell halo:
     // zeroed, read, and added into the global field, itself read and
@@ -336,7 +330,7 @@ fn bench_producer(c: &mut Criterion) {
     let per_tile = (particles / tiles.n_tiles() / sim.species.len()) as f64;
     let view = 6.0 * 6.0f64.powi(3) * 8.0 * 2.0;
     let accumulator = 3.0 * 8.0f64.powi(3) * 8.0 * 4.0;
-    let bytes = 13.0 * 8.0 + (view + accumulator) / per_tile;
+    let bytes = 16.0 * 8.0 + (view + accumulator) / per_tile;
     let src = vec![1.0f64; 4 << 20];
     let mut dst = vec![0.0f64; 4 << 20];
     let copy_s = fastest(5, || {
@@ -354,40 +348,40 @@ fn bench_producer(c: &mut Criterion) {
         fused_ns / floor_ns
     );
     // The same pass against the arithmetic ceiling, LANES particles at a
-    // time. The pass has only the baseline instance: two f64 lanes per
-    // SSE2 register, 4 flop/cycle.
+    // time, on the instance that ran (the pass is one of the dispatch
+    // sites): two f64 lanes per SSE2 register, four per AVX2 one.
+    let (instance, f32_flop) = live_instance();
+    let f64_flop = f32_flop / 2.0;
     match clock_ghz() {
         Some(ghz) => println!(
             "producer: fused tile pass {fused_ns:.1} ns/particle, {FUSED_FLOP} flop and \
              {FUSED_DIV} divisions per particle (counted from the code) = {:.2} flop/cycle at \
-             {ghz:.2} GHz against the sse2 instance's no-FMA f64 ceiling of 4 ({:.0} %), \
-             {LANES} particles per lane group",
+             {ghz:.2} GHz against the {instance} instance's no-FMA f64 ceiling of {f64_flop} \
+             ({:.0} %), {LANES} particles per lane group",
             FUSED_FLOP / (fused_ns * ghz),
-            100.0 * FUSED_FLOP / (fused_ns * ghz) / 4.0
+            100.0 * FUSED_FLOP / (fused_ns * ghz) / f64_flop
         ),
         None => println!(
             "producer: fused tile pass {fused_ns:.1} ns/particle, {FUSED_FLOP} flop and \
-             {FUSED_DIV} divisions per particle (counted from the code; sse2 instance, clock \
-             not reported)"
+             {FUSED_DIV} divisions per particle (counted from the code; {instance} instance, \
+             clock not reported)"
         ),
     }
     // Ceiling 2: the arithmetic of the radiation sum, in f64 — half the
     // f32 rate `tensor` is held against, on the same instance.
     let pair_ns = radiation_s * 1e9 / pairs;
-    let (instance, f32_flop) = live_instance();
-    let f64_flop = f32_flop / 2.0;
     match clock_ghz().map(|ghz| ghz * f64_flop) {
         Some(peak) => println!(
             "producer: Liénard–Wiechert update is {LW_FLOP} flop per (particle, frequency); \
              at the {instance} instance's no-FMA f64 ceiling ({f64_flop} flop/cycle) \
-             {peak:.1} GFLOP/s that is {:.2} ns, measured {pair_ns:.2} ns incl. the field \
-             gather ({:.0} % of the ceiling)",
+             {peak:.1} GFLOP/s that is {:.2} ns, measured {pair_ns:.2} ns incl. the particle \
+             states ({:.0} % of the ceiling)",
             LW_FLOP / peak,
             100.0 * LW_FLOP / peak / pair_ns
         ),
         None => println!(
             "producer: Liénard–Wiechert update is {LW_FLOP} flop per (particle, frequency), \
-             measured {pair_ns:.2} ns incl. the field gather on the {instance} instance \
+             measured {pair_ns:.2} ns incl. the particle states on the {instance} instance \
              (clock not reported)"
         ),
     }
@@ -419,8 +413,8 @@ fn bench_losses(c: &mut Criterion) {
     g.finish();
 }
 
-/// The compilation of the learner's kernels and the radiation sum this
-/// CPU runs (the condition their entries test), and its ceiling in f32
+/// The compilation of the learner's kernels, the fused PIC pass and the
+/// radiation sum this CPU runs (the condition their entries test), and its ceiling in f32
 /// flop per cycle and core. The bit contract rules out FMA, not width:
 /// one packed multiply and one packed add per cycle, 4 + 4 f32 lanes on
 /// SSE2, 8 + 8 on AVX2. In f64 it is half that.

@@ -31,7 +31,7 @@
 
 use crate::field::{ScalarField3, VecField3, GHOSTS};
 use crate::grid::GridSpec;
-use crate::particles::ParticleBuffer;
+use crate::particles::{ParticleBuffer, BUNDLE};
 use crate::sim::{Halo, Simulation, SimulationBuilder, Which};
 use as_cluster::collective::{ChannelComm, Collective};
 
@@ -140,7 +140,8 @@ impl<C: Collective> Halo for Ring<'_, C> {
     fn migrate(&mut self, si: usize, sp: &mut ParticleBuffer) {
         // CFL limits motion to one cell per step, so after the step's
         // global periodic wrap every leaver belongs to the left or right
-        // neighbour. Leavers travel as flat bundles of 7 values each.
+        // neighbour. Leavers travel as flat bundles of `BUNDLE` values
+        // each, their previous momenta included.
         let (mut to_left, mut to_right) = (self.take_buf(), self.take_buf());
         let (slab_len, last) = (self.slab_len, self.comm.size() - 1);
         let (left, right, rank) = (self.left, self.right, self.comm.rank());
@@ -159,9 +160,9 @@ impl<C: Collective> Halo for Ring<'_, C> {
         });
         let (from_right, from_left) = self.swap(TAG_PART + si as u64 * 4, to_left, to_right);
         for bundle in [from_right, from_left] {
-            assert_eq!(bundle.len() % 7, 0, "corrupt particle bundle");
-            for c in bundle.chunks_exact(7) {
-                sp.push(c[0], c[1], c[2], c[3], c[4], c[5], c[6]);
+            assert_eq!(bundle.len() % BUNDLE, 0, "corrupt particle bundle");
+            for c in bundle.chunks_exact(BUNDLE) {
+                sp.push_bundle(std::array::from_fn(|k| c[k]));
             }
             self.spare.push(bundle);
         }

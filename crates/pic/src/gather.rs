@@ -7,11 +7,11 @@
 //! (`gather_six`) — over the global fields here, over a tile's cached
 //! [`crate::tile::FieldPatch`] in the fused step.
 //!
-//! Both gather `L` particles at once ([`crate::tile::LANES`] in the fused
-//! step and the radiation state gather): divisions, floors, weights and
-//! the trilinear sums are [`Lanes`] arithmetic, only the field loads are
-//! per lane. Every lane computes the one-particle formula op for op, so
-//! [`gather_eb`] is the one-lane instance, not a second body.
+//! The tile view gathers [`crate::tile::LANES`] particles at once:
+//! divisions, floors, weights and the trilinear sums are [`Lanes`]
+//! arithmetic, only the field loads are per lane. Every lane computes the
+//! one-particle formula op for op, so [`gather_eb`] over the global fields
+//! is the same body at one lane.
 
 use crate::field::{ScalarField3, VecField3};
 use crate::grid::GridSpec;
@@ -92,8 +92,8 @@ pub(crate) fn gather_six<const L: usize>(
     out
 }
 
-/// E and B interpolated at one particle position: [`gather_eb_lanes`] at
-/// one lane.
+/// E and B interpolated at one particle position, through the supports
+/// and trilinear body of the fused pass's tile view at one lane.
 ///
 /// `x_origin_cell` is the x cell index of this rank's slab origin (0 in
 /// single-domain mode). Returns `(ex, ey, ez, bx, by, bz)`.
@@ -107,22 +107,6 @@ pub fn gather_eb(
     z: f64,
     x_origin_cell: f64,
 ) -> (f64, f64, f64, f64, f64, f64) {
-    let r = [x, y, z].map(Lanes::<1>::splat);
-    let [ex, ey, ez, bx, by, bz] = gather_eb_lanes(e, b, g, r, x_origin_cell).map(|c| c.0[0]);
-    (ex, ey, ez, bx, by, bz)
-}
-
-/// E and B, as `[ex, ey, ez, bx, by, bz]`, interpolated at the `L`
-/// positions `r = [x, y, z]`; lane `l` holds the bits [`gather_eb`] gives
-/// position `l`.
-#[inline]
-pub fn gather_eb_lanes<const L: usize>(
-    e: &VecField3,
-    b: &VecField3,
-    g: &GridSpec,
-    r: [Lanes<L>; 3],
-    x_origin_cell: f64,
-) -> [Lanes<L>; 6] {
     let f = &e.x;
     let (_, ny, nz) = f.dims();
     debug_assert!(
@@ -131,8 +115,6 @@ pub fn gather_eb_lanes<const L: usize>(
             .all(|c| c.dims() == f.dims()),
         "E and B components must share dimensions"
     );
-    // The wrap keeps the y and z indices inside `ny`, `nz`; with the x
-    // rows checked here, every flat index is inside each component.
     let rows = f.raw().len() / (ny * nz);
     let x_row = |i: isize| {
         let row = f.resolve_x(i);
@@ -140,9 +122,9 @@ pub fn gather_eb_lanes<const L: usize>(
         row * ny * nz
     };
     let axes = [
-        supports(r[0] / g.dx, x_origin_cell, x_row),
-        supports(r[1] / g.dy, 0.0, |j| ScalarField3::pwrap(j, ny) * nz),
-        supports(r[2] / g.dz, 0.0, |k| ScalarField3::pwrap(k, nz)),
+        supports(Lanes([x]) / g.dx, x_origin_cell, x_row),
+        supports(Lanes([y]) / g.dy, 0.0, |j| ScalarField3::pwrap(j, ny) * nz),
+        supports(Lanes([z]) / g.dz, 0.0, |k| ScalarField3::pwrap(k, nz)),
     ];
     let comp = [
         e.x.raw(),
@@ -152,10 +134,8 @@ pub fn gather_eb_lanes<const L: usize>(
         b.y.raw(),
         b.z.raw(),
     ];
-    // SAFETY: `idx = row·ny·nz + j·nz + k` with `row < rows` (asserted in
-    // `x_row`), `j < ny` and `k < nz` (`pwrap`), so `idx < rows·ny·nz`,
-    // the length of every component.
-    gather_six(|c, idx| unsafe { *comp[c].get_unchecked(idx) }, &axes)
+    let [ex, ey, ez, bx, by, bz] = gather_six(|c, idx| comp[c][idx], &axes).map(|c| c.0[0]);
+    (ex, ey, ez, bx, by, bz)
 }
 
 #[cfg(test)]

@@ -8,6 +8,11 @@
 //! offset table the sort produces, so the sort keeps all of its working
 //! buffers (keys, permutation, cursor, one apply-scratch) inside the
 //! [`ParticleBuffer`] — steady-state sorting performs no heap allocation.
+//!
+//! Beside the phase space, a buffer keeps each particle's momentum from
+//! before the last push (`ux_prev`, …): the radiation diagnostic takes
+//! `β̇` from the change of momentum over a step, as PIConGPU's radiation
+//! plugin does, instead of gathering the fields a second time.
 
 use rayon::prelude::*;
 
@@ -24,6 +29,9 @@ const PAR_CHUNK: usize = 16_384;
 /// units of mc. `weight` is the phase-space volume each macro-particle
 /// carries: a cell at reference density holds `ppc` particles of weight
 /// `n̂·V_cell/ppc`, so depositions divided by `V_cell` recover `n̂`.
+///
+/// All ten per-particle arrays have the same length; [`Self::push`] and
+/// the buffer's own passes keep it so.
 #[derive(Debug, Clone, Default)]
 pub struct ParticleBuffer {
     /// x positions.
@@ -40,6 +48,14 @@ pub struct ParticleBuffer {
     pub uz: Vec<f64>,
     /// Macro-particle weights.
     pub w: Vec<f64>,
+    /// x momenta before the last push: `u^{n−½}` where `ux` holds
+    /// `u^{n+½}`. Every push writes them; a particle that has not been
+    /// pushed yet carries its momentum here.
+    pub ux_prev: Vec<f64>,
+    /// y momenta before the last push.
+    pub uy_prev: Vec<f64>,
+    /// z momenta before the last push.
+    pub uz_prev: Vec<f64>,
     /// Species charge in units of e (electrons: −1).
     pub charge: f64,
     /// Species mass in units of mₑ.
@@ -51,7 +67,7 @@ pub struct ParticleBuffer {
     /// Counting-sort write cursors (reused).
     sort_cursor: Vec<usize>,
     /// The one scratch array the permutation is applied through (reused
-    /// across all seven SoA arrays and across sorts).
+    /// across the SoA arrays and across sorts).
     sort_scratch: Vec<f64>,
     /// Per-supercell offsets from the last sort: supercell `s` owns
     /// particles `offsets[s]..offsets[s+1]` (length `n_supercells + 1`).
@@ -78,27 +94,42 @@ impl ParticleBuffer {
         self.x.is_empty()
     }
 
-    /// Append one particle.
+    /// Append one particle; its momentum before the last push is its
+    /// momentum.
     #[allow(clippy::too_many_arguments)]
     pub fn push(&mut self, x: f64, y: f64, z: f64, ux: f64, uy: f64, uz: f64, w: f64) {
-        self.x.push(x);
-        self.y.push(y);
-        self.z.push(z);
-        self.ux.push(ux);
-        self.uy.push(uy);
-        self.uz.push(uz);
-        self.w.push(w);
+        self.push_bundle([x, y, z, ux, uy, uz, w, ux, uy, uz]);
+    }
+
+    /// Append one particle as a migration bundle: `[x, y, z, ux, uy, uz,
+    /// w, ux_prev, uy_prev, uz_prev]`.
+    pub(crate) fn push_bundle(&mut self, p: [f64; BUNDLE]) {
+        for (column, v) in self.columns_mut().into_iter().zip(p) {
+            column.push(v);
+        }
+    }
+
+    /// The ten per-particle arrays in bundle order.
+    fn columns_mut(&mut self) -> [&mut Vec<f64>; BUNDLE] {
+        [
+            &mut self.x,
+            &mut self.y,
+            &mut self.z,
+            &mut self.ux,
+            &mut self.uy,
+            &mut self.uz,
+            &mut self.w,
+            &mut self.ux_prev,
+            &mut self.uy_prev,
+            &mut self.uz_prev,
+        ]
     }
 
     /// Reserve capacity for `n` additional particles.
     pub(crate) fn reserve(&mut self, n: usize) {
-        self.x.reserve(n);
-        self.y.reserve(n);
-        self.z.reserve(n);
-        self.ux.reserve(n);
-        self.uy.reserve(n);
-        self.uz.reserve(n);
-        self.w.reserve(n);
+        for column in self.columns_mut() {
+            column.reserve(n);
+        }
     }
 
     /// Lorentz factor of particle `i`.
@@ -131,34 +162,33 @@ impl ParticleBuffer {
 
     /// Remove every particle whose x lies outside `[x_lo, x_hi)` — the
     /// migration step of the slab decomposition — handing each, in buffer
-    /// order, to `leaver` as `[x, y, z, ux, uy, uz, w]`; the particles that
-    /// stay keep their order.
+    /// order, to `leaver` as a bundle (see [`Self::push_bundle`]); the
+    /// particles that stay keep their order.
     pub(crate) fn drain_outside_x(
         &mut self,
         x_lo: f64,
         x_hi: f64,
-        mut leaver: impl FnMut([f64; 7]),
+        mut leaver: impl FnMut([f64; BUNDLE]),
     ) {
+        let n = self.len();
+        let mut columns = self.columns_mut();
         let mut keep = 0usize;
-        for i in 0..self.len() {
-            if self.x[i] >= x_lo && self.x[i] < x_hi {
+        for i in 0..n {
+            let x = columns[0][i];
+            if x >= x_lo && x < x_hi {
                 if keep != i {
-                    self.x[keep] = self.x[i];
-                    self.y[keep] = self.y[i];
-                    self.z[keep] = self.z[i];
-                    self.ux[keep] = self.ux[i];
-                    self.uy[keep] = self.uy[i];
-                    self.uz[keep] = self.uz[i];
-                    self.w[keep] = self.w[i];
+                    for column in columns.iter_mut() {
+                        column[keep] = column[i];
+                    }
                 }
                 keep += 1;
             } else {
-                leaver([
-                    self.x[i], self.y[i], self.z[i], self.ux[i], self.uy[i], self.uz[i], self.w[i],
-                ]);
+                leaver(std::array::from_fn(|c| columns[c][i]));
             }
         }
-        self.truncate(keep);
+        for column in columns {
+            column.truncate(keep);
+        }
     }
 
     /// Give back the capacity beyond the particle count plus an eighth
@@ -167,27 +197,9 @@ impl ParticleBuffer {
     /// allocation.
     pub(crate) fn shrink_to_headroom(&mut self) {
         let n = self.len() + self.len() / 8;
-        for v in [
-            &mut self.x,
-            &mut self.y,
-            &mut self.z,
-            &mut self.ux,
-            &mut self.uy,
-            &mut self.uz,
-            &mut self.w,
-        ] {
-            v.shrink_to(n);
+        for column in self.columns_mut() {
+            column.shrink_to(n);
         }
-    }
-
-    fn truncate(&mut self, n: usize) {
-        self.x.truncate(n);
-        self.y.truncate(n);
-        self.z.truncate(n);
-        self.ux.truncate(n);
-        self.uy.truncate(n);
-        self.uz.truncate(n);
-        self.w.truncate(n);
     }
 
     /// Wrap one coordinate array into `[0, l)`, in parallel above
@@ -215,12 +227,9 @@ impl ParticleBuffer {
     }
 
     /// Counting sort by supercell index (supercells of `edge` cells per
-    /// axis on a grid of `dx/dy/dz`-sized cells, `nx×ny×nz` total).
-    ///
-    /// Returns the per-supercell offset table: supercell `s` (index
-    /// `(cx·scy + cy)·scz + cz`) owns the contiguous particle range
-    /// `offsets[s]..offsets[s+1]`. All working storage is reused across
-    /// calls, so steady-state sorting is allocation-free.
+    /// axis on a grid of `dx/dy/dz`-sized cells, `nx×ny×nz` total), the
+    /// momenta before the last push included: the reference step sorts
+    /// after its push, where they still mean something.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn sort_by_supercell(
         &mut self,
@@ -231,13 +240,24 @@ impl ParticleBuffer {
         nx: usize,
         ny: usize,
         nz: usize,
-    ) -> &[usize] {
-        self.sort_by_supercell_origin(edge, dx, dy, dz, nx, ny, nz, 0.0)
+    ) {
+        self.sort_by_supercell_origin(edge, dx, dy, dz, nx, ny, nz, 0.0);
+        let (perm, scratch) = (&self.sort_perm, &mut self.sort_scratch);
+        for arr in [&mut self.ux_prev, &mut self.uy_prev, &mut self.uz_prev] {
+            permute(arr, perm, scratch);
+        }
     }
 
-    /// [`Self::sort_by_supercell`] with a slab origin: cell indices are
-    /// taken relative to `x_origin_cell` (the global x cell of local cell
-    /// 0), as the distributed slab decomposition requires.
+    /// Counting sort by supercell index with a slab origin: cell indices
+    /// are taken relative to `x_origin_cell` (the global x cell of local
+    /// cell 0), as the distributed slab decomposition requires. The
+    /// momenta before the last push stay where they are: the fused pass
+    /// sorts before it pushes, and the push overwrites them.
+    ///
+    /// Returns the per-supercell offset table: supercell `s` (index
+    /// `(cx·scy + cy)·scz + cz`) owns the contiguous particle range
+    /// `offsets[s]..offsets[s+1]`. All working storage is reused across
+    /// calls, so steady-state sorting is allocation-free.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn sort_by_supercell_origin(
         &mut self,
@@ -282,11 +302,10 @@ impl ParticleBuffer {
             self.sort_cursor[s] += 1;
         }
 
-        // Pass 3: apply the permutation to all seven SoA arrays through the
-        // single reusable scratch.
+        // Pass 3: apply the permutation to the seven phase-space arrays
+        // through the single reusable scratch.
         resize_scratch(&mut self.sort_scratch, n);
-        let perm = &self.sort_perm;
-        let scratch = &mut self.sort_scratch;
+        let (perm, scratch) = (&self.sort_perm, &mut self.sort_scratch);
         for arr in [
             &mut self.x,
             &mut self.y,
@@ -296,32 +315,55 @@ impl ParticleBuffer {
             &mut self.uz,
             &mut self.w,
         ] {
-            for (dst, &src) in scratch.iter_mut().zip(perm.iter()) {
-                *dst = arr[src as usize];
-            }
-            std::mem::swap(arr, scratch);
+            permute(arr, perm, scratch);
         }
         &self.supercell_offsets
     }
 
-    /// Mutable views of all seven SoA arrays plus the supercell offset
-    /// table, borrowed simultaneously (the tiled kernel updates particles
-    /// per tile while walking the offsets).
+    /// Mutable views of all ten per-particle arrays, in bundle order, plus
+    /// the supercell offset table, borrowed simultaneously (the tiled
+    /// kernel updates particles per tile while walking the offsets).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every array holds [`Self::len`] values: the kernel
+    /// writes through raw pointers.
     #[allow(clippy::type_complexity)]
-    pub(crate) fn soa_views_mut(&mut self) -> ([&mut [f64]; 7], &[usize]) {
-        (
-            [
-                &mut self.x,
-                &mut self.y,
-                &mut self.z,
-                &mut self.ux,
-                &mut self.uy,
-                &mut self.uz,
-                &mut self.w,
-            ],
-            &self.supercell_offsets,
-        )
+    pub(crate) fn soa_views_mut(&mut self) -> ([&mut [f64]; BUNDLE], &[usize]) {
+        let n = self.len();
+        let [x, y, z, ux, uy, uz, w, ux_prev, uy_prev, uz_prev] = [
+            &mut self.x,
+            &mut self.y,
+            &mut self.z,
+            &mut self.ux,
+            &mut self.uy,
+            &mut self.uz,
+            &mut self.w,
+            &mut self.ux_prev,
+            &mut self.uy_prev,
+            &mut self.uz_prev,
+        ]
+        .map(|v| v.as_mut_slice());
+        let columns = [x, y, z, ux, uy, uz, w, ux_prev, uy_prev, uz_prev];
+        assert!(
+            columns.iter().all(|c| c.len() == n),
+            "particle arrays of unequal length"
+        );
+        (columns, &self.supercell_offsets)
     }
+}
+
+/// Values per particle in a migration bundle and in
+/// [`ParticleBuffer::soa_views_mut`].
+pub(crate) const BUNDLE: usize = 10;
+
+/// Reorder `arr` so that `arr[k]` becomes the old `arr[perm[k]]`, through
+/// `scratch` (of `perm`'s length; it comes back holding the old array).
+fn permute(arr: &mut Vec<f64>, perm: &[u32], scratch: &mut Vec<f64>) {
+    for (dst, &src) in scratch.iter_mut().zip(perm) {
+        *dst = arr[src as usize];
+    }
+    std::mem::swap(arr, scratch);
 }
 
 /// Set the length of a sort working buffer to `n` (contents unspecified).
@@ -365,10 +407,12 @@ mod tests {
     fn drain_outside_partitions_exactly() {
         let mut p = sample();
         let mut out = Vec::new();
+        p.uy_prev[2] = 1.5;
         p.drain_outside_x(0.0, 2.0, |leaver| out.push(leaver));
         assert_eq!(p.len(), 2);
-        assert_eq!(out, [[2.9, 1.9, 0.9, 0.0, 2.0, 0.0, 3.0]]);
+        assert_eq!(out, [[2.9, 1.9, 0.9, 0.0, 2.0, 0.0, 3.0, 0.0, 1.5, 0.0]]);
         assert_eq!(p.x, vec![0.1, 1.5]);
+        assert_eq!(p.ux_prev, vec![0.0, 1.0]);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! One PIC step is the standard leapfrog cycle:
 //! 1. gather `E`,`B` at particle positions (time n);
-//! 2. Boris-push momenta `u^{n−½} → u^{n+½}` and move
-//!    `x^n → x^{n+1} = x^n + Δt·v^{n+½}`;
+//! 2. Boris-push momenta `u^{n−½} → u^{n+½}` (keeping `u^{n−½}` as the
+//!    particle's previous momentum) and move `x^n → x^{n+1} = x^n + Δt·v^{n+½}`;
 //! 3. deposit the half-step current `J^{n+½}` (charge-conserving zigzag);
 //! 4. advance fields: `B` half step, `E` full step, `B` half step.
 //!
@@ -233,6 +233,9 @@ impl Simulation {
             for (i, (ux, uy, uz, x1, y1, z1, w)) in moves.into_iter().enumerate() {
                 let (x0, y0, z0) = (sp.x[i], sp.y[i], sp.z[i]);
                 deposit_current(&mut self.j, &g, q, w, x0, y0, z0, x1, y1, z1, 0.0);
+                sp.ux_prev[i] = sp.ux[i];
+                sp.uy_prev[i] = sp.uy[i];
+                sp.uz_prev[i] = sp.uz[i];
                 sp.ux[i] = ux;
                 sp.uy[i] = uy;
                 sp.uz[i] = uz;

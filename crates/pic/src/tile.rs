@@ -444,7 +444,7 @@ impl Drop for PatchLease<'_> {
     }
 }
 
-/// Raw shared view of the seven SoA particle arrays. Tiles own disjoint
+/// Raw shared view of the ten SoA particle arrays. Tiles own disjoint
 /// index ranges (from the supercell offset table), which makes concurrent
 /// writes through this pointer set race-free.
 #[derive(Clone, Copy)]
@@ -456,7 +456,27 @@ struct SoAPtr {
     uy: *mut f64,
     uz: *mut f64,
     w: *const f64,
+    u_prev: [*mut f64; 3],
     len: usize,
+}
+
+impl SoAPtr {
+    /// The pointers to a species' arrays, sorted into tiles.
+    fn new(columns: [&mut [f64]; crate::particles::BUNDLE]) -> Self {
+        let len = columns[0].len();
+        let [x, y, z, ux, uy, uz, w, ux_prev, uy_prev, uz_prev] = columns.map(<[f64]>::as_mut_ptr);
+        Self {
+            x,
+            y,
+            z,
+            ux,
+            uy,
+            uz,
+            w,
+            u_prev: [ux_prev, uy_prev, uz_prev],
+            len,
+        }
+    }
 }
 
 unsafe impl Send for SoAPtr {}
@@ -546,18 +566,9 @@ fn fused_pass(
     pool.ensure(&grid);
 
     sp.sort_by_supercell_origin(edge, g.dx, g.dy, g.dz, g.nx, g.ny, g.nz, x_origin_cell);
-    let ([xs, ys, zs, uxs, uys, uzs, ws], offsets) = sp.soa_views_mut();
+    let (columns, offsets) = sp.soa_views_mut();
     debug_assert_eq!(offsets.len(), grid.n_tiles() + 1);
-    let soa = SoAPtr {
-        x: xs.as_mut_ptr(),
-        y: ys.as_mut_ptr(),
-        z: zs.as_mut_ptr(),
-        ux: uxs.as_mut_ptr(),
-        uy: uys.as_mut_ptr(),
-        uz: uzs.as_mut_ptr(),
-        w: ws.as_ptr(),
-        len: xs.len(),
-    };
+    let soa = SoAPtr::new(columns);
     let accs = PoolPtr(pool.accs.as_mut_ptr());
     let patch_pool = &pool.patches;
     let n_tiles = grid.n_tiles();
@@ -704,6 +715,9 @@ unsafe fn push_tile(
         for (l, i) in (start..start + live).enumerate() {
             // SAFETY: `i` is one of this tile's particles.
             unsafe {
+                for (prev, u0) in soa.u_prev.iter().zip(&u0) {
+                    *prev.add(i) = u0.0[l];
+                }
                 *soa.ux.add(i) = u[0].0[l];
                 *soa.uy.add(i) = u[1].0[l];
                 *soa.uz.add(i) = u[2].0[l];
@@ -747,18 +761,9 @@ mod tests {
         pool.ensure(&grid);
 
         sp.sort_by_supercell_origin(edge, g.dx, g.dy, g.dz, g.nx, g.ny, g.nz, x_origin_cell);
-        let ([xs, ys, zs, uxs, uys, uzs, ws], offsets) = sp.soa_views_mut();
+        let (columns, offsets) = sp.soa_views_mut();
         debug_assert_eq!(offsets.len(), grid.n_tiles() + 1);
-        let soa = SoAPtr {
-            x: xs.as_mut_ptr(),
-            y: ys.as_mut_ptr(),
-            z: zs.as_mut_ptr(),
-            ux: uxs.as_mut_ptr(),
-            uy: uys.as_mut_ptr(),
-            uz: uzs.as_mut_ptr(),
-            w: ws.as_ptr(),
-            len: xs.len(),
-        };
+        let soa = SoAPtr::new(columns);
         let accs = PoolPtr(pool.accs.as_mut_ptr());
         let patch_pool = &pool.patches;
         let n_tiles = grid.n_tiles();
@@ -839,18 +844,12 @@ mod tests {
                         let r = [x0, y0, z0].map(Lanes::<1>::splat);
                         let [ex, ey, ez, bx, by, bz] =
                             patch.gather(g, r, x_origin_cell).map(|c| c.0[0]);
-                        let (ux, uy, uz) = boris(
-                            *soa.ux.add(i),
-                            *soa.uy.add(i),
-                            *soa.uz.add(i),
-                            ex,
-                            ey,
-                            ez,
-                            bx,
-                            by,
-                            bz,
-                            qm_dt_half,
-                        );
+                        let u0 = [*soa.ux.add(i), *soa.uy.add(i), *soa.uz.add(i)];
+                        for (prev, u0) in soa.u_prev.iter().zip(u0) {
+                            *prev.add(i) = u0;
+                        }
+                        let (ux, uy, uz) =
+                            boris(u0[0], u0[1], u0[2], ex, ey, ez, bx, by, bz, qm_dt_half);
                         let gamma = (1.0 + ux * ux + uy * uy + uz * uz).sqrt();
                         let x1 = x0 + dt * ux / gamma;
                         let y1 = y0 + dt * uy / gamma;
@@ -1027,6 +1026,9 @@ mod tests {
                     ("ux", &a.ux, &o.ux),
                     ("uy", &a.uy, &o.uy),
                     ("uz", &a.uz, &o.uz),
+                    ("ux_prev", &a.ux_prev, &o.ux_prev),
+                    ("uy_prev", &a.uy_prev, &o.uy_prev),
+                    ("uz_prev", &a.uz_prev, &o.uz_prev),
                 ] {
                     let bits = |v: &Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                     assert_eq!(bits(va), bits(vo), "{instance}, species {si}: {name}");

@@ -16,9 +16,9 @@
 //! blue-shifted by `1/(1−n̂·β)`, receding emission red-shifted.
 //!
 //! The plugin ([`plugin::RadiationPlugin`]) hooks into the PIC loop,
-//! derives `β̇` from the gathered Lorentz force, and keeps one accumulator
-//! per *flow region* so the ML pipeline can pair each sub-volume's
-//! particle cloud with "its" observed spectrum.
+//! takes `β̇` from each particle's momenta before and after the push,
+//! and keeps one accumulator per *flow region* so the ML pipeline can
+//! pair each sub-volume's particle cloud with "its" observed spectrum.
 
 pub mod analytic;
 pub mod detector;

@@ -3,14 +3,16 @@
 //! (§IV-A: "the far-field radiation plugin calculates radiation emissions
 //! using the Liénard-Wiechert potential approach").
 //!
-//! `β̇` is derived from the gathered Lorentz force:
-//! `β̇ = (f − β(β·f))/γ` with `f = (q/m)(E + β×B)` — the same fields the
-//! pusher saw, so no extra state is stored per particle, not even for
-//! the length of a step: [`particle_states`] is evaluated inside the
-//! accumulator's particle chunks, where it is consumed, [`LANES`]
-//! particles at a time through the lane gather of `as_pic::gather`; each
-//! lane computes [`particle_state`]'s formula op for op, and the states
-//! enter the sum one by one in chunk order.
+//! A particle's state is read after the step: position `x^{n+1}`,
+//! velocity `β^{n+½}`, and `β̇ = (β^{n+½} − β^{n−½})/Δt`, the change of
+//! velocity over the last push, from the momenta after and before it
+//! (`ParticleBuffer::ux` and `ux_prev`, …, which the push stores). That
+//! is how PIConGPU's plugin takes `β̇` from its `momentumPrev1`
+//! attribute; no field is gathered. [`particle_states`] is evaluated
+//! inside the accumulator's particle chunks, where it is consumed,
+//! [`LANES`] particles at a time; each lane computes
+//! [`particle_state`]'s formula op for op, and the states enter the sum
+//! one by one in chunk order.
 //!
 //! Accumulators can be kept per *flow region* ([`RegionMode::FlowRegions`])
 //! so each ML training sample pairs a sub-volume's particles with the
@@ -21,7 +23,6 @@ use crate::detector::Detector;
 use crate::lienard::{ParticleState, RadiationAccumulator};
 use crate::spectrum::Spectrum;
 use as_pic::diag::FlowRegion;
-use as_pic::gather::gather_eb_lanes;
 use as_pic::lanes::Lanes;
 use as_pic::plugin::Plugin;
 use as_pic::sim::Simulation;
@@ -141,12 +142,13 @@ impl RadiationPlugin {
         &mut self.accumulators
     }
 
-    /// Accumulate one step of a simulation whose local field slab starts
-    /// at global x cell `origin` (a slab of a domain-decomposed run).
-    /// Region classification happens in global y, which slab
-    /// decomposition along x leaves untouched. The single-domain
-    /// [`Plugin::after_step`] is `accumulate_for` with `origin = 0`.
-    pub fn accumulate_for(&mut self, sim: &Simulation, origin: f64) {
+    /// Accumulate one step of `sim`: a whole box, or one slab of a
+    /// domain-decomposed run whose fields start at global x cell
+    /// `_origin`. The states come from the particles alone, so the origin
+    /// is not read, and region classification happens in global y, which
+    /// slab decomposition along x leaves untouched. The single-domain
+    /// [`Plugin::after_step`] is `accumulate_for` with origin 0.
+    pub fn accumulate_for(&mut self, sim: &Simulation, _origin: f64) {
         let g = sim.spec;
         let (_, ly, _) = g.extents();
         let sp = &sim.species[self.species];
@@ -161,9 +163,8 @@ impl RadiationPlugin {
         }
         let (det, species) = (&self.detector, self.species);
         for (acc, members) in self.accumulators.iter_mut().zip(&self.members) {
-            let states = |k: [usize; LANES]| {
-                particle_states(sim, species, k.map(|k| members[k] as usize), origin)
-            };
+            let states =
+                |k: [usize; LANES]| particle_states(sim, species, k.map(|k| members[k] as usize));
             acc.accumulate_with(
                 det,
                 members.len(),
@@ -197,11 +198,10 @@ impl RadiationPlugin {
 }
 
 /// The kinematic state of particle `i` of `species` as the accumulator
-/// sees it: `β` from the momentum, `β̇` from the Lorentz force of the
-/// fields gathered at its position (`origin` is the global x cell where
-/// the local fields start). [`particle_states`] at one lane.
-pub fn particle_state(sim: &Simulation, species: usize, i: usize, origin: f64) -> ParticleState {
-    let [state] = particle_states(sim, species, [i], origin);
+/// sees it after a step (see the module docs). [`particle_states`] at one
+/// lane.
+pub fn particle_state(sim: &Simulation, species: usize, i: usize) -> ParticleState {
+    let [state] = particle_states(sim, species, [i]);
     state
 }
 
@@ -212,28 +212,17 @@ pub fn particle_states<const L: usize>(
     sim: &Simulation,
     species: usize,
     idx: [usize; L],
-    origin: f64,
 ) -> [ParticleState; L] {
     let sp = &sim.species[species];
-    let qm = sp.charge / sp.mass;
     let load = |v: &[f64]| Lanes(idx.map(|i| v[i]));
     let r = [load(&sp.x), load(&sp.y), load(&sp.z)];
-    let [ux, uy, uz] = [load(&sp.ux), load(&sp.uy), load(&sp.uz)];
-    let gamma = (1.0 + ux * ux + uy * uy + uz * uz).sqrt();
-    let beta = [ux / gamma, uy / gamma, uz / gamma];
-    let [ex, ey, ez, bx, by, bz] = gather_eb_lanes(&sim.e, &sim.b, &sim.spec, r, origin);
-    // Lorentz force per unit mass, then project out the parallel
-    // part: β̇ = (f − β(β·f))/γ.
-    let f = [
-        qm * (ex + beta[1] * bz - beta[2] * by),
-        qm * (ey + beta[2] * bx - beta[0] * bz),
-        qm * (ez + beta[0] * by - beta[1] * bx),
-    ];
-    let bf = beta[0] * f[0] + beta[1] * f[1] + beta[2] * f[2];
+    let beta = velocity([load(&sp.ux), load(&sp.uy), load(&sp.uz)]);
+    let beta_prev = velocity([load(&sp.ux_prev), load(&sp.uy_prev), load(&sp.uz_prev)]);
+    let dt = sim.spec.dt;
     let beta_dot = [
-        (f[0] - beta[0] * bf) / gamma,
-        (f[1] - beta[1] * bf) / gamma,
-        (f[2] - beta[2] * bf) / gamma,
+        (beta[0] - beta_prev[0]) / dt,
+        (beta[1] - beta_prev[1]) / dt,
+        (beta[2] - beta_prev[2]) / dt,
     ];
     let w = load(&sp.w);
     std::array::from_fn(|l| ParticleState {
@@ -242,6 +231,13 @@ pub fn particle_states<const L: usize>(
         beta_dot: beta_dot.map(|c| c.0[l]),
         weight: w.0[l],
     })
+}
+
+/// `β = u/γ` of the momenta `u = γβ`.
+#[inline(always)]
+fn velocity<const L: usize>([ux, uy, uz]: [Lanes<L>; 3]) -> [Lanes<L>; 3] {
+    let gamma = (1.0 + ux * ux + uy * uy + uz * uz).sqrt();
+    [ux / gamma, uy / gamma, uz / gamma]
 }
 
 impl Plugin for RadiationPlugin {
@@ -317,9 +313,9 @@ mod tests {
         assert_eq!(fresh_total, 0.0, "accumulators must reset");
     }
 
-    /// The lane state gather against the one-lane one, bit for bit, on
-    /// a stepped plasma, both species, a slab origin and groups whose lanes
-    /// repeat a particle (as a chunk's padded last group does).
+    /// The lane states against the one-lane ones, bit for bit, on a
+    /// stepped plasma, both species, and groups whose lanes repeat a
+    /// particle (as a chunk's padded last group does).
     #[test]
     fn lane_states_equal_one_lane_states_bitwise() {
         let (g, setup) = small_khi();
@@ -332,19 +328,13 @@ mod tests {
                 .map(|v| v.to_bits())
                 .collect::<Vec<_>>()
         };
-        for (species, origin) in [(0, 0.0), (1, 0.0), (0, 8.0)] {
-            if origin != 0.0 {
-                // Positions of a slab whose first cell is global cell 8.
-                for x in &mut sim.species[species].x {
-                    *x += origin * g.dx;
-                }
-            }
+        for species in [0, 1] {
             let n = sim.species[species].len();
             for start in (0..n).step_by(LANES) {
                 let idx: [usize; LANES] = std::array::from_fn(|l| (start + l).min(n - 1));
-                let lanes = particle_states(&sim, species, idx, origin);
+                let lanes = particle_states(&sim, species, idx);
                 for (l, &i) in idx.iter().enumerate() {
-                    let one = particle_state(&sim, species, i, origin);
+                    let one = particle_state(&sim, species, i);
                     assert_eq!(
                         bits(&lanes[l]),
                         bits(&one),

@@ -34,7 +34,7 @@ pub fn streamed_accumulation_equals_collect_then_chunk(workers: usize) {
 
         let mut states: Vec<Vec<ParticleState>> = vec![Vec::new(); mode.n_regions()];
         for (i, &y) in sim.species[0].y.iter().enumerate() {
-            states[mode.classify(y, ly)].push(particle_state(&sim, 0, i, 0.0));
+            states[mode.classify(y, ly)].push(particle_state(&sim, 0, i));
         }
         assert!(
             states.iter().all(|s| s.len() > 256 && s.len() % 256 != 0),
@@ -57,8 +57,9 @@ pub fn streamed_accumulation_equals_collect_then_chunk(workers: usize) {
         assert!(got.amplitudes().iter().any(|&v| v != 0.0));
     }
     // The f64 amplitudes themselves, pinned (FNV-1a over the bits of every
-    // region). They depend on the deposit (`as_pic::deposit`): its current
-    // steers the particles of the second and third steps.
+    // region). They depend on the deposit (`as_pic::deposit`), whose
+    // current steers the particles of the second and third steps, and on
+    // the definition of β̇ (`as_radiation::plugin`).
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for acc in plugin.accumulators() {
         for byte in acc
@@ -73,4 +74,4 @@ pub fn streamed_accumulation_equals_collect_then_chunk(workers: usize) {
 }
 
 /// See the end of [`streamed_accumulation_equals_collect_then_chunk`].
-const PINNED_AMPLITUDES: u64 = 0xd820_0760_0cf3_e9f9;
+const PINNED_AMPLITUDES: u64 = 0x8ae7_d1b5_5b16_f14b;
