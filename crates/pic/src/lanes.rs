@@ -5,7 +5,8 @@
 //! so the optimiser packs lanes into vector registers: pairs into SSE2
 //! registers on the baseline target, four into an AVX register where the
 //! caller is compiled a second time for AVX2 and picked at run time (the
-//! radiation state gather, inside `as_radiation::lienard`'s chunk body).
+//! fused pass's tile body, and the radiation particle states inside
+//! `as_radiation::lienard`'s chunk body).
 //! No `target-cpu`, no `mul_add` (lint `fused-multiply`). A formula
 //! written over [`Lanes`] therefore computes in every lane, in either
 //! instance, the bits the same formula gives over `f64`. Compares produce

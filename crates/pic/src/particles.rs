@@ -331,7 +331,7 @@ impl ParticleBuffer {
     #[allow(clippy::type_complexity)]
     pub(crate) fn soa_views_mut(&mut self) -> ([&mut [f64]; BUNDLE], &[usize]) {
         let n = self.len();
-        let [x, y, z, ux, uy, uz, w, ux_prev, uy_prev, uz_prev] = [
+        let columns = [
             &mut self.x,
             &mut self.y,
             &mut self.z,
@@ -344,7 +344,6 @@ impl ParticleBuffer {
             &mut self.uz_prev,
         ]
         .map(|v| v.as_mut_slice());
-        let columns = [x, y, z, ux, uy, uz, w, ux_prev, uy_prev, uz_prev];
         assert!(
             columns.iter().all(|c| c.len() == n),
             "particle arrays of unequal length"

@@ -64,7 +64,7 @@ use parking_lot::Mutex;
 use rayon::prelude::*;
 use std::ops::Range;
 
-/// Particles the fused pass (and the radiation state gather) processes
+/// Particles the fused pass (and the radiation particle states) processes
 /// at once: two SSE2 registers per lane array, or one AVX register in the
 /// pass's and the radiation chunk's AVX2 instances. Measured on the fused
 /// pass of a `sim_bound` slab, two lanes are 7 % slower and eight
@@ -479,7 +479,11 @@ impl SoAPtr {
     }
 }
 
+// SAFETY: every pointer addresses one of a species' ten arrays, which
+// outlive the pass, and tiles read and write disjoint index ranges of
+// them (`w` is only read).
 unsafe impl Send for SoAPtr {}
+// SAFETY: as for `Send`.
 unsafe impl Sync for SoAPtr {}
 
 /// Raw shared view of the accumulator pool; tile `t` only ever touches
@@ -510,8 +514,8 @@ struct Pass {
 /// positions wrap into — the *global* box, so a slab's leavers come out
 /// already wrapped and only need re-homing.
 ///
-/// The per-tile body runs as its AVX2 instance on a CPU that has AVX2
-/// ([`push_tile_avx2`]), bit for bit.
+/// The per-tile body runs as its AVX2 instance on a CPU that has AVX2,
+/// bit for bit.
 #[allow(clippy::too_many_arguments)]
 pub fn fused_push_deposit(
     sp: &mut ParticleBuffer,
@@ -524,8 +528,7 @@ pub fn fused_push_deposit(
     edge: usize,
     pool: &mut TilePool,
 ) {
-    let avx2 = has_avx2();
-    fused_pass(sp, e, b, j, g, x_origin_cell, extents, edge, pool, avx2);
+    fused_pass(sp, e, b, j, g, x_origin_cell, extents, edge, pool, true);
 }
 
 /// True when the CPU runs the AVX2 instance of the fused pass.
@@ -540,8 +543,8 @@ fn has_avx2() -> bool {
     }
 }
 
-/// [`fused_push_deposit`] on the instance `avx2` names (true only on a
-/// CPU that has AVX2).
+/// [`fused_push_deposit`], on the AVX2 instance where `allow_avx2` and
+/// the CPU has AVX2, on the baseline instance otherwise.
 #[allow(clippy::too_many_arguments)]
 fn fused_pass(
     sp: &mut ParticleBuffer,
@@ -553,8 +556,9 @@ fn fused_pass(
     extents: (f64, f64, f64),
     edge: usize,
     pool: &mut TilePool,
-    avx2: bool,
+    allow_avx2: bool,
 ) {
+    let avx2 = allow_avx2 && has_avx2();
     let pass = Pass {
         g: *g,
         x_origin_cell,
@@ -598,7 +602,7 @@ fn fused_pass(
             let patch = &lease.patch;
             #[cfg(target_arch = "x86_64")]
             if avx2 {
-                // SAFETY: as below, and `avx2` is true only on a CPU that
+                // SAFETY: as below, and `avx2` holds only on a CPU that
                 // has AVX2.
                 return unsafe { push_tile_avx2(&pass, tile, patch, acc, soa, lo..hi) };
             }
@@ -1015,9 +1019,10 @@ mod tests {
         } else {
             eprintln!("no AVX2 on this CPU: checking the baseline instance alone");
         }
-        for (instance, avx2) in instances {
-            let (lanes, j_lanes) =
-                run(&|sp, j, pool| fused_pass(sp, &e, &b, j, &g, origin, extents, 4, pool, avx2));
+        for (instance, allow_avx2) in instances {
+            let (lanes, j_lanes) = run(&|sp, j, pool| {
+                fused_pass(sp, &e, &b, j, &g, origin, extents, 4, pool, allow_avx2)
+            });
             for (si, (a, o)) in lanes.iter().zip(&oracle).enumerate() {
                 for (name, va, vo) in [
                     ("x", &a.x, &o.x),

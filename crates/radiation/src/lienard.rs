@@ -12,7 +12,7 @@
 //! a larger or non-finite phase goes through libm. The summation order —
 //! 256-particle chunks, merged in chunk order — does not depend on it.
 //!
-//! A chunk's body — the caller's lane state gather, `add_particle` and
+//! A chunk's body — the caller's lane particle states, `add_particle` and
 //! [`sin_cos_lanes`], all inlined — is compiled for the SSE2 baseline and
 //! a second time for AVX2, picked at run time. Both give the same bits:
 //! packed operations round each lane as scalar ones do and nothing is
