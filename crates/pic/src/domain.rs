@@ -421,7 +421,9 @@ mod tests {
                     for sp in &d.local.species {
                         let n = sp.len();
                         assert!(n > 0 && n < total / 2, "{n} of {total}");
-                        for v in [&sp.x, &sp.y, &sp.z, &sp.ux, &sp.uy, &sp.uz, &sp.w] {
+                        let columns = [&sp.x, &sp.y, &sp.z, &sp.ux, &sp.uy, &sp.uz, &sp.w];
+                        let prev = [&sp.ux_prev, &sp.uy_prev, &sp.uz_prev];
+                        for v in columns.into_iter().chain(prev) {
                             assert!(
                                 v.capacity() <= n + n / 8,
                                 "capacity {} for {n} particles",

@@ -431,8 +431,14 @@ mod tests {
         p.push(3.5, 0.1, 0.1, 0.0, 0.0, 0.0, 1.0);
         p.push(3.6, 0.2, 0.2, 0.0, 0.0, 0.0, 2.0);
         p.push(0.1, 0.1, 0.1, 0.0, 0.0, 0.0, 3.0);
+        p.uz_prev = vec![10.0, 20.0, 30.0];
         p.sort_by_supercell(2, 1.0, 1.0, 1.0, 4, 4, 4);
         assert_eq!(p.w, vec![3.0, 1.0, 2.0], "stable counting sort expected");
+        assert_eq!(
+            p.uz_prev,
+            vec![30.0, 10.0, 20.0],
+            "previous momenta travel along"
+        );
     }
 
     #[test]
