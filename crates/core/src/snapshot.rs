@@ -50,7 +50,11 @@ pub struct ModelSnapshot {
     /// Parameter tensors in [`ArtificialScientistModel::visit_all`]
     /// order (VAE then INN; stable).
     pub params: Vec<Vec<f32>>,
-    /// FNV-1a hash of the parameter bits at capture
+    /// The INN's channel permutations, in block order. They come from the
+    /// learner's construction seed, so a served model needs them as much
+    /// as the weights.
+    pub perms: Vec<Vec<u32>>,
+    /// FNV-1a hash of the parameter bits and the permutations at capture
     /// ([`as_nn::ddp::param_hash`]) — asserted again after restore.
     pub param_hash: u64,
 }
@@ -69,6 +73,11 @@ impl ModelSnapshot {
         model.visit_all(&mut |p: &mut Tensor, _g: &mut Tensor| {
             params.push(p.data().to_vec());
         });
+        let perms = model
+            .inn
+            .permutations()
+            .map(|p| p.iter().map(|&j| j as u32).collect())
+            .collect();
         let hash = param_hash(model);
         Self {
             version,
@@ -76,16 +85,18 @@ impl ModelSnapshot {
             model_cfg: model.cfg.clone(),
             encode,
             params,
+            perms,
             param_hash: hash,
         }
     }
 
     /// Serialized payload size used for collective accounting: the
-    /// parameter bits plus a small header (version, iteration, hash and
-    /// the normalization constants).
+    /// parameter bits, the permutations as u32 indices, and a small header
+    /// (version, iteration, hash and the normalization constants).
     pub fn payload_bytes(&self) -> u64 {
         let body: usize = self.params.iter().map(|p| p.len() * 4).sum();
-        (body + 64) as u64
+        let perms: usize = self.perms.iter().map(|p| p.len() * 4).sum();
+        (body + perms + 64) as u64
     }
 
     /// Rebuild a standalone model from the snapshot and verify the
@@ -114,6 +125,7 @@ impl ModelSnapshot {
             "snapshot v{} tensor count mismatch",
             self.version
         );
+        model.inn.set_permutations(&self.perms);
         let h = param_hash(&mut model);
         assert_eq!(
             h, self.param_hash,
@@ -210,6 +222,25 @@ mod tests {
         let mut restored = snap.instantiate();
         assert_eq!(param_hash(&mut restored), before);
         assert!(snap.payload_bytes() > 64);
+    }
+
+    #[test]
+    fn instantiated_model_inverts_like_the_learner() {
+        // The INN permutations come from the construction seed; a snapshot
+        // that dropped them would serve another posterior at any seed ≠ 0.
+        let mut m = tiny_model(7);
+        let snap = ModelSnapshot::capture(&mut m, EncodeConfig::default(), 1, 0);
+        let served = snap.instantiate();
+        let spectra = as_tensor::TensorRng::seeded(3).standard_normal([2, m.cfg.spectrum_dim]);
+        let draw = |model: &ArtificialScientistModel| {
+            let clouds = model.invert_radiation(&spectra, 8, &mut as_tensor::TensorRng::seeded(5));
+            clouds
+                .data()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(draw(&served), draw(&m));
     }
 
     #[test]

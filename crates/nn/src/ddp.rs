@@ -308,19 +308,24 @@ impl<C: Collective> Drop for OverlappedGradSync<C> {
     }
 }
 
-/// FNV-1a hash of the model's parameter bit patterns. Two replicas hold
-/// bit-identical weights iff their hashes match — the cheap per-iteration
-/// DDP synchronisation check used by the streaming consumer ranks.
+/// FNV-1a hash of the model's parameter bit patterns, then of its INN
+/// permutations. Two replicas hold bit-identical weights iff their hashes
+/// match — the cheap per-iteration DDP synchronisation check used by the
+/// streaming consumer ranks.
 pub fn param_hash(model: &mut ArtificialScientistModel) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    model.visit_all(&mut |p: &mut Tensor, _g: &mut Tensor| {
-        for &v in p.data() {
-            for b in v.to_bits().to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
+    let mut fnv = |word: u32| {
+        for b in word.to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100_0000_01b3);
         }
+    };
+    model.visit_all(&mut |p: &mut Tensor, _g: &mut Tensor| {
+        p.data().iter().for_each(|v| fnv(v.to_bits()));
     });
+    for perm in model.inn.permutations() {
+        perm.iter().for_each(|&j| fnv(j as u32));
+    }
     h
 }
 

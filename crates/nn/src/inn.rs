@@ -388,6 +388,23 @@ impl Inn {
         None
     }
 
+    /// The channel permutations between blocks, in block order. They are
+    /// drawn from the construction seed, not trained, so they are part of
+    /// what a snapshot of the model must carry.
+    pub fn permutations(&self) -> impl Iterator<Item = &[usize]> {
+        self.perms.iter().map(|(p, _)| p.as_slice())
+    }
+
+    /// Replace the channel permutations (one per block boundary).
+    pub fn set_permutations(&mut self, perms: &[Vec<u32>]) {
+        assert_eq!(perms.len(), self.perms.len(), "permutation count");
+        for ((p, inv), src) in self.perms.iter_mut().zip(perms) {
+            assert_eq!(src.len(), p.len(), "permutation length");
+            *p = src.iter().map(|&j| j as usize).collect();
+            *inv = invert_perm(p);
+        }
+    }
+
     /// Visit all `(param, grad)` pairs.
     pub fn visit(&mut self, v: &mut dyn ParamVisitor) {
         for b in &mut self.blocks {

@@ -684,6 +684,26 @@ mod tests {
     }
 
     #[test]
+    fn the_engine_serves_the_model_the_learner_trained() {
+        let engine = InferenceEngine::start(ServingConfig::default());
+        let mut learner = ArtificialScientistModel::new(ModelConfig::small(), 7);
+        let snapshot = ModelSnapshot::capture(&mut learner, EncodeConfig::default(), 1, 0);
+        engine.install(&snapshot);
+        let served = engine
+            .archived(1)
+            .unwrap_or_else(|| panic!("v1 must be archived"));
+        for tag in 0..4 {
+            let s = spectrum(tag, ModelConfig::small().spectrum_dim);
+            let bits = |m: &ArtificialScientistModel| -> Vec<u32> {
+                let out = posterior_reference(m, &s, 1, 32);
+                out.iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(&served.model), bits(&learner), "spectrum {tag}");
+        }
+        engine.shutdown();
+    }
+
+    #[test]
     fn hot_swap_bumps_version_and_invalidates_cache() {
         let cfg = ServingConfig {
             posterior_samples: 2,
