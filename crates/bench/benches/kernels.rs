@@ -2,8 +2,9 @@
 //! figure harnesses: PIC kernels, the radiation kernel, the producer's hot
 //! path against its two stated ceilings, the point-cloud losses (the
 //! CD-vs-EMD cost claim), tensor contractions against their stated
-//! ceiling, the learner's hot kernels and one whole training pass, INN
-//! coupling blocks, the staging engine and the ring all-reduce.
+//! ceiling, the learner's hot kernels and one whole training pass, its
+//! bookkeeping (parameter hash, snapshot publish) against the copy rate,
+//! INN coupling blocks, the staging engine and the ring all-reduce.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -14,6 +15,7 @@ use as_cluster::machine::FRONTIER;
 use as_core::config::ServingConfig;
 use as_core::encode::EncodeConfig;
 use as_core::snapshot::ModelSnapshot;
+use as_nn::ddp::param_hash;
 use as_nn::inn::Inn;
 use as_nn::layers::Activation;
 use as_nn::loss::{chamfer, mmd_imq, sinkhorn_emd};
@@ -32,7 +34,7 @@ use as_radiation::lienard::{ParticleState, RadiationAccumulator};
 use as_radiation::plugin::{particle_states, RadiationPlugin, RegionMode};
 use as_serve::engine::{posterior_batch, InferenceEngine};
 use as_staging::engine::{open_stream, StreamConfig};
-use as_tensor::{matmul, matmul_a_bt, matmul_at_b, TensorRng, Workspace};
+use as_tensor::{matmul, matmul_a_bt, matmul_at_b, Tensor, TensorRng, Workspace};
 
 fn bench_pic_step(c: &mut Criterion) {
     let mut g = c.benchmark_group("pic_step");
@@ -129,6 +131,20 @@ fn fastest(reps: usize, mut f: impl FnMut()) -> f64 {
             t0.elapsed().as_secs_f64()
         })
         .fold(f64::INFINITY, f64::min)
+}
+
+/// Bytes per second a `copy_from_slice` of `bytes` moves, reads and
+/// writes counted: the memory ceiling of the producer and bookkeeping
+/// lines (32 MiB streams from memory; a model-sized copy stays in cache).
+fn copy_rate(bytes: usize) -> f64 {
+    let src = vec![1.0f64; bytes / 8];
+    let mut dst = vec![0.0f64; bytes / 8];
+    let reps = if bytes >= 1 << 24 { 5 } else { 50 };
+    let copy_s = fastest(reps, || {
+        dst.copy_from_slice(black_box(&src));
+        black_box(&mut dst);
+    });
+    2.0 * (src.len() * 8) as f64 / copy_s
 }
 
 /// Flop of one particle of the fused tile pass, counted from the code
@@ -331,13 +347,7 @@ fn bench_producer(c: &mut Criterion) {
     let view = 6.0 * 6.0f64.powi(3) * 8.0 * 2.0;
     let accumulator = 3.0 * 8.0f64.powi(3) * 8.0 * 4.0;
     let bytes = 16.0 * 8.0 + (view + accumulator) / per_tile;
-    let src = vec![1.0f64; 4 << 20];
-    let mut dst = vec![0.0f64; 4 << 20];
-    let copy_s = fastest(5, || {
-        dst.copy_from_slice(black_box(&src));
-        black_box(&mut dst);
-    });
-    let bandwidth = 2.0 * (src.len() * 8) as f64 / copy_s;
+    let bandwidth = copy_rate(32 << 20);
     let fused_ns = fused_s * 1e9 / particles as f64;
     let floor_ns = bytes / bandwidth * 1e9;
     println!(
@@ -520,6 +530,73 @@ fn bench_learner(c: &mut Criterion) {
         })
     });
     g.finish();
+}
+
+/// The learner's bookkeeping on the `ddp_sync` model (`small` with
+/// encoder channels 6-32-64-128, latent 64 and INN subnets 64-64: 123 536
+/// parameters), each against the `copy_from_slice` rate of the producer
+/// line (32 MiB) and of a copy the model's size: the per-iteration
+/// parameter hash, which reads every parameter byte once, and one publish
+/// — a snapshot capture, then the instantiate an install runs — which
+/// reads and writes them twice.
+fn bench_bookkeeping(c: &mut Criterion) {
+    let mut cfg = ModelConfig::small();
+    cfg.vae.encoder_channels = vec![6, 32, 64, 128];
+    cfg.vae.head_hidden = 64;
+    cfg.vae.latent = 64;
+    cfg.inn_hidden = vec![64, 64];
+    let mut model = ArtificialScientistModel::new(cfg, 7);
+    let mut params = 0usize;
+    model.visit_all(&mut |p: &mut Tensor, _g: &mut Tensor| params += p.numel());
+    let bytes = (params * 4) as f64;
+    let (stream, cached) = (copy_rate(32 << 20), copy_rate(params * 4));
+    let against = |rate: f64| {
+        format!(
+            "{:.2} of the 32 MiB copy_from_slice rate ({:.1} GB/s), {:.2} of a model-sized \
+             one ({:.1} GB/s)",
+            rate / stream,
+            stream / 1e9,
+            rate / cached,
+            cached / 1e9
+        )
+    };
+
+    let mut g = c.benchmark_group("learner");
+    g.sample_size(50);
+    g.throughput(Throughput::Elements(params as u64));
+    g.bench_function("param_hash_123k", |b| b.iter(|| param_hash(&mut model)));
+    g.finish();
+    let hash_s = fastest(50, || {
+        black_box(param_hash(&mut model));
+    });
+    println!(
+        "learner: param_hash reads {:.2} MB at {:.1} GB/s: {}",
+        bytes / 1e6,
+        bytes / hash_s / 1e9,
+        against(bytes / hash_s)
+    );
+
+    let mut g = c.benchmark_group("publish");
+    g.sample_size(20);
+    g.throughput(Throughput::Elements(params as u64));
+    let publish = |model: &mut ArtificialScientistModel| {
+        ModelSnapshot::capture(model, EncodeConfig::default(), 1, 0).instantiate()
+    };
+    g.bench_function("capture_instantiate_123k", |b| {
+        b.iter(|| publish(&mut model))
+    });
+    g.finish();
+    let publish_s = fastest(20, || {
+        black_box(publish(&mut model));
+    });
+    let moved = 4.0 * bytes;
+    println!(
+        "publish: capture + instantiate move {:.2} MB in {:.3} ms, {:.1} GB/s: {}",
+        moved / 1e6,
+        publish_s * 1e3,
+        moved / publish_s / 1e9,
+        against(moved / publish_s)
+    );
 }
 
 fn bench_inn(c: &mut Criterion) {
@@ -718,6 +795,7 @@ criterion_group!(
     bench_losses,
     bench_tensor,
     bench_learner,
+    bench_bookkeeping,
     bench_inn,
     bench_staging,
     bench_allreduce,

@@ -112,7 +112,8 @@ pub struct ConsumerReport {
     /// every published window is consumed, dropped, orphaned or lost to a
     /// fault, never lost silently.
     pub published_windows: u64,
-    /// FNV-1a hash of the final parameter bits (DDP sync witness).
+    /// [`as_nn::ddp::param_hash`] of the final parameters (DDP sync
+    /// witness).
     pub param_hash: u64,
     /// Parameter hash after **every** training iteration, in order — the
     /// cross-backend determinism witness: two runs of the same seeded

@@ -6,12 +6,15 @@
 //! training-side half of that contract:
 //!
 //! - [`ModelSnapshot`]: a self-contained, immutable copy of the model —
-//!   parameter tensors, normalization ([`EncodeConfig`]), architecture
-//!   ([`as_nn::model::ModelConfig`]) and a monotone version id, plus the
-//!   FNV-1a parameter hash as a bit-integrity witness. A snapshot can be
-//!   [`ModelSnapshot::instantiate`]d into a fresh model anywhere; the
-//!   hash check on restore makes torn or corrupted weights a hard panic
-//!   instead of silently wrong inference.
+//!   parameter tensors, the INN's channel permutations, normalization
+//!   ([`EncodeConfig`]), architecture ([`as_nn::model::ModelConfig`]) and
+//!   a monotone version id, plus [`as_nn::ddp::param_hash`] of the
+//!   parameters and permutations as a bit-integrity witness, taken while
+//!   capture copies them. A snapshot can be
+//!   [`ModelSnapshot::instantiate`]d anywhere into a serving model built
+//!   from those buffers (no throw-away initialisation, no gradients); the
+//!   hash, taken again while that copy is made, makes torn or corrupted
+//!   weights a hard panic instead of silently wrong inference.
 //! - [`SnapshotSink`]: where published snapshots go. The serving crate
 //!   (`as-serve`) implements this for its inference engine; tests can
 //!   implement it with a channel.
@@ -29,7 +32,7 @@
 
 use crate::config::ServingConfig;
 use crate::encode::EncodeConfig;
-use as_nn::ddp::param_hash;
+use as_nn::ddp::ParamHasher;
 use as_nn::model::{ArtificialScientistModel, ModelConfig};
 use as_tensor::Tensor;
 use std::sync::Arc;
@@ -54,31 +57,36 @@ pub struct ModelSnapshot {
     /// learner's construction seed, so a served model needs them as much
     /// as the weights.
     pub perms: Vec<Vec<u32>>,
-    /// FNV-1a hash of the parameter bits and the permutations at capture
-    /// ([`as_nn::ddp::param_hash`]) — asserted again after restore.
+    /// [`as_nn::ddp::param_hash`] of the parameters and the permutations
+    /// at capture — asserted again while [`Self::instantiate`] copies them.
     pub param_hash: u64,
 }
 
 impl ModelSnapshot {
-    /// Copy the model's parameters out into an immutable snapshot.
-    /// (`&mut` only because the visitor API threads gradient slots;
-    /// capture never mutates the model.)
+    /// Copy the model's parameters and permutations out into an immutable
+    /// snapshot, hashing each tensor as it is copied. (`&mut` only because
+    /// the visitor API threads gradient slots; capture never mutates the
+    /// model.)
     pub fn capture(
         model: &mut ArtificialScientistModel,
         encode: EncodeConfig,
         version: u64,
         iteration: u64,
     ) -> Self {
+        let mut hash = ParamHasher::default();
         let mut params: Vec<Vec<f32>> = Vec::new();
         model.visit_all(&mut |p: &mut Tensor, _g: &mut Tensor| {
+            hash.update(p.data());
             params.push(p.data().to_vec());
         });
-        let perms = model
+        let perms: Vec<Vec<u32>> = model
             .inn
             .permutations()
             .map(|p| p.iter().map(|&j| j as u32).collect())
             .collect();
-        let hash = param_hash(model);
+        for p in &perms {
+            hash.update_words(p.iter().copied());
+        }
         Self {
             version,
             iteration,
@@ -86,7 +94,7 @@ impl ModelSnapshot {
             encode,
             params,
             perms,
-            param_hash: hash,
+            param_hash: hash.finish(),
         }
     }
 
@@ -99,34 +107,16 @@ impl ModelSnapshot {
         (body + perms + 64) as u64
     }
 
-    /// Rebuild a standalone model from the snapshot and verify the
-    /// parameter hash — the torn-weights guard: a snapshot that does not
-    /// reproduce its captured bits panics here instead of serving wrong
-    /// answers.
+    /// Rebuild a standalone serving model from the snapshot's buffers and
+    /// permutations, and verify the parameter hash taken while copying
+    /// them — the torn-weights guard: a snapshot that does not reproduce
+    /// its captured bits panics here instead of serving wrong answers.
     pub fn instantiate(&self) -> ArtificialScientistModel {
-        let mut model = ArtificialScientistModel::new(self.model_cfg.clone(), 0);
-        let mut idx = 0usize;
-        model.visit_all(&mut |p: &mut Tensor, _g: &mut Tensor| {
-            let src = self.params.get(idx).unwrap_or_else(|| {
-                panic!("snapshot v{} has too few tensors ({idx})", self.version)
-            });
-            assert_eq!(
-                p.data().len(),
-                src.len(),
-                "snapshot v{} tensor {idx} length mismatch",
-                self.version
-            );
-            p.data_mut().copy_from_slice(src);
-            idx += 1;
-        });
-        assert_eq!(
-            idx,
-            self.params.len(),
-            "snapshot v{} tensor count mismatch",
-            self.version
+        let (model, h) = ArtificialScientistModel::from_buffers(
+            self.model_cfg.clone(),
+            &self.params,
+            &self.perms,
         );
-        model.inn.set_permutations(&self.perms);
-        let h = param_hash(&mut model);
         assert_eq!(
             h, self.param_hash,
             "torn snapshot v{}: parameter hash mismatch after restore",
@@ -206,6 +196,7 @@ impl SnapshotPublisher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use as_nn::ddp::param_hash;
     use as_nn::model::ModelConfig;
 
     fn tiny_model(seed: u64) -> ArtificialScientistModel {

@@ -15,9 +15,10 @@
 //! parameter gradients accumulate across both passes, exactly like a tape
 //! autograd would.
 
+use crate::init::ParamSource;
 use crate::layers::{Activation, InitKind, Mlp, MlpCtx};
 use crate::optim::ParamVisitor;
-use as_tensor::{Tensor, TensorRng, Workspace};
+use as_tensor::{Tensor, Workspace};
 
 /// Soft clamp constant (FrEIA default is 2.0; the paper's flows are affine
 /// with clamped scales per Dinh et al.).
@@ -149,7 +150,7 @@ impl CouplingBlock {
     /// Build a block for `dim`-dimensional vectors with the given subnet
     /// hidden widths (paper: `[272, 256]` between input and the doubled
     /// output).
-    pub fn new(rng: &mut TensorRng, dim: usize, hidden: &[usize]) -> Self {
+    pub fn new(src: &mut impl ParamSource, dim: usize, hidden: &[usize]) -> Self {
         let d1 = dim / 2;
         let d2 = dim - d1;
         let mut w1 = vec![d1];
@@ -161,8 +162,8 @@ impl CouplingBlock {
         let act = Activation::LeakyRelu(0.01);
         Self {
             // Near-zero last layers start the flow at the identity map.
-            subnet1: Mlp::new(rng, &w1, act, InitKind::NearZero),
-            subnet2: Mlp::new(rng, &w2, act, InitKind::NearZero),
+            subnet1: Mlp::new(src, &w1, act, InitKind::NearZero),
+            subnet2: Mlp::new(src, &w2, act, InitKind::NearZero),
             d1,
         }
     }
@@ -290,20 +291,15 @@ fn invert_perm(perm: &[usize]) -> Vec<usize> {
 impl Inn {
     /// Build `n_blocks` coupling blocks on `dim`-vectors with the given
     /// subnet hidden widths (paper: 4 blocks, hidden `[272, 256]`).
-    pub fn new(rng: &mut TensorRng, dim: usize, n_blocks: usize, hidden: &[usize]) -> Self {
+    pub fn new(src: &mut impl ParamSource, dim: usize, n_blocks: usize, hidden: &[usize]) -> Self {
         assert!(dim >= 2, "INN needs at least two channels to couple");
         assert!(n_blocks >= 1, "INN needs at least one coupling block");
         let blocks = (0..n_blocks)
-            .map(|_| CouplingBlock::new(rng, dim, hidden))
+            .map(|_| CouplingBlock::new(src, dim, hidden))
             .collect();
-        // Fisher-Yates with the tensor RNG for reproducibility.
         let perms = (0..n_blocks.saturating_sub(1))
             .map(|_| {
-                let mut p: Vec<usize> = (0..dim).collect();
-                for i in (1..dim).rev() {
-                    let j = rng.index(i + 1);
-                    p.swap(i, j);
-                }
+                let p = src.permutation(dim);
                 let inv = invert_perm(&p);
                 (p, inv)
             })
@@ -389,20 +385,10 @@ impl Inn {
     }
 
     /// The channel permutations between blocks, in block order. They are
-    /// drawn from the construction seed, not trained, so they are part of
-    /// what a snapshot of the model must carry.
+    /// drawn from the construction source, not trained, so they are part
+    /// of what a snapshot of the model must carry.
     pub fn permutations(&self) -> impl Iterator<Item = &[usize]> {
         self.perms.iter().map(|(p, _)| p.as_slice())
-    }
-
-    /// Replace the channel permutations (one per block boundary).
-    pub fn set_permutations(&mut self, perms: &[Vec<u32>]) {
-        assert_eq!(perms.len(), self.perms.len(), "permutation count");
-        for ((p, inv), src) in self.perms.iter_mut().zip(perms) {
-            assert_eq!(src.len(), p.len(), "permutation length");
-            *p = src.iter().map(|&j| j as usize).collect();
-            *inv = invert_perm(p);
-        }
     }
 
     /// Visit all `(param, grad)` pairs.
@@ -418,6 +404,7 @@ mod tests {
     use super::*;
     use crate::layers::finite_diff_check;
     use crate::optim::zero_grads;
+    use as_tensor::TensorRng;
 
     fn ws() -> Workspace {
         Workspace::default()

@@ -14,9 +14,9 @@
 //! internal gradients are taken from and given back to the caller's
 //! [`Workspace`]; a `dy` argument is only ever borrowed.
 
-use crate::init;
+use crate::init::ParamSource;
 use crate::optim::ParamVisitor;
-use as_tensor::{matmul_at_b_into, matmul_into, Tensor, TensorRng, Workspace};
+use as_tensor::{matmul_at_b_into, matmul_into, Tensor, Workspace};
 
 /// Fully-connected layer `y = x·W + b` with `W:[in,out]`, acting on the
 /// rows of `x:[…, in]` whatever its leading dimensions.
@@ -43,18 +43,16 @@ pub enum InitKind {
 }
 
 impl Linear {
-    /// New layer with the given fan-in/out and initialisation.
-    pub fn new(rng: &mut TensorRng, fan_in: usize, fan_out: usize, kind: InitKind) -> Self {
-        let w = match kind {
-            InitKind::Kaiming => init::kaiming_uniform(rng, fan_in, fan_out),
-            InitKind::Xavier => init::xavier_uniform(rng, fan_in, fan_out),
-            InitKind::NearZero => init::near_zero(rng, fan_in, fan_out),
-        };
+    /// New layer with the given fan-in/out, its weight initialised as
+    /// `kind` when `src` draws it.
+    pub fn new(src: &mut impl ParamSource, fan_in: usize, fan_out: usize, kind: InitKind) -> Self {
+        let w = src.weight(fan_in, fan_out, kind);
+        let b = src.bias(fan_out);
         Self {
-            gw: Tensor::zeros([fan_in, fan_out]),
-            gb: Tensor::zeros([fan_out]),
-            b: Tensor::zeros([fan_out]),
+            gw: src.grad(&w),
+            gb: src.grad(&b),
             w,
+            b,
         }
     }
 
@@ -245,7 +243,7 @@ pub struct MlpCtx {
 impl Mlp {
     /// Build from a width list `[in, h1, …, out]`.
     pub fn new(
-        rng: &mut TensorRng,
+        src: &mut impl ParamSource,
         widths: &[usize],
         act: Activation,
         last_init: InitKind,
@@ -262,7 +260,7 @@ impl Mlp {
                 } else {
                     InitKind::Kaiming
                 };
-                Linear::new(rng, widths[i], widths[i + 1], kind)
+                Linear::new(src, widths[i], widths[i + 1], kind)
             })
             .collect();
         Self { layers, act }
@@ -407,6 +405,7 @@ pub(crate) fn finite_diff_check(
 mod tests {
     use super::*;
     use crate::optim::zero_grads;
+    use as_tensor::TensorRng;
 
     #[test]
     fn linear_forward_known_values() {

@@ -19,6 +19,7 @@
 //! [`ArtificialScientistModel::predict_spectrum`] (particles → spectrum,
 //! the dashed lines of Fig. 9(a)).
 
+use crate::init::{Buffers, ParamSource};
 use crate::inn::{Inn, InnCtx};
 use crate::loss;
 use crate::optim::{zero_grads, Adam, AdamConfig, ParamVisitor};
@@ -163,9 +164,26 @@ pub struct ArtificialScientistModel {
 impl ArtificialScientistModel {
     /// Construct with seeded initialisation.
     pub fn new(cfg: ModelConfig, seed: u64) -> Self {
-        let mut rng = TensorRng::seeded(seed);
-        let vae = Vae::new(&mut rng, &cfg.vae);
-        let inn = Inn::new(&mut rng, cfg.vae.latent, cfg.inn_blocks, &cfg.inn_hidden);
+        Self::build(cfg, &mut TensorRng::seeded(seed))
+    }
+
+    /// Rebuild a captured model from its buffers: the parameters in
+    /// [`Self::visit_all`] order and the INN permutations in block order
+    /// (`Inn::permutations`). The result has no gradient accumulators — it
+    /// serves and never trains. Returns it with the
+    /// [`crate::ddp::param_hash`] of the buffers, computed while copying
+    /// them.
+    pub fn from_buffers(cfg: ModelConfig, params: &[Vec<f32>], perms: &[Vec<u32>]) -> (Self, u64) {
+        let mut src = Buffers::new(params, perms);
+        let model = Self::build(cfg, &mut src);
+        (model, src.finish())
+    }
+
+    /// The one structural builder behind [`Self::new`] and
+    /// [`Self::from_buffers`].
+    fn build(cfg: ModelConfig, src: &mut impl ParamSource) -> Self {
+        let vae = Vae::new(src, &cfg.vae);
+        let inn = Inn::new(src, cfg.vae.latent, cfg.inn_blocks, &cfg.inn_hidden);
         Self {
             cfg,
             vae,
@@ -318,14 +336,6 @@ impl ArtificialScientistModel {
     /// the paper's near-linear classifier of physical regimes).
     pub fn encode(&self, points: &Tensor) -> Tensor {
         self.vae.encode_mean(points, &mut Workspace::default())
-    }
-
-    /// Free what only training needs — the gradient accumulators and the
-    /// workspace — halving the footprint of a replica that will only ever
-    /// serve. Accumulating gradients afterwards panics on a shape mismatch.
-    pub fn drop_training_state(&mut self) {
-        self.visit_all(&mut |_p: &mut Tensor, g: &mut Tensor| *g = Tensor::zeros([0]));
-        self.ws = Workspace::default();
     }
 
     /// Zero all gradient accumulators.

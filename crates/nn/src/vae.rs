@@ -19,6 +19,7 @@
 //! The encoder's backward pass runs its convolutions only on the rows
 //! the max-pool selected (see [`Encoder::backward`]).
 
+use crate::init::ParamSource;
 use crate::layers::{max_pool_points, Activation, InitKind, Linear, Mlp, MlpCtx};
 use crate::optim::ParamVisitor;
 use as_tensor::{Tensor, TensorRng, Workspace};
@@ -97,7 +98,7 @@ const LEAKY: Activation = Activation::LeakyRelu(0.01);
 
 impl Encoder {
     /// Build from config.
-    pub fn new(rng: &mut TensorRng, cfg: &VaeConfig) -> Self {
+    pub fn new(src: &mut impl ParamSource, cfg: &VaeConfig) -> Self {
         assert_eq!(
             cfg.encoder_channels[0], cfg.point_dim,
             "first encoder channel must equal point_dim"
@@ -109,12 +110,12 @@ impl Encoder {
         let convs = cfg
             .encoder_channels
             .windows(2)
-            .map(|w| Linear::new(rng, w[0], w[1], InitKind::Kaiming))
+            .map(|w| Linear::new(src, w[0], w[1], InitKind::Kaiming))
             .collect();
         let feat = *cfg.encoder_channels.last().expect("channels nonempty");
         let heads = [feat, cfg.head_hidden, cfg.latent];
-        let mu_head = Mlp::new(rng, &heads, LEAKY, InitKind::Xavier);
-        let logvar_head = Mlp::new(rng, &heads, LEAKY, InitKind::Xavier);
+        let mu_head = Mlp::new(src, &heads, LEAKY, InitKind::Xavier);
+        let logvar_head = Mlp::new(src, &heads, LEAKY, InitKind::Xavier);
         Self {
             convs,
             mu_head,
@@ -276,14 +277,14 @@ struct Deconv3 {
 }
 
 impl Deconv3 {
-    fn new(rng: &mut TensorRng, c_in: usize, c_out: usize, last: bool) -> Self {
+    fn new(src: &mut impl ParamSource, c_in: usize, c_out: usize, last: bool) -> Self {
         let kind = if last {
             InitKind::Xavier
         } else {
             InitKind::Kaiming
         };
         Self {
-            lin: Linear::new(rng, c_in, 8 * c_out, kind),
+            lin: Linear::new(src, c_in, 8 * c_out, kind),
             c_in,
             c_out,
         }
@@ -360,17 +361,17 @@ pub struct DecoderCtx {
 
 impl Decoder {
     /// Build from config.
-    pub fn new(rng: &mut TensorRng, cfg: &VaeConfig) -> Self {
+    pub fn new(src: &mut impl ParamSource, cfg: &VaeConfig) -> Self {
         let base = cfg.decoder_base;
         let c0 = cfg.decoder_channels[0];
-        let fc = Linear::new(rng, cfg.latent, base * base * base * c0, InitKind::Kaiming);
+        let fc = Linear::new(src, cfg.latent, base * base * base * c0, InitKind::Kaiming);
         let n = cfg.decoder_channels.len() - 1;
         assert!(n >= 1, "decoder needs a deconvolution stage");
         let deconvs = cfg
             .decoder_channels
             .windows(2)
             .enumerate()
-            .map(|(i, w)| Deconv3::new(rng, w[0], w[1], i + 1 == n))
+            .map(|(i, w)| Deconv3::new(src, w[0], w[1], i + 1 == n))
             .collect();
         Self { fc, deconvs, base }
     }
@@ -461,10 +462,10 @@ pub struct VaePass {
 
 impl Vae {
     /// Build both halves from one config.
-    pub fn new(rng: &mut TensorRng, cfg: &VaeConfig) -> Self {
+    pub fn new(src: &mut impl ParamSource, cfg: &VaeConfig) -> Self {
         Self {
-            encoder: Encoder::new(rng, cfg),
-            decoder: Decoder::new(rng, cfg),
+            encoder: Encoder::new(src, cfg),
+            decoder: Decoder::new(src, cfg),
         }
     }
 

@@ -52,7 +52,7 @@ pub struct ServedModel {
     pub model: ArtificialScientistModel,
     /// Snapshot version id.
     pub version: u64,
-    /// FNV-1a parameter hash (the snapshot's, re-verified on install).
+    /// The snapshot's [`as_nn::ddp::param_hash`], re-verified on install.
     pub param_hash: u64,
     /// Training iteration the snapshot was captured at.
     pub iteration: u64,
@@ -221,12 +221,12 @@ impl InferenceEngine {
         engine
     }
 
-    /// Hot-swap a published snapshot in. Rebuilds and hash-verifies the
-    /// model (torn weights panic here, never serve), asserts version
+    /// Hot-swap a published snapshot in. Rebuilds the model from the
+    /// snapshot's buffers and hash-verifies it (torn weights panic here,
+    /// never serve); the rebuilt model carries no training state. Asserts version
     /// monotonicity, swaps the slot `Arc`, and flushes the cache.
     pub fn install(&self, snapshot: &ModelSnapshot) {
-        let mut model = snapshot.instantiate(); // panics on hash mismatch
-        model.drop_training_state(); // every version stays archived
+        let model = snapshot.instantiate(); // panics on hash mismatch
         let served = Arc::new(ServedModel {
             model,
             version: snapshot.version,
