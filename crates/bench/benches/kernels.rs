@@ -532,20 +532,85 @@ fn bench_learner(c: &mut Criterion) {
     g.finish();
 }
 
-/// The learner's bookkeeping on the `ddp_sync` model (`small` with
-/// encoder channels 6-32-64-128, latent 64 and INN subnets 64-64: 123 536
-/// parameters), each against the `copy_from_slice` rate of the producer
-/// line (32 MiB) and of a copy the model's size: the per-iteration
-/// parameter hash, which reads every parameter byte once, and one publish
-/// — a snapshot capture, then the instantiate an install runs — which
-/// reads and writes them twice.
-fn bench_bookkeeping(c: &mut Criterion) {
+/// The `ddp_sync` workload's model: `small` with encoder channels
+/// 6-32-64-128, latent 64 and INN subnets 64-64 (123 536 parameters).
+fn ddp_sync_model() -> ModelConfig {
     let mut cfg = ModelConfig::small();
     cfg.vae.encoder_channels = vec![6, 32, 64, 128];
     cfg.vae.head_hidden = 64;
     cfg.vae.latent = 64;
     cfg.inn_hidden = vec![64, 64];
-    let mut model = ArtificialScientistModel::new(cfg, 7);
+    cfg
+}
+
+/// The encoder's forward pass at the benchmark's batch (B=8, P=256) on
+/// the `small` and `ddp_sync` models: the 1×1 convolutions, bias and
+/// LeakyReLU in the matmul tile, the last one max-pooled there, then the
+/// two heads. Its convolutions' GFLOP/s (heads and epilogues timed but
+/// not counted) against the no-FMA ceiling of the instance that ran, and
+/// the bytes of the `[B·P, C]` output the pooled layer no longer writes
+/// (nor the pool reads back).
+fn bench_encoder(c: &mut Criterion) {
+    let (instance, flop) = live_instance();
+    let mut rng = TensorRng::seeded(4);
+    let points = rng.uniform([8, 256, 6], -1.0, 1.0);
+    let rows = 8 * 256;
+    for (name, cfg) in [
+        ("small", ModelConfig::small()),
+        ("ddp_sync", ddp_sync_model()),
+    ] {
+        let model = ArtificialScientistModel::new(cfg.clone(), 7);
+        let encoder = &model.vae.encoder;
+        let ws = &mut Workspace::default();
+        let mut forward = || {
+            let (mu, logvar, ctx) = encoder.forward(&points, ws);
+            black_box(mu.data()[0]);
+            ws.give_all([mu, logvar]);
+            ctx.recycle(ws);
+        };
+        let mut g = c.benchmark_group("learner");
+        g.sample_size(20);
+        g.bench_function(format!("encoder_forward_8x256/{name}"), |b| {
+            b.iter(&mut forward)
+        });
+        g.finish();
+        let forward_s = fastest(50, &mut forward);
+        let channels = &cfg.vae.encoder_channels;
+        let conv_flop: usize = channels.windows(2).map(|w| 2 * rows * w[0] * w[1]).sum();
+        let gflops = conv_flop as f64 / forward_s / 1e9;
+        let threads = rayon::current_num_threads();
+        let ceiling = match clock_ghz() {
+            Some(ghz) => format!(
+                "{:.0} % of {threads} × the {instance} instance's per-core no-FMA ceiling \
+                 ({:.1} GFLOP/s)",
+                100.0 * gflops / (threads as f64 * flop * ghz),
+                flop * ghz
+            ),
+            None => format!(
+                "the {instance} instance's ceiling is {flop} flop/cycle per core (clock not \
+                 reported)"
+            ),
+        };
+        let last = channels.last().expect("channels");
+        println!(
+            "learner: {name} encoder forward {:.3} ms, convolutions {:.1} MFLOP at {gflops:.1} \
+             GFLOP/s on {threads} rayon thread(s), {ceiling}; the pooled layer writes 8×{last} maxima, not its {rows}×{last} \
+             output ({} KiB not written or read back)",
+            forward_s * 1e3,
+            conv_flop as f64 / 1e6,
+            rows * last * 4 / 1024
+        );
+    }
+}
+
+/// The learner's bookkeeping on the `ddp_sync` model, each against the
+/// `copy_from_slice` rate of the producer line (32 MiB) and of a copy the
+/// model's size: the per-iteration parameter hash, which reads every
+/// parameter byte once, and one publish — a snapshot capture, which reads
+/// and writes them, then the by-value rebuild a published snapshot takes
+/// into the engine, which moves the buffers and reads them once.
+fn bench_bookkeeping(c: &mut Criterion) {
+    let mut model = ArtificialScientistModel::new(ddp_sync_model(), 7);
     let mut params = 0usize;
     model.visit_all(&mut |p: &mut Tensor, _g: &mut Tensor| params += p.numel());
     let bytes = (params * 4) as f64;
@@ -580,18 +645,18 @@ fn bench_bookkeeping(c: &mut Criterion) {
     g.sample_size(20);
     g.throughput(Throughput::Elements(params as u64));
     let publish = |model: &mut ArtificialScientistModel| {
-        ModelSnapshot::capture(model, EncodeConfig::default(), 1, 0).instantiate()
+        ModelSnapshot::capture(model, EncodeConfig::default(), 1, 0).into_model()
     };
-    g.bench_function("capture_instantiate_123k", |b| {
+    g.bench_function("capture_into_model_123k", |b| {
         b.iter(|| publish(&mut model))
     });
     g.finish();
     let publish_s = fastest(20, || {
         black_box(publish(&mut model));
     });
-    let moved = 4.0 * bytes;
+    let moved = 3.0 * bytes;
     println!(
-        "publish: capture + instantiate move {:.2} MB in {:.3} ms, {:.1} GB/s: {}",
+        "publish: capture + into_model move {:.2} MB in {:.3} ms, {:.1} GB/s: {}",
         moved / 1e6,
         publish_s * 1e3,
         moved / publish_s / 1e9,
@@ -795,6 +860,7 @@ criterion_group!(
     bench_losses,
     bench_tensor,
     bench_learner,
+    bench_encoder,
     bench_bookkeeping,
     bench_inn,
     bench_staging,

@@ -10,11 +10,11 @@
 //!   ([`EncodeConfig`]), architecture ([`as_nn::model::ModelConfig`]) and
 //!   a monotone version id, plus [`as_nn::ddp::param_hash`] of the
 //!   parameters and permutations as a bit-integrity witness, taken while
-//!   capture copies them. A snapshot can be
-//!   [`ModelSnapshot::instantiate`]d anywhere into a serving model built
-//!   from those buffers (no throw-away initialisation, no gradients); the
-//!   hash, taken again while that copy is made, makes torn or corrupted
-//!   weights a hard panic instead of silently wrong inference.
+//!   capture copies them. A snapshot turns anywhere into a serving model
+//!   built from those buffers ([`ModelSnapshot::into_model`]: no
+//!   throw-away initialisation, no gradients, the buffers moved, not
+//!   copied); the hash, taken again as the model is built, makes torn or
+//!   corrupted weights a hard panic instead of silently wrong inference.
 //! - [`SnapshotSink`]: where published snapshots go. The serving crate
 //!   (`as-serve`) implements this for its inference engine; tests can
 //!   implement it with a channel.
@@ -58,7 +58,8 @@ pub struct ModelSnapshot {
     /// as the weights.
     pub perms: Vec<Vec<u32>>,
     /// [`as_nn::ddp::param_hash`] of the parameters and the permutations
-    /// at capture — asserted again while [`Self::instantiate`] copies them.
+    /// at capture — asserted again while [`Self::into_model`] builds the
+    /// served model from them.
     pub param_hash: u64,
 }
 
@@ -107,20 +108,24 @@ impl ModelSnapshot {
         (body + perms + 64) as u64
     }
 
+    /// [`Self::into_model`] on a copy, keeping the snapshot.
+    #[cfg(test)]
+    fn instantiate(&self) -> ArtificialScientistModel {
+        self.clone().into_model()
+    }
+
     /// Rebuild a standalone serving model from the snapshot's buffers and
-    /// permutations, and verify the parameter hash taken while copying
-    /// them — the torn-weights guard: a snapshot that does not reproduce
-    /// its captured bits panics here instead of serving wrong answers.
-    pub fn instantiate(&self) -> ArtificialScientistModel {
-        let (model, h) = ArtificialScientistModel::from_buffers(
-            self.model_cfg.clone(),
-            &self.params,
-            &self.perms,
-        );
+    /// permutations, and verify the parameter hash — the torn-weights
+    /// guard: a snapshot that does not reproduce its captured bits panics
+    /// here instead of serving wrong answers. The buffers move into the
+    /// served model and are hashed where they lie, so nothing is copied.
+    pub fn into_model(self) -> ArtificialScientistModel {
+        let (version, param_hash) = (self.version, self.param_hash);
+        let (model, h) =
+            ArtificialScientistModel::from_buffers(self.model_cfg, self.params, self.perms);
         assert_eq!(
-            h, self.param_hash,
-            "torn snapshot v{}: parameter hash mismatch after restore",
-            self.version
+            h, param_hash,
+            "torn snapshot v{version}: parameter hash mismatch after restore"
         );
         model
     }

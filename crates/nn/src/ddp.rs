@@ -968,9 +968,9 @@ mod tests {
             flat.chunks(step).for_each(|c| h.update(c));
             assert_eq!(finish(h), witness, "pieces of {step}");
         }
-        // A model rebuilt from the buffers hashes them while copying them.
+        // A model rebuilt from the buffers hashes them where they lie.
         let (mut served, h) =
-            ArtificialScientistModel::from_buffers(m.cfg.clone(), &tensors, &perms);
+            ArtificialScientistModel::from_buffers(m.cfg.clone(), tensors.clone(), perms.clone());
         assert_eq!(h, witness);
         assert_eq!(param_hash(&mut served), witness);
         // Length is part of the value: a trailing zero is not nothing.

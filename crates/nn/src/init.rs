@@ -5,9 +5,9 @@
 //! the VAE, the INN and [`crate::model::ArtificialScientistModel`] take a
 //! [`ParamSource`]. A [`TensorRng`] is one: it draws the seeded
 //! initialisers and gives every parameter a zeroed gradient — a model to
-//! train. [`Buffers`] is the other: it hands back captured tensors and
-//! permutations in construction order, hashes them as it copies them, and
-//! gives no gradients — a model to serve. One builder, two feeds.
+//! train. The captured buffers of a model are the other (`Buffers`): they
+//! are handed back in construction order, moved into the model and hashed
+//! in place, with no gradients — a model to serve. One builder, two feeds.
 
 use crate::ddp::ParamHasher;
 use crate::layers::InitKind;
@@ -55,22 +55,22 @@ impl ParamSource for TensorRng {
     }
 }
 
-/// Captured tensors read back in construction order — parameters in
-/// `visit_all` order, then the INN permutations as u32 indices — and
-/// hashed with [`ParamHasher`] as they are copied, so the model built
-/// from them has been checked in the same pass. Its gradients are empty:
-/// the model serves and never trains.
-pub(crate) struct Buffers<'a> {
-    params: std::slice::Iter<'a, Vec<f32>>,
-    perms: std::slice::Iter<'a, Vec<u32>>,
+/// Captured tensors handed back in construction order — parameters in
+/// `visit_all` order, then the INN permutations as u32 indices — each
+/// moved into the model and hashed with [`ParamHasher`] where it lies, so
+/// the model built from them has been checked without a copy. Its
+/// gradients are empty: the model serves and never trains.
+pub(crate) struct Buffers {
+    params: std::vec::IntoIter<Vec<f32>>,
+    perms: std::vec::IntoIter<Vec<u32>>,
     hash: ParamHasher,
 }
 
-impl<'a> Buffers<'a> {
-    pub(crate) fn new(params: &'a [Vec<f32>], perms: &'a [Vec<u32>]) -> Self {
+impl Buffers {
+    pub(crate) fn new(params: Vec<Vec<f32>>, perms: Vec<Vec<u32>>) -> Self {
         Self {
-            params: params.iter(),
-            perms: perms.iter(),
+            params: params.into_iter(),
+            perms: perms.into_iter(),
             hash: ParamHasher::default(),
         }
     }
@@ -79,8 +79,8 @@ impl<'a> Buffers<'a> {
         let src = self.params.next().expect("too few parameter buffers");
         let n: usize = dims.iter().product();
         assert_eq!(src.len(), n, "parameter buffer length");
-        self.hash.update(src);
-        Tensor::from_vec(dims, src.clone())
+        self.hash.update(&src);
+        Tensor::from_vec(dims, src)
     }
 
     /// The hash of every buffer read, once all were read.
@@ -91,7 +91,7 @@ impl<'a> Buffers<'a> {
     }
 }
 
-impl ParamSource for Buffers<'_> {
+impl ParamSource for Buffers {
     fn weight(&mut self, fan_in: usize, fan_out: usize, _kind: InitKind) -> Tensor {
         self.param(&[fan_in, fan_out])
     }

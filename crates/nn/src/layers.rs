@@ -6,17 +6,21 @@
 //! what lets the INN call its subnets once in the forward direction and once
 //! in the inverse direction per training step.
 //!
-//! Each activation value is stored once. A [`Linear`] applies its
-//! activation in the same pass that adds the bias, its backward is handed
-//! the layer input by reference (the caller's context owns it), and an
-//! [`Activation`]'s derivative is read from its *output* — which is the
-//! next layer's input and therefore already kept. Outputs, contexts and
-//! internal gradients are taken from and given back to the caller's
-//! [`Workspace`]; a `dy` argument is only ever borrowed.
+//! Each activation value is stored once. A [`Linear`] adds its bias and
+//! applies LeakyReLU in the matmul's register tile, before the output's
+//! one store (a max-pooled convolution stores only the maxima); its
+//! backward is handed the layer input by reference (the caller's context
+//! owns it), and an [`Activation`]'s derivative is read from its
+//! *output* — which is the next layer's input and therefore already kept.
+//! Outputs, contexts and internal gradients are taken from and given back
+//! to the caller's [`Workspace`]; a `dy` argument is only ever borrowed.
 
 use crate::init::ParamSource;
 use crate::optim::ParamVisitor;
-use as_tensor::{matmul_at_b_into, matmul_into, Tensor, Workspace};
+use as_tensor::{
+    matmul_at_b_into, matmul_epilogue_into, matmul_into, matmul_max_pool_into, Epilogue, Tensor,
+    Workspace,
+};
 
 /// Fully-connected layer `y = x·W + b` with `W:[in,out]`, acting on the
 /// rows of `x:[…, in]` whatever its leading dimensions.
@@ -66,19 +70,57 @@ impl Linear {
         self.w.dims()[1]
     }
 
-    /// `y = act(x·W + b)` for `x:[…, in]` → `y:[…, out]`.
+    /// `y = act(x·W + b)` for `x:[…, in]` → `y:[…, out]`. The bias and
+    /// LeakyReLU are applied in the matmul's register tile; `Tanh` and
+    /// `Softplus` in a pass over the stored output.
     pub fn forward(&self, x: &Tensor, act: Activation, ws: &mut Workspace) -> Tensor {
         let (fan_in, fan_out) = (self.fan_in(), self.fan_out());
         assert_eq!(x.dims().last(), Some(&fan_in), "Linear fan_in mismatch");
         let mut y = ws.take(x.shape().with_last_dim(fan_out));
-        matmul_into(y.data_mut(), x.data(), self.w.data(), fan_in, fan_out);
-        for row in y.data_mut().chunks_exact_mut(fan_out) {
-            for (v, &bv) in row.iter_mut().zip(self.b.data()) {
-                *v += bv;
-            }
-            act.forward(row);
+        let (xd, w) = (x.data(), self.w.data());
+        matmul_epilogue_into(y.data_mut(), xd, w, fan_in, fan_out, self.epilogue(act));
+        if matches!(act, Activation::Tanh | Activation::Softplus) {
+            act.forward(y.data_mut());
         }
         y
+    }
+
+    /// The max over each cloud's points of [`Self::forward`]'s output for
+    /// `x:[B, P, in]`: `[B, out]` and, per (cloud, channel), the point
+    /// that first reached it — the max-pool of PointNet, fused into the
+    /// matmul so the `[B, P, out]` output is never stored. `act` is
+    /// LeakyReLU or `Identity`.
+    pub(crate) fn forward_max_pool(
+        &self,
+        x: &Tensor,
+        act: Activation,
+        ws: &mut Workspace,
+    ) -> (Tensor, Vec<usize>) {
+        let d = x.dims();
+        assert_eq!(d.len(), 3, "forward_max_pool expects [b, p, c]");
+        assert_eq!(d[2], self.fan_in(), "Linear fan_in mismatch");
+        assert!(
+            matches!(act, Activation::LeakyRelu(_) | Activation::Identity),
+            "only LeakyReLU or the bias alone pool in the matmul tile"
+        );
+        let (fan_out, epilogue) = (self.fan_out(), self.epilogue(act));
+        let mut pooled = ws.take([d[0], fan_out]);
+        let mut arg = vec![0usize; d[0] * fan_out];
+        let (xd, w) = (x.data(), self.w.data());
+        matmul_max_pool_into(pooled.data_mut(), &mut arg, xd, w, d[2], fan_out, epilogue);
+        (pooled, arg)
+    }
+
+    /// The bias, and LeakyReLU's slope if `act` is one.
+    fn epilogue(&self, act: Activation) -> Epilogue<'_> {
+        let leaky = match act {
+            Activation::LeakyRelu(a) => Some(a),
+            _ => None,
+        };
+        Epilogue {
+            bias: self.b.data(),
+            leaky,
+        }
     }
 
     /// Accumulate `gw += xᵀ·dy` and `gb += Σ dy` for the input `x` of the
@@ -323,7 +365,9 @@ impl Mlp {
 /// Max-pool over the point dimension: `[b, p, c] → [b, c]`, keeping the
 /// winning point index per (batch, channel) for routing gradients back
 /// (the first maximum wins a tie). This is the transposition-invariance
-/// step of PointNet.
+/// step of PointNet — the oracle of [`Linear::forward_max_pool`], which
+/// pools in the matmul tile and never stores the `[b, p, c]` input.
+#[cfg(test)]
 pub(crate) fn max_pool_points(x: &Tensor, ws: &mut Workspace) -> (Tensor, Vec<usize>) {
     let d = x.dims();
     assert_eq!(d.len(), 3, "max_pool_points expects [b, p, c]");
@@ -633,6 +677,106 @@ mod tests {
             0.5 * y.sq_norm()
         };
         finite_diff_check(&mut f, &x, &dx, 1e-2, 3e-2);
+    }
+
+    /// A `[rows, k]` input whose rows include a repeat of the row before,
+    /// a NaN row and a row that is −∞ in its first column (−∞ in every
+    /// output once the weight's first row is made positive).
+    fn special_rows(rng: &mut TensorRng, dims: &[usize]) -> Tensor {
+        let mut x = rng.standard_normal(dims);
+        let k = *dims.last().expect("nonempty");
+        let rows = x.numel() / k;
+        for r in 1..rows {
+            let (before, row) = x.data_mut().split_at_mut(r * k);
+            let row = &mut row[..k];
+            match r % 7 {
+                3 => row.copy_from_slice(&before[(r - 1) * k..]),
+                5 => row.fill(f32::NAN),
+                6 => {
+                    row.fill(0.0);
+                    row[0] = f32::NEG_INFINITY;
+                }
+                _ => {}
+            }
+        }
+        x
+    }
+
+    /// A layer with a random bias and a positive first weight row.
+    fn special_layer(rng: &mut TensorRng, fan_in: usize, fan_out: usize) -> Linear {
+        let mut l = Linear::new(rng, fan_in, fan_out, InitKind::Kaiming);
+        l.b = rng.standard_normal([fan_out]);
+        l.w.data_mut()[..fan_out]
+            .iter_mut()
+            .for_each(|v| *v = v.abs());
+        l
+    }
+
+    /// `Linear::forward` with the bias and LeakyReLU in the matmul tile,
+    /// bit for bit against the product stored and then passed over — the
+    /// bias row by row, then `Activation::forward` — for every activation,
+    /// around the matmul's 8- and 16-wide tiles, with a row count that is
+    /// not a multiple of the tile height.
+    #[test]
+    fn linear_forward_equals_product_bias_activation_bitwise() {
+        let mut rng = TensorRng::seeded(41);
+        let ws = &mut Workspace::default();
+        let same = |a: &[f32], b: &[f32]| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
+        for (n, k) in [1, 6, 7, 8, 9, 15, 16, 17, 24, 40]
+            .into_iter()
+            .flat_map(|n| [1, 6, 32].map(|k| (n, k)))
+        {
+            let l = special_layer(&mut rng, k, n);
+            let x = special_rows(&mut rng, &[3, 5, k]);
+            for act in [
+                Activation::LeakyRelu(0.01),
+                Activation::LeakyRelu(0.0),
+                Activation::Tanh,
+                Activation::Softplus,
+                Activation::Identity,
+            ] {
+                let mut want = Tensor::zeros([3, 5, n]);
+                matmul_into(want.data_mut(), x.data(), l.w.data(), k, n);
+                for row in want.data_mut().chunks_exact_mut(n) {
+                    for (v, &b) in row.iter_mut().zip(l.b.data()) {
+                        *v += b;
+                    }
+                    act.forward(row);
+                }
+                let got = l.forward(&x, act, ws);
+                assert_eq!(got.dims(), want.dims());
+                assert!(same(got.data(), want.data()), "{act:?} 15x{k}x{n}");
+                ws.give(got);
+            }
+        }
+    }
+
+    /// The pooled form against [`max_pool_points`] of the stored output,
+    /// bit for bit in maxima and arg-max points: one to 256 points per
+    /// cloud, ties, NaN and −∞ rows, and a channel NaN throughout.
+    #[test]
+    fn forward_max_pool_equals_max_pool_points_bitwise() {
+        let mut rng = TensorRng::seeded(42);
+        let ws = &mut Workspace::default();
+        for (p, n, k) in [1, 3, 5, 256]
+            .into_iter()
+            .flat_map(|p| [1, 17, 64].map(move |n| (p, n)))
+            .flat_map(|(p, n)| [6, 32].map(move |k| (p, n, k)))
+        {
+            let mut l = special_layer(&mut rng, k, n);
+            l.w.data_mut()[n - 1] = f32::NAN;
+            let x = special_rows(&mut rng, &[4, p, k]);
+            for act in [Activation::LeakyRelu(0.01), Activation::Identity] {
+                let dense = l.forward(&x, act, ws);
+                let (want, want_arg) = max_pool_points(&dense, ws);
+                let (got, arg) = l.forward_max_pool(&x, act, ws);
+                let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{act:?} 4x{p}x{k}x{n} maxima");
+                assert_eq!(arg, want_arg, "{act:?} 4x{p}x{k}x{n} arg-max points");
+                assert!(got.data()[n - 1] == f32::NEG_INFINITY, "a NaN never wins");
+                ws.give_all([dense, want, got]);
+            }
+        }
     }
 
     #[test]

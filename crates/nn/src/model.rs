@@ -169,11 +169,15 @@ impl ArtificialScientistModel {
 
     /// Rebuild a captured model from its buffers: the parameters in
     /// [`Self::visit_all`] order and the INN permutations in block order
-    /// (`Inn::permutations`). The result has no gradient accumulators — it
-    /// serves and never trains. Returns it with the
-    /// [`crate::ddp::param_hash`] of the buffers, computed while copying
-    /// them.
-    pub fn from_buffers(cfg: ModelConfig, params: &[Vec<f32>], perms: &[Vec<u32>]) -> (Self, u64) {
+    /// (`Inn::permutations`), each moved into the model. The result has no
+    /// gradient accumulators — it serves and never trains. Returns it with
+    /// the [`crate::ddp::param_hash`] of the buffers, computed where they
+    /// lie.
+    pub fn from_buffers(
+        cfg: ModelConfig,
+        params: Vec<Vec<f32>>,
+        perms: Vec<Vec<u32>>,
+    ) -> (Self, u64) {
         let mut src = Buffers::new(params, perms);
         let model = Self::build(cfg, &mut src);
         (model, src.finish())

@@ -20,7 +20,7 @@
 //! the max-pool selected (see [`Encoder::backward`]).
 
 use crate::init::ParamSource;
-use crate::layers::{max_pool_points, Activation, InitKind, Linear, Mlp, MlpCtx};
+use crate::layers::{Activation, InitKind, Linear, Mlp, MlpCtx};
 use crate::optim::ParamVisitor;
 use as_tensor::{Tensor, TensorRng, Workspace};
 
@@ -94,6 +94,15 @@ pub struct EncoderCtx {
     logvar_ctx: MlpCtx,
 }
 
+impl EncoderCtx {
+    /// Hand the stored convolution outputs and pooled features back to
+    /// `ws` without a backward pass (a forward whose gradient nobody
+    /// wants).
+    pub fn recycle(self, ws: &mut Workspace) {
+        ws.give_all(self.conv_out.into_iter().chain([self.pooled]));
+    }
+}
+
 const LEAKY: Activation = Activation::LeakyRelu(0.01);
 
 impl Encoder {
@@ -126,17 +135,18 @@ impl Encoder {
     /// `points:[B,P,point_dim]` → `(μ:[B,Z], logvar:[B,Z])`.
     pub fn forward(&self, points: &Tensor, ws: &mut Workspace) -> (Tensor, Tensor, EncoderCtx) {
         assert_eq!(points.dims().len(), 3, "encoder expects [B, P, dim]");
-        // Shared 1×1 convolutions = a Linear over the point axis.
-        let mut conv_out: Vec<Tensor> = Vec::with_capacity(self.convs.len());
-        for conv in &self.convs {
+        // Shared 1×1 convolutions = a Linear over the point axis. Of the
+        // last one only the pooled maxima are read again — its activation
+        // derivative matters only where a gradient arrives — so it pools in
+        // the matmul tile and its `[B,P,C]` output is never stored.
+        let (last, hidden) = self.convs.split_last().expect("nonempty");
+        let mut conv_out: Vec<Tensor> = Vec::with_capacity(hidden.len());
+        for conv in hidden {
             let y = conv.forward(conv_out.last().unwrap_or(points), LEAKY, ws);
             conv_out.push(y);
         }
-        let (pooled, pool_arg) = max_pool_points(conv_out.last().expect("nonempty"), ws);
-        // Of the last convolution's output only the pooled maxima are read
-        // again — its activation derivative matters only where a gradient
-        // arrives — so the `[B,P,C]` tensor goes back now.
-        ws.give_all(conv_out.pop());
+        let (pooled, pool_arg) =
+            last.forward_max_pool(conv_out.last().unwrap_or(points), LEAKY, ws);
         let (mu, mu_ctx) = self.mu_head.forward(&pooled, ws);
         let (logvar, logvar_ctx) = self.logvar_head.forward(&pooled, ws);
         let ctx = EncoderCtx {
@@ -226,7 +236,9 @@ impl Encoder {
                 }
                 None => {
                     // In a buffer shaped like this convolution's output:
-                    // the forward pass has left one of those in the pool.
+                    // the backward step of the convolution after it has
+                    // just given one back (a one-convolution encoder takes
+                    // the one a previous step's `cur` left).
                     let mut x = ws.take([b, p, fan_in.max(fan_out)]);
                     for (dst, &row) in x.data_mut().chunks_exact_mut(fan_in).zip(&rows) {
                         dst.copy_from_slice(&points.data()[row * fan_in..][..fan_in]);
@@ -756,6 +768,49 @@ mod tests {
             assert_eq!(grads[0], grads[1], "{name}: parameter gradients");
             assert!(grads[0].iter().flatten().any(|&g| g != 0));
         }
+    }
+
+    /// A one-convolution encoder pools its only convolution, which reads
+    /// the caller's points: forward against that convolution stored and
+    /// then max-pooled, and its row-sparse backward against the dense one.
+    /// Every other channel's bias is −4, so its maxima are negative and
+    /// the LeakyReLU slope shows in them.
+    #[test]
+    fn one_convolution_encoder_pools_the_points_directly() {
+        let cfg = VaeConfig {
+            encoder_channels: vec![6, 24],
+            ..small_cfg()
+        };
+        let points = TensorRng::seeded(23).uniform([3, 13, 6], -1.0, 1.0);
+        let encoder = || {
+            let mut e = Encoder::new(&mut TensorRng::seeded(24), &cfg);
+            let bias = (0..24).map(|c| if c % 2 == 0 { -4.0 } else { 0.0 });
+            e.convs[0].b = Tensor::from_vec([24], bias.collect());
+            e
+        };
+        let (mut sparse, mut dense) = (encoder(), encoder());
+        let ws = &mut ws();
+        let bits = |t: &Tensor| -> Vec<u32> { t.data().iter().map(|v| v.to_bits()).collect() };
+        let (mu, lv, ctx) = sparse.forward(&points, ws);
+        let conv = sparse.convs[0].forward(&points, LEAKY, ws);
+        let (pooled, arg) = crate::layers::max_pool_points(&conv, ws);
+        assert_eq!(bits(&ctx.pooled), bits(&pooled));
+        assert_eq!(ctx.pool_arg, arg);
+        assert!(pooled.data().iter().any(|&v| v < 0.0));
+        assert!(ctx.conv_out.is_empty());
+        assert_eq!(bits(&mu), bits(&sparse.mu_head.forward(&pooled, ws).0));
+        let (_, _, dense_ctx) = dense.forward(&points, ws);
+        zero_grads(|v| sparse.visit(v));
+        zero_grads(|v| dense.visit(v));
+        let got = sparse
+            .backward(&points, &mu, &lv, ctx, true, ws)
+            .expect("d points requested");
+        let want = dense_backward(&mut dense, &points, &mu, &lv, dense_ctx, ws);
+        assert_eq!(bits(&got), bits(&want), "d points");
+        let mut grads = [Vec::new(), Vec::new()];
+        sparse.visit(&mut |_p: &mut Tensor, g: &mut Tensor| grads[0].push(bits(g)));
+        dense.visit(&mut |_p: &mut Tensor, g: &mut Tensor| grads[1].push(bits(g)));
+        assert_eq!(grads[0], grads[1], "parameter gradients");
     }
 
     #[test]

@@ -221,17 +221,27 @@ impl InferenceEngine {
         engine
     }
 
-    /// Hot-swap a published snapshot in. Rebuilds the model from the
-    /// snapshot's buffers and hash-verifies it (torn weights panic here,
-    /// never serve); the rebuilt model carries no training state. Asserts version
-    /// monotonicity, swaps the slot `Arc`, and flushes the cache.
+    /// Hot-swap a published snapshot in. Rebuilds the model from a copy
+    /// of the snapshot's buffers and hash-verifies it (torn weights panic
+    /// here, never serve); the rebuilt model carries no training state.
+    /// Asserts version monotonicity, swaps the slot `Arc`, and flushes the
+    /// cache.
     pub fn install(&self, snapshot: &ModelSnapshot) {
-        let model = snapshot.instantiate(); // panics on hash mismatch
+        self.install_owned(snapshot.clone());
+    }
+
+    /// [`Self::install`] by value, the path a publish takes: the
+    /// snapshot's buffers move into the served model and are hashed where
+    /// they lie.
+    fn install_owned(&self, snapshot: ModelSnapshot) {
+        let (version, param_hash, iteration) =
+            (snapshot.version, snapshot.param_hash, snapshot.iteration);
+        let model = snapshot.into_model(); // panics on hash mismatch
         let served = Arc::new(ServedModel {
             model,
-            version: snapshot.version,
-            param_hash: snapshot.param_hash,
-            iteration: snapshot.iteration,
+            version,
+            param_hash,
+            iteration,
             installed: Instant::now(),
         });
         {
@@ -239,10 +249,9 @@ impl InferenceEngine {
             self.slot_cell.write();
             if let Some(old) = slot.as_ref() {
                 assert!(
-                    snapshot.version > old.version,
-                    "snapshot versions must be monotone: {} -> {}",
-                    old.version,
-                    snapshot.version
+                    version > old.version,
+                    "snapshot versions must be monotone: {} -> {version}",
+                    old.version
                 );
             }
             // Archive BEFORE publishing the slot (both under the slot
@@ -523,7 +532,7 @@ pub struct EngineSink(pub Arc<InferenceEngine>);
 
 impl SnapshotSink for EngineSink {
     fn publish(&self, snapshot: ModelSnapshot) {
-        self.0.install(&snapshot);
+        self.0.install_owned(snapshot);
     }
 }
 

@@ -22,7 +22,10 @@ pub mod stats;
 pub mod tensor;
 pub mod workspace;
 
-pub use matmul::{matmul, matmul_a_bt, matmul_at_b, matmul_at_b_into, matmul_into};
+pub use matmul::{
+    matmul, matmul_a_bt, matmul_at_b, matmul_at_b_into, matmul_epilogue_into, matmul_into,
+    matmul_max_pool_into, Epilogue,
+};
 pub use rng::TensorRng;
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -1,8 +1,13 @@
-//! Matrix multiplication: one register-tiled kernel behind three layouts.
+//! Matrix multiplication: one register-tiled kernel behind three layouts
+//! and three ways to finish a tile.
 //!
 //! - [`matmul`]       — `C = A·B`    for `A:[m,k] B:[k,n]`
 //! - [`matmul_a_bt`]  — `C = A·Bᵀ`   for `A:[m,k] B:[n,k]`
 //! - [`matmul_at_b`]  — `C = Aᵀ·B`   for `A:[k,m] B:[k,n]`
+//! - [`matmul_epilogue_into`] — `C = act(A·B + bias)`, the [`Epilogue`]
+//!   applied to the tile in registers before its one store
+//! - [`matmul_max_pool_into`] — the max over each cloud's rows of
+//!   `act(A·B + bias)`, with the winning row: nothing of `C` is stored
 //!
 //! # Summation-order contract
 //!
@@ -21,6 +26,20 @@
 //! forms write into a caller-provided buffer so a training step can
 //! recycle its outputs through a [`crate::Workspace`].
 //!
+//! # Epilogue and pooling contract
+//!
+//! The fused forms round each output exactly as a plain product followed
+//! by separate passes would: the sum above, then `+ bias[j]`, then — for
+//! a LeakyReLU slope `α` — `v·1.0` if `v > 0` else `v·α` (a select of the
+//! factor; multiplying by `1.0` is exact, so without a slope the bias
+//! alone is applied). The pooling form folds the finished rows of each
+//! cloud (`points` consecutive rows of `A`) into per-(cloud, column)
+//! maxima in ascending row order, starting at `−∞` and replacing only on
+//! a strict `v > max`: the first maximum wins a tie, a NaN never wins, and
+//! a column with no value above `−∞` keeps `−∞` at row 0. Above the
+//! parallel threshold whole clouds are handed to rayon, so no (cloud,
+//! column) is ever split between threads and the split cannot move a bit.
+//!
 //! # CPU instances
 //!
 //! The row-block body is compiled twice: for the SSE2 baseline with a
@@ -32,6 +51,7 @@
 
 use crate::tensor::Tensor;
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Below this many multiply-adds (`m·k·n`, about 0.2 ms of kernel time) a
 /// fork-join costs more than it saves and the calling thread does it all.
@@ -73,13 +93,122 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Tensor {
 /// [`matmul`] on flat row-major slices: `out:[m,n] = a:[m,k]·b:[k,n]` with
 /// `m = out.len() / n`. Every element of `out` is overwritten.
 pub fn matmul_into(out: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
-    gemm(out, a, (k, 1), b, k, n);
+    gemm(out, a, (k, 1), b, k, n, ());
 }
 
 /// [`matmul_at_b`] on flat row-major slices: `out:[m,n] = a:[k,m]ᵀ·b:[k,n]`
 /// with `m = out.len() / n`. Every element of `out` is overwritten.
 pub fn matmul_at_b_into(out: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
-    gemm(out, a, (1, out.len() / n.max(1)), b, k, n);
+    gemm(out, a, (1, out.len() / n.max(1)), b, k, n, ());
+}
+
+/// What a fused form does to a finished tile before it leaves the
+/// registers: add `bias[j]` to column `j`, then apply LeakyReLU's select.
+#[derive(Clone, Copy, Debug)]
+pub struct Epilogue<'a> {
+    /// Per-column bias, `[n]`.
+    pub bias: &'a [f32],
+    /// LeakyReLU slope `α`; `None` adds the bias only.
+    pub leaky: Option<f32>,
+}
+
+/// The last step of a stored tile row before it leaves the registers.
+trait Finish: Copy + Sync {
+    /// Columns `j..` of one tile row.
+    fn row<const C: usize>(self, row: &mut [f32; C], j: usize);
+}
+
+/// A plain product: the row is stored as summed.
+impl Finish for () {
+    #[inline(always)]
+    fn row<const C: usize>(self, _row: &mut [f32; C], _j: usize) {}
+}
+
+impl Finish for Epilogue<'_> {
+    /// The bias, then the select; without a slope both of the select's
+    /// factors are `1.0`, so the bias alone is applied (`v·1.0 = v`).
+    #[inline(always)]
+    fn row<const C: usize>(self, row: &mut [f32; C], j: usize) {
+        let a = self.leaky.unwrap_or(1.0);
+        for (v, &b) in row.iter_mut().zip(&self.bias[j..][..C]) {
+            *v += b;
+            *v *= if *v > 0.0 { 1.0 } else { a };
+        }
+    }
+}
+
+/// [`matmul_into`] finished by `epilogue`:
+/// `out:[m,n] = act(a:[m,k]·b:[k,n] + bias)`, the bias and the select
+/// applied in the register tile. Every element of `out` is overwritten.
+pub fn matmul_epilogue_into(
+    out: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    n: usize,
+    epilogue: Epilogue,
+) {
+    assert_eq!(epilogue.bias.len(), n, "bias is not one value per column");
+    gemm(out, a, (k, 1), b, k, n, epilogue);
+}
+
+/// The max-pool of [`matmul_epilogue_into`]'s output over each cloud's
+/// rows, without storing that output. `a:[clouds·points, k]` holds the
+/// clouds one after another; `max:[clouds, n]` receives each column's
+/// maximum over the cloud's rows and `arg:[clouds, n]` the index (within
+/// the cloud) of the row that first reached it — see the module's pooling
+/// contract. Every element of `max` and `arg` is overwritten.
+pub fn matmul_max_pool_into(
+    max: &mut [f32],
+    arg: &mut [usize],
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    n: usize,
+    epilogue: Epilogue,
+) {
+    assert_eq!(epilogue.bias.len(), n, "bias is not one value per column");
+    assert_eq!(max.len(), arg.len(), "max and arg differ in length");
+    let clouds = max.len() / n.max(1);
+    assert_eq!(max.len(), clouds * n, "max is not a whole number of clouds");
+    if clouds == 0 {
+        return;
+    }
+    let m = a.len() / k.max(1);
+    let points = m / clouds;
+    assert!(points > 0, "cannot pool over zero points");
+    assert_eq!(points * clouds, m, "A is not a whole number of clouds");
+    let ops = Operands::new(a, (k, 1), b, k, n, m);
+    assert!(u32::try_from(points).is_ok(), "too many points per cloud");
+    max.fill(f32::NEG_INFINITY);
+    let per_task = if m * k * n >= PAR_THRESHOLD {
+        PAR_ROWS.div_ceil(points)
+    } else {
+        clouds
+    };
+    let mut tasks: Vec<_> = max
+        .chunks_mut(per_task * n)
+        .zip(arg.chunks_mut(per_task * n))
+        .collect();
+    tasks.par_chunks_mut(1).enumerate().for_each(|(t, task)| {
+        let (max, arg) = &mut task[0];
+        let mut rows = vec![0; n];
+        let cloud_rows = max.chunks_exact_mut(n).zip(arg.chunks_exact_mut(n));
+        for (c, (max, arg)) in cloud_rows.enumerate() {
+            let row0 = (t * per_task + c) * points;
+            rows.fill(0);
+            let sink = &mut Pool {
+                max,
+                rows: &mut rows,
+                row0,
+                epilogue,
+            };
+            run(sink, ops, row0..row0 + points);
+            for (at, &r) in arg.iter_mut().zip(&rows) {
+                *at = r as usize;
+            }
+        }
+    });
 }
 
 /// `A(i,p) = a[i·a_row + p·a_col]` and `B(p,j) = b[p·n + j]`.
@@ -93,85 +222,182 @@ struct Operands<'a> {
     n: usize,
 }
 
-/// `out[i][j] = Σ_p A(i,p)·B(p,j)` with `A`'s `(row, column)` strides given.
-/// Row blocks are independent, so above [`PAR_THRESHOLD`] they are handed
-/// to rayon [`PAR_ROWS`] at a time.
-fn gemm(out: &mut [f32], a: &[f32], a_strides: (usize, usize), b: &[f32], k: usize, n: usize) {
+impl<'a> Operands<'a> {
+    /// An `m`-row product with `A`'s `(row, column)` strides given.
+    fn new(
+        a: &'a [f32],
+        a_strides: (usize, usize),
+        b: &'a [f32],
+        k: usize,
+        n: usize,
+        m: usize,
+    ) -> Self {
+        assert_eq!(a.len(), m * k, "A does not hold m·k elements");
+        assert_eq!(b.len(), k * n, "B does not hold k·n elements");
+        let (a_row, a_col) = a_strides;
+        Self {
+            a,
+            a_row,
+            a_col,
+            b,
+            k,
+            n,
+        }
+    }
+}
+
+/// `out[i][j] = Σ_p A(i,p)·B(p,j)`, each row finished by `finish`. Row
+/// blocks are independent, so above [`PAR_THRESHOLD`] they are handed to
+/// rayon [`PAR_ROWS`] at a time.
+fn gemm(
+    out: &mut [f32],
+    a: &[f32],
+    a_strides: (usize, usize),
+    b: &[f32],
+    k: usize,
+    n: usize,
+    finish: impl Finish,
+) {
     if out.is_empty() {
         return;
     }
-    let (a_row, a_col) = a_strides;
-    let ops = Operands {
-        a,
-        a_row,
-        a_col,
-        b,
-        k,
-        n,
-    };
     let m = out.len() / n;
     assert_eq!(out.len(), m * n, "output is not a whole number of rows");
-    assert_eq!(a.len(), m * k, "A does not hold m·k elements");
-    assert_eq!(b.len(), k * n, "B does not hold k·n elements");
+    let ops = Operands::new(a, a_strides, b, k, n, m);
     let rows = if out.len() * k >= PAR_THRESHOLD {
         PAR_ROWS
     } else {
         m
     };
-    let task = |(t, c): (usize, &mut [f32])| {
-        #[cfg(target_arch = "x86_64")]
-        if is_x86_feature_detected!("avx2") {
-            // SAFETY: the CPU has AVX2.
-            return unsafe { rows_avx2(c, ops, t * rows) };
+    out.par_chunks_mut(rows * n).enumerate().for_each(|(t, c)| {
+        let row0 = t * rows;
+        let end = row0 + c.len() / n;
+        run(&mut Store { c, row0, n, finish }, ops, row0..end);
+    });
+}
+
+/// Where the finished tiles of a run of rows go.
+trait Sink {
+    /// Take the `R`×`C` tile of rows `i..i+R`, columns `j..j+C`.
+    fn take<const R: usize, const C: usize>(&mut self, acc: &mut [[f32; C]; R], i: usize, j: usize);
+}
+
+/// Stores rows `row0..` into `c:[·, n]`, each finished by `finish`.
+struct Store<'c, F> {
+    c: &'c mut [f32],
+    row0: usize,
+    n: usize,
+    finish: F,
+}
+
+impl<F: Finish> Sink for Store<'_, F> {
+    #[inline(always)]
+    fn take<const R: usize, const C: usize>(
+        &mut self,
+        acc: &mut [[f32; C]; R],
+        i: usize,
+        j: usize,
+    ) {
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            self.finish.row(acc_r, j);
+            self.c[(i - self.row0 + r) * self.n + j..][..C].copy_from_slice(acc_r);
         }
-        row_blocks::<NR>(c, ops, t * rows);
-    };
-    out.par_chunks_mut(rows * n).enumerate().for_each(task);
+    }
+}
+
+/// Folds the rows `row0..` of one cloud into its running maxima
+/// `max:[n]` and their row indices `rows:[n]` (32 bits, so the two
+/// selects of a column share a lane width), through the epilogue.
+struct Pool<'c, 'e> {
+    max: &'c mut [f32],
+    rows: &'c mut [u32],
+    row0: usize,
+    epilogue: Epilogue<'e>,
+}
+
+impl Sink for Pool<'_, '_> {
+    #[inline(always)]
+    fn take<const R: usize, const C: usize>(
+        &mut self,
+        acc: &mut [[f32; C]; R],
+        i: usize,
+        j: usize,
+    ) {
+        let max: &mut [f32; C] = (&mut self.max[j..j + C]).try_into().expect("C maxima");
+        let rows: &mut [u32; C] = (&mut self.rows[j..j + C]).try_into().expect("C rows");
+        for acc_r in acc.iter_mut() {
+            self.epilogue.row(acc_r, j);
+        }
+        // Folded in registers and written back once: a select between two
+        // values vectorises, where a select between a value and memory
+        // becomes a branch around a store.
+        let (mut m, mut at) = (*max, *rows);
+        for (r, acc_r) in acc.iter().enumerate() {
+            let point = (i - self.row0 + r) as u32;
+            for c in 0..C {
+                let wins = acc_r[c] > m[c];
+                m[c] = if wins { acc_r[c] } else { m[c] };
+                at[c] = if wins { point } else { at[c] };
+            }
+        }
+        (*max, *rows) = (m, at);
+    }
+}
+
+/// Rows `rows` of the product into `sink`, on the widest instance this
+/// CPU runs.
+fn run<S: Sink>(sink: &mut S, ops: Operands, rows: Range<usize>) {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU has AVX2.
+        return unsafe { rows_avx2(sink, ops, rows) };
+    }
+    row_blocks::<NR, S>(sink, ops, rows);
 }
 
 /// [`row_blocks`] with `2·NR`-wide tiles, compiled for AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn rows_avx2(c: &mut [f32], ops: Operands, i: usize) {
-    row_blocks::<{ 2 * NR }>(c, ops, i)
+fn rows_avx2<S: Sink>(sink: &mut S, ops: Operands, rows: Range<usize>) {
+    row_blocks::<{ 2 * NR }, S>(sink, ops, rows)
 }
 
-/// Output rows `i..` in `MR`-row blocks, then one by one.
+/// Rows `rows` in `MR`-row blocks, then one by one.
 #[inline(always)]
-fn row_blocks<const W: usize>(mut c: &mut [f32], ops: Operands, mut i: usize) {
-    while c.len() >= MR * ops.n {
-        let (block, rest) = c.split_at_mut(MR * ops.n);
-        row_block::<MR, W>(block, ops, i);
-        (c, i) = (rest, i + MR);
+fn row_blocks<const W: usize, S: Sink>(sink: &mut S, ops: Operands, rows: Range<usize>) {
+    let mut i = rows.start;
+    while i + MR <= rows.end {
+        row_block::<MR, W, S>(sink, ops, i);
+        i += MR;
     }
-    for (r, row) in c.chunks_mut(ops.n).enumerate() {
-        row_block::<1, W>(row, ops, i + r);
+    for i in i..rows.end {
+        row_block::<1, W, S>(sink, ops, i);
     }
 }
 
-/// Rows `i..i+R` of the output: `W`-wide tiles, one `NR`-wide tile if
-/// that many columns remain, then the rest one by one.
+/// Rows `i..i+R`: `W`-wide tiles, one `NR`-wide tile if that many columns
+/// remain, then the rest one by one.
 #[inline(always)]
-fn row_block<const R: usize, const W: usize>(c: &mut [f32], ops: Operands, i: usize) {
+fn row_block<const R: usize, const W: usize, S: Sink>(sink: &mut S, ops: Operands, i: usize) {
     let mut j = 0;
     while j + W <= ops.n {
-        tile::<R, W>(c, ops, i, j);
+        sink.take(&mut tile::<R, W>(ops, i, j), i, j);
         j += W;
     }
     if W > NR && j + NR <= ops.n {
-        tile::<R, NR>(c, ops, i, j);
+        sink.take(&mut tile::<R, NR>(ops, i, j), i, j);
         j += NR;
     }
     for j in j..ops.n {
-        tile::<R, 1>(c, ops, i, j);
+        sink.take(&mut tile::<R, 1>(ops, i, j), i, j);
     }
 }
 
 /// The one kernel body: an `R`×`C` tile of accumulators held in registers
-/// across the whole `p` loop, stored once. Remainder rows and columns use
-/// the same recurrence with `R = 1` / `C = 1`.
+/// across the whole `p` loop, handed to the sink once. Remainder rows and
+/// columns use the same recurrence with `R = 1` / `C = 1`.
 #[inline(always)]
-fn tile<const R: usize, const C: usize>(c: &mut [f32], ops: Operands, i: usize, j: usize) {
+fn tile<const R: usize, const C: usize>(ops: Operands, i: usize, j: usize) -> [[f32; C]; R] {
     let Operands {
         a_row, a_col, n, ..
     } = ops;
@@ -186,9 +412,7 @@ fn tile<const R: usize, const C: usize>(c: &mut [f32], ops: Operands, i: usize, 
             }
         }
     }
-    for (r, acc_r) in acc.iter().enumerate() {
-        c[r * n + j..][..C].copy_from_slice(acc_r);
-    }
+    acc
 }
 
 fn mat_dims(t: &Tensor, name: &str) -> (usize, usize) {
@@ -241,15 +465,69 @@ mod tests {
         assert_eq!(matmul(&eye, &a), a);
     }
 
-    type Rows = fn(&mut [f32], Operands, usize);
+    /// One instance of the row loop, run on the calling thread.
+    #[derive(Clone, Copy)]
+    enum Instance {
+        Sse2,
+        #[cfg(target_arch = "x86_64")]
+        Avx2,
+    }
 
-    /// Each instance of the row loop this CPU can run, on one thread.
-    fn instances() -> Vec<(&'static str, Rows)> {
-        let mut all: Vec<(&'static str, Rows)> = vec![("sse2", row_blocks::<NR>)];
+    impl Instance {
+        fn run<S: Sink>(self, sink: &mut S, ops: Operands, rows: Range<usize>) {
+            match self {
+                Instance::Sse2 => row_blocks::<NR, S>(sink, ops, rows),
+                // SAFETY: `instances` lists AVX2 only on a CPU that has it.
+                #[cfg(target_arch = "x86_64")]
+                Instance::Avx2 => unsafe { rows_avx2(sink, ops, rows) },
+            }
+        }
+
+        /// All of `out:[m,n]` through a [`Store`].
+        fn store(self, out: &mut [f32], ops: Operands, finish: impl Finish) {
+            let rows = 0..out.len() / ops.n;
+            let n = ops.n;
+            self.run(
+                &mut Store {
+                    c: out,
+                    row0: 0,
+                    n,
+                    finish,
+                },
+                ops,
+                rows,
+            );
+        }
+
+        /// [`matmul_max_pool_into`] with every cloud on this instance, in
+        /// cloud order.
+        fn pool(self, ops: Operands, points: usize, epilogue: Epilogue) -> (Vec<f32>, Vec<usize>) {
+            let clouds = ops.a.len() / ops.k / points;
+            let mut max = vec![f32::NEG_INFINITY; clouds * ops.n];
+            let mut rows = vec![0; clouds * ops.n];
+            let cloud_rows = max
+                .chunks_exact_mut(ops.n)
+                .zip(rows.chunks_exact_mut(ops.n));
+            for (c, (max, rows)) in cloud_rows.enumerate() {
+                let row0 = c * points;
+                let sink = &mut Pool {
+                    max,
+                    rows,
+                    row0,
+                    epilogue,
+                };
+                self.run(sink, ops, row0..row0 + points);
+            }
+            (max, rows.into_iter().map(|r| r as usize).collect())
+        }
+    }
+
+    /// Each instance of the row loop this CPU can run.
+    fn instances() -> Vec<(&'static str, Instance)> {
+        let mut all = vec![("sse2", Instance::Sse2)];
         #[cfg(target_arch = "x86_64")]
         if is_x86_feature_detected!("avx2") {
-            // SAFETY: the CPU has AVX2.
-            all.push(("avx2", |c, ops, i| unsafe { rows_avx2(c, ops, i) }));
+            all.push(("avx2", Instance::Avx2));
         }
         if all.len() == 1 {
             eprintln!("no AVX2 on this CPU: checking the baseline instance alone");
@@ -282,27 +560,11 @@ mod tests {
             assert_eq!(bits(c2.data()), want, "A·Bᵀ {m}x{k}x{n}");
             let c3 = matmul_at_b(&at, &b);
             assert_eq!(bits(c3.data()), want, "Aᵀ·B {m}x{k}x{n}");
-            for (name, rows) in instances() {
-                for (a, a_row, a_col) in [(a.data(), k, 1), (at.data(), 1, m)] {
+            for (name, instance) in instances() {
+                for (a, strides) in [(a.data(), (k, 1)), (at.data(), (1, m))] {
                     let mut c = vec![f32::NAN; m * n];
-                    let b = b.data();
-                    rows(
-                        &mut c,
-                        Operands {
-                            a,
-                            a_row,
-                            a_col,
-                            b,
-                            k,
-                            n,
-                        },
-                        0,
-                    );
-                    assert_eq!(
-                        bits(&c),
-                        want,
-                        "{name} {m}x{k}x{n}, A strides {a_row}, {a_col}"
-                    );
+                    instance.store(&mut c, Operands::new(a, strides, b.data(), k, n, m), ());
+                    assert_eq!(bits(&c), want, "{name} {m}x{k}x{n}, A strides {strides:?}");
                 }
             }
         }
@@ -322,6 +584,174 @@ mod tests {
         let small = naive(&a, &b);
         for (x, y) in big.data().iter().zip(small.data()) {
             assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
+
+    /// The epilogue as separate passes over a stored product: `+ bias[j]`
+    /// on every row, then LeakyReLU's scalar definition.
+    fn product_bias_select(a: &[f32], b: &[f32], k: usize, n: usize, e: Epilogue) -> Vec<f32> {
+        let mut c = vec![f32::NAN; a.len() / k * n];
+        matmul_into(&mut c, a, b, k, n);
+        for row in c.chunks_exact_mut(n) {
+            for (v, &bias) in row.iter_mut().zip(e.bias) {
+                *v += bias;
+            }
+            if let Some(slope) = e.leaky {
+                for v in row.iter_mut() {
+                    *v = if *v > 0.0 { *v } else { slope * *v };
+                }
+            }
+        }
+        c
+    }
+
+    /// The max-pool of a stored `[clouds·points, n]` output: per cloud and
+    /// column, the first row whose value exceeds everything before it.
+    fn max_pool(c: &[f32], points: usize, n: usize) -> (Vec<f32>, Vec<usize>) {
+        let clouds = c.len() / (points * n);
+        let mut max = vec![f32::NEG_INFINITY; clouds * n];
+        let mut arg = vec![0; clouds * n];
+        for (ci, cloud) in c.chunks_exact(points * n).enumerate() {
+            for (pi, row) in cloud.chunks_exact(n).enumerate() {
+                for (j, &v) in row.iter().enumerate() {
+                    if v > max[ci * n + j] {
+                        max[ci * n + j] = v;
+                        arg[ci * n + j] = pi;
+                    }
+                }
+            }
+        }
+        (max, arg)
+    }
+
+    /// The epilogue form, bit for bit, against the product stored and
+    /// then biased and activated — on each instance and through the
+    /// public entry, around the 8- and 16-wide tiles, with a row count
+    /// that is not a multiple of `MR`, for LeakyReLU slopes and the bias
+    /// alone.
+    #[test]
+    fn epilogue_form_equals_product_bias_select_bitwise() {
+        let mut rng = TensorRng::seeded(43);
+        let m = 2 * MR + 3;
+        for (n, k) in [1, 6, 7, 8, 9, 15, 16, 17, 24, 40]
+            .into_iter()
+            .flat_map(|n| [1, 6, 32].map(|k| (n, k)))
+        {
+            let a = rng.standard_normal([m, k]);
+            let b = rng.standard_normal([k, n]);
+            let bias = rng.standard_normal([n]);
+            for leaky in [Some(0.01), Some(0.0), None] {
+                let e = Epilogue {
+                    bias: bias.data(),
+                    leaky,
+                };
+                let want = bits(&product_bias_select(a.data(), b.data(), k, n, e));
+                let mut c = vec![f32::NAN; m * n];
+                matmul_epilogue_into(&mut c, a.data(), b.data(), k, n, e);
+                assert_eq!(bits(&c), want, "live {m}x{k}x{n} {leaky:?}");
+                for (name, instance) in instances() {
+                    let mut c = vec![f32::NAN; m * n];
+                    let ops = Operands::new(a.data(), (k, 1), b.data(), k, n, m);
+                    instance.store(&mut c, ops, e);
+                    assert_eq!(bits(&c), want, "{name} {m}x{k}x{n} {leaky:?}");
+                }
+            }
+        }
+    }
+
+    /// `clouds` clouds of `points` rows of width `k` that exercise the
+    /// pooling rules: in cloud 1 every row repeats the cloud's first (every
+    /// column ties at every row); elsewhere some rows repeat the row
+    /// before, some are NaN, and some are −∞ once multiplied by a `B`
+    /// whose first row is positive.
+    fn pool_input(rng: &mut TensorRng, clouds: usize, points: usize, k: usize) -> Vec<f32> {
+        let mut a = rng.standard_normal([clouds * points, k]).data().to_vec();
+        for r in 1..clouds * points {
+            let (before, row) = a.split_at_mut(r * k);
+            let (row, prev) = (&mut row[..k], &before[(r - 1) * k..]);
+            match r % 7 {
+                _ if r / points == 1 => row.copy_from_slice(prev),
+                3 => row.copy_from_slice(prev),
+                5 => row.fill(f32::NAN),
+                6 => {
+                    row.fill(0.0);
+                    row[0] = f32::NEG_INFINITY;
+                }
+                _ => {}
+            }
+        }
+        a
+    }
+
+    /// The pooling form, bit for bit in maxima and arg-max rows, against
+    /// the max-pool of the stored product — on each instance and through
+    /// the public entry, one-row to 256-row clouds, with ties, NaN and −∞
+    /// rows and a column that is NaN throughout.
+    #[test]
+    fn pool_form_equals_max_pool_of_the_product_bitwise() {
+        let mut rng = TensorRng::seeded(44);
+        let clouds = 3;
+        for (points, n, k) in [1, 3, 5, 256]
+            .into_iter()
+            .flat_map(|p| [1, 9, 17, 40].map(move |n| (p, n)))
+            .flat_map(|(p, n)| [1, 6, 32].map(move |k| (p, n, k)))
+        {
+            let a = pool_input(&mut rng, clouds, points, k);
+            let mut b = rng.standard_normal([k, n]);
+            b.data_mut()[..n].iter_mut().for_each(|v| *v = v.abs());
+            b.data_mut()[n - 1] = f32::NAN;
+            let bias = rng.standard_normal([n]);
+            for leaky in [Some(0.01), None] {
+                let e = Epilogue {
+                    bias: bias.data(),
+                    leaky,
+                };
+                let dense = product_bias_select(&a, b.data(), k, n, e);
+                let (want_max, want_arg) = max_pool(&dense, points, n);
+                let all_nan = (0..clouds).map(|c| want_max[c * n + n - 1]);
+                assert!(all_nan.into_iter().all(|v| v == f32::NEG_INFINITY));
+                let case = format!("{clouds}x{points} points, k {k}, n {n}, {leaky:?}");
+                let mut max = vec![f32::NAN; clouds * n];
+                let mut arg = vec![usize::MAX; clouds * n];
+                matmul_max_pool_into(&mut max, &mut arg, &a, b.data(), k, n, e);
+                assert_eq!(bits(&max), bits(&want_max), "live maxima, {case}");
+                assert_eq!(arg, want_arg, "live arg-max rows, {case}");
+                for (name, instance) in instances() {
+                    let ops = Operands::new(&a, (k, 1), b.data(), k, n, clouds * points);
+                    let (max, arg) = instance.pool(ops, points, e);
+                    assert_eq!(bits(&max), bits(&want_max), "{name} maxima, {case}");
+                    assert_eq!(arg, want_arg, "{name} arg-max rows, {case}");
+                }
+            }
+        }
+    }
+
+    /// Above the threshold whole clouds go to rayon tasks, several to a
+    /// task and the last task short (run with more than one rayon thread
+    /// for them to land on different threads); the result equals every
+    /// cloud pooled in order on the calling thread.
+    #[test]
+    fn parallel_pool_split_equals_serial() {
+        let mut rng = TensorRng::seeded(45);
+        let (clouds, points, k, n) = (61, 20, 32, 64);
+        assert!(clouds * points * k * n >= PAR_THRESHOLD);
+        let per_task = PAR_ROWS.div_ceil(points);
+        assert!(per_task > 1 && clouds % per_task != 0);
+        let a = pool_input(&mut rng, clouds, points, k);
+        let b = rng.standard_normal([k, n]);
+        let bias = rng.standard_normal([n]);
+        let e = Epilogue {
+            bias: bias.data(),
+            leaky: Some(0.01),
+        };
+        let mut max = vec![f32::NAN; clouds * n];
+        let mut arg = vec![usize::MAX; clouds * n];
+        matmul_max_pool_into(&mut max, &mut arg, &a, b.data(), k, n, e);
+        for (name, instance) in instances() {
+            let ops = Operands::new(&a, (k, 1), b.data(), k, n, clouds * points);
+            let (serial_max, serial_arg) = instance.pool(ops, points, e);
+            assert_eq!(bits(&max), bits(&serial_max), "{name} maxima");
+            assert_eq!(arg, serial_arg, "{name} arg-max rows");
         }
     }
 
