@@ -492,28 +492,22 @@ fn bench_tensor(c: &mut Criterion) {
     g.finish();
 }
 
-/// The learner's elementwise hot spot and one whole forward+backward
+/// The LeakyReLU derivative kernel and one whole forward+backward
 /// pass at the benchmark's shape (B=8, P=256, `ModelConfig::small()`).
 fn bench_learner(c: &mut Criterion) {
     let mut g = c.benchmark_group("learner");
     g.sample_size(20);
     let mut rng = TensorRng::seeded(3);
-    // Slope 1 keeps the data fixed over repeated in-place application (a
-    // real slope would shrink it into subnormals); the select is
+    // Slope 1 keeps the gradient fixed over repeated in-place application
+    // (a real slope would shrink it into subnormals); the select is
     // branch-free, so the slope does not change the instruction stream.
     let leaky = Activation::LeakyRelu(1.0);
-    let mut act = rng.standard_normal([2048, 64]);
+    let mut grad = rng.standard_normal([2048, 64]);
     let out = rng.standard_normal([2048, 64]);
-    g.bench_function("leaky_relu_forward_2048x64", |b| {
-        b.iter(|| {
-            leaky.forward(act.data_mut());
-            black_box(act.data()[0])
-        })
-    });
     g.bench_function("leaky_relu_backward_2048x64", |b| {
         b.iter(|| {
-            leaky.backward(act.data_mut(), out.data());
-            black_box(act.data()[0])
+            leaky.backward(grad.data_mut(), out.data());
+            black_box(grad.data()[0])
         })
     });
     let mut model = ArtificialScientistModel::new(ModelConfig::small(), 7);

@@ -81,7 +81,7 @@ pub(crate) const SMALL_ALLREDUCE_BYTES: usize = 4096;
 /// One rank's role in a binomial tree rooted at `root` (broadcast runs
 /// it parent→children, gather runs it children→parent).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TreePlan {
+pub(crate) struct TreePlan {
     /// The peer one hop closer to the root (`None` at the root).
     pub parent: Option<usize>,
     /// Peers one hop further from the root, in broadcast send order
@@ -130,7 +130,7 @@ pub(crate) fn binomial_plan(size: usize, root: usize, rank: usize) -> TreePlan {
 
 /// One round of the Bruck (dissemination) allgather.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BruckRound {
+pub(crate) struct BruckRound {
     /// Peer this rank sends its held prefix to: `(rank - 2^k) mod p`.
     pub to: usize,
     /// Peer this rank receives from: `(rank + 2^k) mod p`.
@@ -209,7 +209,7 @@ pub(crate) fn allreduce_goes_log(algo: CollectiveAlgo, bytes: usize) -> bool {
 /// cost is the per-rank maximum (the critical path), which for these
 /// schedules lands on the root / is uniform across ranks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MsgEvent {
+pub(crate) struct MsgEvent {
     /// The other endpoint of the hop (send target or receive source).
     pub peer: usize,
     /// Payload bytes on the wire.

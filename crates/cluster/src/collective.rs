@@ -20,7 +20,7 @@
 //!   untouched, so numerics are **bit-identical** to the wrapped backend
 //!   — only timing (and the modelled-seconds telemetry) changes. This is
 //!   what lets one box rehearse a Frontier-class fabric
-//!   (`NetModel::frontier_paper`).
+//!   (`NetModel::from_machine(&FRONTIER, …)`).
 //!
 //! Plus [`SoloComm`], the degenerate one-rank world (identity
 //! collectives, nothing counted or priced), which lets group code run
@@ -64,7 +64,7 @@ use crate::algos::{
 };
 use crate::comm::{CommWorld, Communicator};
 use crate::error::CommError;
-use crate::machine::{MachineSpec, FRONTIER, SUMMIT};
+use crate::machine::MachineSpec;
 use crate::pace::Pacer;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -268,7 +268,7 @@ pub trait Collective: Send + Sync + 'static {
 
     /// Deadline-bounded receive reporting failure as a value:
     /// `Ok(Some(v))` on a match, `Ok(None)` on timeout, a typed
-    /// [`CommError`] on dead peer / teardown / payload mismatch. The
+    /// `CommError` on dead peer / teardown / payload mismatch. The
     /// default declines — only fault-aware backends implement it.
     fn try_recv_timeout<T: Send + 'static>(
         &self,
@@ -569,17 +569,6 @@ impl NetModel {
         }
     }
 
-    /// The paper's primary fabric: Frontier, 8 GCD-ranks per node,
-    /// modelled delays injected at full scale.
-    pub fn frontier_paper(ranks: usize) -> Self {
-        Self::from_machine(&FRONTIER, ranks, FRONTIER.gpus_per_node, 1.0)
-    }
-
-    /// The paper's 2019 baseline fabric: Summit, 6 ranks per node.
-    pub fn summit_paper(ranks: usize) -> Self {
-        Self::from_machine(&SUMMIT, ranks, SUMMIT.gpus_per_node, 1.0)
-    }
-
     /// Modelled cost of one message of `bytes` payload between `from`
     /// and `to`: the intra-node latency/bandwidth when the placement
     /// co-locates them, the fabric fair share otherwise.
@@ -601,7 +590,7 @@ impl NetModel {
 /// the collective traffic counters the cross-backend bit-identity tests
 /// pin down.
 #[derive(Debug, Default)]
-pub struct DataPlaneClock {
+pub(crate) struct DataPlaneClock {
     /// World-wide maximum of the per-rank data-plane timelines, nanos.
     max_nanos: AtomicU64,
     /// World-wide staging wire bytes.
@@ -648,7 +637,7 @@ impl<C: Collective> SimNetComm<C> {
     /// Wrap one endpoint. All endpoints of a world must share the
     /// `world_max_nanos` counter and the `dp_clock` — use
     /// [`SimNetComm::world`] unless you are assembling a world by hand.
-    pub fn new(
+    pub(crate) fn new(
         inner: C,
         model: NetModel,
         world_max_nanos: Arc<AtomicU64>,
@@ -663,16 +652,6 @@ impl<C: Collective> SimNetComm<C> {
             dp_clock,
             pacer: Pacer::default(),
         }
-    }
-
-    /// The wrapped backend.
-    pub fn inner(&self) -> &C {
-        &self.inner
-    }
-
-    /// The fabric model in force.
-    pub fn model(&self) -> &NetModel {
-        &self.model
     }
 
     /// Charge `secs` of modelled fabric time to this rank's timeline,
@@ -885,6 +864,7 @@ impl<C: Collective> Collective for SimNetComm<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::FRONTIER;
     use std::thread;
 
     fn run_world<C, F>(endpoints: Vec<C>, f: F)
@@ -1111,7 +1091,7 @@ mod tests {
 
     #[test]
     fn frontier_model_reflects_the_machine_constants() {
-        let m = NetModel::frontier_paper(8);
+        let m = NetModel::from_machine(&FRONTIER, 8, 8, 1.0);
         assert_eq!(m.latency, FRONTIER.net_latency);
         assert_eq!(m.intra_latency, FRONTIER.intra_node_latency);
         // 8 ranks on one node share 4×25 GB/s NICs: 12.5 GB/s fair share,
@@ -1137,6 +1117,9 @@ mod tests {
         assert_eq!(many.bytes_per_second, FRONTIER.bisection_bandwidth(1) / 4.0);
         assert!(many.bytes_per_second < few.bytes_per_second);
         // A full node of eight ranks: bisection-bound at 30 / 8 GB/s.
-        assert_eq!(NetModel::frontier_paper(8).bytes_per_second, 3.75e9);
+        assert_eq!(
+            NetModel::from_machine(&FRONTIER, 8, 8, 1.0).bytes_per_second,
+            3.75e9
+        );
     }
 }

@@ -112,7 +112,7 @@ enum FaultAction {
 }
 
 /// Deterministic per-message fault decisions plus world-wide counters.
-pub struct FaultInjector {
+pub(crate) struct FaultInjector {
     faults: CommFaults,
     dropped: AtomicU64,
     delayed: AtomicU64,
@@ -159,7 +159,7 @@ impl FaultInjector {
     }
 
     /// `(dropped, delayed, duplicated)` counters so far, world-wide.
-    pub fn counts(&self) -> (u64, u64, u64) {
+    pub(crate) fn counts(&self) -> (u64, u64, u64) {
         (
             self.dropped.load(Ordering::Relaxed),
             self.delayed.load(Ordering::Relaxed),
@@ -252,7 +252,7 @@ impl CommWorld {
     /// (sends to a rank marked dead are suppressed; a torn-down channel
     /// marks the peer dead instead of panicking) and, when `faults` has
     /// non-zero rates, every message passes through the deterministic
-    /// [`FaultInjector`].
+    /// `FaultInjector`.
     ///
     /// # Panics
     /// Panics if `size == 0` or `size > 64` (liveness is a bitmask).
@@ -350,13 +350,13 @@ impl Communicator {
     }
 
     /// The collective algorithm family this world executes.
-    pub fn algo(&self) -> CollectiveAlgo {
+    pub(crate) fn algo(&self) -> CollectiveAlgo {
         self.algo
     }
 
     /// Total payload bytes sent across the whole world so far (for traffic
     /// accounting in scaling studies). Only slice-typed sends are counted.
-    pub fn world_bytes_sent(&self) -> u64 {
+    pub(crate) fn world_bytes_sent(&self) -> u64 {
         self.bytes_sent.load(Ordering::Relaxed)
     }
 
@@ -364,7 +364,7 @@ impl Communicator {
     /// every `send`, including collective-internal hops, counts one. The
     /// message count is what separates the linear and log-depth schedules
     /// when payloads are small, so benchmarks report it alongside bytes.
-    pub fn world_messages_sent(&self) -> u64 {
+    pub(crate) fn world_messages_sent(&self) -> u64 {
         self.messages_sent.load(Ordering::Relaxed)
     }
 
@@ -376,7 +376,7 @@ impl Communicator {
     /// system hides (e.g. a broadcast of structured samples). Callers
     /// that know the serialized size of an opaque payload use this to
     /// keep [`Self::world_bytes_sent`] honest.
-    pub fn account_payload(&self, bytes: u64) {
+    pub(crate) fn account_payload(&self, bytes: u64) {
         self.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
     }
 
@@ -384,7 +384,7 @@ impl Communicator {
     ///
     /// Never blocks (channels are unbounded, as MPI eager sends effectively
     /// are for the message sizes used here).
-    pub fn send<T: Send + 'static>(&self, dest: usize, tag: u64, value: T) {
+    pub(crate) fn send<T: Send + 'static>(&self, dest: usize, tag: u64, value: T) {
         assert!(dest < self.size, "send to out-of-range rank {dest}");
         if self.health.armed && self.is_rank_dead(dest) {
             // Tolerant mode: a dead rank receives nothing; the message
@@ -442,7 +442,7 @@ impl Communicator {
     /// tolerant sends to it are suppressed; fault-aware receives
     /// ([`Self::try_recv_timeout`]) report [`CommError::RankDead`]
     /// immediately instead of waiting out their timeout.
-    pub fn mark_dead(&self, rank: usize) {
+    pub(crate) fn mark_dead(&self, rank: usize) {
         if rank < 64 {
             self.health.cell.atomic();
             self.health.dead.fetch_or(1 << rank, Ordering::SeqCst);
@@ -450,7 +450,7 @@ impl Communicator {
     }
 
     /// Bitmask of ranks not (yet) marked dead.
-    pub fn alive_mask(&self) -> u64 {
+    pub(crate) fn alive_mask(&self) -> u64 {
         let full = if self.size >= 64 {
             u64::MAX
         } else {
@@ -461,7 +461,7 @@ impl Communicator {
     }
 
     /// True when `rank` has been marked dead.
-    pub fn is_rank_dead(&self, rank: usize) -> bool {
+    pub(crate) fn is_rank_dead(&self, rank: usize) -> bool {
         self.health.cell.atomic();
         rank < 64 && self.health.dead.load(Ordering::SeqCst) & (1 << rank) != 0
     }
@@ -479,7 +479,7 @@ impl Communicator {
     }
 
     /// Send a typed vector, accounting its size in the world traffic counter.
-    pub fn send_vec<T: Send + 'static>(&self, dest: usize, tag: u64, value: Vec<T>) {
+    pub(crate) fn send_vec<T: Send + 'static>(&self, dest: usize, tag: u64, value: Vec<T>) {
         self.account(value.len() * std::mem::size_of::<T>());
         self.send(dest, tag, value);
     }
@@ -488,7 +488,7 @@ impl Communicator {
     ///
     /// # Panics
     /// Panics if the matched message is not of type `T` (a protocol bug).
-    pub fn recv<T: Send + 'static>(&self, source: usize, tag: u64) -> T {
+    pub(crate) fn recv<T: Send + 'static>(&self, source: usize, tag: u64) -> T {
         let env = self.match_envelope(source, tag);
         *env.payload
             .downcast::<T>()
@@ -535,7 +535,7 @@ impl Communicator {
     /// declare the peer dead), and a typed [`CommError`] when the peer
     /// is already marked dead, the world tore down, or the payload type
     /// is wrong.
-    pub fn try_recv_timeout<T: Send + 'static>(
+    pub(crate) fn try_recv_timeout<T: Send + 'static>(
         &self,
         source: usize,
         tag: u64,
@@ -846,7 +846,7 @@ impl Communicator {
     }
 
     /// Scalar sum all-reduce convenience.
-    pub fn allreduce_scalar_f64(&self, v: f64) -> f64 {
+    pub(crate) fn allreduce_scalar_f64(&self, v: f64) -> f64 {
         let mut buf = [v];
         self.allreduce_sum_f64(&mut buf);
         buf[0]

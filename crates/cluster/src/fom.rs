@@ -36,7 +36,7 @@ pub struct FomModel {
 impl FomModel {
     /// Model with overheads representative of PIConGPU (≈96 % efficiency at
     /// full Frontier) and a device rate to be calibrated.
-    pub fn new(spec: MachineSpec, devices_per_node: usize, particles_per_cell: f64) -> Self {
+    pub(crate) fn new(spec: MachineSpec, devices_per_node: usize, particles_per_cell: f64) -> Self {
         Self {
             spec,
             devices_per_node,

@@ -38,11 +38,6 @@ pub struct MachineSpec {
 }
 
 impl MachineSpec {
-    /// Total GPUs (GCDs) when running on `nodes` nodes.
-    pub fn gpus(&self, nodes: usize) -> usize {
-        nodes * self.gpus_per_node
-    }
-
     /// Total injection bandwidth of `nodes` nodes, bytes/second.
     pub(crate) fn injection_bandwidth(&self, nodes: usize) -> f64 {
         nodes as f64 * self.nics_per_node as f64 * self.nic_bandwidth
@@ -96,7 +91,7 @@ mod tests {
         assert_eq!(FRONTIER.pfs_bandwidth, 10.0e12);
         assert_eq!(FRONTIER.node_ssd_bandwidth, 35.0e12);
         // §IV-A: 36 864 GPUs across 9216 nodes → 4 GPUs = 8 GCDs per node.
-        let gcds = FRONTIER.gpus(9216);
+        let gcds = 9216 * FRONTIER.gpus_per_node;
         let expect = 36_864usize * 2;
         assert_eq!(gcds, expect);
         assert_eq!(FRONTIER.gpus_per_node, 8);

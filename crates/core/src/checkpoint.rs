@@ -27,7 +27,7 @@ use crate::encode::Sample;
 
 /// Non-tensor learner progress restored alongside the checkpoint.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LearnerProgress {
+pub(crate) struct LearnerProgress {
     /// Windows processed so far.
     pub windows: u64,
     /// Samples pushed into the buffer so far.
@@ -42,7 +42,7 @@ pub struct LearnerProgress {
 
 /// A complete learner snapshot (see module docs).
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct LearnerCheckpoint {
+pub(crate) struct LearnerCheckpoint {
     /// Named `f64` arrays: model parameters, Adam moments, buffer
     /// sample payloads, loss history.
     pub arrays: BTreeMap<String, Vec<f64>>,
@@ -155,7 +155,7 @@ impl LearnerCheckpoint {
     /// Snapshot the full learner state. Capture never mutates anything —
     /// a run that checkpoints is bit-identical to one that does not.
     #[allow(clippy::too_many_arguments)]
-    pub fn capture(
+    pub(crate) fn capture(
         model: &mut ArtificialScientistModel,
         opt: &ModelOptimizer,
         buffer: &TrainingBuffer<Sample>,
@@ -215,15 +215,10 @@ impl LearnerCheckpoint {
         ckpt
     }
 
-    /// Windows counter at capture time.
-    pub fn windows(&self) -> u64 {
-        self.words["progress"][0]
-    }
-
     /// Restore the learner to the captured state, returning the restored
     /// progress counters. Panics on shape mismatch — a checkpoint only
     /// fits the configuration that produced it.
-    pub fn restore(
+    pub(crate) fn restore(
         &self,
         model: &mut ArtificialScientistModel,
         opt: &mut ModelOptimizer,
@@ -361,7 +356,7 @@ mod tests {
         let ckpt = LearnerCheckpoint::capture(
             &mut model, &opt, &buffer, &schedule, &enc_rng, &train_rng, &progress,
         );
-        assert_eq!(ckpt.windows(), 6);
+        assert_eq!(ckpt.words["progress"][0], 6);
         let hash_at_capture = param_hash(&mut model);
 
         // Diverge: more training, more data, more RNG draws.

@@ -86,7 +86,7 @@ impl ConsumerPolicy {
 
     /// The staging queue limit this policy implies, given the config's
     /// blocking-mode `queue_limit`.
-    pub fn effective_queue_limit(&self, blocking_limit: usize) -> usize {
+    pub(crate) fn effective_queue_limit(&self, blocking_limit: usize) -> usize {
         match self {
             ConsumerPolicy::BlockingEveryStep => blocking_limit,
             ConsumerPolicy::DropSteps { max_queue, .. } => *max_queue,
@@ -293,7 +293,7 @@ pub struct WorkflowConfig {
     /// Master seed.
     pub seed: u64,
     /// Deterministic fault-injection plan ([`crate::faults::FaultPlan`]).
-    /// Inert by default; when [`FaultPlan::active`] the workflow arms
+    /// Inert by default; when `FaultPlan::active` the workflow arms
     /// tolerant collective worlds, the consumer driver runs its
     /// fault-tolerant group strategy (checkpoint/restart, bounded-timeout
     /// collectives, graceful rank-death degradation) and executes the
@@ -353,22 +353,6 @@ impl WorkflowConfig {
             serving: None,
             model,
         }
-    }
-
-    /// The paper-fidelity configuration (Frontier-scale; listed for
-    /// completeness and used by the scaling models — do not run on a
-    /// laptop).
-    pub fn paper() -> Self {
-        let mut cfg = Self::small();
-        cfg.grid = KhiSetup::paper_grid();
-        cfg.khi = KhiSetup::default();
-        cfg.model = ModelConfig::paper();
-        cfg.detector = Detector::along_x(0.1, 100.0, cfg.model.spectrum_dim);
-        cfg.encode.sample_points = 30_000;
-        cfg.n_rep = 48;
-        cfg.adam = AdamConfig::default();
-        cfg.total_steps = 2000;
-        cfg
     }
 
     /// The staging queue limit the configured [`ConsumerPolicy`] implies
@@ -553,14 +537,5 @@ mod tests {
         c.consumers = 2;
         c.faults.events = vec![kill_restart(1, 4)];
         c.validate_topology();
-    }
-
-    #[test]
-    fn paper_config_matches_headline_numbers() {
-        let c = WorkflowConfig::paper();
-        assert_eq!((c.grid.nx, c.grid.ny, c.grid.nz), (192, 256, 12));
-        assert_eq!(c.encode.sample_points, 30_000);
-        assert_eq!(c.model.vae.latent, 544);
-        assert_eq!(c.n_rep, 48);
     }
 }

@@ -17,10 +17,10 @@
 //! snapshot publication.
 //!
 //! Everything that depends on *how the group communicates* is decided by
-//! the learner-group strategy [`LearnerGroup`], chosen from
-//! [`crate::faults::FaultPlan::active`]: fixed membership over the plain
+//! the learner-group strategy `LearnerGroup`, chosen from
+//! `FaultPlan::active`: fixed membership over the plain
 //! blocking collectives, or degradable membership over the
-//! timeout-bounded [`FtComm`] operations (who is alive, who picks the
+//! timeout-bounded `FtComm` operations (who is alive, who picks the
 //! `DropSteps` target, how sums/broadcasts/gradient buckets travel,
 //! whether snapshot metadata is broadcast). The loop itself never asks
 //! which one it has. While every rank is alive the two are bit-identical.
@@ -240,11 +240,11 @@ impl ConsumerReport {
 ///   the kill hook, so a kill landing on a boundary restores the state
 ///   captured a moment earlier (capture never mutates learner state);
 /// - **kill events**: [`KillMode::Restart`] rolls back to the latest
-///   [`LearnerCheckpoint`] (arrivals consumed since then are counted in
+///   `LearnerCheckpoint` (arrivals consumed since then are counted in
 ///   [`ConsumerReport::lost_windows`] — stream steps cannot be re-read)
 ///   and continues; [`KillMode::Die`] marks this rank dead on the shared
 ///   world — so survivors fast-fail their waits instead of burning the
-///   full death budget — and panics with an [`InjectedFault`] payload
+///   full death budget — and panics with an `InjectedFault` payload
 ///   (the orchestrator captures it as a rank failure);
 /// - **skip events** ([`crate::faults::FaultEvent::SkipWindows`]): the
 ///   window is read and closed unprocessed, counted as lost — the

@@ -2,7 +2,7 @@
 //!
 //! A [`FaultPlan`] is a seeded schedule of failures: message
 //! chaos on the collective transport (drop/delay/duplicate — delivered by
-//! [`as_cluster::comm::FaultInjector`] hooks inside the `Communicator`),
+//! `as_cluster::comm::FaultInjector` hooks inside the `Communicator`),
 //! producer crashes and stream truncations (armed on the SST writers via
 //! [`as_staging::engine::SstWriter::arm_truncate`]), and consumer-rank
 //! kills (fired at window boundaries inside the consumer loops). The same
@@ -20,13 +20,13 @@ use as_cluster::comm::CommFaults;
 /// What happens to a consumer rank when its kill event fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KillMode {
-    /// The rank restores its latest [`crate::checkpoint::LearnerCheckpoint`]
+    /// The rank restores its latest `LearnerCheckpoint`
     /// and continues (windows processed since the checkpoint are lost).
     /// With more than one consumer rank the kill must land on a
     /// checkpoint boundary so the DDP collective schedule stays aligned.
     Restart,
     /// The rank marks itself dead on the collective world and panics with
-    /// an [`InjectedFault`] payload; surviving ranks re-form a shrunk
+    /// an `InjectedFault` payload; surviving ranks re-form a shrunk
     /// world and continue (graceful degradation).
     Die,
 }
@@ -84,7 +84,7 @@ pub enum FaultEvent {
 }
 
 /// A complete, seeded fault schedule plus the detection/recovery budgets
-/// the fault-tolerant collective layer ([`crate::ft::FtComm`]) runs with.
+/// the fault-tolerant collective layer (`FtComm`) runs with.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed for the message-chaos injector (same seed ⇒ bit-identical
@@ -139,7 +139,7 @@ impl FaultPlan {
     /// switches the consumer driver's learner-group strategy to
     /// [`crate::ft::LearnerGroup::Ft`] and arms the tolerant collective
     /// worlds.
-    pub fn active(&self) -> bool {
+    pub(crate) fn active(&self) -> bool {
         self.message_chaos() || !self.events.is_empty() || self.checkpoint_every > 0
     }
 
@@ -208,7 +208,7 @@ impl FaultPlan {
 /// orchestrator can tell an injected death from a real bug when it
 /// captures the join.
 #[derive(Debug, Clone)]
-pub struct InjectedFault {
+pub(crate) struct InjectedFault {
     /// The rank that died.
     pub rank: usize,
     /// Its arrival counter at death.

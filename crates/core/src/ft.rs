@@ -48,7 +48,7 @@ use crate::faults::FaultPlan;
 
 /// Timeout-bounded, membership-aware collective operations over a
 /// tolerant [`Collective`] world (see module docs).
-pub struct FtComm<'a, C: Collective> {
+pub(crate) struct FtComm<'a, C: Collective> {
     comm: &'a C,
     tick: Duration,
     /// Total silence budget before a peer is declared dead.
@@ -63,7 +63,7 @@ pub struct FtComm<'a, C: Collective> {
 
 impl<'a, C: Collective> FtComm<'a, C> {
     /// Wrap an endpoint with the plan's detection budgets.
-    pub fn new(comm: &'a C, plan: &FaultPlan) -> Self {
+    pub(crate) fn new(comm: &'a C, plan: &FaultPlan) -> Self {
         Self {
             comm,
             tick: Duration::from_millis(plan.tick_ms.max(1)),
@@ -77,16 +77,6 @@ impl<'a, C: Collective> FtComm<'a, C> {
     /// out budgets on peers that were then condemned).
     pub(crate) fn condemned_wait_seconds(&self) -> f64 {
         self.condemn_wait.get()
-    }
-
-    /// This endpoint's rank.
-    pub fn rank(&self) -> usize {
-        self.comm.rank()
-    }
-
-    /// Full world size (including dead ranks).
-    pub fn size(&self) -> usize {
-        self.comm.size()
     }
 
     /// Ranks currently believed alive, ascending.
@@ -134,7 +124,7 @@ impl<'a, C: Collective> FtComm<'a, C> {
     /// All-to-all contribution exchange. Returns every answering rank's
     /// value keyed by rank (self included) — the agreed membership for
     /// this round.
-    pub fn exchange<T: Clone + Send + 'static>(&self, value: T) -> BTreeMap<usize, T> {
+    pub(crate) fn exchange<T: Clone + Send + 'static>(&self, value: T) -> BTreeMap<usize, T> {
         let tag = self.next_tag();
         let me = self.comm.rank();
         for peer in 0..self.comm.size() {
@@ -156,7 +146,7 @@ impl<'a, C: Collective> FtComm<'a, C> {
     }
 
     /// Membership probe: exchange nothing, return who answered.
-    pub fn members(&self) -> Vec<usize> {
+    pub(crate) fn members(&self) -> Vec<usize> {
         self.exchange(0u8).into_keys().collect()
     }
 
@@ -164,7 +154,7 @@ impl<'a, C: Collective> FtComm<'a, C> {
     /// the canonical ring order (bit-identical to the legacy blocking
     /// all-reduce when every rank is alive). Returns the number of
     /// contributions summed.
-    pub fn allreduce_sum<T>(&self, buf: &mut [T]) -> usize
+    pub(crate) fn allreduce_sum<T>(&self, buf: &mut [T]) -> usize
     where
         T: Copy + Send + std::ops::AddAssign + 'static,
     {
@@ -248,7 +238,7 @@ impl<'a, C: Collective> FtComm<'a, C> {
 ///
 /// While every rank is alive the two variants produce bit-identical
 /// results (both reduce in the canonical ring order).
-pub enum LearnerGroup<'a, C: Collective> {
+pub(crate) enum LearnerGroup<'a, C: Collective> {
     /// Fixed membership over the plain blocking [`Collective`] ops.
     Static {
         /// The learner group's main world.
@@ -270,7 +260,7 @@ impl<'a, C: Collective> LearnerGroup<'a, C> {
     }
 
     /// The agreed live members for this window, ascending.
-    pub fn members(&self) -> Vec<usize> {
+    pub(crate) fn members(&self) -> Vec<usize> {
         match self {
             Self::Static { comm, .. } => (0..comm.size()).collect(),
             Self::Ft(ft) => ft.members(),
@@ -307,7 +297,7 @@ impl<'a, C: Collective> LearnerGroup<'a, C> {
 
     /// Element-wise sum over the live members; returns how many
     /// contributions were summed.
-    pub fn allreduce_sum(&self, buf: &mut [f64]) -> usize {
+    pub(crate) fn allreduce_sum(&self, buf: &mut [f64]) -> usize {
         match self {
             Self::Static { comm, .. } => {
                 comm.allreduce_sum_f64(buf);
@@ -355,7 +345,7 @@ impl<'a, C: Collective> LearnerGroup<'a, C> {
     }
 
     /// Every live member's `value`, rank-ascending.
-    pub fn allgather<T: Clone + Send + 'static>(&self, value: T) -> Vec<T> {
+    pub(crate) fn allgather<T: Clone + Send + 'static>(&self, value: T) -> Vec<T> {
         match self {
             Self::Static { comm, .. } => comm.allgather(value),
             Self::Ft(ft) => ft.exchange(value).into_values().collect(),
@@ -437,7 +427,7 @@ mod tests {
                 std::thread::spawn(move || {
                     let p = plan();
                     let ft = FtComm::new(&c, &p);
-                    let rank = ft.rank();
+                    let rank = c.rank();
                     let got = ft.exchange(vec![rank as f64; 2]);
                     assert_eq!(got.keys().copied().collect::<Vec<_>>(), vec![0, 1, 2]);
                     // FT sum must equal the legacy blocking allreduce bitwise.
@@ -524,7 +514,7 @@ mod tests {
                 std::thread::spawn(move || {
                     let p = plan();
                     let ft = FtComm::new(&c, &p);
-                    let me = ft.rank();
+                    let me = c.rank();
                     let (root, v) = ft.elect_broadcast(|| me as u64);
                     assert_eq!(root, 1);
                     assert_eq!(v, 1);

@@ -70,41 +70,14 @@
 
 #![forbid(unsafe_code)]
 
-pub mod checkpoint;
+pub(crate) mod checkpoint;
 pub mod config;
 pub mod consumer;
 pub mod encode;
 pub mod eval;
 pub mod faults;
-pub mod ft;
+pub(crate) mod ft;
 pub mod noop;
 pub mod producer;
 pub mod snapshot;
 pub mod workflow;
-
-pub use checkpoint::{LearnerCheckpoint, LearnerProgress};
-pub use config::{CommBackend, ConsumerPolicy, Placement, ServingConfig, WorkflowConfig};
-pub use encode::{EncodeConfig, Sample};
-pub use eval::InversionEval;
-pub use faults::{FaultEvent, FaultPlan, InjectedFault, KillMode, StreamId};
-pub use ft::{FtComm, LearnerGroup};
-pub use snapshot::{ModelSnapshot, SnapshotPublisher, SnapshotSink};
-pub use workflow::{
-    run_workflow, run_workflow_with_sink, ConsumerSummary, RankFailure, RankGroup, WorkflowReport,
-};
-
-pub mod prelude {
-    //! Common imports for workflow consumers.
-    pub use crate::checkpoint::{LearnerCheckpoint, LearnerProgress};
-    pub use crate::config::{
-        CommBackend, ConsumerPolicy, Placement, ServingConfig, WorkflowConfig,
-    };
-    pub use crate::encode::{EncodeConfig, Sample};
-    pub use crate::eval::InversionEval;
-    pub use crate::faults::{FaultEvent, FaultPlan, InjectedFault, KillMode, StreamId};
-    pub use crate::snapshot::{ModelSnapshot, SnapshotPublisher, SnapshotSink};
-    pub use crate::workflow::{
-        run_workflow, run_workflow_with_sink, ConsumerSummary, RankFailure, RankGroup,
-        WorkflowReport,
-    };
-}

@@ -18,7 +18,7 @@
 //! - [`SnapshotSink`]: where published snapshots go. The serving crate
 //!   (`as-serve`) implements this for its inference engine; tests can
 //!   implement it with a channel.
-//! - [`SnapshotPublisher`]: the consumer driver's bookkeeping — decides
+//! - `SnapshotPublisher`: the consumer driver's bookkeeping — decides
 //!   *when* a snapshot is due (every `publish_every` training
 //!   iterations, a counter that is bit-identical across DDP ranks) and
 //!   keeps the version counter monotone across publishes, restarts and
@@ -102,7 +102,7 @@ impl ModelSnapshot {
     /// Serialized payload size used for collective accounting: the
     /// parameter bits, the permutations as u32 indices, and a small header
     /// (version, iteration, hash and the normalization constants).
-    pub fn payload_bytes(&self) -> u64 {
+    pub(crate) fn payload_bytes(&self) -> u64 {
         let body: usize = self.params.iter().map(|p| p.len() * 4).sum();
         let perms: usize = self.perms.iter().map(|p| p.len() * 4).sum();
         (body + perms + 64) as u64
@@ -144,7 +144,7 @@ pub trait SnapshotSink: Send + Sync {
 /// Consumer-driver bookkeeping for snapshot publication: the due-check
 /// on the (rank-identical) training-iteration counter and the monotone
 /// version counter.
-pub struct SnapshotPublisher {
+pub(crate) struct SnapshotPublisher {
     sink: Arc<dyn SnapshotSink>,
     publish_every: u64,
     encode: EncodeConfig,
@@ -153,7 +153,11 @@ pub struct SnapshotPublisher {
 
 impl SnapshotPublisher {
     /// New publisher over `sink` with the serving config's cadence.
-    pub fn new(sink: Arc<dyn SnapshotSink>, serving: &ServingConfig, encode: EncodeConfig) -> Self {
+    pub(crate) fn new(
+        sink: Arc<dyn SnapshotSink>,
+        serving: &ServingConfig,
+        encode: EncodeConfig,
+    ) -> Self {
         assert!(serving.publish_every >= 1, "publish_every must be >= 1");
         Self {
             sink,
@@ -166,13 +170,13 @@ impl SnapshotPublisher {
     /// True when a snapshot is due after `iterations` completed training
     /// iterations. Every DDP rank computes the same answer, so the
     /// group's collective schedule stays aligned.
-    pub fn due(&self, iterations: u64) -> bool {
+    pub(crate) fn due(&self, iterations: u64) -> bool {
         iterations > 0 && iterations.is_multiple_of(self.publish_every)
     }
 
     /// Bump the version and capture a snapshot (the learner root's
     /// half; follow with [`SnapshotPublisher::send`]).
-    pub fn capture(
+    pub(crate) fn capture(
         &mut self,
         model: &mut ArtificialScientistModel,
         iteration: u64,
@@ -182,19 +186,14 @@ impl SnapshotPublisher {
     }
 
     /// Deliver a captured snapshot to the sink.
-    pub fn send(&self, snapshot: ModelSnapshot) {
+    pub(crate) fn send(&self, snapshot: ModelSnapshot) {
         self.sink.publish(snapshot);
     }
 
     /// Bump the version without capturing — the non-root DDP ranks'
     /// half, keeping every rank's version counter in lockstep.
-    pub fn skip(&mut self) {
+    pub(crate) fn skip(&mut self) {
         self.version += 1;
-    }
-
-    /// Snapshots published (or skipped past) so far.
-    pub fn version(&self) -> u64 {
-        self.version
     }
 }
 
@@ -260,7 +259,7 @@ mod tests {
             }
         }
         assert!(!p.due(0), "iteration 0 never publishes");
-        assert_eq!(p.version(), 3);
+        assert_eq!(p.version, 3);
         assert_eq!(sink.0.load(std::sync::atomic::Ordering::SeqCst), 3);
     }
 }

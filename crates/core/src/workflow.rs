@@ -48,7 +48,7 @@
 //! arms every collective world with the plan's deterministic message
 //! chaos (seeded drop/delay/duplicate — chaos only *delays* traffic);
 //! the consumer driver switches its learner-group strategy to
-//! [`crate::ft::LearnerGroup::Ft`] (membership-aware collectives that
+//! `LearnerGroup::Ft` (membership-aware collectives that
 //! condemn a silent rank within a bounded budget and re-form the shrunk
 //! group) and its checkpoint/kill/skip hooks come alive;
 //! opens **monitored** streams so windows stranded behind a dead rank's
@@ -94,7 +94,7 @@ pub struct RankFailure {
     pub group: RankGroup,
     /// The rank within its group.
     pub rank: usize,
-    /// True when the panic payload was an [`InjectedFault`] — a
+    /// True when the panic payload was an `InjectedFault` — a
     /// scheduled [`crate::faults::KillMode::Die`] rather than a bug.
     pub injected: bool,
     /// Human-readable panic message.

@@ -42,7 +42,7 @@ enum Dir {
 }
 
 /// One GLOW affine coupling block on vectors of dimension `d1 + d2`.
-pub struct CouplingBlock {
+pub(crate) struct CouplingBlock {
     /// Subnet fed with the (already transformed) first half, predicting
     /// scale+shift for the second half: `d1 → … → 2·d2`.
     subnet1: Mlp,
@@ -57,7 +57,7 @@ pub struct CouplingBlock {
 /// its inverse-side one, both directions keep the same tensors once: the
 /// two subnet inputs `x2` and `y1`, the half `x1`, and what each
 /// `affine` half-step left behind.
-pub struct CouplingCtx {
+pub(crate) struct CouplingCtx {
     x1: Tensor,
     x2: Tensor,
     y1: Tensor,
@@ -73,6 +73,17 @@ struct HalfCtx {
     e: Tensor,
     sub: MlpCtx,
     dir: Dir,
+}
+
+impl CouplingCtx {
+    /// Hand every kept tensor back to `ws` without a backward pass.
+    fn recycle(self, ws: &mut Workspace) {
+        ws.give_all([self.x1, self.x2, self.y1]);
+        for step in [self.step1, self.step2] {
+            ws.give_all([step.a, step.e]);
+            step.sub.recycle(ws);
+        }
+    }
 }
 
 /// One affine half-step: `subnet` reads `cond:[B,·]` and predicts
@@ -150,7 +161,7 @@ impl CouplingBlock {
     /// Build a block for `dim`-dimensional vectors with the given subnet
     /// hidden widths (paper: `[272, 256]` between input and the doubled
     /// output).
-    pub fn new(src: &mut impl ParamSource, dim: usize, hidden: &[usize]) -> Self {
+    pub(crate) fn new(src: &mut impl ParamSource, dim: usize, hidden: &[usize]) -> Self {
         let d1 = dim / 2;
         let d2 = dim - d1;
         let mut w1 = vec![d1];
@@ -171,7 +182,7 @@ impl CouplingBlock {
     /// Forward: `x:[B, d1+d2] → y:[B, d1+d2]` with
     /// `y1 = x1 ⊙ exp(clamp(s2(x2))) + t2(x2)`, then
     /// `y2 = x2 ⊙ exp(clamp(s1(y1))) + t1(y1)`.
-    pub fn forward(&self, x: &Tensor, ws: &mut Workspace) -> (Tensor, CouplingCtx) {
+    pub(crate) fn forward(&self, x: &Tensor, ws: &mut Workspace) -> (Tensor, CouplingCtx) {
         let (x1, x2) = x.split_cols(self.d1, ws);
         let (y1, step2) = affine(&self.subnet2, &x2, &x1, Dir::Forward, ws);
         let (y2, step1) = affine(&self.subnet1, &y1, &x2, Dir::Forward, ws);
@@ -190,7 +201,7 @@ impl CouplingBlock {
     /// Inverse: `y:[B, d1+d2] → x:[B, d1+d2]` with
     /// `x2 = (y2 − t1(y1)) ⊙ exp(−clamp(s1(y1)))`, then
     /// `x1 = (y1 − t2(x2)) ⊙ exp(−clamp(s2(x2)))`.
-    pub fn inverse(&self, y: &Tensor, ws: &mut Workspace) -> (Tensor, CouplingCtx) {
+    pub(crate) fn inverse(&self, y: &Tensor, ws: &mut Workspace) -> (Tensor, CouplingCtx) {
         let (y1, y2) = y.split_cols(self.d1, ws);
         let (x2, step1) = affine(&self.subnet1, &y1, &y2, Dir::Inverse, ws);
         let (x1, step2) = affine(&self.subnet2, &x2, &y1, Dir::Inverse, ws);
@@ -208,7 +219,7 @@ impl CouplingBlock {
 
     /// Backward through the forward map; accumulates subnet gradients and
     /// returns `dL/dx`. The half transformed last (`y2`) is unwound first.
-    pub fn backward(&mut self, dy: &Tensor, c: CouplingCtx, ws: &mut Workspace) -> Tensor {
+    pub(crate) fn backward(&mut self, dy: &Tensor, c: CouplingCtx, ws: &mut Workspace) -> Tensor {
         let (mut dy1, dy2) = dy.split_cols(self.d1, ws);
         let sub1 = &mut self.subnet1;
         let (mut dx2, via_y1) = affine_backward(sub1, &c.y1, c.step1, &dy2, &c.x2, true, ws);
@@ -248,7 +259,7 @@ impl CouplingBlock {
     }
 
     /// Visit all `(param, grad)` pairs.
-    pub fn visit(&mut self, v: &mut dyn ParamVisitor) {
+    pub(crate) fn visit(&mut self, v: &mut dyn ParamVisitor) {
         self.subnet1.visit(v);
         self.subnet2.visit(v);
     }
@@ -265,6 +276,13 @@ pub struct Inn {
 /// Context of a full INN pass, in either direction: one entry per block.
 pub struct InnCtx {
     blocks: Vec<CouplingCtx>,
+}
+
+impl InnCtx {
+    /// Hand every block's context back to `ws` without a backward pass.
+    pub(crate) fn recycle(self, ws: &mut Workspace) {
+        self.blocks.into_iter().for_each(|c| c.recycle(ws));
+    }
 }
 
 fn apply_perm(x: &Tensor, perm: &[usize], ws: &mut Workspace) -> Tensor {
@@ -324,7 +342,7 @@ impl Inn {
     }
 
     /// Backward through the forward map.
-    pub fn backward(&mut self, dy: &Tensor, ctx: InnCtx, ws: &mut Workspace) -> Tensor {
+    pub(crate) fn backward(&mut self, dy: &Tensor, ctx: InnCtx, ws: &mut Workspace) -> Tensor {
         let mut cur: Option<Tensor> = None;
         for (i, c) in ctx.blocks.into_iter().enumerate().rev() {
             if let Some((_, inv)) = self.perms.get(i) {
@@ -392,7 +410,7 @@ impl Inn {
     }
 
     /// Visit all `(param, grad)` pairs.
-    pub fn visit(&mut self, v: &mut dyn ParamVisitor) {
+    pub(crate) fn visit(&mut self, v: &mut dyn ParamVisitor) {
         for b in &mut self.blocks {
             b.visit(v);
         }

@@ -6,7 +6,7 @@
 //! what lets the INN call its subnets once in the forward direction and once
 //! in the inverse direction per training step.
 //!
-//! Each activation value is stored once. A [`Linear`] adds its bias and
+//! Each activation value is stored once. A `Linear` adds its bias and
 //! applies LeakyReLU in the matmul's register tile, before the output's
 //! one store (a max-pooled convolution stores only the maxima); its
 //! backward is handed the layer input by reference (the caller's context
@@ -24,7 +24,7 @@ use as_tensor::{
 
 /// Fully-connected layer `y = x·W + b` with `W:[in,out]`, acting on the
 /// rows of `x:[…, in]` whatever its leading dimensions.
-pub struct Linear {
+pub(crate) struct Linear {
     /// Weights, `[fan_in, fan_out]`.
     pub w: Tensor,
     /// Bias, `[fan_out]`.
@@ -35,7 +35,7 @@ pub struct Linear {
     pub gb: Tensor,
 }
 
-/// How to initialise a [`Linear`].
+/// How to initialise a `Linear`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InitKind {
     /// He uniform (for ReLU-family nets).
@@ -49,7 +49,12 @@ pub enum InitKind {
 impl Linear {
     /// New layer with the given fan-in/out, its weight initialised as
     /// `kind` when `src` draws it.
-    pub fn new(src: &mut impl ParamSource, fan_in: usize, fan_out: usize, kind: InitKind) -> Self {
+    pub(crate) fn new(
+        src: &mut impl ParamSource,
+        fan_in: usize,
+        fan_out: usize,
+        kind: InitKind,
+    ) -> Self {
         let w = src.weight(fan_in, fan_out, kind);
         let b = src.bias(fan_out);
         Self {
@@ -71,25 +76,20 @@ impl Linear {
     }
 
     /// `y = act(x·W + b)` for `x:[…, in]` → `y:[…, out]`. The bias and
-    /// LeakyReLU are applied in the matmul's register tile; `Tanh` and
-    /// `Softplus` in a pass over the stored output.
-    pub fn forward(&self, x: &Tensor, act: Activation, ws: &mut Workspace) -> Tensor {
+    /// LeakyReLU are applied in the matmul's register tile.
+    pub(crate) fn forward(&self, x: &Tensor, act: Activation, ws: &mut Workspace) -> Tensor {
         let (fan_in, fan_out) = (self.fan_in(), self.fan_out());
         assert_eq!(x.dims().last(), Some(&fan_in), "Linear fan_in mismatch");
         let mut y = ws.take(x.shape().with_last_dim(fan_out));
         let (xd, w) = (x.data(), self.w.data());
         matmul_epilogue_into(y.data_mut(), xd, w, fan_in, fan_out, self.epilogue(act));
-        if matches!(act, Activation::Tanh | Activation::Softplus) {
-            act.forward(y.data_mut());
-        }
         y
     }
 
     /// The max over each cloud's points of [`Self::forward`]'s output for
     /// `x:[B, P, in]`: `[B, out]` and, per (cloud, channel), the point
     /// that first reached it — the max-pool of PointNet, fused into the
-    /// matmul so the `[B, P, out]` output is never stored. `act` is
-    /// LeakyReLU or `Identity`.
+    /// matmul so the `[B, P, out]` output is never stored.
     pub(crate) fn forward_max_pool(
         &self,
         x: &Tensor,
@@ -99,10 +99,6 @@ impl Linear {
         let d = x.dims();
         assert_eq!(d.len(), 3, "forward_max_pool expects [b, p, c]");
         assert_eq!(d[2], self.fan_in(), "Linear fan_in mismatch");
-        assert!(
-            matches!(act, Activation::LeakyRelu(_) | Activation::Identity),
-            "only LeakyReLU or the bias alone pool in the matmul tile"
-        );
         let (fan_out, epilogue) = (self.fan_out(), self.epilogue(act));
         let mut pooled = ws.take([d[0], fan_out]);
         let mut arg = vec![0usize; d[0] * fan_out];
@@ -115,7 +111,7 @@ impl Linear {
     fn epilogue(&self, act: Activation) -> Epilogue<'_> {
         let leaky = match act {
             Activation::LeakyRelu(a) => Some(a),
-            _ => None,
+            Activation::Identity => None,
         };
         Epilogue {
             bias: self.b.data(),
@@ -177,62 +173,28 @@ impl Linear {
     }
 
     /// Visit `(param, grad)` pairs.
-    pub fn visit(&mut self, v: &mut dyn ParamVisitor) {
+    pub(crate) fn visit(&mut self, v: &mut dyn ParamVisitor) {
         v.visit(&mut self.w, &mut self.gw);
         v.visit(&mut self.b, &mut self.gb);
     }
 }
 
-/// Supported activation functions, applied in place over slices.
+/// Supported activation functions: applied in the matmul's register
+/// tile (`Linear::forward`), differentiated in place over slices.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Activation {
     /// `max(x, αx)` with slope `α ≥ 0`.
     LeakyRelu(f32),
-    /// Hyperbolic tangent.
-    Tanh,
-    /// `ln(1 + eˣ)` (used for strictly-positive σ heads).
-    Softplus,
     /// Identity (keeps MLP code uniform).
     Identity,
 }
 
 impl Activation {
-    /// `v ← act(v)`. LeakyReLU is a select of the factor, not a branch
-    /// around the multiply — multiplying by `1.0` is exact — so the loop
-    /// vectorises, 8 lanes wide where the CPU has AVX2 (same bits: see
-    /// `as_tensor::matmul`'s CPU instances).
-    pub fn forward(&self, v: &mut [f32]) {
-        #[cfg(target_arch = "x86_64")]
-        if is_x86_feature_detected!("avx2") {
-            // SAFETY: the CPU has AVX2.
-            return unsafe { self.forward_avx2(v) };
-        }
-        self.forward_body(v)
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    fn forward_avx2(&self, v: &mut [f32]) {
-        self.forward_body(v)
-    }
-
-    #[inline(always)]
-    fn forward_body(&self, v: &mut [f32]) {
-        match *self {
-            Activation::LeakyRelu(a) => {
-                for x in v {
-                    *x *= if *x > 0.0 { 1.0 } else { a };
-                }
-            }
-            Activation::Tanh => v.iter_mut().for_each(|x| *x = x.tanh()),
-            Activation::Softplus => v.iter_mut().for_each(|x| *x = softplus(*x)),
-            Activation::Identity => {}
-        }
-    }
-
     /// `d ← d · act′(x)`, with the derivative read from the **output**
     /// `y = act(x)`: the sign of a LeakyReLU output is the sign of its input
-    /// (for `α ≥ 0`), `tanh′ = 1 − y²` and `softplus′ = σ(x) = 1 − e⁻ʸ`.
+    /// (for `α ≥ 0`). The select of the factor, not a branch around the
+    /// multiply, lets the loop vectorise, 8 lanes wide where the CPU has
+    /// AVX2 (same bits: see `as_tensor::matmul`'s CPU instances).
     pub fn backward(&self, d: &mut [f32], y: &[f32]) {
         assert_eq!(d.len(), y.len(), "activation gradient shape mismatch");
         #[cfg(target_arch = "x86_64")]
@@ -258,33 +220,33 @@ impl Activation {
                     *d *= if y <= 0.0 { a } else { 1.0 };
                 }
             }
-            Activation::Tanh => d.iter_mut().zip(y).for_each(|(d, &y)| *d *= 1.0 - y * y),
-            Activation::Softplus => d.iter_mut().zip(y).for_each(|(d, &y)| *d *= -(-y).exp_m1()),
             Activation::Identity => {}
         }
     }
 }
 
-fn softplus(x: f32) -> f32 {
-    // Overflow-safe: ln(1+e^x) = max(x,0) + ln(1+e^-|x|).
-    x.max(0.0) + (-x.abs()).exp().ln_1p()
-}
-
 /// Multi-layer perceptron: Linear → act → … → Linear (linear output).
-pub struct Mlp {
+pub(crate) struct Mlp {
     layers: Vec<Linear>,
     act: Activation,
 }
 
 /// Backward context of an [`Mlp`]: the hidden activations. The input
 /// stays with the caller, who passes it to `backward` again.
-pub struct MlpCtx {
+pub(crate) struct MlpCtx {
     hidden: Vec<Tensor>,
+}
+
+impl MlpCtx {
+    /// Hand the hidden activations back to `ws` without a backward pass.
+    pub(crate) fn recycle(self, ws: &mut Workspace) {
+        ws.give_all(self.hidden);
+    }
 }
 
 impl Mlp {
     /// Build from a width list `[in, h1, …, out]`.
-    pub fn new(
+    pub(crate) fn new(
         src: &mut impl ParamSource,
         widths: &[usize],
         act: Activation,
@@ -309,7 +271,7 @@ impl Mlp {
     }
 
     /// Forward through all layers.
-    pub fn forward(&self, x: &Tensor, ws: &mut Workspace) -> (Tensor, MlpCtx) {
+    pub(crate) fn forward(&self, x: &Tensor, ws: &mut Workspace) -> (Tensor, MlpCtx) {
         let n = self.layers.len();
         let mut hidden: Vec<Tensor> = Vec::with_capacity(n);
         for (i, layer) in self.layers.iter().enumerate() {
@@ -327,7 +289,7 @@ impl Mlp {
 
     /// Backward through all layers for the input `x` of the forward pass,
     /// accumulating gradients; returns `dL/dx` if `want_dx`.
-    pub fn backward(
+    pub(crate) fn backward(
         &mut self,
         x: &Tensor,
         ctx: MlpCtx,
@@ -355,7 +317,7 @@ impl Mlp {
     }
 
     /// Visit all `(param, grad)` pairs.
-    pub fn visit(&mut self, v: &mut dyn ParamVisitor) {
+    pub(crate) fn visit(&mut self, v: &mut dyn ParamVisitor) {
         for l in &mut self.layers {
             l.visit(v);
         }
@@ -523,33 +485,22 @@ mod tests {
     fn activations_match_finite_difference() {
         let mut rng = TensorRng::seeded(4);
         let x = rng.standard_normal([10]).reshape([2, 5]);
-        for act in [
-            Activation::LeakyRelu(0.01),
-            Activation::Tanh,
-            Activation::Softplus,
-            Activation::Identity,
-        ] {
-            let mut y = x.clone();
-            act.forward(y.data_mut());
+        for act in [Activation::LeakyRelu(0.01), Activation::Identity] {
+            let y = x.map(|v| scalar_forward(act, v));
             let mut dx = y.clone();
             act.backward(dx.data_mut(), y.data());
-            let mut f = |xt: &Tensor| {
-                let mut y = xt.clone();
-                act.forward(y.data_mut());
-                0.5 * y.sq_norm()
-            };
+            let mut f = |xt: &Tensor| 0.5 * xt.map(|v| scalar_forward(act, v)).sq_norm();
             finite_diff_check(&mut f, &x, &dx, 1e-3, 5e-2);
         }
     }
 
-    /// The branchy per-element definitions the slice kernels must equal
-    /// bit for bit (`backward` in terms of the pre-activation input `x`).
+    /// The branchy per-element definitions the matmul tile and the
+    /// backward kernel must equal bit for bit (`backward` in terms of the
+    /// pre-activation input `x`).
     fn scalar_forward(act: Activation, x: f32) -> f32 {
         match act {
             Activation::LeakyRelu(_) if x > 0.0 => x,
             Activation::LeakyRelu(a) => a * x,
-            Activation::Tanh => x.tanh(),
-            Activation::Softplus => softplus(x),
             Activation::Identity => x,
         }
     }
@@ -558,29 +509,19 @@ mod tests {
         match act {
             Activation::LeakyRelu(a) if x <= 0.0 => d * a,
             Activation::LeakyRelu(_) | Activation::Identity => d,
-            Activation::Tanh => d * (1.0 - x.tanh() * x.tanh()),
-            Activation::Softplus => d * -(-softplus(x)).exp_m1(),
         }
     }
 
-    type Forward = fn(Activation, &mut [f32]);
     type Backward = fn(Activation, &mut [f32], &[f32]);
 
-    /// Each instance of the slice kernels this CPU can run.
-    fn instances() -> Vec<(&'static str, Forward, Backward)> {
-        let mut all: Vec<(&'static str, Forward, Backward)> = vec![(
-            "sse2",
-            |a, v| a.forward_body(v),
-            |a, d, y| a.backward_body(d, y),
-        )];
-        // SAFETY (both closures): the CPU has AVX2.
+    /// Each instance of the backward kernel this CPU can run.
+    fn instances() -> Vec<(&'static str, Backward)> {
+        let mut all: Vec<(&'static str, Backward)> =
+            vec![("sse2", |a, d, y| a.backward_body(d, y))];
         #[cfg(target_arch = "x86_64")]
         if is_x86_feature_detected!("avx2") {
-            all.push((
-                "avx2",
-                |a, v| unsafe { a.forward_avx2(v) },
-                |a, d, y| unsafe { a.backward_avx2(d, y) },
-            ));
+            // SAFETY: the CPU has AVX2.
+            all.push(("avx2", |a, d, y| unsafe { a.backward_avx2(d, y) }));
         }
         if all.len() == 1 {
             eprintln!("no AVX2 on this CPU: checking the baseline instance alone");
@@ -613,26 +554,16 @@ mod tests {
         let acts = [
             Activation::LeakyRelu(0.01),
             Activation::LeakyRelu(0.0),
-            Activation::Tanh,
-            Activation::Softplus,
             Activation::Identity,
         ];
-        for (act, (name, forward, backward)) in acts
+        for (act, (name, backward)) in acts
             .into_iter()
             .flat_map(|act| instances().into_iter().map(move |i| (act, i)))
         {
-            let mut y = x.clone();
-            forward(act, &mut y);
+            let y: Vec<f32> = x.iter().map(|&v| scalar_forward(act, v)).collect();
             let mut dx = d.data().to_vec();
             backward(act, &mut dx, &y);
             for i in 0..x.len() {
-                let want = scalar_forward(act, x[i]);
-                assert!(
-                    same(y[i], want),
-                    "{name} {act:?} forward({}) = {} ≠ {want}",
-                    x[i],
-                    y[i]
-                );
                 // ReLU's output cannot tell −∞ from NaN (−∞·0); every
                 // finite input and every α > 0 can.
                 if act == Activation::LeakyRelu(0.0) && x[i] == f32::NEG_INFINITY {
@@ -649,26 +580,19 @@ mod tests {
         }
     }
 
-    #[test]
-    fn softplus_is_overflow_safe() {
-        let mut y = Tensor::from_slice(&[-100.0, 0.0, 100.0]);
-        Activation::Softplus.forward(y.data_mut());
-        assert!(y.all_finite());
-        assert!((y.data()[2] - 100.0).abs() < 1e-3);
-        assert!(y.data()[0] >= 0.0 && y.data()[0] < 1e-6);
-    }
+    const LEAKY: Activation = Activation::LeakyRelu(0.01);
 
     #[test]
     fn mlp_gradient_matches_finite_difference() {
         let mut rng = TensorRng::seeded(5);
-        let mlp = Mlp::new(&mut rng, &[3, 8, 2], Activation::Tanh, InitKind::Xavier);
+        let mlp = Mlp::new(&mut rng, &[3, 8, 2], LEAKY, InitKind::Xavier);
         let x = rng.standard_normal([4, 3]);
         let ws = &mut Workspace::default();
         let (y, ctx) = mlp.forward(&x, ws);
         let mut probe = Mlp::new(
             &mut TensorRng::seeded(5),
             &[3, 8, 2],
-            Activation::Tanh,
+            LEAKY,
             InitKind::Xavier,
         );
         let dx = probe.backward(&x, ctx, &y, true, ws).expect("dx requested");
@@ -714,7 +638,8 @@ mod tests {
 
     /// `Linear::forward` with the bias and LeakyReLU in the matmul tile,
     /// bit for bit against the product stored and then passed over — the
-    /// bias row by row, then `Activation::forward` — for every activation,
+    /// bias row by row, then the activation's scalar definition — for every
+    /// activation,
     /// around the matmul's 8- and 16-wide tiles, with a row count that is
     /// not a multiple of the tile height.
     #[test]
@@ -731,17 +656,14 @@ mod tests {
             for act in [
                 Activation::LeakyRelu(0.01),
                 Activation::LeakyRelu(0.0),
-                Activation::Tanh,
-                Activation::Softplus,
                 Activation::Identity,
             ] {
                 let mut want = Tensor::zeros([3, 5, n]);
                 matmul_into(want.data_mut(), x.data(), l.w.data(), k, n);
                 for row in want.data_mut().chunks_exact_mut(n) {
                     for (v, &b) in row.iter_mut().zip(l.b.data()) {
-                        *v += b;
+                        *v = scalar_forward(act, *v + b);
                     }
-                    act.forward(row);
                 }
                 let got = l.forward(&x, act, ws);
                 assert_eq!(got.dims(), want.dims());

@@ -37,7 +37,7 @@
 //! derivative is read from its output. `backward` consumes the context and
 //! hands its buffers, and every gradient it makes internally, back to the
 //! `as_tensor::Workspace` it was given; a `dy` argument is only borrowed.
-//! The training workspace is **owned by [`ArtificialScientistModel`]**, so
+//! The training workspace is **owned by [`model::ArtificialScientistModel`]**, so
 //! a steady-state `zero_grad` + `accumulate_gradients` + optimiser step
 //! allocates nothing of activation size; `&self` inference entry points
 //! run on a throw-away workspace. Recycled contents are never read.
@@ -55,24 +55,10 @@
 //! witness the consumers assert each iteration.
 
 pub mod ddp;
-pub mod init;
+pub(crate) mod init;
 pub mod inn;
 pub mod layers;
 pub mod loss;
 pub mod model;
 pub mod optim;
 pub mod vae;
-
-pub use inn::{CouplingBlock, Inn};
-pub use layers::{Activation, Linear, Mlp};
-pub use model::{ArtificialScientistModel, LossReport, ModelConfig};
-pub use optim::{Adam, AdamConfig, AdamState, ParamVisitor};
-pub use vae::{Decoder, Encoder, Vae};
-
-pub mod prelude {
-    //! Common imports for model consumers.
-    pub use crate::ddp::DdpConfig;
-    pub use crate::loss;
-    pub use crate::model::{ArtificialScientistModel, LossReport, ModelConfig};
-    pub use crate::optim::{Adam, AdamConfig};
-}

@@ -7,7 +7,7 @@
 //!   entropic regularisation so the CD-vs-EMD cost ratio (footnote 1: ≈4×)
 //!   and quality comparison are reproducible;
 //! - `kl_divergence` — `L_KL`, the VAE latent regulariser;
-//! - [`mse`] — `L_MSE` on predicted radiation spectra;
+//! - `mse` — `L_MSE` on predicted radiation spectra;
 //! - [`mmd_imq`] — maximum mean discrepancy with the inverse multi-quadratic
 //!   kernel (Ardizzone et al.), used for both `L_MMD(z,z′)` and
 //!   `L_MMD(N,N′)`.
@@ -278,7 +278,7 @@ pub(crate) fn kl_divergence(mu: &Tensor, logvar: &Tensor) -> (f64, Tensor, Tenso
 }
 
 /// Mean squared error over all elements. Returns `(loss, dL/dpred)`.
-pub fn mse(pred: &Tensor, target: &Tensor) -> (f64, Tensor) {
+pub(crate) fn mse(pred: &Tensor, target: &Tensor) -> (f64, Tensor) {
     assert_eq!(pred.dims(), target.dims(), "mse shape mismatch");
     let n = pred.numel() as f64;
     let mut grad = pred.clone();

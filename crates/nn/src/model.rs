@@ -57,24 +57,6 @@ pub struct ModelConfig {
 }
 
 impl ModelConfig {
-    /// The paper's dimensions: 544-d latent, 4 blocks, 30 000-in /
-    /// 4096-out point clouds. `spectrum_dim = 272` (half the latent).
-    pub fn paper() -> Self {
-        Self {
-            vae: VaeConfig::paper(),
-            spectrum_dim: 272,
-            inn_blocks: 4,
-            inn_hidden: vec![272, 256],
-            w_cd: 1.0,
-            w_kl: 0.001,
-            w_mse: 0.3,
-            w_mmd_z: 40.0,
-            w_mmd_n: 0.03,
-            mmd_kernel_c: 1.0,
-            backward_mmd_trains_encoder: false,
-        }
-    }
-
     /// CPU-scale preset with the same topology (for tests/examples).
     pub fn small() -> Self {
         Self {
@@ -147,6 +129,19 @@ struct ForwardPass {
     report: LossReport,
 }
 
+impl ForwardPass {
+    /// Hand back to `ws` what the pass took from it — the buffers a
+    /// training step's backward would have given back — and return the
+    /// losses.
+    fn recycle(self, ws: &mut Workspace) -> LossReport {
+        self.vae.recycle(ws);
+        self.inn_fwd.recycle(ws);
+        self.inn_inv.recycle(ws);
+        ws.give_all([self.d_out, self.z_pred]);
+        self.report
+    }
+}
+
 /// VAE + INN with the Eq. (1) objective.
 pub struct ArtificialScientistModel {
     /// Architecture and loss configuration.
@@ -155,9 +150,10 @@ pub struct ArtificialScientistModel {
     pub vae: Vae,
     /// The inversion INN (violet block of Fig. 7).
     pub inn: Inn,
-    /// Buffers of the last training step, reused by the next. Only
-    /// [`Self::accumulate_gradients`] touches it; the `&self` inference
-    /// entry points run on a workspace of their own.
+    /// Buffers of the last training step or evaluation, reused by the
+    /// next. Only [`Self::accumulate_gradients`] and [`Self::evaluate`]
+    /// touch it; the `&self` inference entry points run on a workspace of
+    /// their own.
     ws: Workspace,
 }
 
@@ -296,10 +292,20 @@ impl ArtificialScientistModel {
         f.report
     }
 
-    /// Evaluate the losses without touching gradients (validation).
-    pub fn evaluate(&self, points: &Tensor, spectra: &Tensor, rng: &mut TensorRng) -> LossReport {
-        let ws = &mut Workspace::default();
-        self.forward(points, spectra, rng, ws).report
+    /// Evaluate the losses without touching gradients (validation). The
+    /// pass runs on the model's workspace and gives its buffers back.
+    pub fn evaluate(
+        &mut self,
+        points: &Tensor,
+        spectra: &Tensor,
+        rng: &mut TensorRng,
+    ) -> LossReport {
+        let mut pool = std::mem::take(&mut self.ws);
+        let report = self
+            .forward(points, spectra, rng, &mut pool)
+            .recycle(&mut pool);
+        self.ws = pool;
+        report
     }
 
     /// Solve the inverse problem: sample particle clouds consistent with
@@ -436,18 +442,6 @@ mod tests {
     }
 
     #[test]
-    fn paper_config_consistency() {
-        let cfg = ModelConfig::paper();
-        assert_eq!(cfg.residual_dim(), 272);
-        assert_eq!(cfg.vae.latent, 544);
-        assert_eq!(cfg.inn_blocks, 4);
-        assert_eq!(cfg.w_kl, 0.001);
-        assert_eq!(cfg.w_mse, 0.3);
-        assert_eq!(cfg.w_mmd_z, 40.0);
-        assert_eq!(cfg.w_mmd_n, 0.03);
-    }
-
-    #[test]
     fn gradients_are_finite_and_nonzero() {
         let mut model = ArtificialScientistModel::new(tiny_cfg(), 1);
         let mut rng = TensorRng::seeded(2);
@@ -567,8 +561,8 @@ mod tests {
             },
             8.0,
         );
-        assert!((opt.vae.config().lr - 8e-4).abs() < 1e-9);
-        assert!((opt.inn.config().lr - 1e-4).abs() < 1e-9);
+        assert!((opt.vae.cfg.lr - 8e-4).abs() < 1e-9);
+        assert!((opt.inn.cfg.lr - 1e-4).abs() < 1e-9);
     }
 
     #[test]

@@ -85,7 +85,7 @@ pub struct AdamState {
 /// State is kept per visited parameter in visitation order, so the same
 /// module must always be visited with the same structure.
 pub struct Adam {
-    cfg: AdamConfig,
+    pub(crate) cfg: AdamConfig,
     step: u64,
     m: Vec<Vec<f32>>,
     v: Vec<Vec<f32>>,
@@ -94,7 +94,7 @@ pub struct Adam {
 
 impl Adam {
     /// New optimiser with the given configuration.
-    pub fn new(cfg: AdamConfig) -> Self {
+    pub(crate) fn new(cfg: AdamConfig) -> Self {
         Self {
             cfg,
             step: 0,
@@ -102,16 +102,6 @@ impl Adam {
             v: Vec::new(),
             cursor: 0,
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> AdamConfig {
-        self.cfg
-    }
-
-    /// Number of `step` calls so far.
-    pub fn steps(&self) -> u64 {
-        self.step
     }
 
     /// Snapshot the optimiser's mutable state (checkpoint capture).
@@ -136,7 +126,7 @@ impl Adam {
     /// Apply one update. Call as
     /// `module.visit(&mut adam.begin_step());` — or more conveniently via
     /// [`Adam::step`] with a closure that visits the module.
-    pub fn step(&mut self, visit: impl FnOnce(&mut dyn ParamVisitor)) {
+    pub(crate) fn step(&mut self, visit: impl FnOnce(&mut dyn ParamVisitor)) {
         self.step += 1;
         self.cursor = 0;
         // Work around the borrow: move state through a small shim.

@@ -17,7 +17,7 @@
 //! exactly how it is implemented here.
 //!
 //! The encoder's backward pass runs its convolutions only on the rows
-//! the max-pool selected (see [`Encoder::backward`]).
+//! the max-pool selected (see `Encoder::backward`).
 
 use crate::init::ParamSource;
 use crate::layers::{Activation, InitKind, Linear, Mlp, MlpCtx};
@@ -43,20 +43,8 @@ pub struct VaeConfig {
 }
 
 impl VaeConfig {
-    /// The paper's dimensions (30 000-point input, 4096-point output).
-    pub fn paper() -> Self {
-        Self {
-            point_dim: 6,
-            encoder_channels: vec![6, 16, 32, 64, 128, 256, 608],
-            head_hidden: 544,
-            latent: 544,
-            decoder_base: 4,
-            decoder_channels: vec![16, 8, 6],
-        }
-    }
-
     /// A small preset for CPU-scale tests and examples.
-    pub fn small(latent: usize) -> Self {
+    pub(crate) fn small(latent: usize) -> Self {
         Self {
             point_dim: 6,
             encoder_channels: vec![6, 16, 32, 64],
@@ -65,14 +53,6 @@ impl VaeConfig {
             decoder_base: 2,
             decoder_channels: vec![8, 6],
         }
-    }
-
-    /// Number of points the decoder emits.
-    #[cfg(test)]
-    pub(crate) fn decoder_points(&self) -> usize {
-        let doublings = self.decoder_channels.len() - 1;
-        let edge = self.decoder_base << doublings;
-        edge * edge * edge
     }
 }
 
@@ -95,11 +75,13 @@ pub struct EncoderCtx {
 }
 
 impl EncoderCtx {
-    /// Hand the stored convolution outputs and pooled features back to
-    /// `ws` without a backward pass (a forward whose gradient nobody
-    /// wants).
+    /// Hand the stored convolution outputs, pooled features and head
+    /// activations back to `ws` without a backward pass (a forward whose
+    /// gradient nobody wants).
     pub fn recycle(self, ws: &mut Workspace) {
         ws.give_all(self.conv_out.into_iter().chain([self.pooled]));
+        self.mu_ctx.recycle(ws);
+        self.logvar_ctx.recycle(ws);
     }
 }
 
@@ -107,7 +89,7 @@ const LEAKY: Activation = Activation::LeakyRelu(0.01);
 
 impl Encoder {
     /// Build from config.
-    pub fn new(src: &mut impl ParamSource, cfg: &VaeConfig) -> Self {
+    pub(crate) fn new(src: &mut impl ParamSource, cfg: &VaeConfig) -> Self {
         assert_eq!(
             cfg.encoder_channels[0], cfg.point_dim,
             "first encoder channel must equal point_dim"
@@ -173,7 +155,7 @@ impl Encoder {
     /// buffers a dense pass would fill — the dense sums with their
     /// exact-zero terms removed, bit for bit (for finite activations), and
     /// the same workspace shapes whatever the arg-max pattern.
-    pub fn backward(
+    pub(crate) fn backward(
         &mut self,
         points: &Tensor,
         dmu: &Tensor,
@@ -272,7 +254,7 @@ impl Encoder {
     }
 
     /// Visit all `(param, grad)` pairs.
-    pub fn visit(&mut self, v: &mut dyn ParamVisitor) {
+    pub(crate) fn visit(&mut self, v: &mut dyn ParamVisitor) {
         for c in &mut self.convs {
             c.visit(v);
         }
@@ -367,13 +349,20 @@ pub struct Decoder {
 /// Backward context of the decoder: the input of every deconvolution
 /// stage (each is the LeakyReLU output of the stage before it). The
 /// latent stays with the caller.
-pub struct DecoderCtx {
+pub(crate) struct DecoderCtx {
     stage_in: Vec<Tensor>,
+}
+
+impl DecoderCtx {
+    /// Hand the stage inputs back to `ws` without a backward pass.
+    fn recycle(self, ws: &mut Workspace) {
+        ws.give_all(self.stage_in);
+    }
 }
 
 impl Decoder {
     /// Build from config.
-    pub fn new(src: &mut impl ParamSource, cfg: &VaeConfig) -> Self {
+    pub(crate) fn new(src: &mut impl ParamSource, cfg: &VaeConfig) -> Self {
         let base = cfg.decoder_base;
         let c0 = cfg.decoder_channels[0];
         let fc = Linear::new(src, cfg.latent, base * base * base * c0, InitKind::Kaiming);
@@ -389,7 +378,7 @@ impl Decoder {
     }
 
     /// `z:[B,Z]` → point cloud `[B, P_out, out_dim]`.
-    pub fn forward(&self, z: &Tensor, ws: &mut Workspace) -> (Tensor, DecoderCtx) {
+    pub(crate) fn forward(&self, z: &Tensor, ws: &mut Workspace) -> (Tensor, DecoderCtx) {
         let b = z.dims()[0];
         let cells = self.base * self.base * self.base;
         let h = self.fc.forward(z, LEAKY, ws);
@@ -412,7 +401,7 @@ impl Decoder {
     }
 
     /// Backward from `d points` to `dz` for the latent `z` of the forward pass.
-    pub fn backward(
+    pub(crate) fn backward(
         &mut self,
         z: &Tensor,
         dy: &Tensor,
@@ -439,7 +428,7 @@ impl Decoder {
     }
 
     /// Visit all `(param, grad)` pairs.
-    pub fn visit(&mut self, v: &mut dyn ParamVisitor) {
+    pub(crate) fn visit(&mut self, v: &mut dyn ParamVisitor) {
         self.fc.visit(v);
         for d in &mut self.deconvs {
             d.lin.visit(v);
@@ -457,7 +446,7 @@ pub struct Vae {
 
 /// Everything one training-mode pass produced; [`Vae::backward`] consumes
 /// it and hands the buffers back to the workspace.
-pub struct VaePass {
+pub(crate) struct VaePass {
     /// Posterior mean `μ:[B,Z]`.
     pub mu: Tensor,
     /// Posterior log-variance `[B,Z]`.
@@ -472,9 +461,18 @@ pub struct VaePass {
     dec: DecoderCtx,
 }
 
+impl VaePass {
+    /// Hand every buffer of the pass back to `ws` without a backward pass.
+    pub(crate) fn recycle(self, ws: &mut Workspace) {
+        ws.give_all([self.mu, self.logvar, self.z, self.recon, self.eps]);
+        self.enc.recycle(ws);
+        self.dec.recycle(ws);
+    }
+}
+
 impl Vae {
     /// Build both halves from one config.
-    pub fn new(src: &mut impl ParamSource, cfg: &VaeConfig) -> Self {
+    pub(crate) fn new(src: &mut impl ParamSource, cfg: &VaeConfig) -> Self {
         Self {
             encoder: Encoder::new(src, cfg),
             decoder: Decoder::new(src, cfg),
@@ -531,7 +529,7 @@ impl Vae {
     /// INN); `dmu_extra`/`dlogvar_extra` come from the KL term. Returns
     /// `d points` if `want_dpoints`.
     #[allow(clippy::too_many_arguments)]
-    pub fn backward(
+    pub(crate) fn backward(
         &mut self,
         points: &Tensor,
         pass: VaePass,
@@ -569,7 +567,7 @@ impl Vae {
     }
 
     /// Visit all `(param, grad)` pairs (encoder first, then decoder).
-    pub fn visit(&mut self, v: &mut dyn ParamVisitor) {
+    pub(crate) fn visit(&mut self, v: &mut dyn ParamVisitor) {
         self.encoder.visit(v);
         self.decoder.visit(v);
     }
@@ -593,18 +591,6 @@ mod tests {
             decoder_base: 2,
             decoder_channels: vec![4, 6],
         }
-    }
-
-    #[test]
-    fn paper_config_dimensions() {
-        let cfg = VaeConfig::paper();
-        assert_eq!(
-            cfg.decoder_points(),
-            4096,
-            "paper decoder emits 4096 particles"
-        );
-        assert_eq!(cfg.latent, 544);
-        assert_eq!(*cfg.encoder_channels.last().unwrap(), 608);
     }
 
     #[test]

@@ -105,12 +105,12 @@ pub struct Attributes(BTreeMap<String, Value>);
 
 impl Attributes {
     /// Empty set.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Insert or replace.
-    pub fn set(&mut self, key: &str, value: Value) -> &mut Self {
+    pub(crate) fn set(&mut self, key: &str, value: Value) -> &mut Self {
         assert!(
             !key.contains('\n') && !key.contains('='),
             "attribute keys must not contain '=' or newlines"
@@ -124,18 +124,8 @@ impl Attributes {
         self.0.get(key)
     }
 
-    /// Number of attributes.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// True if no attributes are set.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
     /// Serialise to the wire format.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = String::new();
         for (k, v) in &self.0 {
             out.push_str(k);
@@ -147,7 +137,7 @@ impl Attributes {
     }
 
     /// Parse the wire format.
-    pub fn decode(data: &[u8]) -> Self {
+    pub(crate) fn decode(data: &[u8]) -> Self {
         let text = String::from_utf8_lossy(data);
         let mut map = BTreeMap::new();
         for line in text.lines() {
@@ -158,11 +148,6 @@ impl Attributes {
             }
         }
         Self(map)
-    }
-
-    /// Iterate entries in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&String, &Value)> {
-        self.0.iter()
     }
 }
 

@@ -19,14 +19,3 @@
 pub mod attribute;
 pub mod reader;
 pub mod writer;
-
-pub use attribute::{Attributes, UnitDimension, Value};
-pub use reader::{IterationData, OpenPmdReader};
-pub use writer::OpenPmdWriter;
-
-pub mod prelude {
-    //! Common imports for openPMD consumers.
-    pub use crate::attribute::{Attributes, UnitDimension, Value};
-    pub use crate::reader::{IterationData, OpenPmdReader};
-    pub use crate::writer::OpenPmdWriter;
-}

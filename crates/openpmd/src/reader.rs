@@ -135,11 +135,6 @@ impl IterationData {
         self.step.get_f32_view(name)
     }
 
-    /// Variable names available in this iteration.
-    pub fn names(&self) -> Vec<String> {
-        self.step.variable_names()
-    }
-
     /// True if a variable exists.
     #[cfg(test)]
     pub(crate) fn has(&self, name: &str) -> bool {
@@ -151,14 +146,9 @@ impl IterationData {
         self.step.simulated_seconds
     }
 
-    /// Logical payload bytes fetched from this iteration so far.
-    pub fn bytes_fetched(&self) -> u64 {
-        self.step.bytes_fetched
-    }
-
-    /// Wire bytes fetched from this iteration so far — equal to
-    /// [`Self::bytes_fetched`] under the lossless codec, smaller under a
-    /// compressing [`as_staging::codec::WireCodec`].
+    /// Wire bytes fetched from this iteration so far — the logical bytes
+    /// under the lossless codec, fewer under a compressing
+    /// [`as_staging::codec::WireCodec`].
     pub fn wire_bytes_fetched(&self) -> u64 {
         self.step.wire_bytes_fetched
     }

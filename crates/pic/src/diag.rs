@@ -3,35 +3,6 @@
 
 use crate::sim::Simulation;
 
-/// Snapshot of the field energy split.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FieldEnergy {
-    /// ½∫E² (normalised units, interior cells × cell volume).
-    pub electric: f64,
-    /// ½∫B².
-    pub magnetic: f64,
-    /// Total particle kinetic energy.
-    pub kinetic: f64,
-}
-
-impl FieldEnergy {
-    /// Measure the current energies of `sim`.
-    pub fn measure(sim: &Simulation) -> Self {
-        let vol = sim.spec.dx * sim.spec.dy * sim.spec.dz;
-        let (e2, b2) = sim.field_energy();
-        Self {
-            electric: 0.5 * e2 * vol,
-            magnetic: 0.5 * b2 * vol,
-            kinetic: sim.species.iter().map(|s| s.kinetic_energy()).sum(),
-        }
-    }
-
-    /// Total of all three channels.
-    pub fn total(&self) -> f64 {
-        self.electric + self.magnetic + self.kinetic
-    }
-}
-
 /// Physical flow regions of the KHI box relative to a detector looking
 /// along −x̂ (i.e. radiation observed in the +x̂ direction): the +x stream
 /// approaches it, the −x stream recedes, and the neighbourhoods of the two
@@ -234,19 +205,6 @@ mod tests {
                 FlowRegion::Vortex => assert!(h.mean().abs() < 0.25, "vortex mixes streams"),
             }
         }
-    }
-
-    #[test]
-    fn field_energy_totals() {
-        let g = GridSpec::cubic(4, 4, 4, 0.5, 0.5);
-        let sim = KhiSetup {
-            ppc: 2,
-            ..KhiSetup::default()
-        }
-        .build(g);
-        let e = FieldEnergy::measure(&sim);
-        assert!(e.kinetic > 0.0);
-        assert!(e.total() >= e.kinetic);
     }
 
     #[test]

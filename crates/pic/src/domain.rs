@@ -233,7 +233,7 @@ impl<C: Collective> DistributedSim<C> {
     pub fn refresh_ghosts(&mut self) {}
 
     /// Sum of a scalar across ranks.
-    pub fn allreduce_sum(&self, v: f64) -> f64 {
+    pub(crate) fn allreduce_sum(&self, v: f64) -> f64 {
         self.comm.allreduce_scalar_f64(v)
     }
 

@@ -76,7 +76,7 @@ impl ScalarField3 {
     }
 
     /// Zero everything including ghosts.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.data.fill(0.0);
     }
 
@@ -121,7 +121,7 @@ impl ScalarField3 {
     /// Copy ghost layers from the periodic wrap of this field itself
     /// (single-domain mode): ghost `[-g, -1]` ← interior `[nx-g, nx-1]`,
     /// ghost `[nx, nx+g-1]` ← interior `[0, g-1]`.
-    pub fn wrap_ghosts_periodic(&mut self) {
+    pub(crate) fn wrap_ghosts_periodic(&mut self) {
         for g in 0..GHOSTS as isize {
             for j in 0..self.ny as isize {
                 for k in 0..self.nz as isize {

@@ -55,27 +55,6 @@ impl Default for KhiSetup {
 }
 
 impl KhiSetup {
-    /// The paper's smallest volume: 192×256×12 cells. (Pass a scaled-down
-    /// [`GridSpec`] for CPU runs; this is the configuration-fidelity
-    /// preset.)
-    pub fn paper_grid() -> GridSpec {
-        // Δx = 93.5 µm ≈ 55.6 skin depths at n₀ = 10²⁵ m⁻³; Δt = 17.9 fs
-        // ≈ 3.19/ω_pe — the paper resolves collective scales, not the skin
-        // depth. We keep the cell-to-timestep ratio (CFL ≈ 0.1).
-        let u = crate::units::UnitSystem::paper();
-        let d = u.length_to_norm(93.5e-6);
-        let dt = u.time_to_norm(17.9e-15);
-        GridSpec {
-            nx: 192,
-            ny: 256,
-            nz: 12,
-            dx: d,
-            dy: d,
-            dz: d,
-            dt,
-        }
-    }
-
     /// Stream velocity (±β) at height `y` for box extent `ly`: the middle
     /// half streams +x, the outer quarters −x (two shear surfaces at
     /// `ly/4` and `3·ly/4`).
@@ -88,7 +67,7 @@ impl KhiSetup {
     }
 
     /// Build the electron buffer on `g`.
-    pub fn electrons(&self, g: &GridSpec) -> ParticleBuffer {
+    pub(crate) fn electrons(&self, g: &GridSpec) -> ParticleBuffer {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let (lx, ly, _lz) = g.extents();
         let mut p = ParticleBuffer::new(-1.0, 1.0);
@@ -169,15 +148,6 @@ impl KhiSetup {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn paper_grid_matches_section_iv_a() {
-        let g = KhiSetup::paper_grid();
-        assert_eq!((g.nx, g.ny, g.nz), (192, 256, 12));
-        // 93.5 µm in skin depths at 1e25 m⁻³.
-        assert!((g.dx - 55.6).abs() < 1.0, "dx = {}", g.dx);
-        g.validate();
-    }
 
     #[test]
     fn default_setup_matches_paper_parameters() {

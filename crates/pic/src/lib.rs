@@ -3,8 +3,8 @@
 //! This is the producer side of the paper's workflow: a from-scratch
 //! implementation of the numerical stack PIConGPU uses —
 //!
-//! - **Yee-staggered FDTD** Maxwell solver ([`maxwell`]),
-//! - **relativistic Boris pusher** ([`pusher`]),
+//! - **Yee-staggered FDTD** Maxwell solver (`maxwell`),
+//! - **relativistic Boris pusher** (`pusher`),
 //! - **charge-conserving current deposition**, "Esirkepov meets ZigZag"
 //!   ([`deposit`]),
 //! - **CIC field gather** respecting the Yee staggering ([`gather`]),
@@ -62,30 +62,11 @@ pub mod gather;
 pub mod grid;
 pub mod khi;
 pub mod lanes;
-pub mod maxwell;
+pub(crate) mod maxwell;
 pub mod particles;
 pub mod plugin;
-pub mod pusher;
+pub(crate) mod pusher;
 pub mod sim;
 pub mod tile;
 pub mod tweac;
 pub mod units;
-
-pub use field::{ScalarField3, VecField3};
-pub use grid::GridSpec;
-pub use particles::ParticleBuffer;
-pub use plugin::Plugin;
-pub use sim::{Simulation, SimulationBuilder};
-
-pub mod prelude {
-    //! Common imports for simulation consumers.
-    pub use crate::diag::{FieldEnergy, FlowRegion};
-    pub use crate::domain::DistributedSim;
-    pub use crate::fom::FomCounter;
-    pub use crate::grid::GridSpec;
-    pub use crate::khi::KhiSetup;
-    pub use crate::plugin::Plugin;
-    pub use crate::sim::{Simulation, SimulationBuilder};
-    pub use crate::tweac::TweacSetup;
-    pub use crate::units::UnitSystem;
-}

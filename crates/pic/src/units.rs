@@ -49,28 +49,6 @@ impl UnitSystem {
     pub fn paper() -> Self {
         Self::from_density(1.0e25)
     }
-
-    /// SI length (m) → normalised (skin depths).
-    pub(crate) fn length_to_norm(&self, meters: f64) -> f64 {
-        meters / self.skin_depth
-    }
-
-    /// Normalised length → SI (m).
-    #[cfg(test)]
-    pub(crate) fn length_to_si(&self, norm: f64) -> f64 {
-        norm * self.skin_depth
-    }
-
-    /// SI time (s) → normalised (1/ω_pe).
-    pub(crate) fn time_to_norm(&self, seconds: f64) -> f64 {
-        seconds * self.omega_pe
-    }
-
-    /// Normalised time → SI (s).
-    #[cfg(test)]
-    pub(crate) fn time_to_si(&self, norm: f64) -> f64 {
-        norm / self.omega_pe
-    }
 }
 
 #[cfg(test)]
@@ -88,23 +66,6 @@ mod tests {
         );
         // Skin depth ≈ 1.68 µm.
         assert!((u.skin_depth - 1.68e-6).abs() / 1.68e-6 < 0.01);
-    }
-
-    #[test]
-    fn length_round_trip() {
-        let u = UnitSystem::paper();
-        let dx_si = 93.5e-6; // the paper's cell size
-        let dx = u.length_to_norm(dx_si);
-        assert!((u.length_to_si(dx) - dx_si).abs() < 1e-18);
-        assert!(dx > 1.0, "paper cells are many skin depths");
-    }
-
-    #[test]
-    fn time_round_trip() {
-        let u = UnitSystem::paper();
-        let dt_si = 17.9e-15;
-        let dt = u.time_to_norm(dt_si);
-        assert!((u.time_to_si(dt) - dt_si).abs() < 1e-25);
     }
 
     #[test]

@@ -25,17 +25,3 @@ pub mod detector;
 pub mod lienard;
 pub mod plugin;
 pub mod spectrum;
-
-pub use detector::Detector;
-pub use lienard::RadiationAccumulator;
-pub use plugin::{RadiationPlugin, RegionMode};
-pub use spectrum::Spectrum;
-
-pub mod prelude {
-    //! Common imports for radiation consumers.
-    pub use crate::analytic::doppler_shift;
-    pub use crate::detector::Detector;
-    pub use crate::lienard::RadiationAccumulator;
-    pub use crate::plugin::{RadiationPlugin, RegionMode};
-    pub use crate::spectrum::Spectrum;
-}

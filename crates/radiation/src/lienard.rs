@@ -63,11 +63,6 @@ impl RadiationAccumulator {
         }
     }
 
-    /// Direction count.
-    pub fn n_dirs(&self) -> usize {
-        self.n_dirs
-    }
-
     /// Frequency count.
     pub fn n_freqs(&self) -> usize {
         self.n_freqs
@@ -84,7 +79,7 @@ impl RadiationAccumulator {
     }
 
     /// Zero the amplitudes in place (start of a new window).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.amp.fill(0.0);
     }
 

@@ -63,18 +63,6 @@ impl RegionMode {
             }
         }
     }
-
-    /// Human-readable region labels (Fig. 9 legend order).
-    pub fn labels(&self) -> Vec<&'static str> {
-        match self {
-            RegionMode::WholeBox => vec!["whole box"],
-            RegionMode::FlowRegions { .. } => vec![
-                FlowRegion::Approaching.label(),
-                FlowRegion::Receding.label(),
-                FlowRegion::Vortex.label(),
-            ],
-        }
-    }
 }
 
 /// The plugin: attach to a PIC driver loop via `as_pic::plugin`.
@@ -288,7 +276,6 @@ mod tests {
         let mut sim = setup.build(g);
         let det = Detector::along_x(0.1, 10.0, 8);
         let mode = RegionMode::FlowRegions { shear_width: 0.06 };
-        assert_eq!(mode.labels().len(), 3);
         let mut plugin = RadiationPlugin::new(det, mode, 0);
         run_with_plugins(&mut sim, 3, &mut [&mut plugin]);
         let spectra = plugin.spectra();

@@ -79,11 +79,6 @@ impl<S: Clone> TrainingBuffer<S> {
         }
     }
 
-    /// Configuration in use.
-    pub fn config(&self) -> BufferConfig {
-        self.cfg
-    }
-
     /// Push one freshly streamed sample: prepend to the now-buffer;
     /// overflow moves the oldest now-sample into the EP buffer, which
     /// evicts a random element when full.
@@ -111,17 +106,6 @@ impl<S: Clone> TrainingBuffer<S> {
     #[cfg(test)]
     pub(crate) fn ep_len(&self) -> usize {
         self.ep.len()
-    }
-
-    /// Total samples received.
-    pub fn received(&self) -> u64 {
-        self.received
-    }
-
-    /// Total EP evictions (samples irrecoverably dropped — the paper's
-    /// "data is produced on demand and discarded after being used").
-    pub fn evicted(&self) -> u64 {
-        self.evicted
     }
 
     /// True once at least one batch can be drawn ([`Self::sample_batch`]
@@ -241,7 +225,7 @@ mod tests {
         }
         assert_eq!(b.now_len(), 2);
         assert_eq!(b.ep_len(), 5);
-        assert_eq!(b.evicted(), 100 - 2 - 5);
+        assert_eq!(b.evicted, 100 - 2 - 5);
         // Randomly kept elements should not simply be the newest five.
         let ep: Vec<i32> = b.ep_iter().copied().collect();
         let all_newest = ep.iter().all(|&v| v >= 93);
@@ -286,9 +270,9 @@ mod tests {
                 prop_assert!(b.now_len() <= n_now);
                 prop_assert!(b.ep_len() <= n_ep);
             }
-            prop_assert_eq!(b.received(), pushes as u64);
+            prop_assert_eq!(b.received, pushes as u64);
             let held = (b.now_len() + b.ep_len()) as u64;
-            prop_assert_eq!(held + b.evicted(), pushes as u64);
+            prop_assert_eq!(held + b.evicted, pushes as u64);
         }
 
         /// Batches always have the configured size and draw only held

@@ -28,16 +28,6 @@ impl ForgettingMeter {
         self.current_losses.push(current_loss);
     }
 
-    /// Number of recorded evaluations.
-    pub fn len(&self) -> usize {
-        self.early_losses.len()
-    }
-
-    /// True if nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.early_losses.is_empty()
-    }
-
     /// Forgetting score: relative increase of the early-phase loss from
     /// its minimum to its final value. 0 = no forgetting; 1 = the loss
     /// doubled from its best point.
@@ -91,7 +81,6 @@ mod tests {
         assert_eq!(m.forgetting_score(), 0.0);
         m.record(1.0, 1.0);
         assert_eq!(m.forgetting_score(), 0.0);
-        assert_eq!(m.len(), 1);
-        assert!(!m.is_empty());
+        assert_eq!(m.early_losses.len(), 1);
     }
 }

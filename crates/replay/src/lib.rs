@@ -22,12 +22,4 @@ pub mod forgetting;
 pub mod scheduler;
 
 pub use buffer::{BufferConfig, BufferState, TrainingBuffer};
-pub use forgetting::ForgettingMeter;
 pub use scheduler::{ReplaySchedule, StallPolicy};
-
-pub mod prelude {
-    //! Common imports for continual-learning consumers.
-    pub use crate::buffer::{BufferConfig, TrainingBuffer};
-    pub use crate::forgetting::ForgettingMeter;
-    pub use crate::scheduler::{ReplaySchedule, StallPolicy};
-}

@@ -66,16 +66,6 @@ impl ReplaySchedule {
         self.owed() > 0
     }
 
-    /// Steps received.
-    pub fn steps(&self) -> u64 {
-        self.steps_received
-    }
-
-    /// Iterations completed.
-    pub fn iterations(&self) -> u64 {
-        self.iterations_done
-    }
-
     /// `(steps_received, iterations_done)` — the schedule's mutable
     /// state, for checkpoint capture.
     pub fn counts(&self) -> (u64, u64) {
@@ -116,8 +106,8 @@ mod tests {
                 s.on_iteration();
             }
         }
-        assert_eq!(s.steps(), 10);
-        assert_eq!(s.iterations(), 80);
+        assert_eq!(s.steps_received, 10);
+        assert_eq!(s.iterations_done, 80);
     }
 
     #[test]

@@ -81,11 +81,6 @@ impl PosteriorCache {
         self.map.is_empty()
     }
 
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Drop every entry (the engine calls this on hot-swap: old-version
     /// entries are unreachable by key anyway, this just frees the
     /// capacity for the new version's working set).
@@ -130,7 +125,7 @@ mod tests {
         c.insert(1, vec![1.0]);
         assert!(c.is_empty());
         assert!(c.get(1).is_none());
-        assert_eq!(c.capacity(), 0);
+        assert_eq!(c.capacity, 0);
     }
 
     #[test]

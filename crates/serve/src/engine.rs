@@ -269,7 +269,7 @@ impl InferenceEngine {
     }
 
     /// The serving configuration the engine was started with.
-    pub fn config(&self) -> &ServingConfig {
+    pub(crate) fn config(&self) -> &ServingConfig {
         &self.cfg
     }
 

@@ -15,7 +15,7 @@
 //!   spectrum-hash → posterior cache, and hot-swaps newly published
 //!   snapshots mid-traffic via an atomic `Arc` swap — every response is
 //!   computed against exactly one snapshot version, never torn weights;
-//! - [`run_loadgen`] is the closed-loop harness that hammers the engine
+//! - [`loadgen::run_loadgen`] is the closed-loop harness that hammers the engine
 //!   from thousands of logical clients while verifying each response
 //!   bitwise against a single-version reference forward.
 //!
@@ -32,11 +32,7 @@ pub mod engine;
 pub mod loadgen;
 
 pub use cache::PosteriorCache;
-pub use engine::{
-    cache_key, posterior_batch, posterior_reference, EngineSink, InferenceEngine, Response,
-    ServeReport, ServedModel,
-};
-pub use loadgen::{run_loadgen, LoadGenConfig, LoadReport};
+pub use engine::{cache_key, posterior_batch, posterior_reference, EngineSink, InferenceEngine};
 
 use as_core::config::WorkflowConfig;
 use as_core::workflow::{run_workflow_with_sink, WorkflowReport};

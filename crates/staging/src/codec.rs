@@ -52,20 +52,6 @@ impl WireCodec {
         }
     }
 
-    /// Parse a CLI label produced by [`WireCodec::label`].
-    pub fn parse(label: &str) -> Option<WireCodec> {
-        match label {
-            "none" => Some(WireCodec::None),
-            "f16" => Some(WireCodec::F16),
-            other => {
-                let bits: u8 = other.strip_prefix("quant")?.parse().ok()?;
-                (1..=16)
-                    .contains(&bits)
-                    .then_some(WireCodec::QuantU16 { bits })
-            }
-        }
-    }
-
     /// True when this codec transforms blocks of `dtype` (floats only;
     /// integer and raw-byte payloads always travel uncompressed).
     pub(crate) fn transforms(&self, dtype: Dtype) -> bool {
@@ -314,20 +300,6 @@ pub fn f16_bits_to_f32(h: u16) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn labels_parse_back() {
-        for c in [
-            WireCodec::None,
-            WireCodec::F16,
-            WireCodec::QuantU16 { bits: 12 },
-        ] {
-            assert_eq!(WireCodec::parse(&c.label()), Some(c));
-        }
-        assert_eq!(WireCodec::parse("quant0"), None);
-        assert_eq!(WireCodec::parse("quant17"), None);
-        assert_eq!(WireCodec::parse("zstd"), None);
-    }
 
     #[test]
     fn f16_special_values_round_trip() {

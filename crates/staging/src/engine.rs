@@ -180,11 +180,6 @@ pub struct StreamMonitor {
 }
 
 impl StreamMonitor {
-    /// Total steps published so far.
-    pub fn published(&self) -> u64 {
-        self.core.state.lock().published
-    }
-
     /// Number of reader ranks that departed (dropped their endpoint).
     #[cfg(test)]
     pub(crate) fn departed_readers(&self) -> u64 {
@@ -524,11 +519,6 @@ impl Drop for SstWriter {
 }
 
 impl SstReader {
-    /// Reader rank.
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
     /// Wrap a published step for this reader. The `Arc` bump shares the
     /// step table; no block payload is touched until a fetch.
     fn open_step(&self, data: Arc<StepData>) -> ReadStep {
@@ -1296,7 +1286,7 @@ mod tests {
         }
         producer.join().unwrap();
         assert_eq!(seen, 5, "surviving reader still sees every step");
-        assert_eq!(monitor.published(), 5);
+        assert_eq!(monitor.core.state.lock().published, 5);
         assert_eq!(monitor.departed_readers(), 1);
         assert_eq!(monitor.departed_lost(), 4, "dead rank missed steps 1..5");
         assert!(monitor.writers_done());
@@ -1342,7 +1332,7 @@ mod tests {
             r.end_step(step);
         }
         assert_eq!(seen, vec![0.0, 1.0], "reader drains the published prefix");
-        assert_eq!(monitor.published(), 2);
+        assert_eq!(monitor.core.state.lock().published, 2);
         assert!(monitor.writers_done(), "truncation closes the stream");
     }
 

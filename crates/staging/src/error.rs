@@ -10,7 +10,7 @@ use std::fmt;
 
 /// Errors surfaced by the staging engine's fallible accessors.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StagingError {
+pub(crate) enum StagingError {
     /// The requested variable does not exist in the step.
     MissingVariable {
         /// Variable name requested.

@@ -18,16 +18,16 @@
 //! # Step lifecycle contract
 //!
 //! A step is *pending* (writers contributing blocks) → *published* (last
-//! writer's [`SstWriter::end_step`] validated the tiling and queued it)
+//! writer's [`engine::SstWriter::end_step`] validated the tiling and queued it)
 //! → *retired* (every reader closed it; the queue slot frees, unblocking
 //! any writer waiting at the `queue_limit`). Writer time blocked on the
-//! full queue is recorded in [`SstWriter::stall_seconds`] — the honest
+//! full queue is recorded in [`engine::SstWriter::stall_seconds`] — the honest
 //! back-pressure telemetry, separate from emission wall time.
 //!
-//! Readers consume independently, in order ([`SstReader::begin_step`])
+//! Readers consume independently, in order ([`engine::SstReader::begin_step`])
 //! or skipping to the freshest published step
-//! ([`SstReader::begin_latest_step_min`] /
-//! [`SstReader::begin_step_at_least`]), where skipped steps are closed
+//! ([`engine::SstReader::begin_latest_step_min`] /
+//! [`engine::SstReader::begin_step_at_least`]), where skipped steps are closed
 //! unread and release back-pressure immediately — the primitive behind
 //! the `DropSteps` consumer policy in `as-core`
 //! (`ConsumerPolicy::DropSteps`).
@@ -37,29 +37,10 @@
 pub mod codec;
 pub mod dataplane;
 pub mod engine;
-pub mod error;
+pub(crate) mod error;
 pub mod stats;
 pub mod variable;
 pub mod view;
 
 pub use codec::WireCodec;
-pub use dataplane::{DataPlane, ReadStrategy};
-pub use engine::StreamMonitor;
-pub use engine::{open_stream, open_stream_monitored, SstReader, SstWriter, StreamConfig};
-pub use error::StagingError;
-pub use stats::ThroughputRecorder;
-pub use variable::{Block, Dtype, VariableMeta};
-pub use view::VarView;
-
-pub mod prelude {
-    //! Common imports for staging consumers.
-    pub use crate::codec::WireCodec;
-    pub use crate::dataplane::{DataPlane, ReadStrategy};
-    pub use crate::engine::{
-        open_stream, open_stream_monitored, SstReader, SstWriter, StreamConfig, StreamMonitor,
-    };
-    pub use crate::error::StagingError;
-    pub use crate::stats::ThroughputRecorder;
-    pub use crate::variable::{Block, Dtype, VariableMeta};
-    pub use crate::view::VarView;
-}
+pub use variable::Dtype;

@@ -16,7 +16,7 @@ impl Default for ThroughputRecorder {
 
 impl ThroughputRecorder {
     /// Fresh recorder.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             bytes: 0,
             wire_bytes: 0,

@@ -18,7 +18,7 @@ pub enum Dtype {
 
 impl Dtype {
     /// Size of one element in bytes.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         match self {
             Dtype::F32 => 4,
             Dtype::F64 => 8,
@@ -58,20 +58,6 @@ pub struct VariableMeta {
 }
 
 impl VariableMeta {
-    /// Total payload bytes across blocks.
-    pub fn payload_bytes(&self) -> u64 {
-        self.blocks
-            .iter()
-            .map(|b| b.count * self.dtype.size() as u64)
-            .sum()
-    }
-
-    /// Verify blocks tile the global extent without overlap, with raw
-    /// (uncompressed) payloads.
-    pub fn validate(&self) {
-        self.validate_wire(WireCodec::None);
-    }
-
     /// Verify blocks tile the global extent without overlap and that
     /// every block's payload has exactly the wire size `codec`
     /// prescribes for its element count.
@@ -130,8 +116,7 @@ mod tests {
             global_count: 10,
             blocks: vec![block(1, 4, 6), block(0, 0, 4)],
         };
-        v.validate();
-        assert_eq!(v.payload_bytes(), 80);
+        v.validate_wire(WireCodec::None);
     }
 
     #[test]
@@ -143,7 +128,7 @@ mod tests {
             global_count: 10,
             blocks: vec![block(0, 0, 4), block(1, 5, 5)],
         };
-        v.validate();
+        v.validate_wire(WireCodec::None);
     }
 
     #[test]
@@ -155,6 +140,6 @@ mod tests {
             global_count: 12,
             blocks: vec![block(0, 0, 4), block(1, 4, 6)],
         };
-        v.validate();
+        v.validate_wire(WireCodec::None);
     }
 }

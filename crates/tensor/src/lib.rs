@@ -16,25 +16,16 @@
 //!   element) so single-threaded runs are bit-reproducible.
 
 pub mod matmul;
-pub mod rng;
-pub mod shape;
+pub(crate) mod rng;
+pub(crate) mod shape;
 pub mod stats;
-pub mod tensor;
-pub mod workspace;
+pub(crate) mod tensor;
+pub(crate) mod workspace;
 
 pub use matmul::{
     matmul, matmul_a_bt, matmul_at_b, matmul_at_b_into, matmul_epilogue_into, matmul_into,
     matmul_max_pool_into, Epilogue,
 };
 pub use rng::TensorRng;
-pub use shape::Shape;
 pub use tensor::Tensor;
 pub use workspace::Workspace;
-
-pub mod prelude {
-    //! Common imports for tensor consumers.
-    pub use crate::matmul::{matmul, matmul_a_bt, matmul_at_b};
-    pub use crate::rng::TensorRng;
-    pub use crate::shape::Shape;
-    pub use crate::tensor::Tensor;
-}

@@ -19,7 +19,7 @@ impl Shape {
     ///
     /// # Panics
     /// Panics if more than four dimensions are given.
-    pub fn new(dims: &[usize]) -> Self {
+    pub(crate) fn new(dims: &[usize]) -> Self {
         assert!(dims.len() <= MAX_RANK, "rank {} > {MAX_RANK}", dims.len());
         let mut s = Self {
             dims: [0; MAX_RANK],
@@ -30,22 +30,22 @@ impl Shape {
     }
 
     /// Dimension sizes.
-    pub fn dims(&self) -> &[usize] {
+    pub(crate) fn dims(&self) -> &[usize] {
         &self.dims[..self.rank]
     }
 
     /// Number of dimensions.
-    pub fn rank(&self) -> usize {
+    pub(crate) fn rank(&self) -> usize {
         self.rank
     }
 
     /// Total element count (1 for a scalar/empty shape).
-    pub fn numel(&self) -> usize {
+    pub(crate) fn numel(&self) -> usize {
         self.dims().iter().product()
     }
 
     /// Size of dimension `d`.
-    pub fn dim(&self, d: usize) -> usize {
+    pub(crate) fn dim(&self, d: usize) -> usize {
         self.dims()[d]
     }
 
@@ -63,7 +63,7 @@ impl Shape {
     ///
     /// # Panics
     /// Panics (debug) if `idx` is out of bounds or has the wrong rank.
-    pub fn offset(&self, idx: &[usize]) -> usize {
+    pub(crate) fn offset(&self, idx: &[usize]) -> usize {
         debug_assert_eq!(idx.len(), self.rank, "index rank mismatch");
         idx.iter().zip(self.dims()).fold(0, |off, (&i, &d)| {
             debug_assert!(i < d, "index {i} out of bounds for dim of size {d}");

@@ -52,7 +52,7 @@ pub(crate) fn quantile(sorted: &[f64], q: f64) -> f64 {
 }
 
 /// Sample mean.
-pub fn mean(samples: &[f64]) -> f64 {
+pub(crate) fn mean(samples: &[f64]) -> f64 {
     if samples.is_empty() {
         return 0.0;
     }

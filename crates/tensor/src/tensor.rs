@@ -68,11 +68,6 @@ impl Tensor {
         Self::from_vec([data.len()], data.to_vec())
     }
 
-    /// Scalar (rank-0) tensor.
-    pub fn scalar(v: f32) -> Self {
-        Self::from_vec(Shape::new(&[]), vec![v])
-    }
-
     /// Shape accessor.
     pub fn shape(&self) -> &Shape {
         &self.shape
@@ -184,20 +179,6 @@ impl Tensor {
     }
 
     // ---- reductions ----
-
-    /// Sum of all elements (f64 accumulator for stability).
-    pub fn sum(&self) -> f64 {
-        self.data.iter().map(|&v| v as f64).sum()
-    }
-
-    /// Mean of all elements.
-    pub fn mean(&self) -> f64 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.sum() / self.data.len() as f64
-        }
-    }
 
     /// Maximum element (NaN-propagating; `-inf` for empty tensors).
     pub fn max(&self) -> f32 {
@@ -346,8 +327,6 @@ mod tests {
     #[test]
     fn reductions() {
         let t = Tensor::from_slice(&[1., 2., 3., 4.]);
-        assert_eq!(t.sum(), 10.0);
-        assert_eq!(t.mean(), 2.5);
         assert_eq!(t.max(), 4.0);
         assert_eq!(t.sq_norm(), 30.0);
     }

@@ -16,6 +16,7 @@ mod rules;
 
 pub use rules::Violation;
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -78,10 +79,10 @@ pub fn lint(root: &Path) -> Result<Report, String> {
         .iter()
         .flat_map(|(rel, src)| rules::run_all(rel, src))
         .collect();
-    violations.extend(rules::unreached_pub(&read_all(
-        root,
-        &collect_workspace(root),
-    )?));
+    violations.extend(rules::unreached_pub(
+        &read_all(root, &collect_workspace(root))?,
+        &crate_names(root),
+    ));
     violations.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
 
     let allow_text = std::fs::read_to_string(root.join("lint-allowlist.txt")).unwrap_or_default();
@@ -94,6 +95,42 @@ pub fn lint(root: &Path) -> Result<Report, String> {
         errors,
         suppressed,
     })
+}
+
+/// The crate name of each library under `crates/`, by directory: its
+/// `[lib] name`, else its package name with `-` read as `_`.
+fn crate_names(root: &Path) -> BTreeMap<String, String> {
+    let mut out = BTreeMap::new();
+    let Ok(entries) = std::fs::read_dir(root.join("crates")) else {
+        return out;
+    };
+    for dir in entries.flatten().map(|e| e.path()) {
+        let Ok(manifest) = std::fs::read_to_string(dir.join("Cargo.toml")) else {
+            continue;
+        };
+        let (mut section, mut package, mut lib) = ("", None, None);
+        for line in manifest.lines().map(str::trim) {
+            if line.starts_with('[') {
+                section = line;
+            } else if let Some(value) = line.strip_prefix("name") {
+                let value = value
+                    .trim_start()
+                    .trim_start_matches('=')
+                    .trim()
+                    .trim_matches('"');
+                match section {
+                    "[package]" => package = Some(value.replace('-', "_")),
+                    "[lib]" => lib = Some(value.to_string()),
+                    _ => {}
+                }
+            }
+        }
+        let name = dir.file_name().and_then(|n| n.to_str());
+        if let (Some(dir), Some(krate)) = (name, lib.or(package)) {
+            out.insert(dir.to_string(), krate);
+        }
+    }
+    out
 }
 
 /// `(repo-relative path, source)` of each file.

@@ -14,7 +14,7 @@
 //! | `unordered-par-reduce`| no `.sum()`/`.product()`/`.reduce()` at the top level of a rayon parallel-iterator chain — float reduction order must not depend on the split |
 //! | `raw-sleep`           | no `thread::sleep` outside `crates/cluster/src/pace.rs` and the shims — the OS timer overshoots a microsecond sleep ≈ 50×, so waits block on their event and modelled delays go through the pacer |
 //! | `fused-multiply`      | no `mul_add` under `crates/*/src`, and `target_feature`/`is_x86_feature_detected` only in the five files whose kernels have a run-time-picked AVX2 instance — an FMA rounds once where the baseline rounds twice, and the instances' bit identity rests on there being none |
-//! | `unreached-pub`       | no `pub fn`/`const`/`static` in a library under `crates/` (shims and xtask aside) that nothing outside that library names — `pub` hides dead code from rustc's `dead_code` lint, so an item no caller reaches is `pub(crate)` or private |
+//! | `unreached-pub`       | no `pub` fn, const, static, type, trait or named re-export in a library under `crates/` (shims and xtask aside) that nothing outside that library reaches — by name, through a reached item's signature or `pub` field, or (for a re-export) by the path it creates — `pub` hides dead code from rustc's `dead_code` lint, so an item no caller reaches is `pub(crate)` or private |
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -305,76 +305,401 @@ fn library_of(path: &str) -> Option<&str> {
     (rest != "main.rs" && !rest.starts_with("bin/")).then_some(krate)
 }
 
-/// Every identifier token of already-stripped source.
-fn identifiers(stripped: &str) -> impl Iterator<Item = &str> {
-    stripped
-        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-        .filter(|t| t.as_bytes().first().is_some_and(|b| !b.is_ascii_digit()))
+/// A token of stripped source: an identifier (or number), `::`, or any
+/// other single punctuation byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tok<'s> {
+    Ident(&'s str),
+    PathSep,
+    Punct(u8),
 }
 
-/// The items `unreached-pub` governs in one stripped, test-blanked file,
-/// as (name, byte offset of its `pub`) for each unrestricted `pub fn`,
-/// `pub const fn`, `pub const` and `pub static` (qualifiers `unsafe`,
-/// `async`, `extern` and `mut` skipped). `pub(crate)` and the like, types,
-/// traits, modules and `pub use` re-exports are out of scope.
-fn pub_value_items(stripped: &str) -> Vec<(&str, usize)> {
+/// The tokens of stripped source with their byte offsets.
+fn tokens(stripped: &str) -> Vec<(usize, Tok<'_>)> {
+    let b = stripped.as_bytes();
     let mut out = Vec::new();
-    for off in find_bounded(stripped, "pub") {
-        let rest = stripped[off + 3..].trim_start();
-        if rest.starts_with('(') {
-            continue;
-        }
-        let mut words = identifiers(rest);
-        let mut value_item = false;
-        let name = loop {
-            match words.next() {
-                Some("fn" | "const" | "static") => value_item = true,
-                Some("unsafe" | "async" | "extern" | "mut") => {}
-                Some(w) if value_item => break Some(w),
-                _ => break None,
+    let mut i = 0;
+    while i < b.len() {
+        let start = i;
+        if is_ident(b[i]) {
+            while i < b.len() && is_ident(b[i]) {
+                i += 1;
             }
-        };
-        if let Some(name) = name.filter(|&n| n != "_") {
-            out.push((name, off));
+            out.push((start, Tok::Ident(&stripped[start..i])));
+        } else if b[i..].starts_with(b"::") {
+            out.push((start, Tok::PathSep));
+            i += 2;
+        } else {
+            if b[i].is_ascii_graphic() {
+                out.push((start, Tok::Punct(b[i])));
+            }
+            i += 1;
         }
     }
     out
 }
 
-/// `unreached-pub`: a `pub fn`/`const`/`static` defined in library
-/// `crates/<c>/src` (shims and xtask aside) must be named, as an
-/// identifier outside comments and strings, in at least one file outside
-/// that library — another crate's `src`, its own `src/bin` or `main.rs`,
-/// any `tests`/`benches`/`examples`, the root package, or `benchmark/`.
-/// `files` is every such `(repo-relative path, source)` pair; the check
-/// is lexical, so a name that also appears elsewhere hides its item.
-pub fn unreached_pub(files: &[(String, String)]) -> Vec<Violation> {
+/// The identifiers among `toks`.
+fn idents<'t, 's>(toks: &'t [(usize, Tok<'s>)]) -> impl Iterator<Item = &'s str> + 't {
+    toks.iter().filter_map(|t| match t.1 {
+        Tok::Ident(w) => Some(w),
+        _ => None,
+    })
+}
+
+/// One leaf of a path or `use` tree: its segments (a glob ends in `*`,
+/// `self` is folded into its parent) and its `as` alias.
+type Leaf<'s> = (Vec<&'s str>, Option<&'s str>);
+
+/// Parse the path or `use` tree starting at `toks[i]` below `prefix`,
+/// appending its leaves to `out`; returns the index after it.
+fn path_tree<'s>(
+    toks: &[(usize, Tok<'s>)],
+    mut i: usize,
+    prefix: &[&'s str],
+    out: &mut Vec<Leaf<'s>>,
+) -> usize {
+    let mut segs = prefix.to_vec();
+    while let Some(&(_, tok)) = toks.get(i) {
+        match tok {
+            Tok::Ident(w) => segs.push(w),
+            Tok::Punct(b'*') => segs.push("*"),
+            Tok::Punct(b'{') => {
+                i += 1;
+                while let Some(&(_, tok)) = toks.get(i) {
+                    i = match tok {
+                        Tok::Punct(b'}') => return i + 1,
+                        Tok::Punct(b',') => i + 1,
+                        _ => path_tree(toks, i, &segs, out).max(i + 1),
+                    };
+                }
+                return i;
+            }
+            _ => break,
+        }
+        i += 1;
+        if toks.get(i).map(|t| t.1) != Some(Tok::PathSep) {
+            break;
+        }
+        i += 1;
+    }
+    if segs.last() == Some(&"self") {
+        segs.pop();
+    }
+    let alias = match (toks.get(i).map(|t| t.1), toks.get(i + 1).map(|t| t.1)) {
+        (Some(Tok::Ident("as")), Some(Tok::Ident(a))) => {
+            i += 2;
+            Some(a)
+        }
+        _ => None,
+    };
+    if segs.len() > prefix.len() {
+        out.push((segs, alias));
+    }
+    i
+}
+
+/// Every path a file names, `use` trees expanded to their leaves.
+fn paths<'s>(toks: &[(usize, Tok<'s>)]) -> Vec<Leaf<'s>> {
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < toks.len() {
+        let starts =
+            matches!(toks[i].1, Tok::Ident(_)) && (i == 0 || toks[i - 1].1 != Tok::PathSep);
+        i = if starts {
+            path_tree(toks, i, &[], &mut out).max(i + 1)
+        } else {
+            i + 1
+        };
+    }
+    out
+}
+
+/// Index of the token closing the bracket opened at `toks[open]`.
+fn close_of(toks: &[(usize, Tok<'_>)], open: usize) -> usize {
+    let mut depth = 0usize;
+    for (i, &(_, tok)) in toks.iter().enumerate().skip(open) {
+        match tok {
+            Tok::Punct(b'(' | b'[' | b'{') => depth += 1,
+            Tok::Punct(b')' | b']' | b'}') => {
+                depth -= 1;
+                if depth == 0 {
+                    return i;
+                }
+            }
+            _ => {}
+        }
+    }
+    toks.len()
+}
+
+/// Index of the first `stop` token at bracket depth 0 from `toks[i]` on.
+fn until(toks: &[(usize, Tok<'_>)], mut i: usize, stop: &[u8]) -> usize {
+    while let Some(&(_, tok)) = toks.get(i) {
+        match tok {
+            Tok::Punct(c) if stop.contains(&c) => return i,
+            Tok::Punct(b'(' | b'[') => i = close_of(toks, i),
+            _ => {}
+        }
+        i += 1;
+    }
+    toks.len()
+}
+
+/// The identifiers of the `pub` fields in the field list
+/// `toks[open..=close]` of a struct: from each field's `pub` to the comma
+/// ending it, outside brackets and generic arguments.
+fn pub_fields<'s>(toks: &[(usize, Tok<'s>)], open: usize, close: usize) -> Vec<&'s str> {
+    let mut out = Vec::new();
+    let (mut depth, mut public) = (0usize, false);
+    for i in open + 1..close {
+        match toks[i].1 {
+            Tok::Ident("pub") if depth == 0 => public = toks[i + 1].1 != Tok::Punct(b'('),
+            Tok::Ident(w) if public => out.push(w),
+            Tok::Punct(b'(' | b'[' | b'{' | b'<') => depth += 1,
+            Tok::Punct(b'>') if matches!(toks[i - 1].1, Tok::Punct(b'-' | b'=')) => {}
+            Tok::Punct(b')' | b']' | b'}' | b'>') => depth = depth.saturating_sub(1),
+            Tok::Punct(b',') if depth == 0 => public = false,
+            _ => {}
+        }
+    }
+    out
+}
+
+/// What `unreached-pub` governs: an unrestricted `pub` item other than a
+/// module, one entry per leaf of a named `pub use`.
+struct PubItem<'s> {
+    name: &'s str,
+    /// Byte offset of its `pub`.
+    off: usize,
+    /// The names a reached item reaches in turn: those of a fn's
+    /// signature, a const's or static's type, an alias's definition, an
+    /// enum's or trait's header and body, a struct's header and `pub`
+    /// fields, and the item a re-export re-exports.
+    sig: Vec<&'s str>,
+    /// For a re-export, the module path of its `use` below the crate root.
+    module: Option<Vec<&'s str>>,
+}
+
+/// The module path of library file `path` below its crate root.
+fn file_module(path: &str) -> Vec<&str> {
+    let rel = path.split_once("/src/").map_or(path, |(_, r)| r);
+    let mut segs: Vec<&str> = rel.trim_end_matches(".rs").split('/').collect();
+    if matches!(segs.last(), Some(&("lib" | "mod"))) {
+        segs.pop();
+    }
+    segs
+}
+
+/// The items `unreached-pub` governs in library file `path`, from its
+/// stripped, test-blanked text: each unrestricted `pub` fn, const,
+/// static, struct, union, enum, trait and type alias (qualifiers `unsafe`,
+/// `async`, `extern` and `mut` skipped), and each named leaf of a `pub
+/// use`. `pub(crate)` and the like, modules and glob re-exports are out of
+/// scope.
+fn pub_items<'s>(path: &'s str, live: &'s str) -> Vec<PubItem<'s>> {
+    let toks = tokens(live);
+    let ident = |i: usize| match toks.get(i) {
+        Some(&(_, Tok::Ident(w))) => Some(w),
+        _ => None,
+    };
+    // Inline `mod name { … }` blocks, as (first, last token index, name).
+    let inline: Vec<(usize, usize, &str)> = (0..toks.len())
+        .filter(|&i| {
+            ident(i) == Some("mod") && toks.get(i + 2).map(|t| t.1) == Some(Tok::Punct(b'{'))
+        })
+        .filter_map(|i| Some((i + 2, close_of(&toks, i + 2), ident(i + 1)?)))
+        .collect();
+    let names = |range: std::ops::Range<usize>| -> Vec<&'s str> {
+        idents(&toks[range.start..range.end.min(toks.len())]).collect()
+    };
+    let mut out = Vec::new();
+    for k in (0..toks.len()).filter(|&k| ident(k) == Some("pub")) {
+        if toks.get(k + 1).map(|t| t.1) == Some(Tok::Punct(b'(')) {
+            continue;
+        }
+        let mut j = k + 1;
+        while let Some("unsafe" | "async" | "extern" | "mut") = ident(j) {
+            j += 1;
+        }
+        if ident(j) == Some("const")
+            && matches!(ident(j + 1), Some("fn" | "unsafe" | "async" | "extern"))
+        {
+            j += 1;
+            while let Some("unsafe" | "async" | "extern") = ident(j) {
+                j += 1;
+            }
+        }
+        let off = toks[k].0;
+        let Some(kind) = ident(j) else { continue };
+        if kind == "use" {
+            let mut leaves = Vec::new();
+            path_tree(&toks, j + 1, &[], &mut leaves);
+            let mut module = file_module(path);
+            module.extend(inline.iter().filter(|m| m.0 < k && k < m.1).map(|m| m.2));
+            for (segs, alias) in leaves {
+                let Some(&target) = segs.last().filter(|&&n| n != "*") else {
+                    continue;
+                };
+                let (name, sig) = (alias.unwrap_or(target), vec![target]);
+                let module = Some(module.clone());
+                out.push(PubItem {
+                    name,
+                    off,
+                    sig,
+                    module,
+                });
+            }
+            continue;
+        }
+        let mut n = j + 1;
+        if kind == "static" && ident(n) == Some("mut") {
+            n += 1;
+        }
+        let Some(name) = ident(n).filter(|&w| w != "_") else {
+            continue;
+        };
+        let sig = match kind {
+            "fn" => names(n + 1..until(&toks, n + 1, b"{;")),
+            "const" | "static" => names(n + 1..until(&toks, n + 1, b"=;")),
+            "type" => names(n + 1..until(&toks, n + 1, b";")),
+            "enum" | "trait" => {
+                let open = until(&toks, n + 1, b"{;");
+                let end = match toks.get(open) {
+                    Some((_, Tok::Punct(b'{'))) => close_of(&toks, open),
+                    _ => open,
+                };
+                names(n + 1..end)
+            }
+            "struct" | "union" => {
+                let open = until(&toks, n + 1, b"{(;");
+                let mut sig = names(n + 1..open);
+                if let Some((_, Tok::Punct(b'{' | b'('))) = toks.get(open) {
+                    sig.extend(pub_fields(&toks, open, close_of(&toks, open)));
+                }
+                sig
+            }
+            _ => continue,
+        };
+        out.push(PubItem {
+            name,
+            off,
+            sig,
+            module: None,
+        });
+    }
+    out
+}
+
+/// `unreached-pub`: every item that [`pub_items`] finds in a library
+/// `crates/<c>/src` (shims and xtask aside) must be reached from outside
+/// that library — from another crate's `src`, its own `src/bin` or
+/// `main.rs`, any `tests`/`benches`/`examples`, the root package, or
+/// `benchmark/`:
+///
+/// - a fn, const, static or type is reached if such a file names it as
+///   an identifier outside comments and strings, or — to a fixpoint — if
+///   a reached item of its library names it in its signature or a `pub`
+///   field, or re-exports it (a type only ever inferred from a reached
+///   fn's return is reached through that fn);
+/// - a re-export is reached if such a file names the path it creates:
+///   the library's crate name (or an alias of it, anywhere in a path),
+///   the module path of the `use`, then its name or a glob.
+///
+/// `files` is every such `(repo-relative path, source)` pair and
+/// `crate_names` maps a library's directory under `crates/` to its crate
+/// name (the directory name when absent). The check is lexical, so a name
+/// that also appears elsewhere hides its item.
+pub fn unreached_pub(
+    files: &[(String, String)],
+    crate_names: &BTreeMap<String, String>,
+) -> Vec<Violation> {
     let stripped: Vec<String> = files
         .iter()
         .map(|(_, src)| crate::lexer::strip(src))
         .collect();
+    let toks: Vec<_> = stripped.iter().map(|s| tokens(s)).collect();
     // For each identifier, the libraries it is named outside of: `None`
     // when a caller-only file names it, which reaches every library.
     let mut named_from: BTreeMap<&str, BTreeSet<Option<&str>>> = BTreeMap::new();
-    for ((path, _), text) in files.iter().zip(&stripped) {
+    // Every path named, with the library naming it; and the crate aliases
+    // (`use as_x as x;`).
+    let mut named_paths: Vec<(Option<&str>, Vec<&str>)> = Vec::new();
+    let mut aliases: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+    for ((path, _), toks) in files.iter().zip(&toks) {
         let owner = library_of(path);
-        for word in identifiers(text) {
+        for word in idents(toks) {
             named_from.entry(word).or_default().insert(owner);
+        }
+        for (segs, alias) in paths(toks) {
+            if let (&[krate], Some(alias)) = (segs.as_slice(), alias) {
+                aliases.entry(krate).or_default().insert(alias);
+            }
+            named_paths.push((owner, segs));
+        }
+    }
+    let lives: Vec<Option<(&str, String)>> = files
+        .iter()
+        .zip(&stripped)
+        .map(|((path, _), text)| {
+            let krate = library_of(path).filter(|&c| c != "xtask")?;
+            Some((krate, crate::lexer::blank_test_items(text)))
+        })
+        .collect();
+    let mut items: Vec<(usize, &str, PubItem)> = Vec::new();
+    for (f, live) in lives.iter().enumerate() {
+        if let Some((krate, live)) = live {
+            let found = pub_items(&files[f].0, live);
+            items.extend(found.into_iter().map(|item| (f, *krate, item)));
+        }
+    }
+    let named_outside = |krate: &str, item: &PubItem| match &item.module {
+        None => named_from
+            .get(item.name)
+            .is_some_and(|owners| owners.iter().any(|&o| o != Some(krate))),
+        Some(module) => {
+            let ident = crate_names.get(krate).map_or(krate, String::as_str);
+            let mut idents = vec![ident];
+            idents.extend(aliases.get(ident).into_iter().flatten());
+            let len = module.len() + 2;
+            let creates = |w: &[&str]| {
+                idents.contains(&w[0])
+                    && w[1..len - 1] == module[..]
+                    && (w[len - 1] == item.name || w[len - 1] == "*")
+            };
+            named_paths
+                .iter()
+                .any(|(owner, segs)| *owner != Some(krate) && segs.windows(len).any(creates))
+        }
+    };
+    let mut reached: Vec<bool> = items
+        .iter()
+        .map(|(_, krate, item)| named_outside(krate, item))
+        .collect();
+    // What a reached item's signature names is reached too, to a fixpoint.
+    let mut by_name: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
+    for (i, (_, krate, item)) in items.iter().enumerate() {
+        if item.module.is_none() {
+            by_name.entry((krate, item.name)).or_default().push(i);
+        }
+    }
+    let mut queue: Vec<usize> = (0..items.len()).filter(|&i| reached[i]).collect();
+    while let Some(i) = queue.pop() {
+        let (_, krate, item) = &items[i];
+        for &word in &item.sig {
+            for &j in by_name.get(&(*krate, word)).into_iter().flatten() {
+                if !reached[j] {
+                    reached[j] = true;
+                    queue.push(j);
+                }
+            }
         }
     }
     let mut out = Vec::new();
-    for ((path, original), text) in files.iter().zip(&stripped) {
-        let Some(krate) = library_of(path).filter(|&c| c != "xtask") else {
-            continue;
-        };
-        let live = crate::lexer::blank_test_items(text);
-        for (name, off) in pub_value_items(&live) {
-            let reached = named_from
-                .get(name)
-                .is_some_and(|owners| owners.iter().any(|&o| o != Some(krate)));
-            if !reached {
-                push(&mut out, RULE_UNREACHED, path, original, &live, off);
-            }
+    for ((f, _, item), reached) in items.iter().zip(reached) {
+        if let (false, Some((_, live))) = (reached, &lives[*f]) {
+            let (path, original) = &files[*f];
+            push(&mut out, RULE_UNREACHED, path, original, live, item.off);
         }
     }
     out
@@ -489,7 +814,11 @@ mod tests {
     fn reach(def: &str, others: &[(&str, &str)]) -> Vec<Violation> {
         let mut files = vec![("crates/a/src/lib.rs".to_string(), def.to_string())];
         files.extend(others.iter().map(|(p, s)| (p.to_string(), s.to_string())));
-        unreached_pub(&files)
+        unreached_pub(&files, &BTreeMap::new())
+    }
+
+    fn lines(v: &[Violation]) -> Vec<usize> {
+        v.iter().map(|v| v.line).collect()
     }
 
     const REACH_ME: &str = "//! Library a.\npub fn reach_me() {}\n";
@@ -559,12 +888,93 @@ mod tests {
     }
 
     #[test]
-    fn unreached_pub_covers_values_not_types() {
+    fn unreached_pub_covers_values_types_and_named_reexports_not_modules() {
         let def = "pub struct S;\npub trait T {}\npub use x::y;\npub mod m {}\n\
                    pub const K: u8 = 1;\npub static mut X: u8 = 2;\n\
-                   pub const unsafe fn k() {}\npub extern \"C\" fn e() {}\n";
-        let lines: Vec<usize> = reach(def, &[]).iter().map(|v| v.line).collect();
-        assert_eq!(lines, [5, 6, 7, 8]);
+                   pub const unsafe fn k() {}\npub extern \"C\" fn e() {}\n\
+                   pub enum E {}\npub type A = u8;\npub union U { f: u8 }\npub use x::*;\n";
+        assert_eq!(lines(&reach(def, &[])), [1, 2, 3, 5, 6, 7, 8, 9, 10, 11]);
+    }
+
+    #[test]
+    fn fixture_unreached_pub_struct_named_only_in_its_own_crate_fires() {
+        let def = "pub struct Lonely;\n";
+        let own = (
+            "crates/a/src/x.rs",
+            "fn f() -> crate::Lonely { crate::Lonely }\n",
+        );
+        let v = reach(def, &[own]);
+        assert_eq!(
+            (lines(&v), v[0].text.as_str()),
+            (vec![1], "pub struct Lonely;")
+        );
+    }
+
+    /// A type no caller names is reached through a reached fn's signature,
+    /// and through the `pub` fields of a type reached that way — never
+    /// through a private field.
+    #[test]
+    fn fixture_unreached_pub_spares_a_type_reached_through_a_signature() {
+        let def = "pub struct Made;\npub struct Inner;\n\
+                   pub struct Outer<T: Bound> {\n    pub inner: BTreeMap<T, Inner>,\n    pub(crate) hidden: Hidden,\n    t: T,\n}\n\
+                   pub struct Hidden;\npub trait Bound {}\n\
+                   pub fn make() -> (Made, Outer<Made>) {\n    todo!()\n}\n";
+        let call = ("tests/t.rs", "fn g() { let (_m, _o) = a::make(); }\n");
+        assert_eq!(lines(&reach(def, &[call])), [8]);
+        assert_eq!(lines(&reach(def, &[])).len(), 6, "nothing reaches make");
+    }
+
+    /// A glob-import module of the kind a prelude is.
+    const PRELUDE: &str = "pub struct Tensor;\npub mod common {\n    pub use crate::Tensor;\n}\n";
+
+    /// A re-export is reached by the path it creates, not by its name: a
+    /// prelude nobody imports fires even though its names are in use.
+    #[test]
+    fn fixture_unreached_pub_prelude_nobody_imports_fires() {
+        let v = reach(PRELUDE, &[("tests/t.rs", "use a::Tensor;\n")]);
+        assert_eq!(
+            (lines(&v), v[0].text.as_str()),
+            (vec![3], "pub use crate::Tensor;")
+        );
+    }
+
+    #[test]
+    fn fixture_unreached_pub_spares_a_reexport_named_by_its_path() {
+        for caller in [
+            "use a::common::Tensor;\n",
+            "use a::common::*;\n",
+            "use a::{common::{self, Tensor as T}, Other};\n",
+            "fn f() -> a::common::Tensor { a::common::Tensor }\n",
+        ] {
+            assert!(
+                reach(PRELUDE, &[("tests/t.rs", caller)]).is_empty(),
+                "{caller}"
+            );
+        }
+    }
+
+    /// A renamed re-export answers to its new name, under the library's
+    /// crate name or an alias a caller gives the crate.
+    #[test]
+    fn unreached_pub_reexports_answer_to_the_crate_name_and_its_aliases() {
+        let def = "mod inner {\n    pub struct Long;\n}\npub use inner::Long as Short;\n";
+        let by = |callers: &[(&str, &str)], krate: &str| {
+            let mut files = vec![("crates/a/src/lib.rs".to_string(), def.to_string())];
+            files.extend(callers.iter().map(|(p, s)| (p.to_string(), s.to_string())));
+            let names = BTreeMap::from([("a".to_string(), krate.to_string())]);
+            lines(&unreached_pub(&files, &names))
+        };
+        assert_eq!(
+            by(&[("tests/t.rs", "use as_a::Short;\n")], "as_a"),
+            [] as [usize; 0]
+        );
+        assert_eq!(by(&[("tests/t.rs", "use a::Short;\n")], "as_a"), [2, 4]);
+        assert_eq!(by(&[("tests/t.rs", "use as_a::Long;\n")], "as_a"), [4]);
+        let umbrella = [
+            ("src/lib.rs", "pub use as_a as alias_a;\n"),
+            ("examples/e.rs", "use umbrella::alias_a::Short;\n"),
+        ];
+        assert_eq!(by(&umbrella, "as_a"), [] as [usize; 0]);
     }
 
     #[test]
@@ -577,7 +987,7 @@ mod tests {
             "src/lib.rs",
         ] {
             let files = [(path.to_string(), def.to_string())];
-            assert!(unreached_pub(&files).is_empty(), "{path}");
+            assert!(unreached_pub(&files, &BTreeMap::new()).is_empty(), "{path}");
         }
     }
 

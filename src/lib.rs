@@ -6,7 +6,8 @@
 //! phase-space data and in-situ radiation spectra to a machine-learning
 //! application that continually trains a VAE+INN model in-transit.
 //!
-//! This umbrella crate re-exports every subsystem:
+//! This umbrella crate re-exports every subsystem crate under a short
+//! name; each is imported by its own module paths (there is no prelude):
 //!
 //! - [`pic`] — 3D3V relativistic particle-in-cell simulation (the producer)
 //! - [`radiation`] — Liénard-Wiechert far-field radiation plugin
@@ -31,16 +32,3 @@ pub use as_replay as replay;
 pub use as_serve as serve;
 pub use as_staging as staging;
 pub use as_tensor as tensor;
-
-/// Convenient single-import surface for examples and downstream users.
-pub mod prelude {
-    pub use as_cluster::prelude::*;
-    pub use as_core::prelude::*;
-    pub use as_nn::prelude::*;
-    pub use as_pic::prelude::*;
-    pub use as_radiation::prelude::*;
-    pub use as_replay::prelude::*;
-    pub use as_serve::{
-        run_loadgen, run_workflow_serving, EngineSink, InferenceEngine, LoadGenConfig, ServeReport,
-    };
-}
