@@ -7,7 +7,7 @@
 //! application that continually trains a VAE+INN model in-transit.
 //!
 //! This umbrella crate re-exports every subsystem crate under a short
-//! name; each is imported by its own module paths (there is no prelude):
+//! name; their items are imported by their module paths:
 //!
 //! - [`pic`] — 3D3V relativistic particle-in-cell simulation (the producer)
 //! - [`radiation`] — Liénard-Wiechert far-field radiation plugin
