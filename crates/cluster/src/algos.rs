@@ -12,9 +12,9 @@
 //!   [`crate::collective::NetModel`] (walking the identical plan, hop by
 //!   hop, with intra- vs inter-node costs).
 //!
-//! Because executor and pricer share one schedule source, the analytic
-//! α-β models in [`crate::collectives`] are the *measured* modelled cost
-//! — asserted within tolerance by `tests/alpha_beta_model.rs`.
+//! Because executor and pricer share one schedule source, the modelled
+//! cost is the cost of the schedule that ran; `tests/alpha_beta_model.rs`
+//! holds it against the α-β closed forms.
 //!
 //! # Algorithms
 //!

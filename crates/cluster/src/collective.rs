@@ -44,9 +44,12 @@
 //! accumulate on a **per-rank** timeline; the world-wide
 //! [`Collective::modelled_comm_seconds`] is the *maximum* over ranks —
 //! critical-path semantics, so a binomial broadcast costs the root's
-//! `⌈log₂ p⌉` serialized hops, not the `p-1` total messages. The α-β
-//! models in [`crate::collectives`] are therefore the measured cost, a
-//! correspondence asserted within tolerance by `tests/alpha_beta_model.rs`.
+//! `⌈log₂ p⌉` serialized hops, not the `p-1` total messages.
+//! [`NetModel::allreduce_seconds`] and [`NetModel::allgather_seconds`]
+//! price the same schedules for every rank at once, without a world —
+//! how Fig. 8 costs 384 ranks — and `tests/alpha_beta_model.rs` asserts
+//! that they equal an executed world's charge and that both match the
+//! α-β closed forms.
 //!
 //! # Bytes accounting
 //!
@@ -579,6 +582,41 @@ impl NetModel {
             self.latency + bytes as f64 / self.bytes_per_second
         }
     }
+
+    /// Modelled seconds of `rank`'s serialized `events`: their hop costs
+    /// summed in schedule order. The one pricing rule behind
+    /// [`SimNetComm`]'s charges and the critical paths below.
+    fn rank_seconds(&self, rank: usize, events: &[MsgEvent]) -> f64 {
+        events
+            .iter()
+            .map(|e| self.hop_cost(rank, e.peer, e.bytes))
+            .sum()
+    }
+
+    /// Critical-path seconds of one allreduce of `elems × elem_size`
+    /// bytes over `size` ranks under `algo`: the maximum over ranks of
+    /// what [`SimNetComm`] charges each rank for the executed schedule,
+    /// computed without running a world.
+    pub fn allreduce_seconds(
+        &self,
+        algo: CollectiveAlgo,
+        size: usize,
+        elems: usize,
+        elem_size: usize,
+    ) -> f64 {
+        (0..size)
+            .map(|r| self.rank_seconds(r, &allreduce_events(algo, size, r, elems, elem_size)))
+            .fold(0.0, f64::max)
+    }
+
+    /// Critical-path seconds of one allgather of `bytes` per rank over
+    /// `size` ranks under `algo`, priced like
+    /// [`NetModel::allreduce_seconds`].
+    pub fn allgather_seconds(&self, algo: CollectiveAlgo, size: usize, bytes: u64) -> f64 {
+        (0..size)
+            .map(|r| self.rank_seconds(r, &allgather_events(algo, size, r, bytes)))
+            .fold(0.0, f64::max)
+    }
 }
 
 /// World-shared staging data-plane accounting: the critical-path clock
@@ -671,12 +709,7 @@ impl<C: Collective> SimNetComm<C> {
     /// quantum (one f64 sum → at most 1 ns of quantization per
     /// collective, which is what keeps the α-β comparison tests tight).
     fn charge_events(&self, events: &[MsgEvent]) {
-        let rank = self.inner.rank();
-        let secs: f64 = events
-            .iter()
-            .map(|e| self.model.hop_cost(rank, e.peer, e.bytes))
-            .sum();
-        self.charge_seconds(secs);
+        self.charge_seconds(self.model.rank_seconds(self.inner.rank(), events));
     }
 }
 

@@ -15,10 +15,9 @@
 //!   bisection's fair share, [`collective::NetModel`]), and the
 //!   degenerate one-rank [`collective::SoloComm`].
 //! - [`algos`] — the collectives' explicit send/recv schedules, which
-//!   [`comm`] executes (real data movement) and
-//!   [`collective::SimNetComm`] prices hop by hop.
-//! - [`collectives`] — closed-form α-β cost models of the collectives at
-//!   paper scale.
+//!   [`comm`] executes (real data movement),
+//!   [`collective::SimNetComm`] prices hop by hop, and
+//!   [`collective::NetModel`] prices at paper scale without a world.
 //! - [`machine`] — machine constants for Frontier and Summit as stated in
 //!   the paper (NIC bandwidth, Orion filesystem, node-local SSDs).
 //! - [`sockets`] — open-socket accounting reproducing the N/RCCL bootstrap
@@ -32,7 +31,6 @@
 
 pub mod algos;
 pub mod collective;
-pub mod collectives;
 pub mod comm;
 pub(crate) mod error;
 pub mod fom;

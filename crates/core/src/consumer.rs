@@ -30,8 +30,8 @@
 //! go/no-go is `buffer.ready()`, there is no gradient sync and nothing is
 //! priced. A lone rank keeps the historical unmixed RNG seeds; ranks of a
 //! K ≥ 2 group mix their rank into the buffer/encode/train seeds
-//! (different data and noise streams over identical weights — the
-//! `as_nn::ddp::train_ddp` discipline). Every rank sees every streamed
+//! (different data and noise streams over identical weights — the DDP
+//! discipline). Every rank sees every streamed
 //! step (SST semantics) but only the round-robin owner among the live
 //! members fetches the payload, so parameters stay bit-identical across
 //! ranks (asserted each iteration via [`as_nn::ddp::param_hash`]).

@@ -20,7 +20,7 @@
 //!
 //! - [`sync_gradients_bucketed`] — buckets reduced synchronously as the
 //!   flatten fills them (`usize::MAX` elements: one whole-model flat
-//!   all-reduce, what [`train_ddp`] runs);
+//!   all-reduce);
 //! - [`OverlappedGradSync`] — the non-blocking mode: a dedicated
 //!   comm-worker thread (holding its **own** collective endpoint, like a
 //!   NCCL stream) reduces filled buckets while the caller keeps filling
@@ -32,38 +32,13 @@
 //! The backend and overlap knobs are threaded through the streaming
 //! workflow by `as_core::config` (`CommBackend`, `overlap_grad_sync`).
 
-use crate::model::{ArtificialScientistModel, ModelConfig, ModelOptimizer};
-use crate::optim::AdamConfig;
+use crate::model::ArtificialScientistModel;
 use as_cluster::collective::Collective;
 use as_detect::{track_cell, Cell};
-use as_tensor::{Tensor, TensorRng};
+use as_tensor::Tensor;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use crossbeam::thread as cb_thread;
 use std::sync::Arc;
-
-/// Configuration of a data-parallel training run.
-#[derive(Debug, Clone)]
-pub struct DdpConfig {
-    /// Number of model replicas (the paper: one per GCD, 4 per node).
-    pub replicas: usize,
-    /// Weight-init seed shared by all replicas.
-    pub seed: u64,
-    /// Base Adam config for the INN group (VAE group gets `m_vae`×lr).
-    pub adam: AdamConfig,
-    /// VAE learning-rate multiplier `m_VAE`.
-    pub m_vae: f32,
-}
-
-impl Default for DdpConfig {
-    fn default() -> Self {
-        Self {
-            replicas: 2,
-            seed: 0,
-            adam: AdamConfig::default(),
-            m_vae: 1.0,
-        }
-    }
-}
 
 /// Default gradient-bucket size (elements) used by the streaming DDP
 /// consumer ranks: 8192 f32 = 32 KiB per bucket message, small enough to
@@ -437,163 +412,13 @@ impl ParamHasher {
     }
 }
 
-/// Outcome of a data-parallel run.
-#[derive(Debug, Clone)]
-pub struct DdpOutcome {
-    /// Per-iteration mean loss across replicas.
-    pub losses: Vec<f64>,
-    /// Flattened final parameters of rank 0 (for cross-run comparisons).
-    pub final_params: Vec<f32>,
-    /// Wall-clock seconds per iteration (rank 0's measurement).
-    pub iteration_seconds: Vec<f64>,
-}
-
-/// Run synchronous data-parallel training over a caller-supplied
-/// collective world (one endpoint per replica, in rank order — construct
-/// it with `as_cluster::comm::CommWorld` or
-/// `as_cluster::collective::SimNetComm::world`).
-///
-/// `batches[i]` is the *global* batch of iteration `i` as
-/// `(points:[B,P,6], spectra:[B,S])`; each rank trains on its contiguous
-/// shard of `B / replicas` rows (B must divide evenly).
-pub fn train_ddp<C: Collective>(
-    model_cfg: &ModelConfig,
-    ddp: &DdpConfig,
-    batches: &[(Tensor, Tensor)],
-    endpoints: Vec<C>,
-) -> DdpOutcome {
-    let r = ddp.replicas;
-    assert!(r >= 1);
-    assert_eq!(
-        endpoints.len(),
-        r,
-        "need exactly one collective endpoint per replica"
-    );
-    for (points, _) in batches {
-        assert_eq!(
-            points.dims()[0] % r,
-            0,
-            "global batch must divide evenly across replicas"
-        );
-    }
-    let mut handles = Vec::with_capacity(r);
-    for comm in endpoints {
-        let cfg = model_cfg.clone();
-        let ddp = ddp.clone();
-        let batches = batches.to_vec();
-        handles.push(cb_thread::spawn(move || {
-            run_replica(cfg, ddp, comm, &batches)
-        }));
-    }
-    let mut results: Vec<DdpOutcome> = handles
-        .into_iter()
-        .map(|h| h.join().expect("replica thread panicked"))
-        .collect();
-    results.remove(0)
-}
-
-fn run_replica<C: Collective>(
-    cfg: ModelConfig,
-    ddp: DdpConfig,
-    comm: C,
-    batches: &[(Tensor, Tensor)],
-) -> DdpOutcome {
-    let rank = comm.rank();
-    let world = comm.size();
-    let mut model = ArtificialScientistModel::new(cfg, ddp.seed);
-    let mut opt = ModelOptimizer::new(ddp.adam, ddp.m_vae);
-    // Different data-noise streams per rank (reparameterisation, MMD
-    // reference draws), identical weights.
-    let mut rng =
-        TensorRng::seeded(ddp.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(rank as u64 + 1)));
-    let mut losses = Vec::with_capacity(batches.len());
-    let mut times = Vec::with_capacity(batches.len());
-
-    for (points, spectra) in batches {
-        let start = std::time::Instant::now();
-        let b = points.dims()[0];
-        let shard = b / world;
-        let rows: Vec<usize> = (rank * shard..(rank + 1) * shard).collect();
-        let (p, d) = (points.dims()[1], points.dims()[2]);
-        let my_points = shard_rows_3d(points, &rows, p, d);
-        let my_spectra = spectra.select_rows(&rows);
-        model.zero_grad();
-        let report = model.accumulate_gradients(&my_points, &my_spectra, &mut rng);
-        sync_gradients_bucketed(&comm, &mut model, usize::MAX);
-        opt.step(&mut model);
-        let mean_loss = comm.allreduce_scalar_f64(report.total) / world as f64;
-        losses.push(mean_loss);
-        times.push(start.elapsed().as_secs_f64());
-    }
-
-    let mut final_params = Vec::new();
-    model.visit_all(&mut |pt: &mut Tensor, _g: &mut Tensor| {
-        final_params.extend_from_slice(pt.data());
-    });
-    DdpOutcome {
-        losses,
-        final_params,
-        iteration_seconds: times,
-    }
-}
-
-fn shard_rows_3d(t: &Tensor, rows: &[usize], p: usize, d: usize) -> Tensor {
-    let mut out = Tensor::zeros([rows.len(), p, d]);
-    for (k, &r) in rows.iter().enumerate() {
-        let src = &t.data()[r * p * d..(r + 1) * p * d];
-        out.data_mut()[k * p * d..(k + 1) * p * d].copy_from_slice(src);
-    }
-    out
-}
-
-/// Single-process reference: same model, same seed, full global batch per
-/// step, gradients divided by `replicas` to mirror the DDP average of
-/// per-shard *sums*… Note that DDP averages per-replica mean-gradients, so
-/// with batch-mean losses the single-process equivalent uses the global
-/// batch directly. Used by tests and the Fig. 8 harness baseline.
-pub fn train_single(
-    model_cfg: &ModelConfig,
-    seed: u64,
-    adam: AdamConfig,
-    m_vae: f32,
-    batches: &[(Tensor, Tensor)],
-) -> DdpOutcome {
-    let mut model = ArtificialScientistModel::new(model_cfg.clone(), seed);
-    let mut opt = ModelOptimizer::new(adam, m_vae);
-    let mut rng = TensorRng::seeded(seed ^ 0x9E37_79B9_7F4A_7C15);
-    let mut losses = Vec::new();
-    let mut times = Vec::new();
-    for (points, spectra) in batches {
-        let start = std::time::Instant::now();
-        model.zero_grad();
-        let r = model.accumulate_gradients(points, spectra, &mut rng);
-        opt.step(&mut model);
-        losses.push(r.total);
-        times.push(start.elapsed().as_secs_f64());
-    }
-    let mut final_params = Vec::new();
-    model.visit_all(&mut |pt: &mut Tensor, _g: &mut Tensor| {
-        final_params.extend_from_slice(pt.data());
-    });
-    DdpOutcome {
-        losses,
-        final_params,
-        iteration_seconds: times,
-    }
-}
-
-/// Mean per-iteration loss of the last `k` iterations (convergence probe).
-pub fn tail_loss(outcome: &DdpOutcome, k: usize) -> f64 {
-    let n = outcome.losses.len();
-    let k = k.min(n);
-    outcome.losses[n - k..].iter().sum::<f64>() / k as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::ModelConfig;
     use crate::vae::VaeConfig;
     use as_cluster::comm::CommWorld;
+    use as_tensor::TensorRng;
 
     fn world(n: usize) -> Vec<as_cluster::collective::ChannelComm> {
         CommWorld::new(n).into_endpoints()
@@ -628,58 +453,11 @@ mod tests {
     }
 
     #[test]
-    fn replicas_stay_synchronized() {
-        let cfg = tiny_cfg();
-        let batches = make_batches(3, 4);
-        // Run 2 replicas; ranks exchange final params through the outcome
-        // of rank 0 vs an independent 2-replica run with the same seed.
-        let ddp = DdpConfig {
-            replicas: 2,
-            seed: 7,
-            adam: AdamConfig {
-                lr: 1e-3,
-                ..AdamConfig::default()
-            },
-            m_vae: 1.0,
-        };
-        let a = train_ddp(&cfg, &ddp, &batches, world(2));
-        let b = train_ddp(&cfg, &ddp, &batches, world(2));
-        assert_eq!(a.final_params.len(), b.final_params.len());
-        for (x, y) in a.final_params.iter().zip(&b.final_params) {
-            assert_eq!(x, y, "DDP must be deterministic for a fixed seed");
-        }
-    }
-
-    #[test]
-    fn ddp_losses_are_finite_and_trend_down() {
-        let cfg = tiny_cfg();
-        let batches: Vec<_> = (0..20).flat_map(|_| make_batches(1, 4)).collect();
-        let ddp = DdpConfig {
-            replicas: 2,
-            seed: 3,
-            adam: AdamConfig {
-                lr: 2e-3,
-                weight_decay: 0.0,
-                ..AdamConfig::default()
-            },
-            m_vae: 4.0,
-        };
-        let out = train_ddp(&cfg, &ddp, &batches, world(2));
-        assert!(out.losses.iter().all(|l| l.is_finite()));
-        let head: f64 = out.losses[..5].iter().sum::<f64>() / 5.0;
-        let tail = tail_loss(&out, 5);
-        assert!(
-            tail < head,
-            "training should make progress: {head} → {tail}"
-        );
-    }
-
-    #[test]
     fn bucketed_sync_is_identical_across_ranks_and_close_to_flat() {
         // Two ranks with different local batches: after the bucketed
         // all-reduce every rank must hold bit-identical gradients, and
         // the averaged values must agree with one whole-model bucket (the
-        // flat reduction `train_ddp` runs) up to summation-order rounding.
+        // flat reduction) up to summation-order rounding.
         let cfg = tiny_cfg();
         for bucket_elems in [1usize, 7, 64, 100_000, usize::MAX] {
             let endpoints = CommWorld::new(2).into_endpoints();
@@ -977,33 +755,5 @@ mod tests {
         let mut h = ParamHasher::default();
         h.update(&[0.0]);
         assert_ne!(h.finish(), ParamHasher::default().finish());
-    }
-
-    #[test]
-    fn single_process_matches_ddp_loss_scale() {
-        // Not bit-identical (different noise sharding) but the same order of
-        // magnitude and both finite — a cheap cross-check that sharding does
-        // not break loss normalisation.
-        let cfg = tiny_cfg();
-        let batches = make_batches(4, 4);
-        let ddp_out = train_ddp(
-            &cfg,
-            &DdpConfig {
-                replicas: 2,
-                seed: 11,
-                adam: AdamConfig::default(),
-                m_vae: 1.0,
-            },
-            &batches,
-            world(2),
-        );
-        let single = train_single(&cfg, 11, AdamConfig::default(), 1.0, &batches);
-        for (a, b) in ddp_out.losses.iter().zip(&single.losses) {
-            assert!(a.is_finite() && b.is_finite());
-            assert!(
-                *a < 20.0 * b.max(1e-3) && *b < 20.0 * a.max(1e-3),
-                "loss scales diverge: ddp {a} vs single {b}"
-            );
-        }
     }
 }

@@ -1,8 +1,7 @@
 //! Small statistics helpers shared by the benchmarking harnesses.
 //!
-//! Fig. 6 of the paper shows boxplots of streaming throughput and Fig. 8
-//! averages batch times "after removal of > 4σ outliers" — both operations
-//! live here so every harness reports them identically.
+//! Fig. 6 of the paper shows boxplots of streaming throughput; the
+//! five-number summary lives here so every harness reports it identically.
 
 /// Five-number summary used for the Fig. 6 style boxplots.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,44 +50,6 @@ pub(crate) fn quantile(sorted: &[f64], q: f64) -> f64 {
     }
 }
 
-/// Sample mean.
-pub(crate) fn mean(samples: &[f64]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.iter().sum::<f64>() / samples.len() as f64
-}
-
-/// Sample standard deviation (population form).
-pub(crate) fn std_dev(samples: &[f64]) -> f64 {
-    if samples.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(samples);
-    (samples.iter().map(|v| (v - m).powi(2)).sum::<f64>() / samples.len() as f64).sqrt()
-}
-
-/// Mean after removing samples more than `n_sigma` standard deviations from
-/// the mean — the paper's ">4σ outlier removal" for Fig. 8 (they observed
-/// single batches taking >100× the mean on Frontier).
-pub fn mean_without_outliers(samples: &[f64], n_sigma: f64) -> f64 {
-    let m = mean(samples);
-    let s = std_dev(samples);
-    if s == 0.0 {
-        return m;
-    }
-    let kept: Vec<f64> = samples
-        .iter()
-        .copied()
-        .filter(|v| (v - m).abs() <= n_sigma * s)
-        .collect();
-    if kept.is_empty() {
-        m
-    } else {
-        mean(&kept)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,28 +70,5 @@ mod tests {
         assert_eq!(quantile(&sorted, 0.5), 5.0);
         assert_eq!(quantile(&sorted, 0.0), 0.0);
         assert_eq!(quantile(&sorted, 1.0), 10.0);
-    }
-
-    #[test]
-    fn outlier_removal_recovers_clean_mean() {
-        // 100 samples at ~1.0 plus one 100× outlier (the paper's scenario).
-        let mut samples = vec![1.0; 100];
-        samples.push(100.0);
-        let naive = mean(&samples);
-        let clean = mean_without_outliers(&samples, 4.0);
-        assert!(naive > 1.5);
-        assert!((clean - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn outlier_removal_keeps_tight_samples() {
-        let samples = [1.0, 1.1, 0.9, 1.05, 0.95];
-        let m = mean_without_outliers(&samples, 4.0);
-        assert!((m - mean(&samples)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn std_dev_of_constant_is_zero() {
-        assert_eq!(std_dev(&[2.0, 2.0, 2.0]), 0.0);
     }
 }

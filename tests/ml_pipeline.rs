@@ -6,10 +6,7 @@
 
 use artificial_scientist::core::config::WorkflowConfig;
 use artificial_scientist::core::encode::batch_to_tensors;
-use artificial_scientist::core::workflow::run_workflow;
-use artificial_scientist::nn::ddp::{train_ddp, train_single, DdpConfig};
-use artificial_scientist::nn::model::ModelConfig;
-use artificial_scientist::nn::optim::AdamConfig;
+use artificial_scientist::core::workflow::{run_workflow, WorkflowReport};
 use artificial_scientist::tensor::{Tensor, TensorRng};
 
 /// Train in-transit, then check the latent space linearly separates the
@@ -86,44 +83,26 @@ fn latent_space_separates_flow_directions() {
     );
 }
 
-/// DDP with 2 replicas must converge like single-process training on the
-/// same total batch (the data-parallel equivalence the paper relies on).
+/// The in-transit learner with 2 DDP consumer ranks must converge like
+/// the single-rank learner on the same seeded stream (the data-parallel
+/// equivalence the paper relies on).
 #[test]
 fn ddp_matches_single_process_convergence() {
-    let cfg = ModelConfig::small();
-    let mut rng = TensorRng::seeded(55);
-    let batches: Vec<(Tensor, Tensor)> = (0..24)
-        .map(|_| {
-            (
-                rng.uniform([8, 32, 6], -1.0, 1.0),
-                rng.uniform([8, cfg.spectrum_dim], -1.0, 1.0),
-            )
-        })
-        .collect();
-    let adam = AdamConfig {
-        lr: 1e-3,
-        weight_decay: 0.0,
-        ..AdamConfig::default()
-    };
-    let ddp = train_ddp(
-        &cfg,
-        &DdpConfig {
-            replicas: 2,
-            seed: 9,
-            adam,
-            m_vae: 1.0,
-        },
-        &batches,
-        artificial_scientist::cluster::comm::CommWorld::new(2).into_endpoints(),
-    );
-    let single = train_single(&cfg, 9, adam, 1.0, &batches);
+    let mut cfg = WorkflowConfig::small();
+    cfg.total_steps = 24;
+    cfg.steps_per_sample = 4;
+    cfg.n_rep = 4;
+    cfg.seed = 9;
+    let single = run_workflow(&cfg);
+    cfg.consumers = 2;
+    let ddp = run_workflow(&cfg);
     // Both must make progress and land in the same loss band (not
-    // bit-equal: the replicas draw different reparameterisation noise and
-    // the per-replica MMD estimators see smaller batches).
-    let d_head = ddp.losses[..4].iter().sum::<f64>() / 4.0;
-    let s_head = single.losses[..4].iter().sum::<f64>() / 4.0;
-    let d_tail = artificial_scientist::nn::ddp::tail_loss(&ddp, 4);
-    let s_tail = artificial_scientist::nn::ddp::tail_loss(&single, 4);
+    // bit-equal: the ranks draw different data and noise streams and
+    // each rank's MMD estimator sees its own batch).
+    let head =
+        |r: &WorkflowReport| r.consumer.losses[..4].iter().map(|l| l.total).sum::<f64>() / 4.0;
+    let (d_head, s_head) = (head(&ddp), head(&single));
+    let (d_tail, s_tail) = (ddp.tail_loss(4), single.tail_loss(4));
     assert!(d_tail.is_finite() && s_tail.is_finite());
     assert!(
         d_tail < d_head,
