@@ -639,7 +639,9 @@ fn bench_bookkeeping(c: &mut Criterion) {
     g.sample_size(20);
     g.throughput(Throughput::Elements(params as u64));
     let publish = |model: &mut ArtificialScientistModel| {
-        ModelSnapshot::capture(model, EncodeConfig::default(), 1, 0).into_model()
+        ModelSnapshot::capture(model, EncodeConfig::default(), 1, 0)
+            .into_model()
+            .unwrap_or_else(|e| panic!("{e}"))
     };
     g.bench_function("capture_into_model_123k", |b| {
         b.iter(|| publish(&mut model))

@@ -59,7 +59,7 @@
 //! dying between the two emissions of a window; the longer stream is
 //! drained, not panicked on), or destroyed by an injected fault.
 
-use crate::checkpoint::{LearnerCheckpoint, LearnerProgress};
+use crate::checkpoint::LearnerCheckpoint;
 use crate::config::{ConsumerPolicy, WorkflowConfig};
 use crate::encode::{batch_to_tensors, Sample};
 use crate::faults::{InjectedFault, KillMode};
@@ -317,21 +317,8 @@ pub fn run_consumer<C: Collective>(
 
     'stream: loop {
         if plan.checkpoint_every > 0 && seen.is_multiple_of(plan.checkpoint_every) {
-            let progress = LearnerProgress {
-                windows: rep.windows,
-                samples: rep.samples,
-                owned_windows: rep.owned_windows.clone(),
-                losses: rep.losses.clone(),
-                param_hashes: rep.param_hashes.clone(),
-            };
             ckpt = Some(LearnerCheckpoint::capture(
-                &mut rep.model,
-                &opt,
-                &buffer,
-                &schedule,
-                &enc_rng,
-                &train_rng,
-                &progress,
+                &mut rep, cfg.encode, &opt, &buffer, &schedule, &enc_rng, &train_rng,
             ));
         }
         match kill {
@@ -349,20 +336,18 @@ pub fn run_consumer<C: Collective>(
                 let c = ckpt.as_ref().unwrap_or_else(|| {
                     panic!("validate_topology guarantees a checkpoint before a restart")
                 });
-                let progress = c.restore(
-                    &mut rep.model,
-                    &mut opt,
-                    &mut buffer,
-                    &mut schedule,
-                    &mut enc_rng,
-                    &mut train_rng,
-                );
-                rep.lost_windows += rep.windows - progress.windows;
-                rep.windows = progress.windows;
-                rep.samples = progress.samples;
-                rep.owned_windows = progress.owned_windows;
-                rep.losses = progress.losses;
-                rep.param_hashes = progress.param_hashes;
+                let before = rep.windows;
+                let progress = c
+                    .restore(
+                        &mut rep,
+                        &mut opt,
+                        &mut buffer,
+                        &mut schedule,
+                        &mut enc_rng,
+                        &mut train_rng,
+                    )
+                    .unwrap_or_else(|e| panic!("rank {rank} cannot restart: {e}"));
+                rep.lost_windows += before - progress.windows;
                 rep.restarts += 1;
                 rep.recovery_seconds += t0.elapsed().as_secs_f64();
             }

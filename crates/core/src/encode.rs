@@ -40,7 +40,7 @@ impl Default for EncodeConfig {
 /// One training sample: a point cloud and its spectrum, plus the ground
 /// truth region label (used only for evaluation, never for training —
 /// the learning is unsupervised).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sample {
     /// Flattened point cloud `[sample_points × 6]` (normalised).
     pub points: Vec<f32>,

@@ -13,8 +13,10 @@
 //!   capture copies them. A snapshot turns anywhere into a serving model
 //!   built from those buffers ([`ModelSnapshot::into_model`]: no
 //!   throw-away initialisation, no gradients, the buffers moved, not
-//!   copied); the hash, taken again as the model is built, makes torn or
-//!   corrupted weights a hard panic instead of silently wrong inference.
+//!   copied); the hash, taken again as the model is built, turns torn or
+//!   corrupted weights into a [`SnapshotError`] instead of silently wrong
+//!   inference. The learner checkpoint keeps its model as a snapshot too
+//!   and passes the same guard on restore.
 //! - [`SnapshotSink`]: where published snapshots go. The serving crate
 //!   (`as-serve`) implements this for its inference engine; tests can
 //!   implement it with a channel.
@@ -35,12 +37,41 @@ use crate::encode::EncodeConfig;
 use as_nn::ddp::ParamHasher;
 use as_nn::model::{ArtificialScientistModel, ModelConfig};
 use as_tensor::Tensor;
+use std::fmt;
 use std::sync::Arc;
+
+/// Why a snapshot was refused. `version` is the snapshot's (0 for a
+/// learner checkpoint's).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SnapshotError {
+    /// The parameters and permutations do not hash to the snapshot's
+    /// `param_hash`: torn or corrupted weights.
+    Torn { version: u64 },
+    /// The snapshot was captured from a model of another architecture:
+    /// another [`ModelConfig`], or INN permutations drawn from another
+    /// construction seed.
+    ConfigMismatch { version: u64 },
+}
+
+impl fmt::Display for SnapshotError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Torn { version } => {
+                write!(f, "torn snapshot v{version}: parameter hash mismatch")
+            }
+            Self::ConfigMismatch { version } => {
+                write!(f, "snapshot v{version} is of another model architecture")
+            }
+        }
+    }
+}
+
+impl std::error::Error for SnapshotError {}
 
 /// An immutable, versioned copy of the learner's model: everything a
 /// serving replica needs to answer inversion queries, with no live
 /// aliasing of the training-side tensors.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelSnapshot {
     /// Monotone snapshot version (1-based; bumped on every publish).
     pub version: u64,
@@ -58,8 +89,8 @@ pub struct ModelSnapshot {
     /// as the weights.
     pub perms: Vec<Vec<u32>>,
     /// [`as_nn::ddp::param_hash`] of the parameters and the permutations
-    /// at capture — asserted again while [`Self::into_model`] builds the
-    /// served model from them.
+    /// at capture — checked again while [`Self::into_model`] builds the
+    /// served model from them, and before a learner restore writes them.
     pub param_hash: u64,
 }
 
@@ -80,11 +111,7 @@ impl ModelSnapshot {
             hash.update(p.data());
             params.push(p.data().to_vec());
         });
-        let perms: Vec<Vec<u32>> = model
-            .inn
-            .permutations()
-            .map(|p| p.iter().map(|&j| j as u32).collect())
-            .collect();
+        let perms = perms_of(model);
         for p in &perms {
             hash.update_words(p.iter().copied());
         }
@@ -110,25 +137,75 @@ impl ModelSnapshot {
 
     /// [`Self::into_model`] on a copy, keeping the snapshot.
     #[cfg(test)]
-    fn instantiate(&self) -> ArtificialScientistModel {
+    fn instantiate(&self) -> Result<ArtificialScientistModel, SnapshotError> {
         self.clone().into_model()
     }
 
     /// Rebuild a standalone serving model from the snapshot's buffers and
     /// permutations, and verify the parameter hash — the torn-weights
-    /// guard: a snapshot that does not reproduce its captured bits panics
-    /// here instead of serving wrong answers. The buffers move into the
-    /// served model and are hashed where they lie, so nothing is copied.
-    pub fn into_model(self) -> ArtificialScientistModel {
-        let (version, param_hash) = (self.version, self.param_hash);
-        let (model, h) =
+    /// guard: a snapshot that does not reproduce its captured bits is
+    /// [`SnapshotError::Torn`] here instead of serving wrong answers. The
+    /// buffers move into the served model and are hashed where they lie,
+    /// so nothing is copied.
+    pub fn into_model(self) -> Result<ArtificialScientistModel, SnapshotError> {
+        let version = self.version;
+        let (model, found) =
             ArtificialScientistModel::from_buffers(self.model_cfg, self.params, self.perms);
-        assert_eq!(
-            h, param_hash,
-            "torn snapshot v{version}: parameter hash mismatch after restore"
-        );
-        model
+        (found == self.param_hash)
+            .then_some(model)
+            .ok_or(SnapshotError::Torn { version })
     }
+
+    /// Write the snapshot's parameters into `model`, a model in training
+    /// (its gradient accumulators are kept), after checking that `model`
+    /// has the snapshot's architecture ([`SnapshotError::ConfigMismatch`])
+    /// and that the snapshot still hashes to [`Self::param_hash`]
+    /// ([`SnapshotError::Torn`]). On an error `model` is untouched.
+    pub(crate) fn restore_into(
+        &self,
+        model: &mut ArtificialScientistModel,
+    ) -> Result<(), SnapshotError> {
+        if self.model_cfg != model.cfg || self.perms != perms_of(model) {
+            return Err(SnapshotError::ConfigMismatch {
+                version: self.version,
+            });
+        }
+        self.verify()?;
+        let mut src = self.params.iter();
+        model.visit_all(&mut |p: &mut Tensor, _g: &mut Tensor| {
+            if let Some(s) = src.next() {
+                p.data_mut().copy_from_slice(s);
+            }
+        });
+        Ok(())
+    }
+
+    /// Hash the buffers and permutations where they lie and check the
+    /// result against [`Self::param_hash`] — [`Self::into_model`]'s guard
+    /// for a snapshot that is read in place rather than moved.
+    fn verify(&self) -> Result<(), SnapshotError> {
+        let mut hash = ParamHasher::default();
+        for p in &self.params {
+            hash.update(p);
+        }
+        for p in &self.perms {
+            hash.update_words(p.iter().copied());
+        }
+        (hash.finish() == self.param_hash)
+            .then_some(())
+            .ok_or(SnapshotError::Torn {
+                version: self.version,
+            })
+    }
+}
+
+/// The INN's channel permutations as u32 indices, in block order.
+fn perms_of(model: &ArtificialScientistModel) -> Vec<Vec<u32>> {
+    model
+        .inn
+        .permutations()
+        .map(|p| p.iter().map(|&j| j as u32).collect())
+        .collect()
 }
 
 /// Where published snapshots go. Implemented by the serving tier's
@@ -214,7 +291,7 @@ mod tests {
         let snap = ModelSnapshot::capture(&mut m, EncodeConfig::default(), 1, 4);
         assert_eq!(snap.param_hash, before);
         assert_eq!(param_hash(&mut m), before, "capture must not mutate");
-        let mut restored = snap.instantiate();
+        let mut restored = snap.instantiate().unwrap();
         assert_eq!(param_hash(&mut restored), before);
         assert!(snap.payload_bytes() > 64);
         // The INN permutations come from the construction seed: a restore
@@ -228,12 +305,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "torn snapshot")]
     fn corrupted_snapshot_is_rejected() {
         let mut m = tiny_model(7);
         let mut snap = ModelSnapshot::capture(&mut m, EncodeConfig::default(), 1, 0);
+        assert_eq!(snap.verify(), Ok(()));
         snap.params[0][0] += 1.0;
-        let _ = snap.instantiate();
+        let torn = Err(SnapshotError::Torn { version: 1 });
+        assert_eq!(snap.instantiate().map(|_| ()), torn);
+        assert_eq!(snap.verify(), torn);
     }
 
     #[test]

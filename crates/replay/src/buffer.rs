@@ -40,7 +40,7 @@ impl BufferConfig {
 /// counters. Captured into the learner checkpoint so a restarted rank
 /// resumes with the identical buffer population *and* the identical
 /// future sampling sequence.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BufferState<S> {
     /// Now-buffer contents, most recent first.
     pub now: Vec<S>,

@@ -6,11 +6,12 @@
 //! The engine holds the live model in a *snapshot slot* — a mutex-guarded
 //! `Arc<ServedModel>`. [`InferenceEngine::install`] rebuilds a model from
 //! a published [`ModelSnapshot`] (re-verifying its parameter hash — a
-//! torn or corrupted snapshot panics instead of serving), then swaps the
-//! `Arc` while holding the slot lock. The batch worker **pins** one
-//! `Arc` clone per micro-batch before touching any request, and every
-//! response of that batch is computed — and labelled — against exactly
-//! that pinned version. Because `ServedModel` is immutable after
+//! torn or corrupted snapshot is refused, counted in
+//! [`ServeReport::refused_installs`], and the previous version keeps
+//! serving), then swaps the `Arc` while holding the slot lock. The batch
+//! worker **pins** one `Arc` clone per micro-batch before touching any
+//! request, and every response of that batch is computed — and labelled
+//! — against exactly that pinned version. Because `ServedModel` is immutable after
 //! construction and versions only move forward, a request can never
 //! observe a mix of two snapshots, and version ids are monotone for any
 //! client issuing sequential queries.
@@ -42,7 +43,7 @@ use as_nn::model::ArtificialScientistModel;
 use as_tensor::{Tensor, TensorRng, Workspace};
 use crossbeam::channel::{self, Receiver, Sender};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -52,8 +53,6 @@ pub struct ServedModel {
     pub model: ArtificialScientistModel,
     /// Snapshot version id.
     pub version: u64,
-    /// The snapshot's [`as_nn::ddp::param_hash`], re-verified on install.
-    pub param_hash: u64,
     /// Training iteration the snapshot was captured at.
     pub iteration: u64,
     installed: Instant,
@@ -84,21 +83,8 @@ enum Msg {
     Stop,
 }
 
-#[derive(Debug, Clone)]
-struct EngineStats {
-    queries: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    batches: u64,
-    /// `batch_hist[s]` = micro-batches that coalesced exactly `s`
-    /// requests (index 0 unused).
-    batch_hist: Vec<u64>,
-    swaps: u64,
-    queue_full_waits: u64,
-}
-
 /// Aggregate serving telemetry ([`InferenceEngine::report`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServeReport {
     /// Queries answered.
     pub queries: u64,
@@ -114,6 +100,9 @@ pub struct ServeReport {
     pub swaps: u64,
     /// Times a submitter found the bounded queue full and had to wait.
     pub queue_full_waits: u64,
+    /// Snapshots refused on install because their parameters did not
+    /// hash to the captured value.
+    pub refused_installs: u64,
     /// Version of the currently served snapshot (0 before the first
     /// install).
     pub current_version: u64,
@@ -171,11 +160,11 @@ pub struct InferenceEngine {
     queue_space: parking_lot::Condvar,
     queue_cell: Cell,
     cache: parking_lot::Mutex<PosteriorCache>,
-    stats: parking_lot::Mutex<EngineStats>,
+    /// The counters of [`ServeReport`]; `report` adds the live version.
+    stats: parking_lot::Mutex<ServeReport>,
     /// Every installed snapshot, in version order — the single-version
     /// reference oracle for the torn-weights test harness.
     archive: parking_lot::Mutex<Vec<Arc<ServedModel>>>,
-    installs: AtomicU64,
     shutdown: AtomicBool,
     worker: parking_lot::Mutex<Option<crossbeam::thread::JoinHandle<()>>>,
 }
@@ -191,14 +180,9 @@ impl InferenceEngine {
         );
         let (queue_tx, queue_rx) = channel::unbounded();
         let engine = Arc::new(Self {
-            stats: parking_lot::Mutex::new(EngineStats {
-                queries: 0,
-                cache_hits: 0,
-                cache_misses: 0,
-                batches: 0,
+            stats: parking_lot::Mutex::new(ServeReport {
                 batch_hist: vec![0; cfg.max_batch + 1],
-                swaps: 0,
-                queue_full_waits: 0,
+                ..ServeReport::default()
             }),
             cache: parking_lot::Mutex::new(PosteriorCache::new(cfg.cache_capacity)),
             cfg,
@@ -211,7 +195,6 @@ impl InferenceEngine {
             queue_space: parking_lot::Condvar::new(),
             queue_cell: track_cell!("serve::Engine.queue_depth"),
             archive: parking_lot::Mutex::new(Vec::new()),
-            installs: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             worker: parking_lot::Mutex::new(None),
         });
@@ -222,10 +205,11 @@ impl InferenceEngine {
     }
 
     /// Hot-swap a published snapshot in. Rebuilds the model from a copy
-    /// of the snapshot's buffers and hash-verifies it (torn weights panic
-    /// here, never serve); the rebuilt model carries no training state.
-    /// Asserts version monotonicity, swaps the slot `Arc`, and flushes the
-    /// cache.
+    /// of the snapshot's buffers and hash-verifies it; the rebuilt model
+    /// carries no training state. A torn snapshot never serves: it is
+    /// counted in [`ServeReport::refused_installs`] and the slot, archive
+    /// and cache stay as they were. Otherwise asserts version
+    /// monotonicity, swaps the slot `Arc`, and flushes the cache.
     pub fn install(&self, snapshot: &ModelSnapshot) {
         self.install_owned(snapshot.clone());
     }
@@ -234,13 +218,14 @@ impl InferenceEngine {
     /// snapshot's buffers move into the served model and are hashed where
     /// they lie.
     fn install_owned(&self, snapshot: ModelSnapshot) {
-        let (version, param_hash, iteration) =
-            (snapshot.version, snapshot.param_hash, snapshot.iteration);
-        let model = snapshot.into_model(); // panics on hash mismatch
+        let (version, iteration) = (snapshot.version, snapshot.iteration);
+        let Ok(model) = snapshot.into_model() else {
+            self.stats.lock().refused_installs += 1;
+            return;
+        };
         let served = Arc::new(ServedModel {
             model,
             version,
-            param_hash,
             iteration,
             installed: Instant::now(),
         });
@@ -265,7 +250,6 @@ impl InferenceEngine {
         // is mixed into the cache key); flushing just frees capacity.
         self.cache.lock().flush();
         self.stats.lock().swaps += 1;
-        self.installs.fetch_add(1, Ordering::SeqCst);
     }
 
     /// The serving configuration the engine was started with.
@@ -356,22 +340,12 @@ impl InferenceEngine {
 
     /// Serving telemetry snapshot.
     pub fn report(&self) -> ServeReport {
-        let stats = self.stats.lock().clone();
-        let (current_version, stale) = match self.current() {
-            Some(s) => (s.version, s.installed.elapsed().as_secs_f64()),
-            None => (0, 0.0),
-        };
-        ServeReport {
-            queries: stats.queries,
-            cache_hits: stats.cache_hits,
-            cache_misses: stats.cache_misses,
-            batches: stats.batches,
-            batch_hist: stats.batch_hist,
-            swaps: stats.swaps,
-            queue_full_waits: stats.queue_full_waits,
-            current_version,
-            stale_snapshot_seconds: stale,
+        let mut report = self.stats.lock().clone();
+        if let Some(s) = self.current() {
+            report.current_version = s.version;
+            report.stale_snapshot_seconds = s.installed.elapsed().as_secs_f64();
         }
+        report
     }
 
     /// Drain outstanding queries and stop the batch worker (idempotent).
@@ -709,6 +683,29 @@ mod tests {
             };
             assert_eq!(bits(&served.model), bits(&learner), "spectrum {tag}");
         }
+        engine.shutdown();
+    }
+
+    #[test]
+    fn a_torn_snapshot_is_refused_and_the_old_version_serves() {
+        let engine = InferenceEngine::start(ServingConfig::default());
+        let s = spectrum(1, ModelConfig::small().spectrum_dim);
+        engine.install(&snap(3, 1));
+        let mut torn = snap(4, 2);
+        let word = &mut torn.params[0][0];
+        *word = f32::from_bits(word.to_bits() ^ 1);
+        engine.install(&torn);
+        let report = engine.report();
+        assert_eq!((report.current_version, report.refused_installs), (1, 1));
+        assert_eq!(engine.query(s.clone()).version, 1);
+        assert!(
+            engine.archived(2).is_none(),
+            "a refused snapshot is not archived"
+        );
+        engine.install(&snap(5, 3));
+        assert_eq!(engine.query(s).version, 3);
+        let report = engine.report();
+        assert_eq!((report.swaps, report.refused_installs), (2, 1));
         engine.shutdown();
     }
 

@@ -9,7 +9,7 @@
 //! | rule | invariant |
 //! |------|-----------|
 //! | `hash-collections`    | no `HashMap`/`HashSet` outside the shims — iteration order leaks into collectives, telemetry, and serialized specs |
-//! | `hot-path-unwrap`     | no `.unwrap()`/`.expect(` in staging/cluster/core — hot paths return typed `StagingError`/`CommError` |
+//! | `hot-path-unwrap`     | no `.unwrap()`/`.expect(` in staging/cluster/core/serve — hot paths return typed `StagingError`/`CommError`/`SnapshotError` |
 //! | `raw-sync`            | no `std::thread::spawn` / raw `std::sync` primitives outside the shims and `core::workflow` — everything must go through the instrumented shims |
 //! | `unordered-par-reduce`| no `.sum()`/`.product()`/`.reduce()` at the top level of a rayon parallel-iterator chain — float reduction order must not depend on the split |
 //! | `raw-sleep`           | no `thread::sleep` outside `crates/cluster/src/pace.rs` and the shims — the OS timer overshoots a microsecond sleep ≈ 50×, so waits block on their event and modelled delays go through the pacer |
@@ -275,6 +275,7 @@ fn in_scope_unwrap(path: &str) -> bool {
     path.starts_with("crates/staging/src")
         || path.starts_with("crates/cluster/src")
         || path.starts_with("crates/core/src")
+        || path.starts_with("crates/serve/src")
 }
 
 fn in_scope_sync(path: &str) -> bool {
@@ -727,10 +728,12 @@ mod tests {
     #[test]
     fn fixture_hot_path_unwrap_fires_once() {
         let bad = "fn f(x: Option<u8>) -> u8 {\n    x.unwrap()\n}\nfn g(x: Option<u8>) -> u8 { x.unwrap_or(0) }\n";
-        let v = hot_path_unwrap("crates/staging/src/x.rs", bad, &prep(bad));
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].line, 2);
-        assert_eq!(v[0].rule, RULE_UNWRAP);
+        for path in ["crates/staging/src/x.rs", "crates/serve/src/engine.rs"] {
+            let v = run_all(path, bad);
+            assert_eq!(v.len(), 1, "{path}: {v:?}");
+            assert_eq!(v[0].line, 2);
+            assert_eq!(v[0].rule, RULE_UNWRAP);
+        }
     }
 
     #[test]
