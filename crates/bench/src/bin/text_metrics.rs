@@ -13,7 +13,7 @@ use as_cluster::sockets::SocketBudget;
 use as_core::config::WorkflowConfig;
 use as_core::workflow::run_workflow;
 use as_nn::loss::{chamfer, sinkhorn_emd};
-use as_staging::dataplane::{DataPlane, ReadStrategy};
+use as_staging::dataplane::{frontier_nic, DataPlane, ReadStrategy};
 use as_tensor::TensorRng;
 use std::time::Instant;
 
@@ -94,10 +94,12 @@ fn reader_headroom() {
         DataPlane::Mpi,
     ] {
         for readers in [1usize, 2, 4] {
-            // Independent reader processes split the volume; the NIC caps
+            // Independent reader processes split the volume, each pulling
+            // its 64/readers blocks over its own NIC flow; the NIC caps
             // the sum.
-            let per_reader = gb / readers as f64;
-            let t = plane.read_time(per_reader, 64 / readers, 25.0e9);
+            let ops = 64 / readers;
+            let block = (gb / 64.0) as u64;
+            let t = plane.fetch_seconds(&frontier_nic(), ops, (0..ops).map(|w| (w, block)));
             let node_rate = (gb / t).min(25.0e9);
             println!(
                 "{:>26} {:>10} {:>14.2}",

@@ -22,7 +22,7 @@
 use as_cluster::algos::CollectiveAlgo;
 use as_cluster::collective::{ChannelComm, Collective, NetModel, SimNetComm};
 use as_cluster::machine::{MachineSpec, FRONTIER};
-use as_staging::dataplane::DataPlane;
+use as_staging::dataplane::{frontier_nic, DataPlane};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -42,8 +42,12 @@ pub fn fig6_per_node_samples(
         return None;
     }
     let mut rng = StdRng::seed_from_u64(seed ^ nodes as u64);
-    let ops = 64; // remote read requests per step per node
-    let base = bytes_per_node / plane.read_time(bytes_per_node, ops, FRONTIER.nic_bandwidth);
+    // One reader per node pulls its volume in 64 remote blocks, each one
+    // hop from a writer on another node over one Frontier NIC.
+    let ops = 64;
+    let block = (bytes_per_node / ops as f64) as u64;
+    let blocks = (0..ops).map(|w| (w, block));
+    let base = bytes_per_node / plane.fetch_seconds(&frontier_nic(), ops, blocks);
     // Mild congestion droop at scale: metadata fan-in to rank 0 grows
     // with the writer count (§IV-D), shaving a few percent per 2× nodes.
     let droop = 1.0 - 0.018 * (nodes as f64 / 4096.0).log2().max(0.0);

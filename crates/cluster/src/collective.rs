@@ -201,38 +201,17 @@ pub trait Collective: Send + Sync + 'static {
         0.0
     }
 
-    /// Record staging **data-plane** traffic: `wire_bytes` crossed the
-    /// SST-style staging stream at a modelled cost of `model_seconds`
-    /// (computed by the caller from the staging layer's
-    /// `DataPlane::read_time` — this crate stays independent of the
-    /// staging crate, so the hook takes the raw numbers). Kept on
-    /// counters **separate** from the collective traffic
-    /// ([`Collective::world_bytes_sent`] /
-    /// [`Collective::modelled_comm_seconds`]): the control-plane
-    /// accounting stays bit-identical whether or not window payloads are
-    /// priced. Default is a no-op — the in-process backend moves real
-    /// bytes and needs no model; [`SimNetComm`] accumulates the cost on
-    /// a per-rank data-plane timeline and, scaled by
-    /// `NetModel::time_scale`, injects it as wall time. Purely local —
-    /// never communicates.
-    fn account_dataplane(&self, wire_bytes: u64, model_seconds: f64) {
-        let _ = (wire_bytes, model_seconds);
-    }
-
-    /// World-wide modelled staging data-plane seconds charged so far —
-    /// the maximum over ranks' serialized data-plane timelines, mirroring
-    /// the critical-path semantics of
-    /// [`Collective::modelled_comm_seconds`] but on the separate
-    /// data-plane clock. `0.0` for backends without a model.
-    fn modelled_dataplane_seconds(&self) -> f64 {
-        0.0
-    }
-
-    /// World-wide staging wire bytes recorded via
-    /// [`Collective::account_dataplane`] (monotone, shared by all
-    /// ranks). `0` for backends without a model.
-    fn dataplane_bytes(&self) -> u64 {
-        0
+    /// Owe `model_seconds` of staging data-plane time: a window's fetch,
+    /// priced by the caller over the stream's own fabric model
+    /// (`as_staging::dataplane::DataPlane::fetch_seconds`). The charge is
+    /// only paced — [`SimNetComm`] sleeps its `NetModel::time_scale`
+    /// share — and touches neither [`Collective::world_bytes_sent`] nor
+    /// [`Collective::modelled_comm_seconds`], so the collective accounting
+    /// stays bit-identical whether or not window payloads are priced.
+    /// Default is a no-op: the in-process backend moves real bytes and
+    /// injects nothing. Purely local — never communicates.
+    fn account_dataplane(&self, model_seconds: f64) {
+        let _ = model_seconds;
     }
 
     // --- fault tolerance (optional capability) ---------------------------
@@ -374,8 +353,8 @@ impl Collective for Communicator {
 /// `as_core::consumer`) run the single-rank case without a second
 /// implementation: `broadcast`/`allreduce_*` return their input,
 /// `gather`/`allgather` return a one-element vector, the traffic counters
-/// and the modelled clocks stay zero (the defaults), and
-/// `account_dataplane` is the default no-op — a lone rank prices nothing.
+/// and the modelled clock stay zero (the defaults), and
+/// `account_dataplane` is the default no-op — a lone rank paces nothing.
 /// Point-to-point `send`/`recv` panic: there is no peer to talk to.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SoloComm;
@@ -428,7 +407,9 @@ impl Collective for SoloComm {
 /// populated map prices hops between co-located ranks at the intra-node
 /// link instead of the fabric, which is what makes the `InterNode`
 /// placement (producer slabs and learner ranks on distinct modelled
-/// nodes) cost more fabric time than the packed `IntraNode` one.
+/// nodes) cost more fabric time than the packed `IntraNode` one. A map
+/// may cover two groups ([`NodeMap::then`]): a staging stream's writers
+/// `0..M` followed by its readers `M..M+K`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct NodeMap {
     node_of: Vec<usize>,
@@ -438,11 +419,19 @@ impl NodeMap {
     /// Dense placement: `ranks` ranks filled `per_node` to a node, with
     /// node ids starting at `node_offset` (so two groups — producers and
     /// learners — can occupy provably distinct modelled nodes).
-    pub(crate) fn placed(ranks: usize, per_node: usize, node_offset: usize) -> Self {
+    pub fn placed(ranks: usize, per_node: usize, node_offset: usize) -> Self {
         let per_node = per_node.max(1);
         Self {
             node_of: (0..ranks).map(|r| node_offset + r / per_node).collect(),
         }
+    }
+
+    /// This map's ranks followed by `next`'s, renumbered to start after
+    /// them (node ids are kept, so the two groups share the nodes they
+    /// name in common).
+    pub fn then(mut self, next: NodeMap) -> Self {
+        self.node_of.extend(next.node_of);
+        self
     }
 
     /// The modelled node hosting `rank`. Ranks beyond the map (and every
@@ -457,7 +446,6 @@ impl NodeMap {
     }
 
     /// Number of distinct modelled nodes in the map (0 for an empty map).
-    #[cfg(test)]
     pub(crate) fn node_count(&self) -> usize {
         let mut nodes: Vec<usize> = self.node_of.clone();
         nodes.sort_unstable();
@@ -553,34 +541,53 @@ impl NetModel {
         node_offset: usize,
         time_scale: f64,
     ) -> Self {
-        let ranks = ranks.max(1);
-        let group_ranks_per_node = group_ranks_per_node.max(1);
-        let nic_share_ranks = nic_share_ranks.max(1);
-        let nodes = ranks.div_ceil(group_ranks_per_node);
+        let nodes = NodeMap::placed(ranks.max(1), group_ranks_per_node, node_offset);
+        Self::from_machine_mapped(machine, nodes, nic_share_ranks, time_scale)
+    }
+
+    /// The fair-share model for the ranks `nodes` places on `machine`,
+    /// each NIC shared by `nic_share_ranks` ranks, with every rank of the
+    /// map transmitting concurrently through the NIC + bisection topology.
+    pub fn from_machine_mapped(
+        machine: &MachineSpec,
+        nodes: NodeMap,
+        nic_share_ranks: usize,
+        time_scale: f64,
+    ) -> Self {
+        let ranks = nodes.node_of.len().max(1);
         let egress_cap =
-            machine.nic_bandwidth * machine.nics_per_node as f64 / nic_share_ranks as f64;
+            machine.nic_bandwidth * machine.nics_per_node as f64 / nic_share_ranks.max(1) as f64;
         // Max-min fair share of `ranks` flows, each through its own NIC
         // share and all through the one bisection.
-        let fair_rate = egress_cap.min(machine.bisection_bandwidth(nodes).max(1.0) / ranks as f64);
+        let bisection = machine.bisection_bandwidth(nodes.node_count().max(1));
         Self {
             latency: machine.net_latency,
-            bytes_per_second: fair_rate.max(1.0),
+            bytes_per_second: egress_cap.min(bisection.max(1.0) / ranks as f64).max(1.0),
             intra_latency: machine.intra_node_latency,
             intra_bytes_per_second: machine.intra_node_bandwidth.max(1.0),
             time_scale,
-            nodes: NodeMap::placed(ranks, group_ranks_per_node, node_offset),
+            nodes,
         }
     }
 
-    /// Modelled cost of one message of `bytes` payload between `from`
-    /// and `to`: the intra-node latency/bandwidth when the placement
-    /// co-locates them, the fabric fair share otherwise.
-    pub(crate) fn hop_cost(&self, from: usize, to: usize, bytes: u64) -> f64 {
-        if self.nodes.same_node(from, to) {
-            self.intra_latency + bytes as f64 / self.intra_bytes_per_second
+    /// Modelled seconds of one message of `bytes` payload from `from` to
+    /// `to`, moved at `efficiency` of the link's bandwidth: the intra-node
+    /// latency/bandwidth when the placement co-locates them, the fabric
+    /// fair share otherwise. Collectives run at efficiency 1; a staging
+    /// fetch at its data plane's §IV-B fraction
+    /// (`as_staging::dataplane::DataPlane::fetch_seconds`).
+    pub fn hop_seconds(&self, from: usize, to: usize, bytes: u64, efficiency: f64) -> f64 {
+        let (latency, bandwidth) = if self.nodes.same_node(from, to) {
+            (self.intra_latency, self.intra_bytes_per_second)
         } else {
-            self.latency + bytes as f64 / self.bytes_per_second
-        }
+            (self.latency, self.bytes_per_second)
+        };
+        latency + bytes as f64 / (bandwidth * efficiency)
+    }
+
+    /// [`NetModel::hop_seconds`] at full efficiency: one collective hop.
+    pub(crate) fn hop_cost(&self, from: usize, to: usize, bytes: u64) -> f64 {
+        self.hop_seconds(from, to, bytes, 1.0)
     }
 
     /// Modelled seconds of `rank`'s serialized `events`: their hop costs
@@ -619,22 +626,6 @@ impl NetModel {
     }
 }
 
-/// World-shared staging data-plane accounting: the critical-path clock
-/// and wire-byte counter behind [`Collective::account_dataplane`]. One
-/// instance is shared by every [`SimNetComm`] endpoint of a world
-/// (created by [`SimNetComm::wrap_world`]), exactly like the
-/// collective-side `world_max_nanos` counter — but deliberately a
-/// *separate* object, so pricing the staging stream can never perturb
-/// the collective traffic counters the cross-backend bit-identity tests
-/// pin down.
-#[derive(Debug, Default)]
-pub(crate) struct DataPlaneClock {
-    /// World-wide maximum of the per-rank data-plane timelines, nanos.
-    max_nanos: AtomicU64,
-    /// World-wide staging wire bytes.
-    bytes: AtomicU64,
-}
-
 /// A [`Collective`] backend wrapped with a modelled network fabric.
 ///
 /// Every operation walks the [`crate::algos`] schedule the wrapped
@@ -662,32 +653,22 @@ pub struct SimNetComm<C: Collective> {
     /// World-wide maximum of the per-rank timelines (shared by all
     /// endpoints): the modelled critical path.
     world_max_nanos: Arc<AtomicU64>,
-    /// This endpoint's serialized modelled data-plane nanoseconds.
-    dp_local_nanos: AtomicU64,
-    /// World-shared data-plane clock and wire-byte counter.
-    dp_clock: Arc<DataPlaneClock>,
-    /// Wall time this endpoint still owes for what both clocks charged
-    /// (`time_scale` × modelled), slept off a granule at a time.
+    /// Wall time this endpoint still owes for what the fabric and the
+    /// staging data plane charged (`time_scale` × modelled), slept off a
+    /// granule at a time.
     pacer: Pacer,
 }
 
 impl<C: Collective> SimNetComm<C> {
     /// Wrap one endpoint. All endpoints of a world must share the
-    /// `world_max_nanos` counter and the `dp_clock` — use
-    /// [`SimNetComm::world`] unless you are assembling a world by hand.
-    pub(crate) fn new(
-        inner: C,
-        model: NetModel,
-        world_max_nanos: Arc<AtomicU64>,
-        dp_clock: Arc<DataPlaneClock>,
-    ) -> Self {
+    /// `world_max_nanos` counter — use [`SimNetComm::world`] unless you
+    /// are assembling a world by hand.
+    pub(crate) fn new(inner: C, model: NetModel, world_max_nanos: Arc<AtomicU64>) -> Self {
         Self {
             inner,
             model,
             local_nanos: AtomicU64::new(0),
             world_max_nanos,
-            dp_local_nanos: AtomicU64::new(0),
-            dp_clock,
             pacer: Pacer::default(),
         }
     }
@@ -739,10 +720,9 @@ impl SimNetComm<ChannelComm> {
         model: NetModel,
     ) -> Vec<SimNetComm<ChannelComm>> {
         let nanos = Arc::new(AtomicU64::new(0));
-        let dp = Arc::new(DataPlaneClock::default());
         endpoints
             .into_iter()
-            .map(|c| SimNetComm::new(c, model.clone(), nanos.clone(), dp.clone()))
+            .map(|c| SimNetComm::new(c, model.clone(), nanos.clone()))
             .collect()
     }
 }
@@ -852,21 +832,8 @@ impl<C: Collective> Collective for SimNetComm<C> {
     fn modelled_comm_seconds(&self) -> f64 {
         self.world_max_nanos.load(Ordering::Relaxed) as f64 * 1e-9
     }
-    fn account_dataplane(&self, wire_bytes: u64, model_seconds: f64) {
-        self.dp_clock.bytes.fetch_add(wire_bytes, Ordering::Relaxed);
-        if model_seconds <= 0.0 {
-            return;
-        }
-        let nanos = (model_seconds * 1e9).round() as u64;
-        let local = self.dp_local_nanos.fetch_add(nanos, Ordering::Relaxed) + nanos;
-        self.dp_clock.max_nanos.fetch_max(local, Ordering::Relaxed);
+    fn account_dataplane(&self, model_seconds: f64) {
         self.pacer.charge(model_seconds * self.model.time_scale);
-    }
-    fn modelled_dataplane_seconds(&self) -> f64 {
-        self.dp_clock.max_nanos.load(Ordering::Relaxed) as f64 * 1e-9
-    }
-    fn dataplane_bytes(&self) -> u64 {
-        self.dp_clock.bytes.load(Ordering::Relaxed)
     }
     fn faults_armed(&self) -> bool {
         self.inner.faults_armed()
@@ -953,12 +920,10 @@ mod tests {
         // Nothing a lone rank does is counted or priced.
         c.account_payload(1 << 20);
         c.account_broadcast_payload(0, 1 << 20);
-        c.account_dataplane(1 << 20, 0.5);
+        c.account_dataplane(0.5);
         assert_eq!(c.world_bytes_sent(), 0);
         assert_eq!(c.world_messages_sent(), 0);
         assert_eq!(c.modelled_comm_seconds(), 0.0);
-        assert_eq!(c.modelled_dataplane_seconds(), 0.0);
-        assert_eq!(c.dataplane_bytes(), 0);
         // The liveness defaults describe a world where nothing dies.
         c.mark_dead(0);
         assert_eq!(c.alive_mask(), 1);
@@ -1017,21 +982,22 @@ mod tests {
 
     #[test]
     fn dataplane_charges_stay_off_the_collective_counters() {
+        use std::time::Instant;
         run_world(SimNetComm::world(2, fast_model()), |c| {
+            let mut buf = [c.rank() as f64; 64];
+            c.allreduce_sum_f64(&mut buf);
             let comm_secs = c.modelled_comm_seconds();
             let comm_bytes = c.world_bytes_sent();
-            c.account_dataplane(1_000_000, 0.25);
-            c.account_dataplane(500_000, 0.25);
+            let start = Instant::now();
+            c.account_dataplane(0.25);
+            c.account_dataplane(0.25);
+            // At time_scale 0 the half second is owed to no one.
+            assert!(start.elapsed() < Duration::from_millis(100));
             // The data-plane charge never leaks into the collective
             // accounting (read before the barrier adds its own cost).
-            assert_eq!(c.modelled_comm_seconds(), comm_secs);
+            assert_eq!(c.modelled_comm_seconds().to_bits(), comm_secs.to_bits());
             assert_eq!(c.world_bytes_sent(), comm_bytes);
             c.barrier();
-            // Data-plane traffic accrues on its own world-shared clock...
-            assert_eq!(c.dataplane_bytes(), 2 * 1_500_000, "both ranks charged");
-            // ...with critical-path semantics, not sum: both ranks
-            // charged 0.5 s in parallel, so the clock reads 0.5, not 1.0.
-            assert!((c.modelled_dataplane_seconds() - 0.5).abs() < 1e-9);
         });
     }
 
@@ -1059,19 +1025,21 @@ mod tests {
         let start = Instant::now();
         for _ in 0..2 {
             c.account_payload(100_000);
-            c.account_dataplane(0, 100e-6);
+            c.account_dataplane(100e-6);
         }
         assert!(start.elapsed() >= Duration::from_micros(300));
         assert_eq!(c.modelled_comm_seconds(), 200e-6);
-        assert_eq!(c.modelled_dataplane_seconds(), 200e-6);
     }
 
     #[test]
     fn channel_comm_ignores_dataplane_charges() {
+        use std::time::Instant;
         run_world(CommWorld::new(2).into_endpoints(), |c| {
-            c.account_dataplane(1 << 30, 10.0);
-            assert_eq!(c.dataplane_bytes(), 0);
-            assert_eq!(c.modelled_dataplane_seconds(), 0.0);
+            let start = Instant::now();
+            c.account_dataplane(10.0);
+            assert!(start.elapsed() < Duration::from_secs(1), "nothing slept");
+            assert_eq!(c.world_bytes_sent(), 0);
+            assert_eq!(c.modelled_comm_seconds(), 0.0);
             c.barrier();
         });
     }

@@ -157,9 +157,9 @@ pub struct ConsumerReport {
     /// under the lossless codec, smaller under a compressing
     /// [`as_staging::codec::WireCodec`].
     pub staging_wire_bytes: u64,
-    /// Modelled data-plane seconds the configured
-    /// [`as_staging::dataplane::DataPlane`] charged this rank's staging
-    /// reads (both streams).
+    /// Modelled seconds of this rank's staging fetches (both streams):
+    /// each block one hop from its writer over the stream's fabric, on
+    /// the configured [`as_staging::dataplane::DataPlane`].
     pub staging_model_seconds: f64,
 }
 
@@ -455,14 +455,10 @@ pub fn run_consumer<C: Collective>(
             rep.samples += 1;
             buffer.push(s);
         }
-        // Price this rank's staging fetches for the window on the
-        // collective's data plane (zero for non-owners, who fetched no
-        // payload; the netsim backend sleeps the modelled cost, the
-        // others ignore it).
-        comm.account_dataplane(
-            p_it.wire_bytes_fetched() + r_it.wire_bytes_fetched(),
-            p_it.simulated_seconds() + r_it.simulated_seconds(),
-        );
+        // Owe this rank's modelled staging fetch time for the window
+        // (zero for non-owners, who fetched no payload; the netsim
+        // backend sleeps it, the others ignore it).
+        comm.account_dataplane(p_it.simulated_seconds() + r_it.simulated_seconds());
         p_reader.close_iteration(p_it);
         r_reader.close_iteration(r_it);
 

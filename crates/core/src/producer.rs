@@ -63,12 +63,6 @@ pub struct ProducerReport {
     /// equals [`ProducerReport::bytes`] under `WireCodec::None`, smaller
     /// under a compressing codec.
     pub staging_wire_bytes: u64,
-    /// Modelled data-plane seconds the configured
-    /// [`as_staging::dataplane::DataPlane`] charged this rank's window
-    /// publishes (backend-independent pure model time; under the netsim
-    /// backend the same charge also accrues on the collective world's
-    /// data-plane clock).
-    pub staging_model_seconds: f64,
 }
 
 impl ProducerReport {
@@ -84,7 +78,6 @@ impl ProducerReport {
             comm_model_seconds: 0.0,
             comm_messages: 0,
             staging_wire_bytes: 0,
-            staging_model_seconds: 0.0,
         }
     }
 
@@ -123,7 +116,6 @@ fn finish_report(report: &mut ProducerReport, pw: &OpenPmdWriter, rw: &OpenPmdWr
     report.bytes = pw.bytes_published() + rw.bytes_published();
     report.stall_seconds = pw.stall_seconds() + rw.stall_seconds();
     report.staging_wire_bytes = pw.wire_bytes_published() + rw.wire_bytes_published();
-    report.staging_model_seconds = pw.model_seconds() + rw.model_seconds();
 }
 
 /// Arm the plan's producer-side faults on the stream writers. A
@@ -167,10 +159,6 @@ pub fn run_producer<C: Collective>(
     arm_faults(cfg, &mut pw, &mut rw);
 
     let mut report = ProducerReport::zero();
-    // Snapshots of the writer-side staging stats, so each window's wire
-    // bytes and modelled publish time can be charged to the collective
-    // world's data-plane clock as a per-window delta.
-    let (mut dp_wire, mut dp_secs) = (0u64, 0.0f64);
 
     for step in 0..cfg.total_steps {
         let t0 = Instant::now();
@@ -204,15 +192,6 @@ pub fn run_producer<C: Collective>(
                 global_n,
                 offset,
             );
-            // Route this window's staging traffic through the collective
-            // backend's data-plane accounting: the netsim backend folds
-            // the modelled publish time into the run's data-plane
-            // critical path (and sleeps its time_scale share); the
-            // in-process backend ignores the charge, staying bit-exact.
-            let wire = pw.wire_bytes_published() + rw.wire_bytes_published();
-            let secs = pw.model_seconds() + rw.model_seconds();
-            d.comm().account_dataplane(wire - dp_wire, secs - dp_secs);
-            (dp_wire, dp_secs) = (wire, secs);
             report.emit_seconds += t1.elapsed().as_secs_f64();
             // Every rank armed the same truncation step, so all shards
             // take this break on the same window — the group "crashes"

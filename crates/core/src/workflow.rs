@@ -66,8 +66,9 @@ use crate::consumer::{run_consumer, ConsumerReport};
 use crate::faults::InjectedFault;
 use crate::producer::{run_producer, ProducerReport};
 use crate::snapshot::SnapshotSink;
-use as_cluster::collective::{Collective, NetModel, SimNetComm, SoloComm};
+use as_cluster::collective::{Collective, NetModel, NodeMap, SimNetComm, SoloComm};
 use as_cluster::comm::CommWorld;
+use as_cluster::machine::FRONTIER;
 use as_staging::engine::{open_stream_monitored, SstReader, SstWriter, StreamConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -359,18 +360,14 @@ impl WorkflowReport {
             .sum()
     }
 
-    /// Modelled staging data-plane seconds on the critical path: the
-    /// slowest producer rank's publish charge plus the slowest learner
-    /// rank's fetch charge (the two phases pipeline across windows, but
-    /// per window they serialize writer → queue → reader).
+    /// Modelled staging seconds on the critical path: the slowest
+    /// learner rank's fetches. Bytes are priced once, where they cross
+    /// from writer to reader ([`stream_fabric`]).
     pub fn staging_model_seconds(&self) -> f64 {
-        let p = self.producer.staging_model_seconds;
-        let c = self
-            .consumer_summaries
+        self.consumer_summaries
             .iter()
             .map(|s| s.staging_model_seconds)
-            .fold(0.0, f64::max);
-        p + c
+            .fold(0.0, f64::max)
     }
 }
 
@@ -388,13 +385,8 @@ fn aggregate_producer(reports: &[ProducerReport]) -> ProducerReport {
         .iter()
         .map(|r| r.comm_model_seconds)
         .fold(0.0, f64::max);
-    // Wire bytes sum over ranks (each rank published its own blocks);
-    // modelled data-plane time is a critical path, like the wall times.
+    // Wire bytes sum over ranks (each rank published its own blocks).
     agg.staging_wire_bytes = reports.iter().map(|r| r.staging_wire_bytes).sum();
-    agg.staging_model_seconds = reports
-        .iter()
-        .map(|r| r.staging_model_seconds)
-        .fold(0.0, f64::max);
     agg
 }
 
@@ -442,30 +434,12 @@ pub fn run_workflow_with_sink(
             machine,
             time_scale,
         } => {
-            let placement = cfg.placement;
-            let producers = cfg.producers;
+            let (placement, producers) = (cfg.placement, cfg.producers);
             run_workflow_on(cfg, sink, move |n, group| {
                 let gpus = machine.gpus_per_node.max(1);
-                // Placement decides how this group's ranks map onto
-                // modelled nodes. Intra-node splits each node between the
-                // two groups (the paper's 4 sim + 4 train GCDs per node):
-                // a group packs gpus/2 ranks per node, every NIC is still
-                // shared by the node's full GCD complement, and both
-                // groups start at node 0 — so cross-group neighbours are
-                // co-resident and intra-group hops often stay on-node.
-                // Inter-node gives whole nodes to one side: full density,
-                // and the consumer group's nodes start after the last
-                // producer node, making the node sets disjoint.
-                let (group_ranks_per_node, node_offset) = match placement {
-                    Placement::IntraNode => ((gpus / 2).max(1), 0),
-                    Placement::InterNode => (
-                        gpus,
-                        match group {
-                            RankGroup::Producer => 0,
-                            RankGroup::Consumer => producers.div_ceil(gpus),
-                        },
-                    ),
-                };
+                // Every NIC is shared by the node's full GCD complement.
+                let (group_ranks_per_node, node_offset) =
+                    group_nodes(placement, group, gpus, producers);
                 let model = NetModel::from_machine_placed(
                     &machine,
                     n,
@@ -484,6 +458,42 @@ pub fn run_workflow_with_sink(
             })
         }
     }
+}
+
+/// Where `group`'s ranks sit among nodes of `gpus` GCDs under
+/// `placement`: `(ranks per node, first node)`. Intra-node splits each
+/// node between the two groups (the paper's 4 sim + 4 train GCDs per
+/// node): a group packs gpus/2 ranks per node and both groups start at
+/// node 0, so cross-group neighbours are co-resident. Inter-node gives
+/// whole nodes to one side: full density, and the consumer group's nodes
+/// start after the last producer node, making the node sets disjoint.
+fn group_nodes(
+    placement: Placement,
+    group: RankGroup,
+    gpus: usize,
+    producers: usize,
+) -> (usize, usize) {
+    match (placement, group) {
+        (Placement::IntraNode, _) => ((gpus / 2).max(1), 0),
+        (Placement::InterNode, RankGroup::Producer) => (gpus, 0),
+        (Placement::InterNode, RankGroup::Consumer) => (gpus, producers.div_ceil(gpus)),
+    }
+}
+
+/// The fabric both staging streams are priced on: producer ranks `0..M`
+/// then consumer ranks `M..M+K`, placed on Frontier by [`group_nodes`]
+/// whatever the backend, so a window's staging price is a function of
+/// the configuration alone — a fetch stays on the node exactly when its
+/// writer and reader share one.
+fn stream_fabric(cfg: &WorkflowConfig) -> NetModel {
+    let gpus = FRONTIER.gpus_per_node;
+    let group = |group, ranks| {
+        let (per_node, offset) = group_nodes(cfg.placement, group, gpus, cfg.producers);
+        NodeMap::placed(ranks, per_node, offset)
+    };
+    let nodes =
+        group(RankGroup::Producer, cfg.producers).then(group(RankGroup::Consumer, cfg.consumers));
+    NetModel::from_machine_mapped(&FRONTIER, nodes, gpus, 0.0)
 }
 
 /// The generic workflow driver: `make_world(n, group)` supplies a fresh
@@ -509,8 +519,8 @@ where
     };
     // Monitored streams: the monitors survive the run and report the
     // windows a dead rank's departed readers left unconsumed.
-    let (pw, pr, p_monitor) = open_stream_monitored(stream_cfg);
-    let (rw, rr, _r_monitor) = open_stream_monitored(stream_cfg);
+    let (pw, pr, p_monitor) = open_stream_monitored(stream_cfg, stream_fabric(cfg));
+    let (rw, rr, _r_monitor) = open_stream_monitored(stream_cfg, stream_fabric(cfg));
 
     let t0 = std::time::Instant::now();
 

@@ -145,13 +145,6 @@ impl IterationData {
     pub fn simulated_seconds(&self) -> f64 {
         self.step.simulated_seconds
     }
-
-    /// Wire bytes fetched from this iteration so far — the logical bytes
-    /// under the lossless codec, fewer under a compressing
-    /// [`as_staging::codec::WireCodec`].
-    pub fn wire_bytes_fetched(&self) -> u64 {
-        self.step.wire_bytes_fetched
-    }
 }
 
 #[cfg(test)]

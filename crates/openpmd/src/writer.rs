@@ -155,13 +155,6 @@ impl OpenPmdWriter {
         self.sst.stats.wire_bytes()
     }
 
-    /// Modelled data-plane seconds the configured
-    /// [`as_staging::dataplane::DataPlane`] charged this rank's
-    /// publishes.
-    pub fn model_seconds(&self) -> f64 {
-        self.sst.stats.simulated_seconds()
-    }
-
     /// Wall seconds this rank has spent blocked on staging back-pressure
     /// (the bounded SST queue at its limit).
     pub fn stall_seconds(&self) -> f64 {

@@ -1,4 +1,4 @@
-//! Data-plane timing models.
+//! Data planes: how efficiently a staging fetch uses the fabric.
 //!
 //! §IV-B: *"the SST engine implements different network transport
 //! technologies (data planes), including TCP (non-scalable fallback),
@@ -8,13 +8,21 @@
 //! the batch-of-10 variant scaled at reduced per-node throughput) with the
 //! MPI plane (default good performance from the MPI library's tuning).
 //!
-//! In-process the engine moves real bytes either way; these models supply
-//! the *wall-clock* behaviour at scale for the Fig. 6 harness.
+//! In-process the engine moves real bytes either way. A plane is not a
+//! cost model of its own: it is data — an efficiency and a per-op
+//! latency — applied to the [`NetModel`] hop from each block's writer to
+//! its reader ([`DataPlane::fetch_seconds`]), so placement decides whether
+//! a block crosses the fabric or stays on the node.
 
-/// NIC line rate the §IV-B calibration assumes (Frontier's Slingshot
-/// NICs, 25 GB/s) — the bandwidth every staging-side
-/// [`DataPlane::read_time`] charge is computed against.
-pub(crate) const NIC_BANDWIDTH: f64 = 25.0e9;
+use as_cluster::collective::NetModel;
+use as_cluster::machine::FRONTIER;
+
+/// The fabric §IV-B measures one node's reader on, and the one
+/// [`crate::engine::open_stream`] prices against: Frontier's hop latency
+/// and one 25 GB/s Slingshot NIC per flow, every rank on its own node.
+pub fn frontier_nic() -> NetModel {
+    NetModel::uniform(FRONTIER.net_latency, FRONTIER.nic_bandwidth, 0.0)
+}
 
 /// Read-request scheduling strategy of the libfabric plane (§IV-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,7 +34,7 @@ pub enum ReadStrategy {
     Batched(usize),
 }
 
-/// A data plane with its timing model.
+/// A data plane: the §IV-B efficiency and per-op latency of a transport.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DataPlane {
     /// TCP fallback: high latency, low bandwidth, always works.
@@ -39,14 +47,15 @@ pub enum DataPlane {
 }
 
 impl DataPlane {
-    /// Achievable fraction of the NIC line rate for one node's reader.
+    /// Achievable fraction of a hop's bandwidth for one reader.
     ///
-    /// Calibrated against the §IV-B numbers (25 GB/s NIC):
+    /// Calibrated against the §IV-B per-node numbers on
+    /// [`frontier_nic`] (one 25 GB/s NIC):
     /// - libfabric enqueue-all: 3.5–4.7 GB/s → ~16 % of line rate
     /// - libfabric batch-10:    1.9–2.6 GB/s → ~9 %
     /// - MPI:                   2.4–3.7 GB/s → ~12 %
     /// - TCP:                   ~2 % (fallback)
-    pub(crate) fn line_rate_fraction(&self) -> f64 {
+    pub(crate) fn efficiency(&self) -> f64 {
         match self {
             DataPlane::Tcp => 0.02,
             DataPlane::Mpi => 0.125,
@@ -82,15 +91,27 @@ impl DataPlane {
         }
     }
 
-    /// Modelled wall seconds for one node's reader to pull `bytes` over a
-    /// NIC of `nic_bandwidth`, issuing `ops` read operations.
-    pub fn read_time(&self, bytes: f64, ops: usize, nic_bandwidth: f64) -> f64 {
-        let bw = nic_bandwidth * self.line_rate_fraction();
+    /// Modelled seconds for `reader` to fetch `blocks`, each a
+    /// `(writer rank, wire bytes)` pair, over `net`: every block is one
+    /// [`NetModel::hop_seconds`] hop from its writer at this plane's
+    /// efficiency, and every read operation (one per block) and every
+    /// batch of them pays the plane's per-op latency.
+    pub fn fetch_seconds(
+        &self,
+        net: &NetModel,
+        reader: usize,
+        blocks: impl IntoIterator<Item = (usize, u64)>,
+    ) -> f64 {
+        let (mut hops, mut ops) = (0.0, 0usize);
+        for (writer, bytes) in blocks {
+            hops += net.hop_seconds(writer, reader, bytes, self.efficiency());
+            ops += 1;
+        }
         let batches = match self {
             DataPlane::Libfabric(ReadStrategy::Batched(n)) => ops.div_ceil((*n).max(1)),
             _ => 1,
         };
-        bytes / bw + self.op_latency() * (ops + batches) as f64
+        hops + self.op_latency() * (ops + batches) as f64
     }
 
     /// Display label matching the paper's figure legends.
@@ -108,13 +129,18 @@ impl DataPlane {
 mod tests {
     use super::*;
 
-    const NIC: f64 = 25.0e9;
+    /// Seconds for reader rank 64 to pull `bytes` in 64 equal blocks, one
+    /// from each of writers 0..64, over one Frontier NIC.
+    fn node_fetch_seconds(plane: DataPlane, bytes: f64) -> f64 {
+        let block = (bytes / 64.0) as u64;
+        plane.fetch_seconds(&frontier_nic(), 64, (0..64).map(|w| (w, block)))
+    }
 
     #[test]
     fn per_node_rates_match_paper_ranges() {
         // §IV-B per-node throughputs at 4096 nodes.
         let gb = 5.86e9; // bytes per node per step
-        let rate = |p: DataPlane| gb / p.read_time(gb, 64, NIC) / 1e9;
+        let rate = |p: DataPlane| gb / node_fetch_seconds(p, gb) / 1e9;
         let lf_all = rate(DataPlane::Libfabric(ReadStrategy::EnqueueAll));
         assert!((3.5..4.7).contains(&lf_all), "enqueue-all {lf_all} GB/s");
         let lf_b10 = rate(DataPlane::Libfabric(ReadStrategy::Batched(10)));
@@ -134,16 +160,16 @@ mod tests {
 
     #[test]
     fn deeper_batches_improve_throughput() {
-        let b2 = DataPlane::Libfabric(ReadStrategy::Batched(2)).line_rate_fraction();
-        let b10 = DataPlane::Libfabric(ReadStrategy::Batched(10)).line_rate_fraction();
-        let all = DataPlane::Libfabric(ReadStrategy::EnqueueAll).line_rate_fraction();
-        assert!(b2 < b10 && b10 < all);
+        let b2 = node_fetch_seconds(DataPlane::Libfabric(ReadStrategy::Batched(2)), 1e9);
+        let b10 = node_fetch_seconds(DataPlane::Libfabric(ReadStrategy::Batched(10)), 1e9);
+        let all = node_fetch_seconds(DataPlane::Libfabric(ReadStrategy::EnqueueAll), 1e9);
+        assert!(b2 > b10 && b10 > all);
     }
 
     #[test]
     fn tcp_is_the_slow_fallback() {
-        let t = DataPlane::Tcp.read_time(1e9, 16, NIC);
-        let m = DataPlane::Mpi.read_time(1e9, 16, NIC);
+        let t = node_fetch_seconds(DataPlane::Tcp, 1e9);
+        let m = node_fetch_seconds(DataPlane::Mpi, 1e9);
         assert!(t > 4.0 * m);
     }
 

@@ -44,11 +44,12 @@ use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use as_cluster::collective::NetModel;
 use as_detect::{track_cell, Cell};
 use parking_lot::{Condvar, Mutex};
 
 use crate::codec::WireCodec;
-use crate::dataplane::{DataPlane, NIC_BANDWIDTH};
+use crate::dataplane::{frontier_nic, DataPlane};
 use crate::error::StagingError;
 use crate::stats::ThroughputRecorder;
 use crate::variable::{Block, Dtype, VariableMeta};
@@ -64,7 +65,8 @@ pub struct StreamConfig {
     /// Maximum published-but-unclosed steps before `begin_step` blocks
     /// (ADIOS2 `QueueLimit`).
     pub queue_limit: usize,
-    /// The transport whose timing model annotates reads.
+    /// The transport whose efficiency and per-op latency price each
+    /// fetch on the stream's fabric ([`DataPlane::fetch_seconds`]).
     pub plane: DataPlane,
     /// Wire codec applied to float payload blocks at publish time.
     pub codec: WireCodec,
@@ -112,6 +114,9 @@ struct StreamState {
 
 struct StreamCore {
     cfg: StreamConfig,
+    /// The fabric fetches are priced on: writer ranks `0..writers`, then
+    /// reader ranks `writers..writers + readers`.
+    net: NetModel,
     state: Mutex<StreamState>,
     cond: Condvar,
     /// Detector registration for the SST step table (everything inside
@@ -231,8 +236,9 @@ pub struct SstReader {
 /// A step held open by a reader.
 pub struct ReadStep {
     data: Arc<StepData>,
-    plane: DataPlane,
-    codec: WireCodec,
+    core: Arc<StreamCore>,
+    /// This reader's rank on the stream's fabric (`writers + rank`).
+    reader: usize,
     /// Simulated wire seconds accumulated by fetches in this step.
     pub simulated_seconds: f64,
     /// Logical payload bytes fetched in this step.
@@ -242,15 +248,22 @@ pub struct ReadStep {
     pub wire_bytes_fetched: u64,
 }
 
-/// Open a stream, returning per-rank writer and reader endpoints.
+/// Open a stream, returning per-rank writer and reader endpoints. Its
+/// fetches are priced on [`frontier_nic`]: no placement, every block
+/// crosses one Frontier NIC.
 pub fn open_stream(cfg: StreamConfig) -> (Vec<SstWriter>, Vec<SstReader>) {
-    let (writers, readers, _monitor) = open_stream_monitored(cfg);
+    let (writers, readers, _monitor) = open_stream_monitored(cfg, frontier_nic());
     (writers, readers)
 }
 
-/// Open a stream and additionally return a [`StreamMonitor`] for
-/// out-of-band health observation (published/departed/lost counts).
-pub fn open_stream_monitored(cfg: StreamConfig) -> (Vec<SstWriter>, Vec<SstReader>, StreamMonitor) {
+/// Open a stream whose fetches are priced on `net` — writer ranks
+/// `0..writers`, then reader ranks `writers..writers + readers` — and
+/// additionally return a [`StreamMonitor`] for out-of-band health
+/// observation (published/departed/lost counts).
+pub fn open_stream_monitored(
+    cfg: StreamConfig,
+    net: NetModel,
+) -> (Vec<SstWriter>, Vec<SstReader>, StreamMonitor) {
     assert!(cfg.writers >= 1 && cfg.readers >= 1 && cfg.queue_limit >= 1);
     assert!(
         cfg.readers <= 64,
@@ -258,6 +271,7 @@ pub fn open_stream_monitored(cfg: StreamConfig) -> (Vec<SstWriter>, Vec<SstReade
     );
     let core = Arc::new(StreamCore {
         cfg,
+        net,
         state: Mutex::new(StreamState::default()),
         cond: Condvar::new(),
         cell: track_cell!("staging::StreamCore.state"),
@@ -403,14 +417,10 @@ impl SstWriter {
             return Ok(());
         }
         // Logical payload vs wire size: the codec shrinks what crosses
-        // the plane, and the publish itself is charged one modelled op.
+        // the plane. The bytes are priced once, when a reader fetches
+        // them across the fabric.
         self.stats.add_bytes(count * dtype.size() as u64);
         self.stats.add_wire_bytes(data.len() as u64);
-        self.stats.add_simulated(self.core.cfg.plane.read_time(
-            data.len() as f64,
-            1,
-            NIC_BANDWIDTH,
-        ));
         let mut st = self.core.state.lock();
         self.core.cell.write();
         let vars = st
@@ -524,8 +534,8 @@ impl SstReader {
     fn open_step(&self, data: Arc<StepData>) -> ReadStep {
         ReadStep {
             data,
-            plane: self.core.cfg.plane,
-            codec: self.core.cfg.codec,
+            core: self.core.clone(),
+            reader: self.core.cfg.writers + self.rank,
             simulated_seconds: 0.0,
             bytes_fetched: 0,
             wire_bytes_fetched: 0,
@@ -699,13 +709,25 @@ impl ReadStep {
         self.data.vars.get(name)
     }
 
-    /// Charge one fetch: logical payload bytes, wire bytes, and the
-    /// modelled wire seconds for `ops` read operations moving the wire
-    /// bytes over the configured plane.
-    fn charge(&mut self, logical: u64, wire: u64, ops: usize) {
+    /// Modelled seconds of fetching every block of `var`: one hop from
+    /// each block's writer to this reader, on the configured plane.
+    fn fetch_seconds(&self, var: &VariableMeta) -> f64 {
+        let blocks = var
+            .blocks
+            .iter()
+            .map(|b| (b.writer_rank, b.data.len() as u64));
+        self.core
+            .cfg
+            .plane
+            .fetch_seconds(&self.core.net, self.reader, blocks)
+    }
+
+    /// Charge one fetch: logical payload bytes, wire bytes and modelled
+    /// seconds.
+    fn charge(&mut self, logical: u64, wire: u64, seconds: f64) {
         self.bytes_fetched += logical;
         self.wire_bytes_fetched += wire;
-        self.simulated_seconds += self.plane.read_time(wire as f64, ops, NIC_BANDWIDTH);
+        self.simulated_seconds += seconds;
     }
 
     fn lookup(&self, name: &str, dtype: Dtype) -> Result<&VariableMeta, StagingError> {
@@ -736,11 +758,11 @@ impl ReadStep {
 
     /// Fallible twin of [`ReadStep::get_f64`].
     pub(crate) fn try_get_f64(&mut self, name: &str) -> Result<Vec<f64>, StagingError> {
-        let codec = self.codec;
+        let codec = self.core.cfg.codec;
         let var = self.lookup(name, Dtype::F64)?;
+        let seconds = self.fetch_seconds(var);
         let mut out = vec![0.0f64; var.global_count as usize];
         let mut wire = 0u64;
-        let ops = var.blocks.len();
         for b in &var.blocks {
             codec.decode_f64_into(
                 &b.data,
@@ -750,7 +772,7 @@ impl ReadStep {
             wire += b.data.len() as u64;
         }
         let logical = var.global_count * Dtype::F64.size() as u64;
-        self.charge(logical, wire, ops);
+        self.charge(logical, wire, seconds);
         Ok(out)
     }
 
@@ -762,11 +784,11 @@ impl ReadStep {
 
     /// Fallible twin of [`ReadStep::get_f32`].
     pub(crate) fn try_get_f32(&mut self, name: &str) -> Result<Vec<f32>, StagingError> {
-        let codec = self.codec;
+        let codec = self.core.cfg.codec;
         let var = self.lookup(name, Dtype::F32)?;
+        let seconds = self.fetch_seconds(var);
         let mut out = vec![0.0f32; var.global_count as usize];
         let mut wire = 0u64;
-        let ops = var.blocks.len();
         for b in &var.blocks {
             codec.decode_f32_into(
                 &b.data,
@@ -776,7 +798,7 @@ impl ReadStep {
             wire += b.data.len() as u64;
         }
         let logical = var.global_count * Dtype::F32.size() as u64;
-        self.charge(logical, wire, ops);
+        self.charge(logical, wire, seconds);
         Ok(out)
     }
 
@@ -802,11 +824,11 @@ impl ReadStep {
         name: &str,
         dtype: Dtype,
     ) -> Result<VarView, StagingError> {
-        let codec = self.codec;
+        let codec = self.core.cfg.codec;
         let var = self.lookup(name, dtype)?;
+        let seconds = self.fetch_seconds(var);
         let mut segments = Vec::with_capacity(var.blocks.len());
         let mut wire = 0u64;
-        let ops = var.blocks.len();
         for b in &var.blocks {
             segments.push(Segment::new(
                 b.offset,
@@ -819,7 +841,7 @@ impl ReadStep {
         }
         let global_count = var.global_count;
         let logical = global_count * dtype.size() as u64;
-        self.charge(logical, wire, ops);
+        self.charge(logical, wire, seconds);
         Ok(VarView::new(segments, global_count))
     }
 }
@@ -1264,7 +1286,7 @@ mod tests {
             queue_limit: 1,
             ..StreamConfig::default()
         };
-        let (mut writers, mut readers, monitor) = open_stream_monitored(cfg);
+        let (mut writers, mut readers, monitor) = open_stream_monitored(cfg, frontier_nic());
         let mut w = writers.remove(0);
         let (mut alive, mut dying) = (readers.remove(0), readers.remove(0));
         let producer = thread::spawn(move || {
@@ -1294,7 +1316,8 @@ mod tests {
 
     #[test]
     fn reader_dropped_at_clean_eof_loses_nothing() {
-        let (mut writers, mut readers, monitor) = open_stream_monitored(StreamConfig::default());
+        let (mut writers, mut readers, monitor) =
+            open_stream_monitored(StreamConfig::default(), frontier_nic());
         let mut w = writers.remove(0);
         let mut r = readers.remove(0);
         w.begin_step();
@@ -1311,10 +1334,11 @@ mod tests {
 
     #[test]
     fn armed_truncation_closes_the_stream_at_the_trigger() {
-        let (mut writers, mut readers, monitor) = open_stream_monitored(StreamConfig {
+        let cfg = StreamConfig {
             queue_limit: 8,
             ..StreamConfig::default()
-        });
+        };
+        let (mut writers, mut readers, monitor) = open_stream_monitored(cfg, frontier_nic());
         let mut w = writers.remove(0);
         w.arm_truncate(2);
         // The producer loop is oblivious: it keeps writing five steps, but
@@ -1441,15 +1465,6 @@ mod tests {
         assert_eq!(wire, 200, "binary16 wire is 4x smaller");
         assert_eq!(r.stats.total_bytes(), 2 * 800, "owned fetch + view fetch");
         assert_eq!(r.stats.wire_bytes(), 2 * 200);
-    }
-
-    #[test]
-    fn writer_charges_modelled_publish_time() {
-        let (mut writers, _readers) = open_stream(StreamConfig::default());
-        let mut w = writers.remove(0);
-        w.begin_step();
-        w.put_f64("x", 64, 0, &[1.0; 64]);
-        assert!(w.stats.simulated_seconds() > 0.0);
     }
 
     #[test]

@@ -10,10 +10,12 @@
 //!
 //! Remote one-sided reads are emulated by reference-counted buffers
 //! ([`bytes::Bytes`]): a writer *publishes* its block, a reader *fetches*
-//! it, and the configured [`dataplane`] charges the modelled wire time —
-//! the same separation of control metadata vs data plane as SST, with the
-//! paper's three planes (TCP fallback, MPI, libfabric with its enqueue-all
-//! vs batched read strategies) as timing models.
+//! it, and the configured [`dataplane`] prices the fetch as one hop per
+//! block from its writer to the reader on the stream's fabric model
+//! (`as_cluster::collective::NetModel`) — the same separation of control
+//! metadata vs data plane as SST, with the paper's three planes (TCP
+//! fallback, MPI, libfabric with its enqueue-all vs batched read
+//! strategies) as efficiencies and per-op latencies of that hop.
 //!
 //! # Step lifecycle contract
 //!

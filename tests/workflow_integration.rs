@@ -155,14 +155,23 @@ fn data_plane_and_placement_are_configurable() {
         DataPlane::Mpi,
         DataPlane::Libfabric(ReadStrategy::Batched(10)),
     ] {
-        let mut cfg = fast_cfg();
-        cfg.total_steps = 8;
-        cfg.steps_per_sample = 4;
-        cfg.n_rep = 1;
-        cfg.data_plane = plane;
-        cfg.placement = Placement::InterNode;
-        let report = run_workflow(&cfg);
-        assert_eq!(report.consumer.windows, 2, "plane {plane:?}");
+        let [intra, inter] = [Placement::IntraNode, Placement::InterNode].map(|placement| {
+            let mut cfg = fast_cfg();
+            cfg.total_steps = 8;
+            cfg.steps_per_sample = 4;
+            cfg.n_rep = 1;
+            cfg.data_plane = plane;
+            cfg.placement = placement;
+            let report = run_workflow(&cfg);
+            assert_eq!(report.consumer.windows, 2, "plane {plane:?}, {placement:?}");
+            report.staging_model_seconds()
+        });
+        // Sharing a node, the 1×1 stream's fetches take the device link;
+        // on disjoint nodes they cross the fabric.
+        assert!(
+            intra < inter,
+            "plane {plane:?}: intra-node {intra} s, inter-node {inter} s"
+        );
     }
 }
 
