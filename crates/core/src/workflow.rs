@@ -519,8 +519,9 @@ where
     };
     // Monitored streams: the monitors survive the run and report the
     // windows a dead rank's departed readers left unconsumed.
-    let (pw, pr, p_monitor) = open_stream_monitored(stream_cfg, stream_fabric(cfg));
-    let (rw, rr, _r_monitor) = open_stream_monitored(stream_cfg, stream_fabric(cfg));
+    let fabric = stream_fabric(cfg);
+    let (pw, pr, p_monitor) = open_stream_monitored(stream_cfg, fabric.clone());
+    let (rw, rr, _r_monitor) = open_stream_monitored(stream_cfg, fabric);
 
     let t0 = std::time::Instant::now();
 
